@@ -4,12 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use score_bench::bench_world;
-use score_core::{CostModel, LocalView, ScoreConfig, ScoreEngine};
+use score_core::{CostModel, KernelScratch, LocalView, ScoreConfig, ScoreEngine};
 use score_topology::{LinkWeights, VmId};
 
 fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations");
     let (cluster, traffic) = bench_world(256, 6);
+    let mut scratch = KernelScratch::new();
 
     // Candidate-probe budget: how much does capping the §V-B5 probes save?
     for budget in [1usize, 4, 16] {
@@ -31,7 +32,7 @@ fn bench_ablations(c: &mut Criterion) {
                         &traffic,
                         cluster.topo(),
                     );
-                    engine.decide(&view, &cluster)
+                    engine.decide(&view, None, &cluster, &mut scratch)
                 })
             },
         );
@@ -54,7 +55,7 @@ fn bench_ablations(c: &mut Criterion) {
                         &traffic,
                         cluster.topo(),
                     );
-                    engine.decide(&view, &cluster)
+                    engine.decide(&view, None, &cluster, &mut scratch)
                 })
             },
         );

@@ -23,8 +23,8 @@ use score_sim::{Scenario, TopologySpec};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Pre-kernel per-hold latency (ns) recorded by `cost_sampling` before
-/// the single-pass kernel landed — the denominator of the speedups.
+/// Pre-kernel per-hold latency (ns) recorded before the single-pass
+/// kernel landed — the denominator of the speedups.
 const BASELINE_NS: [(&str, f64); 3] = [
     ("canonical-2560", 2653.9),
     ("fat-tree-27648", 5348.8),

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use score_bench::bench_world;
-use score_core::{CostModel, LocalView, ScoreEngine};
+use score_core::{CostModel, KernelScratch, LocalView, ScoreEngine};
 use score_topology::{ServerId, VmId};
 
 fn bench_cost_kernels(c: &mut Criterion) {
@@ -29,6 +29,7 @@ fn bench_cost_kernels(c: &mut Criterion) {
         });
 
         let engine = ScoreEngine::paper_default();
+        let mut scratch = KernelScratch::new();
         group.bench_with_input(BenchmarkId::new("holder_decision", vms), &vms, |b, _| {
             b.iter(|| {
                 let view = LocalView::observe(
@@ -37,7 +38,7 @@ fn bench_cost_kernels(c: &mut Criterion) {
                     &traffic,
                     cluster.topo(),
                 );
-                engine.decide(&view, &cluster)
+                engine.decide(&view, None, &cluster, &mut scratch)
             })
         });
     }

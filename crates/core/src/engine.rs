@@ -11,16 +11,23 @@
 //!
 //! [`ScoreEngine`] implements steps 3–4 over a [`LocalView`] (steps 1–2).
 
-use score_topology::ServerId;
-use score_topology::VmId;
-use score_traffic::PairTraffic;
+use score_topology::{ServerId, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
-use crate::outlook::{OutlookContext, TrafficOutlook};
 use crate::scratch::KernelScratch;
-use crate::view::{combine_bucketed, LocalView};
+use crate::view::{combine_bucketed, LocalView, RankEntry};
+
+/// Minimum candidate count for [`ScoreEngine::decide`]'s bucketed
+/// scorer. Below it the per-candidate `delta_for` sweep is faster:
+/// accumulating into the (large, mostly cold) per-host/rack/zone arrays
+/// costs a cache miss or two per peer, which only amortizes once enough
+/// candidates reuse the sums. Both scorers are bit-identical, so the
+/// cutoff can never change a decision — it is chosen from the candidate
+/// count the code already has, not from configuration. Both sides carry
+/// benchmark traffic; the measured split is in `docs/ARCHITECTURE.md`.
+pub const KERNEL_MIN_CANDIDATES: usize = 12;
 
 /// Tunables of the S-CORE migration decision.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,152 +146,67 @@ impl ScoreEngine {
     }
 
     /// Makes the migration decision for the holder described by `view`,
-    /// without mutating anything — the reactive (current-TM) pipeline.
+    /// without mutating anything — the one §V-B5 procedure every token
+    /// hold runs.
     ///
-    /// Candidates are the servers hosting the holder's peers, in descending
-    /// communication-level order; each is capacity-probed; among the
-    /// feasible ones the largest `ΔC` wins, provided it exceeds `c_m`.
-    pub fn decide(&self, view: &LocalView, cluster: &Cluster) -> MigrationDecision {
-        self.decide_scored(view, None, cluster)
-    }
-
-    /// Makes the migration decision for an outlook, without mutating
-    /// anything — the one decision procedure every pipeline step runs.
+    /// Candidates are the servers hosting the holder's peers, ranked
+    /// "from highest to lowest communication levels" with ties towards
+    /// heavier pairs; each is capacity-probed against the live cluster;
+    /// among the feasible ones the largest `ΔC` wins, provided it
+    /// exceeds `c_m` (Theorem 1).
     ///
-    /// Candidates come from the outlook's *decision view* (the current
-    /// view for reactive outlooks, the forecast-re-rated view
-    /// otherwise), ranked "from highest to lowest communication levels"
-    /// with ties towards heavier *expected* pairs. Each is
-    /// capacity-probed against the live cluster; among the feasible
-    /// ones the largest expected `ΔC` wins, provided it exceeds `c_m`.
-    ///
-    /// For a reactive outlook this is bit-for-bit the paper's §V-B5
-    /// procedure. With a forecast, selection and acceptance run on
-    /// expected rates while `MigrationDecision::gain` still reports the
+    /// `current` is `None` for a reactive decision: `view` *is* the
+    /// current view and this is bit-for-bit the paper's procedure. With
+    /// a forecast, `view` carries the expected (peak-envelope) rates
+    /// that selection and acceptance run on, and `current` supplies the
+    /// landed rates: [`MigrationDecision::gain`] then reports the
     /// current-TM delta of the chosen move (what the cost ledger must
-    /// absorb); `preemptive` flags moves only the forecast justified.
-    pub fn decide_outlook(&self, outlook: &TrafficOutlook, cluster: &Cluster) -> MigrationDecision {
-        let decision_view = outlook.decision_view();
-        let current = outlook.has_forecast().then(|| outlook.view());
-        self.decide_scored(&decision_view, current, cluster)
-    }
-
-    /// The §V-B5 core over the scoring view. `current` is `Some` when
-    /// `decision_view` carries forecasted rates — it then supplies the
-    /// actual current-TM gain and the pre-emptive flag; `None` is the
-    /// reactive path (scoring view *is* the current view, no copies).
+    /// absorb) and `preemptive` flags moves only the forecast justified.
     ///
-    /// This is the *reference* implementation: allocate the ranked
-    /// candidate list, then sweep `delta_for` per candidate. The hot
-    /// path is [`ScoreEngine::decide_scored_with`], which is pinned
-    /// bit-identical to this by proptest.
-    pub fn decide_scored(
-        &self,
-        decision_view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-    ) -> MigrationDecision {
-        let mut candidates = decision_view.candidate_servers();
-        if let Some(cap) = self.config.max_candidates {
-            candidates.truncate(cap);
-        }
-        let mut best: Option<(ServerId, f64)> = None;
-        let mut evaluated = 0;
-        let mut rejected = 0;
-        for target in candidates {
-            evaluated += 1;
-            if cluster
-                .can_host(target, decision_view.vm, self.config.bandwidth_threshold)
-                .is_err()
-            {
-                rejected += 1;
-                continue;
-            }
-            let delta = decision_view.delta_for(target, self.cost.weights(), cluster.topo());
-            if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
-                best = Some((target, delta));
-            }
-        }
-        self.finish_decision(best, evaluated, rejected, decision_view, current, cluster)
-    }
-
-    /// The single-pass level-bucketed kernel (§V-B5, restructured).
+    /// # Scoring
     ///
     /// The Lemma-3 delta decomposes as `2·(before − after(x̂))`:
     /// `before = Σ_z λ(z,u)·prefix(ℓ(z,u))` is candidate-independent,
     /// and on topologies exposing [`score_topology::LevelBuckets`] the
     /// `after` term only depends on how much peer rate sits on the
-    /// candidate's host, rack and zone. So one pass over the peers
+    /// candidate's host, rack and zone. With at least
+    /// [`KERNEL_MIN_CANDIDATES`] candidates, one pass over the peers
     /// accumulates `before` plus per-host/rack/zone rate sums into the
-    /// epoch-stamped [`KernelScratch`], and each candidate is then
-    /// scored from ≤ L bucket reads — O(peers + candidates·L) instead
-    /// of O(peers·candidates) — with zero heap allocations.
+    /// epoch-stamped [`KernelScratch`], and each candidate is scored
+    /// from ≤ L bucket reads — O(peers + candidates·L). Below the cutoff
+    /// (and on topologies without buckets) each candidate is scored by
+    /// [`LocalView::delta_for`] — O(peers·candidates), but without
+    /// touching the large, mostly cold accumulator arrays. Either way
+    /// the steady state makes zero heap allocations.
     ///
     /// Per-bucket sums accumulate the same peer subsequences in the
-    /// same order as the decomposed `delta_for`, and both paths share
-    /// `combine_bucketed`, so the scores (and therefore
-    /// the decision) are bit-identical to [`ScoreEngine::decide_scored`].
-    /// Topologies without buckets fall back to the `delta_for` sweep,
-    /// still allocation-free.
-    pub fn decide_scored_with(
+    /// same order as the decomposed `delta_for`, and both scorers share
+    /// `combine_bucketed`, so the scores — and therefore the decision —
+    /// are bit-identical on both sides of the cutoff and to
+    /// [`ScoreEngine::decide_reference`].
+    pub fn decide(
         &self,
-        decision_view: &LocalView,
+        view: &LocalView,
         current: Option<&LocalView>,
         cluster: &Cluster,
         scratch: &mut KernelScratch,
     ) -> MigrationDecision {
-        self.decide_scored_inner(decision_view, current, cluster, scratch, false)
-    }
-
-    /// [`ScoreEngine::decide_scored_with`] with the bucketed path forced
-    /// on (when the topology has buckets at all), bypassing the
-    /// candidate-count heuristic — for equivalence tests and benches.
-    #[doc(hidden)]
-    pub fn decide_scored_bucketed(
-        &self,
-        decision_view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-        scratch: &mut KernelScratch,
-    ) -> MigrationDecision {
-        self.decide_scored_inner(decision_view, current, cluster, scratch, true)
-    }
-
-    fn decide_scored_inner(
-        &self,
-        decision_view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-        scratch: &mut KernelScratch,
-        force_bucketed: bool,
-    ) -> MigrationDecision {
-        /// Minimum candidate count for the bucketed path. Below it the
-        /// per-candidate `delta_for` sweep is faster: accumulating into
-        /// the (large, mostly cold) per-host/rack/zone arrays costs a
-        /// cache miss or two per peer, which only amortizes once enough
-        /// candidates reuse the sums. The two paths score bit-identically,
-        /// so the cutoff is a pure latency knob — it can never change a
-        /// decision.
-        const KERNEL_MIN_CANDIDATES: usize = 12;
         let topo = cluster.topo();
+        let weights = self.cost.weights();
         let mut candidates = std::mem::take(&mut scratch.candidates);
-        decision_view.rank_candidates_into(&mut candidates);
+        view.rank_candidates_into(&mut candidates);
         if let Some(cap) = self.config.max_candidates {
             candidates.truncate(cap);
         }
-        let weights = self.cost.weights();
-        let mut best: Option<(ServerId, f64)> = None;
-        let mut evaluated = 0;
-        let mut rejected = 0;
         let buckets = topo
             .level_buckets()
-            .filter(|_| force_bucketed || candidates.len() >= KERNEL_MIN_CANDIDATES);
-        if let Some(buckets) = buckets {
+            .filter(|_| candidates.len() >= KERNEL_MIN_CANDIDATES);
+        let (best, evaluated, rejected) = if let Some(buckets) = buckets {
             scratch.ensure_topology(topo);
             scratch.begin();
             let mut before = 0.0;
             let mut total = 0.0;
-            for p in &decision_view.peers {
+            for p in &view.peers {
                 before += p.rate * weights.prefix(p.level);
                 let pc = topo.coords_of(p.server);
                 scratch.add_host(p.server, p.rate);
@@ -293,17 +215,9 @@ impl ScoreEngine {
                 total += p.rate;
             }
             let max_level = topo.max_level();
-            for &(target, ..) in &candidates {
-                evaluated += 1;
-                if cluster
-                    .can_host(target, decision_view.vm, self.config.bandwidth_threshold)
-                    .is_err()
-                {
-                    rejected += 1;
-                    continue;
-                }
+            self.probe_candidates(&candidates, view.vm, cluster, |target| {
                 let tc = topo.coords_of(target);
-                let delta = combine_bucketed(
+                combine_bucketed(
                     before,
                     scratch.host_sum(target),
                     scratch.rack_sum(tc.rack),
@@ -312,33 +226,86 @@ impl ScoreEngine {
                     weights,
                     buckets,
                     max_level,
-                );
-                if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
-                    best = Some((target, delta));
-                }
-            }
+                )
+            })
         } else {
-            for &(target, ..) in &candidates {
-                evaluated += 1;
-                if cluster
-                    .can_host(target, decision_view.vm, self.config.bandwidth_threshold)
-                    .is_err()
-                {
-                    rejected += 1;
-                    continue;
-                }
-                let delta = decision_view.delta_for(target, weights, topo);
-                if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
-                    best = Some((target, delta));
-                }
-            }
-        }
+            self.probe_candidates(&candidates, view.vm, cluster, |target| {
+                view.delta_for(target, weights, topo)
+            })
+        };
         scratch.candidates = candidates;
-        self.finish_decision(best, evaluated, rejected, decision_view, current, cluster)
+        self.finish_decision(best, evaluated, rejected, view, current, cluster)
     }
 
-    /// Shared tail of both decision paths: current-TM gain, pre-emptive
-    /// flag and the assembled [`MigrationDecision`].
+    /// The candidate loop of [`ScoreEngine::decide`]: probe each ranked
+    /// candidate for capacity, score the feasible ones with `score`, and
+    /// track the largest `ΔC` above `c_m`. Returns `(best, evaluated,
+    /// rejected)`.
+    #[inline]
+    fn probe_candidates(
+        &self,
+        candidates: &[RankEntry],
+        vm: VmId,
+        cluster: &Cluster,
+        mut score: impl FnMut(ServerId) -> f64,
+    ) -> (Option<(ServerId, f64)>, usize, usize) {
+        let mut best: Option<(ServerId, f64)> = None;
+        let mut rejected = 0;
+        for &(target, ..) in candidates {
+            if cluster
+                .can_host(target, vm, self.config.bandwidth_threshold)
+                .is_err()
+            {
+                rejected += 1;
+                continue;
+            }
+            let delta = score(target);
+            if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
+                best = Some((target, delta));
+            }
+        }
+        (best, candidates.len(), rejected)
+    }
+
+    /// The oracle [`ScoreEngine::decide`] is pinned bit-identical to by
+    /// proptest (`tests/decision_kernel.rs`): allocate the ranked
+    /// candidate list, then sweep [`LocalView::delta_for`] per
+    /// candidate. It keeps a candidate loop of its own so it shares no
+    /// control flow with what it checks; nothing on a production path
+    /// calls it.
+    pub fn decide_reference(
+        &self,
+        view: &LocalView,
+        current: Option<&LocalView>,
+        cluster: &Cluster,
+    ) -> MigrationDecision {
+        let mut candidates = Vec::new();
+        view.rank_candidates_into(&mut candidates);
+        if let Some(cap) = self.config.max_candidates {
+            candidates.truncate(cap);
+        }
+        let mut best: Option<(ServerId, f64)> = None;
+        let mut evaluated = 0;
+        let mut rejected = 0;
+        for (target, ..) in candidates {
+            evaluated += 1;
+            if cluster
+                .can_host(target, view.vm, self.config.bandwidth_threshold)
+                .is_err()
+            {
+                rejected += 1;
+                continue;
+            }
+            let delta = view.delta_for(target, self.cost.weights(), cluster.topo());
+            if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
+                best = Some((target, delta));
+            }
+        }
+        self.finish_decision(best, evaluated, rejected, view, current, cluster)
+    }
+
+    /// Shared tail of [`ScoreEngine::decide`] and the oracle: current-TM
+    /// gain, pre-emptive flag and the assembled [`MigrationDecision`].
     fn finish_decision(
         &self,
         best: Option<(ServerId, f64)>,
@@ -369,41 +336,6 @@ impl ScoreEngine {
             rejected_capacity: rejected,
         }
     }
-
-    /// Observes, decides, and applies the migration if warranted. Returns
-    /// the decision and the (pre-migration) local view — the reactive
-    /// pipeline ([`ScoreEngine::step_outlook`] with a reactive context).
-    pub fn step(
-        &self,
-        u: VmId,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-    ) -> (MigrationDecision, LocalView) {
-        let (decision, outlook) =
-            self.step_outlook(u, cluster, traffic, &OutlookContext::reactive());
-        (decision, outlook.into_view())
-    }
-
-    /// Observes, wraps the view into the context's outlook, decides, and
-    /// applies the migration if warranted. Returns the decision and the
-    /// (pre-migration) outlook.
-    pub fn step_outlook(
-        &self,
-        u: VmId,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-        ctx: &OutlookContext<'_>,
-    ) -> (MigrationDecision, TrafficOutlook) {
-        let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-        let outlook = ctx.outlook_for(view);
-        let decision = self.decide_outlook(&outlook, cluster);
-        if let Some(target) = decision.target {
-            cluster
-                .migrate(u, target, self.config.bandwidth_threshold)
-                .expect("decide_outlook() validated admission for the chosen target");
-        }
-        (decision, outlook)
-    }
 }
 
 #[cfg(test)]
@@ -412,8 +344,29 @@ mod tests {
     use crate::allocation::Allocation;
     use crate::resources::{ServerSpec, VmSpec};
     use score_topology::CanonicalTree;
-    use score_traffic::PairTrafficBuilder;
+    use score_traffic::{PairTraffic, PairTrafficBuilder};
     use std::sync::Arc;
+
+    fn decide(engine: &ScoreEngine, view: &LocalView, cluster: &Cluster) -> MigrationDecision {
+        engine.decide(view, None, cluster, &mut KernelScratch::new())
+    }
+
+    /// One reactive hold for `u`: observe, decide, migrate if warranted.
+    fn hold(
+        engine: &ScoreEngine,
+        u: VmId,
+        cluster: &mut Cluster,
+        traffic: &PairTraffic,
+    ) -> MigrationDecision {
+        let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
+        let decision = decide(engine, &view, cluster);
+        if let Some(target) = decision.target {
+            cluster
+                .migrate(u, target, engine.config().bandwidth_threshold)
+                .expect("decide() validated admission for the chosen target");
+        }
+        decision
+    }
 
     /// vm0@srv0 with peers vm1@srv1 (L1, heavy) and vm2@srv8 (L3, light).
     fn fixture() -> (Cluster, PairTraffic) {
@@ -439,7 +392,7 @@ mod tests {
     fn migrates_to_best_gain_target() {
         let (mut cluster, traffic) = fixture();
         let engine = ScoreEngine::paper_default();
-        let (decision, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        let decision = hold(&engine, VmId::new(0), &mut cluster, &traffic);
         // Moving next to the heavy rack-mate (srv1) collapses the 10-unit
         // pair to level 0 and only raises the light pair — best move.
         assert_eq!(decision.target, Some(ServerId::new(1)));
@@ -455,7 +408,7 @@ mod tests {
         let (cluster, traffic) = fixture();
         let engine = ScoreEngine::paper_default();
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = engine.decide(&view, &cluster);
+        let d = decide(&engine, &view, &cluster);
         assert_eq!(d.evaluated, 2);
         assert_eq!(d.rejected_capacity, 0);
         assert!(d.migrates());
@@ -466,12 +419,12 @@ mod tests {
         let (cluster, traffic) = fixture();
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
         let free = ScoreEngine::paper_default();
-        let gain = free.decide(&view, &cluster).gain;
+        let gain = decide(&free, &view, &cluster).gain;
         let expensive = ScoreEngine::new(
             CostModel::paper_default(),
             ScoreConfig::paper_default().with_migration_cost(gain + 1.0),
         );
-        let d = expensive.decide(&view, &cluster);
+        let d = decide(&expensive, &view, &cluster);
         assert!(!d.migrates(), "cm above the best gain must block migration");
         assert_eq!(d.gain, 0.0);
     }
@@ -497,7 +450,7 @@ mod tests {
         let mut cluster =
             Cluster::new(topo, spec, VmSpec::paper_default(), &traffic, alloc).unwrap();
         let engine = ScoreEngine::paper_default();
-        let (decision, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        let decision = hold(&engine, VmId::new(0), &mut cluster, &traffic);
         assert_eq!(decision.rejected_capacity, 1);
         assert_eq!(decision.target, Some(ServerId::new(2)));
     }
@@ -508,8 +461,8 @@ mod tests {
         let engine = ScoreEngine::paper_default();
         // First step moves vm0 to srv1; a second decision for vm0 must not
         // bounce it back and forth.
-        engine.step(VmId::new(0), &mut cluster, &traffic);
-        let (second, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        hold(&engine, VmId::new(0), &mut cluster, &traffic);
+        let second = hold(&engine, VmId::new(0), &mut cluster, &traffic);
         assert!(!second.migrates(), "stable allocation must not oscillate");
     }
 
@@ -520,7 +473,7 @@ mod tests {
         let before = engine
             .cost_model()
             .total_cost(cluster.allocation(), &traffic, cluster.topo());
-        let (decision, _) = engine.step(VmId::new(0), &mut cluster, &traffic);
+        let decision = hold(&engine, VmId::new(0), &mut cluster, &traffic);
         let after = engine
             .cost_model()
             .total_cost(cluster.allocation(), &traffic, cluster.topo());
@@ -543,7 +496,7 @@ mod tests {
             },
         );
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = engine.decide(&view, &cluster);
+        let d = decide(&engine, &view, &cluster);
         assert_eq!(d.evaluated, 1);
     }
 

@@ -29,8 +29,9 @@
 //!   local view plus an optional short-horizon per-peer rate forecast
 //!   (reactive outlooks reproduce the paper pipeline bit for bit);
 //! * [`engine`] — the §V-B5 decision procedure (rank peers, probe
-//!   capacity, apply Theorem 1), including the single-pass
-//!   level-bucketed kernel;
+//!   capacity, apply Theorem 1): one [`ScoreEngine::decide`], scored by
+//!   the single-pass level-bucketed kernel or a per-candidate sweep
+//!   depending on the candidate count;
 //! * [`scratch`] — [`DecisionScratch`]: reusable buffers so the
 //!   steady-state decision path performs zero heap allocations;
 //! * [`ring`] — iteration driver producing the paper's per-iteration
@@ -95,7 +96,7 @@ pub mod view;
 pub use allocation::Allocation;
 pub use cluster::{Cluster, ClusterError};
 pub use cost::{level_breakdown, CostModel};
-pub use engine::{MigrationDecision, ScoreConfig, ScoreEngine};
+pub use engine::{MigrationDecision, ScoreConfig, ScoreEngine, KERNEL_MIN_CANDIDATES};
 pub use ledger::CostLedger;
 pub use netload::LinkLoadMap;
 pub use outlook::{OutlookContext, TrafficOutlook};

@@ -14,11 +14,12 @@
 //! afterwards.
 //!
 //! [`OutlookContext`] is the per-step glue: it captures the forecaster,
-//! the current clock and the horizon, and turns each observed
-//! [`LocalView`] into the outlook the ring threads through the engine
-//! and the token policy. Building an outlook only *reads* the
-//! forecaster — the cost ledger and the cluster are never touched, so
-//! reading ahead can never dirty them.
+//! the current clock and the horizon, and predicts the per-peer rates
+//! of each observed [`LocalView`] for the ring, which re-rates the
+//! engine's scoring view with them and hands the token policy the
+//! outlook. Predicting only *reads* the forecaster — the cost ledger
+//! and the cluster are never touched, so reading ahead can never dirty
+//! them.
 
 use score_topology::VmId;
 use score_traffic::RateForecaster;
@@ -74,12 +75,6 @@ impl TrafficOutlook {
     /// The holder's current local view.
     pub fn view(&self) -> &LocalView {
         &self.view
-    }
-
-    /// Consumes the outlook, returning the current view by move (the
-    /// compat `ScoreEngine::step` path — no peer-list copy).
-    pub fn into_view(self) -> LocalView {
-        self.view
     }
 
     /// Consumes the outlook, returning its buffers — how the ring's
@@ -148,23 +143,6 @@ impl TrafficOutlook {
             .map_or(0.0, |i| self.expected_rate(i))
     }
 
-    /// The view the engine should *score* against: the current view
-    /// (borrowed — the reactive hot path never copies) or, with a
-    /// forecast attached, an owned copy re-rated to the peak-demand
-    /// envelope ([`TrafficOutlook::expected_rate`]) — same peers, same
-    /// locations, expected rates.
-    pub fn decision_view(&self) -> std::borrow::Cow<'_, LocalView> {
-        match &self.predicted {
-            Some(_) => {
-                let rates: Vec<f64> = (0..self.view.peers.len())
-                    .map(|i| self.expected_rate(i))
-                    .collect();
-                std::borrow::Cow::Owned(self.view.with_rates(&rates))
-            }
-            None => std::borrow::Cow::Borrowed(&self.view),
-        }
-    }
-
     /// Sum of expected (peak-envelope) per-peer rates — the NIC demand
     /// the decision pipeline provisions for.
     pub fn expected_total_rate(&self) -> f64 {
@@ -230,8 +208,7 @@ impl<'a> OutlookContext<'a> {
 
     /// Fills `out` with the forecasted per-peer rates for `view`
     /// (index-aligned), reusing the buffer. Returns `false` without
-    /// touching `out` when the context is reactive — the zero-alloc
-    /// form of [`OutlookContext::outlook_for`]'s prediction step.
+    /// touching `out` when the context is reactive.
     pub fn predict_into(&self, view: &LocalView, out: &mut Vec<f64>) -> bool {
         match self.forecaster {
             Some(f) => {
@@ -244,22 +221,6 @@ impl<'a> OutlookContext<'a> {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Wraps an observed view into the outlook the decision pipeline
-    /// consumes.
-    pub fn outlook_for(&self, view: LocalView) -> TrafficOutlook {
-        match self.forecaster {
-            Some(f) => {
-                let predicted = view
-                    .peers
-                    .iter()
-                    .map(|p| f.predict(view.vm, p.vm, self.now_s, self.horizon_s))
-                    .collect();
-                TrafficOutlook::with_forecast(view, predicted, self.horizon_s)
-            }
-            None => TrafficOutlook::reactive(view),
         }
     }
 }
@@ -301,7 +262,6 @@ mod tests {
         assert_eq!(o.expected_rate_to(VmId::new(2)), 5.0);
         assert_eq!(o.expected_rate_to(VmId::new(9)), 0.0);
         assert_eq!(o.expected_total_rate(), 15.0);
-        assert_eq!(&*o.decision_view(), o.view());
     }
 
     #[test]
@@ -317,7 +277,10 @@ mod tests {
         assert_eq!(o.expected_rate(0), 10.0);
         assert_eq!(o.expected_rate(1), 50.0);
         assert_eq!(o.expected_total_rate(), 60.0);
-        let dv = o.decision_view();
+        // Re-rating the scoring view the way the ring does it.
+        let rates: Vec<f64> = (0..2).map(|i| o.expected_rate(i)).collect();
+        let mut dv = LocalView::default();
+        dv.assign_with_rates(o.view(), &rates);
         assert_eq!(dv.peers[0].rate, 10.0);
         assert_eq!(dv.peers[1].rate, 50.0);
         // Everything but the rates is preserved.
@@ -345,8 +308,9 @@ mod tests {
 
         let ctx = OutlookContext::forecast(&f, 10.0, 10.0);
         assert!(ctx.is_forecasting());
-        let o = ctx.outlook_for(view());
-        assert!(o.has_forecast());
+        let mut predicted = Vec::new();
+        assert!(ctx.predict_into(&view(), &mut predicted));
+        let o = TrafficOutlook::with_forecast(view(), predicted, ctx.horizon_s());
         // (0,1) flat at 10; (0,2) ramping 0.5/s → 15 at the horizon.
         assert_eq!(o.expected_rate(0), 10.0);
         assert!((o.expected_rate(1) - 15.0).abs() < 1e-9);
@@ -354,7 +318,9 @@ mod tests {
         // Zero horizon degrades to reactive.
         let ctx0 = OutlookContext::forecast(&f, 10.0, 0.0);
         assert!(!ctx0.is_forecasting());
-        assert!(!ctx0.outlook_for(view()).has_forecast());
+        let mut untouched = vec![7.0];
+        assert!(!ctx0.predict_into(&view(), &mut untouched));
+        assert_eq!(untouched, [7.0]);
         assert!(!OutlookContext::reactive().is_forecasting());
     }
 }

@@ -298,25 +298,23 @@ impl TokenRing {
         self.holder = self.token.first();
     }
 
-    /// Performs one token-holder step: decide, migrate if warranted, pass
-    /// the token. Returns `None` when no holder remains.
-    ///
-    /// This is the reactive pipeline — [`TokenRing::step_outlook`] with
-    /// a no-forecast context.
+    /// Performs one reactive, unledgered token-holder step: decide from
+    /// current rates, migrate if warranted, pass the token. Returns
+    /// `None` when no holder remains. This is the paper's pipeline as
+    /// [`TokenRing::run_iteration`] drives it; callers that track `C_A`
+    /// incrementally or forecast use
+    /// [`TokenRing::step_ledgered_outlook`].
     pub fn step(&mut self, cluster: &mut Cluster, traffic: &PairTraffic) -> Option<StepOutcome> {
-        self.step_outlook(cluster, traffic, &OutlookContext::reactive())
+        self.step_with(cluster, traffic, &OutlookContext::reactive())
     }
 
-    /// Performs one token-holder step with the given outlook context:
-    /// both the migration decision and the next-holder choice consume a
-    /// `TrafficOutlook` built by `ctx` (the holder's local view plus,
-    /// when the context forecasts, the predicted per-peer rates at the
-    /// lookahead horizon).
-    ///
-    /// With [`OutlookContext::reactive`] this reproduces the paper
+    /// One token hold under `ctx`: both the migration decision and the
+    /// next-holder choice consume the holder's local view plus, when the
+    /// context forecasts, the predicted per-peer rates at the lookahead
+    /// horizon. With [`OutlookContext::reactive`] this is the paper
     /// pipeline bit for bit; the context only ever *reads* its
     /// forecaster, so stepping with one cannot dirty any ledger.
-    pub fn step_outlook(
+    fn step_with(
         &mut self,
         cluster: &mut Cluster,
         traffic: &PairTraffic,
@@ -329,10 +327,8 @@ impl TokenRing {
             .view
             .observe_into(holder, cluster.allocation(), traffic, cluster.topo());
         let source = scratch.view.server;
-        // Decide via the single-pass bucketed kernel on scratch buffers —
-        // bit-identical to `ScoreEngine::step_outlook`, without its
-        // allocations. A forecasting context re-rates the scoring view to
-        // the peak-demand envelope first (`TrafficOutlook::expected_rate`).
+        // A forecasting context re-rates the scoring view to the
+        // peak-demand envelope first (`TrafficOutlook::expected_rate`).
         let decision = if ctx.predict_into(&scratch.view, &mut scratch.predicted) {
             for (slot, p) in scratch.predicted.iter_mut().zip(&scratch.view.peers) {
                 *slot = slot.max(p.rate);
@@ -340,7 +336,7 @@ impl TokenRing {
             scratch
                 .decision_view
                 .assign_with_rates(&scratch.view, &scratch.predicted);
-            self.engine.decide_scored_with(
+            self.engine.decide(
                 &scratch.decision_view,
                 Some(&scratch.view),
                 cluster,
@@ -348,12 +344,12 @@ impl TokenRing {
             )
         } else {
             self.engine
-                .decide_scored_with(&scratch.view, None, cluster, &mut scratch.kernel)
+                .decide(&scratch.view, None, cluster, &mut scratch.kernel)
         };
         if let Some(target) = decision.target {
             cluster
                 .migrate(holder, target, self.engine.config().bandwidth_threshold)
-                .expect("the kernel validated admission for the chosen target");
+                .expect("decide() validated admission for the chosen target");
         }
         // The policy sees the *post-migration* state: if the holder moved,
         // its levels (and those of its peers) changed — otherwise the
@@ -418,23 +414,14 @@ impl TokenRing {
         })
     }
 
-    /// Like [`TokenRing::step`], but folds the step's Lemma-3 delta into
-    /// `ledger` so the network-wide cost stays observable in `O(1)`
-    /// without any Eq.-(2) recomputation.
-    pub fn step_ledgered(
-        &mut self,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-        ledger: &mut CostLedger,
-    ) -> Option<StepOutcome> {
-        self.step_ledgered_outlook(cluster, traffic, ledger, &OutlookContext::reactive())
-    }
-
-    /// Like [`TokenRing::step_outlook`], but folds the step's applied
-    /// cost delta into `ledger`. For a pre-emptive migration the
-    /// decision's `gain` is its *current-TM* delta (possibly ≤ 0), so
-    /// the ledger stays exact even when the move only pays off at the
-    /// forecast horizon.
+    /// One token hold under `ctx` (see [`OutlookContext`]; pass
+    /// [`OutlookContext::reactive`] for the paper pipeline) that folds
+    /// the step's applied cost delta into `ledger`, so the network-wide
+    /// cost stays observable in `O(1)` without any Eq.-(2)
+    /// recomputation — what `Session` runs for every hold. For a
+    /// pre-emptive migration the decision's `gain` is its *current-TM*
+    /// delta (possibly ≤ 0), so the ledger stays exact even when the
+    /// move only pays off at the forecast horizon.
     pub fn step_ledgered_outlook(
         &mut self,
         cluster: &mut Cluster,
@@ -442,7 +429,7 @@ impl TokenRing {
         ledger: &mut CostLedger,
         ctx: &OutlookContext<'_>,
     ) -> Option<StepOutcome> {
-        let outcome = self.step_outlook(cluster, traffic, ctx)?;
+        let outcome = self.step_with(cluster, traffic, ctx)?;
         if let Some(target) = outcome.decision.target {
             // Sharded ledgers re-attribute the moved VM's pair costs to
             // the racks on the migration's path — O(degree), a no-op
@@ -614,7 +601,12 @@ mod tests {
             cluster.topo(),
         );
         for _ in 0..64 {
-            let Some(outcome) = ring.step_ledgered(&mut cluster, &traffic, &mut ledger) else {
+            let Some(outcome) = ring.step_ledgered_outlook(
+                &mut cluster,
+                &traffic,
+                &mut ledger,
+                &OutlookContext::reactive(),
+            ) else {
                 break;
             };
             assert_eq!(outcome.applied_delta(), -outcome.decision.gain);

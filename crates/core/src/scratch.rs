@@ -14,9 +14,9 @@
 //! through the rings they already own), and a scratch is never shared
 //! across threads — per-worker rings mean per-worker scratches.
 
-use score_topology::{Level, ServerId, Topology};
+use score_topology::{ServerId, Topology};
 
-use crate::view::LocalView;
+use crate::view::{LocalView, RankEntry};
 
 /// Epoch-stamped sparse accumulators for the level-bucketed kernel.
 ///
@@ -34,9 +34,9 @@ pub struct KernelScratch {
     rack_mark: Vec<u32>,
     zone_rate: Vec<f64>,
     zone_mark: Vec<u32>,
-    /// Ranked-candidate buffer: `(server, level, rate, peer index)` —
-    /// the same rank tuple `LocalView::candidate_servers` sorts.
-    pub(crate) candidates: Vec<(ServerId, Level, f64, u32)>,
+    /// Ranked-candidate buffer, filled by
+    /// `LocalView::rank_candidates_into`.
+    pub(crate) candidates: Vec<RankEntry>,
 }
 
 impl KernelScratch {

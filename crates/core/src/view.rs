@@ -210,20 +210,10 @@ impl LocalView {
         }
     }
 
-    /// Candidate target servers, "rank\[ed\] … from highest to lowest
-    /// communication levels" (§V-B5), ties broken towards heavier peers.
-    /// The holder's own server is excluded; duplicates are removed keeping
-    /// the best rank.
-    pub fn candidate_servers(&self) -> Vec<ServerId> {
-        let mut buf = Vec::new();
-        self.rank_candidates_into(&mut buf);
-        buf.into_iter().map(|e| e.0).collect()
-    }
-
-    /// Fills `buf` with the ranked, deduplicated candidate entries —
-    /// the buffer-reusing core of [`LocalView::candidate_servers`],
-    /// shared with the single-pass kernel so both paths produce the
-    /// candidate order by the same code.
+    /// Fills `buf` with the candidate target servers, "rank\[ed\] … from
+    /// highest to lowest communication levels" (§V-B5), ties broken
+    /// towards heavier peers. The holder's own server is excluded;
+    /// duplicates are removed keeping the best rank.
     ///
     /// Rank key: level desc, rate desc, peer index asc. The explicit
     /// index tiebreak reproduces the former stable sort, so the output
@@ -261,32 +251,10 @@ impl LocalView {
             .map_or(0.0, |i| self.peers[i].rate)
     }
 
-    /// A copy of the view with every peer's rate replaced
-    /// (index-aligned) — how a `TrafficOutlook` materializes its
-    /// *forecasted* decision view: same peers, same locations and
-    /// levels, predicted rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not aligned with the peer list.
-    pub fn with_rates(&self, rates: &[f64]) -> LocalView {
-        assert_eq!(rates.len(), self.peers.len(), "rates must cover every peer");
-        LocalView {
-            vm: self.vm,
-            server: self.server,
-            peers: self
-                .peers
-                .iter()
-                .zip(rates)
-                .map(|(p, &rate)| PeerInfo { rate, ..*p })
-                .collect(),
-        }
-    }
-
     /// Copies `src` into `self` with every peer's rate replaced
-    /// (index-aligned), reusing the peer buffer — the allocation-free
-    /// form of [`LocalView::with_rates`] used when a forecast re-rates
-    /// the decision view.
+    /// (index-aligned), reusing the peer buffer — how a forecast
+    /// re-rates the decision view: same peers, same locations and
+    /// levels, expected rates.
     ///
     /// # Panics
     ///
@@ -329,6 +297,12 @@ mod tests {
     use score_topology::CanonicalTree;
     use score_traffic::PairTrafficBuilder;
 
+    fn candidate_servers(view: &LocalView) -> Vec<ServerId> {
+        let mut buf = Vec::new();
+        view.rank_candidates_into(&mut buf);
+        buf.into_iter().map(|e| e.0).collect()
+    }
+
     fn fixture() -> (CanonicalTree, Allocation, PairTraffic) {
         let topo = CanonicalTree::small();
         // vm0@srv0, vm1@srv1 (same rack), vm2@srv4 (same agg), vm3@srv8 (core)
@@ -366,7 +340,7 @@ mod tests {
         let t2 = b.build();
         let lonely = LocalView::observe(VmId::new(0), &alloc, &t2, &topo);
         assert_eq!(lonely.own_level(), Level::ZERO);
-        assert!(lonely.candidate_servers().is_empty());
+        assert!(candidate_servers(&lonely).is_empty());
     }
 
     #[test]
@@ -375,7 +349,7 @@ mod tests {
         let view = LocalView::observe(VmId::new(0), &alloc, &traffic, &topo);
         // Highest level peer is vm3@srv8 (core), then vm2@srv4, then vm1@srv1.
         assert_eq!(
-            view.candidate_servers(),
+            candidate_servers(&view),
             vec![ServerId::new(8), ServerId::new(4), ServerId::new(1)]
         );
     }
@@ -391,7 +365,7 @@ mod tests {
         b.add(VmId::new(0), VmId::new(2), 2.0);
         let traffic = b.build();
         let view = LocalView::observe(VmId::new(0), &alloc, &traffic, &topo);
-        assert_eq!(view.candidate_servers(), vec![ServerId::new(4)]);
+        assert_eq!(candidate_servers(&view), vec![ServerId::new(4)]);
     }
 
     #[test]
@@ -451,7 +425,7 @@ mod tests {
         let traffic = b.build();
         let view = LocalView::observe(VmId::new(0), &alloc, &traffic, &topo);
         assert!(view.peers.len() >= 400);
-        let got = view.candidate_servers();
+        let got = candidate_servers(&view);
         assert_eq!(got, candidate_servers_reference(&view));
         assert!(!got.contains(&view.server));
     }

@@ -1,25 +1,28 @@
-//! Equivalence suite for the single-pass level-bucketed decision kernel.
+//! Equivalence suite for the single decision entry point.
 //!
-//! [`ScoreEngine::decide_scored`] is the reference implementation (ranked
-//! candidate list + per-candidate `delta_for` sweep); the hot path
-//! [`ScoreEngine::decide_scored_with`] and the forced-bucketed variant
-//! must produce **bit-identical** `MigrationDecision`s — same target,
-//! same gain bits, same candidate accounting — on every topology shape,
-//! with forecast views on or off, with hosts down, and under
-//! `max_candidates` caps. The scratch is reused across all cases, so the
-//! epoch-stamped accumulators are exercised against stale state too.
+//! [`ScoreEngine::decide_reference`] is the oracle (ranked candidate
+//! list + per-candidate `delta_for` sweep); [`ScoreEngine::decide`] must
+//! produce **bit-identical** `MigrationDecision`s — same target, same
+//! gain bits, same candidate accounting — on every topology shape, with
+//! forecast views on or off, with hosts down, and under `max_candidates`
+//! caps. Random workloads mostly stay below [`KERNEL_MIN_CANDIDATES`]
+//! (the per-candidate scorer); the hub-VM cases put ≥ 24 candidates in
+//! front of `decide` so the bucketed scorer is checked through the same
+//! entry point, and assert which side of the cutoff each case landed
+//! on. The scratch is reused across all cases, so the epoch-stamped
+//! accumulators are exercised against stale state too.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_core::{
     Allocation, Cluster, KernelScratch, LocalView, MigrationDecision, ScoreConfig, ScoreEngine,
-    ServerSpec, VmSpec,
+    ServerSpec, VmSpec, KERNEL_MIN_CANDIDATES,
 };
 use score_topology::{
     CanonicalTreeBuilder, FatTreeBuilder, ServerId, StarTopology, Topology, VmId,
 };
-use score_traffic::{PairTraffic, WorkloadConfig};
+use score_traffic::{PairTraffic, PairTrafficBuilder, WorkloadConfig};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -82,33 +85,20 @@ fn assert_bit_identical(a: &MigrationDecision, b: &MigrationDecision, what: &str
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn check_case(
-    kind: u8,
-    size: u8,
+/// Knocks out up to `hosts_down` servers (never `vm`'s own) so
+/// `can_host` rejections flow through both paths identically, then
+/// compares `decide` with the oracle for `vm`. Returns the oracle's
+/// decision.
+fn compare_for(
+    mut cluster: Cluster,
+    traffic: &PairTraffic,
+    vm: VmId,
     seed: u64,
-    vm_pick: u32,
     forecast: bool,
     hosts_down: u8,
     cap: u8,
-) {
-    let topo = random_topo(kind, size);
-    let num_servers = topo.num_servers() as u32;
-    let num_vms = (num_servers * 2).clamp(4, 96);
-    let traffic: PairTraffic = WorkloadConfig::new(num_vms, seed).generate();
-    let alloc = balanced_alloc(num_vms, num_servers, seed ^ 0x5eed);
-    let mut cluster = Cluster::new(
-        Arc::clone(&topo),
-        ServerSpec::paper_default(),
-        VmSpec::paper_default(),
-        &traffic,
-        alloc,
-    )
-    .expect("balanced allocation is feasible");
-
-    let vm = VmId::new(vm_pick % num_vms);
-    // Knock out up to `hosts_down` servers (never the holder's own) so
-    // can_host rejections flow through both paths identically.
+) -> MigrationDecision {
+    let num_servers = cluster.topo().num_servers() as u32;
     let own = cluster.allocation().server_of(vm);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xd0d0);
     for _ in 0..hosts_down {
@@ -127,7 +117,7 @@ fn check_case(
     };
     let engine = ScoreEngine::new(Default::default(), config);
 
-    let observed = LocalView::observe(vm, cluster.allocation(), &traffic, cluster.topo());
+    let observed = LocalView::observe(vm, cluster.allocation(), traffic, cluster.topo());
     // Forecast decisions score a predicted view against the landed one;
     // emulate the outlook by scaling peer rates (some up, some down).
     let (decision_view, current) = if forecast {
@@ -140,14 +130,100 @@ fn check_case(
         (observed.clone(), None)
     };
 
-    let reference = engine.decide_scored(&decision_view, current, &cluster);
+    let reference = engine.decide_reference(&decision_view, current, &cluster);
     SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        let hot = engine.decide_scored_with(&decision_view, current, &cluster, scratch);
-        assert_bit_identical(&reference, &hot, "decide_scored_with");
-        let forced = engine.decide_scored_bucketed(&decision_view, current, &cluster, scratch);
-        assert_bit_identical(&reference, &forced, "decide_scored_bucketed");
+        let hot = engine.decide(&decision_view, current, &cluster, &mut s.borrow_mut());
+        assert_bit_identical(&reference, &hot, "decide");
     });
+    reference
+}
+
+fn check_case(
+    kind: u8,
+    size: u8,
+    seed: u64,
+    vm_pick: u32,
+    forecast: bool,
+    hosts_down: u8,
+    cap: u8,
+) {
+    let topo = random_topo(kind, size);
+    let num_servers = topo.num_servers() as u32;
+    let num_vms = (num_servers * 2).clamp(4, 96);
+    let traffic: PairTraffic = WorkloadConfig::new(num_vms, seed).generate();
+    let alloc = balanced_alloc(num_vms, num_servers, seed ^ 0x5eed);
+    let cluster = Cluster::new(
+        Arc::clone(&topo),
+        ServerSpec::paper_default(),
+        VmSpec::paper_default(),
+        &traffic,
+        alloc,
+    )
+    .expect("balanced allocation is feasible");
+    let vm = VmId::new(vm_pick % num_vms);
+    compare_for(cluster, &traffic, vm, seed, forecast, hosts_down, cap);
+}
+
+/// A hub VM with `24 + extra` peers, every VM on a server of its own
+/// (32-host tree or 54-host fat-tree), plus a ring of peer-to-peer pairs
+/// so the NIC ledger is not trivial. Rates repeat (`% 7`) so the rank
+/// tiebreak is exercised. Uncapped, the hub's decision has ≥ 24
+/// candidates — the bucketed side of the cutoff; under a
+/// `max_candidates` cap (1, 3, 5) the *same* view lands on the
+/// per-candidate side.
+fn check_hub_case(fat_tree: bool, extra: u8, seed: u64, forecast: bool, hosts_down: u8, cap: u8) {
+    let topo: Arc<dyn Topology> = if fat_tree {
+        Arc::new(FatTreeBuilder::new().k(6).build().expect("valid fat-tree"))
+    } else {
+        Arc::new(
+            CanonicalTreeBuilder::new()
+                .racks(8)
+                .hosts_per_rack(4)
+                .racks_per_agg(2)
+                .cores(2)
+                .build()
+                .expect("valid tree"),
+        )
+    };
+    let num_servers = topo.num_servers() as u32;
+    let peers = (24 + u32::from(extra)).min(num_servers - 1);
+    let num_vms = peers + 1;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = PairTrafficBuilder::new(num_vms);
+    for z in 1..=peers {
+        b.add(
+            VmId::new(0),
+            VmId::new(z),
+            1e6 * f64::from(1 + rng.gen_range(0..7u32)),
+        );
+        let next = 1 + z % peers;
+        if next != z {
+            b.add(VmId::new(z), VmId::new(next), 1e5 * f64::from(1 + z % 7));
+        }
+    }
+    let traffic = b.build();
+    let cluster = Cluster::new(
+        Arc::clone(&topo),
+        ServerSpec::paper_default(),
+        VmSpec::paper_default(),
+        &traffic,
+        balanced_alloc(num_vms, num_servers, seed ^ 0x5eed),
+    )
+    .expect("one VM per server is feasible");
+    let reference = compare_for(
+        cluster,
+        &traffic,
+        VmId::new(0),
+        seed,
+        forecast,
+        hosts_down,
+        cap,
+    );
+    if cap.is_multiple_of(4) {
+        assert!(reference.evaluated >= KERNEL_MIN_CANDIDATES, "uncapped hub");
+    } else {
+        assert!(reference.evaluated < KERNEL_MIN_CANDIDATES, "capped hub");
+    }
 }
 
 proptest! {
@@ -171,6 +247,16 @@ proptest! {
     ) {
         check_case(kind, size, seed, vm, true, hosts_down, cap);
     }
+
+    /// The hub VM, on both fabrics, with and without a forecast, above
+    /// (uncapped) and below (capped) the kernel cutoff.
+    #[test]
+    fn hub_vm_matches_reference_on_both_sides_of_the_cutoff(
+        fat_tree in 0u8..2, extra in 0u8..16, seed in 0u64..10_000,
+        forecast in 0u8..2, hosts_down in 0u8..3, cap in 0u8..4,
+    ) {
+        check_hub_case(fat_tree == 1, extra, seed, forecast == 1, hosts_down, cap);
+    }
 }
 
 /// The scratch must be reusable across *different* topologies without a
@@ -187,5 +273,8 @@ fn scratch_survives_topology_swaps() {
     ] {
         check_case(kind, size, seed, 5, false, 1, 0);
         check_case(kind, size, seed, 5, true, 0, 2);
+        // Alternate the bucketed scorer in, so its accumulators carry
+        // stale epochs from one topology into the next.
+        check_hub_case(kind == 1, size, seed, false, 1, 0);
     }
 }

@@ -10,7 +10,10 @@
 //! pair.
 
 use proptest::prelude::*;
-use score_core::{Cluster, CostModel, ScoreEngine, ServerSpec, VmSpec};
+use score_core::{
+    Cluster, CostModel, KernelScratch, LocalView, MigrationDecision, ScoreEngine, ServerSpec,
+    VmSpec,
+};
 use score_topology::{CanonicalTree, FatTree, Topology, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
 use std::sync::Arc;
@@ -24,6 +27,23 @@ const NUM_VMS: u32 = 32;
 enum Op {
     Decide { vm: u32 },
     Rebind { workload_seed: u64 },
+}
+
+/// One reactive hold for `u`: observe, decide, migrate if warranted.
+fn hold(
+    engine: &ScoreEngine,
+    u: VmId,
+    cluster: &mut Cluster,
+    traffic: &PairTraffic,
+) -> MigrationDecision {
+    let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
+    let decision = engine.decide(&view, None, cluster, &mut KernelScratch::new());
+    if let Some(target) = decision.target {
+        cluster
+            .migrate(u, target, engine.config().bandwidth_threshold)
+            .expect("decide() validated admission for the chosen target");
+    }
+    decision
 }
 
 fn decode_ops(raw: &[(u8, u32)]) -> Vec<Op> {
@@ -64,7 +84,7 @@ fn check_interleaving(topo: Arc<dyn Topology>, seed: u64, ops: &[Op]) -> Result<
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Decide { vm } => {
-                let (decision, _) = engine.step(VmId::new(vm), &mut cluster, &traffic);
+                let decision = hold(&engine, VmId::new(vm), &mut cluster, &traffic);
                 ledger.apply_gain(decision.gain);
             }
             Op::Rebind { workload_seed } => {

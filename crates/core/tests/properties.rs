@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_core::{
-    Allocation, Cluster, CostModel, HighestLevelFirst, LocalView, RoundRobin, ScoreConfig,
-    ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
+    Allocation, Cluster, CostModel, HighestLevelFirst, KernelScratch, LocalView, MigrationDecision,
+    RoundRobin, ScoreConfig, ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
 };
 use score_topology::{CanonicalTree, FatTree, Level, ServerId, Topology, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
@@ -17,6 +17,23 @@ use std::sync::Arc;
 
 fn random_traffic(num_vms: u32, seed: u64) -> PairTraffic {
     WorkloadConfig::new(num_vms, seed).generate()
+}
+
+/// One reactive hold for `u`: observe, decide, migrate if warranted.
+fn hold(
+    engine: &ScoreEngine,
+    u: VmId,
+    cluster: &mut Cluster,
+    traffic: &PairTraffic,
+) -> MigrationDecision {
+    let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
+    let decision = engine.decide(&view, None, cluster, &mut KernelScratch::new());
+    if let Some(target) = decision.target {
+        cluster
+            .migrate(u, target, engine.config().bandwidth_threshold)
+            .expect("decide() validated admission for the chosen target");
+    }
+    decision
 }
 
 fn random_allocation(num_vms: u32, num_servers: u32, seed: u64) -> Allocation {
@@ -119,7 +136,7 @@ proptest! {
         let model = engine.cost_model().clone();
         let mut cost = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
         for v in 0..32 {
-            let (decision, _) = engine.step(VmId::new(v), &mut cluster, &traffic);
+            let decision = hold(&engine, VmId::new(v), &mut cluster, &traffic);
             let now = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
             prop_assert!(now <= cost + 1e-9, "step for vm{} increased cost", v);
             if decision.migrates() {
@@ -144,7 +161,7 @@ proptest! {
         );
         for v in 0..24 {
             let view = LocalView::observe(VmId::new(v), cluster.allocation(), &traffic, cluster.topo());
-            let d = engine.decide(&view, &cluster);
+            let d = engine.decide(&view, None, &cluster, &mut KernelScratch::new());
             if d.migrates() {
                 prop_assert!(d.gain > cm, "gain {} must exceed cm {}", d.gain, cm);
             }

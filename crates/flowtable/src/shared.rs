@@ -2,14 +2,13 @@
 //!
 //! In the Xen deployment the table is written by the Open vSwitch polling
 //! loop while the token listener reads it to make migration decisions.
-//! [`SharedFlowTable`] wraps [`FlowTable`] in a `parking_lot::RwLock` and
+//! [`SharedFlowTable`] wraps [`FlowTable`] in a `std::sync::RwLock` and
 //! exposes the handful of operations each side needs.
 
 use crate::key::FlowKey;
 use crate::table::{FlowRecord, FlowTable};
-use parking_lot::RwLock;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cheaply clonable, thread-safe handle to a [`FlowTable`].
 #[derive(Debug, Clone, Default)]
@@ -23,9 +22,21 @@ impl SharedFlowTable {
         SharedFlowTable::default()
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, FlowTable> {
+        self.inner
+            .read()
+            .expect("a thread panicked while writing the flow table")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, FlowTable> {
+        self.inner
+            .write()
+            .expect("a thread panicked while writing the flow table")
+    }
+
     /// Records a flow sample (see [`FlowTable::record`]).
     pub fn record(&self, key: FlowKey, bytes: u64, packets: u64, now_s: f64) -> bool {
-        self.inner.write().record(key, bytes, packets, now_s)
+        self.write().record(key, bytes, packets, now_s)
     }
 
     /// Applies a batch of samples under a single write lock — how the
@@ -34,7 +45,7 @@ impl SharedFlowTable {
     where
         I: IntoIterator<Item = (FlowKey, u64, u64)>,
     {
-        let mut table = self.inner.write();
+        let mut table = self.write();
         let mut added = 0;
         for (key, bytes, packets) in samples {
             if table.record(key, bytes, packets, now_s) {
@@ -46,22 +57,22 @@ impl SharedFlowTable {
 
     /// Copies one record out of the table.
     pub fn get(&self, key: &FlowKey) -> Option<FlowRecord> {
-        self.inner.read().get(key).copied()
+        self.read().get(key).copied()
     }
 
     /// Removes one flow.
     pub fn remove(&self, key: &FlowKey) -> Option<FlowRecord> {
-        self.inner.write().remove(key)
+        self.write().remove(key)
     }
 
     /// Number of tracked flows.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// True if no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Aggregate per-peer rates for `local` (see
@@ -72,20 +83,18 @@ impl SharedFlowTable {
         now_s: f64,
         min_age_s: f64,
     ) -> Vec<(Ipv4Addr, f64)> {
-        self.inner
-            .read()
-            .aggregate_peer_rates(local, now_s, min_age_s)
+        self.read().aggregate_peer_rates(local, now_s, min_age_s)
     }
 
     /// Clears all flows touching `ip` after a migration decision.
     pub fn clear_ip(&self, ip: Ipv4Addr) -> usize {
-        self.inner.write().clear_ip(ip)
+        self.write().clear_ip(ip)
     }
 
     /// Runs `f` with read access to the full table (for snapshots and
     /// custom queries).
     pub fn with_read<R>(&self, f: impl FnOnce(&FlowTable) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.read())
     }
 }
 

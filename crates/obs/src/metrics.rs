@@ -101,22 +101,25 @@ fn bucket_upper(idx: usize) -> u64 {
 
 /// Fixed log-bucket histogram for latency-like `u64` samples (nanoseconds).
 ///
-/// Recording is three relaxed `fetch_add`s (bucket, count, sum); reading is
-/// done through an immutable [`HistogramSnapshot`]. Concurrent recorders and
-/// snapshotters never block each other; a snapshot taken during concurrent
-/// recording sees some consistent subset of the recorded samples (counts may
-/// lag sums by in-flight records, which only perturbs `mean()` transiently).
+/// Recording is two relaxed `fetch_add`s (bucket, sum); reading is done
+/// through an immutable [`HistogramSnapshot`]. Concurrent recorders and
+/// snapshotters never block each other. The sample count is not stored: a
+/// snapshot derives it from the buckets it read, so `count == Σ buckets`
+/// holds in every snapshot however the reads interleave with records, and
+/// quantiles always land in a bucket that was seen non-empty (the sum may
+/// run ahead or behind by in-flight records, which only perturbs `mean()`
+/// transiently).
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let snap = self.snapshot();
         f.debug_struct("Histogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
-            .field("sum", &self.sum.load(Ordering::Relaxed))
+            .field("count", &snap.count)
+            .field("sum", &snap.sum)
             .finish()
     }
 }
@@ -132,7 +135,6 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -141,7 +143,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
@@ -153,8 +154,6 @@ impl Histogram {
                 dst.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         self.sum
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
     }
@@ -167,7 +166,7 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             buckets,
         }
@@ -215,14 +214,10 @@ impl HistogramSnapshot {
                 return bucket_upper(idx);
             }
         }
-        // count/sum can lead the bucket array under concurrent recording;
-        // fall back to the highest non-empty bucket.
-        bucket_upper(
-            self.buckets
-                .iter()
-                .rposition(|&n| n > 0)
-                .unwrap_or(BUCKETS - 1),
-        )
+        // Unreachable for `Histogram::snapshot` results (count is the
+        // bucket sum); a hand-built snapshot whose count leads its buckets
+        // gets the highest non-empty bucket, 0 when there is none.
+        self.max_bound()
     }
 
     /// Median (see [`HistogramSnapshot::quantile`]).
@@ -323,6 +318,17 @@ mod tests {
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 5 + 9 + 130 + 5 + 1_000_000);
         assert_eq!(snap.buckets[bucket_of(5)], 2);
+    }
+
+    #[test]
+    fn count_leading_the_buckets_stays_in_range() {
+        // The shape a torn read used to produce: a count with no (or
+        // too few) bucket entries behind it.
+        let mut snap = Histogram::new().snapshot();
+        snap.count = 3;
+        assert_eq!(snap.p99(), 0, "no bucket seen: not u64::MAX");
+        snap.buckets[bucket_of(130)] = 1;
+        assert_eq!(snap.p99(), bucket_upper(bucket_of(130)));
     }
 
     #[test]

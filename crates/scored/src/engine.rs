@@ -26,7 +26,7 @@
 use score_obs::{Counter, Gauge, ObsHandle};
 use score_sim::{RunReport, Scenario, Session, WorkloadSpec};
 use score_topology::{ServerId, VmId};
-use score_trace::{Trace, TraceEvent};
+use score_trace::{scaled_rate, Trace, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -214,67 +214,11 @@ impl TenantEngine {
         }
         let trace = Trace::load(&dir.join("trace.jsonl"))
             .map_err(|e| format!("loading trace.jsonl: {e}"))?;
-        let mut session = scenario.session().map_err(|e| e.to_string())?;
-        if trace.num_vms() != session.traffic().num_vms() {
-            return Err(format!(
-                "trace population {} does not match the scenario's {}",
-                trace.num_vms(),
-                session.traffic().num_vms()
-            ));
-        }
+        let mut session = replay_session(scenario, &trace)?;
         session.start_trace_recording();
-        let drain_to = |session: &mut Session, at_s: f64| {
-            while session.next_event_time().is_some_and(|t| t <= at_s) {
-                if session.step().is_none() {
-                    break;
-                }
-            }
-        };
-        for ev in trace.events() {
-            drain_to(&mut session, ev.time_s);
-            match ev.event {
-                TraceEvent::SetRate { u, v, rate } => {
-                    session
-                        .apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                }
-                TraceEvent::PlaceVm { vm, server } => {
-                    let (placed, _) = session
-                        .place_vm(Some(ServerId::new(server)))
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                    if placed.get() != vm {
-                        return Err(format!(
-                            "recovery placed vm{} where the recording placed vm{vm}",
-                            placed.get()
-                        ));
-                    }
-                }
-                TraceEvent::RemoveVm { vm } => {
-                    session
-                        .remove_vm(VmId::new(vm))
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                }
-                ref fault @ (TraceEvent::HostCrash { .. }
-                | TraceEvent::RackFail { .. }
-                | TraceEvent::LinkDegrade { .. }
-                | TraceEvent::LinkRestore { .. }) => {
-                    // The log holds only the fault; its consequences
-                    // (evacuations, retirements) re-derive exactly.
-                    session
-                        .apply_fault(fault)
-                        .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                }
-                TraceEvent::ScalePair { .. }
-                | TraceEvent::ScaleAll { .. }
-                | TraceEvent::Marker { .. } => {
-                    return Err(
-                        "daemon recordings contain only absolute re-rates, churn, and \
-                         faults; this trace does not look like one"
-                            .to_string(),
-                    );
-                }
-            }
-        }
+        session
+            .run_storm(trace.events())
+            .map_err(|e| e.to_string())?;
         // The rebuilt recording must be the loaded stream, event for
         // event — the proof the tenant is exactly where it crashed.
         let rerecorded = session
@@ -449,7 +393,7 @@ impl TenantEngine {
                     {
                         return Err(format!("ScalePair names an invalid pair ({u}, {v})"));
                     }
-                    vec![(u, v, self.session.traffic().rate(u, v) * factor)]
+                    vec![(u, v, scaled_rate(self.session.traffic().rate(u, v), factor))]
                 }
                 TraceEvent::ScaleAll { factor } => {
                     if !(factor.is_finite() && factor >= 0.0) {
@@ -459,7 +403,7 @@ impl TenantEngine {
                         .traffic()
                         .pairs()
                         .iter()
-                        .map(|&(u, v, r)| (u, v, r * factor))
+                        .map(|&(u, v, r)| (u, v, scaled_rate(r, factor)))
                         .collect()
                 }
                 TraceEvent::PlaceVm { .. }
@@ -599,17 +543,39 @@ impl TenantEngine {
 }
 
 /// Replays a recorded daemon audit log against a fresh session of the
-/// same scenario: drain to each event's boundary, apply it, then drain
-/// to the recorded end. Returns the final report — canonically
-/// serialized, it is byte-identical to the live run's (the module
-/// docs' contract).
+/// same scenario: [`Session::run_storm`] drains to each event's boundary
+/// and applies it, then the session drains to the recorded end. Returns
+/// the final report — canonically serialized, it is byte-identical to
+/// the live run's (the module docs' contract).
 ///
 /// # Errors
 ///
 /// Fails when the trace does not look like a daemon recording (wrong
-/// base population, scale/marker events) or an event fails to apply.
+/// base population, scale events) or an event fails to apply.
 pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, String> {
-    let mut session = scenario.session().map_err(|e| e.to_string())?;
+    let mut session = replay_session(scenario, trace)?;
+    session
+        .run_storm(trace.events())
+        .map_err(|e| e.to_string())?;
+    while session
+        .next_event_time()
+        .is_some_and(|t| t <= trace.end_s())
+    {
+        if session.step().is_none() {
+            break;
+        }
+    }
+    Ok(session.report())
+}
+
+/// A fresh session of `scenario` for `trace` to be replayed against
+/// with [`Session::run_storm`], once the trace passes for a daemon
+/// recording: same base population, and no scale events (the engine
+/// lowers those to absolute re-rates before they are recorded). A
+/// marker is a replay no-op; [`TenantEngine::recover`] refuses one
+/// anyway, because its re-recorded stream comes out an event short.
+fn replay_session(scenario: &Scenario, trace: &Trace) -> Result<Session, String> {
+    let session = scenario.session().map_err(|e| e.to_string())?;
     if trace.num_vms() != session.traffic().num_vms() {
         return Err(format!(
             "trace population {} does not match the scenario's {}",
@@ -617,57 +583,19 @@ pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, Str
             session.traffic().num_vms()
         ));
     }
-    let drain_to = |session: &mut Session, at_s: f64| {
-        while session.next_event_time().is_some_and(|t| t <= at_s) {
-            if session.step().is_none() {
-                break;
-            }
-        }
-    };
-    for ev in trace.events() {
-        drain_to(&mut session, ev.time_s);
-        match ev.event {
-            TraceEvent::SetRate { u, v, rate } => {
-                session
-                    .apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-            }
-            TraceEvent::PlaceVm { vm, server } => {
-                let (placed, _) = session
-                    .place_vm(Some(ServerId::new(server)))
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-                if placed.get() != vm {
-                    return Err(format!(
-                        "replay placed vm{} where the recording placed vm{vm}",
-                        placed.get()
-                    ));
-                }
-            }
-            TraceEvent::RemoveVm { vm } => {
-                session
-                    .remove_vm(VmId::new(vm))
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-            }
-            ref fault @ (TraceEvent::HostCrash { .. }
-            | TraceEvent::RackFail { .. }
-            | TraceEvent::LinkDegrade { .. }
-            | TraceEvent::LinkRestore { .. }) => {
-                session
-                    .apply_fault(fault)
-                    .map_err(|e| format!("at {}s: {e}", ev.time_s))?;
-            }
-            TraceEvent::ScalePair { .. } | TraceEvent::ScaleAll { .. } => {
-                return Err(
-                    "daemon recordings contain only absolute re-rates; this trace does not \
-                     look like one"
-                        .to_string(),
-                );
-            }
-            TraceEvent::Marker { .. } => {}
-        }
+    if trace.events().iter().any(|ev| {
+        matches!(
+            ev.event,
+            TraceEvent::ScalePair { .. } | TraceEvent::ScaleAll { .. }
+        )
+    }) {
+        return Err(
+            "daemon recordings contain only absolute re-rates, churn and faults; this trace \
+             does not look like one"
+                .to_string(),
+        );
     }
-    drain_to(&mut session, trace.end_s());
-    Ok(session.report())
+    Ok(session)
 }
 
 /// Replays the artifact pair a recorded daemon tenant leaves behind

@@ -15,7 +15,9 @@
 
 use proptest::prelude::*;
 use score_scored::proto::{response_line, Request, Response};
-use score_scored::{replay_dir, Daemon, DaemonConfig, TenantEngine};
+use score_scored::{
+    canonical_report_json, replay_dir, replay_trace, Daemon, DaemonConfig, TenantEngine,
+};
 use score_sim::{PolicyKind, Scenario};
 use score_trace::TraceEvent;
 use std::io::{BufRead, BufReader, Write};
@@ -80,6 +82,50 @@ fn recorded_engine_session_replays_byte_for_byte() {
     let on_disk = std::fs::read_to_string(dir.join("t0").join("report.json")).unwrap();
     assert_eq!(on_disk, live_report);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A finite scale factor can still overflow `rate × factor`. The
+/// daemon's lowering saturates at `f64::MAX` like the trace compiler's
+/// and the session's, so the event applies whole (an `inf` re-rate would
+/// be rejected mid-event, leaving the pairs before it applied and
+/// recorded) and the recorded stream still replays byte for byte.
+#[test]
+fn overflowing_scale_saturates_instead_of_tearing_the_event() {
+    let scenario = quick_scenario(17);
+    let mut engine = TenantEngine::new("t0", scenario.clone(), 2000.0, None).unwrap();
+    engine.pump(200);
+    let pairs = engine.session().traffic().num_pairs() as u64;
+    // Guarantee at least one product beyond f64::MAX, whatever the TM.
+    engine
+        .traffic(&[TraceEvent::SetRate {
+            u: 0,
+            v: 1,
+            rate: 1e9,
+        }])
+        .unwrap();
+    let applied = engine
+        .traffic(&[TraceEvent::ScaleAll { factor: 1e300 }])
+        .expect("a valid factor must answer Applied");
+    assert!(applied.pairs_changed >= pairs);
+    let hot = engine
+        .session()
+        .traffic()
+        .rate(score_topology::VmId::new(0), score_topology::VmId::new(1));
+    assert_eq!(hot, f64::MAX);
+    let scaled = engine
+        .traffic(&[TraceEvent::ScalePair {
+            u: 0,
+            v: 1,
+            factor: 1e300,
+        }])
+        .expect("saturated rates are a fixpoint");
+    assert_eq!(scaled.pairs_changed, 0);
+    engine.pump(200);
+
+    let live = engine.finish().unwrap();
+    let trace = engine.session().recorded_trace().unwrap();
+    let replayed = replay_trace(&scenario, &trace).unwrap();
+    assert_eq!(canonical_report_json(&replayed), live);
 }
 
 /// Crash recovery: a tenant killed mid-run (artifacts flushed, no

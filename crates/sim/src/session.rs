@@ -18,8 +18,8 @@ use score_core::{
 use score_obs::ObsHandle;
 use score_topology::{RackId, ServerId, Topology, VmId};
 use score_trace::{
-    CompiledTrace, DeltaBatch, OracleForecaster, TimedEvent, Trace, TraceEvent, TraceRecorder,
-    TraceSegment,
+    scaled_rate, CompiledTrace, DeltaBatch, OracleForecaster, TimedEvent, Trace, TraceEvent,
+    TraceRecorder, TraceSegment,
 };
 use score_traffic::{CbrLoad, EwmaForecaster, PairTraffic, RateForecaster};
 use score_xen::PreCopyModel;
@@ -986,7 +986,7 @@ impl Session {
                 .traffic
                 .pairs()
                 .iter()
-                .map(|&(u, v, r)| (u, v, (r * factor).min(f64::MAX)))
+                .map(|&(u, v, r)| (u, v, scaled_rate(r, factor)))
                 .collect();
             return self.apply_traffic_deltas(&updates);
         }
@@ -1545,7 +1545,9 @@ impl Session {
     ///   ([`Session::apply_traffic_deltas`] /
     ///   [`Session::apply_traffic_scale`]);
     /// * churn events take [`Session::place_vm`] /
-    ///   [`Session::remove_vm`];
+    ///   [`Session::remove_vm`] — a `PlaceVm` must name the id the
+    ///   arrival will get (the next dense one), which is how every
+    ///   replayer learns its stream belongs to another session;
     /// * fault events take [`Session::apply_fault`];
     /// * markers are no-ops (segment semantics belong to the compiled
     ///   path).
@@ -1580,14 +1582,24 @@ impl Session {
                 }
                 let old = self.traffic.rate(u, v);
                 if old != 0.0 {
-                    self.apply_traffic_deltas(&[(u, v, (old * factor).min(f64::MAX))])?;
+                    self.apply_traffic_deltas(&[(u, v, scaled_rate(old, *factor))])?;
                 }
             }
             TraceEvent::ScaleAll { factor } => {
                 self.apply_traffic_scale(*factor)?;
             }
             TraceEvent::Marker { .. } => {}
-            TraceEvent::PlaceVm { server, .. } => {
+            TraceEvent::PlaceVm { vm, server } => {
+                // Ids are dense, so the arrival's id is known before it
+                // lands: a stream recorded against another population
+                // is refused with the session untouched.
+                let next = self.traffic.num_vms();
+                if *vm != next {
+                    return Err(ScenarioError::Workload(format!(
+                        "PlaceVm names vm{vm} but the next arrival here is vm{next}; \
+                         the stream was recorded against a different session"
+                    )));
+                }
                 self.place_vm(Some(ServerId::new(*server)))?;
             }
             TraceEvent::RemoveVm { vm } => {
@@ -2460,9 +2472,31 @@ mod tests {
     }
 
     #[test]
-    fn recorded_churn_replays_identically() {
+    fn replayed_arrival_must_name_the_next_dense_id() {
         use score_trace::TraceEvent;
 
+        let mut session = quick_scenario(PolicyKind::RoundRobin, 30)
+            .session()
+            .unwrap();
+        let n = session.traffic().num_vms();
+        for wrong in [n + 1, 0] {
+            let err = session
+                .apply_trace_event(&TraceEvent::PlaceVm {
+                    vm: wrong,
+                    server: 0,
+                })
+                .unwrap_err();
+            assert!(err.to_string().contains("next arrival"), "{err}");
+            assert_eq!(session.traffic().num_vms(), n, "unchanged on error");
+        }
+        session
+            .apply_trace_event(&TraceEvent::PlaceVm { vm: n, server: 0 })
+            .unwrap();
+        assert_eq!(session.traffic().num_vms(), n + 1);
+    }
+
+    #[test]
+    fn recorded_churn_replays_identically() {
         let mut live = quick_scenario(PolicyKind::HighestLevelFirst, 31)
             .session()
             .unwrap();
@@ -2479,40 +2513,10 @@ mod tests {
         let trace = live.recorded_trace().unwrap();
         let live_report = live.report();
 
-        // Replay the raw event stream against a fresh session: drain to
-        // each event's boundary, then apply the same mutation.
         let mut replay = quick_scenario(PolicyKind::HighestLevelFirst, 31)
             .session()
             .unwrap();
-        for ev in trace.events() {
-            while replay.next_event_time().is_some_and(|t| t <= ev.time_s) {
-                if replay.step().is_none() {
-                    break;
-                }
-            }
-            match ev.event {
-                TraceEvent::SetRate { u, v, rate } => {
-                    replay
-                        .apply_traffic_deltas(&[(VmId::new(u), VmId::new(v), rate)])
-                        .unwrap();
-                }
-                TraceEvent::PlaceVm { server, .. } => {
-                    replay.place_vm(Some(ServerId::new(server))).unwrap();
-                }
-                TraceEvent::RemoveVm { vm } => {
-                    replay.remove_vm(VmId::new(vm)).unwrap();
-                }
-                TraceEvent::ScalePair { .. }
-                | TraceEvent::ScaleAll { .. }
-                | TraceEvent::Marker { .. } => {}
-                ref fault @ (TraceEvent::HostCrash { .. }
-                | TraceEvent::RackFail { .. }
-                | TraceEvent::LinkDegrade { .. }
-                | TraceEvent::LinkRestore { .. }) => {
-                    replay.apply_fault(fault).unwrap();
-                }
-            }
-        }
+        replay.run_storm(trace.events()).unwrap();
         replay.run_to_horizon();
         let strip = |mut r: RunReport| {
             r.trace.apply_ns_total = 0;

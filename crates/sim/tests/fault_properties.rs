@@ -200,21 +200,14 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
         assert!(!session.cluster().host_is_up(s));
     }
 
-    // Byte-identical replay from the adversity log: drain to each
-    // event's boundary, re-apply, compare the full reports.
+    // Byte-identical replay from the adversity log (`run_storm` drains
+    // to each event's boundary and re-applies it): compare full reports.
     let trace = session.recorded_trace().unwrap();
     if faults > 0 {
         assert!(trace.has_faults(), "fault events must be in the log");
     }
     let mut replay = scenario(fat_tree, seed).session().unwrap();
-    for ev in trace.events() {
-        while replay.next_event_time().is_some_and(|t| t <= ev.time_s) {
-            if replay.step().is_none() {
-                break;
-            }
-        }
-        replay.apply_trace_event(&ev.event).unwrap();
-    }
+    replay.run_storm(trace.events()).unwrap();
     replay.run_to_horizon();
     assert_eq!(
         strip(report),

@@ -71,6 +71,6 @@ pub use synth::{
     ChurnShape, DiurnalShape, FaultSpec, FlashCrowdShape,
 };
 pub use trace::{
-    CompiledTrace, DeltaBatch, TimedEvent, Trace, TraceBuilder, TraceError, TraceEvent,
-    TraceSegment,
+    scaled_rate, CompiledTrace, DeltaBatch, TimedEvent, Trace, TraceBuilder, TraceError,
+    TraceEvent, TraceSegment,
 };

@@ -218,6 +218,17 @@ pub struct Trace {
     events: Vec<TimedEvent>,
 }
 
+/// The rate a `ScalePair`/`ScaleAll` event leaves behind: `rate ×
+/// factor`, saturated at `f64::MAX`. Per-event values are validated
+/// finite, but a *composed* rate (rate × factor × factor …) can still
+/// overflow; saturating keeps every lowering of a valid scale event —
+/// the trace compiler's, the session's and the daemon's — finite,
+/// applicable, and equal to the others bit for bit.
+#[inline]
+pub fn scaled_rate(rate: f64, factor: f64) -> f64 {
+    (rate * factor).min(f64::MAX)
+}
+
 impl Trace {
     /// Starts a builder for a trace over `num_vms` VMs lasting `end_s`
     /// seconds.
@@ -521,10 +532,6 @@ impl Trace {
         event: &TraceEvent,
     ) -> Vec<(u32, u32, f64)> {
         let canon = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
-        // Per-event values are validated finite, but a *composed* rate
-        // (rate × factor × factor …) can still overflow; saturate so a
-        // valid trace always compiles to finite, applicable updates.
-        let scale = |rate: f64, factor: f64| (rate * factor).min(f64::MAX);
         match *event {
             TraceEvent::SetRate { u, v, rate } => {
                 let key = canon(u, v);
@@ -538,8 +545,8 @@ impl Trace {
             TraceEvent::ScalePair { u, v, factor } => {
                 let key = canon(u, v);
                 match rates.get(&key) {
-                    Some(&old) if scale(old, factor) != old => {
-                        vec![(key.0, key.1, scale(old, factor))]
+                    Some(&old) if scaled_rate(old, factor) != old => {
+                        vec![(key.0, key.1, scaled_rate(old, factor))]
                     }
                     _ => Vec::new(),
                 }
@@ -550,8 +557,8 @@ impl Trace {
                 }
                 rates
                     .iter()
-                    .filter(|&(_, &r)| scale(r, factor) != r)
-                    .map(|(&(u, v), &r)| (u, v, scale(r, factor)))
+                    .filter(|&(_, &r)| scaled_rate(r, factor) != r)
+                    .map(|(&(u, v), &r)| (u, v, scaled_rate(r, factor)))
                     .collect()
             }
             TraceEvent::Marker { .. } => Vec::new(),
