@@ -89,7 +89,7 @@ pub fn exhaustive_optimal<T: Topology + ?Sized>(
             // Cost added by pairs (u, z) with z already placed.
             let su = ServerId::new(s as u32);
             let mut added = 0.0;
-            for &(z, rate) in traffic.peers(u) {
+            for (z, rate) in traffic.peers(u) {
                 if (z.index()) < vm {
                     let sz = ServerId::new(assignment[z.index()]);
                     let level = topo.level(su, sz);

@@ -107,7 +107,11 @@ impl std::error::Error for ClusterError {}
 /// whichever `put` lands last rewrites the same bits. The value store is
 /// ordered before the stamp store (Release) and readers load the stamp
 /// with Acquire, so a stamped slot always yields a fully-written value.
-/// Cached reads are bit-identical to recomputation by construction.
+/// Cached reads are bit-identical to recomputation by construction —
+/// until a uniform traffic scale multiplies the cached sums through
+/// ([`ExtLoadCache::scale_all`]), after which they equal a re-sweep up to
+/// rounding, and identically so on every run that applies the same
+/// events.
 #[derive(Debug, Default)]
 struct ExtLoadCache {
     /// 1 = the matching `values` slot holds the host's current load.
@@ -147,6 +151,16 @@ impl ExtLoadCache {
     fn invalidate_all(&self) {
         for s in &self.stamps {
             s.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Multiplies every cached load by `factor` (saturating): a load is
+    /// a sum of pair rates, so a uniform rate scale scales it too and no
+    /// host has to be re-swept. Unstamped slots hold garbage either way.
+    fn scale_all(&mut self, factor: f64) {
+        for v in &mut self.values {
+            let bits = v.get_mut();
+            *bits = (f64::from_bits(*bits) * factor).min(f64::MAX).to_bits();
         }
     }
 }
@@ -269,7 +283,7 @@ impl Cluster {
             });
         }
         let vm_nic_demand: Vec<f64> = (0..alloc.num_vms())
-            .map(|v| traffic.peers(VmId::new(v)).iter().map(|&(_, r)| r).sum())
+            .map(|v| traffic.peers(VmId::new(v)).map(|(_, r)| r).sum())
             .collect();
         let mut usage = vec![ServerUsage::default(); topo.num_servers()];
         for (vm, server) in alloc.iter() {
@@ -378,9 +392,8 @@ impl Cluster {
     pub fn external_rate(&self, vm: VmId, host: ServerId) -> f64 {
         self.traffic
             .peers(vm)
-            .iter()
-            .filter(|&&(peer, _)| peer != vm && self.alloc.server_of(peer) != host)
-            .map(|&(_, rate)| rate)
+            .filter(|&(peer, _)| peer != vm && self.alloc.server_of(peer) != host)
+            .map(|(_, rate)| rate)
             .sum()
     }
 
@@ -389,9 +402,9 @@ impl Cluster {
     ///
     /// Memoized per host (see `ExtLoadCache`): the first read after a
     /// mutation touching the host pays the O(hosted VMs × degree) sweep,
-    /// repeat reads are O(1). Cached reads are bit-identical to fresh
-    /// computation — the cache only ever serves values produced by the
-    /// sweep below against the current allocation/traffic state.
+    /// repeat reads are O(1). The cache only ever serves values produced
+    /// by the sweep below against the current allocation/traffic state,
+    /// multiplied through by any [`Cluster::scale_traffic`] since.
     pub fn host_external_load(&self, host: ServerId) -> f64 {
         if let Some(v) = self.ext_load.get(host.index()) {
             return v;
@@ -440,9 +453,8 @@ impl Cluster {
             let internalised: f64 = self
                 .traffic
                 .peers(vm)
-                .iter()
-                .filter(|&&(peer, _)| self.alloc.server_of(peer) == server)
-                .map(|&(_, rate)| rate)
+                .filter(|&(peer, _)| self.alloc.server_of(peer) == server)
+                .map(|(_, rate)| rate)
                 .sum();
             let new_load = self.host_external_load(server) + incoming - internalised;
             let capacity = self.nic_capacity_factor * self.server_spec.nic_bps;
@@ -591,8 +603,7 @@ impl Cluster {
         let changes: Vec<(VmId, VmId, f64, f64)> = self
             .traffic
             .peers(vm)
-            .iter()
-            .map(|&(peer, rate)| {
+            .map(|(peer, rate)| {
                 let (u, v) = if vm < peer { (vm, peer) } else { (peer, vm) };
                 (u, v, rate, 0.0)
             })
@@ -636,7 +647,7 @@ impl Cluster {
         }
         for v in 0..self.alloc.num_vms() {
             let vm = VmId::new(v);
-            let demand: f64 = traffic.peers(vm).iter().map(|&(_, r)| r).sum();
+            let demand: f64 = traffic.peers(vm).map(|(_, r)| r).sum();
             self.vm_nic_demand[vm.index()] = demand;
             self.usage[self.alloc.server_of(vm).index()].nic_bps += demand;
         }
@@ -706,32 +717,26 @@ impl Cluster {
         Ok(())
     }
 
-    /// Rescales every pair rate by `factor` **in place** — the dense
-    /// (`ScaleAll`) fast path. The held traffic takes one contiguous
-    /// sweep ([`score_traffic::PairTraffic::scale_all_in_place`]) and
-    /// the NIC-side ledger (per-VM demand estimates, per-server load) is
-    /// rescaled directly instead of being re-derived pair by pair:
-    /// O(VMs + servers + pairs) with a vectorizable inner loop, versus
-    /// the O(pairs) search-cascade the expanded per-pair delta path
-    /// costs. Slot/RAM/CPU state is untouched (none of it depends on
-    /// traffic).
+    /// Rescales every pair rate by `factor` **in place** — the cluster's
+    /// share of a uniform `ScaleAll`. The held traffic scales in O(1)
+    /// ([`score_traffic::PairTraffic::scale_all`]) and the NIC-side
+    /// ledger (per-VM demand estimates, per-server load, memoized
+    /// external loads) is multiplied through instead of being re-derived
+    /// pair by pair: O(VMs + servers), no pair is visited. Slot/RAM/CPU
+    /// state is untouched (none of it depends on traffic).
     ///
     /// # Panics
     ///
     /// Panics if `factor` is not positive and finite.
     pub fn scale_traffic(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        self.traffic.scale_all_in_place(factor);
+        self.traffic.scale_all(factor);
         for d in &mut self.vm_nic_demand {
             *d = (*d * factor).min(f64::MAX);
         }
         for u in &mut self.usage {
             u.nic_bps = (u.nic_bps * factor).min(f64::MAX);
         }
-        self.ext_load.invalidate_all();
+        self.ext_load.scale_all(factor);
     }
 
     /// Whether `server` is up. Out-of-range ids are not up.
@@ -1146,6 +1151,16 @@ mod tests {
         assert_eq!(scaled.vm_nic_demand(VmId::new(0)), 1000.0);
         assert_eq!(scaled.external_rate(VmId::new(0), ServerId::new(5)), 1000.0);
         assert!((scaled.usage(ServerId::new(0)).nic_bps - 1000.0).abs() < 1e-9);
+        // The memoized external loads were scaled, not dropped: they agree
+        // with a cold-cache clone's re-sweep.
+        for s in 0..4 {
+            let s = ServerId::new(s);
+            assert!(scaled.ext_load.get(s.index()).is_some());
+            assert_eq!(
+                scaled.host_external_load(s),
+                scaled.clone().host_external_load(s)
+            );
+        }
         // Matches the sparse patch path applying the same rates.
         let mut patched = cluster(4, 16);
         patched.patch_traffic(&[(VmId::new(0), VmId::new(1), 100.0, 1000.0)]);

@@ -69,7 +69,7 @@ impl CostModel {
     ) -> f64 {
         let su = alloc.server_of(u);
         let mut cost = 0.0;
-        for &(v, rate) in traffic.peers(u) {
+        for (v, rate) in traffic.peers(u) {
             let level = topo.level(su, alloc.server_of(v));
             cost += rate * self.weights.prefix(level);
         }
@@ -111,7 +111,7 @@ impl CostModel {
             return 0.0;
         }
         let mut delta = 0.0;
-        for &(z, rate) in traffic.peers(u) {
+        for (z, rate) in traffic.peers(u) {
             let sz = alloc.server_of(z);
             let before = topo.level(sz, su);
             let after = topo.level(sz, target);
@@ -160,8 +160,7 @@ impl CostModel {
         let su = alloc.server_of(u);
         traffic
             .peers(u)
-            .iter()
-            .map(|&(v, _)| topo.level(su, alloc.server_of(v)))
+            .map(|(v, _)| topo.level(su, alloc.server_of(v)))
             .max()
             .unwrap_or(score_topology::Level::ZERO)
     }

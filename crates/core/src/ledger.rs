@@ -339,7 +339,7 @@ impl CostLedger {
         if from != to {
             let weights = self.model.weights();
             let (rack_from, rack_to) = (topo.rack_of(from), topo.rack_of(to));
-            for &(peer, rate) in traffic.peers(vm) {
+            for (peer, rate) in traffic.peers(vm) {
                 let sp = alloc.server_of(peer);
                 let rp = topo.rack_of(sp);
                 let old_price = 2.0 * rate * weights.prefix(topo.level(from, sp));
@@ -351,11 +351,11 @@ impl CostLedger {
         self.shards = Some(shards);
     }
 
-    /// Rescales the ledger for a dense `ScaleAll` traffic event: `C_A`
+    /// Rescales the ledger for a uniform `ScaleAll` traffic event: `C_A`
     /// is linear in `λ`, so multiplying every rate by `factor` scales
     /// the total (and every shard partial) by exactly `factor` — no
-    /// pair walk at all. Saturates at `f64::MAX` like the rate sweep in
-    /// `PairTraffic::scale_all_in_place`.
+    /// pair walk at all. Saturates at `f64::MAX` like the rates in
+    /// `PairTraffic::scale_all`.
     ///
     /// # Panics
     ///

@@ -125,16 +125,15 @@ impl LocalView {
         self.peers.clear();
         // `PairTraffic::peers` yields the adjacency list sorted by peer id;
         // `peers` inherits that order (the `rate_to` lookup relies on it).
-        self.peers
-            .extend(traffic.peers(u).iter().map(|&(vm, rate)| {
-                let peer_server = alloc.server_of(vm);
-                PeerInfo {
-                    vm,
-                    rate,
-                    server: peer_server,
-                    level: topo.level(server, peer_server),
-                }
-            }));
+        self.peers.extend(traffic.peers(u).map(|(vm, rate)| {
+            let peer_server = alloc.server_of(vm);
+            PeerInfo {
+                vm,
+                rate,
+                server: peer_server,
+                level: topo.level(server, peer_server),
+            }
+        }));
     }
 
     /// The holder's highest communication level `ℓ_A(u)`; level 0 when the

@@ -17,10 +17,11 @@
 //! ones).
 //!
 //! Call-count parity is part of the contract: the engine lowers every
-//! traffic request to one [`Session::apply_traffic_deltas`] call per
-//! pair whose rate actually changes (no-ops are skipped before the
-//! call), so the live apply-call count, the recorded `SetRate` count,
-//! and the replay apply-call count are all the same number and the
+//! `SetRate` / `ScalePair` to one [`Session::apply_traffic_deltas`] call
+//! per pair whose rate actually changes and every `ScaleAll` to one
+//! [`Session::apply_traffic_scale`] call (no-ops are skipped before the
+//! call), so the live apply-call count, the recorded event count, and
+//! the replay apply-call count are all the same number and the
 //! `events_applied` statistic survives the round trip.
 
 use score_obs::{Counter, Gauge, ObsHandle};
@@ -343,18 +344,21 @@ impl TenantEngine {
         Ok(at_s)
     }
 
-    /// Applies traffic events at the next drained boundary, lowering
-    /// each to per-pair absolute re-rates applied one call per
+    /// Applies traffic events at the next drained boundary: a
+    /// `ScaleAll` as one O(1) session call recorded as itself, the
+    /// per-pair events as absolute re-rates applied one call per
     /// actually-changing pair (see the module docs for why).
     ///
     /// # Errors
     ///
     /// Rejects churn and marker events (`Place`/`Remove` requests are
-    /// the churn path) and propagates delta validation failures; events
-    /// before the failing one stay applied, exactly as they were
-    /// recorded.
+    /// the churn path) and any payload [`TraceEvent::check_payload`]
+    /// refuses before anything is applied; propagates delta validation
+    /// failures, with events before the failing one staying applied,
+    /// exactly as they were recorded.
     pub fn traffic(&mut self, events: &[TraceEvent]) -> Result<Applied, String> {
         for ev in events {
+            ev.check_payload()?;
             match ev {
                 TraceEvent::PlaceVm { .. } | TraceEvent::RemoveVm { .. } => {
                     return Err(
@@ -378,14 +382,9 @@ impl TenantEngine {
         let at_s = self.session.drain_to_boundary();
         let mut pairs_changed = 0u64;
         for ev in events {
-            let updates: Vec<(VmId, VmId, f64)> = match *ev {
-                TraceEvent::SetRate { u, v, rate } => {
-                    vec![(VmId::new(u), VmId::new(v), rate)]
-                }
+            let (u, v, rate) = match *ev {
+                TraceEvent::SetRate { u, v, rate } => (VmId::new(u), VmId::new(v), rate),
                 TraceEvent::ScalePair { u, v, factor } => {
-                    if !(factor.is_finite() && factor >= 0.0) {
-                        return Err(format!("invalid scale factor {factor}"));
-                    }
                     let (u, v) = (VmId::new(u), VmId::new(v));
                     if u.get() >= self.session.traffic().num_vms()
                         || v.get() >= self.session.traffic().num_vms()
@@ -393,18 +392,16 @@ impl TenantEngine {
                     {
                         return Err(format!("ScalePair names an invalid pair ({u}, {v})"));
                     }
-                    vec![(u, v, scaled_rate(self.session.traffic().rate(u, v), factor))]
+                    (u, v, scaled_rate(self.session.traffic().rate(u, v), factor))
                 }
                 TraceEvent::ScaleAll { factor } => {
-                    if !(factor.is_finite() && factor >= 0.0) {
-                        return Err(format!("invalid scale factor {factor}"));
+                    if factor != 1.0 {
+                        pairs_changed +=
+                            self.session
+                                .apply_traffic_scale(factor)
+                                .map_err(|e| e.to_string())? as u64;
                     }
-                    self.session
-                        .traffic()
-                        .pairs()
-                        .iter()
-                        .map(|&(u, v, r)| (u, v, scaled_rate(r, factor)))
-                        .collect()
+                    continue;
                 }
                 TraceEvent::PlaceVm { .. }
                 | TraceEvent::RemoveVm { .. }
@@ -414,22 +411,20 @@ impl TenantEngine {
                 | TraceEvent::LinkDegrade { .. }
                 | TraceEvent::LinkRestore { .. } => unreachable!("rejected above"),
             };
-            for (u, v, rate) in updates {
-                // Skip no-ops *before* the call: the recorded stream
-                // then contains one SetRate per apply call, and replay
-                // makes exactly as many calls as the live run did.
-                if u.get() < self.session.traffic().num_vms()
-                    && v.get() < self.session.traffic().num_vms()
-                    && u != v
-                    && self.session.traffic().rate(u, v) == rate
-                {
-                    continue;
-                }
-                self.session
-                    .apply_traffic_deltas(&[(u, v, rate)])
-                    .map_err(|e| e.to_string())?;
-                pairs_changed += 1;
+            // Skip no-ops *before* the call: the recorded stream then
+            // contains one event per apply call, and replay makes
+            // exactly as many calls as the live run did.
+            if u.get() < self.session.traffic().num_vms()
+                && v.get() < self.session.traffic().num_vms()
+                && u != v
+                && self.session.traffic().rate(u, v) == rate
+            {
+                continue;
             }
+            self.session
+                .apply_traffic_deltas(&[(u, v, rate)])
+                .map_err(|e| e.to_string())?;
+            pairs_changed += 1;
         }
         Ok(Applied {
             pairs_changed,
@@ -551,7 +546,7 @@ impl TenantEngine {
 /// # Errors
 ///
 /// Fails when the trace does not look like a daemon recording (wrong
-/// base population, scale events) or an event fails to apply.
+/// base population, `ScalePair` events) or an event fails to apply.
 pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, String> {
     let mut session = replay_session(scenario, trace)?;
     session
@@ -570,10 +565,12 @@ pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, Str
 
 /// A fresh session of `scenario` for `trace` to be replayed against
 /// with [`Session::run_storm`], once the trace passes for a daemon
-/// recording: same base population, and no scale events (the engine
-/// lowers those to absolute re-rates before they are recorded). A
-/// marker is a replay no-op; [`TenantEngine::recover`] refuses one
-/// anyway, because its re-recorded stream comes out an event short.
+/// recording: same base population, and no `ScalePair` (the engine
+/// lowers those to absolute re-rates before they are recorded; a
+/// `ScaleAll` is recorded as itself, and recordings made before it was
+/// hold only the `SetRate`s it used to be lowered to). A marker is a
+/// replay no-op; [`TenantEngine::recover`] refuses one anyway, because
+/// its re-recorded stream comes out an event short.
 fn replay_session(scenario: &Scenario, trace: &Trace) -> Result<Session, String> {
     let session = scenario.session().map_err(|e| e.to_string())?;
     if trace.num_vms() != session.traffic().num_vms() {
@@ -583,15 +580,14 @@ fn replay_session(scenario: &Scenario, trace: &Trace) -> Result<Session, String>
             session.traffic().num_vms()
         ));
     }
-    if trace.events().iter().any(|ev| {
-        matches!(
-            ev.event,
-            TraceEvent::ScalePair { .. } | TraceEvent::ScaleAll { .. }
-        )
-    }) {
+    if trace
+        .events()
+        .iter()
+        .any(|ev| matches!(ev.event, TraceEvent::ScalePair { .. }))
+    {
         return Err(
-            "daemon recordings contain only absolute re-rates, churn and faults; this trace \
-             does not look like one"
+            "daemon recordings contain only absolute re-rates, uniform scales, churn and \
+             faults; this trace does not look like one"
                 .to_string(),
         );
     }

@@ -78,6 +78,15 @@ fn recorded_engine_session_replays_byte_for_byte() {
 
     let replayed = replay_dir(&dir.join("t0")).unwrap();
     assert_eq!(replayed, live_report, "replay diverged from the live run");
+    // Each of the four scales is in the log as itself — one line, not
+    // one `SetRate` per pair.
+    let log = std::fs::read_to_string(dir.join("t0").join("trace.jsonl")).unwrap();
+    assert_eq!(log.matches("\"ScaleAll\"").count(), 4);
+    assert_eq!(
+        log.matches("\"SetRate\"").count(),
+        4 + 2,
+        "4 re-rates, 2 departures"
+    );
     // The persisted report is the same bytes.
     let on_disk = std::fs::read_to_string(dir.join("t0").join("report.json")).unwrap();
     assert_eq!(on_disk, live_report);
@@ -126,6 +135,99 @@ fn overflowing_scale_saturates_instead_of_tearing_the_event() {
     let trace = engine.session().recorded_trace().unwrap();
     let replayed = replay_trace(&scenario, &trace).unwrap();
     assert_eq!(canonical_report_json(&replayed), live);
+}
+
+/// One rule for a `ScaleAll` factor, everywhere: what `Trace::validate`
+/// refuses, the session and the daemon refuse too — before anything is
+/// applied or recorded. (Accepting `0` here once meant a live request
+/// could write a `trace.jsonl` no loader would take back.)
+#[test]
+fn invalid_scale_factors_are_refused_identically_everywhere() {
+    let scenario = quick_scenario(19);
+    let mut engine = TenantEngine::new("t0", scenario.clone(), 2000.0, None).unwrap();
+    engine.pump(200);
+    engine
+        .traffic(&[TraceEvent::ScaleAll { factor: 1.25 }])
+        .unwrap();
+    let before = engine.report_json();
+    let recorded = engine.session().recorded_trace().unwrap();
+    for bad in [0.0, -0.0, -2.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let event = TraceEvent::ScaleAll { factor: bad };
+        // The trace layer …
+        assert!(event.check_payload().is_err(), "{bad}");
+        assert!(score_trace::Trace::builder(4, 10.0)
+            .event(1.0, event.clone())
+            .build()
+            .is_err());
+        // … the daemon, even when a valid event leads the request …
+        let valid = TraceEvent::SetRate {
+            u: 0,
+            v: 1,
+            rate: 3e6,
+        };
+        assert!(engine.traffic(&[valid, event.clone()]).is_err(), "{bad}");
+        // … and a bare session.
+        let mut session = scenario.session().unwrap();
+        assert!(session.apply_trace_event(&event).is_err(), "{bad}");
+        assert!(session.apply_traffic_scale(bad).is_err(), "{bad}");
+        assert_eq!(session.trace_stats().events_applied, 0);
+    }
+    assert_eq!(
+        engine.report_json(),
+        before,
+        "a refused request changed the tenant"
+    );
+    assert_eq!(engine.session().recorded_trace().unwrap(), recorded);
+    let live = engine.finish().unwrap();
+    let replayed = replay_trace(&scenario, &engine.session().recorded_trace().unwrap()).unwrap();
+    assert_eq!(canonical_report_json(&replayed), live);
+}
+
+/// Recordings made before a `ScaleAll` was recorded as itself hold one
+/// `SetRate` per pair in its place. Such a log still loads, replays byte
+/// for byte, and revives a crashed tenant.
+#[test]
+fn set_rate_only_recordings_still_replay_and_recover() {
+    let dir = temp_dir("legacy_recording");
+    let scenario = quick_scenario(29);
+    let mut engine = TenantEngine::new("t0", scenario.clone(), 2000.0, Some(&dir)).unwrap();
+    for round in 0..3u32 {
+        engine.pump(2_000);
+        let (vm, _, _) = engine.place(None).unwrap();
+        // What the engine used to make of `ScaleAll { factor: 1.1 }`.
+        let lowered: Vec<TraceEvent> = engine
+            .session()
+            .traffic()
+            .pairs()
+            .iter()
+            .map(|&(u, v, r)| TraceEvent::SetRate {
+                u: u.get(),
+                v: v.get(),
+                rate: r * 1.1,
+            })
+            .chain([TraceEvent::SetRate {
+                u: round,
+                v: vm,
+                rate: 2e6,
+            }])
+            .collect();
+        engine.traffic(&lowered).unwrap();
+        engine.flush_trace().unwrap();
+    }
+    let log = std::fs::read_to_string(dir.join("t0").join("trace.jsonl")).unwrap();
+    assert!(!log.contains("Scale"), "this log is the old format");
+    let pre_crash = engine.report_json();
+    drop(engine); // crash: no finish()
+
+    let mut revived = TenantEngine::new("t0", scenario, 2000.0, Some(&dir)).unwrap();
+    assert_eq!(revived.report_json(), pre_crash, "recovery diverged");
+    // From here on the tenant speaks the new format over the old log.
+    revived
+        .traffic(&[TraceEvent::ScaleAll { factor: 0.5 }])
+        .unwrap();
+    let live = revived.finish().unwrap();
+    assert_eq!(replay_dir(&dir.join("t0")).unwrap(), live);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Crash recovery: a tenant killed mid-run (artifacts flushed, no
@@ -266,6 +368,23 @@ fn daemon_serves_mutations_and_replays_over_a_unix_socket() {
         Response::Error { code, .. } => assert_eq!(code, "bad-event"),
         other => panic!("expected bad-event, got {other:?}"),
     }
+    // So does a uniform scale by zero (it used to erase every pair); a
+    // valid one applies to every pair and is logged as one event.
+    for refused in [
+        r#"{"ScaleAll": {"factor": 0}}"#,
+        r#"{"ScaleAll": {"factor": -1.5}}"#,
+    ] {
+        let req = format!(r#"{{"Traffic": {{"events": [{refused}]}}}}"#);
+        match roundtrip(&mut reader, &mut writer, &req) {
+            Response::Error { code, .. } => assert_eq!(code, "bad-event"),
+            other => panic!("expected bad-event, got {other:?}"),
+        }
+    }
+    let scale = r#"{"Traffic": {"events": [{"ScaleAll": {"factor": 1.5}}]}}"#;
+    match roundtrip(&mut reader, &mut writer, scale) {
+        Response::Applied { pairs_changed, .. } => assert!(pairs_changed > 1),
+        other => panic!("expected Applied, got {other:?}"),
+    }
     match roundtrip(&mut reader, &mut writer, "\"Report\"") {
         Response::Report { json } => assert!(json.contains("\"final_cost\"") || !json.is_empty()),
         other => panic!("expected Report, got {other:?}"),
@@ -307,6 +426,13 @@ fn daemon_serves_mutations_and_replays_over_a_unix_socket() {
         replayed, final_report,
         "replaying the daemon's recorded session diverged from its own final report"
     );
+    let log = std::fs::read_to_string(record_dir.join("default").join("trace.jsonl")).unwrap();
+    assert_eq!(
+        log.matches("\"ScaleAll\"").count(),
+        1,
+        "one scale, one line"
+    );
+    assert_eq!(log.matches("\"SetRate\"").count(), 1, "no per-pair flood");
     assert!(!socket.exists(), "shutdown must remove the socket file");
     std::fs::remove_dir_all(&dir).ok();
 }

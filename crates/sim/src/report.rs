@@ -78,8 +78,10 @@ impl FlowTableOps {
 pub struct TraceReplayStats {
     /// Trace delta batches applied mid-run.
     pub events_applied: u64,
-    /// Changed pairs re-priced across all batches (the ledger work is
-    /// `O(this)`, not `O(all pairs × events)`).
+    /// Live pairs whose effective rate changed, summed over all batches.
+    /// For sparse batches the ledger work is `O(this)`; a uniform
+    /// `ScaleAll` changes every live pair's rate and counts them all,
+    /// though it re-prices none of them individually.
     pub pairs_repriced: u64,
     /// Total wall-clock nanoseconds spent applying batches. Wall-clock
     /// noise: compare counts, not latencies, when asserting determinism.

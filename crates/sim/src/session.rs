@@ -19,7 +19,7 @@ use score_obs::ObsHandle;
 use score_topology::{RackId, ServerId, Topology, VmId};
 use score_trace::{
     scaled_rate, CompiledTrace, DeltaBatch, OracleForecaster, TimedEvent, Trace, TraceEvent,
-    TraceRecorder, TraceSegment,
+    TraceRecorder, TraceSegment, TrafficDelta,
 };
 use score_traffic::{CbrLoad, EwmaForecaster, PairTraffic, RateForecaster};
 use score_xen::PreCopyModel;
@@ -54,17 +54,10 @@ impl SessionForecaster {
         }
     }
 
-    fn prime(&mut self, traffic: &PairTraffic, now_s: f64) {
+    fn as_dyn_mut(&mut self) -> &mut dyn RateForecaster {
         match self {
-            SessionForecaster::Ewma(f) => f.prime(traffic, now_s),
-            SessionForecaster::Oracle(f) => f.prime(traffic, now_s),
-        }
-    }
-
-    fn observe_updates(&mut self, updates: &[(VmId, VmId, f64)], now_s: f64) {
-        match self {
-            SessionForecaster::Ewma(f) => f.observe_updates(updates, now_s),
-            SessionForecaster::Oracle(f) => f.observe_updates(updates, now_s),
+            SessionForecaster::Ewma(f) => f,
+            SessionForecaster::Oracle(f) => f,
         }
     }
 
@@ -76,6 +69,10 @@ impl SessionForecaster {
         }
     }
 }
+
+/// Bound on forecasts awaiting their horizon (see
+/// `Session::queue_forecast_evals`).
+const MAX_FORECAST_EVALS: usize = 65_536;
 
 /// One phase of a dynamic workload: a traffic pattern active for a
 /// duration.
@@ -116,9 +113,9 @@ pub struct Session {
     iterations: Vec<IterationStats>,
     current_iter: IterationStats,
     token_holds: usize,
-    /// In-segment trace delta batches not yet fired, FIFO-aligned with
-    /// the `TrafficShift` events in the queue.
-    pending_shifts: VecDeque<Vec<(VmId, VmId, f64)>>,
+    /// In-segment trace deltas not yet fired, FIFO-aligned with the
+    /// `TrafficShift` events in the queue.
+    pending_shifts: VecDeque<TrafficDelta>,
     /// Trace segments after the current one (`WorkloadSpec::Trace` with
     /// phase markers); advanced by [`Session::advance_trace_segment`].
     trace_segments: VecDeque<TraceSegment>,
@@ -294,6 +291,7 @@ impl Session {
         };
         let mut session =
             Session::materialize_inner(scenario, topo, first.initial.clone(), Some(&first))?;
+        session.load_shifts(first.shifts);
         session.trace_segments = segments;
         Ok(session)
     }
@@ -420,28 +418,19 @@ impl Session {
             obs: None,
         };
         session.prime_queue();
-        if let Some(seg) = segment {
-            session.load_shifts(&seg.shifts);
-        }
         Ok(session)
     }
 
     /// Schedules a segment's delta batches on the event clock (segment
     /// time starts at the queue's current zero). Batches at or past the
     /// horizon never fire and are dropped here.
-    fn load_shifts(&mut self, shifts: &[DeltaBatch]) {
+    fn load_shifts(&mut self, shifts: Vec<DeltaBatch>) {
         for batch in shifts {
             if batch.at_s >= self.horizon_s {
                 continue;
             }
             self.queue.schedule_at(batch.at_s, SimEvent::TrafficShift);
-            self.pending_shifts.push_back(
-                batch
-                    .updates
-                    .iter()
-                    .map(|&(u, v, rate)| (VmId::new(u), VmId::new(v), rate))
-                    .collect(),
-            );
+            self.pending_shifts.push_back(batch.delta);
         }
     }
 
@@ -581,10 +570,12 @@ impl Session {
                     // consumers interested in in-flight counts.
                 }
                 SimEvent::TrafficShift => {
-                    if let Some(updates) = self.pending_shifts.pop_front() {
-                        self.apply_traffic_deltas(&updates)
-                            .expect("trace deltas are validated at materialization");
+                    match self.pending_shifts.pop_front() {
+                        Some(TrafficDelta::Rates(updates)) => self.apply_traffic_deltas(&updates),
+                        Some(TrafficDelta::ScaleAll(factor)) => self.apply_traffic_scale(factor),
+                        None => continue,
                     }
+                    .expect("trace deltas are validated at materialization");
                 }
                 SimEvent::TokenArrive { vm: _ } => {
                     self.token_event_pending = false;
@@ -780,7 +771,7 @@ impl Session {
         // Forecaster state restarts with the segment, like ring and
         // policy state do (the new clock starts at 0).
         if let Some(f) = &mut self.forecaster {
-            f.prime(&self.traffic, 0.0);
+            f.as_dyn_mut().prime(&self.traffic, 0.0);
         }
         let engine = ScoreEngine::new(self.model.clone(), self.scenario.engine.score());
         self.ring = TokenRing::with_boxed(
@@ -920,24 +911,9 @@ impl Session {
             if let Some(f) = &mut self.forecaster {
                 let observed: Vec<(VmId, VmId, f64)> =
                     changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
-                f.observe_updates(&observed, now_s);
-                // Queue this batch's pairs for scoring at the horizon:
-                // what the (just-updated) forecaster predicts for t+h
-                // will be compared against the rate realized then. The
-                // queue is bounded; overflow drops the newest entries
-                // (deterministically) rather than growing without bound.
-                if self.forecast_horizon_s > 0.0 {
-                    let f = f.as_dyn();
-                    let due = now_s + self.forecast_horizon_s;
-                    for &(u, v, _, _) in &changes {
-                        if self.forecast_evals.len() >= 65_536 {
-                            break;
-                        }
-                        let predicted = f.predict(u, v, now_s, self.forecast_horizon_s);
-                        self.forecast_evals.push_back((due, u, v, predicted));
-                    }
-                }
+                f.as_dyn_mut().observe_updates(&observed, now_s);
             }
+            self.queue_forecast_evals(changes.iter().map(|&(u, v, _, _)| (u, v)), now_s);
             if let Some(rec) = &mut self.recorder {
                 let recorded: Vec<(u32, u32, f64)> = changes
                     .iter()
@@ -954,56 +930,67 @@ impl Session {
         Ok(changes.len())
     }
 
-    /// Applies a dense `ScaleAll`-style traffic shift: every live
-    /// pair's rate is multiplied by `factor`, saturating at
-    /// `f64::MAX`. On the fast path this is three contiguous sweeps
-    /// (traffic store, cluster NIC accounting, ledger/shard rescale —
-    /// `C_A` is linear in `λ`) with **no** per-pair canonicalization,
-    /// lookup, or level pricing, which is what keeps 100k-host dense
-    /// drift events off the O(pairs·log) path.
+    /// Applies a uniform `ScaleAll` traffic shift: every live pair's
+    /// rate is multiplied by `factor`, saturating at `f64::MAX`. `C_A` is
+    /// linear in `λ`, so nothing is re-priced pair by pair: the traffic
+    /// stores take the factor as a pending multiplier their reads fold
+    /// in, the cluster's NIC accounting and the cost ledger with its
+    /// shards are multiplied through — O(VMs + servers + racks), the same
+    /// whether 10² or 10⁷ pairs are live. This is the only way a session
+    /// scales: compiled trace batches, raw `ScaleAll` events and the
+    /// daemon all land here, a recorder logs the event itself, and a
+    /// forecaster hears of it through
+    /// [`RateForecaster::observe_scale`] (per-pair work over the pairs
+    /// *it* tracks, which is the forecaster's cost alone).
     ///
-    /// When a trace recorder or forecaster is attached the shift
-    /// instead falls back to the expanded per-pair
-    /// [`Session::apply_traffic_deltas`] — the recorded stream and the
-    /// forecaster's observations must see the same per-pair updates a
-    /// compiled trace would, byte for byte.
-    ///
-    /// Returns the number of live pairs swept (or, on the fallback
-    /// path, the number of pairs whose rate actually changed).
+    /// Returns the number of live pairs whose rate changed (0 for the
+    /// identity factor, which still counts as an applied event).
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Workload`] unless `factor` is positive
-    /// and finite; the session is unchanged on error.
+    /// and finite ([`TraceEvent::check_payload`]); the session is
+    /// unchanged on error.
     pub fn apply_traffic_scale(&mut self, factor: f64) -> Result<usize, ScenarioError> {
-        if !factor.is_finite() || factor <= 0.0 {
-            return Err(ScenarioError::Workload(format!(
-                "traffic scale factor must be positive and finite, got {factor}"
-            )));
-        }
-        if self.recorder.is_some() || self.forecaster.is_some() {
-            let updates: Vec<(VmId, VmId, f64)> = self
-                .traffic
-                .pairs()
-                .iter()
-                .map(|&(u, v, r)| (u, v, scaled_rate(r, factor)))
-                .collect();
-            return self.apply_traffic_deltas(&updates);
-        }
+        TraceEvent::ScaleAll { factor }
+            .check_payload()
+            .map_err(|e| ScenarioError::Workload(format!("traffic scale {e}")))?;
         let start = Instant::now();
+        // External cluster mutation first resyncs the baseline the
+        // ledger rescale builds on.
         self.freshen_ledger();
-        let swept = self.traffic.num_pairs();
+        let mut repriced = 0;
         if factor != 1.0 {
-            self.traffic.scale_all_in_place(factor);
+            repriced = self.traffic.num_pairs();
+            // As for sparse deltas: forecasts already due are scored
+            // against the rates they were made for.
+            let now_s = self.queue.now_s();
+            self.settle_forecast_evals(now_s);
+            self.traffic.scale_all(factor);
             self.cluster.scale_traffic(factor);
             self.ledger.scale(factor);
+            if let Some(f) = &mut self.forecaster {
+                f.as_dyn_mut().observe_scale(factor, now_s);
+                // Every live pair the forecaster tracks just moved; they
+                // are scored at the horizon like a sparse batch's pairs,
+                // in canonical order whatever the forecaster's own.
+                if self.forecast_evals.len() < MAX_FORECAST_EVALS {
+                    let mut moved = f.as_dyn().known_pairs();
+                    moved.sort_unstable();
+                    moved.retain(|&(u, v)| self.traffic.handle(u, v).is_some());
+                    self.queue_forecast_evals(moved, now_s);
+                }
+            }
+            if let Some(rec) = &mut self.recorder {
+                rec.record_scale(self.recorder_offset_s + now_s, factor);
+            }
         }
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.trace_stats.events_applied += 1;
-        self.trace_stats.pairs_repriced += swept as u64;
+        self.trace_stats.pairs_repriced += repriced as u64;
         self.trace_stats.apply_ns_total += ns;
         self.trace_stats.apply_ns_max = self.trace_stats.apply_ns_max.max(ns);
-        Ok(swept)
+        Ok(repriced)
     }
 
     /// Trace-replay bookkeeping for the current segment (all zeros for
@@ -1115,6 +1102,29 @@ impl Session {
         self.ledger.publish_obs();
     }
 
+    /// Queues `pairs` (whose rates just changed at `now_s`) for scoring
+    /// at the horizon: what the just-updated forecaster predicts for
+    /// `now + h` will be compared against the rate realized then. The
+    /// queue is bounded; overflow drops the newest entries
+    /// (deterministically) rather than growing without bound. No-op
+    /// without an active nonzero-horizon forecast.
+    fn queue_forecast_evals(&mut self, pairs: impl IntoIterator<Item = (VmId, VmId)>, now_s: f64) {
+        let Some(f) = &self.forecaster else {
+            return;
+        };
+        if self.forecast_horizon_s <= 0.0 {
+            return;
+        }
+        let due = now_s + self.forecast_horizon_s;
+        for (u, v) in pairs {
+            if self.forecast_evals.len() >= MAX_FORECAST_EVALS {
+                break;
+            }
+            let predicted = f.as_dyn().predict(u, v, now_s, self.forecast_horizon_s);
+            self.forecast_evals.push_back((due, u, v, predicted));
+        }
+    }
+
     /// Settles every pending forecast evaluation whose due time has
     /// passed: the rate predicted at `due − horizon` for `due` is
     /// compared against the realized rate (pair rates are
@@ -1209,12 +1219,12 @@ impl Session {
         }
         let seed = self.scenario.seed.wrapping_add(self.segment_index);
         self.rebind_traffic(seg.initial.clone(), seg.duration_s, seed)?;
-        self.load_shifts(&seg.shifts);
         // The oracle reads ahead into the freshly bound segment
         // (rebinding primed it on the segment's initial TM already).
         if let Some(f) = &mut self.forecaster {
             f.load_segment(&seg);
         }
+        self.load_shifts(seg.shifts);
         Ok(true)
     }
 
@@ -1357,7 +1367,7 @@ impl Session {
         if !self.cluster.is_active(vm) {
             return Err(ClusterError::UnknownVm { vm }.into());
         }
-        let peers: Vec<VmId> = self.traffic.peers(vm).iter().map(|&(p, _)| p).collect();
+        let peers: Vec<VmId> = self.traffic.peers(vm).map(|(p, _)| p).collect();
         for peer in peers {
             self.apply_traffic_deltas(&[(vm, peer, 0.0)])?;
         }
@@ -1409,6 +1419,7 @@ impl Session {
                 "apply_fault takes fault events only, got {event:?}"
             )));
         }
+        event.check_payload().map_err(ScenarioError::Workload)?;
         let now_s = self.queue.now_s();
         self.freshen_ledger();
         let outcome = match event {
@@ -1428,11 +1439,6 @@ impl Session {
                 self.crash_hosts(&servers)?
             }
             TraceEvent::LinkDegrade { tier, factor } => {
-                if !factor.is_finite() || *factor <= 0.0 || *factor > 1.0 {
-                    return Err(ScenarioError::Workload(format!(
-                        "link degradation factor must be in (0, 1], got {factor}"
-                    )));
-                }
                 if *tier == 0 {
                     self.cluster.set_nic_capacity_factor(*factor);
                 }
@@ -1520,7 +1526,7 @@ impl Session {
                             changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
                         self.traffic.apply_updates(&updates);
                         if let Some(f) = &mut self.forecaster {
-                            f.observe_updates(&updates, now_s);
+                            f.as_dyn_mut().observe_updates(&updates, now_s);
                         }
                         self.recovery.unplaceable_vms += 1;
                         outcome.unplaceable.push(vm);
@@ -1541,9 +1547,9 @@ impl Session {
     /// cannot compile; see [`score_trace::Trace::compile`]) and the
     /// daemon's socket protocol:
     ///
-    /// * traffic events take the sparse delta paths
-    ///   ([`Session::apply_traffic_deltas`] /
-    ///   [`Session::apply_traffic_scale`]);
+    /// * traffic events take [`Session::apply_traffic_deltas`]
+    ///   (`SetRate`, `ScalePair`) or [`Session::apply_traffic_scale`]
+    ///   (`ScaleAll`);
     /// * churn events take [`Session::place_vm`] /
     ///   [`Session::remove_vm`] — a `PlaceVm` must name the id the
     ///   arrival will get (the next dense one), which is how every
@@ -1559,19 +1565,16 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying path's validation errors; the session
+    /// Refuses a payload [`TraceEvent::check_payload`] refuses and
+    /// propagates the underlying path's validation errors; the session
     /// is unchanged on error.
     pub fn apply_trace_event(&mut self, event: &TraceEvent) -> Result<(), ScenarioError> {
+        event.check_payload().map_err(ScenarioError::Workload)?;
         match event {
             TraceEvent::SetRate { u, v, rate } => {
                 self.apply_traffic_deltas(&[(VmId::new(*u), VmId::new(*v), *rate)])?;
             }
             TraceEvent::ScalePair { u, v, factor } => {
-                if !factor.is_finite() || *factor < 0.0 {
-                    return Err(ScenarioError::Workload(format!(
-                        "pair scale factor must be finite and >= 0, got {factor}"
-                    )));
-                }
                 let num_vms = self.traffic.num_vms();
                 if *u >= num_vms || *v >= num_vms {
                     return Ok(());
@@ -2109,42 +2112,77 @@ mod tests {
     }
 
     #[test]
-    fn dense_scale_fast_path_matches_expanded_deltas() {
-        // Two identical sessions; one takes the dense sweep, the other
-        // the expanded per-pair path the trace compiler would emit.
-        let mut fast = quick_scenario(PolicyKind::RoundRobin, 43)
-            .session()
-            .unwrap();
-        let mut slow = quick_scenario(PolicyKind::RoundRobin, 43)
-            .session()
-            .unwrap();
+    fn traffic_scale_matches_expanded_deltas() {
+        // Two identical sessions; one scales in O(1), the other applies
+        // the reference: one absolute re-rate per pair. The O(1) side
+        // records too — there is no other path to fall back to.
+        let scenario = quick_scenario(PolicyKind::RoundRobin, 43);
+        let mut slow = scenario.session().unwrap();
+        let mut fast = scenario.session().unwrap();
+        fast.start_trace_recording();
         fast.run(1);
         slow.run(1);
         let factor = 2.5;
         let swept = fast.apply_traffic_scale(factor).unwrap();
         assert_eq!(swept, fast.traffic().num_pairs());
-        let updates: Vec<(VmId, VmId, f64)> = slow
-            .traffic()
-            .pairs()
-            .iter()
-            .map(|&(u, v, r)| (u, v, (r * factor).min(f64::MAX)))
-            .collect();
-        slow.apply_traffic_deltas(&updates).unwrap();
+        let expand = |s: &Session, factor: f64| -> Vec<(VmId, VmId, f64)> {
+            s.traffic()
+                .pairs()
+                .iter()
+                .map(|&(u, v, r)| (u, v, (r * factor).min(f64::MAX)))
+                .collect()
+        };
+        slow.apply_traffic_deltas(&expand(&slow, factor)).unwrap();
         // Rates agree exactly; costs and NIC accounting to 1e-9.
         for (u, v, r) in slow.traffic().pairs() {
             assert_eq!(fast.traffic().rate(u, v), r);
         }
-        let (cf, cs) = (fast.current_cost(), slow.current_cost());
-        assert!((cf - cs).abs() <= 1e-9 * cs.abs().max(1.0), "{cf} vs {cs}");
-        assert!(fast.shard_drift() <= 1e-9 * cf.abs().max(1.0));
-        assert_eq!(fast.ledger_resyncs(), 0);
+        let close = |fast: &Session, slow: &Session| {
+            let (cf, cs) = (fast.current_cost(), slow.current_cost());
+            assert!((cf - cs).abs() <= 1e-9 * cs.abs().max(1.0), "{cf} vs {cs}");
+            assert!(fast.shard_drift() <= 1e-9 * cf.abs().max(1.0));
+            for vm in 0..slow.traffic().num_vms() {
+                let vm = VmId::new(vm);
+                let (df, ds) = (
+                    fast.cluster().vm_nic_demand(vm),
+                    slow.cluster().vm_nic_demand(vm),
+                );
+                assert!((df - ds).abs() <= 1e-9 * ds.max(1.0), "{vm}: {df} vs {ds}");
+            }
+            assert_eq!(fast.ledger_resyncs(), 0);
+        };
+        close(&fast, &slow);
+        // A second scale composes with the first before either is
+        // settled; the reference rounds after each.
+        fast.apply_traffic_scale(0.3).unwrap();
+        slow.apply_traffic_deltas(&expand(&slow, 0.3)).unwrap();
+        for (u, v, r) in slow.traffic().pairs() {
+            assert!((fast.traffic().rate(u, v) - r).abs() <= 1e-12 * r);
+        }
+        close(&fast, &slow);
+        // Each scale was recorded as the one event it was.
+        let recorded = fast.recorded_trace().unwrap();
+        assert_eq!(
+            recorded
+                .events()
+                .iter()
+                .map(|e| &e.event)
+                .collect::<Vec<_>>(),
+            [
+                &TraceEvent::ScaleAll { factor },
+                &TraceEvent::ScaleAll { factor: 0.3 }
+            ]
+        );
         // Invalid factors are rejected without touching the session.
         assert!(fast.apply_traffic_scale(0.0).is_err());
         assert!(fast.apply_traffic_scale(f64::NAN).is_err());
+        assert!(fast.apply_traffic_scale(f64::INFINITY).is_err());
         assert!(fast.apply_traffic_scale(-2.0).is_err());
-        // Identity factor sweeps nothing but counts as an event.
+        assert_eq!(fast.recorded_trace().unwrap(), recorded);
+        close(&fast, &slow);
+        // Identity factor changes nothing but counts as an event.
         let events_before = fast.trace_stats().events_applied;
-        fast.apply_traffic_scale(1.0).unwrap();
+        assert_eq!(fast.apply_traffic_scale(1.0).unwrap(), 0);
         assert_eq!(fast.trace_stats().events_applied, events_before + 1);
         // Both sessions keep running normally.
         fast.run_to_horizon();
@@ -2153,6 +2191,44 @@ mod tests {
             fast.report().migrations.len(),
             slow.report().migrations.len()
         );
+    }
+
+    #[test]
+    fn ten_thousand_scales_around_a_cycle_leave_no_drift() {
+        // Ten diurnal periods of a thousand steps each: the factors
+        // multiply to 1, so everything must end where it began.
+        let mut session = quick_scenario(PolicyKind::RoundRobin, 47)
+            .session()
+            .unwrap();
+        let base = session.traffic().clone();
+        let cost = session.current_cost();
+        let envelope = |i: u32| 1.0 + 0.5 * (std::f64::consts::TAU * f64::from(i) / 1000.0).sin();
+        for i in 0..10_000 {
+            session
+                .apply_traffic_scale(envelope(i + 1) / envelope(i))
+                .unwrap();
+        }
+        for ((u, v, got), (_, _, want)) in session.traffic().pairs().into_iter().zip(base.pairs()) {
+            assert!(
+                (got - want).abs() <= 1e-9 * want,
+                "({u}, {v}): {got} vs {want}"
+            );
+        }
+        assert_eq!(session.traffic().num_pairs(), base.num_pairs());
+        let fresh = session.cost_model().total_cost(
+            session.cluster().allocation(),
+            session.traffic(),
+            session.cluster().topo(),
+        );
+        for drifted in [
+            session.current_cost() - fresh,
+            session.current_cost() - cost,
+        ] {
+            assert!(drifted.abs() <= 1e-9 * cost, "ledger drifted by {drifted}");
+        }
+        assert!(session.shard_drift() <= 1e-9 * cost);
+        assert_eq!(session.ledger_resyncs(), 0);
+        assert_eq!(session.trace_stats().events_applied, 10_000);
     }
 
     /// A small flash-crowd trace scenario (fast token timing so the

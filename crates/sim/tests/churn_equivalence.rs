@@ -1,23 +1,35 @@
 //! Churn-at-scale equivalence: the struct-of-arrays pair store behind
 //! `PairTraffic` (slot arrays + free-list recycling + per-VM adjacency)
-//! must be observationally identical to the obvious reference — a
-//! sorted map of canonical `(u, v) → rate` entries — under arbitrary
-//! interleavings of `place_vm` / `remove_vm` / traffic patches, on both
-//! topology families.
+//! with its lazily applied uniform scale must be observationally
+//! identical to the obvious reference — a sorted map of canonical
+//! `(u, v) → rate` entries in which a `ScaleAll` multiplies every entry
+//! — under arbitrary interleavings of `place_vm` / `remove_vm` /
+//! absolute patches / pair removals / `ScalePair` / `ScaleAll` / token
+//! holds (migrations), on both topology families.
 //!
 //! Checked after every operation:
 //!
-//! * every canonical pair rate matches the reference map exactly;
+//! * every canonical pair rate matches the reference map: bit for bit
+//!   for a pair written since the last `ScaleAll` (an absolute write
+//!   reads back exactly whatever was scaled before it), within 1e-12
+//!   relative otherwise (the store multiplies by the composed factor
+//!   once, the reference by each factor in turn);
 //! * the pair count and the canonical `pairs()` ordering match;
 //! * per-VM NIC demand matches the reference recomputation to ≤ 1e-9
 //!   relative (the cluster maintains it incrementally through the
 //!   handle store);
 //! * the incremental cost ledger stays within 1e-9 relative of a full
 //!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs.
+//!
+//! Running sums keep float residue proportional to the largest values
+//! they ever carried, so from the first scale on the relative bounds
+//! are taken against the largest rate the run has held (until then the
+//! absolute floor under them is 1, as it was before scales existed).
 
 use proptest::prelude::*;
 use score_sim::{PolicyKind, Scenario, Session};
 use score_topology::VmId;
+use score_trace::{scaled_rate, TraceEvent};
 use std::collections::BTreeMap;
 
 fn scenario(fat_tree: bool, seed: u64) -> Scenario {
@@ -43,9 +55,25 @@ fn scenario(fat_tree: bool, seed: u64) -> Scenario {
 #[derive(Debug, Clone)]
 enum Op {
     Place,
-    Remove { pick: usize },
-    Patch { pick: usize, peer: usize, rate: f64 },
-    Run { steps: usize },
+    Remove {
+        pick: usize,
+    },
+    Patch {
+        pick: usize,
+        peer: usize,
+        rate: f64,
+    },
+    ScalePair {
+        pick: usize,
+        peer: usize,
+        factor: f64,
+    },
+    ScaleAll {
+        factor: f64,
+    },
+    Run {
+        steps: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -59,35 +87,53 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             peer,
             rate
         }),
-        (0usize..64, 0usize..64, 0.0f64..5e6).prop_map(|(pick, peer, rate)| Op::Patch {
+        // Removing a pair outright (a drawn rate is never exactly 0).
+        (0usize..64, 0usize..64).prop_map(|(pick, peer)| Op::Patch {
             pick,
             peer,
-            rate
+            rate: 0.0
         }),
+        (0usize..64, 0usize..64, 0.0f64..3.0).prop_map(|(pick, peer, factor)| Op::ScalePair {
+            pick,
+            peer,
+            factor
+        }),
+        // Wide enough that 40 of them in a row leave the store's pending
+        // range and force a renormalizing sweep.
+        (0.02f64..50.0).prop_map(|factor| Op::ScaleAll { factor }),
+        (0.02f64..50.0).prop_map(|factor| Op::ScaleAll { factor }),
         (1usize..8).prop_map(|steps| Op::Run { steps }),
     ]
 }
 
+/// A reference entry: the rate, and whether the store must agree with
+/// it bit for bit (written since the last `ScaleAll`).
+type Reference = BTreeMap<(u32, u32), (f64, bool)>;
+
 /// The reference rate map after canonicalization: `u < v`, no zeros.
-fn reference_rates(session: &Session) -> BTreeMap<(u32, u32), f64> {
+fn reference_rates(session: &Session) -> Reference {
     session
         .traffic()
         .pairs()
         .iter()
-        .map(|&(u, v, r)| ((u.get(), v.get()), r))
+        .map(|&(u, v, r)| ((u.get(), v.get()), (r, true)))
         .collect()
 }
 
-fn check_equivalence(session: &Session, reference: &BTreeMap<(u32, u32), f64>, live: &[u32]) {
-    // Rates and canonical ordering match the reference map exactly.
+fn check_equivalence(session: &Session, reference: &Reference, live: &[u32], floor: f64) {
+    // Rates and canonical ordering match the reference map.
     let pairs = session.traffic().pairs();
     assert_eq!(pairs.len(), reference.len(), "pair population diverged");
-    for (&(u, v), &rate) in reference.iter() {
-        assert_eq!(
-            session.traffic().rate(VmId::new(u), VmId::new(v)),
-            rate,
-            "rate of ({u}, {v}) diverged from the reference"
-        );
+    for (&(u, v), &(rate, exact)) in reference.iter() {
+        let got = session.traffic().rate(VmId::new(u), VmId::new(v));
+        if exact {
+            assert_eq!(got, rate, "rate of ({u}, {v}) diverged from the reference");
+        } else {
+            assert!(
+                (got - rate).abs() <= 1e-12 * rate,
+                "rate of ({u}, {v}) is {got}, the expanded reference says {rate}"
+            );
+        }
     }
     let canonical: Vec<(u32, u32)> = reference.keys().copied().collect();
     let observed: Vec<(u32, u32)> = pairs.iter().map(|&(u, v, _)| (u.get(), v.get())).collect();
@@ -97,11 +143,11 @@ fn check_equivalence(session: &Session, reference: &BTreeMap<(u32, u32), f64>, l
         let expect: f64 = reference
             .iter()
             .filter(|&(&(u, v), _)| u == vm || v == vm)
-            .map(|(_, &r)| r)
+            .map(|(_, &(r, _))| r)
             .sum();
         let got = session.cluster().vm_nic_demand(VmId::new(vm));
         assert!(
-            (got - expect).abs() <= 1e-9 * expect.max(1.0),
+            (got - expect).abs() <= 1e-9 * expect.max(floor),
             "vm{vm} NIC demand {got} diverged from reference {expect}"
         );
     }
@@ -113,13 +159,13 @@ fn check_equivalence(session: &Session, reference: &BTreeMap<(u32, u32), f64>, l
     );
     let ledgered = session.current_cost();
     assert!(
-        (ledgered - fresh).abs() <= 1e-9 * fresh.abs().max(1.0),
+        (ledgered - fresh).abs() <= 1e-9 * fresh.abs().max(floor),
         "ledger {ledgered} diverged from full recomputation {fresh}"
     );
     assert_eq!(session.ledger_resyncs(), 0, "a full-pass resync was paid");
     let drift = session.shard_drift();
     assert!(
-        drift <= 1e-9 * fresh.abs().max(1.0),
+        drift <= 1e-9 * fresh.abs().max(floor),
         "shard partials drifted by {drift}"
     );
 }
@@ -128,7 +174,12 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
     let mut session = scenario(fat_tree, seed).session().unwrap();
     let mut reference = reference_rates(&session);
     let mut live: Vec<u32> = (0..session.traffic().num_vms()).collect();
+    // The largest rate held so far, and whether anything was scaled yet.
+    let max_rate = |r: &Reference| r.values().map(|&(rate, _)| rate).fold(1.0, f64::max);
+    let mut peak = max_rate(&reference);
+    let mut scaled = false;
     for op in ops {
+        scaled |= matches!(op, Op::ScalePair { .. } | Op::ScaleAll { .. });
         match *op {
             Op::Place => {
                 if let Ok((vm, _server)) = session.place_vm(None) {
@@ -154,7 +205,27 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
                 if rate == 0.0 {
                     reference.remove(&key);
                 } else {
-                    reference.insert(key, rate);
+                    reference.insert(key, (rate, true));
+                }
+            }
+            Op::ScalePair { pick, peer, factor } => {
+                let (u, v) = (live[pick % live.len()], live[peer % live.len()]);
+                session
+                    .apply_trace_event(&TraceEvent::ScalePair { u, v, factor })
+                    .unwrap();
+                let key = if u < v { (u, v) } else { (v, u) };
+                if let Some((rate, _)) = reference.get_mut(&key) {
+                    *rate = scaled_rate(*rate, factor);
+                    if *rate == 0.0 {
+                        reference.remove(&key);
+                    }
+                }
+            }
+            Op::ScaleAll { factor } => {
+                session.apply_traffic_scale(factor).unwrap();
+                for (rate, exact) in reference.values_mut() {
+                    *rate = scaled_rate(*rate, factor);
+                    *exact = false;
                 }
             }
             Op::Run { steps } => {
@@ -165,7 +236,9 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
                 }
             }
         }
-        check_equivalence(&session, &reference, &live);
+        peak = peak.max(max_rate(&reference));
+        let floor = if scaled { peak } else { 1.0 };
+        check_equivalence(&session, &reference, &live, floor);
     }
 }
 

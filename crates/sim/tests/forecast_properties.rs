@@ -1,6 +1,6 @@
 //! Property-based pins for the forecast-aware decision pipeline.
 //!
-//! Two contracts hold the refactor together:
+//! Three contracts hold the refactor together:
 //!
 //! 1. **Zero-horizon compatibility** — `ForecastSpec::None` and every
 //!    zero-horizon variant run the reactive paper pipeline bit for bit:
@@ -14,14 +14,23 @@
 //!    documented wall-clock `apply_ns_*` carve-out for trace
 //!    workloads), because each cell builds its own session-owned
 //!    forecaster fed a deterministic delta stream.
+//! 3. **A uniform scale is an observation like any other** —
+//!    `observe_scale` leaves the EWMA estimator in the state
+//!    `observe_updates` over every tracked pair's scaled rate would, bit
+//!    for bit, and the oracle's one-breakpoint-per-scale index predicts
+//!    what an index of expanded per-pair breakpoints would.
 
 use proptest::prelude::*;
 use score_sim::{
     ForecastSpec, MatrixReport, PolicyKind, RunReport, Scenario, ScenarioMatrix, TimingSpec,
     TopologySpec, TraceSpec, WorkloadSpec,
 };
-use score_trace::{DiurnalShape, FlashCrowdShape};
-use score_traffic::TrafficIntensity;
+use score_topology::VmId;
+use score_trace::{
+    scaled_rate, DiurnalShape, FlashCrowdShape, OracleForecaster, Trace, TraceEvent, TrafficDelta,
+};
+use score_traffic::{EwmaForecaster, RateForecaster, TrafficIntensity, WorkloadConfig};
+use std::collections::BTreeMap;
 
 fn policy_pool() -> [PolicyKind; 5] {
     PolicyKind::all()
@@ -182,6 +191,133 @@ proptest! {
         let loaded = Scenario::from_json(&legacy).expect("legacy JSON loads");
         prop_assert_eq!(&loaded, &scenario);
         prop_assert_eq!(loaded.forecast, ForecastSpec::None);
+    }
+
+    /// `observe_scale(f, t)` ≡ `observe_updates` fed every tracked
+    /// pair's scaled rate at `t`, bit for bit, through any interleaving
+    /// with sparse updates (including pairs gone silent and pairs the
+    /// forecaster learned of late).
+    #[test]
+    fn ewma_observe_scale_equals_expanded_updates(
+        seed in 0u64..10_000,
+        alpha_pct in 1u32..=100,
+        ops in prop::collection::vec((0u8..3, 0u32..24, 0u32..24, 0.01f64..30.0), 1..24),
+    ) {
+        let base = WorkloadConfig::new(24, seed).generate();
+        let alpha = f64::from(alpha_pct) / 100.0;
+        let mut by_scale = EwmaForecaster::new(alpha);
+        let mut by_updates = EwmaForecaster::new(alpha);
+        by_scale.prime(&base, 0.0);
+        by_updates.prime(&base, 0.0);
+        // What `by_updates` is told: the last rate of every pair either
+        // forecaster has ever seen (silent pairs stay, at 0).
+        let mut rates: BTreeMap<(VmId, VmId), f64> =
+            base.pairs().into_iter().map(|(u, v, r)| ((u, v), r)).collect();
+        for (step, &(kind, a, b, x)) in ops.iter().enumerate() {
+            // Two ops may share an instant: `dt == 0` is a case too.
+            let t = (step / 2) as f64 * 3.5;
+            if kind == 0 {
+                by_scale.observe_scale(x, t);
+                for r in rates.values_mut() {
+                    *r = scaled_rate(*r, x);
+                }
+                let expanded: Vec<_> = rates.iter().map(|(&(u, v), &r)| (u, v, r)).collect();
+                by_updates.observe_updates(&expanded, t);
+            } else if a != b {
+                let (u, v) = (VmId::new(a.min(b)), VmId::new(a.max(b)));
+                let rate = if kind == 1 { x * 1e6 } else { 0.0 };
+                by_scale.observe_updates(&[(u, v, rate)], t);
+                by_updates.observe_updates(&[(u, v, rate)], t);
+                rates.insert((u, v), rate);
+            }
+            // Rate, slope and last-seen time are all visible through
+            // predictions at a few horizons.
+            for &(u, v) in rates.keys() {
+                for h in [0.0, 1.25, 60.0] {
+                    prop_assert_eq!(
+                        by_scale.predict(u, v, t + 0.5, h).to_bits(),
+                        by_updates.predict(u, v, t + 0.5, h).to_bits(),
+                        "({}, {}) diverged after op {} at horizon {}", u, v, step, h
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(by_scale.tracked_pairs(), by_updates.tracked_pairs());
+    }
+
+    /// The oracle indexes a `ScaleAll` as one breakpoint; its
+    /// predictions across any mix of scales and re-rates match a
+    /// reference that expands every scale to one breakpoint per pair
+    /// (i.e. the exact TM at `now + horizon`) within 1e-12 relative —
+    /// wherever the observed clock stands.
+    #[test]
+    fn oracle_predicts_across_scale_breakpoints(
+        seed in 0u64..10_000,
+        raw in prop::collection::vec((0u8..3, 1u32..100, 0u32..12, 0u32..12, 0.05f64..6.0), 1..24),
+        probes in prop::collection::vec((0u32..100, 0u32..60), 1..8),
+    ) {
+        let base = WorkloadConfig::new(12, seed).generate();
+        let mut builder = Trace::builder(12, 100.0).base_traffic(&base);
+        for &(kind, t, a, b, x) in &raw {
+            let (time, v) = (f64::from(t), if a == b { (b + 1) % 12 } else { b });
+            builder = match kind {
+                0 => builder.scale_all(time, x),
+                1 => builder.set_rate(time, a, v, x * 1e6),
+                _ => builder.scale_pair(time, a, v, x / 2.0),
+            };
+        }
+        let trace = builder.build().unwrap();
+        let segment = trace.compile().segments.remove(0);
+
+        // The reference: the exact TM after every event, scales expanded.
+        let mut tm: BTreeMap<(u32, u32), f64> = base
+            .pairs()
+            .iter()
+            .map(|&(u, v, r)| ((u.get(), v.get()), r))
+            .collect();
+        let mut timeline = vec![(0.0, tm.clone())];
+        for ev in trace.events() {
+            match ev.event {
+                TraceEvent::ScaleAll { factor } => {
+                    tm.values_mut().for_each(|r| *r = scaled_rate(*r, factor));
+                }
+                TraceEvent::SetRate { u, v, rate } => {
+                    tm.insert((u.min(v), u.max(v)), rate);
+                }
+                TraceEvent::ScalePair { u, v, factor } => {
+                    if let Some(r) = tm.get_mut(&(u.min(v), u.max(v))) {
+                        *r = scaled_rate(*r, factor);
+                    }
+                }
+                _ => unreachable!("the builder above emits rate events only"),
+            }
+            timeline.push((ev.time_s, tm.clone()));
+        }
+        let reference_at = |t: f64| &timeline[timeline.partition_point(|(at, _)| *at <= t) - 1].1;
+
+        for &(now, horizon) in &probes {
+            let (now, horizon) = (f64::from(now), f64::from(horizon));
+            // A session tells the oracle of every batch it has applied.
+            let mut oracle = OracleForecaster::new();
+            oracle.load_segment(&segment);
+            for batch in segment.shifts.iter().take_while(|b| b.at_s <= now) {
+                match &batch.delta {
+                    TrafficDelta::Rates(updates) => oracle.observe_updates(updates, batch.at_s),
+                    TrafficDelta::ScaleAll(factor) => oracle.observe_scale(*factor, batch.at_s),
+                }
+            }
+            let want = reference_at(now + horizon);
+            for u in 0..12u32 {
+                for v in u + 1..12 {
+                    let got = oracle.predict(VmId::new(u), VmId::new(v), now, horizon);
+                    let want = want.get(&(u, v)).copied().unwrap_or(0.0);
+                    prop_assert!(
+                        (got - want).abs() <= 1e-12 * want,
+                        "({}, {}) at {} + {}: oracle {} vs expanded {}", u, v, now, horizon, got, want
+                    );
+                }
+            }
+        }
     }
 }
 

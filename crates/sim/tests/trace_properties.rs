@@ -1,6 +1,6 @@
 //! Property-based tests for trace replay semantics.
 //!
-//! Two invariants pin the trace subsystem to the pre-existing machinery:
+//! Three invariants pin the trace subsystem to the pre-existing machinery:
 //!
 //! 1. **Piecewise-constant equivalence** — a trace that only changes the
 //!    TM at phase markers must reproduce `Session::run_phases` *exactly*
@@ -10,11 +10,15 @@
 //!    traffic deltas and token iterations leaves the incremental ledger
 //!    within 1e-9 relative of a fresh full Eq.-(2) recomputation, with
 //!    zero full-pass resyncs.
+//! 3. **Scales are events** — a run driven with `k` uniform scales
+//!    among sparse deltas records exactly `k` `ScaleAll` events (never a
+//!    per-pair expansion), and replaying the recording reproduces the
+//!    live report byte for byte.
 
 use proptest::prelude::*;
 use score_sim::{PolicyKind, Scenario, Session, TraceSpec, TrafficPhase, WorkloadSpec};
 use score_topology::VmId;
-use score_trace::Trace;
+use score_trace::{Trace, TraceEvent};
 use score_traffic::{PairTraffic, WorkloadConfig};
 
 const NUM_VMS: u32 = 48;
@@ -175,5 +179,66 @@ proptest! {
             stats.events_applied as usize,
             ops.iter().filter(|&&(_, _, k, _)| k < 2).count()
         );
+    }
+
+    /// Invariant 3: `k` scales in, `k` `ScaleAll` events recorded, and
+    /// the recording replays to the same bytes.
+    #[test]
+    fn scales_record_as_themselves_and_replay_byte_for_byte(
+        seed in 0u64..200,
+        hlf in 0u8..2,
+        ops in prop::collection::vec((0u32..2000, 0u32..2000, 0u32..4, 0.05f64..8.0), 1..16),
+    ) {
+        let policy = if hlf == 1 { PolicyKind::HighestLevelFirst } else { PolicyKind::RoundRobin };
+        let scenario = quick_scenario(policy, seed);
+        let mut live = scenario.session().expect("scenario materializes");
+        live.start_trace_recording();
+        let mut scales = 0;
+        for &(a, b, kind, x) in &ops {
+            // Mutations land at drained boundaries, as a live driver's do.
+            for _ in 0..(a % 40) {
+                live.step();
+            }
+            live.drain_to_boundary();
+            let (u, v) = (a % NUM_VMS, (a + 1 + b % (NUM_VMS - 1)) % NUM_VMS);
+            let event = match kind {
+                0 => TraceEvent::SetRate { u, v, rate: x * 1e6 },
+                // A no-op batch is counted but not recorded; drivers that
+                // want call-count parity skip it, as `scored` does.
+                1 if live.traffic().rate(VmId::new(u), VmId::new(v)) == 0.0 => continue,
+                1 => TraceEvent::SetRate { u, v, rate: 0.0 },
+                2 => TraceEvent::ScalePair { u, v, factor: x },
+                _ => {
+                    scales += 1;
+                    TraceEvent::ScaleAll { factor: x }
+                }
+            };
+            live.apply_trace_event(&event).unwrap();
+        }
+        live.run_to_horizon();
+        check_ledger(&live)?;
+        prop_assert_eq!(live.ledger_resyncs(), 0);
+        let recorded = live.recorded_trace().unwrap();
+        let recorded_scales = recorded
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::ScaleAll { .. }))
+            .count();
+        prop_assert_eq!(recorded_scales, scales);
+        // Everything else in the log is an absolute re-rate: a scale
+        // never expands, so the log is at most one event per request.
+        prop_assert!(recorded.num_events() <= ops.len());
+
+        let mut replay = scenario.session().expect("scenario materializes");
+        replay.run_storm(recorded.events()).unwrap();
+        replay.run_to_horizon();
+        let canonical = |s: &Session| {
+            let mut r = s.report();
+            r.trace.apply_ns_total = 0;
+            r.trace.apply_ns_max = 0;
+            r.to_json()
+        };
+        prop_assert_eq!(canonical(&replay), canonical(&live));
+        prop_assert_eq!(replay.traffic(), live.traffic());
     }
 }

@@ -14,9 +14,9 @@
 //!   appends and diffs cleanly;
 //! * [`Trace::compile`] — folds the stream into [`CompiledTrace`]
 //!   segments: per marker interval, the exact `PairTraffic` at segment
-//!   start plus in-segment [`DeltaBatch`]es of canonical
-//!   `(u, v, new_rate)` updates, ready for a sparse O(changed-pairs)
-//!   rebind path;
+//!   start plus one in-segment [`DeltaBatch`] per event — canonical
+//!   `(u, v, new_rate)` updates ready for a sparse O(changed-pairs)
+//!   rebind path, or a uniform `ScaleAll` factor applied in O(1);
 //! * [`diurnal_trace`] / [`flash_crowd_trace`] / [`churn_trace`] —
 //!   deterministic synthetic generators for the three canonical
 //!   time-varying patterns (sine drift, hot-set spikes, and
@@ -25,17 +25,18 @@
 //!   compiled delta stream (the `score_traffic::RateForecaster` every
 //!   online estimator is judged against);
 //! * [`TraceRecorder`] — captures the deltas a live run applied back
-//!   into a replayable trace (incremental JSONL append included).
+//!   into a replayable trace, a uniform scale as the one `ScaleAll` it
+//!   was (incremental JSONL append included).
 //!
 //! The simulator counterpart lives in `score_sim`: a
 //! `WorkloadSpec::Trace` scenario materializes into a session whose
 //! event clock interleaves these deltas with token holds, re-pricing
-//! the cost ledger per changed pair.
+//! the cost ledger per changed pair (a `ScaleAll` scales it whole).
 //!
 //! # Example
 //!
 //! ```
-//! use score_trace::{diurnal_trace, DiurnalShape, Trace, TraceEvent};
+//! use score_trace::{diurnal_trace, DiurnalShape, Trace, TraceEvent, TrafficDelta};
 //! use score_traffic::sparse_workload;
 //!
 //! // A day/night cycle over a synthetic base TM, deterministic.
@@ -48,11 +49,20 @@
 //! let back = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
 //! assert_eq!(back, trace);
 //!
-//! // Compilation yields replayable segments of sparse delta batches.
+//! // Compilation yields replayable segments with one batch per event:
+//! // a diurnal step stays a single uniform scale however many pairs
+//! // the TM holds.
 //! let compiled = back.compile();
 //! assert_eq!(compiled.segments.len(), 1);
 //! assert_eq!(compiled.num_shifts(), 39);
 //! assert_eq!(compiled.segments[0].initial, base);
+//! let TraceEvent::ScaleAll { factor } = back.events()[0].event else {
+//!     unreachable!("diurnal traces are ScaleAll streams");
+//! };
+//! assert_eq!(
+//!     compiled.segments[0].shifts[0].delta,
+//!     TrafficDelta::ScaleAll(factor)
+//! );
 //! ```
 
 #![warn(missing_docs)]
@@ -72,5 +82,5 @@ pub use synth::{
 };
 pub use trace::{
     scaled_rate, CompiledTrace, DeltaBatch, TimedEvent, Trace, TraceBuilder, TraceError,
-    TraceEvent, TraceSegment,
+    TraceEvent, TraceSegment, TrafficDelta,
 };

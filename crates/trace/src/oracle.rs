@@ -12,15 +12,23 @@
 //! against, and the forecaster the `ForecastSpec::TraceOracle` scenario
 //! knob materializes. It indexes one segment at a time (segment-relative
 //! clock, like the session that drives it) and is advanced with the
-//! same absolute re-rates the session applies — reading ahead never
-//! mutates anything, so the cost ledger cannot tell an oracle-driven
-//! run from a reactive one until the decisions differ.
+//! same absolute re-rates and uniform scales the session applies —
+//! reading ahead never mutates anything, so the cost ledger cannot tell
+//! an oracle-driven run from a reactive one until the decisions differ.
+//!
+//! A `ScaleAll` is indexed as *one* global breakpoint, not one per pair:
+//! the rate of a pair at `now + horizon` is its latest absolute
+//! breakpoint (or its current rate) times the scales that fire after it.
 
 use score_topology::VmId;
 use score_traffic::{PairTraffic, RateForecaster};
 use std::collections::HashMap;
 
-use crate::trace::TraceSegment;
+use crate::trace::{scaled_rate, TraceSegment, TrafficDelta};
+
+/// One indexed batch: `(segment-relative time, batch index, value)`,
+/// the value being an absolute rate or a scale factor.
+type Breakpoint = (f64, usize, f64);
 
 /// Exact-lookahead forecaster over one compiled trace segment (see the
 /// module docs).
@@ -49,10 +57,15 @@ use crate::trace::TraceSegment;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OracleForecaster {
-    /// Future absolute-rate breakpoints per canonical pair, sorted by
-    /// segment-relative firing time.
-    breakpoints: HashMap<(u32, u32), Vec<(f64, f64)>>,
-    /// Current rates (primed, then patched by every observed update).
+    /// Absolute-rate breakpoints per canonical pair, in firing order.
+    breakpoints: HashMap<(u32, u32), Vec<Breakpoint>>,
+    /// The segment's uniform scales, in firing order.
+    scales: Vec<Breakpoint>,
+    /// How many of `scales` have been observed, i.e. are already part of
+    /// `current`.
+    scales_fired: usize,
+    /// Current rates (primed, then patched by every observed update and
+    /// multiplied through by every observed scale).
     current: HashMap<(u32, u32), f64>,
 }
 
@@ -68,30 +81,33 @@ impl OracleForecaster {
     /// segment-relative clock starts at 0, exactly like the session
     /// event clock after a segment rebind.
     pub fn load_segment(&mut self, segment: &TraceSegment) {
-        self.breakpoints.clear();
-        self.current.clear();
-        for (u, v, rate) in segment.initial.pairs() {
-            self.current.insert(Self::key(u, v), rate);
-        }
-        for batch in &segment.shifts {
-            for &(u, v, rate) in &batch.updates {
-                self.breakpoints
-                    .entry((u.min(v), u.max(v)))
-                    .or_default()
-                    .push((batch.at_s, rate));
+        self.prime(&segment.initial, 0.0);
+        for (index, batch) in segment.shifts.iter().enumerate() {
+            match &batch.delta {
+                TrafficDelta::Rates(updates) => {
+                    for &(u, v, rate) in updates {
+                        self.breakpoints
+                            .entry(Self::key(u, v))
+                            .or_default()
+                            .push((batch.at_s, index, rate));
+                    }
+                }
+                TrafficDelta::ScaleAll(factor) => self.scales.push((batch.at_s, index, *factor)),
             }
         }
-        // Batches are compiled in firing order, so each pair's vector is
-        // already time-sorted; assert it in debug builds.
+        // Batches are compiled in firing order, so every list is already
+        // time-sorted; assert it in debug builds.
         debug_assert!(self
             .breakpoints
             .values()
+            .chain(std::iter::once(&self.scales))
             .all(|bps| bps.windows(2).all(|w| w[0].0 <= w[1].0)));
     }
 
-    /// Number of future breakpoints currently indexed.
+    /// Number of breakpoints currently indexed: per-pair absolute
+    /// re-rates plus one per uniform scale.
     pub fn indexed_breakpoints(&self) -> usize {
-        self.breakpoints.values().map(Vec::len).sum()
+        self.breakpoints.values().map(Vec::len).sum::<usize>() + self.scales.len()
     }
 
     fn key(u: VmId, v: VmId) -> (u32, u32) {
@@ -112,6 +128,8 @@ impl RateForecaster for OracleForecaster {
         // A bare prime (no segment) clears the lookahead: nothing is
         // known about the future until `load_segment` indexes it.
         self.breakpoints.clear();
+        self.scales.clear();
+        self.scales_fired = 0;
         self.current.clear();
         for (u, v, rate) in traffic.pairs() {
             self.current.insert(Self::key(u, v), rate);
@@ -129,21 +147,47 @@ impl RateForecaster for OracleForecaster {
         }
     }
 
+    fn observe_scale(&mut self, factor: f64, now_s: f64) {
+        for rate in self.current.values_mut() {
+            *rate = scaled_rate(*rate, factor);
+        }
+        // The segment's own scales arrive in order; a scale from outside
+        // it (a live driver's) moves `current` only.
+        if self
+            .scales
+            .get(self.scales_fired)
+            .is_some_and(|&(at_s, _, _)| at_s <= now_s)
+        {
+            self.scales_fired += 1;
+        }
+    }
+
     fn predict(&self, u: VmId, v: VmId, now_s: f64, horizon_s: f64) -> f64 {
         let key = Self::key(u, v);
-        // The latest breakpoint at or before now + horizon is the exact
-        // rate then; breakpoints already fired agree with `current`.
-        // The vector is time-sorted (pinned at load), so this is a
-        // binary search — predict runs per peer per token hold and must
-        // not scan the whole future.
-        if let Some(bps) = self.breakpoints.get(&key) {
-            let cutoff = now_s + horizon_s;
-            let idx = bps.partition_point(|&(t, _)| t <= cutoff);
-            if idx > 0 {
-                return bps[idx - 1].1;
-            }
-        }
-        self.current.get(&key).copied().unwrap_or(0.0)
+        let cutoff = now_s + horizon_s;
+        // The latest absolute breakpoint at or before now + horizon
+        // fixes the rate there (breakpoints already fired agree with
+        // `current`); without one the current rate stands. Either way
+        // the scales that fire after that point and by the cutoff apply
+        // on top. Every list is time-sorted (pinned at load), so these
+        // are binary searches plus the few scales inside the window —
+        // predict runs per peer per token hold and must not scan the
+        // whole future.
+        let latest = self.breakpoints.get(&key).and_then(|bps| {
+            let idx = bps.partition_point(|&(t, _, _)| t <= cutoff);
+            idx.checked_sub(1).map(|i| bps[i])
+        });
+        let (base, first_scale) = match latest {
+            Some((_, index, rate)) => (rate, self.scales.partition_point(|&(_, i, _)| i < index)),
+            None => (
+                self.current.get(&key).copied().unwrap_or(0.0),
+                self.scales_fired,
+            ),
+        };
+        let end = self.scales.partition_point(|&(t, _, _)| t <= cutoff);
+        self.scales[first_scale.min(end)..end]
+            .iter()
+            .fold(base, |rate, &(_, _, factor)| scaled_rate(rate, factor))
     }
 
     fn known_pairs(&self) -> Vec<(VmId, VmId)> {

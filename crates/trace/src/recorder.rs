@@ -2,7 +2,7 @@
 //! applied back into a replayable [`Trace`] (ROADMAP open item).
 //!
 //! A [`TraceRecorder`] is seeded with the TM a session started on and
-//! fed every applied re-rate batch (plus wholesale rebinds at phase
+//! fed every applied re-rate batch and uniform scale (plus wholesale rebinds at phase
 //! boundaries, which it records as a marker followed by the per-pair
 //! re-rates). [`TraceRecorder::finish`] closes the stream into a
 //! validated [`Trace`], so a measured run replays through the same
@@ -81,6 +81,16 @@ impl TraceRecorder {
                 event: TraceEvent::SetRate { u, v, rate },
             });
         }
+    }
+
+    /// Records one applied uniform scale at `at_s` as the
+    /// [`TraceEvent::ScaleAll`] it was: the recording stays O(events)
+    /// and a replay repeats the very multiplication the live run did.
+    pub fn record_scale(&mut self, at_s: f64, factor: f64) {
+        self.events.push(TimedEvent {
+            time_s: at_s,
+            event: TraceEvent::ScaleAll { factor },
+        });
     }
 
     /// Records a VM arrival at `at_s` (a [`TraceEvent::PlaceVm`]): `vm`
@@ -228,6 +238,7 @@ impl TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TrafficDelta;
     use score_topology::VmId;
     use score_traffic::PairTrafficBuilder;
 
@@ -246,18 +257,30 @@ mod tests {
         assert!(rec.is_empty());
         rec.record_updates(10.0, &[(0, 1, 50.0)]);
         rec.record_updates(20.0, &[(2, 3, 0.0), (0, 2, 7.0)]);
+        rec.record_scale(25.0, 1.5);
         let trace = rec.finish(30.0).unwrap();
-        assert_eq!(trace.num_events(), 3);
+        assert_eq!(trace.num_events(), 4);
         let compiled = trace.compile();
         assert_eq!(compiled.segments.len(), 1);
         assert_eq!(compiled.segments[0].initial, base);
-        // One batch per recorded SetRate (same-instant events stay
+        // One batch per recorded event (same-instant events stay
         // separate batches; the replay outcome is identical).
-        assert_eq!(compiled.num_shifts(), 3);
-        let seg = &compiled.segments[0];
-        assert_eq!(seg.shifts[0].updates, vec![(0, 1, 50.0)]);
-        assert_eq!(seg.shifts[1].updates, vec![(2, 3, 0.0)]);
-        assert_eq!(seg.shifts[2].updates, vec![(0, 2, 7.0)]);
+        assert_eq!(compiled.num_shifts(), 4);
+        let rates = |u, v, r| TrafficDelta::Rates(vec![(VmId::new(u), VmId::new(v), r)]);
+        let deltas: Vec<_> = compiled.segments[0]
+            .shifts
+            .iter()
+            .map(|b| b.delta.clone())
+            .collect();
+        assert_eq!(
+            deltas,
+            [
+                rates(0, 1, 50.0),
+                rates(2, 3, 0.0),
+                rates(0, 2, 7.0),
+                TrafficDelta::ScaleAll(1.5)
+            ]
+        );
     }
 
     #[test]

@@ -551,19 +551,15 @@ mod tests {
         // Replaying the compiled trace ends back on the base TM.
         let compiled = t.compile();
         assert_eq!(compiled.segments.len(), 1);
-        let mut rates: std::collections::BTreeMap<(u32, u32), f64> =
-            t.base().iter().map(|&(u, v, r)| ((u, v), r)).collect();
+        let mut tm = compiled.segments[0].initial.clone();
         for batch in &compiled.segments[0].shifts {
-            for &(u, v, r) in &batch.updates {
-                if r == 0.0 {
-                    rates.remove(&(u, v));
-                } else {
-                    rates.insert((u, v), r);
-                }
-            }
+            batch.delta.apply_to(&mut tm);
         }
-        let final_tm: Vec<(u32, u32, f64)> = rates.iter().map(|(&(u, v), &r)| (u, v, r)).collect();
-        assert_eq!(final_tm, t.base().to_vec(), "surges must fully subside");
+        assert_eq!(
+            tm.pairs(),
+            t.base_traffic().pairs(),
+            "surges must fully subside"
+        );
     }
 
     #[test]

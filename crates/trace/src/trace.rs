@@ -12,13 +12,14 @@
 //! Consumers never walk the raw events: [`Trace::compile`] folds the
 //! stream into a [`CompiledTrace`] — one [`TraceSegment`] per marker
 //! interval, each carrying the exact `PairTraffic` active at its start
-//! plus the in-segment [`DeltaBatch`]es (absolute rates, ready to feed a
-//! sparse rebind path such as `Session::apply_traffic_deltas`).
+//! plus the in-segment [`DeltaBatch`]es, one per event: absolute rates
+//! ready to feed a sparse rebind path such as
+//! `Session::apply_traffic_deltas`, or a uniform scale for
+//! `Session::apply_traffic_scale`.
 
 use score_topology::VmId;
 use score_traffic::{PairTraffic, PairTrafficBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One mutation of the offered traffic.
@@ -111,6 +112,37 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Checks the event's own numbers — rates, scale factors, capacity
+    /// fractions — against the ranges their variants document. This is
+    /// the one rule every consumer applies before acting on an event
+    /// ([`Trace::validate`], `Session::apply_trace_event`, the `scored`
+    /// daemon), so a value one of them refuses can never be recorded by
+    /// another. Which VMs, servers or racks an event may name depends on
+    /// the consumer's state and is checked there.
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong with the payload.
+    pub fn check_payload(&self) -> Result<(), String> {
+        match *self {
+            TraceEvent::SetRate { rate, .. } if !rate.is_finite() || rate < 0.0 => {
+                Err(format!("rate {rate} must be finite and >= 0"))
+            }
+            TraceEvent::ScalePair { factor, .. } if !factor.is_finite() || factor < 0.0 => {
+                Err(format!("factor {factor} must be finite and >= 0"))
+            }
+            TraceEvent::ScaleAll { factor } if !factor.is_finite() || factor <= 0.0 => {
+                Err(format!("factor {factor} must be finite and > 0"))
+            }
+            TraceEvent::LinkDegrade { factor, .. }
+                if !factor.is_finite() || factor <= 0.0 || factor > 1.0 =>
+            {
+                Err(format!("degrade factor {factor} must lie in (0, 1]"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// True for the adversity events ([`TraceEvent::HostCrash`],
     /// [`TraceEvent::RackFail`], [`TraceEvent::LinkDegrade`],
     /// [`TraceEvent::LinkRestore`]).
@@ -332,42 +364,31 @@ impl Trace {
             }
             prev = ev.time_s;
             let bad = |reason: String| TraceError::BadEvent { index, reason };
+            ev.event.check_payload().map_err(bad)?;
             let pair_live = |u: u32, v: u32, live: &[bool]| {
                 u != v
                     && live.get(u as usize).copied().unwrap_or(false)
                     && live.get(v as usize).copied().unwrap_or(false)
             };
             match &ev.event {
-                TraceEvent::SetRate { u, v, rate } => {
+                TraceEvent::SetRate { u, v, .. } => {
                     if !pair_live(*u, *v, &live) {
                         return Err(bad(format!(
                             "pair ({u}, {v}) names a dead or out-of-range VM"
                         )));
                     }
-                    if !rate.is_finite() || *rate < 0.0 {
-                        return Err(bad(format!("rate {rate} must be finite and >= 0")));
-                    }
                 }
-                TraceEvent::ScalePair { u, v, factor } => {
-                    // A dead or out-of-range endpoint makes the scale a
-                    // validated *no-op* rather than an error: a factor on
-                    // a non-communicating pair was always a no-op, and a
-                    // departed (or crash-evicted) VM has no rate left to
-                    // scale — erroring here would reject otherwise-sound
-                    // recorded adversity logs, while applying it could
-                    // silently resurrect the pair. Self-pairs stay no-ops
-                    // for the same reason; only the factor is checked.
-                    let _ = pair_live(*u, *v, &live);
-                    if !factor.is_finite() || *factor < 0.0 {
-                        return Err(bad(format!("factor {factor} must be finite and >= 0")));
-                    }
-                }
-                TraceEvent::ScaleAll { factor } => {
-                    if !factor.is_finite() || *factor <= 0.0 {
-                        return Err(bad(format!("factor {factor} must be finite and > 0")));
-                    }
-                }
-                TraceEvent::Marker { .. } => {}
+                // A dead or out-of-range endpoint makes a `ScalePair` a
+                // validated *no-op* rather than an error: a factor on a
+                // non-communicating pair was always a no-op, and a
+                // departed (or crash-evicted) VM has no rate left to
+                // scale — erroring here would reject otherwise-sound
+                // recorded adversity logs, while applying it could
+                // silently resurrect the pair. Self-pairs stay no-ops for
+                // the same reason; only the factor is checked.
+                TraceEvent::ScalePair { .. }
+                | TraceEvent::ScaleAll { .. }
+                | TraceEvent::Marker { .. } => {}
                 TraceEvent::PlaceVm { vm, .. } => {
                     if *vm as usize != live.len() {
                         return Err(bad(format!(
@@ -387,14 +408,10 @@ impl Trace {
                 // the trace does not know — they are bound at apply time.
                 // Which VMs a crash retires (the unplaceable ones) is a
                 // consumer decision too, so crashes do not alter `live`.
-                TraceEvent::HostCrash { .. } | TraceEvent::RackFail { .. } => {}
-                TraceEvent::LinkDegrade { tier, factor } => {
-                    if !factor.is_finite() || *factor <= 0.0 || *factor > 1.0 {
-                        return Err(bad(format!("degrade factor {factor} must lie in (0, 1]")));
-                    }
-                    let _ = tier;
-                }
-                TraceEvent::LinkRestore { .. } => {}
+                TraceEvent::HostCrash { .. }
+                | TraceEvent::RackFail { .. }
+                | TraceEvent::LinkDegrade { .. }
+                | TraceEvent::LinkRestore { .. } => {}
             }
         }
         Ok(())
@@ -424,10 +441,12 @@ impl Trace {
 
     /// Folds the event stream into replayable segments: one
     /// [`TraceSegment`] per marker interval, each with the exact TM
-    /// active at its start and the in-segment delta batches at
-    /// segment-relative times. Rate events landing exactly on a segment
-    /// boundary fold into the *next* segment's initial TM (they carry no
-    /// in-run duration in the closing one).
+    /// active at its start and one in-segment [`DeltaBatch`] per event
+    /// that changes a rate, at segment-relative times. A `ScaleAll` stays
+    /// one O(1) batch — the compiler's running TM scales as lazily as a
+    /// session's does, and no pair is visited for it. Rate events landing
+    /// exactly on a segment boundary fold into the *next* segment's
+    /// initial TM (they carry no in-run duration in the closing one).
     ///
     /// # Panics
     ///
@@ -448,75 +467,71 @@ impl Trace {
              be compiled into fixed-allocation segments; replay the raw event \
              stream instead"
         );
-        let canon = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
-        let mut rates: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-        for &(u, v, rate) in &self.base {
-            *rates.entry(canon(u, v)).or_insert(0.0) += rate;
-        }
-        let snapshot = |rates: &BTreeMap<(u32, u32), f64>| {
+        // A segment's initial TM is a fresh build of the running one:
+        // canonical slot order, no tombstones, no pending scale.
+        let snapshot = |tm: &PairTraffic| {
             let mut b = PairTrafficBuilder::new(self.num_vms);
-            for (&(u, v), &rate) in rates {
-                b.add(VmId::new(u), VmId::new(v), rate);
+            for (u, v, rate) in tm.pairs() {
+                b.add(u, v, rate);
             }
             b.build()
         };
 
+        let mut running = self.base_traffic();
         let mut segments = Vec::new();
         let mut seg_start = 0.0f64;
         let mut seg_label: Option<String> = None;
-        let mut seg_initial = snapshot(&rates);
+        // `None` while the running TM still is the segment's initial one
+        // (no in-segment batch yet); taken just before the first lands.
+        let mut seg_initial: Option<PairTraffic> = None;
         let mut shifts: Vec<DeltaBatch> = Vec::new();
+        let mut close = |duration_s: f64,
+                         label: Option<String>,
+                         initial: PairTraffic,
+                         mut shifts: Vec<DeltaBatch>| {
+            shifts.retain(|b| b.at_s < duration_s);
+            segments.push(TraceSegment {
+                label,
+                duration_s,
+                initial,
+                shifts,
+            });
+        };
 
         for ev in &self.events {
-            match &ev.event {
-                TraceEvent::Marker { label } => {
-                    if ev.time_s > seg_start {
-                        let duration_s = ev.time_s - seg_start;
-                        shifts.retain(|b| b.at_s < duration_s);
-                        segments.push(TraceSegment {
-                            label: seg_label.take(),
-                            duration_s,
-                            initial: seg_initial,
-                            shifts: std::mem::take(&mut shifts),
-                        });
-                        seg_start = ev.time_s;
-                        seg_initial = snapshot(&rates);
-                    }
-                    seg_label = Some(label.clone());
+            if let TraceEvent::Marker { label } = &ev.event {
+                if ev.time_s > seg_start {
+                    let initial = seg_initial.take().unwrap_or_else(|| snapshot(&running));
+                    close(
+                        ev.time_s - seg_start,
+                        seg_label.take(),
+                        initial,
+                        std::mem::take(&mut shifts),
+                    );
+                    seg_start = ev.time_s;
                 }
-                event => {
-                    let updates = Self::event_updates(&rates, event);
-                    if updates.is_empty() {
-                        continue;
-                    }
-                    for &(u, v, rate) in &updates {
-                        if rate == 0.0 {
-                            rates.remove(&(u, v));
-                        } else {
-                            rates.insert((u, v), rate);
-                        }
-                    }
-                    if ev.time_s <= seg_start {
-                        // Boundary fold: part of the segment's initial TM.
-                        seg_initial = snapshot(&rates);
-                    } else {
-                        shifts.push(DeltaBatch {
-                            at_s: ev.time_s - seg_start,
-                            updates,
-                        });
-                    }
-                }
+                seg_label = Some(label.clone());
+                continue;
+            }
+            let Some(delta) = Self::event_delta(&running, &ev.event) else {
+                continue;
+            };
+            // Boundary events fold into the segment's initial TM.
+            let in_segment = ev.time_s > seg_start;
+            if in_segment && seg_initial.is_none() {
+                seg_initial = Some(snapshot(&running));
+            }
+            delta.apply_to(&mut running);
+            if in_segment {
+                shifts.push(DeltaBatch {
+                    at_s: ev.time_s - seg_start,
+                    delta,
+                });
             }
         }
         if self.end_s > seg_start {
-            let duration_s = self.end_s - seg_start;
-            shifts.retain(|b| b.at_s < duration_s);
-            segments.push(TraceSegment {
-                label: seg_label,
-                duration_s,
-                initial: seg_initial,
-                shifts,
-            });
+            let initial = seg_initial.unwrap_or_else(|| snapshot(&running));
+            close(self.end_s - seg_start, seg_label, initial, shifts);
         }
         CompiledTrace {
             num_vms: self.num_vms,
@@ -524,44 +539,28 @@ impl Trace {
         }
     }
 
-    /// The absolute-rate updates one rate event implies under the
-    /// current rates (no-ops dropped; canonical `u < v`; `ScaleAll`
-    /// expands to every pair it actually changes).
-    fn event_updates(
-        rates: &BTreeMap<(u32, u32), f64>,
-        event: &TraceEvent,
-    ) -> Vec<(u32, u32, f64)> {
-        let canon = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
+    /// The change one rate event makes to the running TM, or `None` when
+    /// it changes nothing (updates are canonical `u < v`).
+    fn event_delta(running: &PairTraffic, event: &TraceEvent) -> Option<TrafficDelta> {
+        let canon = |u: u32, v: u32| (VmId::new(u.min(v)), VmId::new(u.max(v)));
+        let rerate = |(u, v): (VmId, VmId), new: f64| {
+            (new != running.rate(u, v)).then(|| TrafficDelta::Rates(vec![(u, v, new)]))
+        };
         match *event {
-            TraceEvent::SetRate { u, v, rate } => {
-                let key = canon(u, v);
-                let old = rates.get(&key).copied().unwrap_or(0.0);
-                if old == rate {
-                    Vec::new()
-                } else {
-                    vec![(key.0, key.1, rate)]
-                }
-            }
+            TraceEvent::SetRate { u, v, rate } => rerate(canon(u, v), rate),
             TraceEvent::ScalePair { u, v, factor } => {
-                let key = canon(u, v);
-                match rates.get(&key) {
-                    Some(&old) if scaled_rate(old, factor) != old => {
-                        vec![(key.0, key.1, scaled_rate(old, factor))]
-                    }
-                    _ => Vec::new(),
+                // `validate` lets a `ScalePair` name any endpoints;
+                // outside the population there is nothing to scale.
+                if u == v || u.max(v) >= running.num_vms() {
+                    return None;
                 }
+                let (u, v) = canon(u, v);
+                rerate((u, v), scaled_rate(running.rate(u, v), factor))
             }
             TraceEvent::ScaleAll { factor } => {
-                if factor == 1.0 {
-                    return Vec::new();
-                }
-                rates
-                    .iter()
-                    .filter(|&(_, &r)| scaled_rate(r, factor) != r)
-                    .map(|(&(u, v), &r)| (u, v, scaled_rate(r, factor)))
-                    .collect()
+                (factor != 1.0 && running.num_pairs() > 0).then_some(TrafficDelta::ScaleAll(factor))
             }
-            TraceEvent::Marker { .. } => Vec::new(),
+            TraceEvent::Marker { .. } => None,
             TraceEvent::PlaceVm { .. } | TraceEvent::RemoveVm { .. } => {
                 unreachable!("compile rejects churn traces up front")
             }
@@ -712,19 +711,40 @@ pub struct TraceSegment {
     /// The exact TM active when the segment starts.
     pub initial: PairTraffic,
     /// In-segment delta batches at segment-relative times in
-    /// `(0, duration_s)`, each a list of canonical `(u, v, new_rate)`
-    /// absolute updates.
+    /// `(0, duration_s)`, one per trace event that changed a rate.
     pub shifts: Vec<DeltaBatch>,
 }
 
-/// One batch of absolute-rate updates firing at a single instant.
+/// One traffic change firing at a single instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaBatch {
     /// Firing time relative to the segment start.
     pub at_s: f64,
-    /// Canonical `(u, v, new_rate)` updates; a rate of `0` removes the
-    /// pair.
-    pub updates: Vec<(u32, u32, f64)>,
+    /// What changes.
+    pub delta: TrafficDelta,
+}
+
+/// The two forms a compiled traffic change takes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrafficDelta {
+    /// Canonical `(u, v, new_rate)` absolute updates; a rate of `0`
+    /// removes the pair.
+    Rates(Vec<(VmId, VmId, f64)>),
+    /// Every live pair's rate is multiplied by this factor (positive and
+    /// finite), saturating at `f64::MAX`.
+    ScaleAll(f64),
+}
+
+impl TrafficDelta {
+    /// Applies the change to `tm` in place — how [`Trace::compile`]
+    /// advances its running TM, and how a consumer without a cluster
+    /// around the TM replays a segment.
+    pub fn apply_to(&self, tm: &mut PairTraffic) {
+        match self {
+            TrafficDelta::Rates(updates) => tm.apply_updates(updates),
+            TrafficDelta::ScaleAll(factor) => tm.scale_all(*factor),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -735,6 +755,10 @@ mod tests {
         Trace::builder(4, 100.0)
             .base_pair(0, 1, 10.0)
             .base_pair(2, 3, 20.0)
+    }
+
+    fn rates(u: u32, v: u32, rate: f64) -> TrafficDelta {
+        TrafficDelta::Rates(vec![(VmId::new(u), VmId::new(v), rate)])
     }
 
     #[test]
@@ -771,10 +795,12 @@ mod tests {
             base_trace().set_rate(5.0, 0, 1, -1.0).build(),
             Err(TraceError::BadEvent { .. })
         ));
-        assert!(matches!(
-            base_trace().scale_all(5.0, 0.0).build(),
-            Err(TraceError::BadEvent { .. })
-        ));
+        for bad in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                base_trace().scale_all(5.0, bad).build(),
+                Err(TraceError::BadEvent { .. })
+            ));
+        }
         // Unsorted events reach Trace::new directly.
         let events = vec![
             TimedEvent {
@@ -805,8 +831,8 @@ mod tests {
         assert_eq!(seg.duration_s, 100.0);
         assert_eq!(seg.initial, t.base_traffic());
         assert_eq!(seg.shifts.len(), 2);
-        assert_eq!(seg.shifts[0].updates, vec![(0, 1, 50.0)]);
-        assert_eq!(seg.shifts[1].updates, vec![(2, 3, 10.0)]);
+        assert_eq!(seg.shifts[0].delta, rates(0, 1, 50.0));
+        assert_eq!(seg.shifts[1].delta, rates(2, 3, 10.0));
         assert_eq!(c.num_shifts(), 2);
     }
 
@@ -848,12 +874,61 @@ mod tests {
     }
 
     #[test]
-    fn scale_all_expands_to_every_pair() {
-        let t = base_trace().scale_all(50.0, 2.0).build().unwrap();
+    fn scale_all_stays_one_batch_and_matches_the_expanded_reference() {
+        let t = base_trace()
+            .scale_all(50.0, 2.0)
+            .set_rate(60.0, 0, 2, 7.0)
+            .scale_all(70.0, 0.3)
+            .scale_pair(80.0, 2, 3, 5.0)
+            .marker(90.0, "tail")
+            .scale_all(95.0, 1.7)
+            .build()
+            .unwrap();
         let c = t.compile();
-        assert_eq!(c.segments[0].shifts.len(), 1);
-        let batch = &c.segments[0].shifts[0];
-        assert_eq!(batch.updates, vec![(0, 1, 20.0), (2, 3, 40.0)]);
+        // One batch per event — a scale names its factor, never a pair.
+        let head: Vec<_> = c.segments[0].shifts.iter().map(|b| &b.delta).collect();
+        assert_eq!(head.len(), 4);
+        assert_eq!(*head[0], TrafficDelta::ScaleAll(2.0));
+        assert_eq!(*head[1], rates(0, 2, 7.0));
+        assert_eq!(*head[2], TrafficDelta::ScaleAll(0.3));
+        assert!(matches!(head[3], TrafficDelta::Rates(u) if u.len() == 1));
+        assert_eq!(c.segments[1].shifts[0].delta, TrafficDelta::ScaleAll(1.7));
+
+        // The reference: every scale expanded to one re-rate per pair.
+        let mut reference: std::collections::BTreeMap<(u32, u32), f64> =
+            t.base().iter().map(|&(u, v, r)| ((u, v), r)).collect();
+        let mut check = |seg: &TraceSegment, events: &[TimedEvent]| {
+            let mut tm = seg.initial.clone();
+            let mut shifts = seg.shifts.iter();
+            for ev in events {
+                match ev.event {
+                    TraceEvent::ScaleAll { factor } => {
+                        reference
+                            .values_mut()
+                            .for_each(|r| *r = scaled_rate(*r, factor));
+                    }
+                    TraceEvent::ScalePair { u, v, factor } => {
+                        let r = reference.get_mut(&(u, v)).unwrap();
+                        *r = scaled_rate(*r, factor);
+                    }
+                    TraceEvent::SetRate { u, v, rate } => {
+                        reference.insert((u, v), rate);
+                    }
+                    _ => continue,
+                }
+                shifts.next().unwrap().delta.apply_to(&mut tm);
+                assert_eq!(tm.num_pairs(), reference.len());
+                for (&(u, v), &want) in &reference {
+                    let got = tm.rate(VmId::new(u), VmId::new(v));
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want,
+                        "({u}, {v}): {got} vs {want}"
+                    );
+                }
+            }
+        };
+        check(&c.segments[0], &t.events()[..4]);
+        check(&c.segments[1], &t.events()[5..]);
     }
 
     #[test]
@@ -880,12 +955,10 @@ mod tests {
             .build()
             .unwrap();
         let c = t.compile();
-        for batch in &c.segments[0].shifts {
-            for &(_, _, rate) in &batch.updates {
-                assert!(rate.is_finite(), "compiled rate {rate} must stay finite");
-            }
-        }
-        assert_eq!(c.segments[0].shifts[0].updates, vec![(0, 1, f64::MAX)]);
+        let mut tm = c.segments[0].initial.clone();
+        assert_eq!(c.segments[0].shifts[0].delta, TrafficDelta::ScaleAll(1e10));
+        c.segments[0].shifts[0].delta.apply_to(&mut tm);
+        assert_eq!(tm.rate(VmId::new(0), VmId::new(1)), f64::MAX);
         // Saturated-to-MAX rates are a fixpoint: the second scale is a
         // no-op, not a fresh overflow.
         assert_eq!(c.num_shifts(), 1);

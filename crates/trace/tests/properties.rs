@@ -3,8 +3,9 @@
 //! generators are pure functions of their seeds.
 
 use proptest::prelude::*;
-use score_topology::VmId;
-use score_trace::{churn_trace, diurnal_trace, ChurnShape, DiurnalShape, Trace, TraceBuilder};
+use score_trace::{
+    churn_trace, diurnal_trace, ChurnShape, DiurnalShape, Trace, TraceBuilder, TrafficDelta,
+};
 use score_traffic::{PairTraffic, WorkloadConfig};
 use std::collections::BTreeMap;
 
@@ -84,22 +85,14 @@ fn compiled_final_tm(trace: &Trace) -> BTreeMap<(u32, u32), f64> {
         .segments
         .last()
         .expect("valid traces have segments");
-    let mut rates: BTreeMap<(u32, u32), f64> = last
-        .initial
-        .pairs()
+    let mut tm = last.initial.clone();
+    for batch in &last.shifts {
+        batch.delta.apply_to(&mut tm);
+    }
+    tm.pairs()
         .iter()
         .map(|&(u, v, r)| ((u.get(), v.get()), r))
-        .collect();
-    for batch in &last.shifts {
-        for &(u, v, r) in &batch.updates {
-            if r == 0.0 {
-                rates.remove(&(u, v));
-            } else {
-                rates.insert((u, v), r);
-            }
-        }
-    }
-    rates
+        .collect()
 }
 
 proptest! {
@@ -152,7 +145,10 @@ proptest! {
         // instantaneous TM never goes negative.
         for seg in t1.compile().segments {
             for batch in seg.shifts {
-                for (_, _, rate) in batch.updates {
+                let TrafficDelta::Rates(updates) = batch.delta else {
+                    panic!("churn re-rates single pairs, got {:?}", batch.delta);
+                };
+                for (_, _, rate) in updates {
                     prop_assert!(rate >= 0.0);
                 }
             }
@@ -166,13 +162,17 @@ proptest! {
         let trace = diurnal_trace(&base, &shape).unwrap();
         prop_assert_eq!(trace.base_traffic(), base);
         for seg in trace.compile().segments {
-            prop_assert!(seg.initial.pairs().iter().all(|&(_, _, r)| r > 0.0));
+            let mut tm = seg.initial;
+            prop_assert!(tm.pairs().iter().all(|&(_, _, r)| r > 0.0));
             for batch in seg.shifts {
-                for (u, v, rate) in batch.updates {
+                // One O(1) batch per diurnal step, never a per-pair list.
+                prop_assert!(matches!(batch.delta, TrafficDelta::ScaleAll(f) if f > 0.0));
+                batch.delta.apply_to(&mut tm);
+                for (u, v, rate) in tm.pairs() {
                     prop_assert!(rate > 0.0, "({u},{v}) hit {rate}");
                 }
             }
+            prop_assert_eq!(tm.num_pairs(), base.num_pairs());
         }
-        let _ = VmId::new(0);
     }
 }

@@ -27,8 +27,9 @@ use crate::pairwise::{PairTraffic, PairTrafficBuilder};
 /// An online short-horizon predictor of pairwise traffic rates.
 ///
 /// Implementations are fed the full TM once ([`RateForecaster::prime`])
-/// and then the same sparse absolute re-rates the traffic engine
-/// applies ([`RateForecaster::observe_updates`]); in return they answer
+/// and then the same sparse absolute re-rates and uniform scales the
+/// traffic engine applies ([`RateForecaster::observe_updates`],
+/// [`RateForecaster::observe_scale`]); in return they answer
 /// point predictions ([`RateForecaster::predict`]). Predictions must be
 /// non-negative and finite, and `predict` must not mutate state — the
 /// decision path reads forecasts between observations and must stay
@@ -45,6 +46,13 @@ pub trait RateForecaster: fmt::Debug + Send {
     /// Folds one batch of absolute re-rates observed at `now_s`; each
     /// `(u, v, new_rate)` entry replaces λ(u, v).
     fn observe_updates(&mut self, updates: &[(VmId, VmId, f64)], now_s: f64);
+
+    /// Folds one uniform scale observed at `now_s`: every λ(u, v) was
+    /// multiplied by `factor` (saturating at `f64::MAX`). Equivalent to
+    /// [`RateForecaster::observe_updates`] fed every pair the forecaster
+    /// tracks at its scaled rate — the traffic engine scales in O(1) and
+    /// leaves the per-pair bookkeeping to whoever keeps per-pair state.
+    fn observe_scale(&mut self, factor: f64, now_s: f64);
 
     /// Predicted λ(u, v) in b/s at `now_s + horizon_s`. A horizon of 0
     /// asks for the current estimate.
@@ -181,6 +189,22 @@ impl EwmaForecaster {
     }
 }
 
+impl PairTrend {
+    /// The Holt update: blends the instantaneous slope towards
+    /// `new_rate` into the trend with weight `alpha`.
+    fn observe(&mut self, alpha: f64, new_rate: f64, now_s: f64) {
+        let dt = now_s - self.last_s;
+        if dt > 0.0 {
+            let inst = (new_rate - self.rate) / dt;
+            self.slope = alpha * inst + (1.0 - alpha) * self.slope;
+            self.last_s = now_s;
+        }
+        // Repeated observations at one instant: the last absolute rate
+        // wins, the trend keeps its estimate.
+        self.rate = new_rate;
+    }
+}
+
 impl RateForecaster for EwmaForecaster {
     fn name(&self) -> &'static str {
         "ewma"
@@ -204,17 +228,7 @@ impl RateForecaster for EwmaForecaster {
         for &(u, v, new_rate) in updates {
             let key = Self::key(u, v);
             match self.pairs.get_mut(&key) {
-                Some(t) => {
-                    let dt = now_s - t.last_s;
-                    if dt > 0.0 {
-                        let inst = (new_rate - t.rate) / dt;
-                        t.slope = self.alpha * inst + (1.0 - self.alpha) * t.slope;
-                        t.last_s = now_s;
-                    }
-                    // Repeated observations at one instant: the last
-                    // absolute rate wins, the trend keeps its estimate.
-                    t.rate = new_rate;
-                }
+                Some(t) => t.observe(self.alpha, new_rate, now_s),
                 None => {
                     // A pair appearing out of nowhere carries no trend
                     // information yet; start flat.
@@ -228,6 +242,12 @@ impl RateForecaster for EwmaForecaster {
                     );
                 }
             }
+        }
+    }
+
+    fn observe_scale(&mut self, factor: f64, now_s: f64) {
+        for t in self.pairs.values_mut() {
+            t.observe(self.alpha, (t.rate * factor).min(f64::MAX), now_s);
         }
     }
 

@@ -16,10 +16,20 @@
 //! per-VM adjacency index (`Vu` sorted by peer id, position-aligned with
 //! the owning handles) resolves `(u, v)` → handle in O(log degree) —
 //! *degree*, not cluster size, which is what keeps sparse trace deltas
-//! flat as pair counts grow into the millions. Dense rescales
-//! ([`PairTraffic::scale_all_in_place`]) are a single sweep over the one
-//! contiguous rate array plus the adjacency mirror — a vectorizable loop
-//! instead of a per-pair search cascade.
+//! flat as pair counts grow into the millions.
+//!
+//! ## Uniform scaling is lazy
+//!
+//! Eq. (2) is linear in λ, so a uniform rescale
+//! ([`PairTraffic::scale_all`]) is one multiplication on a *pending
+//! factor* that every read folds in (`stored × factor`, saturated into
+//! `[f64::from_bits(1), f64::MAX]` so a live pair never reads 0 or
+//! `inf`) — O(1) however many pairs there are. The factor is settled
+//! into the slots by one sweep before the first absolute write after a
+//! scale, so a written rate always reads back bit for bit, and whenever
+//! the composed factor leaves `2^±64`, so it can neither overflow nor
+//! underflow. Settling leaves every read unchanged: it stores exactly
+//! the product the reads were already returning.
 //!
 //! ## Handle stability contract
 //!
@@ -118,8 +128,25 @@ impl PairTrafficBuilder {
             adjacency,
             adj_handles,
             total,
+            scale: 1.0,
         }
     }
+}
+
+/// The composed pending factor may roam `[1 / SCALE_LIMIT, SCALE_LIMIT]`
+/// (2^±64) before it is settled into the slots: wide enough that
+/// drifting loads never sweep, narrow enough that the factor itself can
+/// never overflow or underflow.
+const SCALE_LIMIT: f64 = 18446744073709551616.0;
+
+/// The smallest rate a live pair can read: scaling saturates here
+/// instead of underflowing to the 0 that marks a tombstone.
+const MIN_RATE: f64 = f64::from_bits(1);
+
+/// A live pair's stored rate with the pending factor folded in.
+#[inline]
+fn fold(stored: f64, scale: f64) -> f64 {
+    (stored * scale).clamp(MIN_RATE, f64::MAX)
 }
 
 /// A stable integer handle naming one live communicating pair inside a
@@ -156,8 +183,10 @@ impl PairHandle {
 #[derive(Debug, Clone)]
 pub struct PairTraffic {
     num_vms: u32,
-    /// Slot arrays: endpoint `u < v` and the rate, indexed by handle.
-    /// Tombstoned slots carry rate 0 and sit on the free list.
+    /// Slot arrays: endpoint `u < v` and the stored rate, indexed by
+    /// handle. Tombstoned slots carry rate 0 and sit on the free list.
+    /// Stored rates (here, in `adjacency` and in `total`) are effective
+    /// rates only once multiplied by `scale`.
     ep_u: Vec<VmId>,
     ep_v: Vec<VmId>,
     rates: Vec<f64>,
@@ -176,17 +205,21 @@ pub struct PairTraffic {
     /// `adj_handles[u][i]` = slot of the pair `(u, adjacency[u][i].0)`.
     adj_handles: Vec<Vec<u32>>,
     total: f64,
+    /// The pending uniform factor (see the module docs); exactly `1.0`
+    /// on a store that was never scaled or has been settled.
+    scale: f64,
 }
 
 impl PartialEq for PairTraffic {
     /// Semantic equality: same population and same live `(u, v, λ)` set
-    /// (and identical running total). Slot numbering, tombstones and
-    /// free-list state are storage details two equal graphs may differ
-    /// in — a builder-built graph equals its churned-into twin.
+    /// (and identical running total). Slot numbering, tombstones,
+    /// free-list state and whether a scale is still pending are storage
+    /// details two equal graphs may differ in — a builder-built graph
+    /// equals its churned-into twin.
     fn eq(&self, other: &Self) -> bool {
         self.num_vms == other.num_vms
             && self.live == other.live
-            && self.total == other.total
+            && self.total_rate() == other.total_rate()
             && self.pairs() == other.pairs()
     }
 }
@@ -246,7 +279,7 @@ impl PairTraffic {
         }
         let peers = &self.adjacency[u.index()];
         match peers.binary_search_by_key(&v, |&(p, _)| p) {
-            Ok(i) => peers[i].1,
+            Ok(i) => fold(peers[i].1, self.scale),
             Err(_) => 0.0,
         }
     }
@@ -291,7 +324,7 @@ impl PairTraffic {
     /// Panics on a stale handle (the pair was removed).
     pub fn rate_of(&self, h: PairHandle) -> f64 {
         self.check_live(h);
-        self.rates[h.index()]
+        fold(self.rates[h.index()], self.scale)
     }
 
     fn check_live(&self, h: PairHandle) {
@@ -301,14 +334,17 @@ impl PairTraffic {
         );
     }
 
-    /// The peer set `Vu` of a VM, with rates, sorted by peer id.
+    /// The peer set `Vu` of a VM as `(peer, λ)`, sorted by peer id.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn peers(&self, u: VmId) -> &[(VmId, f64)] {
+    pub fn peers(&self, u: VmId) -> impl ExactSizeIterator<Item = (VmId, f64)> + Clone + '_ {
         assert!(u.get() < self.num_vms, "vm {u} out of range");
-        &self.adjacency[u.index()]
+        let scale = self.scale;
+        self.adjacency[u.index()]
+            .iter()
+            .map(move |&(peer, stored)| (peer, fold(stored, scale)))
     }
 
     /// Number of peers of `u`.
@@ -323,7 +359,7 @@ impl PairTraffic {
         let mut out = Vec::with_capacity(self.live);
         for h in 0..self.rates.len() {
             if self.rates[h] > 0.0 {
-                out.push((self.ep_u[h], self.ep_v[h], self.rates[h]));
+                out.push((self.ep_u[h], self.ep_v[h], fold(self.rates[h], self.scale)));
             }
         }
         if !self.canonical {
@@ -334,7 +370,7 @@ impl PairTraffic {
 
     /// Sum of λ over all pairs.
     pub fn total_rate(&self) -> f64 {
-        self.total
+        (self.total * self.scale).min(f64::MAX)
     }
 
     /// Average number of peers per VM (communication-graph density).
@@ -352,47 +388,56 @@ impl PairTraffic {
     ///
     /// Panics if `factor` is not positive and finite.
     pub fn scaled(&self, factor: f64) -> PairTraffic {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
         let mut next = self.clone();
-        for r in &mut next.rates {
-            *r *= factor;
-        }
-        for peers in &mut next.adjacency {
-            for p in peers {
-                p.1 *= factor;
-            }
-        }
-        next.total = self.total * factor;
+        next.scale_all(factor);
         next
     }
 
-    /// Rescales every rate **in place** by `factor` — the dense
-    /// (`ScaleAll`) fast path: one saturating sweep over the contiguous
-    /// rate array plus the adjacency mirror, no per-pair searches. Rates
-    /// saturate at `f64::MAX` exactly as the trace compiler's expanded
-    /// per-pair updates do. The running total is rescaled directly
-    /// (Eq. (2) is linear in λ, so downstream ledgers may do the same);
-    /// it can drift from a fresh summation by ordinary float rounding.
+    /// Multiplies every rate by `factor` **in place** in O(1): the
+    /// factor joins the pending one that reads fold in (see the module
+    /// docs). Rates saturate at `f64::MAX`, as every other lowering of a
+    /// scale event does. The running total scales with the rates (Eq. (2)
+    /// is linear in λ, so downstream ledgers may do the same).
     ///
     /// # Panics
     ///
     /// Panics if `factor` is not positive and finite.
-    pub fn scale_all_in_place(&mut self, factor: f64) {
+    pub fn scale_all(&mut self, factor: f64) {
         assert!(
             factor.is_finite() && factor > 0.0,
             "factor must be positive"
         );
-        // Tombstones hold 0.0, which rescales to 0.0 — the sweep can
-        // stay branch-free over the whole slot array.
+        let composed = self.scale * factor;
+        if (1.0 / SCALE_LIMIT..=SCALE_LIMIT).contains(&composed) {
+            self.scale = composed;
+        } else {
+            // Each sweep multiplies by a finite factor, so a tombstone's
+            // 0 stays 0 where an overflowed product would make it NaN.
+            self.settle_scale();
+            self.sweep(factor);
+        }
+    }
+
+    /// Settles the pending factor into the slots, leaving it at `1.0`
+    /// and every read unchanged.
+    fn settle_scale(&mut self) {
+        let pending = std::mem::replace(&mut self.scale, 1.0);
+        if pending != 1.0 {
+            self.sweep(pending);
+        }
+    }
+
+    /// Multiplies every stored rate by `factor`: one pass over the
+    /// contiguous rate array plus the adjacency mirror.
+    fn sweep(&mut self, factor: f64) {
         for r in &mut self.rates {
-            *r = (*r * factor).min(f64::MAX);
+            if *r > 0.0 {
+                *r = fold(*r, factor);
+            }
         }
         for peers in &mut self.adjacency {
             for p in peers {
-                p.1 = (p.1 * factor).min(f64::MAX);
+                p.1 = fold(p.1, factor);
             }
         }
         self.total = (self.total * factor).min(f64::MAX);
@@ -407,6 +452,7 @@ impl PairTraffic {
     pub fn capped(&self, cap: f64) -> PairTraffic {
         assert!(cap.is_finite() && cap > 0.0, "cap must be positive");
         let mut next = self.clone();
+        next.settle_scale();
         for r in &mut next.rates {
             *r = r.min(cap);
         }
@@ -428,13 +474,18 @@ impl PairTraffic {
     /// rebuild, no reallocation of untouched state — which is what keeps
     /// trace replay flat as clusters grow to millions of pairs. The
     /// running total is adjusted incrementally (it can drift from a
-    /// fresh summation by ordinary float rounding).
+    /// fresh summation by ordinary float rounding). A pending scale is
+    /// settled first (one sweep), so every written rate reads back
+    /// exactly.
     ///
     /// # Panics
     ///
     /// Panics if an update names a self-pair, an out-of-range VM, or a
     /// negative/non-finite rate.
     pub fn apply_updates(&mut self, updates: &[(VmId, VmId, f64)]) {
+        if !updates.is_empty() {
+            self.settle_scale();
+        }
         for &(u, v, rate) in updates {
             assert_ne!(u, v, "self-traffic is not part of the communication graph");
             assert!(
@@ -490,6 +541,7 @@ impl PairTraffic {
             rate.is_finite() && rate >= 0.0,
             "rate must be finite and >= 0"
         );
+        self.settle_scale();
         let (u, v) = (self.ep_u[h.index()], self.ep_v[h.index()]);
         let old = self.rates[h.index()];
         if old == rate {
@@ -624,8 +676,8 @@ mod tests {
     #[test]
     fn adjacency_is_sorted_and_complete() {
         let t = triangle();
-        let peers = t.peers(VmId::new(0));
-        assert_eq!(peers, &[(VmId::new(1), 10.0), (VmId::new(2), 30.0)]);
+        let peers: Vec<_> = t.peers(VmId::new(0)).collect();
+        assert_eq!(peers, [(VmId::new(1), 10.0), (VmId::new(2), 30.0)]);
         assert_eq!(t.degree(VmId::new(3)), 0);
         assert_eq!(t.degree(VmId::new(1)), 2);
     }
@@ -657,15 +709,90 @@ mod tests {
     }
 
     #[test]
-    fn scale_all_in_place_matches_scaled() {
+    fn scale_all_matches_scaled() {
         let mut t = triangle();
-        t.scale_all_in_place(10.0);
+        t.scale_all(10.0);
         assert_eq!(t, triangle().scaled(10.0));
-        // Saturation mirrors the trace compiler's expanded updates.
+        assert_eq!(t.rate(VmId::new(1), VmId::new(2)), 200.0);
+        let h = t.handle(VmId::new(0), VmId::new(2)).unwrap();
+        assert_eq!(t.rate_of(h), 300.0);
+        assert_eq!(
+            t.peers(VmId::new(0)).collect::<Vec<_>>(),
+            [(VmId::new(1), 100.0), (VmId::new(2), 300.0)]
+        );
+        assert_eq!(t.pairs()[0], (VmId::new(0), VmId::new(1), 100.0));
+        // A pending factor is a storage detail: the settled twin is equal
+        // and serializes identically.
+        let mut settled = t.clone();
+        settled.settle_scale();
+        assert_eq!(settled.scale, 1.0);
+        assert_eq!(settled, t);
+        use serde::Serialize as _;
+        assert_eq!(settled.to_value(), t.to_value());
+        // Saturation mirrors every other lowering of a scale event.
         let mut hot = triangle().scaled(f64::MAX / 40.0);
-        hot.scale_all_in_place(4.0);
+        hot.scale_all(4.0);
         assert_eq!(hot.rate(VmId::new(2), VmId::new(0)), f64::MAX);
         assert!(hot.total_rate().is_finite());
+    }
+
+    #[test]
+    fn absolute_writes_read_back_exactly_after_any_scale_history() {
+        let mut t = triangle();
+        let written = [0.1, 1e-9, 7.3e15, f64::MAX, f64::from_bits(1)];
+        for (k, &rate) in written.iter().enumerate() {
+            for i in 0..=k {
+                t.scale_all(1.0 + 0.37 * (i as f64 + 1.0));
+            }
+            t.apply_updates(&[(VmId::new(0), VmId::new(1), rate)]);
+            assert_eq!(t.rate(VmId::new(0), VmId::new(1)), rate);
+            assert_eq!(t.scale, 1.0, "the first write after a scale settles it");
+            // The handle path settles too.
+            t.scale_all(0.3);
+            let h = t.handle(VmId::new(1), VmId::new(2)).unwrap();
+            t.set_rate(h, rate);
+            assert_eq!(t.rate_of(h), rate);
+            assert_eq!(t.peers(VmId::new(2)).nth(1), Some((VmId::new(1), rate)));
+        }
+    }
+
+    #[test]
+    fn extreme_factors_saturate_and_never_resurrect_a_tombstone() {
+        let mut t = triangle();
+        t.apply_updates(&[(VmId::new(1), VmId::new(2), 0.0)]); // tombstone
+        let check = |t: &PairTraffic| {
+            assert_eq!(t.num_pairs(), 2);
+            assert_eq!(t.rate(VmId::new(1), VmId::new(2)), 0.0);
+            assert_eq!(t.handle(VmId::new(1), VmId::new(2)), None);
+            assert!(t.rates.iter().all(|r| r.is_finite()));
+            assert!(t.total_rate().is_finite());
+            for (u, v, r) in t.pairs() {
+                assert!(r > 0.0 && r.is_finite(), "({u}, {v}) reads {r}");
+                assert_eq!(t.rate(u, v), r);
+            }
+        };
+        // Out of the pending range at once: swept eagerly, saturating.
+        t.scale_all(1e300);
+        check(&t);
+        assert_eq!(t.rate(VmId::new(0), VmId::new(1)), 1e301);
+        t.scale_all(1e300);
+        check(&t);
+        assert_eq!(t.rate(VmId::new(0), VmId::new(1)), f64::MAX);
+        assert_eq!(t.total_rate(), f64::MAX);
+        // Back down, far past the smallest positive rate: live pairs
+        // bottom out above zero instead of turning into tombstones.
+        for _ in 0..5 {
+            t.scale_all(1e-300);
+            check(&t);
+        }
+        assert_eq!(t.rate(VmId::new(0), VmId::new(1)), MIN_RATE);
+        // Factors that only leave the range once composed renormalize.
+        let mut drift = triangle();
+        for _ in 0..100 {
+            drift.scale_all(1e10);
+        }
+        assert!((1.0 / SCALE_LIMIT..=SCALE_LIMIT).contains(&drift.scale));
+        assert_eq!(drift.rate(VmId::new(0), VmId::new(1)), f64::MAX);
     }
 
     #[test]
@@ -683,7 +810,10 @@ mod tests {
         assert_eq!(next.num_pairs(), 3);
         assert_eq!(next.total_rate(), 99.0 + 7.0 + 20.0);
         // Adjacency stays consistent with the pair list.
-        assert_eq!(next.peers(VmId::new(0)), &[(VmId::new(1), 99.0)]);
+        assert_eq!(
+            next.peers(VmId::new(0)).collect::<Vec<_>>(),
+            [(VmId::new(1), 99.0)]
+        );
         assert_eq!(next.degree(VmId::new(3)), 1);
         // The original is untouched.
         assert_eq!(t.num_pairs(), 3);
@@ -783,7 +913,7 @@ mod tests {
         ]);
         let back = PairTraffic::from_value(&t.to_value()).unwrap();
         assert_eq!(back, t);
-        assert_eq!(back.peers(VmId::new(0)), t.peers(VmId::new(0)));
+        assert!(back.peers(VmId::new(0)).eq(t.peers(VmId::new(0))));
     }
 
     #[test]

@@ -25,14 +25,14 @@ proptest! {
         let t = b.build();
         prop_assert!((t.total_rate() - expected_total).abs() < 1e-6 * expected_total.max(1.0));
         for u in 0..num_vms {
-            for &(peer, rate) in t.peers(VmId::new(u)) {
+            for (peer, rate) in t.peers(VmId::new(u)) {
                 prop_assert_eq!(t.rate(VmId::new(u), peer), rate);
                 prop_assert_eq!(t.rate(peer, VmId::new(u)), rate);
             }
         }
         // Sum of adjacency rates double-counts each pair exactly once.
         let adj_sum: f64 = (0..num_vms)
-            .flat_map(|u| t.peers(VmId::new(u)).iter().map(|&(_, r)| r).collect::<Vec<_>>())
+            .flat_map(|u| t.peers(VmId::new(u)).map(|(_, r)| r))
             .sum();
         prop_assert!((adj_sum - 2.0 * t.total_rate()).abs() < 1e-6 * adj_sum.max(1.0));
     }
