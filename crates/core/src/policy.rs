@@ -210,6 +210,35 @@ impl IdBitSet {
     }
 }
 
+/// The staleness rule of the policies' derived indexes: an index built
+/// from a token is current until that token's membership
+/// [`Token::version`] (or length) moves — churn the policy was not told
+/// about — or the owner invalidates it.
+#[derive(Debug, Clone, Copy, Default)]
+struct TokenStamp {
+    built: bool,
+    version: u64,
+    len: usize,
+}
+
+impl TokenStamp {
+    fn is_current(&self, token: &Token) -> bool {
+        self.built && self.version == token.version() && self.len == token.len()
+    }
+
+    fn record(&mut self, token: &Token) {
+        *self = TokenStamp {
+            built: true,
+            version: token.version(),
+            len: token.len(),
+        };
+    }
+
+    fn invalidate(&mut self) {
+        self.built = false;
+    }
+}
+
 /// Per-level index of the *unchecked* token entries, mirroring
 /// `{(e.id, e.level) : e ∈ token, !checked(e.id)}` so the Algorithm-1
 /// scans ("first unchecked VM at level L after the holder", "lowest-id
@@ -223,9 +252,7 @@ impl IdBitSet {
 /// in sync through every level update and check it performs itself.
 #[derive(Debug, Clone, Default)]
 struct UncheckedIndex {
-    built: bool,
-    token_version: u64,
-    token_len: usize,
+    stamp: TokenStamp,
     /// One bitset per level value (index = `Level::get()`).
     levels: Vec<IdBitSet>,
 }
@@ -234,7 +261,7 @@ impl UncheckedIndex {
     /// Rebuilds from scratch if the token changed membership since the
     /// last sync (or the index was never built / invalidated).
     fn sync(&mut self, token: &Token, checked: &CheckedSet) {
-        if self.built && self.token_version == token.version() && self.token_len == token.len() {
+        if self.stamp.is_current(token) {
             return;
         }
         // Bulk rebuild: size every level to the full id range up front, set
@@ -247,7 +274,7 @@ impl UncheckedIndex {
             .map(|e| e.level.get() as usize)
             .max()
             .unwrap_or(0);
-        let words = token.entries().last().map_or(0, |e| e.id.index() / 64 + 1);
+        let words = token.id_span().div_ceil(64);
         if self.levels.len() <= max_level {
             self.levels.resize_with(max_level + 1, IdBitSet::default);
         }
@@ -264,13 +291,11 @@ impl UncheckedIndex {
         for set in &mut self.levels {
             set.rebuild_summary();
         }
-        self.built = true;
-        self.token_version = token.version();
-        self.token_len = token.len();
+        self.stamp.record(token);
     }
 
     fn invalidate(&mut self) {
-        self.built = false;
+        self.stamp.invalidate();
     }
 
     fn insert(&mut self, vm: VmId, level: Level) {
@@ -468,6 +493,77 @@ impl TokenPolicy for HighestLevelFirst {
     }
 }
 
+/// A fixed-size max-tournament over token positions: an implicit binary
+/// tree of `f64` whose leaf `i` holds the key of token entry `i`
+/// ([`MaxTournament::ABSENT`] when it has none) and whose inner nodes
+/// hold the maximum of their children. Ties resolve to the left child,
+/// so [`MaxTournament::best`] is the *first* maximum in position — i.e.
+/// ascending-id — order. Storage only grows when the token does.
+#[derive(Debug, Clone, Default)]
+struct MaxTournament {
+    /// `tree[1]` is the root, `tree[cap + i]` leaf `i`; `tree[0]` unused.
+    tree: Vec<f64>,
+    /// Leaf count: a power of two ≥ the token length. 0 until the first
+    /// [`MaxTournament::rebuild`], which must precede any other call.
+    cap: usize,
+}
+
+impl MaxTournament {
+    /// Key of a position that takes no part in the tournament. Real keys
+    /// are finite and ≥ 0, so every one of them beats it.
+    const ABSENT: f64 = f64::NEG_INFINITY;
+
+    /// Refills the leaves from `keys` (one per token position, in order)
+    /// and replays every match: O(n).
+    fn rebuild(&mut self, keys: impl ExactSizeIterator<Item = f64>) {
+        self.cap = keys.len().next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * self.cap, Self::ABSENT);
+        for (slot, key) in self.tree[self.cap..].iter_mut().zip(keys) {
+            *slot = key;
+        }
+        for i in (1..self.cap).rev() {
+            self.tree[i] = Self::winner(self.tree[2 * i], self.tree[2 * i + 1]);
+        }
+    }
+
+    fn winner(left: f64, right: f64) -> f64 {
+        if right > left {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// Re-keys leaf `pos` and replays its matches towards the root,
+    /// stopping at the first one whose winner does not change.
+    fn set(&mut self, pos: usize, key: f64) {
+        let mut i = self.cap + pos;
+        self.tree[i] = key;
+        while i > 1 {
+            i /= 2;
+            let w = Self::winner(self.tree[2 * i], self.tree[2 * i + 1]);
+            if self.tree[i] == w {
+                break;
+            }
+            self.tree[i] = w;
+        }
+    }
+
+    /// Position of the highest key, the lowest position among equals;
+    /// `None` when every position is absent.
+    fn best(&self) -> Option<usize> {
+        let mut i = 1;
+        while i < self.cap {
+            i *= 2;
+            if self.tree[i + 1] > self.tree[i] {
+                i += 1;
+            }
+        }
+        (self.tree[i] > Self::ABSENT).then_some(i - self.cap)
+    }
+}
+
 /// The shared mechanics of the cost-routed policies ([`HighestCostFirst`]
 /// and [`ForecastCostFirst`]): per-VM cost estimates tracked the same
 /// way HLF tracks levels — exact for VMs that held the token, partial
@@ -476,38 +572,65 @@ impl TokenPolicy for HighestLevelFirst {
 /// in which rate each pair is priced at (current vs expected), which is
 /// what keeps "fcf ≡ hcf under a reactive outlook" true by
 /// construction.
+///
+/// "Highest estimate among the unchecked, lowest id first" is answered
+/// by a [`MaxTournament`] keyed by the estimates of the unchecked token
+/// members, so a hop costs O(peers · log n) instead of a walk over every
+/// entry. The tournament is purely derived state: the policy keeps it in
+/// step with every estimate it raises and every VM it checks, and
+/// rebuilds it in O(n) when a round restarts or the token's membership
+/// moved under its feet ([`TokenStamp`]).
 #[derive(Debug, Clone, Default)]
 struct CostFirstCore {
-    estimates: std::collections::HashMap<VmId, f64>,
+    /// vm id → estimate, covering every id up to the highest the token
+    /// has ever held; survives membership churn, zeroed only by
+    /// [`CostFirstCore::reset`]. Observations of ids beyond that range
+    /// (peers that were never members) are dropped.
+    estimates: Vec<f64>,
     checked: CheckedSet,
+    /// Derived from `estimates` + `checked` + the token, never
+    /// authoritative.
+    unchecked: MaxTournament,
+    stamp: TokenStamp,
 }
 
 impl CostFirstCore {
     /// The current cost estimate for a VM (0 when unobserved).
     fn estimate(&self, vm: VmId) -> f64 {
-        self.estimates.get(&vm).copied().unwrap_or(0.0)
+        self.estimates.get(vm.index()).copied().unwrap_or(0.0)
     }
 
     fn reset(&mut self) {
         self.checked.clear();
-        self.estimates.clear();
+        self.estimates.fill(0.0);
+        self.stamp.invalidate();
     }
 
-    /// Picks the unchecked VM (≠ `exclude`) with the highest estimate,
-    /// ties broken towards the lowest id.
-    fn best_unchecked(&self, token: &Token, exclude: VmId) -> Option<VmId> {
-        let mut best: Option<(f64, VmId)> = None;
-        for e in token.entries() {
-            if e.id == exclude || self.checked.contains(e.id) {
-                continue;
-            }
-            let est = self.estimate(e.id);
-            match best {
-                Some((b, _)) if est <= b => {}
-                _ => best = Some((est, e.id)),
-            }
+    /// Re-derives the tournament (and the estimate range) from the token.
+    fn rebuild(&mut self, token: &Token) {
+        if self.estimates.len() < token.id_span() {
+            self.estimates.resize(token.id_span(), 0.0);
         }
-        best.map(|(_, id)| id)
+        let (estimates, checked) = (&self.estimates, &self.checked);
+        self.unchecked.rebuild(token.entries().iter().map(|e| {
+            if checked.contains(e.id) {
+                MaxTournament::ABSENT
+            } else {
+                estimates[e.id.index()]
+            }
+        }));
+        self.stamp.record(token);
+    }
+
+    /// Records an estimate; ids outside the tracked range are dropped.
+    fn write_estimate(&mut self, vm: VmId, est: f64) {
+        debug_assert!(
+            est.is_finite() && est >= 0.0,
+            "cost estimate {est} for {vm:?} must be finite and non-negative"
+        );
+        if let Some(slot) = self.estimates.get_mut(vm.index()) {
+            *slot = est;
+        }
     }
 
     /// One holder visit: refresh estimates (Eq. 1 with each pair priced
@@ -522,6 +645,9 @@ impl CostFirstCore {
         outlook: &TrafficOutlook,
         rate_of: impl Fn(&TrafficOutlook, usize) -> f64,
     ) -> Option<VmId> {
+        if !self.stamp.is_current(token) {
+            self.rebuild(token);
+        }
         let view = outlook.view();
         // Exact cost for the holder (Eq. 1 over its local view) …
         let own: f64 = 2.0
@@ -531,14 +657,18 @@ impl CostFirstCore {
                 .enumerate()
                 .map(|(i, p)| rate_of(outlook, i) * weights.prefix(p.level))
                 .sum::<f64>();
-        self.estimates.insert(holder, own);
+        self.write_estimate(holder, own);
         // … and a partial lower-bound estimate for each peer: the pair the
         // holder can see. Keep the max across observations.
         for (i, p) in view.peers.iter().enumerate() {
             let pair_cost = 2.0 * rate_of(outlook, i) * weights.prefix(p.level);
-            let entry = self.estimates.entry(p.vm).or_insert(0.0);
-            if *entry < pair_cost {
-                *entry = pair_cost;
+            if self.estimate(p.vm) < pair_cost {
+                self.write_estimate(p.vm, pair_cost);
+                if !self.checked.contains(p.vm) {
+                    if let Some(pos) = token.index_of(p.vm) {
+                        self.unchecked.set(pos, pair_cost);
+                    }
+                }
             }
         }
         // Keep the token's level entries fresh too (interoperable state).
@@ -547,16 +677,31 @@ impl CostFirstCore {
             token.raise_level(p.vm, p.level);
         }
         self.checked.insert(holder);
+        if let Some(pos) = token.index_of(holder) {
+            self.unchecked.set(pos, MaxTournament::ABSENT);
+        }
 
-        if let Some(z) = self.best_unchecked(token, holder) {
-            return Some(z);
+        // The holder is checked, so the tournament cannot return it.
+        if let Some(pos) = self.unchecked.best() {
+            return Some(token.entries()[pos].id);
         }
-        // Round over: restart at the globally highest-cost VM.
+        // Round over: restart at the globally highest-cost VM. The holder
+        // is unchecked again but must not succeed itself, so it sits this
+        // one query out.
         self.checked.clear();
-        if let Some(z) = self.best_unchecked(token, holder) {
-            return Some(z);
+        self.rebuild(token);
+        let holder_pos = token.index_of(holder);
+        if let Some(pos) = holder_pos {
+            self.unchecked.set(pos, MaxTournament::ABSENT);
         }
-        token.next_after(holder).filter(|&z| z != holder)
+        let best = self.unchecked.best();
+        if let Some(pos) = holder_pos {
+            self.unchecked.set(pos, self.estimate(holder));
+        }
+        match best {
+            Some(pos) => Some(token.entries()[pos].id),
+            None => token.next_after(holder).filter(|&z| z != holder),
+        }
     }
 }
 
@@ -602,6 +747,10 @@ impl TokenPolicy for HighestCostFirst {
 
     fn reset(&mut self) {
         self.core.reset();
+    }
+
+    fn prepare(&mut self, token: &Token) {
+        self.core.rebuild(token);
     }
 
     fn next_holder(
@@ -658,6 +807,10 @@ impl TokenPolicy for ForecastCostFirst {
 
     fn reset(&mut self) {
         self.core.reset();
+    }
+
+    fn prepare(&mut self, token: &Token) {
+        self.core.rebuild(token);
     }
 
     fn next_holder(
@@ -1003,6 +1156,325 @@ mod tests {
             peers: vec![],
         };
         assert_eq!(hcf.next_holder(&mut token, VmId::new(3), &o(&view)), None);
+    }
+
+    /// The pre-index cost-first policy — a hash map of estimates and an
+    /// O(n) scan over the token on every hop — kept verbatim as the
+    /// reference oracle for [`cost_first_index_matches_reference_scan`].
+    #[derive(Default)]
+    struct RefCostFirst {
+        estimates: std::collections::HashMap<VmId, f64>,
+        checked: CheckedSet,
+    }
+
+    impl RefCostFirst {
+        fn estimate(&self, vm: VmId) -> f64 {
+            self.estimates.get(&vm).copied().unwrap_or(0.0)
+        }
+
+        fn reset(&mut self) {
+            self.checked.clear();
+            self.estimates.clear();
+        }
+
+        fn best_unchecked(&self, token: &Token, exclude: VmId) -> Option<VmId> {
+            let mut best: Option<(f64, VmId)> = None;
+            for e in token.entries() {
+                if e.id == exclude || self.checked.contains(e.id) {
+                    continue;
+                }
+                let est = self.estimate(e.id);
+                match best {
+                    Some((b, _)) if est <= b => {}
+                    _ => best = Some((est, e.id)),
+                }
+            }
+            best.map(|(_, id)| id)
+        }
+
+        fn next_holder(
+            &mut self,
+            weights: &score_topology::LinkWeights,
+            token: &mut Token,
+            holder: VmId,
+            outlook: &TrafficOutlook,
+            rate_of: impl Fn(&TrafficOutlook, usize) -> f64,
+        ) -> Option<VmId> {
+            let view = outlook.view();
+            let own: f64 = 2.0
+                * view
+                    .peers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| rate_of(outlook, i) * weights.prefix(p.level))
+                    .sum::<f64>();
+            self.estimates.insert(holder, own);
+            for (i, p) in view.peers.iter().enumerate() {
+                let pair_cost = 2.0 * rate_of(outlook, i) * weights.prefix(p.level);
+                let entry = self.estimates.entry(p.vm).or_insert(0.0);
+                if *entry < pair_cost {
+                    *entry = pair_cost;
+                }
+            }
+            token.set_level(holder, view.own_level());
+            for p in &view.peers {
+                token.raise_level(p.vm, p.level);
+            }
+            self.checked.insert(holder);
+
+            if let Some(z) = self.best_unchecked(token, holder) {
+                return Some(z);
+            }
+            self.checked.clear();
+            if let Some(z) = self.best_unchecked(token, holder) {
+                return Some(z);
+            }
+            token.next_after(holder).filter(|&z| z != holder)
+        }
+    }
+
+    /// xorshift64, as in [`hlf_index_matches_reference_scans`].
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Ids the cost-first tests draw members and peers from.
+    const COST_IDS: u32 = 48;
+    /// Few distinct rates (and four levels), so equal estimates are the
+    /// norm and zero-cost pairs are common.
+    const COST_RATES: [f64; 4] = [0.0, 1.0, 2.0, 5.0];
+
+    /// A random post-decision view for `holder`: up to four peers out of
+    /// [`COST_IDS`] (members or not) plus one id that never joins any
+    /// token, whose estimate must not size anything.
+    fn random_cost_view(rng: &mut XorShift, holder: VmId) -> LocalView {
+        let r = rng.next();
+        let mut peers: Vec<crate::view::PeerInfo> = (0..(r >> 24) % 5)
+            .map(|_| {
+                let p = rng.next();
+                crate::view::PeerInfo {
+                    vm: VmId::new((p % u64::from(COST_IDS)) as u32),
+                    rate: COST_RATES[(p >> 8) as usize % 4],
+                    server: ServerId::new(1),
+                    level: Level::new((p >> 16) as u8 % 4),
+                }
+            })
+            .filter(|p| p.vm != holder)
+            .collect();
+        peers.push(crate::view::PeerInfo {
+            vm: VmId::new(u32::MAX),
+            rate: COST_RATES[(r >> 32) as usize % 4],
+            server: ServerId::new(1),
+            level: Level::CORE,
+        });
+        LocalView {
+            vm: holder,
+            server: ServerId::new(0),
+            peers,
+        }
+    }
+
+    /// An indexed cost-first policy and the reference scan, side by side
+    /// on their own copies of one token.
+    struct CostFirstDuel<P> {
+        policy: P,
+        estimate: fn(&P, VmId) -> f64,
+        /// Outlooks carry predicted rates that differ from the current
+        /// ones, and the reference prices the expected rate.
+        forecast: bool,
+        reference: RefCostFirst,
+        token_a: Token,
+        token_b: Token,
+        rng: XorShift,
+    }
+
+    impl<P: TokenPolicy> CostFirstDuel<P> {
+        /// One hold by `holder` on both sides; asserts the same next
+        /// holder, the same token and bit-identical estimates.
+        fn step(&mut self, holder: VmId, step: usize) -> Option<VmId> {
+            let view = random_cost_view(&mut self.rng, holder);
+            let forecast = self.forecast;
+            let outlook = if forecast {
+                let predicted = view
+                    .peers
+                    .iter()
+                    .map(|_| COST_RATES[self.rng.next() as usize % 4] * 1.5)
+                    .collect();
+                TrafficOutlook::with_forecast(view, predicted, 30.0)
+            } else {
+                TrafficOutlook::reactive(view)
+            };
+            let a = self.policy.next_holder(&mut self.token_a, holder, &outlook);
+            let b = self.reference.next_holder(
+                &score_topology::LinkWeights::paper_default(),
+                &mut self.token_b,
+                holder,
+                &outlook,
+                |o, i| {
+                    if forecast {
+                        o.expected_rate(i)
+                    } else {
+                        o.view().peers[i].rate
+                    }
+                },
+            );
+            assert_eq!(a, b, "divergence at step {step} (holder {holder:?})");
+            assert_eq!(self.token_a, self.token_b, "token divergence at {step}");
+            for v in (0..COST_IDS).map(VmId::new) {
+                assert_eq!(
+                    (self.estimate)(&self.policy, v).to_bits(),
+                    self.reference.estimate(v).to_bits(),
+                    "estimate of {v:?} diverged at step {step}"
+                );
+            }
+            a
+        }
+
+        fn add_vm(&mut self, vm: VmId) -> bool {
+            let added = self.token_a.add_vm(vm);
+            assert_eq!(added, self.token_b.add_vm(vm));
+            added
+        }
+
+        fn remove_vm(&mut self, vm: VmId) -> bool {
+            let removed = self.token_a.remove_vm(vm);
+            assert_eq!(removed, self.token_b.remove_vm(vm));
+            removed
+        }
+    }
+
+    /// Drives an indexed cost-first policy and the reference scan through
+    /// the same pseudo-random sequence of views (ties, zero rates,
+    /// non-member peers), membership churn and resets — then down to a
+    /// singleton and an empty token and back — asserting identical holder
+    /// sequences, estimates and tokens throughout.
+    fn drive_cost_first_against_reference<P: TokenPolicy>(
+        mut policy: P,
+        estimate: fn(&P, VmId) -> f64,
+        forecast: bool,
+    ) {
+        // The highest id is a member from the start (it bounds the dense
+        // estimate range); a third of the others join only through churn,
+        // some after they were already observed as peers.
+        let token = Token::for_vms(
+            (0..COST_IDS)
+                .filter(|v| v % 3 != 1 || *v == COST_IDS - 1)
+                .map(VmId::new),
+        );
+        policy.prepare(&token);
+        let mut duel = CostFirstDuel {
+            policy,
+            estimate,
+            forecast,
+            reference: RefCostFirst::default(),
+            token_a: token.clone(),
+            token_b: token,
+            rng: XorShift(0x2545_f491_4f6c_dd1d ^ u64::from(forecast)),
+        };
+        let mut holder = duel.token_a.first().expect("non-empty");
+        let mut restarts = 0;
+        for step in 0..4500 {
+            let r = duel.rng.next();
+            match r % 19 {
+                0 | 1 => {
+                    // Membership churn, policy state preserved — mirrors
+                    // TokenRing::{add_vm,remove_vm}, which do not reset.
+                    let vm = VmId::new((r >> 8) as u32 % COST_IDS);
+                    if r & 0x100000 == 0 {
+                        duel.add_vm(vm);
+                    } else if vm != holder {
+                        duel.remove_vm(vm);
+                    }
+                }
+                2 if r & 0x700 == 0 => {
+                    // Token regeneration path: both sides reset.
+                    duel.policy.reset();
+                    duel.reference.reset();
+                }
+                _ => {}
+            }
+            let round = duel.reference.checked.epoch;
+            holder = duel.step(holder, step).expect("more than one member");
+            restarts += usize::from(duel.reference.checked.epoch != round);
+        }
+        assert!(restarts > 50, "only {restarts} round restarts exercised");
+
+        // Shrink to a singleton (the holder), then to an empty token …
+        while duel.token_a.len() > 1 {
+            let vm = duel.token_a.next_after(holder).expect("non-empty");
+            assert!(duel.remove_vm(vm));
+            holder = duel.step(holder, 5000).unwrap_or(holder);
+        }
+        assert_eq!(duel.step(holder, 6000), None);
+        assert!(duel.remove_vm(holder));
+        assert_eq!(duel.step(holder, 6001), None);
+        // … and back: the estimates survived and still steer.
+        for v in (0..COST_IDS).step_by(5).map(VmId::new) {
+            assert!(duel.add_vm(v));
+        }
+        holder = duel.token_a.first().expect("repopulated");
+        for step in 0..200 {
+            holder = duel
+                .step(holder, 7000 + step)
+                .expect("more than one member");
+        }
+    }
+
+    #[test]
+    fn cost_first_index_matches_reference_scan() {
+        drive_cost_first_against_reference(
+            HighestCostFirst::paper_default(),
+            HighestCostFirst::estimate,
+            false,
+        );
+        drive_cost_first_against_reference(
+            ForecastCostFirst::paper_default(),
+            ForecastCostFirst::estimate,
+            true,
+        );
+    }
+
+    #[test]
+    fn fcf_under_reactive_outlook_equals_hcf_hop_for_hop() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut token_h = Token::for_vms((0..COST_IDS).map(VmId::new));
+        let mut token_f = token_h.clone();
+        let mut hcf = HighestCostFirst::paper_default();
+        let mut fcf = ForecastCostFirst::paper_default();
+        let mut holder = VmId::new(0);
+        for step in 0..1000 {
+            let outlook = o(&random_cost_view(&mut rng, holder));
+            let h = hcf.next_holder(&mut token_h, holder, &outlook);
+            let f = fcf.next_holder(&mut token_f, holder, &outlook);
+            assert_eq!(h, f, "divergence at step {step}");
+            assert_eq!(token_h, token_f);
+            for v in (0..COST_IDS).map(VmId::new) {
+                assert_eq!(hcf.estimate(v).to_bits(), fcf.estimate(v).to_bits());
+            }
+            holder = h.expect("more than one member");
+        }
+    }
+
+    #[test]
+    fn cost_first_estimates_are_bounded_by_the_token() {
+        // A peer id far beyond any member (here the view helper's
+        // `u32::MAX`) must not size the dense estimate vector.
+        let mut token = Token::for_vms([0, 1, 2].map(VmId::new));
+        let mut hcf = HighestCostFirst::paper_default();
+        let v = view_with_level(VmId::new(0), Level::CORE, vec![(VmId::new(2), Level::CORE)]);
+        assert_eq!(
+            hcf.next_holder(&mut token, VmId::new(0), &o(&v)),
+            Some(VmId::new(2))
+        );
+        assert_eq!(hcf.core.estimates.len(), 3);
+        assert_eq!(hcf.estimate(VmId::new(u32::MAX)), 0.0);
     }
 
     /// The pre-index HLF scans, kept verbatim as a reference oracle for

@@ -157,11 +157,16 @@ impl Token {
         self.version
     }
 
+    /// One past the highest tracked id (0 for an empty token): the length
+    /// of any dense id-indexed table covering the members.
+    pub(crate) fn id_span(&self) -> usize {
+        self.entries.last().map_or(0, |e| e.id.index() + 1)
+    }
+
     /// Rebuilds the id→index map from the (sorted) entries.
     fn rebuild_pos(&mut self) {
-        let len = self.entries.last().map_or(0, |e| e.id.index() + 1);
         self.pos.clear();
-        self.pos.resize(len, NO_POS);
+        self.pos.resize(self.id_span(), NO_POS);
         for (i, e) in self.entries.iter().enumerate() {
             self.pos[e.id.index()] = i as u32;
         }
@@ -188,23 +193,31 @@ impl Token {
     }
 
     fn position(&self, vm: VmId) -> Result<usize, usize> {
-        match self.entries.last() {
-            // The map is valid only when sized to cover the highest id
-            // (a deserialized token arrives with it empty).
-            Some(last) if self.pos.len() == last.id.index() + 1 => {
-                match self.pos.get(vm.index()).copied() {
-                    Some(i) if i != NO_POS => Ok(i as usize),
-                    // Untracked id: callers still need the insertion index.
-                    _ => Err(self.entries.partition_point(|e| e.id < vm)),
-                }
-            }
-            _ => self.entries.binary_search_by_key(&vm, |e| e.id),
+        if !self.pos_is_valid() {
+            return self.entries.binary_search_by_key(&vm, |e| e.id);
         }
+        match self.pos.get(vm.index()).copied() {
+            Some(i) if i != NO_POS => Ok(i as usize),
+            // Untracked id: callers still need the insertion index.
+            _ => Err(self.entries.partition_point(|e| e.id < vm)),
+        }
+    }
+
+    /// The map is valid only when sized to cover exactly the highest id
+    /// (a deserialized token arrives with it empty).
+    fn pos_is_valid(&self) -> bool {
+        self.pos.len() == self.id_span()
     }
 
     /// True if the token tracks `vm`.
     pub fn contains(&self, vm: VmId) -> bool {
         self.position(vm).is_ok()
+    }
+
+    /// Index of `vm`'s entry in [`Token::entries`], for policies that
+    /// key derived state by token position.
+    pub(crate) fn index_of(&self, vm: VmId) -> Option<usize> {
+        self.position(vm).ok()
     }
 
     /// The stored level `l_v` for a VM.
@@ -286,19 +299,6 @@ impl Token {
             }
             Err(_) => false,
         }
-    }
-
-    /// Entries with the maximum stored level; `(level, ids)`.
-    pub fn max_level_entries(&self) -> Option<(Level, Vec<VmId>)> {
-        let max = self.entries.iter().map(|e| e.level).max()?;
-        Some((
-            max,
-            self.entries
-                .iter()
-                .filter(|e| e.level == max)
-                .map(|e| e.id)
-                .collect(),
-        ))
     }
 
     /// Serialises the token to its 5-byte-per-entry wire format.
@@ -471,22 +471,33 @@ mod tests {
         assert_eq!(t.level_of(VmId::new(5)), Some(Level::CORE));
     }
 
-    #[test]
-    fn max_level_entries() {
-        let mut t = token();
-        assert_eq!(
-            t.max_level_entries(),
-            Some((
-                Level::ZERO,
-                vec![VmId::new(1), VmId::new(3), VmId::new(5), VmId::new(7)]
-            ))
-        );
-        t.set_level(VmId::new(5), Level::CORE);
-        t.set_level(VmId::new(7), Level::CORE);
-        let (level, ids) = t.max_level_entries().unwrap();
-        assert_eq!(level, Level::CORE);
-        assert_eq!(ids, vec![VmId::new(5), VmId::new(7)]);
-        assert_eq!(Token::for_vms([]).max_level_entries(), None);
+    proptest::proptest! {
+        /// Any `add_vm`/`remove_vm` sequence — through gaps, new highest
+        /// ids, removal of the highest id and emptying — bumps the
+        /// version once per real change and leaves the position map
+        /// exactly what a from-scratch rebuild gives (the contract an
+        /// incremental update of the map would have to keep).
+        #[test]
+        fn membership_changes_keep_the_position_map_exact(
+            // A narrow id span empties the token over and over.
+            span in 1u32..40,
+            start in proptest::prop::collection::vec(0u32..40, 0..12),
+            ops in proptest::prop::collection::vec((0u8..2, 0u32..40), 1..200),
+        ) {
+            let mut t = Token::for_vms(start.into_iter().map(|id| VmId::new(id % span)));
+            for (add, id) in ops {
+                let vm = VmId::new(id % span);
+                let version = t.version();
+                let add = add == 1;
+                let changed = if add { t.add_vm(vm) } else { t.remove_vm(vm) };
+                proptest::prop_assert_eq!(t.version(), version + u64::from(changed));
+                proptest::prop_assert_eq!(t.contains(vm), add);
+                let mut rebuilt = t.clone();
+                rebuilt.rebuild_pos();
+                proptest::prop_assert_eq!(&t.pos, &rebuilt.pos);
+                proptest::prop_assert!(t.entries.windows(2).all(|w| w[0].id < w[1].id));
+            }
+        }
     }
 
     #[test]

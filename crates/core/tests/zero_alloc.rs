@@ -3,7 +3,8 @@
 //!
 //! The ring threads one `DecisionScratch` (observation buffers + the
 //! level-bucketed `KernelScratch`) through every hold, and the token
-//! policies run on epoch-stamped sets and pre-built bitset indexes — so
+//! policies run on epoch-stamped sets and pre-built indexes (HLF's
+//! per-level bitsets, the cost-first tournament) — so
 //! once the ring has seen a full iteration (every buffer at its
 //! high-water mark, the placement converged), further holds must not
 //! touch the allocator at all. A regression here silently reintroduces
@@ -11,8 +12,8 @@
 //! kernel exists to avoid.
 
 use score_core::{
-    Allocation, Cluster, HighestLevelFirst, RoundRobin, ScoreEngine, ServerSpec, TokenPolicy,
-    TokenRing, VmSpec,
+    Allocation, Cluster, ForecastCostFirst, HighestCostFirst, HighestLevelFirst, RoundRobin,
+    ScoreEngine, ServerSpec, TokenPolicy, TokenRing, VmSpec,
 };
 use score_topology::{CanonicalTree, ServerId, Topology};
 use score_traffic::WorkloadConfig;
@@ -98,4 +99,6 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
 fn steady_state_decisions_do_not_allocate() {
     steady_state_allocs(RoundRobin::new(), "round-robin");
     steady_state_allocs(HighestLevelFirst::new(), "hlf");
+    steady_state_allocs(HighestCostFirst::paper_default(), "hcf");
+    steady_state_allocs(ForecastCostFirst::paper_default(), "fcf");
 }
