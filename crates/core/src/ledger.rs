@@ -22,10 +22,10 @@
 //! Lemma 3 guarantees the delta equals the difference of full
 //! recomputations exactly; the ledger therefore tracks the true cost up
 //! to floating-point rounding (pinned to ≤ 1e-9 relative by the property
-//! suite in `tests/ledger_properties.rs`). When external code mutates
-//! the allocation wholesale (centralized baselines via
-//! `Cluster::set_allocation`), call [`CostLedger::resync`] to restore
-//! the invariant with one full pass.
+//! suite in `tests/ledger_properties.rs`). A driver that owns ledger and
+//! cluster itself and replaces the allocation wholesale
+//! (`Cluster::set_allocation`) calls [`CostLedger::resync`] to restore
+//! the invariant with one full pass; `score_sim::Session` never does.
 
 use std::cell::Cell;
 
@@ -485,9 +485,9 @@ impl CostLedger {
     }
 
     /// Discards the running total and recomputes it with one full
-    /// Eq.-(2) pass — the escape hatch after wholesale allocation
-    /// replacement (e.g. a centralized baseline rewrote the placement
-    /// behind the ledger's back).
+    /// Eq.-(2) pass — the escape hatch for a caller that owns both the
+    /// ledger and the cluster and replaced the allocation wholesale. No
+    /// session path calls it (a session hands out no `&mut Cluster`).
     pub fn resync<T: Topology + ?Sized>(
         &mut self,
         alloc: &Allocation,

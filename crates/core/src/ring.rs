@@ -42,7 +42,7 @@ impl StepOutcome {
 }
 
 /// Aggregate statistics of one iteration (`|V|` token holds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationStats {
     /// Token holds performed.
     pub steps: usize,
@@ -455,11 +455,7 @@ impl TokenRing {
         traffic: &PairTraffic,
     ) -> IterationStats {
         let n = self.token.len();
-        let mut stats = IterationStats {
-            steps: 0,
-            migrations: 0,
-            total_gain: 0.0,
-        };
+        let mut stats = IterationStats::default();
         for _ in 0..n {
             let Some(outcome) = self.step(cluster, traffic) else {
                 break;

@@ -90,13 +90,9 @@ fn run_cell(scenario: &Scenario, storm: &[TimedEvent]) -> (score_sim::RunReport,
     let mut session = scenario.session().expect("storm scenarios materialize");
     let mut apply_s = 0.0;
     for ev in storm {
-        // `run_storm` in one-event slices keeps the drain out of the
-        // timed window: time only the evacuation/re-pricing decision.
-        while session.next_event_time().is_some_and(|t| t <= ev.time_s) {
-            if session.step().is_none() {
-                break;
-            }
-        }
+        // `run_storm` by hand, so the drain stays out of the timed
+        // window: time only the evacuation/re-pricing decision.
+        session.advance_to(ev.time_s);
         let sw = Stopwatch::start();
         session
             .apply_trace_event(&ev.event)

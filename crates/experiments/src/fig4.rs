@@ -71,8 +71,10 @@ pub fn run(paper_scale: bool) -> (Fig4Result, String) {
     let score_snapshot = score_report.link_utilization.clone();
     let t_end_s = score_scenario.timing.t_end_s;
 
-    // --- Remedy run, stepped to produce a time series. ---
-    let mut remedy_session = scenario.session().expect("preset scenario is feasible");
+    // --- Remedy run, stepped to produce a time series, on a copy of
+    // the shared initial cluster (no `&mut Cluster` leaves a session). ---
+    let mut remedy_cluster = session0.cluster().clone();
+    let traffic = session0.traffic();
     let controller = Remedy::new(RemedyConfig {
         max_migrations: 1,
         ..remedy_cfg
@@ -81,17 +83,21 @@ pub fn run(paper_scale: bool) -> (Fig4Result, String) {
     let mut t = 0.0;
     let mut remedy_series = vec![(0.0, initial_cost)];
     for _ in 0..remedy_cfg.max_migrations {
-        let (cluster, traffic) = remedy_session.split_mut();
-        let result = controller.run(cluster, traffic);
+        let result = controller.run(&mut remedy_cluster, traffic);
         t += monitor_interval_s;
         if result.steps.is_empty() || t > t_end_s {
             break;
         }
-        remedy_series.push((t, remedy_session.current_cost()));
+        let cost = session0.cost_model().total_cost(
+            remedy_cluster.allocation(),
+            traffic,
+            remedy_cluster.topo(),
+        );
+        remedy_series.push((t, cost));
     }
     remedy_series.push((t_end_s, remedy_series.last().unwrap().1));
     let remedy_final = remedy_series.last().unwrap().1;
-    let remedy_snapshot = remedy_session.report().link_utilization;
+    let remedy_snapshot = UtilizationSnapshot::capture(&remedy_cluster, traffic);
 
     // --- Outputs. ---
     let mut csv_cdf = String::from("system,layer,utilization,cdf\n");

@@ -469,13 +469,10 @@ impl TenantEngine {
     /// stream (each line is one serialized `TimedEvent`, identical to
     /// what `trace.jsonl` receives).
     pub fn fresh_trace_lines(&mut self) -> Vec<String> {
-        let Some(events) = self
-            .session
-            .trace_recorder_mut()
-            .map(|r| r.events().to_vec())
-        else {
+        let Some(recorder) = self.session.trace_recorder_mut() else {
             return Vec::new();
         };
+        let events = recorder.events();
         let lines = events[self.streamed.min(events.len())..]
             .iter()
             .map(|ev| serde_json::to_string(ev).expect("events always serialize"))
@@ -552,14 +549,7 @@ pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, Str
     session
         .run_storm(trace.events())
         .map_err(|e| e.to_string())?;
-    while session
-        .next_event_time()
-        .is_some_and(|t| t <= trace.end_s())
-    {
-        if session.step().is_none() {
-            break;
-        }
-    }
+    session.advance_to(trace.end_s());
     Ok(session.report())
 }
 

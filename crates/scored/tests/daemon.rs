@@ -413,6 +413,37 @@ fn daemon_serves_mutations_and_replays_over_a_unix_socket() {
         "subscriber missed the mutation stream"
     );
 
+    // An observer joining after those mutations is streamed every later
+    // audit-log line exactly once: the engine resumes from its cursor,
+    // it neither replays the history nor re-sends a line per broadcast.
+    drop((sub_reader, sub_writer));
+    let late_stream = UnixStream::connect(&socket).unwrap();
+    let mut late_writer = late_stream.try_clone().unwrap();
+    let mut late_reader = BufReader::new(late_stream);
+    match roundtrip(&mut late_reader, &mut late_writer, "\"Subscribe\"") {
+        Response::Subscribed { .. } => {}
+        other => panic!("expected Subscribed, got {other:?}"),
+    }
+    let mut late_lines = Vec::new();
+    for _ in 0..3 {
+        match roundtrip(&mut reader, &mut writer, r#"{"Place": {}}"#) {
+            Response::Placed { .. } => {}
+            other => panic!("expected Placed, got {other:?}"),
+        }
+        // A broadcast is trace line(s), the response, then the report.
+        loop {
+            let mut line = String::new();
+            late_reader.read_line(&mut line).unwrap();
+            match serde_json::from_str::<Response>(&line).unwrap() {
+                Response::Trace { line } => late_lines.push(line),
+                Response::Placed { .. } => {}
+                Response::Report { .. } => break,
+                other => panic!("unexpected subscriber line: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(late_lines.len(), 3, "one line per later mutation");
+
     let final_report = match roundtrip(&mut reader, &mut writer, "\"Shutdown\"") {
         Response::ShuttingDown => {
             // The daemon's persisted report is the authority.
@@ -433,6 +464,12 @@ fn daemon_serves_mutations_and_replays_over_a_unix_socket() {
         "one scale, one line"
     );
     assert_eq!(log.matches("\"SetRate\"").count(), 1, "no per-pair flood");
+    let logged: Vec<&str> = log.lines().collect();
+    assert_eq!(
+        logged[logged.len() - late_lines.len()..],
+        late_lines,
+        "the late subscriber's stream is the tail of the audit log"
+    );
     assert!(!socket.exists(), "shutdown must remove the socket file");
     std::fs::remove_dir_all(&dir).ok();
 }

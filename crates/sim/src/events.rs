@@ -4,8 +4,7 @@
 //! broken by insertion sequence (so same-timestamp events are FIFO, as in
 //! ns-3's scheduler).
 
-use score_topology::{ServerId, VmId};
-use score_xen::MigrationSample;
+use score_topology::VmId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -23,15 +22,9 @@ pub enum SimEvent {
     /// pending update batch in place (sparse ledger re-pricing), between
     /// token holds and cost samples.
     TrafficShift,
-    /// A live migration finished moving a VM.
-    MigrationComplete {
-        /// The migrated VM.
-        vm: VmId,
-        /// The destination server.
-        to: ServerId,
-        /// Timing/bytes of the migration.
-        sample: MigrationSample,
-    },
+    /// A live migration finished moving a VM (the allocation switched at
+    /// decision time; this only advances the clock to the completion).
+    MigrationComplete,
     /// End of simulation.
     End,
 }

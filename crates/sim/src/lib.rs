@@ -60,7 +60,7 @@ pub use report::{
     FlowTableOps, ForecastStats, HypervisorStats, MigrationEvent, RecoveryStats, RunReport,
     TraceReplayStats,
 };
-pub use session::{FaultOutcome, Session, TrafficPhase};
+pub use session::{FaultOutcome, Session};
 pub use spec::{
     EngineSpec, ForecastSpec, PlacementSpec, PolicyKind, PolicySpec, ResourceSpec, Scenario,
     ScenarioBuilder, ScenarioError, TimingSpec, TopologyKind, TopologySpec, TraceSpec,

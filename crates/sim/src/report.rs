@@ -12,6 +12,7 @@ use score_topology::{ServerId, VmId};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use crate::metrics::UtilizationSnapshot;
 
@@ -91,6 +92,16 @@ pub struct TraceReplayStats {
 }
 
 impl TraceReplayStats {
+    /// Counts one applied batch that changed `pairs` rates and began at
+    /// `started` on the wall clock.
+    pub(crate) fn count_batch(&mut self, pairs: usize, started: Instant) {
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.events_applied += 1;
+        self.pairs_repriced += pairs as u64;
+        self.apply_ns_total += ns;
+        self.apply_ns_max = self.apply_ns_max.max(ns);
+    }
+
     /// Mean nanoseconds per applied batch (0 when none fired).
     pub fn mean_apply_ns(&self) -> f64 {
         if self.events_applied == 0 {

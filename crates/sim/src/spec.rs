@@ -1205,7 +1205,7 @@ impl Scenario {
             return Session::materialize_trace(self.clone(), topo, trace.compile());
         }
         let traffic = self.workload.generate(topo.as_ref());
-        Session::materialize(self.clone(), topo, traffic)
+        Session::materialize(self.clone(), topo, traffic, None)
     }
 
     /// Materializes with an externally built fabric and workload —
@@ -1221,7 +1221,7 @@ impl Scenario {
         topo: Arc<dyn Topology>,
         traffic: PairTraffic,
     ) -> Result<Session, ScenarioError> {
-        Session::materialize(self.clone(), topo, traffic)
+        Session::materialize(self.clone(), topo, traffic, None)
     }
 
     /// Serializes to compact JSON.

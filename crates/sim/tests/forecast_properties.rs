@@ -372,8 +372,7 @@ fn forecasting_sweeps_are_thread_count_invariant() {
 
 /// An active flash-crowd oracle run pre-empts spikes without ever
 /// paying a full ledger resync — the outlook path reads ahead, it
-/// never mutates (regression guard: `cluster_mut` must stay untouched
-/// by forecasting).
+/// never mutates.
 #[test]
 fn forecasting_never_dirties_the_ledger() {
     let mut scenario = quick_scenario(

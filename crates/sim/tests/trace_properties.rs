@@ -2,10 +2,12 @@
 //!
 //! Three invariants pin the trace subsystem to the pre-existing machinery:
 //!
-//! 1. **Piecewise-constant equivalence** — a trace that only changes the
-//!    TM at phase markers must reproduce `Session::run_phases` *exactly*
-//!    (bit-identical `RunReport`s): the trace path is a strict
-//!    generalization, not a reimplementation drifting on its own.
+//! 1. **Markers are report barriers the allocation crosses** — in a
+//!    piecewise-constant trace ([`Trace::piecewise`]) segment *i* starts
+//!    from the allocation segment *i − 1* ended on, priced under TM *i*,
+//!    with its time axis back at 0, whether the segments are advanced by
+//!    hand or by `Session::run_trace`; and segment *i* is reseeded with
+//!    `seed + i`, checked against a static run that never rebinds.
 //! 2. **Sparse re-pricing exactness** — any interleaving of mid-run
 //!    traffic deltas and token iterations leaves the incremental ledger
 //!    within 1e-9 relative of a fresh full Eq.-(2) recomputation, with
@@ -16,7 +18,7 @@
 //!    live report byte for byte.
 
 use proptest::prelude::*;
-use score_sim::{PolicyKind, Scenario, Session, TraceSpec, TrafficPhase, WorkloadSpec};
+use score_sim::{PolicyKind, Scenario, Session, TraceSpec, WorkloadSpec};
 use score_topology::VmId;
 use score_trace::{Trace, TraceEvent};
 use score_traffic::{PairTraffic, WorkloadConfig};
@@ -37,66 +39,30 @@ fn quick_scenario(policy: PolicyKind, seed: u64) -> Scenario {
     s
 }
 
-/// The `(u, v, rate)` updates that turn TM `from` into TM `to`.
-fn switch_updates(from: &PairTraffic, to: &PairTraffic) -> Vec<(u32, u32, f64)> {
-    let mut updates = Vec::new();
-    for (u, v, _) in from.pairs() {
-        updates.push((u.get(), v.get(), to.rate(u, v)));
-    }
-    for (u, v, r) in to.pairs() {
-        if from.rate(u, v) == 0.0 {
-            updates.push((u.get(), v.get(), r));
-        }
-    }
-    updates
-}
-
-fn run_phase_session(scenario: &Scenario, tms: &[(f64, PairTraffic)]) -> Vec<score_sim::RunReport> {
-    let mut s = scenario.clone();
-    s.workload = WorkloadSpec::ExplicitPairs {
-        num_vms: NUM_VMS,
-        pairs: tms[0]
-            .1
-            .pairs()
-            .iter()
-            .map(|&(u, v, r)| (u.get(), v.get(), r))
-            .collect(),
-        seed: scenario.workload.seed(),
-    };
-    let mut session = s.session().expect("phase scenario materializes");
-    let phases: Vec<TrafficPhase> = tms
-        .iter()
-        .map(|(d, tm)| TrafficPhase {
-            duration_s: *d,
-            traffic: tm.clone(),
-        })
-        .collect();
-    session.run_phases(&phases).expect("phases bind")
-}
-
-fn run_trace_session(scenario: &Scenario, tms: &[(f64, PairTraffic)]) -> Vec<score_sim::RunReport> {
+/// The piecewise-constant trace of `tms` built event by event: a
+/// marker at every boundary, then one `SetRate` per pair of the old TM
+/// whose rate moves and one per pair only the new TM has — the reference
+/// [`Trace::piecewise`] is held to.
+fn hand_built_piecewise(tms: &[(f64, PairTraffic)]) -> Trace {
     let end_s: f64 = tms.iter().map(|(d, _)| d).sum();
     let mut builder = Trace::builder(NUM_VMS, end_s).base_traffic(&tms[0].1);
     let mut t = 0.0;
-    for (i, (duration, tm)) in tms.iter().enumerate() {
-        if i > 0 {
-            builder = builder.marker(t, format!("phase-{i}"));
-            for (u, v, rate) in switch_updates(&tms[i - 1].1, tm) {
-                builder = builder.set_rate(t, u, v, rate);
+    for (i, shift) in tms.windows(2).enumerate() {
+        let ((duration, from), (_, to)) = (&shift[0], &shift[1]);
+        t += duration;
+        builder = builder.marker(t, format!("phase-{}", i + 1));
+        for (u, v, rate) in from.pairs() {
+            if to.rate(u, v) != rate {
+                builder = builder.set_rate(t, u.get(), v.get(), to.rate(u, v));
             }
         }
-        t += duration;
+        for (u, v, rate) in to.pairs() {
+            if from.rate(u, v) == 0.0 {
+                builder = builder.set_rate(t, u.get(), v.get(), rate);
+            }
+        }
     }
-    let trace = builder.build().expect("piecewise trace is valid");
-    let mut s = scenario.clone();
-    s.workload = WorkloadSpec::Trace {
-        spec: TraceSpec::Literal {
-            trace,
-            seed: scenario.workload.seed(),
-        },
-    };
-    let mut session = s.session().expect("trace scenario materializes");
-    session.run_trace().expect("trace replays")
+    builder.build().expect("piecewise trace is valid")
 }
 
 /// Applies one update batch and checks the ledger against a fresh
@@ -118,16 +84,17 @@ fn check_ledger(session: &Session) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariant 1: piecewise-constant traces ≡ `run_phases`, exactly.
+    /// Invariant 1: every segment of a piecewise-constant trace starts
+    /// where the previous one stopped, and `run_trace` is that loop.
     #[test]
-    fn piecewise_trace_reproduces_run_phases(
+    fn piecewise_trace_carries_the_allocation_across_segments(
         seed in 0u64..200,
         tm_seeds in prop::collection::vec(0u64..10_000, 2..4),
         durations in prop::collection::vec(20u32..60, 2..4),
         hlf in 0u8..2,
     ) {
         let policy = if hlf == 1 { PolicyKind::HighestLevelFirst } else { PolicyKind::RoundRobin };
-        let scenario = quick_scenario(policy, seed);
+        let mut scenario = quick_scenario(policy, seed);
         let n = tm_seeds.len().min(durations.len());
         let tms: Vec<(f64, PairTraffic)> = tm_seeds
             .iter()
@@ -135,9 +102,63 @@ proptest! {
             .take(n)
             .map(|(&s, &d)| (f64::from(d), WorkloadConfig::new(NUM_VMS, s).generate()))
             .collect();
-        let phase_reports = run_phase_session(&scenario, &tms);
-        let trace_reports = run_trace_session(&scenario, &tms);
-        prop_assert_eq!(trace_reports, phase_reports);
+        let trace = Trace::piecewise(&tms).expect("piecewise trace is valid");
+        prop_assert_eq!(&trace, &hand_built_piecewise(&tms));
+        scenario.workload = WorkloadSpec::Trace {
+            spec: TraceSpec::Literal { trace, seed: scenario.workload.seed() },
+        };
+
+        let mut session = scenario.session().expect("trace scenario materializes");
+        let mut reports = Vec::new();
+        let mut carried = None;
+        for (i, (_, tm)) in tms.iter().enumerate() {
+            let alloc = session.cluster().allocation();
+            if let Some(previous) = &carried {
+                prop_assert_eq!(alloc, previous, "segment {} lost the allocation", i);
+            }
+            let priced = session.cost_model().total_cost(alloc, tm, session.cluster().topo());
+            prop_assert!(
+                (session.initial_cost() - priced).abs() <= 1e-9 * priced.abs().max(1.0),
+                "segment {} opens at {} but TM {} prices its allocation at {}",
+                i, session.initial_cost(), i, priced
+            );
+            session.run_to_horizon();
+            let report = session.report();
+            prop_assert_eq!(report.initial_cost, session.initial_cost());
+            prop_assert_eq!(report.cost_series[0].0, 0.0, "the time axis restarts");
+            reports.push(report);
+            carried = Some(session.cluster().allocation().clone());
+            prop_assert_eq!(session.advance_trace_segment().unwrap(), i + 1 < tms.len());
+        }
+        let mut replay = scenario.session().expect("trace scenario materializes");
+        prop_assert_eq!(replay.run_trace().expect("trace replays"), reports);
+
+        // The reseed rule, against a reference that shares no loop with
+        // the segment advance: behind an idle opening phase (an empty TM
+        // moves no VM) segment 1 makes the holds and migrations of a
+        // static run of TM 1 seeded `seed + 1` from the same placement.
+        let literal = |phases: &[(f64, PairTraffic)]| WorkloadSpec::Trace {
+            spec: TraceSpec::Literal {
+                trace: Trace::piecewise(phases).expect("piecewise trace is valid"),
+                seed: scenario.workload.seed(),
+            },
+        };
+        let mut idle_first = scenario.clone();
+        idle_first.workload = literal(&[(tms[0].0, PairTraffic::empty(NUM_VMS)), tms[1].clone()]);
+        let mut session = idle_first.session().expect("trace scenario materializes");
+        session.run_to_horizon();
+        prop_assert!(session.report().migrations.is_empty());
+        prop_assert!(session.advance_trace_segment().unwrap());
+        session.run_to_horizon();
+        let mut reseeded = scenario.clone();
+        reseeded.seed = seed + 1;
+        reseeded.workload = literal(&tms[1..2]);
+        let mut reference = reseeded.session().expect("static scenario materializes");
+        reference.run_to_horizon();
+        let (got, want) = (session.report(), reference.report());
+        prop_assert!(!want.migrations.is_empty());
+        prop_assert_eq!(got.migrations, want.migrations);
+        prop_assert_eq!(got.token_holds, want.token_holds);
     }
 
     /// Invariant 2: sparse deltas interleaved with token holds keep the

@@ -20,7 +20,7 @@ use score_traffic::PairTraffic;
 use std::io::Write as _;
 use std::path::Path;
 
-use crate::trace::{TimedEvent, Trace, TraceError, TraceEvent};
+use crate::trace::{push_rebind, TimedEvent, Trace, TraceError, TraceEvent};
 
 /// Captures applied traffic deltas into a replayable [`Trace`] (see the
 /// module docs). Event times are recorded on an absolute clock that
@@ -148,37 +148,7 @@ impl TraceRecorder {
         old: &PairTraffic,
         new: &PairTraffic,
     ) {
-        self.events.push(TimedEvent {
-            time_s: at_s,
-            event: TraceEvent::Marker {
-                label: label.into(),
-            },
-        });
-        for (u, v, old_rate) in old.pairs() {
-            let new_rate = new.rate(u, v);
-            if new_rate != old_rate {
-                self.events.push(TimedEvent {
-                    time_s: at_s,
-                    event: TraceEvent::SetRate {
-                        u: u.get(),
-                        v: v.get(),
-                        rate: new_rate,
-                    },
-                });
-            }
-        }
-        for (u, v, rate) in new.pairs() {
-            if old.rate(u, v) == 0.0 {
-                self.events.push(TimedEvent {
-                    time_s: at_s,
-                    event: TraceEvent::SetRate {
-                        u: u.get(),
-                        v: v.get(),
-                        rate,
-                    },
-                });
-            }
-        }
+        push_rebind(&mut self.events, at_s, label.into(), old, new);
     }
 
     /// Closes the recording into a validated [`Trace`] lasting `end_s`

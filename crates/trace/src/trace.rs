@@ -51,8 +51,8 @@ pub enum TraceEvent {
         /// Multiplicative factor, `> 0`.
         factor: f64,
     },
-    /// Phase boundary: closes the current segment (report barrier with
-    /// `run_phases` semantics) and labels the next one.
+    /// Phase boundary: closes the current segment — a report barrier the
+    /// allocation carries over — and labels the next one.
     Marker {
         /// Human-readable phase label.
         label: String,
@@ -261,11 +261,95 @@ pub fn scaled_rate(rate: f64, factor: f64) -> f64 {
     (rate * factor).min(f64::MAX)
 }
 
+/// Appends a wholesale TM shift at `at_s` to `events`: a
+/// [`TraceEvent::Marker`] followed by the per-pair re-rates turning
+/// `old` into `new` (pairs vanishing from `new` are set to 0, unchanged
+/// pairs are skipped). The one old→new pair diff: [`Trace::piecewise`]
+/// scripts boundaries with it and `TraceRecorder::record_rebind`
+/// records them with it.
+pub(crate) fn push_rebind(
+    events: &mut Vec<TimedEvent>,
+    at_s: f64,
+    label: String,
+    old: &PairTraffic,
+    new: &PairTraffic,
+) {
+    events.push(TimedEvent {
+        time_s: at_s,
+        event: TraceEvent::Marker { label },
+    });
+    let changed = old.pairs().into_iter().filter_map(|(u, v, was)| {
+        let now = new.rate(u, v);
+        (now != was).then_some((u, v, now))
+    });
+    let added = new
+        .pairs()
+        .into_iter()
+        .filter(|&(u, v, _)| old.rate(u, v) == 0.0);
+    events.extend(changed.chain(added).map(|(u, v, rate)| TimedEvent {
+        time_s: at_s,
+        event: TraceEvent::SetRate {
+            u: u.get(),
+            v: v.get(),
+            rate,
+        },
+    }));
+}
+
 impl Trace {
     /// Starts a builder for a trace over `num_vms` VMs lasting `end_s`
     /// seconds.
     pub fn builder(num_vms: u32, end_s: f64) -> TraceBuilder {
         TraceBuilder::new(num_vms, end_s)
+    }
+
+    /// The piecewise-constant trace of a sequence of `(duration_s, TM)`
+    /// phases — the one way to script wholesale TM shifts. TM 0 is the
+    /// base; every later phase opens with a marker labelled `phase-i`
+    /// and the re-rates turning TM `i − 1` into TM `i`, all at the
+    /// boundary, so [`Trace::compile`] folds them into segment `i`'s
+    /// initial TM and a session replaying the trace starts each phase
+    /// from the allocation the previous one ended on. Boundaries sit at
+    /// the running sum of the durations, so a compiled segment lasts the
+    /// difference of two such sums: `duration_s` exactly for dyadic
+    /// values (whole seconds), within rounding otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError`] for an empty phase list
+    /// ([`TraceError::BadDuration`]), phases over different populations
+    /// ([`TraceError::BadEvent`]) and whatever [`Trace::validate`]
+    /// finds in the result (negative or non-finite durations).
+    pub fn piecewise(phases: &[(f64, PairTraffic)]) -> Result<Trace, TraceError> {
+        let Some((_, base)) = phases.first() else {
+            return Err(TraceError::BadDuration(0.0));
+        };
+        let end_s = phases.iter().map(|(duration_s, _)| duration_s).sum();
+        let mut builder = Trace::builder(base.num_vms(), end_s).base_traffic(base);
+        let mut at_s = 0.0;
+        for (i, shift) in phases.windows(2).enumerate() {
+            let ((duration_s, old), (_, new)) = (&shift[0], &shift[1]);
+            if new.num_vms() != base.num_vms() {
+                return Err(TraceError::BadEvent {
+                    index: builder.events.len(),
+                    reason: format!(
+                        "phase {} has {} VMs, the base TM {}",
+                        i + 1,
+                        new.num_vms(),
+                        base.num_vms()
+                    ),
+                });
+            }
+            at_s += duration_s;
+            push_rebind(
+                &mut builder.events,
+                at_s,
+                format!("phase-{}", i + 1),
+                old,
+                new,
+            );
+        }
+        builder.build()
     }
 
     /// Builds a trace from parts, validating everything.
@@ -860,6 +944,49 @@ mod tests {
         let c = t.compile();
         assert_eq!(c.segments.len(), 1);
         assert_eq!(c.segments[0].label.as_deref(), Some("head"));
+    }
+
+    #[test]
+    fn piecewise_phases_compile_to_their_own_tms() {
+        let tm = |pairs: &[(u32, u32, f64)]| {
+            let mut b = PairTrafficBuilder::new(4);
+            for &(u, v, r) in pairs {
+                b.add(VmId::new(u), VmId::new(v), r);
+            }
+            b.build()
+        };
+        // (0,1) re-rated, (2,3) dropped, (1,2) new; then (0,1) kept as is.
+        let phases = [
+            (30.0, tm(&[(0, 1, 10.0), (2, 3, 5.0)])),
+            (20.0, tm(&[(0, 1, 20.0), (1, 2, 4.0)])),
+            (50.0, tm(&[(0, 1, 20.0)])),
+        ];
+        let trace = Trace::piecewise(&phases).unwrap();
+        assert_eq!(trace.end_s(), 100.0);
+        assert_eq!(trace.num_markers(), 2);
+        assert_eq!(trace.num_events(), 2 + 3 + 1, "unchanged pairs are skipped");
+        let compiled = trace.compile();
+        assert_eq!(compiled.segments.len(), 3);
+        for (seg, (duration_s, tm)) in compiled.segments.iter().zip(&phases) {
+            assert_eq!(seg.duration_s, *duration_s);
+            assert_eq!(&seg.initial, tm);
+            assert!(seg.shifts.is_empty());
+        }
+        assert_eq!(compiled.segments[2].label.as_deref(), Some("phase-2"));
+        // Horizons are differences of boundary times: exact above, within
+        // rounding for durations a running sum cannot carry exactly.
+        let uneven = [(0.1, phases[0].1.clone()), (0.2, phases[1].1.clone())];
+        let compiled = Trace::piecewise(&uneven).unwrap().compile();
+        assert_eq!(compiled.segments[0].duration_s, 0.1);
+        assert!((compiled.segments[1].duration_s - 0.2).abs() <= 1e-15);
+
+        assert_eq!(Trace::piecewise(&[]), Err(TraceError::BadDuration(0.0)));
+        let other = PairTrafficBuilder::new(5).build();
+        assert!(matches!(
+            Trace::piecewise(&[phases[0].clone(), (10.0, other)]),
+            Err(TraceError::BadEvent { .. })
+        ));
+        assert!(Trace::piecewise(&[(-1.0, phases[0].1.clone())]).is_err());
     }
 
     #[test]

@@ -7,37 +7,42 @@
 //! cargo run --example dynamic_workload
 //! ```
 
-use s_core::sim::{PolicyKind, Scenario, TrafficPhase};
+use s_core::sim::{PolicyKind, Scenario, TraceSpec, WorkloadSpec};
+use s_core::trace::Trace;
 use s_core::traffic::{TrafficIntensity, WorkloadConfig};
 
 fn main() {
     let mut scenario = Scenario::small_canonical(TrafficIntensity::Sparse, 31);
     scenario.policy = PolicyKind::HighestLevelFirst;
-    let mut session = scenario.session().expect("preset scenario is feasible");
-    let num_vms = session.traffic().num_vms();
+    let workload_a = scenario
+        .session()
+        .expect("preset scenario is feasible")
+        .traffic()
+        .clone();
+    let num_vms = workload_a.num_vms();
 
     // Three epochs: the original workload, a completely re-clustered one
-    // (services redeployed), then a denser variant of the second.
+    // (services redeployed), then a denser variant of the second — one
+    // piecewise-constant trace, a marker at each shift.
     let workload_b = WorkloadConfig::new(num_vms, 777).generate();
     let workload_c = WorkloadConfig::new(num_vms, 777)
         .with_intensity(TrafficIntensity::Medium)
         .generate();
-    let phases = vec![
-        TrafficPhase {
-            duration_s: 250.0,
-            traffic: session.traffic().clone(),
+    let trace = Trace::piecewise(&[
+        (250.0, workload_a),
+        (250.0, workload_b),
+        (250.0, workload_c),
+    ])
+    .expect("same population throughout");
+    scenario.workload = WorkloadSpec::Trace {
+        spec: TraceSpec::Literal {
+            trace,
+            seed: scenario.workload.seed(),
         },
-        TrafficPhase {
-            duration_s: 250.0,
-            traffic: workload_b,
-        },
-        TrafficPhase {
-            duration_s: 250.0,
-            traffic: workload_c,
-        },
-    ];
+    };
 
-    let reports = session.run_phases(&phases).expect("phases bind cleanly");
+    let mut session = scenario.session().expect("trace scenario is feasible");
+    let reports = session.run_trace().expect("segments bind cleanly");
 
     println!("S-CORE across three traffic epochs (250 s each):\n");
     for (i, report) in reports.iter().enumerate() {

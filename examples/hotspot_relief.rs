@@ -40,11 +40,12 @@ fn main() {
     let report = score_session.report();
     describe("s-core", score_session.cluster(), score_session.traffic());
 
-    // Remedy balances utilization instead.
-    let mut remedy_session = scenario.session().expect("preset scenario is feasible");
-    let (cluster, traffic) = remedy_session.split_mut();
-    let result = Remedy::new(RemedyConfig::paper_default()).run(cluster, traffic);
-    describe("remedy", remedy_session.cluster(), remedy_session.traffic());
+    // Remedy balances utilization instead, on its own copy of the
+    // initial cluster.
+    let mut remedy_cluster = session0.cluster().clone();
+    let result =
+        Remedy::new(RemedyConfig::paper_default()).run(&mut remedy_cluster, session0.traffic());
+    describe("remedy", &remedy_cluster, session0.traffic());
 
     println!(
         "\nS-CORE migrated {} VMs and cut communication cost by {:.1}%;",

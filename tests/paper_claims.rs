@@ -97,16 +97,19 @@ fn score_outperforms_remedy() {
 
     let mut score_session = scenario.session().expect("preset scenario is feasible");
     let initial = score_session.initial_cost();
+    // Remedy starts from a copy of the same initial cluster.
+    let mut remedy_cluster = score_session.cluster().clone();
     score_session.run_to_horizon();
     let report = score_session.report();
     let score_reduction = 1.0 - report.final_cost / initial;
 
-    let mut remedy_session = scenario.session().expect("preset scenario is feasible");
-    {
-        let (cluster, traffic) = remedy_session.split_mut();
-        Remedy::new(RemedyConfig::paper_default()).run(cluster, traffic);
-    }
-    let remedy_cost = remedy_session.current_cost();
+    let traffic = score_session.traffic();
+    Remedy::new(RemedyConfig::paper_default()).run(&mut remedy_cluster, traffic);
+    let remedy_cost = score_session.cost_model().total_cost(
+        remedy_cluster.allocation(),
+        traffic,
+        remedy_cluster.topo(),
+    );
     let remedy_reduction = 1.0 - remedy_cost / initial;
 
     assert!(
@@ -123,12 +126,9 @@ fn score_outperforms_remedy() {
         score_session.cluster().topo(),
     )
     .utilization_cdf(Level::CORE);
-    let remedy_core = LinkLoadMap::compute(
-        remedy_session.cluster().allocation(),
-        remedy_session.traffic(),
-        remedy_session.cluster().topo(),
-    )
-    .utilization_cdf(Level::CORE);
+    let remedy_core =
+        LinkLoadMap::compute(remedy_cluster.allocation(), traffic, remedy_cluster.topo())
+            .utilization_cdf(Level::CORE);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     assert!(mean(&score_core) < mean(&remedy_core));
 }

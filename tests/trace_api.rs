@@ -99,12 +99,14 @@ fn multi_segment_traces_report_per_phase() {
         .policy(PolicyKind::RoundRobin)
         .build();
     let mut session = scenario.session().unwrap();
-    assert_eq!(session.trace_segments_remaining(), 1);
     let reports = session.run_trace().unwrap();
     assert_eq!(reports.len(), 2);
     assert_eq!(reports[0].trace.events_applied, 1);
     assert_eq!(reports[1].trace.events_applied, 1);
-    assert_eq!(session.trace_segments_remaining(), 0);
+    assert!(
+        !session.advance_trace_segment().unwrap(),
+        "run_trace consumed every segment"
+    );
     assert_eq!(session.ledger_resyncs(), 0);
 }
 
