@@ -50,13 +50,12 @@ impl LinkLoadMap {
         topo: &T,
     ) -> Self {
         let links = topo.graph().links();
-        let mut load_bps = vec![0.0; links.len()];
-        for (u, v, rate) in traffic.pairs() {
-            let (su, sv) = (alloc.server_of(u), alloc.server_of(v));
-            for share in topo.route_shares(su, sv) {
-                load_bps[share.link.index()] += rate * share.fraction;
-            }
-        }
+        let load_bps = topo.link_loads(
+            &mut traffic
+                .pairs()
+                .into_iter()
+                .map(|(u, v, rate)| (alloc.server_of(u), alloc.server_of(v), rate)),
+        );
         LinkLoadMap {
             load_bps,
             capacity_bps: links.iter().map(|l| l.capacity_bps).collect(),

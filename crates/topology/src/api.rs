@@ -149,6 +149,31 @@ pub trait Topology: fmt::Debug + Send + Sync {
     /// Panics if either server is out of range.
     fn route_shares(&self, a: ServerId, b: ServerId) -> Vec<RouteShare>;
 
+    /// Load per link (indexed by [`LinkId`]) after fluid-routing every
+    /// `(a, b, rate)` flow over its [`route_shares`](Topology::route_shares):
+    /// `load[link] += rate * fraction`, flows taken in iteration order.
+    ///
+    /// `route_shares` is the definition; this default applies it pair by
+    /// pair, which costs O(shares) per flow. Override it only when a flow
+    /// has many shares *and* whole groups of links always receive the same
+    /// addends (the fat-tree's ECMP bundles: `(k/2)²` paths per cross-pod
+    /// pair), so one accumulator can stand for the group. An override must
+    /// return, bit for bit, what this default returns — every link sums
+    /// the same `rate * fraction` terms in the same flow order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a server is out of range.
+    fn link_loads(&self, flows: &mut dyn Iterator<Item = (ServerId, ServerId, f64)>) -> Vec<f64> {
+        let mut load = vec![0.0; self.graph().num_links()];
+        for (a, b, rate) in flows {
+            for share in self.route_shares(a, b) {
+                load[share.link.index()] += rate * share.fraction;
+            }
+        }
+        load
+    }
+
     /// Communication level between two servers, `ℓ = h / 2` (paper §II).
     fn level(&self, a: ServerId, b: ServerId) -> Level {
         Level::from_hops(self.hops(a, b))

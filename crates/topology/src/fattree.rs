@@ -308,18 +308,21 @@ impl Topology for FatTree {
         if a == b {
             return Vec::new();
         }
-        let mut shares = vec![
-            RouteShare::new(self.host_links[a.index()], 1.0),
-            RouteShare::new(self.host_links[b.index()], 1.0),
-        ];
         let ea = self.edge_of(a) as usize;
         let eb = self.edge_of(b) as usize;
-        if ea == eb {
-            return shares;
-        }
         let half = self.half() as usize;
         let pa = self.pod_of(a);
         let pb = self.pod_of(b);
+        // Two host links, plus 2·half edge uplinks once the pair leaves
+        // its edge, plus 2·half² core links once it leaves its pod.
+        let uplinks = if ea == eb { 0 } else { 2 * half };
+        let core_links = if pa == pb { 0 } else { 2 * half * half };
+        let mut shares = Vec::with_capacity(2 + uplinks + core_links);
+        shares.push(RouteShare::new(self.host_links[a.index()], 1.0));
+        shares.push(RouteShare::new(self.host_links[b.index()], 1.0));
+        if ea == eb {
+            return shares;
+        }
         if pa == pb {
             // k/2 equal-cost paths, one per pod aggregation switch.
             let frac = 1.0 / half as f64;
@@ -351,6 +354,54 @@ impl Topology for FatTree {
             }
         }
         shares
+    }
+
+    /// O(flows + links) instead of O(flows × (k/2)²): all `half` uplinks
+    /// of an edge switch receive `rate / half` from exactly the flows that
+    /// leave that edge, and all `half²` agg→core links of a pod receive
+    /// `rate / half²` from exactly the flows that leave that pod (see
+    /// [`route_shares`](Topology::route_shares): the fractions do not
+    /// depend on `j` or `i`). One accumulator per bundle therefore sees
+    /// the same addends in the same order as each of its links would, and
+    /// copying it to them at the end is bit-for-bit the per-link sum.
+    fn link_loads(&self, flows: &mut dyn Iterator<Item = (ServerId, ServerId, f64)>) -> Vec<f64> {
+        let half = self.half() as usize;
+        let frac_agg = 1.0 / half as f64;
+        let frac_core = 1.0 / (half * half) as f64;
+        let mut load = vec![0.0; self.graph.num_links()];
+        let mut edge_up = vec![0.0; self.num_racks()];
+        let mut pod_up = vec![0.0; self.k as usize];
+        for (a, b, rate) in flows {
+            self.assert_server(a);
+            self.assert_server(b);
+            if a == b {
+                continue;
+            }
+            load[self.host_links[a.index()].index()] += rate;
+            load[self.host_links[b.index()].index()] += rate;
+            let (ea, eb) = (self.edge_of(a) as usize, self.edge_of(b) as usize);
+            if ea == eb {
+                continue;
+            }
+            edge_up[ea] += rate * frac_agg;
+            edge_up[eb] += rate * frac_agg;
+            let (pa, pb) = (ea / half, eb / half);
+            if pa != pb {
+                pod_up[pa] += rate * frac_core;
+                pod_up[pb] += rate * frac_core;
+            }
+        }
+        for (links, &up) in self.edge_agg_links.iter().zip(&edge_up) {
+            for link in links {
+                load[link.index()] = up;
+            }
+        }
+        for (aggs, &up) in self.agg_core_links.chunks(half).zip(&pod_up) {
+            for link in aggs.iter().flatten() {
+                load[link.index()] = up;
+            }
+        }
+        load
     }
 }
 
@@ -423,6 +474,38 @@ mod tests {
         for s in core_shares {
             assert!((s.fraction - 0.25).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn link_loads_give_every_link_of_a_bundle_the_same_bits() {
+        let t = FatTreeBuilder::new().k(6).build().unwrap();
+        let s = ServerId::new;
+        // Out of edge 0 / pod 0: two cross-pod flows, one same-pod, one
+        // same-edge, one collocated — rates whose sums round.
+        let flows = [
+            (s(0), s(53), 0.1),
+            (s(2), s(30), 1e9 / 3.0),
+            (s(1), s(4), 0.7),
+            (s(0), s(1), 5.0),
+            (s(7), s(7), 9.0),
+        ];
+        let load = t.link_loads(&mut flows.into_iter());
+        let uplinks = t.edge_agg_links[0].clone();
+        let core: Vec<LinkId> = t.agg_core_links[..3].iter().flatten().copied().collect();
+        assert_eq!((uplinks.len(), core.len()), (3, 9));
+        let (third, ninth) = (1.0 / 3.0, 1.0 / 9.0);
+        let expected: [f64; 2] = [
+            0.1 * third + (1e9 / 3.0) * third + 0.7 * third,
+            0.1 * ninth + (1e9 / 3.0) * ninth,
+        ];
+        for (bundle, want) in [uplinks, core].iter().zip(expected) {
+            for link in bundle {
+                assert_eq!(load[link.index()].to_bits(), want.to_bits());
+            }
+        }
+        // Nothing leaks past the flows' own edges and pods.
+        assert_eq!(load[t.edge_agg_links[2][0].index()], 0.0);
+        assert_eq!(load[t.agg_core_links[3][0].index()], 0.0);
     }
 
     #[test]

@@ -116,6 +116,11 @@ impl Topology for LeafSpine {
         self.host_nodes[s.index()]
     }
 
+    // `Topology::link_loads` (the bulk form reports use) keeps its default,
+    // which applies this per pair: a pair here has at most 2 + 2·spines
+    // shares. Override it only when shares per pair grow with the square
+    // of the fan-out, as in the fat-tree — and then it must return the
+    // default's result bit for bit.
     fn route_shares(&self, a: ServerId, b: ServerId) -> Vec<RouteShare> {
         if a == b {
             return Vec::new();

@@ -4,7 +4,9 @@
 //! provides the subset of serde the workspace uses under the same names:
 //! [`Serialize`] / [`Deserialize`] traits, `#[derive(Serialize,
 //! Deserialize)]`, and a JSON-shaped [`Value`] data model that
-//! `serde_json` (the sibling shim) renders and parses.
+//! `serde_json` (the sibling shim) renders and parses. Compact output
+//! skips the model: [`Serialize::write_compact`] writes the same bytes
+//! straight into the output string.
 //!
 //! The data model intentionally mirrors serde's JSON conventions so that
 //! swapping the real serde back in later is a drop-in change:
@@ -125,6 +127,16 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Serializes `self` into the data model.
     fn to_value(&self) -> Value;
+
+    /// Appends `self` to `out` as compact JSON: exactly the bytes the
+    /// compact rendering of [`to_value`](Serialize::to_value) has, which
+    /// is what this default produces. The derive and the impls in this
+    /// crate override it to write their fields straight into `out`, so a
+    /// large report is never held as a [`Value`] tree; a hand-written
+    /// impl need not.
+    fn write_compact(&self, out: &mut String) {
+        json::write_value(out, &self.to_value(), None, 0);
+    }
 }
 
 /// Reconstructs a value from the [`Value`] data model.
@@ -150,15 +162,138 @@ pub fn field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, Er
         .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
 }
 
+/// JSON text rendering, shared by [`Serialize::write_compact`] (its default,
+/// the overrides in this crate and the derive's generated code) and by the
+/// `serde_json` front-end, so a number or a string has one spelling
+/// whichever way a value reaches the output.
+pub mod json {
+    use super::{Serialize, Value};
+    use std::fmt::{Display, Write as _};
+
+    /// Renders `v` into `out`: compact when `indent` is `None`, otherwise
+    /// one item per line, `indent` spaces per level, starting at `depth`.
+    pub fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => write_bool(out, *b),
+            Value::Int(i) => write_int(out, *i),
+            Value::Float(f) => write_f64(out, *f),
+            Value::Str(s) => write_str(out, s),
+            Value::Array(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_value(out, item, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push(']');
+            }
+            Value::Object(pairs) => {
+                if pairs.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (k, item)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_str(out, k);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    write_value(out, item, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', width * depth));
+        }
+    }
+
+    /// `true` / `false`.
+    pub fn write_bool(out: &mut String, b: bool) {
+        out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An integer of any width, in decimal.
+    pub fn write_int(out: &mut String, i: impl Display) {
+        let _ = write!(out, "{i}");
+    }
+
+    /// A float; JSON has no NaN/Infinity, so those become `null`.
+    pub fn write_f64(out: &mut String, f: f64) {
+        if f.is_finite() {
+            // `{:?}` prints the shortest representation that parses
+            // back to the same f64, always with a `.` or exponent.
+            let _ = write!(out, "{f:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    /// A quoted, escaped string.
+    pub fn write_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// A compact array of the items' own renderings.
+    pub fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl Iterator<Item = &'a T>) {
+        out.push('[');
+        for (i, item) in items.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_compact(out);
+        }
+        out.push(']');
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn write_compact(&self, out: &mut String) {
+        (**self).write_compact(out);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn write_compact(&self, out: &mut String) {
+        (**self).write_compact(out);
     }
 }
 
@@ -173,6 +308,9 @@ macro_rules! int_impls {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i128)
+            }
+            fn write_compact(&self, out: &mut String) {
+                json::write_int(out, *self);
             }
         }
         impl Deserialize for $t {
@@ -196,6 +334,9 @@ macro_rules! float_impls {
             fn to_value(&self) -> Value {
                 Value::Float(f64::from(*self))
             }
+            fn write_compact(&self, out: &mut String) {
+                json::write_f64(out, f64::from(*self));
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -213,6 +354,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_compact(&self, out: &mut String) {
+        json::write_bool(out, *self);
+    }
 }
 
 impl Deserialize for bool {
@@ -224,6 +368,9 @@ impl Deserialize for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn write_compact(&self, out: &mut String) {
+        json::write_str(out, self);
     }
 }
 
@@ -239,11 +386,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_owned())
     }
+    fn write_compact(&self, out: &mut String) {
+        json::write_str(out, self);
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+    fn write_compact(&self, out: &mut String) {
+        json::write_str(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -282,6 +435,12 @@ impl<T: Serialize> Serialize for Option<T> {
             Some(t) => t.to_value(),
         }
     }
+    fn write_compact(&self, out: &mut String) {
+        match self {
+            None => out.push_str("null"),
+            Some(t) => t.write_compact(out),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -296,6 +455,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_compact(&self, out: &mut String) {
+        json::write_seq(out, self.iter());
     }
 }
 
@@ -313,6 +475,9 @@ impl<T: Serialize> Serialize for VecDeque<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_compact(&self, out: &mut String) {
+        json::write_seq(out, self.iter());
+    }
 }
 
 impl<T: Deserialize> Deserialize for VecDeque<T> {
@@ -325,11 +490,17 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_compact(&self, out: &mut String) {
+        json::write_seq(out, self.iter());
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_compact(&self, out: &mut String) {
+        json::write_seq(out, self.iter());
     }
 }
 
@@ -347,6 +518,13 @@ macro_rules! tuple_impls {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$i.to_value()),+])
+            }
+            fn write_compact(&self, out: &mut String) {
+                $(
+                    out.push(if $i == 0 { '[' } else { ',' });
+                    self.$i.write_compact(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {

@@ -255,9 +255,22 @@ fn gen_serialize(item: &Item) -> String {
                 }
                 Fields::Unit => "::serde::Value::Null".to_string(),
             };
+            let write = match fields {
+                Fields::Named(fs) => {
+                    gen_write("{", fs.iter().map(|f| (key(f), format!("&self.{f}"))), "}")
+                }
+                Fields::Tuple(1) => gen_write("", [(String::new(), "&self.0".to_string())], ""),
+                Fields::Tuple(n) => gen_write(
+                    "[",
+                    (0..*n).map(|i| (String::new(), format!("&self.{i}"))),
+                    "]",
+                ),
+                Fields::Unit => gen_write("null", [], ""),
+            };
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+                     fn write_compact(&self, __out: &mut ::std::string::String) {{ {write} }}\n\
                  }}"
             )
         }
@@ -301,16 +314,90 @@ fn gen_serialize(item: &Item) -> String {
                     }
                 })
                 .collect();
+            let write_arms: Vec<String> = variants
+                .iter()
+                .map(|(v, fields)| match fields {
+                    Fields::Unit => {
+                        format!(
+                            "{name}::{v} => {{ {} }}",
+                            gen_write(&format!("\"{v}\""), [], "")
+                        )
+                    }
+                    Fields::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                        let (open, close) = if *n == 1 { ("", "}") } else { ("[", "]}") };
+                        format!(
+                            "{name}::{v}({}) => {{ {} }}",
+                            binds.join(", "),
+                            gen_write(
+                                &format!("{{{}{open}", key(v)),
+                                binds.iter().map(|b| (String::new(), b.clone())),
+                                close,
+                            )
+                        )
+                    }
+                    Fields::Named(fs) => format!(
+                        "{name}::{v} {{ {} }} => {{ {} }}",
+                        fs.join(", "),
+                        gen_write(
+                            &format!("{{{}{{", key(v)),
+                            fs.iter().map(|f| (key(f), f.clone())),
+                            "}}",
+                        )
+                    ),
+                })
+                .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{\n\
                          match self {{\n{}\n}}\n\
                      }}\n\
+                     fn write_compact(&self, __out: &mut ::std::string::String) {{\n\
+                         match self {{\n{}\n}}\n\
+                     }}\n\
                  }}",
-                arms.join("\n")
+                arms.join("\n"),
+                write_arms.join("\n")
             )
         }
     }
+}
+
+/// `"name":` — an object key as it appears in compact JSON.
+fn key(name: &str) -> String {
+    format!("\"{name}\":")
+}
+
+/// Statements appending to `__out` the compact JSON of a field list:
+/// `open`, then each `(key, expr)` as the key (empty inside arrays and
+/// newtypes) followed by `expr`'s own `write_compact`, comma-separated, then
+/// `close` — the bytes `to_value` rendered compactly would have, with the
+/// punctuation and keys folded into string literals at compile time.
+fn gen_write(
+    open: &str,
+    fields: impl IntoIterator<Item = (String, String)>,
+    close: &str,
+) -> String {
+    let mut code = String::new();
+    let mut lit = open.to_string();
+    for (i, (key, expr)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            lit.push(',');
+        }
+        lit.push_str(&key);
+        if !lit.is_empty() {
+            code.push_str(&format!("__out.push_str({lit:?});\n"));
+            lit.clear();
+        }
+        code.push_str(&format!(
+            "::serde::Serialize::write_compact({expr}, __out);\n"
+        ));
+    }
+    lit.push_str(close);
+    if !lit.is_empty() {
+        code.push_str(&format!("__out.push_str({lit:?});\n"));
+    }
+    code
 }
 
 fn gen_deserialize(item: &Item) -> String {

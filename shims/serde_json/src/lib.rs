@@ -5,8 +5,8 @@
 
 pub use serde::{Error, Value};
 
+use serde::json::write_value;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Serializes a value into the [`Value`] data model.
 pub fn to_value<T: Serialize>(value: &T) -> Value {
@@ -22,7 +22,8 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     T::from_value(value)
 }
 
-/// Renders a value as compact JSON.
+/// Renders a value as compact JSON, written straight into the output
+/// string ([`Serialize::write_compact`]) — no [`Value`] tree in between.
 ///
 /// # Errors
 ///
@@ -30,7 +31,7 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
 /// `serde_json` signature.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.write_compact(&mut out);
     Ok(out)
 }
 
@@ -75,89 +76,6 @@ pub fn parse_value_str(s: &str) -> Result<Value, Error> {
         )));
     }
     Ok(v)
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` prints the shortest representation that parses
-                // back to the same f64, always with a `.` or exponent.
-                let _ = write!(out, "{f:?}");
-            } else {
-                out.push_str("null"); // JSON has no NaN/Infinity
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * depth));
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
