@@ -669,10 +669,8 @@ impl Cluster {
     /// Panics if a change names a self-pair, an out-of-range VM, or a
     /// negative/non-finite new rate.
     pub fn patch_traffic(&mut self, changes: &[(VmId, VmId, f64, f64)]) {
-        let updates: Vec<(VmId, VmId, f64)> =
-            changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
-        self.traffic.apply_updates(&updates);
         for &(u, v, old, new) in changes {
+            self.traffic.apply_update(u, v, new);
             let delta = new - old;
             for vm in [u, v] {
                 self.vm_nic_demand[vm.index()] += delta;

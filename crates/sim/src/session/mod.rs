@@ -31,7 +31,7 @@ use score_core::{
     TokenRing,
 };
 use score_topology::{Topology, VmId};
-use score_trace::{CompiledTrace, TraceSegment, TrafficDelta};
+use score_trace::{CompiledTrace, ShiftRun, TraceSegment};
 use score_traffic::{CbrLoad, PairTraffic};
 use score_xen::PreCopyModel;
 
@@ -44,7 +44,7 @@ use crate::spec::{ForecastSpec, Scenario, ScenarioError, WorkloadSpec};
 use recording::{Recording, SessionObs};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use traffic::SessionForecaster;
+use traffic::{DeltaScratch, SessionForecaster};
 
 /// A running S-CORE experiment (see the module docs).
 #[derive(Debug)]
@@ -68,9 +68,12 @@ pub struct Session {
     initial_cost: f64,
     /// The report accumulators of the current segment.
     seg: SegmentRecord,
-    /// In-segment trace deltas not yet fired, FIFO-aligned with the
-    /// `TrafficShift` events in the queue.
-    pending_shifts: VecDeque<TrafficDelta>,
+    /// The current segment's delta batches, on the event clock as the
+    /// queue's shift run, and the index of the next one to fire.
+    shifts: ShiftRun,
+    next_shift: usize,
+    /// Staging buffers of the sparse delta path.
+    delta_scratch: DeltaScratch,
     /// Trace segments after the current one (`WorkloadSpec::Trace` with
     /// phase markers); advanced by [`Session::advance_trace_segment`].
     trace_segments: VecDeque<TraceSegment>,
@@ -245,7 +248,9 @@ impl Session {
             initial_cost: ledger.current(),
             ledger,
             seg: SegmentRecord::default(),
-            pending_shifts: VecDeque::new(),
+            shifts: ShiftRun::default(),
+            next_shift: 0,
+            delta_scratch: DeltaScratch::default(),
             trace_segments: VecDeque::new(),
             segment_index: 0,
             recording: Recording::default(),
@@ -348,14 +353,7 @@ impl Session {
                 }
                 // The allocation already switched at decision time.
                 SimEvent::MigrationComplete => {}
-                SimEvent::TrafficShift => {
-                    match self.pending_shifts.pop_front() {
-                        Some(TrafficDelta::Rates(updates)) => self.apply_traffic_deltas(&updates),
-                        Some(TrafficDelta::ScaleAll(factor)) => self.apply_traffic_scale(factor),
-                        None => continue,
-                    }
-                    .expect("trace deltas are validated at materialization");
-                }
+                SimEvent::TrafficShift => self.apply_next_shift(),
                 SimEvent::TokenArrive { vm: _ } => {
                     self.token_event_pending = false;
                     self.ring.set_obs_clock(t);

@@ -1112,6 +1112,60 @@ mod fault_tests {
         assert_eq!(replay.ledger_resyncs(), 0);
     }
 
+    /// A compiled batch can outlive the VMs it names: a driver removes
+    /// one, or a crash retires it, between materialization and the
+    /// batch's firing time. The re-rate is dropped then — not applied
+    /// (that would resurrect the pair), not fatal (it used to hit the
+    /// `expect` in `Session::step`).
+    #[test]
+    fn scheduled_shift_naming_a_departed_vm_is_dropped() {
+        let trace = Trace::builder(8, 100.0)
+            .base_pair(0, 1, 1e6)
+            .base_pair(2, 3, 2e6)
+            .set_rate(50.0, 0, 1, 5e6)
+            .set_rate(60.0, 2, 3, 7e6)
+            .build()
+            .unwrap();
+        let scenario = Scenario::builder()
+            .topology(crate::spec::TopologySpec::small_canonical())
+            .literal_trace(trace)
+            .build();
+        let (vm0, vm1, vm2, vm3) = (VmId::new(0), VmId::new(1), VmId::new(2), VmId::new(3));
+
+        // Route 1: a live `remove_vm` before the batch fires.
+        let mut session = scenario.session().unwrap();
+        session.remove_vm(vm0).unwrap();
+        session.run_to_horizon();
+        let report = session.report();
+        assert_eq!(
+            report.trace.events_applied,
+            1 + 2,
+            "the zeroing and both batches"
+        );
+        assert_eq!(session.traffic().rate(vm0, vm1), 0.0, "nothing resurrected");
+        assert_eq!(
+            session.traffic().rate(vm2, vm3),
+            7e6,
+            "the live pair re-rated"
+        );
+        assert_ledger_exact(&session);
+
+        // Route 2: a crash with nowhere left to go retires every VM.
+        let mut session = scenario.session().unwrap();
+        session.advance_to(10.0);
+        session.drain_to_boundary();
+        for rack in 0..session.topo().num_racks() as u32 {
+            session.apply_fault(&TraceEvent::RackFail { rack }).unwrap();
+        }
+        assert_eq!(session.cluster().num_active(), 0);
+        session.run_to_horizon();
+        let report = session.report();
+        assert_eq!(report.trace.events_applied, 2);
+        assert_eq!(report.trace.pairs_repriced, 0);
+        assert_eq!(session.traffic().num_pairs(), 0, "nothing resurrected");
+        assert_ledger_exact(&session);
+    }
+
     #[test]
     fn scale_pair_on_dead_endpoint_is_a_validated_noop() {
         let mut session = quick_scenario(PolicyKind::RoundRobin, 67)

@@ -6,12 +6,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use score_topology::VmId;
-use score_trace::{DeltaBatch, OracleForecaster, TraceEvent, TraceSegment};
+use score_trace::{OracleForecaster, ShiftRun, TraceEvent, TraceSegment, TrafficDelta};
 use score_traffic::{EwmaForecaster, PairTraffic, RateForecaster};
 use std::time::Instant;
 
 use super::{build_ring, SegmentRecord, Session};
-use crate::events::{EventQueue, SimEvent};
+use crate::events::EventQueue;
 use crate::report::{RunReport, TraceReplayStats};
 use crate::spec::{ForecastSpec, ScenarioError};
 
@@ -75,18 +75,56 @@ impl SessionForecaster {
 /// `Session::queue_forecast_evals`).
 const MAX_FORECAST_EVALS: usize = 65_536;
 
+/// The two buffers a sparse delta is staged in, kept by the session so a
+/// batch that changes nothing but rates allocates nothing.
+#[derive(Debug, Default)]
+pub(super) struct DeltaScratch {
+    /// The batch canonicalized (`u < v`), sorted, later-entry-wins.
+    canon: Vec<(VmId, VmId, f64)>,
+    /// The entries of `canon` that move a rate: `(u, v, old, new)`.
+    changes: Vec<(VmId, VmId, f64, f64)>,
+}
+
+/// What a sparse delta does about an update naming a departed VM.
+#[derive(Clone, Copy, PartialEq)]
+enum Departed {
+    /// Refuse the whole batch — a live driver's bug.
+    Reject,
+    /// Drop the update: the batch was compiled before the VM left.
+    Skip,
+}
+
 impl Session {
-    /// Schedules a segment's delta batches on the event clock (segment
-    /// time starts at the queue's current zero). Batches at or past the
-    /// horizon never fire and are dropped here.
-    pub(super) fn load_shifts(&mut self, shifts: Vec<DeltaBatch>) {
-        for batch in shifts {
-            if batch.at_s >= self.horizon_s {
-                continue;
-            }
-            self.queue.schedule_at(batch.at_s, SimEvent::TrafficShift);
-            self.pending_shifts.push_back(batch.delta);
+    /// Puts a segment's delta batches on the event clock as one sorted
+    /// run (segment time starts at the queue's current zero) and rewinds
+    /// the cursor [`Session::apply_next_shift`] walks them with.
+    pub(super) fn load_shifts(&mut self, shifts: ShiftRun) {
+        debug_assert!(
+            shifts.iter().all(|b| b.at_s < self.horizon_s),
+            "compile keeps the batches inside the segment's horizon only"
+        );
+        self.queue.schedule_shifts(shifts.iter().map(|b| b.at_s));
+        self.shifts = shifts;
+        self.next_shift = 0;
+    }
+
+    /// Applies the scheduled batch a popped `TrafficShift` stands for:
+    /// the run fires in batch order, so it is the cursor's. A re-rate
+    /// whose endpoint departed after the trace was compiled
+    /// ([`Session::remove_vm`], a crash that retired the VM) is dropped —
+    /// the batch still counts as applied and nothing is resurrected, the
+    /// rule a `ScalePair` on a dead endpoint follows.
+    pub(super) fn apply_next_shift(&mut self) {
+        // Out of `self` for the call: the updates are borrowed from it.
+        let shifts = std::mem::take(&mut self.shifts);
+        let batch = shifts[self.next_shift];
+        self.next_shift += 1;
+        match batch.delta {
+            TrafficDelta::Rates(range) => self.apply_deltas(shifts.updates(range), Departed::Skip),
+            TrafficDelta::ScaleAll(factor) => self.apply_traffic_scale(factor),
         }
+        .expect("trace deltas are validated at materialization");
+        self.shifts = shifts;
     }
 
     /// Applies a batch of absolute-rate traffic updates **in place**,
@@ -111,7 +149,42 @@ impl Session {
         &mut self,
         updates: &[(VmId, VmId, f64)],
     ) -> Result<usize, ScenarioError> {
+        self.apply_deltas(updates, Departed::Reject)
+    }
+
+    fn apply_deltas(
+        &mut self,
+        updates: &[(VmId, VmId, f64)],
+        departed: Departed,
+    ) -> Result<usize, ScenarioError> {
         let start = Instant::now();
+        let mut scratch = std::mem::take(&mut self.delta_scratch);
+        let applied = self
+            .stage_deltas(updates, departed, &mut scratch)
+            .map(|()| {
+                if !scratch.changes.is_empty() {
+                    self.commit_deltas(&scratch);
+                }
+                scratch.changes.len()
+            });
+        self.delta_scratch = scratch;
+        let changed = applied?;
+        self.seg.trace_stats.count_batch(changed, start);
+        Ok(changed)
+    }
+
+    /// Validates `updates` and fills `scratch`: the canonical,
+    /// deduplicated batch and the rate changes it makes. Touches nothing
+    /// else, so an error leaves the session as it was.
+    fn stage_deltas(
+        &self,
+        updates: &[(VmId, VmId, f64)],
+        departed: Departed,
+        scratch: &mut DeltaScratch,
+    ) -> Result<(), ScenarioError> {
+        let DeltaScratch { canon, changes } = scratch;
+        canon.clear();
+        changes.clear();
         let num_vms = self.traffic.num_vms();
         for &(u, v, rate) in updates {
             if u == v {
@@ -125,6 +198,9 @@ impl Session {
                 )));
             }
             if !self.cluster.is_active(u) || !self.cluster.is_active(v) {
+                if departed == Departed::Skip {
+                    continue;
+                }
                 return Err(ScenarioError::Workload(format!(
                     "traffic delta pair ({u}, {v}) names a departed VM"
                 )));
@@ -134,12 +210,9 @@ impl Session {
                     "traffic delta pair ({u}, {v}) has invalid rate {rate}"
                 )));
             }
+            canon.push(if u < v { (u, v, rate) } else { (v, u, rate) });
         }
-        // Canonicalize, later-entry-wins, and drop no-ops.
-        let mut canon: Vec<(VmId, VmId, f64)> = updates
-            .iter()
-            .map(|&(u, v, r)| if u < v { (u, v, r) } else { (v, u, r) })
-            .collect();
+        // Later-entry-wins, and drop no-ops.
         canon.sort_by_key(|&(u, v, _)| (u, v));
         canon.dedup_by(|later, earlier| {
             let dup = (later.0, later.1) == (earlier.0, earlier.1);
@@ -148,44 +221,41 @@ impl Session {
             }
             dup
         });
-        let changes: Vec<(VmId, VmId, f64, f64)> = canon
-            .iter()
-            .filter_map(|&(u, v, new)| {
-                let old = self.traffic.rate(u, v);
-                (old != new).then_some((u, v, old, new))
-            })
-            .collect();
-        if !changes.is_empty() {
-            self.cluster.patch_traffic(&changes);
-            self.ledger.apply_rate_changes(
-                self.cluster.allocation(),
-                &changes,
-                self.cluster.topo(),
-            );
-            // Settle forecast evaluations that came due *before* the new
-            // rates land: the realized rate at any passed due time is
-            // the pre-batch rate (piecewise-constant between batches).
-            let now_s = self.queue.now_s();
-            self.settle_forecast_evals(now_s);
-            self.traffic.apply_updates(&canon);
-            // The forecaster observes exactly the stream the cluster
-            // absorbed — O(changed pairs), like everything else here.
-            if let Some(f) = &mut self.forecaster {
-                let observed: Vec<(VmId, VmId, f64)> =
-                    changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
-                f.as_dyn_mut().observe_updates(&observed, now_s);
-            }
-            self.queue_forecast_evals(changes.iter().map(|&(u, v, _, _)| (u, v)), now_s);
-            self.recording.log(now_s, |rec, at_s| {
-                let recorded: Vec<(u32, u32, f64)> = changes
-                    .iter()
-                    .map(|&(u, v, _, new)| (u.get(), v.get(), new))
-                    .collect();
-                rec.record_updates(at_s, &recorded);
-            });
+        changes.extend(canon.iter().filter_map(|&(u, v, new)| {
+            let old = self.traffic.rate(u, v);
+            (old != new).then_some((u, v, old, new))
+        }));
+        Ok(())
+    }
+
+    /// Lands a staged, non-empty delta on the cluster, the ledger, the
+    /// session's TM and whoever is listening.
+    fn commit_deltas(&mut self, scratch: &DeltaScratch) {
+        let DeltaScratch { canon, changes } = scratch;
+        self.cluster.patch_traffic(changes);
+        self.ledger
+            .apply_rate_changes(self.cluster.allocation(), changes, self.cluster.topo());
+        // Settle forecast evaluations that came due *before* the new
+        // rates land: the realized rate at any passed due time is
+        // the pre-batch rate (piecewise-constant between batches).
+        let now_s = self.queue.now_s();
+        self.settle_forecast_evals(now_s);
+        self.traffic.apply_updates(canon);
+        // The forecaster observes exactly the stream the cluster
+        // absorbed — O(changed pairs), like everything else here.
+        if let Some(f) = &mut self.forecaster {
+            let observed: Vec<(VmId, VmId, f64)> =
+                changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
+            f.as_dyn_mut().observe_updates(&observed, now_s);
         }
-        self.seg.trace_stats.count_batch(changes.len(), start);
-        Ok(changes.len())
+        self.queue_forecast_evals(changes.iter().map(|&(u, v, _, _)| (u, v)), now_s);
+        self.recording.log(now_s, |rec, at_s| {
+            let recorded: Vec<(u32, u32, f64)> = changes
+                .iter()
+                .map(|&(u, v, _, new)| (u.get(), v.get(), new))
+                .collect();
+            rec.record_updates(at_s, &recorded);
+        });
     }
 
     /// Applies a uniform `ScaleAll` traffic shift: every live pair's
@@ -361,7 +431,6 @@ impl Session {
         self.finished = false;
         self.initial_cost = self.ledger.current();
         self.seg = SegmentRecord::default();
-        self.pending_shifts.clear();
         self.prime_queue();
         self.load_shifts(seg.shifts);
         if let Some(obs) = &mut self.obs {

@@ -1201,8 +1201,10 @@ impl Scenario {
     pub fn session(&self) -> Result<Session, ScenarioError> {
         self.workload.validate()?;
         let topo = self.topology.build()?;
-        if let Some(trace) = self.workload.build_trace() {
-            return Session::materialize_trace(self.clone(), topo, trace.compile());
+        // Compiled inside the closure: the raw event list is freed before
+        // the session is built, not held across it.
+        if let Some(compiled) = self.workload.build_trace().map(|trace| trace.compile()) {
+            return Session::materialize_trace(self.clone(), topo, compiled);
         }
         let traffic = self.workload.generate(topo.as_ref());
         Session::materialize(self.clone(), topo, traffic, None)

@@ -301,9 +301,11 @@ proptest! {
             let mut oracle = OracleForecaster::new();
             oracle.load_segment(&segment);
             for batch in segment.shifts.iter().take_while(|b| b.at_s <= now) {
-                match &batch.delta {
-                    TrafficDelta::Rates(updates) => oracle.observe_updates(updates, batch.at_s),
-                    TrafficDelta::ScaleAll(factor) => oracle.observe_scale(*factor, batch.at_s),
+                match batch.delta {
+                    TrafficDelta::Rates(range) => {
+                        oracle.observe_updates(segment.shifts.updates(range), batch.at_s);
+                    }
+                    TrafficDelta::ScaleAll(factor) => oracle.observe_scale(factor, batch.at_s),
                 }
             }
             let want = reference_at(now + horizon);

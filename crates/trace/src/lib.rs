@@ -14,9 +14,11 @@
 //!   appends and diffs cleanly;
 //! * [`Trace::compile`] — folds the stream into [`CompiledTrace`]
 //!   segments: per marker interval, the exact `PairTraffic` at segment
-//!   start plus one in-segment [`DeltaBatch`] per event — canonical
-//!   `(u, v, new_rate)` updates ready for a sparse O(changed-pairs)
-//!   rebind path, or a uniform `ScaleAll` factor applied in O(1);
+//!   start plus a [`ShiftRun`] of one in-segment [`DeltaBatch`] per
+//!   event — canonical `(u, v, new_rate)` updates ready for a sparse
+//!   O(changed-pairs) rebind path (all of a segment's in one flat store
+//!   the batches name ranges of), or a uniform `ScaleAll` factor applied
+//!   in O(1);
 //! * [`diurnal_trace`] / [`flash_crowd_trace`] / [`churn_trace`] —
 //!   deterministic synthetic generators for the three canonical
 //!   time-varying patterns (sine drift, hot-set spikes, and
@@ -81,6 +83,6 @@ pub use synth::{
     ChurnShape, DiurnalShape, FaultSpec, FlashCrowdShape,
 };
 pub use trace::{
-    scaled_rate, CompiledTrace, DeltaBatch, TimedEvent, Trace, TraceBuilder, TraceError,
-    TraceEvent, TraceSegment, TrafficDelta,
+    scaled_rate, CompiledTrace, DeltaBatch, ShiftRun, TimedEvent, Trace, TraceBuilder, TraceError,
+    TraceEvent, TraceSegment, TrafficDelta, UpdateRange,
 };

@@ -83,16 +83,16 @@ impl OracleForecaster {
     pub fn load_segment(&mut self, segment: &TraceSegment) {
         self.prime(&segment.initial, 0.0);
         for (index, batch) in segment.shifts.iter().enumerate() {
-            match &batch.delta {
-                TrafficDelta::Rates(updates) => {
-                    for &(u, v, rate) in updates {
+            match batch.delta {
+                TrafficDelta::Rates(range) => {
+                    for &(u, v, rate) in segment.shifts.updates(range) {
                         self.breakpoints
                             .entry(Self::key(u, v))
                             .or_default()
                             .push((batch.at_s, index, rate));
                     }
                 }
-                TrafficDelta::ScaleAll(factor) => self.scales.push((batch.at_s, index, *factor)),
+                TrafficDelta::ScaleAll(factor) => self.scales.push((batch.at_s, index, factor)),
             }
         }
         // Batches are compiled in firing order, so every list is already

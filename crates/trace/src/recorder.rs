@@ -236,11 +236,15 @@ mod tests {
         // One batch per recorded event (same-instant events stay
         // separate batches; the replay outcome is identical).
         assert_eq!(compiled.num_shifts(), 4);
-        let rates = |u, v, r| TrafficDelta::Rates(vec![(VmId::new(u), VmId::new(v), r)]);
-        let deltas: Vec<_> = compiled.segments[0]
-            .shifts
+        // `Ok` = the re-rates of a `Rates` batch, `Err` = a scale factor.
+        let rates = |u, v, r| Ok(vec![(VmId::new(u), VmId::new(v), r)]);
+        let run = &compiled.segments[0].shifts;
+        let deltas: Vec<Result<Vec<_>, f64>> = run
             .iter()
-            .map(|b| b.delta.clone())
+            .map(|b| match b.delta {
+                TrafficDelta::Rates(range) => Ok(run.updates(range).to_vec()),
+                TrafficDelta::ScaleAll(factor) => Err(factor),
+            })
             .collect();
         assert_eq!(
             deltas,
@@ -248,7 +252,7 @@ mod tests {
                 rates(0, 1, 50.0),
                 rates(2, 3, 0.0),
                 rates(0, 2, 7.0),
-                TrafficDelta::ScaleAll(1.5)
+                Err(1.5)
             ]
         );
     }

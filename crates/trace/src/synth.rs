@@ -551,9 +551,10 @@ mod tests {
         // Replaying the compiled trace ends back on the base TM.
         let compiled = t.compile();
         assert_eq!(compiled.segments.len(), 1);
-        let mut tm = compiled.segments[0].initial.clone();
-        for batch in &compiled.segments[0].shifts {
-            batch.delta.apply_to(&mut tm);
+        let seg = &compiled.segments[0];
+        let mut tm = seg.initial.clone();
+        for batch in seg.shifts.iter() {
+            seg.shifts.apply_to(batch.delta, &mut tm);
         }
         assert_eq!(
             tm.pairs(),

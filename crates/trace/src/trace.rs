@@ -15,7 +15,10 @@
 //! plus the in-segment [`DeltaBatch`]es, one per event: absolute rates
 //! ready to feed a sparse rebind path such as
 //! `Session::apply_traffic_deltas`, or a uniform scale for
-//! `Session::apply_traffic_scale`.
+//! `Session::apply_traffic_scale`. A segment's batches are a
+//! [`ShiftRun`]: small `Copy` records in firing order beside one flat
+//! vector of every re-rate, so a million-event trace compiles into two
+//! allocations per segment and replays as one sorted run.
 
 use score_topology::VmId;
 use score_traffic::{PairTraffic, PairTrafficBuilder};
@@ -568,19 +571,17 @@ impl Trace {
         // `None` while the running TM still is the segment's initial one
         // (no in-segment batch yet); taken just before the first lands.
         let mut seg_initial: Option<PairTraffic> = None;
-        let mut shifts: Vec<DeltaBatch> = Vec::new();
-        let mut close = |duration_s: f64,
-                         label: Option<String>,
-                         initial: PairTraffic,
-                         mut shifts: Vec<DeltaBatch>| {
-            shifts.retain(|b| b.at_s < duration_s);
-            segments.push(TraceSegment {
-                label,
-                duration_s,
-                initial,
-                shifts,
-            });
-        };
+        let mut shifts = ShiftRun::default();
+        let mut close =
+            |duration_s: f64, label: Option<String>, initial: PairTraffic, mut shifts: ShiftRun| {
+                shifts.truncate_at(duration_s);
+                segments.push(TraceSegment {
+                    label,
+                    duration_s,
+                    initial,
+                    shifts,
+                });
+            };
 
         for ev in &self.events {
             if let TraceEvent::Marker { label } = &ev.event {
@@ -597,7 +598,7 @@ impl Trace {
                 seg_label = Some(label.clone());
                 continue;
             }
-            let Some(delta) = Self::event_delta(&running, &ev.event) else {
+            let Some(change) = Self::event_change(&running, &ev.event) else {
                 continue;
             };
             // Boundary events fold into the segment's initial TM.
@@ -605,12 +606,12 @@ impl Trace {
             if in_segment && seg_initial.is_none() {
                 seg_initial = Some(snapshot(&running));
             }
-            delta.apply_to(&mut running);
+            match change {
+                Change::Rate(u, v, rate) => running.apply_update(u, v, rate),
+                Change::ScaleAll(factor) => running.scale_all(factor),
+            }
             if in_segment {
-                shifts.push(DeltaBatch {
-                    at_s: ev.time_s - seg_start,
-                    delta,
-                });
+                shifts.push(ev.time_s - seg_start, change);
             }
         }
         if self.end_s > seg_start {
@@ -624,11 +625,11 @@ impl Trace {
     }
 
     /// The change one rate event makes to the running TM, or `None` when
-    /// it changes nothing (updates are canonical `u < v`).
-    fn event_delta(running: &PairTraffic, event: &TraceEvent) -> Option<TrafficDelta> {
+    /// it changes nothing (re-rates are canonical `u < v`).
+    fn event_change(running: &PairTraffic, event: &TraceEvent) -> Option<Change> {
         let canon = |u: u32, v: u32| (VmId::new(u.min(v)), VmId::new(u.max(v)));
         let rerate = |(u, v): (VmId, VmId), new: f64| {
-            (new != running.rate(u, v)).then(|| TrafficDelta::Rates(vec![(u, v, new)]))
+            (new != running.rate(u, v)).then_some(Change::Rate(u, v, new))
         };
         match *event {
             TraceEvent::SetRate { u, v, rate } => rerate(canon(u, v), rate),
@@ -642,7 +643,7 @@ impl Trace {
                 rerate((u, v), scaled_rate(running.rate(u, v), factor))
             }
             TraceEvent::ScaleAll { factor } => {
-                (factor != 1.0 && running.num_pairs() > 0).then_some(TrafficDelta::ScaleAll(factor))
+                (factor != 1.0 && running.num_pairs() > 0).then_some(Change::ScaleAll(factor))
             }
             TraceEvent::Marker { .. } => None,
             TraceEvent::PlaceVm { .. } | TraceEvent::RemoveVm { .. } => {
@@ -656,6 +657,15 @@ impl Trace {
             }
         }
     }
+}
+
+/// What one event does to the compiler's running TM.
+#[derive(Clone, Copy)]
+enum Change {
+    /// λ(u, v) becomes this absolute rate (`u < v`).
+    Rate(VmId, VmId, f64),
+    /// Every rate is multiplied by this factor.
+    ScaleAll(f64),
 }
 
 /// Incremental construction of a [`Trace`] (times may be pushed in any
@@ -795,12 +805,83 @@ pub struct TraceSegment {
     /// The exact TM active when the segment starts.
     pub initial: PairTraffic,
     /// In-segment delta batches at segment-relative times in
-    /// `(0, duration_s)`, one per trace event that changed a rate.
-    pub shifts: Vec<DeltaBatch>,
+    /// `(0, duration_s)`, one per trace event that changed a rate, in
+    /// firing order.
+    pub shifts: ShiftRun,
+}
+
+/// A segment's delta batches in firing order, stored struct-of-arrays:
+/// the [`DeltaBatch`] records (read through `Deref<Target = [DeltaBatch]>`
+/// — `iter()`, `len()`, indexing) beside one flat store holding every
+/// `Rates` payload back to back, which the batches name ranges of. A
+/// million single-pair batches are two vectors, not a million and one.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ShiftRun {
+    batches: Vec<DeltaBatch>,
+    updates: Vec<(VmId, VmId, f64)>,
+}
+
+impl std::ops::Deref for ShiftRun {
+    type Target = [DeltaBatch];
+
+    fn deref(&self) -> &[DeltaBatch] {
+        &self.batches
+    }
+}
+
+impl ShiftRun {
+    /// The canonical `(u, v, new_rate)` updates a
+    /// [`TrafficDelta::Rates`] of this run names.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a range taken from another run that does not fit this
+    /// one's store.
+    pub fn updates(&self, range: UpdateRange) -> &[(VmId, VmId, f64)] {
+        &self.updates[range.start as usize..][..range.len as usize]
+    }
+
+    /// Applies one of this run's batches to `tm` in place — how a
+    /// consumer without a cluster around the TM replays a segment.
+    pub fn apply_to(&self, delta: TrafficDelta, tm: &mut PairTraffic) {
+        match delta {
+            TrafficDelta::Rates(range) => tm.apply_updates(self.updates(range)),
+            TrafficDelta::ScaleAll(factor) => tm.scale_all(factor),
+        }
+    }
+
+    /// Appends the batch of one compiled event.
+    fn push(&mut self, at_s: f64, change: Change) {
+        let delta = match change {
+            Change::Rate(u, v, rate) => {
+                let start = u32::try_from(self.updates.len())
+                    .expect("a segment holds fewer than 2^32 rate updates");
+                self.updates.push((u, v, rate));
+                TrafficDelta::Rates(UpdateRange { start, len: 1 })
+            }
+            Change::ScaleAll(factor) => TrafficDelta::ScaleAll(factor),
+        };
+        self.batches.push(DeltaBatch { at_s, delta });
+    }
+
+    /// Drops the batches firing at or after `horizon_s` (they never fire
+    /// in-run), and their updates with them. Batches are in firing order,
+    /// so this cuts a tail off both vectors.
+    fn truncate_at(&mut self, horizon_s: f64) {
+        let keep = self.batches.partition_point(|b| b.at_s < horizon_s);
+        let first_cut = self.batches[keep..].iter().find_map(|b| match b.delta {
+            TrafficDelta::Rates(range) => Some(range.start as usize),
+            TrafficDelta::ScaleAll(_) => None,
+        });
+        if let Some(start) = first_cut {
+            self.updates.truncate(start);
+        }
+        self.batches.truncate(keep);
+    }
 }
 
 /// One traffic change firing at a single instant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaBatch {
     /// Firing time relative to the segment start.
     pub at_s: f64,
@@ -809,26 +890,23 @@ pub struct DeltaBatch {
 }
 
 /// The two forms a compiled traffic change takes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficDelta {
-    /// Canonical `(u, v, new_rate)` absolute updates; a rate of `0`
-    /// removes the pair.
-    Rates(Vec<(VmId, VmId, f64)>),
+    /// Canonical `(u, v, new_rate)` absolute updates (a rate of `0`
+    /// removes the pair), held in the owning run's flat store:
+    /// [`ShiftRun::updates`] hands the slice back.
+    Rates(UpdateRange),
     /// Every live pair's rate is multiplied by this factor (positive and
     /// finite), saturating at `f64::MAX`.
     ScaleAll(f64),
 }
 
-impl TrafficDelta {
-    /// Applies the change to `tm` in place — how [`Trace::compile`]
-    /// advances its running TM, and how a consumer without a cluster
-    /// around the TM replays a segment.
-    pub fn apply_to(&self, tm: &mut PairTraffic) {
-        match self {
-            TrafficDelta::Rates(updates) => tm.apply_updates(updates),
-            TrafficDelta::ScaleAll(factor) => tm.scale_all(*factor),
-        }
-    }
+/// Which consecutive entries of its [`ShiftRun`]'s update store a
+/// [`TrafficDelta::Rates`] batch owns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UpdateRange {
+    start: u32,
+    len: u32,
 }
 
 #[cfg(test)]
@@ -841,8 +919,16 @@ mod tests {
             .base_pair(2, 3, 20.0)
     }
 
-    fn rates(u: u32, v: u32, rate: f64) -> TrafficDelta {
-        TrafficDelta::Rates(vec![(VmId::new(u), VmId::new(v), rate)])
+    /// The updates of `seg`'s `i`-th batch, which must be a `Rates` one.
+    fn rates_of(seg: &TraceSegment, i: usize) -> &[(VmId, VmId, f64)] {
+        match seg.shifts[i].delta {
+            TrafficDelta::Rates(range) => seg.shifts.updates(range),
+            TrafficDelta::ScaleAll(f) => panic!("batch {i} is ScaleAll({f})"),
+        }
+    }
+
+    fn rate(u: u32, v: u32, rate: f64) -> (VmId, VmId, f64) {
+        (VmId::new(u), VmId::new(v), rate)
     }
 
     #[test]
@@ -915,8 +1001,8 @@ mod tests {
         assert_eq!(seg.duration_s, 100.0);
         assert_eq!(seg.initial, t.base_traffic());
         assert_eq!(seg.shifts.len(), 2);
-        assert_eq!(seg.shifts[0].delta, rates(0, 1, 50.0));
-        assert_eq!(seg.shifts[1].delta, rates(2, 3, 10.0));
+        assert_eq!(rates_of(seg, 0), [rate(0, 1, 50.0)]);
+        assert_eq!(rates_of(seg, 1), [rate(2, 3, 10.0)]);
         assert_eq!(c.num_shifts(), 2);
     }
 
@@ -1013,12 +1099,12 @@ mod tests {
             .unwrap();
         let c = t.compile();
         // One batch per event — a scale names its factor, never a pair.
-        let head: Vec<_> = c.segments[0].shifts.iter().map(|b| &b.delta).collect();
-        assert_eq!(head.len(), 4);
-        assert_eq!(*head[0], TrafficDelta::ScaleAll(2.0));
-        assert_eq!(*head[1], rates(0, 2, 7.0));
-        assert_eq!(*head[2], TrafficDelta::ScaleAll(0.3));
-        assert!(matches!(head[3], TrafficDelta::Rates(u) if u.len() == 1));
+        let head = &c.segments[0];
+        assert_eq!(head.shifts.len(), 4);
+        assert_eq!(head.shifts[0].delta, TrafficDelta::ScaleAll(2.0));
+        assert_eq!(rates_of(head, 1), [rate(0, 2, 7.0)]);
+        assert_eq!(head.shifts[2].delta, TrafficDelta::ScaleAll(0.3));
+        assert_eq!(rates_of(head, 3).len(), 1);
         assert_eq!(c.segments[1].shifts[0].delta, TrafficDelta::ScaleAll(1.7));
 
         // The reference: every scale expanded to one re-rate per pair.
@@ -1043,7 +1129,7 @@ mod tests {
                     }
                     _ => continue,
                 }
-                shifts.next().unwrap().delta.apply_to(&mut tm);
+                seg.shifts.apply_to(shifts.next().unwrap().delta, &mut tm);
                 assert_eq!(tm.num_pairs(), reference.len());
                 for (&(u, v), &want) in &reference {
                     let got = tm.rate(VmId::new(u), VmId::new(v));
@@ -1084,7 +1170,9 @@ mod tests {
         let c = t.compile();
         let mut tm = c.segments[0].initial.clone();
         assert_eq!(c.segments[0].shifts[0].delta, TrafficDelta::ScaleAll(1e10));
-        c.segments[0].shifts[0].delta.apply_to(&mut tm);
+        c.segments[0]
+            .shifts
+            .apply_to(c.segments[0].shifts[0].delta, &mut tm);
         assert_eq!(tm.rate(VmId::new(0), VmId::new(1)), f64::MAX);
         // Saturated-to-MAX rates are a fixpoint: the second scale is a
         // no-op, not a fresh overflow.

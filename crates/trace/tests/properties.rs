@@ -3,10 +3,12 @@
 //! generators are pure functions of their seeds.
 
 use proptest::prelude::*;
+use score_topology::VmId;
 use score_trace::{
-    churn_trace, diurnal_trace, ChurnShape, DiurnalShape, Trace, TraceBuilder, TrafficDelta,
+    churn_trace, diurnal_trace, scaled_rate, ChurnShape, CompiledTrace, DiurnalShape, Trace,
+    TraceBuilder, TraceEvent, TrafficDelta,
 };
-use score_traffic::{PairTraffic, WorkloadConfig};
+use score_traffic::{PairTraffic, PairTrafficBuilder, WorkloadConfig};
 use std::collections::BTreeMap;
 
 const NUM_VMS: u32 = 12;
@@ -86,8 +88,8 @@ fn compiled_final_tm(trace: &Trace) -> BTreeMap<(u32, u32), f64> {
         .last()
         .expect("valid traces have segments");
     let mut tm = last.initial.clone();
-    for batch in &last.shifts {
-        batch.delta.apply_to(&mut tm);
+    for batch in last.shifts.iter() {
+        last.shifts.apply_to(batch.delta, &mut tm);
     }
     tm.pairs()
         .iter()
@@ -95,8 +97,129 @@ fn compiled_final_tm(trace: &Trace) -> BTreeMap<(u32, u32), f64> {
         .collect()
 }
 
+/// A compiled batch with its payload owned — the form `compile` emitted
+/// before a segment's re-rates moved into one flat store.
+#[derive(Debug, Clone, PartialEq)]
+enum RefDelta {
+    Rates(Vec<(VmId, VmId, f64)>),
+    ScaleAll(f64),
+}
+
+/// One reference segment: `(label, duration_s, initial TM, batches)`.
+type RefSegment = (Option<String>, f64, PairTraffic, Vec<(f64, RefDelta)>);
+
+/// The per-event reference compiler: one owned batch per event that
+/// changes a rate, decided against a running TM advanced event by event;
+/// markers close segments, boundary events fold into the next initial TM.
+fn reference_segments(trace: &Trace) -> Vec<RefSegment> {
+    let snapshot = |tm: &PairTraffic| {
+        let mut b = PairTrafficBuilder::new(tm.num_vms());
+        for (u, v, rate) in tm.pairs() {
+            b.add(u, v, rate);
+        }
+        b.build()
+    };
+    let canon = |u: u32, v: u32| (VmId::new(u.min(v)), VmId::new(u.max(v)));
+    let mut running = trace.base_traffic();
+    let mut segments = Vec::new();
+    let (mut start_s, mut label) = (0.0f64, None);
+    let mut initial = snapshot(&running);
+    let mut batches: Vec<(f64, RefDelta)> = Vec::new();
+    let mut close =
+        |end_s: f64, start_s: f64, label, initial, mut batches: Vec<(f64, RefDelta)>| {
+            let duration_s = end_s - start_s;
+            batches.retain(|&(at_s, _)| at_s < duration_s);
+            segments.push((label, duration_s, initial, batches));
+        };
+    for ev in trace.events() {
+        let delta = match ev.event {
+            TraceEvent::Marker { label: ref next } => {
+                if ev.time_s > start_s {
+                    let batches = std::mem::take(&mut batches);
+                    close(ev.time_s, start_s, label.take(), initial, batches);
+                    initial = snapshot(&running);
+                    start_s = ev.time_s;
+                }
+                label = Some(next.clone());
+                continue;
+            }
+            TraceEvent::SetRate { u, v, rate } => {
+                let (u, v) = canon(u, v);
+                (rate != running.rate(u, v)).then(|| RefDelta::Rates(vec![(u, v, rate)]))
+            }
+            TraceEvent::ScalePair { u, v, factor } => {
+                let (u, v) = canon(u, v);
+                let new = scaled_rate(running.rate(u, v), factor);
+                (new != running.rate(u, v)).then(|| RefDelta::Rates(vec![(u, v, new)]))
+            }
+            TraceEvent::ScaleAll { factor } => {
+                (factor != 1.0 && running.num_pairs() > 0).then_some(RefDelta::ScaleAll(factor))
+            }
+            _ => unreachable!("the generator emits rate events and markers only"),
+        };
+        let Some(delta) = delta else { continue };
+        match &delta {
+            RefDelta::Rates(updates) => running.apply_updates(updates),
+            RefDelta::ScaleAll(factor) => running.scale_all(*factor),
+        }
+        if ev.time_s > start_s {
+            batches.push((ev.time_s - start_s, delta));
+        } else {
+            initial = snapshot(&running);
+        }
+    }
+    if trace.end_s() > start_s {
+        close(trace.end_s(), start_s, label, initial, batches);
+    }
+    segments
+}
+
+/// A compiled trace's segments, every batch's payload read back through
+/// [`score_trace::ShiftRun::updates`], in the reference's form.
+fn reassembled_segments(compiled: &CompiledTrace) -> Vec<RefSegment> {
+    compiled
+        .segments
+        .iter()
+        .map(|seg| {
+            let batches = seg
+                .shifts
+                .iter()
+                .map(|b| {
+                    let delta = match b.delta {
+                        TrafficDelta::Rates(range) => {
+                            RefDelta::Rates(seg.shifts.updates(range).to_vec())
+                        }
+                        TrafficDelta::ScaleAll(factor) => RefDelta::ScaleAll(factor),
+                    };
+                    (b.at_s, delta)
+                })
+                .collect();
+            (
+                seg.label.clone(),
+                seg.duration_s,
+                seg.initial.clone(),
+                batches,
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn compiled_batches_equal_the_per_event_reference(
+        raw in prop::collection::vec((0u8..4, 0u32..1000, 0u32..200, 0u32..10_000), 0..40),
+    ) {
+        let trace = build_trace(&raw);
+        let compiled = trace.compile();
+        let reference = reference_segments(&trace);
+        prop_assert_eq!(reassembled_segments(&compiled), reference.clone());
+        prop_assert_eq!(
+            compiled.num_shifts(),
+            reference.iter().map(|seg| seg.3.len()).sum::<usize>()
+        );
+    }
 
     #[test]
     fn jsonl_round_trip_is_identity(
@@ -144,11 +267,11 @@ proptest! {
         // Churn rates are always representable as a valid trace and the
         // instantaneous TM never goes negative.
         for seg in t1.compile().segments {
-            for batch in seg.shifts {
-                let TrafficDelta::Rates(updates) = batch.delta else {
+            for batch in seg.shifts.iter() {
+                let TrafficDelta::Rates(range) = batch.delta else {
                     panic!("churn re-rates single pairs, got {:?}", batch.delta);
                 };
-                for (_, _, rate) in updates {
+                for &(_, _, rate) in seg.shifts.updates(range) {
                     prop_assert!(rate >= 0.0);
                 }
             }
@@ -164,10 +287,10 @@ proptest! {
         for seg in trace.compile().segments {
             let mut tm = seg.initial;
             prop_assert!(tm.pairs().iter().all(|&(_, _, r)| r > 0.0));
-            for batch in seg.shifts {
+            for batch in seg.shifts.iter() {
                 // One O(1) batch per diurnal step, never a per-pair list.
                 prop_assert!(matches!(batch.delta, TrafficDelta::ScaleAll(f) if f > 0.0));
-                batch.delta.apply_to(&mut tm);
+                seg.shifts.apply_to(batch.delta, &mut tm);
                 for (u, v, rate) in tm.pairs() {
                     prop_assert!(rate > 0.0, "({u},{v}) hit {rate}");
                 }

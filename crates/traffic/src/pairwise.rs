@@ -467,59 +467,70 @@ impl PairTraffic {
 
     /// Applies absolute-rate updates **in place**: each `(u, v, rate)`
     /// entry *replaces* λ(u, v) (a rate of `0` removes the pair).
-    /// Updates are canonicalized and applied in order, so when the same
-    /// pair appears twice the later entry wins. Each touched pair costs
-    /// one O(log degree) adjacency probe to resolve its slot handle and
-    /// then O(1) flat-array writes — no global pair-list search, no map
-    /// rebuild, no reallocation of untouched state — which is what keeps
-    /// trace replay flat as clusters grow to millions of pairs. The
-    /// running total is adjusted incrementally (it can drift from a
-    /// fresh summation by ordinary float rounding). A pending scale is
-    /// settled first (one sweep), so every written rate reads back
-    /// exactly.
+    /// Updates are canonicalized and applied in order
+    /// ([`PairTraffic::apply_update`] each), so when the same pair
+    /// appears twice the later entry wins.
     ///
     /// # Panics
     ///
     /// Panics if an update names a self-pair, an out-of-range VM, or a
     /// negative/non-finite rate.
     pub fn apply_updates(&mut self, updates: &[(VmId, VmId, f64)]) {
-        if !updates.is_empty() {
-            self.settle_scale();
-        }
         for &(u, v, rate) in updates {
-            assert_ne!(u, v, "self-traffic is not part of the communication graph");
-            assert!(
-                u.get() < self.num_vms && v.get() < self.num_vms,
-                "vm out of range"
-            );
-            assert!(
-                rate.is_finite() && rate >= 0.0,
-                "rate must be finite and >= 0"
-            );
-            let (u, v) = if u < v { (u, v) } else { (v, u) };
-            match self.adjacency[u.index()].binary_search_by_key(&v, |&(p, _)| p) {
-                Ok(i) => {
-                    let h = self.adj_handles[u.index()][i] as usize;
-                    let old = self.rates[h];
-                    if old == rate {
-                        continue;
-                    }
-                    if rate == 0.0 {
-                        self.remove_slot(h, u, v, i);
-                    } else {
-                        self.rates[h] = rate;
-                        self.adjacency[u.index()][i].1 = rate;
-                        let j = self.adjacency[v.index()]
-                            .binary_search_by_key(&u, |&(p, _)| p)
-                            .expect("adjacency is symmetric");
-                        self.adjacency[v.index()][j].1 = rate;
-                    }
-                    self.total += rate - old;
+            self.apply_update(u, v, rate);
+        }
+    }
+
+    /// Replaces λ(u, v) with `rate` **in place** (a rate of `0` removes
+    /// the pair) — one entry of [`PairTraffic::apply_updates`], for a
+    /// caller that has its updates in another shape and would only
+    /// collect them to pass a slice. The pair costs one O(log degree)
+    /// adjacency probe to resolve its slot handle and then O(1)
+    /// flat-array writes — no global pair-list search, no map rebuild,
+    /// no reallocation of untouched state (only an insertion into a full
+    /// peer list grows it) — which is what keeps trace replay flat as
+    /// clusters grow to millions of pairs. The running total is adjusted
+    /// incrementally (it can drift from a fresh summation by ordinary
+    /// float rounding). A pending scale is settled first (one sweep), so
+    /// every written rate reads back exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a self-pair, an out-of-range VM, or a
+    /// negative/non-finite rate.
+    pub fn apply_update(&mut self, u: VmId, v: VmId, rate: f64) {
+        assert_ne!(u, v, "self-traffic is not part of the communication graph");
+        assert!(
+            u.get() < self.num_vms && v.get() < self.num_vms,
+            "vm out of range"
+        );
+        assert!(
+            rate.is_finite() && rate >= 0.0,
+            "rate must be finite and >= 0"
+        );
+        self.settle_scale();
+        let (u, v) = if u < v { (u, v) } else { (v, u) };
+        match self.adjacency[u.index()].binary_search_by_key(&v, |&(p, _)| p) {
+            Ok(i) => {
+                let h = self.adj_handles[u.index()][i] as usize;
+                let old = self.rates[h];
+                if old == rate {
+                    return;
                 }
-                Err(i) => {
-                    if rate == 0.0 {
-                        continue;
-                    }
+                if rate == 0.0 {
+                    self.remove_slot(h, u, v, i);
+                } else {
+                    self.rates[h] = rate;
+                    self.adjacency[u.index()][i].1 = rate;
+                    let j = self.adjacency[v.index()]
+                        .binary_search_by_key(&u, |&(p, _)| p)
+                        .expect("adjacency is symmetric");
+                    self.adjacency[v.index()][j].1 = rate;
+                }
+                self.total += rate - old;
+            }
+            Err(i) => {
+                if rate != 0.0 {
                     self.insert_slot(u, v, rate, i);
                     self.total += rate;
                 }
