@@ -1,6 +1,6 @@
 //! Criterion benchmark harness for the S-CORE reproduction.
 //!
-//! One bench target per paper figure plus ablations; see `benches/`.
+//! The ablations bench and the two CI-gated records; see `benches/`.
 //! Shared fixtures live here so bench code stays small.
 
 use score_core::{Allocation, Cluster, ServerSpec, VmSpec};

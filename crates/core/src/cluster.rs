@@ -170,10 +170,6 @@ pub struct Cluster {
     topo: Arc<dyn Topology>,
     server_spec: ServerSpec,
     vm_specs: Vec<VmSpec>,
-    /// Total traffic demand per VM: `Σ_v λ(u, v)` (upper bound on its NIC
-    /// load; the admission check refines this dynamically by excluding
-    /// intra-host pairs).
-    vm_nic_demand: Vec<f64>,
     /// The pairwise loads, kept for dynamic NIC accounting.
     traffic: PairTraffic,
     alloc: Allocation,
@@ -220,7 +216,6 @@ impl Clone for Cluster {
             topo: Arc::clone(&self.topo),
             server_spec: self.server_spec,
             vm_specs: self.vm_specs.clone(),
-            vm_nic_demand: self.vm_nic_demand.clone(),
             traffic: self.traffic.clone(),
             alloc: self.alloc.clone(),
             usage: self.usage.clone(),
@@ -282,19 +277,13 @@ impl Cluster {
                 traffic: traffic.num_vms(),
             });
         }
-        let vm_nic_demand: Vec<f64> = (0..alloc.num_vms())
-            .map(|v| traffic.peers(VmId::new(v)).map(|(_, r)| r).sum())
-            .collect();
         let mut usage = vec![ServerUsage::default(); topo.num_servers()];
         for (vm, server) in alloc.iter() {
             let u = &mut usage[server.index()];
-            // Validate slots/RAM/CPU with an unbounded NIC threshold.
-            if let Err(source) =
-                u.admission_check(&server_spec, &vm_specs[vm.index()], 0.0, f64::INFINITY)
-            {
+            if let Err(source) = u.admission_check(&server_spec, &vm_specs[vm.index()]) {
                 return Err(ClusterError::InitialOverCommit { server, source });
             }
-            u.admit(&vm_specs[vm.index()], vm_nic_demand[vm.index()]);
+            u.admit(&vm_specs[vm.index()]);
         }
         let active = vec![true; alloc.num_vms() as usize];
         let slot_index = FreeSlotIndex::new(
@@ -308,7 +297,6 @@ impl Cluster {
             topo,
             server_spec,
             vm_specs,
-            vm_nic_demand,
             traffic: traffic.clone(),
             alloc,
             usage,
@@ -365,11 +353,6 @@ impl Cluster {
     /// Spec of one VM.
     pub fn vm_spec(&self, vm: VmId) -> &VmSpec {
         &self.vm_specs[vm.index()]
-    }
-
-    /// Estimated NIC demand of one VM in bits per second.
-    pub fn vm_nic_demand(&self, vm: VmId) -> f64 {
-        self.vm_nic_demand[vm.index()]
     }
 
     /// Resource usage of one server.
@@ -439,13 +422,8 @@ impl Cluster {
         if !self.host_up[server.index()] {
             return Err(AdmissionError::HostDown);
         }
-        // Slots / RAM / CPU via the static ledger (NIC handled below).
-        self.usage[server.index()].admission_check(
-            &self.server_spec,
-            &self.vm_specs[vm.index()],
-            0.0,
-            f64::INFINITY,
-        )?;
+        self.usage[server.index()]
+            .admission_check(&self.server_spec, &self.vm_specs[vm.index()])?;
         if bandwidth_threshold.is_finite() {
             let incoming = self.external_rate(vm, server);
             // Pairs between `vm` and VMs already on `server` currently load
@@ -482,9 +460,8 @@ impl Cluster {
         }
         self.can_host(target, vm, bandwidth_threshold)?;
         let spec = self.vm_specs[vm.index()];
-        let nic = self.vm_nic_demand[vm.index()];
-        self.usage[current.index()].evict(&spec, nic);
-        self.usage[target.index()].admit(&spec, nic);
+        self.usage[current.index()].evict(&spec);
+        self.usage[target.index()].admit(&spec);
         self.refresh_slot_index(current);
         self.refresh_slot_index(target);
         self.alloc.move_vm(vm, target);
@@ -526,7 +503,7 @@ impl Cluster {
             .best(|i| {
                 self.host_up[i]
                     && self.usage[i]
-                        .admission_check(&self.server_spec, spec, 0.0, f64::INFINITY)
+                        .admission_check(&self.server_spec, spec)
                         .is_ok()
             })
             .map(|(_, i)| ServerId::new(i as u32))
@@ -564,20 +541,19 @@ impl Cluster {
                     });
                 }
                 self.usage[s.index()]
-                    .admission_check(&self.server_spec, &spec, 0.0, f64::INFINITY)
+                    .admission_check(&self.server_spec, &spec)
                     .map_err(|source| ClusterError::PlacementRejected { server: s, source })?;
                 s
             }
             None => self.choose_server(&spec)?,
         };
-        self.usage[target.index()].admit(&spec, 0.0);
+        self.usage[target.index()].admit(&spec);
         self.refresh_slot_index(target);
         // A zero-traffic newcomer contributes 0 to the target's external
         // load; invalidate anyway so the invariant stays local to reason
         // about (every allocation change drops the touched hosts).
         self.ext_load.invalidate(target.index());
         self.vm_specs.push(spec);
-        self.vm_nic_demand.push(0.0);
         let vm = self.traffic.push_vm();
         let placed = self.alloc.push_vm(target);
         debug_assert_eq!(vm, placed, "traffic and allocation ids diverged");
@@ -611,23 +587,17 @@ impl Cluster {
         self.patch_traffic(&changes);
         let server = self.alloc.server_of(vm);
         let spec = self.vm_specs[vm.index()];
-        // The zeroing above already drained the VM's NIC demand from the
-        // per-server ledger; evict what (if any) float residue is left
-        // alongside the slot/RAM/CPU release.
-        let nic_residue = self.vm_nic_demand[vm.index()];
-        self.usage[server.index()].evict(&spec, nic_residue);
+        self.usage[server.index()].evict(&spec);
         self.refresh_slot_index(server);
-        self.vm_nic_demand[vm.index()] = 0.0;
         self.active[vm.index()] = false;
         Ok(changes)
     }
 
     /// Rebinds the cluster to a new traffic matrix **in place**: the
-    /// allocation, server specs and VM specs carry over untouched, and
-    /// only the NIC side of the resource ledger (per-VM demand estimates
-    /// and per-server load) is re-derived from the new rates. This is
-    /// the cheap path for a traffic-phase shift — no allocation copy, no
-    /// slot/RAM/CPU re-validation (none of those depend on traffic).
+    /// allocation, server specs, VM specs and slot/RAM/CPU usage carry
+    /// over untouched (none of them depend on traffic); only the held
+    /// rates are replaced and the memoized external loads dropped. This
+    /// is the cheap path for a traffic-phase shift.
     ///
     /// # Errors
     ///
@@ -642,26 +612,17 @@ impl Cluster {
                 traffic: traffic.num_vms(),
             });
         }
-        for usage in &mut self.usage {
-            usage.nic_bps = 0.0;
-        }
-        for v in 0..self.alloc.num_vms() {
-            let vm = VmId::new(v);
-            let demand: f64 = traffic.peers(vm).map(|(_, r)| r).sum();
-            self.vm_nic_demand[vm.index()] = demand;
-            self.usage[self.alloc.server_of(vm).index()].nic_bps += demand;
-        }
         self.traffic = traffic.clone();
         self.ext_load.invalidate_all();
         Ok(())
     }
 
     /// Applies a **sparse** traffic delta in place: each change is
-    /// `(u, v, old_rate, new_rate)` for one pair, where `old_rate` is
-    /// the rate this cluster currently serves. Only the NIC-side ledger
-    /// entries touched by a change are adjusted and the held traffic is
-    /// patched per pair (`O(changed pairs)`, vs
-    /// [`Cluster::rebind_traffic`]'s full re-derivation) — the path
+    /// `(u, v, old_rate, new_rate)` for one pair (the shape a cost
+    /// ledger reprices from; only `new_rate` is read here). The held
+    /// traffic is patched per pair and only the two endpoints' hosts
+    /// lose their memoized external load (`O(changed pairs)`, vs
+    /// [`Cluster::rebind_traffic`]'s wholesale replacement) — the path
     /// trace replay takes for each mid-run delta.
     ///
     /// # Panics
@@ -669,16 +630,12 @@ impl Cluster {
     /// Panics if a change names a self-pair, an out-of-range VM, or a
     /// negative/non-finite new rate.
     pub fn patch_traffic(&mut self, changes: &[(VmId, VmId, f64, f64)]) {
-        for &(u, v, old, new) in changes {
+        for &(u, v, _, new) in changes {
             self.traffic.apply_update(u, v, new);
-            let delta = new - old;
+            // A pair-rate change moves both endpoints' hosts' external
+            // loads (a no-op when they share a host, but harmless).
             for vm in [u, v] {
-                self.vm_nic_demand[vm.index()] += delta;
-                let server = self.alloc.server_of(vm);
-                self.usage[server.index()].nic_bps += delta;
-                // A pair-rate change moves both endpoints' hosts' external
-                // loads (a no-op when they share a host, but harmless).
-                self.ext_load.invalidate(server.index());
+                self.ext_load.invalidate(self.alloc.server_of(vm).index());
             }
         }
     }
@@ -694,15 +651,10 @@ impl Cluster {
         let mut usage = vec![ServerUsage::default(); self.usage.len()];
         for (vm, server) in alloc.iter() {
             let u = &mut usage[server.index()];
-            if let Err(source) = u.admission_check(
-                &self.server_spec,
-                &self.vm_specs[vm.index()],
-                0.0,
-                f64::INFINITY,
-            ) {
+            if let Err(source) = u.admission_check(&self.server_spec, &self.vm_specs[vm.index()]) {
                 return Err(ClusterError::InitialOverCommit { server, source });
             }
-            u.admit(&self.vm_specs[vm.index()], self.vm_nic_demand[vm.index()]);
+            u.admit(&self.vm_specs[vm.index()]);
         }
         self.alloc = alloc;
         self.usage = usage;
@@ -717,23 +669,16 @@ impl Cluster {
 
     /// Rescales every pair rate by `factor` **in place** — the cluster's
     /// share of a uniform `ScaleAll`. The held traffic scales in O(1)
-    /// ([`score_traffic::PairTraffic::scale_all`]) and the NIC-side
-    /// ledger (per-VM demand estimates, per-server load, memoized
-    /// external loads) is multiplied through instead of being re-derived
-    /// pair by pair: O(VMs + servers), no pair is visited. Slot/RAM/CPU
-    /// state is untouched (none of it depends on traffic).
+    /// ([`score_traffic::PairTraffic::scale_all`]) and the memoized
+    /// external loads are multiplied through instead of being re-swept
+    /// pair by pair: O(servers), no pair is visited. Slot/RAM/CPU state
+    /// is untouched (none of it depends on traffic).
     ///
     /// # Panics
     ///
     /// Panics if `factor` is not positive and finite.
     pub fn scale_traffic(&mut self, factor: f64) {
         self.traffic.scale_all(factor);
-        for d in &mut self.vm_nic_demand {
-            *d = (*d * factor).min(f64::MAX);
-        }
-        for u in &mut self.usage {
-            u.nic_bps = (u.nic_bps * factor).min(f64::MAX);
-        }
         self.ext_load.scale_all(factor);
     }
 
@@ -824,13 +769,29 @@ mod tests {
         Cluster::new(topo, spec, VmSpec::paper_default(), &traffic(vms), alloc).unwrap()
     }
 
+    /// Every host's external load — the NIC account `can_host` decides
+    /// on — equals a from-scratch sum over the reference `pairs` and the
+    /// current allocation.
+    fn assert_ext_loads(c: &Cluster, pairs: &[(u32, u32, f64)]) {
+        for s in 0..c.usage.len() as u32 {
+            let s = ServerId::new(s);
+            let on = |vm: u32| c.allocation().server_of(VmId::new(vm)) == s;
+            let fresh: f64 = pairs
+                .iter()
+                .filter(|&&(u, v, _)| on(u) != on(v))
+                .map(|&(_, _, r)| r)
+                .sum();
+            let got = c.host_external_load(s);
+            assert!((got - fresh).abs() < 1e-9, "{s}: {got} vs {fresh}");
+        }
+    }
+
     #[test]
     fn construction_tracks_usage() {
         let c = cluster(32, 16);
         assert_eq!(c.num_vms(), 32);
         assert_eq!(c.usage(ServerId::new(0)).slots, 2);
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 100.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(5)), 0.0);
+        assert_ext_loads(&c, &[(0, 1, 100.0)]);
         assert_eq!(c.capacity_report(ServerId::new(0)).free_slots, 14);
     }
 
@@ -841,8 +802,8 @@ mod tests {
         assert_eq!(c.allocation().server_of(VmId::new(0)), ServerId::new(3));
         assert_eq!(c.usage(ServerId::new(0)).slots, 0);
         assert_eq!(c.usage(ServerId::new(3)).slots, 2);
-        // NIC demand moved with it.
-        assert!((c.usage(ServerId::new(3)).nic_bps - 100.0).abs() < 1e-9);
+        // Its external traffic moved with it.
+        assert_ext_loads(&c, &[(0, 1, 100.0)]);
     }
 
     #[test]
@@ -1027,7 +988,7 @@ mod tests {
     fn rebind_traffic_patches_nic_ledger_in_place() {
         let mut c = cluster(4, 16);
         let before_alloc = c.allocation().clone();
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 100.0);
+        assert_ext_loads(&c, &[(0, 1, 100.0)]);
         // New matrix: the (0,1) pair disappears, (2,3) appears at 40.
         let mut b = PairTrafficBuilder::new(4);
         b.add(VmId::new(2), VmId::new(3), 40.0);
@@ -1036,40 +997,32 @@ mod tests {
         assert_eq!(c.allocation(), &before_alloc);
         assert_eq!(c.usage(ServerId::new(0)).slots, 1);
         // NIC accounting reflects the new rates.
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 0.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(2)), 40.0);
-        assert!((c.usage(ServerId::new(2)).nic_bps - 40.0).abs() < 1e-9);
-        assert_eq!(c.usage(ServerId::new(0)).nic_bps, 0.0);
+        assert_ext_loads(&c, &[(2, 3, 40.0)]);
+        assert_eq!(c.host_external_load(ServerId::new(0)), 0.0);
         // A population mismatch is rejected and leaves the cluster alone.
         let err = c.rebind_traffic(&traffic(5)).unwrap_err();
         assert!(matches!(err, ClusterError::VmCountMismatch { .. }));
-        assert_eq!(c.vm_nic_demand(VmId::new(2)), 40.0);
+        assert_ext_loads(&c, &[(2, 3, 40.0)]);
     }
 
     #[test]
     fn patch_traffic_adjusts_only_changed_pairs() {
         let mut c = cluster(4, 16);
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 100.0);
         // (0,1) re-rated to 60, (2,3) appears at 40.
         let changes = [
             (VmId::new(0), VmId::new(1), 100.0, 60.0),
             (VmId::new(2), VmId::new(3), 0.0, 40.0),
         ];
         c.patch_traffic(&changes);
-        assert_eq!(c.vm_nic_demand(VmId::new(0)), 60.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(3)), 40.0);
-        assert!((c.usage(ServerId::new(2)).nic_bps - 40.0).abs() < 1e-9);
-        assert!((c.usage(ServerId::new(0)).nic_bps - 60.0).abs() < 1e-9);
+        assert_ext_loads(&c, &[(0, 1, 60.0), (2, 3, 40.0)]);
         // The held traffic was patched in place to the same rates …
         assert_eq!(c.external_rate(VmId::new(2), ServerId::new(5)), 40.0);
-        // … and the patched ledger matches what a full rebind derives.
+        // … and the patched account matches what a full rebind derives.
         let patched = c.traffic.clone();
         let mut full = c.clone();
         full.rebind_traffic(&patched).unwrap();
-        for v in 0..4 {
-            assert!(
-                (c.vm_nic_demand(VmId::new(v)) - full.vm_nic_demand(VmId::new(v))).abs() < 1e-9
-            );
+        for s in (0..16).map(ServerId::new) {
+            assert_eq!(c.host_external_load(s), full.host_external_load(s));
         }
     }
 
@@ -1083,7 +1036,8 @@ mod tests {
         assert_eq!(c.num_active(), 5);
         assert!(c.is_active(vm));
         assert_eq!(c.allocation().server_of(vm), server);
-        assert_eq!(c.vm_nic_demand(vm), 0.0);
+        assert_eq!(c.external_rate(vm, server), 0.0);
+        assert_ext_loads(&c, &[(0, 1, 100.0)]);
         // Chooses an empty server (most free slots, lowest id wins): the
         // base cluster packs VMs 0..4 onto servers 0..4.
         assert_eq!(server, ServerId::new(4));
@@ -1123,8 +1077,7 @@ mod tests {
         assert!(!c.is_active(VmId::new(0)));
         assert_eq!(c.num_active(), 3);
         assert_eq!(c.usage(ServerId::new(0)).slots, 0);
-        assert_eq!(c.usage(ServerId::new(0)).nic_bps, 0.0);
-        assert_eq!(c.vm_nic_demand(VmId::new(1)), 0.0);
+        assert_ext_loads(&c, &[]);
         assert_eq!(c.external_rate(VmId::new(1), ServerId::new(5)), 0.0);
         // Double removal and unknown ids are rejected.
         assert!(matches!(
@@ -1146,9 +1099,8 @@ mod tests {
     fn scale_traffic_matches_patched_rates() {
         let mut scaled = cluster(4, 16);
         scaled.scale_traffic(10.0);
-        assert_eq!(scaled.vm_nic_demand(VmId::new(0)), 1000.0);
         assert_eq!(scaled.external_rate(VmId::new(0), ServerId::new(5)), 1000.0);
-        assert!((scaled.usage(ServerId::new(0)).nic_bps - 1000.0).abs() < 1e-9);
+        assert_ext_loads(&scaled, &[(0, 1, 1000.0)]);
         // The memoized external loads were scaled, not dropped: they agree
         // with a cold-cache clone's re-sweep.
         for s in 0..4 {
@@ -1162,12 +1114,7 @@ mod tests {
         // Matches the sparse patch path applying the same rates.
         let mut patched = cluster(4, 16);
         patched.patch_traffic(&[(VmId::new(0), VmId::new(1), 100.0, 1000.0)]);
-        for v in 0..4 {
-            assert!(
-                (scaled.vm_nic_demand(VmId::new(v)) - patched.vm_nic_demand(VmId::new(v))).abs()
-                    < 1e-9
-            );
-        }
+        assert_ext_loads(&patched, &[(0, 1, 1000.0)]);
         // Slot/RAM state is untouched.
         assert_eq!(scaled.usage(ServerId::new(0)).slots, 1);
     }

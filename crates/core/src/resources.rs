@@ -111,26 +111,17 @@ pub struct ServerUsage {
     pub ram_mb: u32,
     /// Committed CPU cores.
     pub cpu_cores: f64,
-    /// Estimated NIC load in bits per second (sum of hosted VMs' traffic
-    /// demand; intra-host pairs are conservatively counted too).
-    pub nic_bps: f64,
 }
 
 impl ServerUsage {
-    /// Checks whether a VM with demand `vm` and NIC demand `vm_nic_bps`
-    /// fits under `spec` with the given bandwidth threshold (fraction of
-    /// NIC capacity that hosted traffic may occupy).
+    /// Checks whether a VM with demand `vm` fits under `spec` — slots, RAM
+    /// and CPU. Host bandwidth depends on where the VM's peers run, so
+    /// [`crate::Cluster::can_host`] checks it against the allocation.
     ///
     /// # Errors
     ///
     /// Returns the first violated resource as an [`AdmissionError`].
-    pub fn admission_check(
-        &self,
-        spec: &ServerSpec,
-        vm: &VmSpec,
-        vm_nic_bps: f64,
-        bandwidth_threshold: f64,
-    ) -> Result<(), AdmissionError> {
+    pub fn admission_check(&self, spec: &ServerSpec, vm: &VmSpec) -> Result<(), AdmissionError> {
         if self.slots + 1 > spec.vm_slots {
             return Err(AdmissionError::NoSlot);
         }
@@ -140,18 +131,14 @@ impl ServerUsage {
         if self.cpu_cores + vm.cpu_cores > spec.cpu_cores + 1e-9 {
             return Err(AdmissionError::Cpu);
         }
-        if self.nic_bps + vm_nic_bps > bandwidth_threshold * spec.nic_bps + 1e-9 {
-            return Err(AdmissionError::Bandwidth);
-        }
         Ok(())
     }
 
     /// Adds a VM's demand.
-    pub fn admit(&mut self, vm: &VmSpec, vm_nic_bps: f64) {
+    pub fn admit(&mut self, vm: &VmSpec) {
         self.slots += 1;
         self.ram_mb += vm.ram_mb;
         self.cpu_cores += vm.cpu_cores;
-        self.nic_bps += vm_nic_bps;
     }
 
     /// Removes a VM's demand.
@@ -159,13 +146,12 @@ impl ServerUsage {
     /// # Panics
     ///
     /// Panics if the usage would go negative (eviction without admission).
-    pub fn evict(&mut self, vm: &VmSpec, vm_nic_bps: f64) {
+    pub fn evict(&mut self, vm: &VmSpec) {
         assert!(self.slots >= 1, "evicting from an empty server");
         assert!(self.ram_mb >= vm.ram_mb, "RAM usage underflow");
         self.slots -= 1;
         self.ram_mb -= vm.ram_mb;
         self.cpu_cores = (self.cpu_cores - vm.cpu_cores).max(0.0);
-        self.nic_bps = (self.nic_bps - vm_nic_bps).max(0.0);
     }
 }
 
@@ -220,11 +206,11 @@ mod tests {
         };
         let vm = VmSpec::paper_default();
         let mut usage = ServerUsage::default();
-        assert!(usage.admission_check(&spec, &vm, 0.0, 1.0).is_ok());
-        usage.admit(&vm, 0.0);
-        usage.admit(&vm, 0.0);
+        assert!(usage.admission_check(&spec, &vm).is_ok());
+        usage.admit(&vm);
+        usage.admit(&vm);
         assert_eq!(
-            usage.admission_check(&spec, &vm, 0.0, 1.0),
+            usage.admission_check(&spec, &vm),
             Err(AdmissionError::NoSlot)
         );
     }
@@ -242,11 +228,8 @@ mod tests {
             cpu_cores: 0.1,
         };
         let mut usage = ServerUsage::default();
-        usage.admit(&vm, 0.0);
-        assert_eq!(
-            usage.admission_check(&spec, &vm, 0.0, 1.0),
-            Err(AdmissionError::Ram)
-        );
+        usage.admit(&vm);
+        assert_eq!(usage.admission_check(&spec, &vm), Err(AdmissionError::Ram));
     }
 
     #[test]
@@ -262,26 +245,8 @@ mod tests {
             cpu_cores: 0.6,
         };
         let mut usage = ServerUsage::default();
-        usage.admit(&vm, 0.0);
-        assert_eq!(
-            usage.admission_check(&spec, &vm, 0.0, 1.0),
-            Err(AdmissionError::Cpu)
-        );
-    }
-
-    #[test]
-    fn admission_bandwidth_threshold() {
-        let spec = ServerSpec::paper_default();
-        let vm = VmSpec::paper_default();
-        let mut usage = ServerUsage::default();
-        usage.admit(&vm, 0.7e9);
-        // threshold 0.9: 0.7 + 0.3 > 0.9 → rejected
-        assert_eq!(
-            usage.admission_check(&spec, &vm, 0.3e9, 0.9),
-            Err(AdmissionError::Bandwidth)
-        );
-        // threshold 1.0: exactly fits
-        assert!(usage.admission_check(&spec, &vm, 0.3e9, 1.0).is_ok());
+        usage.admit(&vm);
+        assert_eq!(usage.admission_check(&spec, &vm), Err(AdmissionError::Cpu));
     }
 
     #[test]
@@ -291,13 +256,12 @@ mod tests {
             cpu_cores: 0.5,
         };
         let mut usage = ServerUsage::default();
-        usage.admit(&vm, 1e6);
-        usage.admit(&vm, 2e6);
-        usage.evict(&vm, 1e6);
+        usage.admit(&vm);
+        usage.admit(&vm);
+        usage.evict(&vm);
         assert_eq!(usage.slots, 1);
         assert_eq!(usage.ram_mb, 100);
-        assert!((usage.nic_bps - 2e6).abs() < 1e-6);
-        usage.evict(&vm, 2e6);
+        usage.evict(&vm);
         assert_eq!(usage, ServerUsage::default());
     }
 
@@ -305,7 +269,7 @@ mod tests {
     #[should_panic(expected = "empty server")]
     fn evict_from_empty_panics() {
         let mut usage = ServerUsage::default();
-        usage.evict(&VmSpec::paper_default(), 0.0);
+        usage.evict(&VmSpec::paper_default());
     }
 
     #[test]
@@ -314,13 +278,13 @@ mod tests {
         let mut usage = ServerUsage::default();
         let vm = VmSpec::paper_default();
         for _ in 0..15 {
-            usage.admit(&vm, 0.0);
+            usage.admit(&vm);
         }
         let report = CapacityReport::from_usage(&spec, &usage);
         assert_eq!(report.free_slots, 1);
         assert_eq!(report.free_ram_mb, 16 * 256 - 15 * 196);
         assert!(report.can_host(&vm));
-        usage.admit(&vm, 0.0);
+        usage.admit(&vm);
         let report = CapacityReport::from_usage(&spec, &usage);
         assert!(!report.can_host(&vm));
     }

@@ -88,9 +88,8 @@ fn per_pair_loads(alloc: &Allocation, traffic: &PairTraffic, topo: &dyn Topology
 /// 40 VMs on `topo`: VMs 0–4 pinned so that 0–1 are collocated, 0–2
 /// share an edge, 0–3 a pod and 0–4 cross the core (where the fabric is
 /// big enough to tell these apart), the rest placed at random. The TM is
-/// a generated one with every third pair zeroed (tombstoned slots), the
-/// four pinned pairs inserted (slot order no longer canonical) and a
-/// `scale_all` left pending on top.
+/// a generated one with every third pair removed, the four pinned pairs
+/// inserted and a `scale_all` left pending on top.
 fn churned_world(topo: &dyn Topology, seed: u64, factor: f64) -> (PairTraffic, Allocation) {
     let n = topo.num_servers() as u32;
     let per_rack = topo.servers_in_rack(RackId::new(0)).len() as u32;

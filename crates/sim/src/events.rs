@@ -7,18 +7,14 @@
 //! queue holds their firing times as one sorted run and merges it with
 //! the heap by the same `(time, sequence)` key.
 
-use score_topology::VmId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Events the S-CORE scenario simulator processes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
-    /// The token arrives at (the dom0 of) a VM.
-    TokenArrive {
-        /// The VM receiving the token.
-        vm: VmId,
-    },
+    /// The token arrives at (the dom0 of) the ring's current holder.
+    TokenArrive,
     /// Periodic cost sampling tick.
     Sample,
     /// A trace-driven traffic delta fires: the session applies the next
@@ -201,7 +197,7 @@ mod tests {
     fn events_fire_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule_at(5.0, SimEvent::Sample);
-        q.schedule_at(1.0, SimEvent::TokenArrive { vm: VmId::new(0) });
+        q.schedule_at(1.0, SimEvent::TokenArrive);
         q.schedule_at(3.0, SimEvent::End);
         let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
         assert_eq!(order, vec![1.0, 3.0, 5.0]);
@@ -211,12 +207,12 @@ mod tests {
     #[test]
     fn ties_are_fifo() {
         let mut q = EventQueue::new();
-        q.schedule_at(1.0, SimEvent::TokenArrive { vm: VmId::new(1) });
-        q.schedule_at(1.0, SimEvent::TokenArrive { vm: VmId::new(2) });
+        q.schedule_at(1.0, SimEvent::TokenArrive);
+        q.schedule_at(1.0, SimEvent::MigrationComplete);
         let (_, e1) = q.pop().unwrap();
         let (_, e2) = q.pop().unwrap();
-        assert_eq!(e1, SimEvent::TokenArrive { vm: VmId::new(1) });
-        assert_eq!(e2, SimEvent::TokenArrive { vm: VmId::new(2) });
+        assert_eq!(e1, SimEvent::TokenArrive);
+        assert_eq!(e2, SimEvent::MigrationComplete);
     }
 
     #[test]
@@ -287,8 +283,8 @@ mod tests {
         /// sorted run. Times sit on a quarter-second grid over a few
         /// seconds, so ties between run entries, heap entries scheduled
         /// before the run and heap entries scheduled after it are the
-        /// common case; heap entries carry distinct ids, so any reorder
-        /// among them shows.
+        /// common case; heap entries cycle through the four other event
+        /// kinds, so one swapped with a neighbour or a run entry shows.
         #[test]
         fn shift_run_pops_in_the_all_heap_order(
             ops in prop::collection::vec((0u8..4, 0u32..12), 0..60),
@@ -297,7 +293,12 @@ mod tests {
         ) {
             let mut merged = EventQueue::new();
             let mut all_heap = EventQueue::new();
-            let mut next_id = 0;
+            let kinds = [
+                SimEvent::TokenArrive,
+                SimEvent::Sample,
+                SimEvent::MigrationComplete,
+                SimEvent::End,
+            ];
             let load = |merged: &mut EventQueue, all_heap: &mut EventQueue| {
                 let mut at_s = merged.now_s();
                 let times: Vec<f64> = run
@@ -317,8 +318,7 @@ mod tests {
                     load(&mut merged, &mut all_heap);
                 }
                 let delay_s = f64::from(arg) * 0.25;
-                let event = SimEvent::TokenArrive { vm: VmId::new(next_id) };
-                next_id += 1;
+                let event = kinds[i % kinds.len()].clone();
                 match kind {
                     0 => {
                         let at_s = merged.now_s() + delay_s;

@@ -36,7 +36,7 @@ impl Session {
         if !self.token_event_pending && !self.finished {
             self.queue.schedule_in(
                 self.scenario.timing.token_hold_s + self.scenario.timing.token_pass_s,
-                SimEvent::TokenArrive { vm },
+                SimEvent::TokenArrive,
             );
             self.token_event_pending = true;
         }

@@ -266,9 +266,7 @@ impl Session {
         self.queue.schedule_at(self.queue.now_s(), SimEvent::Sample);
         self.queue.schedule_in(
             self.scenario.timing.token_hold_s.max(1e-6),
-            SimEvent::TokenArrive {
-                vm: self.ring.holder().unwrap_or(VmId::new(0)),
-            },
+            SimEvent::TokenArrive,
         );
         self.token_event_pending = true;
         self.queue.schedule_at(self.horizon_s, SimEvent::End);
@@ -354,7 +352,7 @@ impl Session {
                 // The allocation already switched at decision time.
                 SimEvent::MigrationComplete => {}
                 SimEvent::TrafficShift => self.apply_next_shift(),
-                SimEvent::TokenArrive { vm: _ } => {
+                SimEvent::TokenArrive => {
                     self.token_event_pending = false;
                     self.ring.set_obs_clock(t);
                     // Every decision flows through an outlook; without a
@@ -407,10 +405,10 @@ impl Session {
                         self.seg.iterations.push(self.seg.current_iter);
                         self.seg.current_iter = IterationStats::default();
                     }
-                    if let Some(next) = outcome.next {
+                    if outcome.next.is_some() {
                         self.queue.schedule_in(
                             self.scenario.timing.token_hold_s + self.scenario.timing.token_pass_s,
-                            SimEvent::TokenArrive { vm: next },
+                            SimEvent::TokenArrive,
                         );
                         self.token_event_pending = true;
                     }

@@ -396,13 +396,23 @@ fn traffic_scale_matches_expanded_deltas() {
         let (cf, cs) = (fast.current_cost(), slow.current_cost());
         assert!((cf - cs).abs() <= 1e-9 * cs.abs().max(1.0), "{cf} vs {cs}");
         assert!(fast.shard_drift() <= 1e-9 * cf.abs().max(1.0));
-        for vm in 0..slow.traffic().num_vms() {
-            let vm = VmId::new(vm);
-            let (df, ds) = (
-                fast.cluster().vm_nic_demand(vm),
-                slow.cluster().vm_nic_demand(vm),
+        // The memoized external loads the scale multiplied through
+        // equal a from-scratch sum over the reference's rates.
+        let alloc = fast.cluster().allocation();
+        let mut fresh = vec![0.0f64; alloc.num_servers() as usize];
+        for (u, v, r) in slow.traffic().pairs() {
+            let (su, sv) = (alloc.server_of(u), alloc.server_of(v));
+            if su != sv {
+                fresh[su.index()] += r;
+                fresh[sv.index()] += r;
+            }
+        }
+        for (s, &ds) in fresh.iter().enumerate() {
+            let df = fast.cluster().host_external_load(ServerId::new(s as u32));
+            assert!(
+                (df - ds).abs() <= 1e-9 * ds.max(1.0),
+                "srv{s}: {df} vs {ds}"
             );
-            assert!((df - ds).abs() <= 1e-9 * ds.max(1.0), "{vm}: {df} vs {ds}");
         }
         assert_eq!(fast.ledger_resyncs(), 0);
     };

@@ -131,8 +131,8 @@ impl Session {
     /// without resetting the clock, ring, or report accumulators: each
     /// `(u, v, new_rate)` entry replaces λ(u, v) (`0` removes the pair;
     /// duplicates within one batch: the later entry wins). The cluster's
-    /// NIC ledger is patched per changed pair and the cost ledger is
-    /// re-priced per changed pair — no full Eq.-(2) pass, no cluster
+    /// copy of the rates is patched per changed pair and the cost ledger
+    /// is re-priced per changed pair — no full Eq.-(2) pass, no cluster
     /// rebuild — so `C_A(t)` reacts to traffic *between* samples at
     /// O(changed-pairs) cost. This is the path every trace event takes;
     /// external callers (benches, custom drivers) may invoke it
@@ -262,8 +262,8 @@ impl Session {
     /// rate is multiplied by `factor`, saturating at `f64::MAX`. `C_A` is
     /// linear in `λ`, so nothing is re-priced pair by pair: the traffic
     /// stores take the factor as a pending multiplier their reads fold
-    /// in, the cluster's NIC accounting and the cost ledger with its
-    /// shards are multiplied through — O(VMs + servers + racks), the same
+    /// in, the cluster's memoized host NIC loads and the cost ledger with
+    /// its shards are multiplied through — O(servers + racks), the same
     /// whether 10² or 10⁷ pairs are live. This is the only way a session
     /// scales: compiled trace batches, raw `ScaleAll` events and the
     /// daemon all land here, a recorder logs the event itself, and a
@@ -302,7 +302,7 @@ impl Session {
                 if self.seg.forecast_evals.len() < MAX_FORECAST_EVALS {
                     let mut moved = f.as_dyn().known_pairs();
                     moved.sort_unstable();
-                    moved.retain(|&(u, v)| self.traffic.handle(u, v).is_some());
+                    moved.retain(|&(u, v)| self.traffic.rate(u, v) != 0.0);
                     self.queue_forecast_evals(moved, now_s);
                 }
             }
@@ -365,9 +365,9 @@ impl Session {
     /// scripts them). The session rebinds to the segment's initial TM
     /// **in place**: clock, queue, ring and report accumulators restart
     /// (segment *i* is reseeded with `scenario.seed + i`), the
-    /// allocation carries over, the resource ledger's NIC side is
-    /// patched and the cost ledger re-priced over the changed pairs
-    /// only; then the segment's delta batches are scheduled. Returns
+    /// allocation carries over, the cluster takes the new rates and the
+    /// cost ledger is re-priced over the changed pairs only; then the
+    /// segment's delta batches are scheduled. Returns
     /// `false` when no segments remain (including on static workloads).
     ///
     /// # Errors

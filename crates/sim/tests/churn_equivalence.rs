@@ -1,7 +1,7 @@
-//! Churn-at-scale equivalence: the struct-of-arrays pair store behind
-//! `PairTraffic` (slot arrays + free-list recycling + per-VM adjacency)
-//! with its lazily applied uniform scale must be observationally
-//! identical to the obvious reference — a sorted map of canonical
+//! Churn-at-scale equivalence: the adjacency store behind `PairTraffic`
+//! (sorted per-VM peer lists, nothing else holding a rate) with its
+//! lazily applied uniform scale must be observationally identical to
+//! the obvious reference — a sorted map of canonical
 //! `(u, v) → rate` entries in which a `ScaleAll` multiplies every entry
 //! — under arbitrary interleavings of `place_vm` / `remove_vm` /
 //! absolute patches / pair removals / `ScalePair` / `ScaleAll` / token
@@ -15,9 +15,11 @@
 //!   relative otherwise (the store multiplies by the composed factor
 //!   once, the reference by each factor in turn);
 //! * the pair count and the canonical `pairs()` ordering match;
-//! * per-VM NIC demand matches the reference recomputation to ≤ 1e-9
-//!   relative (the cluster maintains it incrementally through the
-//!   handle store);
+//! * every host's external NIC load — the account `Cluster::can_host`
+//!   decides on, memoized per host, multiplied through by a `ScaleAll`
+//!   and dropped by patches, churn and migrations — matches a
+//!   from-scratch sum over the reference rates and the allocation to
+//!   ≤ 1e-9 relative;
 //! * the incremental cost ledger stays within 1e-9 relative of a full
 //!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs.
 //!
@@ -28,7 +30,7 @@
 
 use proptest::prelude::*;
 use score_sim::{PolicyKind, Scenario, Session};
-use score_topology::VmId;
+use score_topology::{ServerId, VmId};
 use score_trace::{scaled_rate, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -120,7 +122,7 @@ fn reference_rates(session: &Session) -> Reference {
         .collect()
 }
 
-fn check_equivalence(session: &Session, reference: &Reference, live: &[u32], floor: f64) {
+fn check_equivalence(session: &Session, reference: &Reference, floor: f64) {
     // Rates and canonical ordering match the reference map.
     let pairs = session.traffic().pairs();
     assert_eq!(pairs.len(), reference.len(), "pair population diverged");
@@ -138,17 +140,23 @@ fn check_equivalence(session: &Session, reference: &Reference, live: &[u32], flo
     let canonical: Vec<(u32, u32)> = reference.keys().copied().collect();
     let observed: Vec<(u32, u32)> = pairs.iter().map(|&(u, v, _)| (u.get(), v.get())).collect();
     assert_eq!(observed, canonical, "pairs() lost canonical order");
-    // Incremental NIC demand matches a reference recomputation.
-    for &vm in live {
-        let expect: f64 = reference
-            .iter()
-            .filter(|&(&(u, v), _)| u == vm || v == vm)
-            .map(|(_, &(r, _))| r)
-            .sum();
-        let got = session.cluster().vm_nic_demand(VmId::new(vm));
+    // Memoized external NIC loads match a reference recomputation.
+    let alloc = session.cluster().allocation();
+    let mut expect = vec![0.0f64; alloc.num_servers() as usize];
+    for (&(u, v), &(r, _)) in reference.iter() {
+        let (su, sv) = (alloc.server_of(VmId::new(u)), alloc.server_of(VmId::new(v)));
+        if su != sv {
+            expect[su.index()] += r;
+            expect[sv.index()] += r;
+        }
+    }
+    for (s, &expect) in expect.iter().enumerate() {
+        let got = session
+            .cluster()
+            .host_external_load(ServerId::new(s as u32));
         assert!(
             (got - expect).abs() <= 1e-9 * expect.max(floor),
-            "vm{vm} NIC demand {got} diverged from reference {expect}"
+            "srv{s} external load {got} diverged from reference {expect}"
         );
     }
     // The incremental ledger matches a full Eq.-(2) pass, resync-free.
@@ -238,7 +246,7 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
         }
         peak = peak.max(max_rate(&reference));
         let floor = if scaled { peak } else { 1.0 };
-        check_equivalence(&session, &reference, &live, floor);
+        check_equivalence(&session, &reference, floor);
     }
 }
 
@@ -246,7 +254,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Canonical tree: interleaved churn, patches, and token steps keep
-    /// the handle store equivalent to the reference map.
+    /// the adjacency store equivalent to the reference map.
     #[test]
     fn canonical_tree_churn_matches_reference(
         seed in 0u64..1_000,

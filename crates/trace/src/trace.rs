@@ -555,7 +555,7 @@ impl Trace {
              stream instead"
         );
         // A segment's initial TM is a fresh build of the running one:
-        // canonical slot order, no tombstones, no pending scale.
+        // peer lists sized to fit, no pending scale.
         let snapshot = |tm: &PairTraffic| {
             let mut b = PairTrafficBuilder::new(self.num_vms);
             for (u, v, rate) in tm.pairs() {

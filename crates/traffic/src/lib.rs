@@ -53,4 +53,4 @@ pub use generator::{
     dense_workload, medium_workload, sparse_workload, TrafficIntensity, WorkloadConfig,
 };
 pub use matrix::TrafficMatrix;
-pub use pairwise::{PairHandle, PairTraffic, PairTrafficBuilder};
+pub use pairwise::{PairTraffic, PairTrafficBuilder};

@@ -13,6 +13,7 @@ proptest! {
     fn pair_rates_symmetric_and_conserved(
         num_vms in 2u32..40,
         edges in prop::collection::vec((0u32..40, 0u32..40, 1.0f64..1e6), 1..60),
+        updates in prop::collection::vec((0u32..40, 0u32..40, 0u32..4, 1.0f64..1e6), 0..40),
     ) {
         let mut b = PairTrafficBuilder::new(num_vms);
         let mut expected_total = 0.0;
@@ -35,6 +36,33 @@ proptest! {
             .flat_map(|u| t.peers(VmId::new(u)).map(|(_, r)| r))
             .sum();
         prop_assert!((adj_sum - 2.0 * t.total_rate()).abs() < 1e-6 * adj_sum.max(1.0));
+        // Random re-rates, inserts and removes (a quarter are zeros): the
+        // adjacency is the store, so every pair of the canonical walk
+        // reads bit for bit from both endpoints' sorted peer lists and no
+        // row exists outside it.
+        let mut t = t;
+        for (u, v, kind, r) in updates {
+            let (u, v) = (u % num_vms, v % num_vms);
+            if u == v { continue; }
+            t.apply_update(VmId::new(u), VmId::new(v), if kind == 0 { 0.0 } else { r });
+        }
+        let pairs = t.pairs();
+        prop_assert_eq!(pairs.len(), t.num_pairs());
+        prop_assert!(pairs.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        for &(u, v, r) in &pairs {
+            prop_assert!(u < v);
+            for (a, b) in [(u, v), (v, u)] {
+                let row = t.peers(a).find(|&(p, _)| p == b).map(|(_, x)| x.to_bits());
+                prop_assert_eq!(row, Some(r.to_bits()));
+            }
+        }
+        let mut rows = 0;
+        for u in 0..num_vms {
+            let ids: Vec<VmId> = t.peers(VmId::new(u)).map(|(p, _)| p).collect();
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "peers of {} unsorted", u);
+            rows += ids.len();
+        }
+        prop_assert_eq!(rows, 2 * pairs.len());
     }
 
     #[test]
