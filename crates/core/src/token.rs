@@ -77,8 +77,11 @@ pub struct Token {
     /// Direct map from VM id to entry index ([`NO_POS`] for untracked
     /// ids), so the per-step entry lookups (`set_level`, `raise_level`,
     /// `level_of`, `next_after`) are O(1) instead of binary searches.
-    /// Rebuilt on membership changes (and on decode/deserialize);
-    /// lookups fall back to binary search if the map is ever absent.
+    /// Kept only while the ids are dense ([`Token::is_dense`]), and then
+    /// exactly `id_span()` long; a sparser token leaves it empty and
+    /// lookups fall back to binary search. Membership changes maintain
+    /// it in place: an append writes one slot, an interior change
+    /// renumbers the entries after it — never a pass over the id span.
     pos: Vec<u32>,
     /// Bumped by every membership change (`add_vm`/`remove_vm`), so
     /// policies keeping derived indexes over the entries can detect
@@ -163,8 +166,23 @@ impl Token {
         self.entries.last().map_or(0, |e| e.id.index() + 1)
     }
 
-    /// Rebuilds the id→index map from the (sorted) entries.
+    /// Whether the members are dense enough in their id span to carry
+    /// the position map: at most 32 slots (4 bytes each) a member, so no
+    /// id — `u32::MAX` arriving in a decoded token included — can size a
+    /// table on its own. A `Session` mints ids densely and never reuses
+    /// one, so its token stays on the map until over 31 of every 32 VMs
+    /// it ever admitted have left.
+    fn is_dense(&self) -> bool {
+        self.id_span() <= 32 * self.entries.len() + 64
+    }
+
+    /// Rebuilds the id→index map from the (sorted) entries; a sparse
+    /// token gets none (and gives back the one it outgrew).
     fn rebuild_pos(&mut self) {
+        if !self.is_dense() {
+            self.pos = Vec::new();
+            return;
+        }
         self.pos.clear();
         self.pos.resize(self.id_span(), NO_POS);
         for (i, e) in self.entries.iter().enumerate() {
@@ -204,9 +222,37 @@ impl Token {
     }
 
     /// The map is valid only when sized to cover exactly the highest id
-    /// (a deserialized token arrives with it empty).
+    /// (a sparse token keeps it empty).
     fn pos_is_valid(&self) -> bool {
         self.pos.len() == self.id_span()
+    }
+
+    /// Panics unless the entries ascend strictly and the position map is
+    /// either absent (a sparse token) or exact: `id_span()` long, every
+    /// member's slot its index and every other slot [`NO_POS`]. Debug
+    /// builds run it after every membership change.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_invariants(&self) {
+        assert!(
+            self.entries.windows(2).all(|w| w[0].id < w[1].id),
+            "token entries must ascend strictly by id"
+        );
+        if self.pos.is_empty() {
+            assert!(
+                self.entries.is_empty() || !self.is_dense(),
+                "a dense token must carry its position map"
+            );
+            return;
+        }
+        assert!(self.is_dense(), "a sparse token must not carry a map");
+        assert_eq!(self.pos.len(), self.id_span(), "map length");
+        let mut members = self.entries.iter().enumerate().peekable();
+        for (id, &slot) in self.pos.iter().enumerate() {
+            match members.next_if(|(_, e)| e.id.index() == id) {
+                Some((i, _)) => assert_eq!(slot, i as u32, "slot of member {id}"),
+                None => assert_eq!(slot, NO_POS, "slot of non-member {id}"),
+            }
+        }
     }
 
     /// True if the token tracks `vm`.
@@ -268,37 +314,60 @@ impl Token {
     }
 
     /// Adds a VM (level 0). Returns `false` if it was already present.
-    /// Supports VM arrivals between iterations.
+    /// Supports VM arrivals between iterations. An id above every member
+    /// — what a placement manager minting ascending ids always sends —
+    /// costs O(1); one below costs the entries after it.
     pub fn add_vm(&mut self, vm: VmId) -> bool {
-        match self.position(vm) {
-            Ok(_) => false,
-            Err(i) => {
-                self.entries.insert(
-                    i,
-                    TokenEntry {
-                        id: vm,
-                        level: Level::ZERO,
-                    },
-                );
-                self.rebuild_pos();
-                self.version += 1;
-                true
+        let Err(i) = self.position(vm) else {
+            return false;
+        };
+        let mapped = self.pos_is_valid();
+        self.entries.insert(
+            i,
+            TokenEntry {
+                id: vm,
+                level: Level::ZERO,
+            },
+        );
+        self.version += 1;
+        if mapped && self.is_dense() {
+            for e in &self.entries[i + 1..] {
+                self.pos[e.id.index()] += 1;
             }
+            // Only an append grows the span.
+            self.pos.resize(self.id_span(), NO_POS);
+            self.pos[vm.index()] = i as u32;
+        } else {
+            // The token changed sides of the density rule, or stays sparse.
+            self.rebuild_pos();
         }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        true
     }
 
     /// Removes a VM. Returns `false` if it was not present. Supports VM
-    /// departures between iterations.
+    /// departures between iterations. Costs the entries after it.
     pub fn remove_vm(&mut self, vm: VmId) -> bool {
-        match self.position(vm) {
-            Ok(i) => {
-                self.entries.remove(i);
-                self.rebuild_pos();
-                self.version += 1;
-                true
+        let Ok(i) = self.position(vm) else {
+            return false;
+        };
+        let mapped = self.pos_is_valid();
+        self.entries.remove(i);
+        self.version += 1;
+        if mapped && self.is_dense() {
+            for e in &self.entries[i..] {
+                self.pos[e.id.index()] -= 1;
             }
-            Err(_) => false,
+            self.pos[vm.index()] = NO_POS;
+            // Only removing the highest id shrinks the span.
+            self.pos.truncate(self.id_span());
+        } else {
+            self.rebuild_pos();
         }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        true
     }
 
     /// Serialises the token to its 5-byte-per-entry wire format.
@@ -455,8 +524,8 @@ mod tests {
 
     #[test]
     fn lookups_fall_back_without_pos_map() {
-        // A serde-deserialized token arrives with an empty position map;
-        // every lookup must still work (via binary search).
+        // A sparse token carries no position map; every lookup must still
+        // work (via binary search).
         let mut t = token();
         t.pos.clear();
         assert_eq!(t.level_of(VmId::new(3)), Some(Level::ZERO));
@@ -471,12 +540,208 @@ mod tests {
         assert_eq!(t.level_of(VmId::new(5)), Some(Level::CORE));
     }
 
+    /// `contains`/`level_of`/`next_after` of a one-entry token whose only
+    /// id is `u32::MAX`, decoded without a table sized by that id.
+    fn assert_lone_max_id(t: &Token) {
+        let max = VmId::new(u32::MAX);
+        assert!(t.pos.is_empty() && t.pos.capacity() == 0);
+        t.check_invariants();
+        assert!(t.contains(max) && !t.contains(VmId::new(0)));
+        assert_eq!(t.level_of(max), Some(Level::new(3)));
+        assert_eq!(t.level_of(VmId::new(7)), None);
+        assert_eq!(t.next_after(VmId::new(7)), Some(max));
+        assert_eq!(t.next_after(max), Some(max));
+    }
+
+    #[test]
+    fn an_id_of_u32_max_sizes_no_table() {
+        // Each of these asked the allocator for 16 GiB and aborted.
+        assert_lone_max_id(&Token::decode(&[0xff, 0xff, 0xff, 0xff, 0x03]).unwrap());
+        let entry = serde::Value::Object(vec![
+            ("id".to_string(), serde::Value::Int(i128::from(u32::MAX))),
+            ("level".to_string(), serde::Value::Int(3)),
+        ]);
+        let doc = serde::Value::Object(vec![(
+            "entries".to_string(),
+            serde::Value::Array(vec![entry]),
+        )]);
+        assert_lone_max_id(&Token::from_value(&doc).unwrap());
+        let mut t = Token::for_vms([]);
+        assert!(t.add_vm(VmId::new(u32::MAX)));
+        assert!(t.set_level(VmId::new(u32::MAX), Level::new(3)));
+        assert_lone_max_id(&t);
+    }
+
+    #[test]
+    fn a_dense_token_regains_its_map_when_the_sparse_id_leaves() {
+        let mut t = Token::for_vms((0..100).map(VmId::new));
+        assert_eq!(t.pos.len(), 100);
+        // 100 members carry at most 32 · 100 + 64 slots.
+        let far = VmId::new(32 * 101 + 64);
+        assert!(t.add_vm(far));
+        assert!(t.pos.is_empty(), "one far id drops the map");
+        assert_eq!(t.next_after(VmId::new(99)), Some(far));
+        assert!(t.raise_level(VmId::new(42), Level::CORE));
+        assert!(t.remove_vm(far));
+        assert_eq!(t.pos.len(), 100, "and its departure restores it");
+        assert_eq!(t.level_of(VmId::new(42)), Some(Level::CORE));
+        // The last id still inside the rule keeps the map.
+        assert!(t.add_vm(VmId::new(32 * 101 + 63)));
+        assert_eq!(t.pos.len(), 32 * 101 + 64);
+        t.check_invariants();
+    }
+
+    /// One step of the model test below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(u32),
+        Remove(u32),
+        Raise(u32, u8),
+        Set(u32, u8),
+        Fail(Vec<u32>),
+    }
+
+    /// Ids near zero keep a token dense; the occasional id up to 100k
+    /// pushes it over the density rule and back.
+    fn any_id() -> impl proptest::Strategy<Value = u32> {
+        proptest::prop_oneof![0u32..64, 0u32..64, 0u32..3_000, 0u32..100_000]
+    }
+
+    fn any_op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::Strategy as _;
+        proptest::prop_oneof![
+            any_id().prop_map(Op::Add),
+            any_id().prop_map(Op::Add),
+            any_id().prop_map(Op::Remove),
+            (any_id(), 0u8..5).prop_map(|(id, l)| Op::Raise(id, l)),
+            (any_id(), 0u8..5).prop_map(|(id, l)| Op::Set(id, l)),
+            proptest::prop::collection::vec(any_id(), 0..6).prop_map(Op::Fail),
+        ]
+    }
+
+    /// The member an op aimed at `id` lands on: the first at or above
+    /// it, so removals and level writes hit far more often than random
+    /// ids in a 100k span would.
+    fn aim(model: &std::collections::BTreeMap<u32, u8>, id: u32) -> u32 {
+        model.range(id..).next().map_or(id, |(&k, _)| k)
+    }
+
     proptest::proptest! {
+        /// `Token` (and the token inside a `TokenRing`, which only sees
+        /// the membership ops) against a `BTreeMap<id, level>`, over id
+        /// spans wide enough to cross the density rule both ways (62 of
+        /// the 64 default cases do): after every op the invariants hold
+        /// and entries, lookups, successor and wire bytes are the model's.
+        #[test]
+        fn token_matches_a_btreemap_model(
+            start in 0u32..80,
+            ops in proptest::prop::collection::vec(any_op(), 1..120),
+            probes in proptest::prop::collection::vec(any_id(), 8),
+        ) {
+            use crate::{RoundRobin, ScoreEngine, TokenRing};
+            use std::collections::BTreeMap;
+            let mut model: BTreeMap<u32, u8> = (0..start).map(|id| (id, 0)).collect();
+            let mut t = Token::for_vms((0..start).map(VmId::new));
+            let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), start);
+            for op in ops {
+                let version = t.version();
+                let changes = match op {
+                    Op::Add(id) => {
+                        let new = model.insert(id, 0).is_none();
+                        if !new {
+                            // `add_vm` of a member leaves its level alone.
+                            model.insert(id, t.level_of(VmId::new(id)).unwrap().get());
+                        }
+                        proptest::prop_assert_eq!(t.add_vm(VmId::new(id)), new);
+                        proptest::prop_assert_eq!(ring.add_vm(VmId::new(id)), new);
+                        u64::from(new)
+                    }
+                    Op::Remove(id) => {
+                        let id = aim(&model, id);
+                        let was = model.remove(&id).is_some();
+                        proptest::prop_assert_eq!(t.remove_vm(VmId::new(id)), was);
+                        proptest::prop_assert_eq!(ring.remove_vm(VmId::new(id)), was);
+                        u64::from(was)
+                    }
+                    Op::Raise(id, level) => {
+                        let id = aim(&model, id);
+                        let raised = model.get_mut(&id).is_some_and(|l| {
+                            let up = *l < level;
+                            *l = (*l).max(level);
+                            up
+                        });
+                        proptest::prop_assert_eq!(
+                            t.raise_level(VmId::new(id), Level::new(level)),
+                            raised
+                        );
+                        0
+                    }
+                    Op::Set(id, level) => {
+                        let id = aim(&model, id);
+                        let known = model.get_mut(&id).map(|l| *l = level).is_some();
+                        proptest::prop_assert_eq!(
+                            t.set_level(VmId::new(id), Level::new(level)),
+                            known
+                        );
+                        0
+                    }
+                    Op::Fail(ids) => {
+                        let dead: Vec<VmId> =
+                            ids.iter().map(|&id| VmId::new(aim(&model, id))).collect();
+                        let mut gone = 0;
+                        for vm in &dead {
+                            if model.remove(&vm.get()).is_some() {
+                                gone += 1;
+                                proptest::prop_assert!(t.remove_vm(*vm));
+                            }
+                        }
+                        ring.fail_vms(&dead);
+                        gone
+                    }
+                };
+                proptest::prop_assert_eq!(t.version(), version + changes);
+                t.check_invariants();
+                ring.token().check_invariants();
+
+                let ids: Vec<u32> = model.keys().copied().collect();
+                let got: Vec<(u32, u8)> =
+                    t.entries().iter().map(|e| (e.id.get(), e.level.get())).collect();
+                let want: Vec<(u32, u8)> = model.iter().map(|(&k, &l)| (k, l)).collect();
+                proptest::prop_assert_eq!(got, want);
+                let ring_ids: Vec<u32> =
+                    ring.token().entries().iter().map(|e| e.id.get()).collect();
+                proptest::prop_assert_eq!(&ring_ids, &ids);
+                match ring.holder() {
+                    Some(h) => proptest::prop_assert!(model.contains_key(&h.get())),
+                    None => proptest::prop_assert!(model.is_empty()),
+                }
+                let wire: Vec<u8> = model
+                    .iter()
+                    .flat_map(|(&k, &l)| k.to_be_bytes().into_iter().chain([l]))
+                    .collect();
+                proptest::prop_assert_eq!(&t.encode()[..], &wire[..]);
+                for &probe in probes.iter().chain(ids.iter().take(4)) {
+                    let vm = VmId::new(probe);
+                    proptest::prop_assert_eq!(
+                        t.level_of(vm).map(Level::get),
+                        model.get(&probe).copied()
+                    );
+                    let next = model
+                        .range(probe + 1..)
+                        .next()
+                        .or_else(|| model.iter().next())
+                        .map(|(&k, _)| VmId::new(k));
+                    proptest::prop_assert_eq!(t.next_after(vm), next);
+                    proptest::prop_assert_eq!(ring.token().next_after(vm), next);
+                }
+            }
+        }
+
         /// Any `add_vm`/`remove_vm` sequence — through gaps, new highest
         /// ids, removal of the highest id and emptying — bumps the
         /// version once per real change and leaves the position map
-        /// exactly what a from-scratch rebuild gives (the contract an
-        /// incremental update of the map would have to keep).
+        /// exactly what a from-scratch rebuild gives (the contract the
+        /// incremental update of the map keeps).
         #[test]
         fn membership_changes_keep_the_position_map_exact(
             // A narrow id span empties the token over and over.

@@ -10,25 +10,40 @@
 //! touch the allocator at all. A regression here silently reintroduces
 //! per-decision malloc traffic, which is exactly what the single-pass
 //! kernel exists to avoid.
+//!
+//! The same counter pins the token's membership path: a departure, and
+//! an arrival appended within capacity, patch the position map in place.
 
 use score_core::{
     Allocation, Cluster, ForecastCostFirst, HighestCostFirst, HighestLevelFirst, RoundRobin,
-    ScoreEngine, ServerSpec, TokenPolicy, TokenRing, VmSpec,
+    ScoreEngine, ServerSpec, Token, TokenPolicy, TokenRing, VmSpec,
 };
-use score_topology::{CanonicalTree, ServerId, Topology};
+use score_topology::{CanonicalTree, ServerId, Topology, VmId};
 use score_traffic::WorkloadConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// Delegates to the system allocator, counting every `alloc`/`realloc`.
+/// Delegates to the system allocator, counting every `alloc`/`realloc`
+/// the calling thread makes (the tests of this file run side by side).
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // A thread being torn down has no counter left to bump.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+fn alloc_calls() -> usize {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -74,7 +89,7 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
     // every holder's observation and the full decision kernel — must not
     // allocate. Migrations are excluded from the claim (moving a VM grows
     // per-server lists), so assert the warmed-up ring no longer moves.
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     let mut migrations = 0;
     for _ in 0..(num_vms as usize * 2) {
         let Some(outcome) = ring.step(&mut cluster, &traffic) else {
@@ -84,7 +99,7 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
             migrations += 1;
         }
     }
-    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let delta = alloc_calls() - before;
     assert_eq!(
         migrations, 0,
         "{name}: placement did not converge during warm-up"
@@ -101,4 +116,19 @@ fn steady_state_decisions_do_not_allocate() {
     steady_state_allocs(HighestLevelFirst::new(), "hlf");
     steady_state_allocs(HighestCostFirst::paper_default(), "hcf");
     steady_state_allocs(ForecastCostFirst::paper_default(), "fcf");
+}
+
+#[test]
+fn token_membership_changes_do_not_allocate() {
+    let id = VmId::new;
+    let mut token = Token::for_vms((0..1_000).map(id));
+    let before = alloc_calls();
+    // Departures of the highest id, the lowest and one in between …
+    assert!(token.remove_vm(id(999)) && token.remove_vm(id(998)));
+    assert!(token.remove_vm(id(0)) && token.remove_vm(id(500)));
+    // … and arrivals above every member, inside the room those left.
+    assert!(token.add_vm(id(998)) && token.add_vm(id(999)));
+    assert_eq!(alloc_calls() - before, 0, "membership changes allocated");
+    assert_eq!(token.len(), 998);
+    assert_eq!(token.next_after(id(999)), Some(id(1)));
 }

@@ -13,6 +13,7 @@
 //! the connection keeps serving.
 
 use score_trace::TraceEvent;
+use serde::json::Reader;
 use serde::{Deserialize, Serialize, Value};
 
 /// One client request line.
@@ -20,7 +21,7 @@ use serde::{Deserialize, Serialize, Value};
 /// | request     | payload                                   | effect |
 /// |-------------|-------------------------------------------|--------|
 /// | `Attach`    | `{"tenant": "name"}`                      | bind the connection to a tenant namespace (created on first attach) |
-/// | `Place`     | `{"server": 3}` or `{}`                   | admit a new VM (daemon picks the host when `server` is omitted) |
+/// | `Place`     | `{"server": 3}` or `{}`                   | admit a new VM (daemon picks the host when `server` is omitted or `null`; the payload must be an object) |
 /// | `Remove`    | `{"vm": 7}`                               | retire a live VM |
 /// | `Traffic`   | `{"events": [{"SetRate": {...}}, ...]}`   | apply rate deltas (`SetRate` / `ScalePair` / `ScaleAll`) |
 /// | `Fault`     | `{"events": [{"HostCrash": {...}}, ...]}` | inject fault events (`HostCrash` / `RackFail` / `LinkDegrade` / `LinkRestore`); the daemon re-plans around them |
@@ -81,80 +82,140 @@ pub enum Request {
 
 // Deserialization is hand-written (instead of derived) so optional
 // payload fields may simply be *omitted* — `{"Place": {}}` — which the
-// field-exact derive would reject.
+// field-exact derive would reject. `from_value` and `read_compact` apply
+// the same rules, to a parsed tree and to the text: a bare string is a
+// payload-free request; an object holds exactly one tag, whose payload
+// must be an object, read for the first occurrence of the one field the
+// tag takes, every other key ignored.
 impl Deserialize for Request {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         if let Some(tag) = v.as_str() {
-            return match tag {
-                "Report" => Ok(Request::Report),
-                "Stats" => Ok(Request::Stats),
-                "Pause" => Ok(Request::Pause),
-                "Resume" => Ok(Request::Resume),
-                "Subscribe" => Ok(Request::Subscribe),
-                "Shutdown" => Ok(Request::Shutdown),
-                other => Err(serde::Error::custom(format!("unknown request `{other}`"))),
-            };
+            return bare_request(tag);
         }
         let obj = v
             .as_object()
             .ok_or_else(|| serde::Error::custom("expected a request string or object"))?;
-        if obj.len() != 1 {
-            return Err(serde::Error::custom(
-                "expected exactly one request tag per line",
-            ));
-        }
-        let (tag, inner) = &obj[0];
+        let [(tag, inner)] = obj else {
+            return Err(one_tag_only());
+        };
+        let field = |name: &str| -> Result<Option<&Value>, serde::Error> {
+            let fields = inner.as_object().ok_or_else(|| not_an_object(tag))?;
+            Ok(fields.iter().find(|(key, _)| key == name).map(|(_, v)| v))
+        };
+        let need = |name: &str| required(field(name)?, name);
         match tag.as_str() {
             "Attach" => Ok(Request::Attach {
-                tenant: Deserialize::from_value(serde::field(
-                    inner
-                        .as_object()
-                        .ok_or_else(|| serde::Error::custom("Attach payload must be an object"))?,
-                    "tenant",
-                )?)?,
+                tenant: Deserialize::from_value(need("tenant")?)?,
             }),
-            "Place" => {
-                let server = match inner.as_object() {
-                    Some(fields) => match serde::field(fields, "server") {
-                        Ok(val) => Deserialize::from_value(val)?,
-                        Err(_) => None,
-                    },
+            "Place" => Ok(Request::Place {
+                server: match field("server")? {
+                    Some(server) => Deserialize::from_value(server)?,
                     None => None,
-                };
-                Ok(Request::Place { server })
-            }
+                },
+            }),
             "Remove" => Ok(Request::Remove {
-                vm: Deserialize::from_value(serde::field(
-                    inner
-                        .as_object()
-                        .ok_or_else(|| serde::Error::custom("Remove payload must be an object"))?,
-                    "vm",
-                )?)?,
+                vm: Deserialize::from_value(need("vm")?)?,
             }),
             "Traffic" => Ok(Request::Traffic {
-                events: Deserialize::from_value(serde::field(
-                    inner
-                        .as_object()
-                        .ok_or_else(|| serde::Error::custom("Traffic payload must be an object"))?,
-                    "events",
-                )?)?,
+                events: Deserialize::from_value(need("events")?)?,
             }),
             "Fault" => Ok(Request::Fault {
-                events: Deserialize::from_value(serde::field(
-                    inner
-                        .as_object()
-                        .ok_or_else(|| serde::Error::custom("Fault payload must be an object"))?,
-                    "events",
-                )?)?,
+                events: Deserialize::from_value(need("events")?)?,
             }),
-            "Report" | "Stats" | "Pause" | "Resume" | "Subscribe" | "Shutdown" => {
-                Err(serde::Error::custom(format!(
-                    "request `{tag}` carries no payload; send the bare string"
-                )))
-            }
-            other => Err(serde::Error::custom(format!("unknown request `{other}`"))),
+            other => Err(bad_tag(other)),
         }
     }
+
+    fn read_compact(reader: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        match reader.peek() {
+            Some(b'"') => bare_request(&reader.str()?),
+            Some(b'{') => {
+                reader.begin_object()?;
+                let tag = reader.next_key(true)?.ok_or_else(one_tag_only)?;
+                let request = match &*tag {
+                    "Attach" => Request::Attach {
+                        tenant: required(read_field(reader, &tag, "tenant")?, "tenant")?,
+                    },
+                    "Place" => Request::Place {
+                        server: read_field::<Option<u32>>(reader, &tag, "server")?.flatten(),
+                    },
+                    "Remove" => Request::Remove {
+                        vm: required(read_field(reader, &tag, "vm")?, "vm")?,
+                    },
+                    "Traffic" => Request::Traffic {
+                        events: required(read_field(reader, &tag, "events")?, "events")?,
+                    },
+                    "Fault" => Request::Fault {
+                        events: required(read_field(reader, &tag, "events")?, "events")?,
+                    },
+                    other => return Err(bad_tag(other)),
+                };
+                if reader.next_key(false)?.is_some() {
+                    return Err(one_tag_only());
+                }
+                Ok(request)
+            }
+            _ => Err(serde::Error::custom("expected a request string or object")),
+        }
+    }
+}
+
+/// Reads the payload of `tag` — an object — for its first `name` field;
+/// every other key is checked and skipped, a repeat of `name` included.
+fn read_field<T: Deserialize>(
+    reader: &mut Reader<'_>,
+    tag: &str,
+    name: &str,
+) -> Result<Option<T>, serde::Error> {
+    if reader.peek() != Some(b'{') {
+        return Err(not_an_object(tag));
+    }
+    reader.begin_object()?;
+    let mut field = None;
+    let mut first = true;
+    while let Some(key) = reader.next_key(first)? {
+        first = false;
+        if field.is_none() && key == name {
+            field = Some(T::read_compact(reader)?);
+        } else {
+            reader.skip_value()?;
+        }
+    }
+    Ok(field)
+}
+
+fn bare_request(tag: &str) -> Result<Request, serde::Error> {
+    match tag {
+        "Report" => Ok(Request::Report),
+        "Stats" => Ok(Request::Stats),
+        "Pause" => Ok(Request::Pause),
+        "Resume" => Ok(Request::Resume),
+        "Subscribe" => Ok(Request::Subscribe),
+        "Shutdown" => Ok(Request::Shutdown),
+        other => Err(serde::Error::custom(format!("unknown request `{other}`"))),
+    }
+}
+
+/// The error for an object tag that names no request with a payload.
+fn bad_tag(tag: &str) -> serde::Error {
+    match bare_request(tag) {
+        Ok(_) => serde::Error::custom(format!(
+            "request `{tag}` carries no payload; send the bare string"
+        )),
+        Err(unknown) => unknown,
+    }
+}
+
+fn one_tag_only() -> serde::Error {
+    serde::Error::custom("expected exactly one request tag per line")
+}
+
+fn not_an_object(tag: &str) -> serde::Error {
+    serde::Error::custom(format!("{tag} payload must be an object"))
+}
+
+fn required<T>(field: Option<T>, name: &str) -> Result<T, serde::Error> {
+    field.ok_or_else(|| serde::Error::custom(format!("missing field `{name}`")))
 }
 
 /// One daemon response (or subscriber stream) line.
@@ -397,6 +458,9 @@ mod tests {
             r#"{"Nope": {}}"#,
             r#"{"Place": {}, "Remove": {}}"#,
             r#"{"Remove": {}}"#,
+            r#"{"Place": 7}"#,
+            r#"{"Place": "rack-3"}"#,
+            r#"{"Place": [1]}"#,
             r#"{"Report": {}}"#,
             r#"{"Stats": {}}"#,
             "\"Nope\"",

@@ -474,6 +474,56 @@ fn daemon_serves_mutations_and_replays_over_a_unix_socket() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A line nested a hundred thousand levels deep used to overflow the
+/// worker's stack and abort the whole daemon; now it is one more `parse`
+/// error, as is a `Place` whose payload is not an object (which used to
+/// place a VM), and the connection goes on serving.
+#[test]
+fn hostile_lines_get_parse_errors_and_the_connection_lives() {
+    let dir = temp_dir("daemon_hostile");
+    let socket = dir.join("scored.sock");
+    let daemon = Daemon::bind(DaemonConfig {
+        scenario: quick_scenario(13),
+        unix_socket: Some(socket.clone()),
+        tcp_addr: None,
+        rate: 500.0,
+        record_dir: None,
+    })
+    .unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let deep_array = "[".repeat(100_000);
+    let deep_object = r#"{"Place":"#.repeat(100_000);
+    let deep_payload = format!(r#"{{"Place":{{"note":{}}}}}"#, "[".repeat(100_000));
+    for hostile in [
+        deep_array.as_str(),
+        deep_object.as_str(),
+        deep_payload.as_str(),
+        r#"{"Place": 7}"#,
+        r#"{"Place": "rack-3"}"#,
+        r#"{"Place": [1]}"#,
+    ] {
+        match roundtrip(&mut reader, &mut writer, hostile) {
+            Response::Error { code, .. } => assert_eq!(code, "parse"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+    // None of those placed anything: the next id is the first free one.
+    let num_vms = quick_scenario(13).session().unwrap().traffic().num_vms();
+    match roundtrip(&mut reader, &mut writer, r#"{"Place": {}}"#) {
+        Response::Placed { vm, .. } => assert_eq!(vm, num_vms),
+        other => panic!("expected Placed, got {other:?}"),
+    }
+    match roundtrip(&mut reader, &mut writer, "\"Shutdown\"") {
+        Response::ShuttingDown => server.join().unwrap(),
+        other => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Observability end to end: a paced daemon answers `Stats` with a
 /// live registry snapshot (nonzero decision-latency histogram, journal
 /// tail), exposes the same registry in Prometheus text format to an

@@ -6,7 +6,9 @@
 //! Deserialize)]`, and a JSON-shaped [`Value`] data model that
 //! `serde_json` (the sibling shim) renders and parses. Compact output
 //! skips the model: [`Serialize::write_compact`] writes the same bytes
-//! straight into the output string.
+//! straight into the output string. So does typed input:
+//! [`Deserialize::read_compact`] pulls a value's fields straight off the
+//! one JSON tokenizer, [`json::Reader`].
 //!
 //! The data model intentionally mirrors serde's JSON conventions so that
 //! swapping the real serde back in later is a drop-in change:
@@ -18,6 +20,8 @@
 //!   admit string keys; the workspace uses tuple keys).
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod reader;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -105,13 +109,15 @@ impl Value {
 }
 
 /// Serialization/deserialization error.
+// Two words, so the `Result<bool, Error>`s and `Result<(), Error>`s the
+// JSON reader returns at every token travel in registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
+pub struct Error(Box<str>);
 
 impl Error {
     /// Creates an error with a custom message.
     pub fn custom(msg: impl fmt::Display) -> Self {
-        Error(msg.to_string())
+        Error(msg.to_string().into())
     }
 }
 
@@ -147,6 +153,23 @@ pub trait Deserialize: Sized {
     ///
     /// Returns [`Error`] when `v` does not have the expected shape.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Reads `Self` off JSON text: the result — the value, or that it is
+    /// an error — is exactly what [`from_value`](Deserialize::from_value)
+    /// gives for the tree [`json::Reader::value`] would have built, which
+    /// is what this default does. The derive and the containers in this
+    /// crate override it to read their fields as they come, so a request
+    /// line or a trace line is never held as a [`Value`] tree; a
+    /// hand-written impl need not, and a scalar gains nothing by it (its
+    /// `Value` owns no memory).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error`] on malformed JSON and wherever `from_value`
+    /// would.
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&reader.value()?)
+    }
 }
 
 /// Looks up a required field in a deserialized object (helper used by the
@@ -162,13 +185,17 @@ pub fn field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, Er
         .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
 }
 
-/// JSON text rendering, shared by [`Serialize::write_compact`] (its default,
-/// the overrides in this crate and the derive's generated code) and by the
-/// `serde_json` front-end, so a number or a string has one spelling
-/// whichever way a value reaches the output.
+/// JSON text rendering and reading, shared by [`Serialize::write_compact`]
+/// / [`Deserialize::read_compact`] (their defaults, the overrides in this
+/// crate and the derive's generated code) and by the `serde_json`
+/// front-end, so a number or a string has one spelling — and one
+/// tokenizer — whichever way a value reaches the output or leaves the
+/// input.
 pub mod json {
     use super::{Serialize, Value};
     use std::fmt::{Display, Write as _};
+
+    pub use crate::reader::Reader;
 
     /// Renders `v` into `out`: compact when `indent` is `None`, otherwise
     /// one item per line, `indent` spaces per level, starting at `depth`.
@@ -301,6 +328,9 @@ impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(Box::new(T::from_value(v)?))
     }
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Ok(Box::new(T::read_compact(reader)?))
+    }
 }
 
 macro_rules! int_impls {
@@ -380,6 +410,13 @@ impl Deserialize for String {
             .map(str::to_owned)
             .ok_or_else(|| Error::custom("expected string"))
     }
+    // One allocation instead of the tree's string plus its copy.
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        match reader.peek() {
+            Some(b'"') => reader.string(),
+            _ => Err(Error::custom("expected string")),
+        }
+    }
 }
 
 impl Serialize for str {
@@ -450,6 +487,13 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => Ok(Some(T::from_value(other)?)),
         }
     }
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        if reader.eat_null() {
+            Ok(None)
+        } else {
+            Ok(Some(T::read_compact(reader)?))
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -469,6 +513,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .map(T::from_value)
             .collect()
     }
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        reader.begin_array()?;
+        let mut items = Vec::new();
+        while reader.next_element(items.is_empty())? {
+            items.push(T::read_compact(reader)?);
+        }
+        Ok(items)
+    }
 }
 
 impl<T: Serialize> Serialize for VecDeque<T> {
@@ -483,6 +535,9 @@ impl<T: Serialize> Serialize for VecDeque<T> {
 impl<T: Deserialize> Deserialize for VecDeque<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(Vec::<T>::from_value(v)?.into())
+    }
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Ok(Vec::<T>::read_compact(reader)?.into())
     }
 }
 
@@ -506,11 +561,17 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 
 impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let vec = Vec::<T>::from_value(v)?;
-        let n = vec.len();
-        <[T; N]>::try_from(vec)
-            .map_err(|_| Error::custom(format!("expected array of length {N}, got {n}")))
+        array_from_vec(Vec::<T>::from_value(v)?)
     }
+    fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        array_from_vec(Vec::<T>::read_compact(reader)?)
+    }
+}
+
+fn array_from_vec<T, const N: usize>(vec: Vec<T>) -> Result<[T; N], Error> {
+    let n = vec.len();
+    <[T; N]>::try_from(vec)
+        .map_err(|_| Error::custom(format!("expected array of length {N}, got {n}")))
 }
 
 macro_rules! tuple_impls {
@@ -537,6 +598,15 @@ macro_rules! tuple_impls {
                     )));
                 }
                 Ok(($($t::from_value(&a[$i])?,)+))
+            }
+            fn read_compact(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+                reader.begin_array()?;
+                let tuple = ($({
+                    reader.expect_element($i == 0)?;
+                    $t::read_compact(reader)?
+                },)+);
+                reader.expect_end(false)?;
+                Ok(tuple)
             }
         }
     )*};

@@ -439,10 +439,14 @@ fn gen_deserialize(item: &Item) -> String {
                 }
                 Fields::Unit => format!("let _ = v; Ok({name})"),
             };
+            let read = gen_read(name, fields);
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
                      fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
                          {body}\n\
+                     }}\n\
+                     fn read_compact(__r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+                         Ok({read})\n\
                      }}\n\
                  }}"
             )
@@ -496,6 +500,50 @@ fn gen_deserialize(item: &Item) -> String {
                     }
                 })
                 .collect();
+            // The same two shapes read off the text: a bare string names
+            // a unit variant; an object must hold exactly one key, a
+            // data-carrying variant's, then that variant's payload.
+            let invalid = format!(
+                "::std::result::Result::Err(::serde::Error::custom(\"invalid value for enum {name}\"))"
+            );
+            // An arm of the `match` on the first byte is left out when
+            // the enum has no variant of its kind: nothing could match.
+            let read_unit = if unit_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "Some(b'\"') => {{\n\
+                         match &*__r.str()? {{\n{}\n_ => {{}}\n}}\n\
+                         {invalid}\n\
+                     }}\n",
+                    unit_arms.join("\n")
+                )
+            };
+            let read_tagged_arms: Vec<String> = variants
+                .iter()
+                .filter(|(_, fields)| !matches!(fields, Fields::Unit))
+                .map(|(v, fields)| {
+                    format!("\"{v}\" => {},", gen_read(&format!("{name}::{v}"), fields))
+                })
+                .collect();
+            let read_tagged = if read_tagged_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "Some(b'{{') => {{\n\
+                         __r.begin_object()?;\n\
+                         let ::std::option::Option::Some(__tag) = __r.next_key(true)? else {{\n\
+                             return {invalid};\n\
+                         }};\n\
+                         let __value = match &*__tag {{\n{}\n_ => return {invalid},\n}};\n\
+                         if __r.next_key(false)?.is_some() {{\n\
+                             return {invalid};\n\
+                         }}\n\
+                         Ok(__value)\n\
+                     }}\n",
+                    read_tagged_arms.join("\n")
+                )
+            };
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
                      fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
@@ -511,10 +559,92 @@ fn gen_deserialize(item: &Item) -> String {
                          }}\n\
                          Err(::serde::Error::custom(\"invalid value for enum {name}\"))\n\
                      }}\n\
+                     fn read_compact(__r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+                         match __r.peek() {{\n\
+                             {read_unit}\
+                             {read_tagged}\
+                             _ => {invalid},\n\
+                         }}\n\
+                     }}\n\
                  }}",
                 unit = unit_arms.join("\n"),
                 tagged = tagged_arms.join("\n"),
             )
         }
+    }
+}
+
+/// An expression (inside a `read_compact` body, reader `__r`) that reads
+/// the payload `fields` off the text and builds `ctor` — a struct's name
+/// or an `Enum::Variant` path — from it. It accepts and rejects exactly
+/// what the `from_value` code for the same fields does with the parsed
+/// tree: fields in any order, unknown keys checked but not kept, the
+/// first of a repeated key wins and later ones go unread, every field
+/// required; tuples need their exact length; a unit accepts any value.
+fn gen_read(ctor: &str, fields: &Fields) -> String {
+    match fields {
+        Fields::Named(fs) => {
+            let slots: String = (0..fs.len())
+                .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+                .collect();
+            let arms: String = fs
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    format!(
+                        "\"{f}\" if __f{i}.is_none() => \
+                             __f{i} = ::std::option::Option::Some(::serde::Deserialize::read_compact(__r)?),\n"
+                    )
+                })
+                .collect();
+            let inits: Vec<String> = fs
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    format!(
+                        "{f}: match __f{i} {{\n\
+                             ::std::option::Option::Some(__v) => __v,\n\
+                             ::std::option::Option::None => return ::std::result::Result::Err(\
+                                 ::serde::Error::custom(\"missing field `{f}`\")),\n\
+                         }}"
+                    )
+                })
+                .collect();
+            format!(
+                "{{\n\
+                     {slots}\
+                     __r.begin_object()?;\n\
+                     let mut __first = true;\n\
+                     while let ::std::option::Option::Some(__key) = __r.next_key(__first)? {{\n\
+                         __first = false;\n\
+                         match &*__key {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+                     }}\n\
+                     {ctor} {{ {} }}\n\
+                 }}",
+                inits.join(", ")
+            )
+        }
+        Fields::Tuple(1) => format!("{ctor}(::serde::Deserialize::read_compact(__r)?)"),
+        Fields::Tuple(n) => {
+            let items: Vec<String> = (0..*n)
+                .map(|i| {
+                    format!(
+                        "{{ __r.expect_element({})?; ::serde::Deserialize::read_compact(__r)? }}",
+                        i == 0
+                    )
+                })
+                .collect();
+            format!(
+                "{{\n\
+                     __r.begin_array()?;\n\
+                     let __value = {ctor}({});\n\
+                     __r.expect_end({})?;\n\
+                     __value\n\
+                 }}",
+                items.join(", "),
+                *n == 0
+            )
+        }
+        Fields::Unit => format!("{{ __r.skip_value()?; {ctor} }}"),
     }
 }

@@ -167,6 +167,23 @@ fn token_travels_the_control_plane() {
 }
 
 #[test]
+fn a_token_document_with_a_huge_id_sizes_no_table() {
+    // Five bytes on the wire, or this one JSON entry, used to ask the
+    // allocator for a 16 GiB position map and abort the process.
+    let max = VmId::new(u32::MAX);
+    let from_json: Token =
+        serde_json::from_str(r#"{"entries":[{"id":4294967295,"level":0}]}"#).unwrap();
+    let from_wire = Token::decode(&[0xff, 0xff, 0xff, 0xff, 0x00]).unwrap();
+    assert_eq!(from_json, from_wire);
+    for token in [from_json, from_wire] {
+        assert!(token.contains(max) && !token.contains(VmId::new(0)));
+        assert_eq!(token.level_of(max), Some(s_core::topology::Level::ZERO));
+        assert_eq!(token.next_after(VmId::new(9)), Some(max));
+        assert_eq!(serde_json::to_string(&token).unwrap().len(), 41);
+    }
+}
+
+#[test]
 fn runs_are_deterministic_across_invocations() {
     let run = |seed| {
         let (mut cluster, traffic) = small_cluster(seed);
