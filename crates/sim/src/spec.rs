@@ -430,39 +430,44 @@ impl TraceSpec {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid spec; [`Scenario::session`] runs
-    /// `TraceSpec::validate` first and reports a
-    /// [`ScenarioError::Workload`] instead.
+    /// Panics on a spec its generator refuses; [`Scenario::session`]
+    /// reports a [`ScenarioError::Workload`] instead.
     pub fn build_trace(&self) -> Trace {
+        self.try_build_trace().expect("validated shape generates")
+    }
+
+    /// [`TraceSpec::build_trace`] with a generator's refusal as an error:
+    /// `TraceSpec::validate` checks a shape's own numbers, but what the
+    /// generator derives from them (a flow's throughput over a 1e308 s
+    /// window, say) can still leave the range a trace accepts.
+    pub(crate) fn try_build_trace(&self) -> Result<Trace, ScenarioError> {
         let base = |num_vms: u32, intensity: TrafficIntensity, seed: u64| {
             WorkloadConfig::new(num_vms, seed)
                 .with_intensity(intensity)
                 .generate()
         };
         match self {
-            TraceSpec::Literal { trace, .. } => trace.clone(),
+            TraceSpec::Literal { trace, .. } => Ok(trace.clone()),
             TraceSpec::Diurnal {
                 num_vms,
                 intensity,
                 seed,
                 shape,
-            } => score_trace::diurnal_trace(&base(*num_vms, *intensity, *seed), shape)
-                .expect("validated shape generates"),
+            } => score_trace::diurnal_trace(&base(*num_vms, *intensity, *seed), shape),
             TraceSpec::FlashCrowd {
                 num_vms,
                 intensity,
                 seed,
                 shape,
-            } => score_trace::flash_crowd_trace(&base(*num_vms, *intensity, *seed), shape, *seed)
-                .expect("validated shape generates"),
+            } => score_trace::flash_crowd_trace(&base(*num_vms, *intensity, *seed), shape, *seed),
             TraceSpec::Churn {
                 num_vms,
                 intensity,
                 seed,
                 shape,
-            } => score_trace::churn_trace(&base(*num_vms, *intensity, *seed), shape, *seed)
-                .expect("validated shape generates"),
+            } => score_trace::churn_trace(&base(*num_vms, *intensity, *seed), shape, *seed),
         }
+        .map_err(|e| ScenarioError::Workload(format!("trace generator: {e}")))
     }
 }
 
@@ -1203,7 +1208,8 @@ impl Scenario {
         let topo = self.topology.build()?;
         // Compiled inside the closure: the raw event list is freed before
         // the session is built, not held across it.
-        if let Some(compiled) = self.workload.build_trace().map(|trace| trace.compile()) {
+        if let WorkloadSpec::Trace { spec } = &self.workload {
+            let compiled = spec.try_build_trace()?.compile();
             return Session::materialize_trace(self.clone(), topo, compiled);
         }
         let traffic = self.workload.generate(topo.as_ref());
@@ -1964,6 +1970,31 @@ mod tests {
         let literal = literal.with_seed(4).with_intensity(TrafficIntensity::Dense);
         assert_eq!(literal.seed(), 4);
         assert_eq!(literal.intensity(), None);
+    }
+
+    #[test]
+    fn churn_specs_a_generator_cannot_serve_are_workload_errors_not_panics() {
+        use score_trace::ChurnShape;
+        let churn = |window_s: f64, windows: u32| {
+            Scenario::builder()
+                .star(16)
+                .trace(TraceSpec::Churn {
+                    num_vms: 24,
+                    intensity: TrafficIntensity::Sparse,
+                    seed: 5,
+                    shape: ChurnShape { window_s, windows },
+                })
+                .build()
+        };
+        assert!(churn(20.0, 2).session().is_ok());
+        // `window_s × windows` overflows: every field passes on its own,
+        // the horizon is infinite. Refused by `validate`.
+        let err = churn(1e308, 4).session().map(|_| ()).unwrap_err();
+        assert!(matches!(&err, ScenarioError::Workload(why) if why.contains("finite")));
+        // A finite horizon whose flows still carry infinite throughput:
+        // the shape validates, the generator's own trace does not.
+        let err = churn(1e308, 1).session().map(|_| ()).unwrap_err();
+        assert!(matches!(&err, ScenarioError::Workload(why) if why.contains("generator")));
     }
 
     #[test]

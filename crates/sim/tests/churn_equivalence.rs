@@ -21,7 +21,10 @@
 //!   from-scratch sum over the reference rates and the allocation to
 //!   ≤ 1e-9 relative;
 //! * the incremental cost ledger stays within 1e-9 relative of a full
-//!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs.
+//!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs;
+//! * `PairTraffic::check_invariants` holds on the session's store
+//!   (sorted peer lists, bit-equal twin rows, `live` and the running
+//!   total re-derivable) — in debug builds, which carry the check.
 //!
 //! Running sums keep float residue proportional to the largest values
 //! they ever carried, so from the first scale on the relative bounds
@@ -186,6 +189,9 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
     let max_rate = |r: &Reference| r.values().map(|&(rate, _)| rate).fold(1.0, f64::max);
     let mut peak = max_rate(&reference);
     let mut scaled = false;
+    // Likewise the largest total, for the store's running sum.
+    #[cfg(debug_assertions)]
+    let mut peak_total = session.traffic().total_rate();
     for op in ops {
         scaled |= matches!(op, Op::ScalePair { .. } | Op::ScaleAll { .. });
         match *op {
@@ -247,6 +253,12 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
         peak = peak.max(max_rate(&reference));
         let floor = if scaled { peak } else { 1.0 };
         check_equivalence(&session, &reference, floor);
+        // The store's own invariants (debug builds carry the check).
+        #[cfg(debug_assertions)]
+        {
+            peak_total = peak_total.max(session.traffic().total_rate());
+            session.traffic().check_invariants(peak_total);
+        }
     }
 }
 

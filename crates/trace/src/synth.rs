@@ -18,14 +18,12 @@
 //! All three are pure functions of `(base, shape, seed)`; replaying the
 //! same inputs yields the identical event stream.
 
-use crate::trace::{Trace, TraceBuilder, TraceError};
+use crate::trace::{TimedEvent, Trace, TraceError, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_traffic::{FlowSampler, PairTraffic};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-use crate::trace::TraceEvent;
 
 /// Shape of a [`diurnal_trace`]: a sine envelope
 /// `1 + amplitude · sin(2πt / period_s)` sampled every `step_s`.
@@ -255,7 +253,8 @@ impl ChurnShape {
         }
     }
 
-    /// Checks a deserialized shape.
+    /// Checks a deserialized shape: a positive finite window, at least
+    /// one of them, and a total horizon that is still finite.
     ///
     /// # Errors
     ///
@@ -270,6 +269,13 @@ impl ChurnShape {
         if self.windows == 0 {
             return Err("windows must be positive".into());
         }
+        let horizon_s = self.window_s * f64::from(self.windows);
+        if !horizon_s.is_finite() {
+            return Err(format!(
+                "window_s × windows must be finite, got {} × {}",
+                self.window_s, self.windows
+            ));
+        }
         Ok(())
     }
 }
@@ -282,52 +288,106 @@ impl ChurnShape {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError`] if the shape is invalid.
+/// Returns [`TraceError`] if the shape is invalid, or if the flows have
+/// more than `u32::MAX` edges between them.
 pub fn churn_trace(base: &PairTraffic, shape: &ChurnShape, seed: u64) -> Result<Trace, TraceError> {
     shape
         .validate()
         .map_err(|reason| TraceError::BadEvent { index: 0, reason })?;
     let horizon = shape.window_s * f64::from(shape.windows);
-    // (time, pair, signed throughput) edges from every flow's lifetime.
-    let mut edges: Vec<(f64, u32, u32, f64)> = Vec::new();
+    // A sampler hands its flows over grouped by pair in `pairs()` order,
+    // so walking the pair list beside them gives every flow its pair's
+    // ordinal, and the running rates can live in a vector indexed by it.
+    let pairs = base.pairs();
+    ordinal(pairs.len())?;
+    let mut edges: Vec<FlowEdge> = Vec::new();
     for w in 0..shape.windows {
         let sampler = FlowSampler::new(shape.window_s, seed.wrapping_add(u64::from(w)));
         let offset = shape.window_s * f64::from(w);
-        for flow in sampler.sample(base) {
+        let flows = sampler.sample(base);
+        // A flow has at most two edges: once that many more fit, every
+        // arrival index this window hands out does.
+        ordinal(edges.len() + 2 * flows.len())?;
+        edges.reserve(2 * flows.len());
+        let mut pair = 0u32;
+        for flow in flows {
+            while (pairs[pair as usize].0, pairs[pair as usize].1) != (flow.src, flow.dst) {
+                pair += 1;
+            }
             let thr = flow.throughput_bps();
             let start = offset + flow.start_s;
             let end = (start + flow.duration_s).min(horizon);
-            edges.push((start, flow.src.get(), flow.dst.get(), thr));
+            let mut push = |time_s: f64, delta: f64| {
+                edges.push(FlowEdge {
+                    time_bits: time_s.to_bits(),
+                    arrival: edges.len() as u32,
+                    pair,
+                    delta,
+                });
+            };
+            push(start, thr);
             if end < horizon {
-                edges.push((end, flow.src.get(), flow.dst.get(), -thr));
+                push(end, -thr);
             }
         }
     }
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let canon = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
-    let mut rates: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-    let mut b = TraceBuilder::new(base.num_vms(), horizon);
-    for (t, u, v, delta) in edges {
-        let key = canon(u, v);
-        let rate = rates.entry(key).or_insert(0.0);
-        *rate += delta;
+    sort_by_time(&mut edges);
+    let mut rates = vec![0.0f64; pairs.len()];
+    let mut events = Vec::with_capacity(edges.len());
+    for edge in &edges {
+        let rate = &mut rates[edge.pair as usize];
+        *rate += edge.delta;
         if *rate < 1e-9 {
             *rate = 0.0;
         }
-        let new = *rate;
-        // A flow drawn at exactly t = 0 still becomes an event (nudged
-        // off zero) so the base TM stays empty and duplicate same-pair
-        // starts cannot double-count.
-        b = b.event(
-            t.max(1e-9),
-            TraceEvent::SetRate {
-                u: key.0,
-                v: key.1,
-                rate: new,
+        let (u, v, _) = pairs[edge.pair as usize];
+        events.push(TimedEvent {
+            // A flow drawn at exactly t = 0 still becomes an event (nudged
+            // off zero) so the base TM stays empty and duplicate same-pair
+            // starts cannot double-count.
+            time_s: f64::from_bits(edge.time_bits).max(1e-9),
+            event: TraceEvent::SetRate {
+                u: u.get(),
+                v: v.get(),
+                rate: *rate,
             },
-        );
+        });
     }
-    b.build()
+    // Already in firing order: validated (sortedness included), not
+    // sorted a second time.
+    Trace::new(base.num_vms(), horizon, Vec::new(), events)
+}
+
+/// One end of a flow's lifetime: its pair's rate steps by `delta` at
+/// the time whose bits are `time_bits`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FlowEdge {
+    time_bits: u64,
+    /// Position in generation order, the tie-break among equal times.
+    arrival: u32,
+    /// Index of the pair in `base.pairs()`.
+    pair: u32,
+    delta: f64,
+}
+
+/// `len` as a `u32` — edges and pairs are indexed by one — or the error
+/// a churn trace too large for its indices reports.
+fn ordinal(len: usize) -> Result<u32, TraceError> {
+    u32::try_from(len).map_err(|_| TraceError::BadEvent {
+        index: len,
+        reason: "a churn trace holds at most 2^32 - 1 pairs and flow edges".into(),
+    })
+}
+
+/// Orders edges by firing time, ties in generation order — what a stable
+/// sort by `f64::total_cmp` gives — as one unstable sort over integer
+/// keys. Edge times are finite and never negative (`-0.0` included:
+/// they are sums of non-negative terms), and on that range the bit
+/// pattern of an `f64` ascends with its value; the arrival index makes
+/// every key distinct, so there are no ties left for the sort to
+/// reorder.
+fn sort_by_time(edges: &mut [FlowEdge]) {
+    edges.sort_unstable_by_key(|e| (e.time_bits, e.arrival));
 }
 
 /// Shape of a seeded failure storm ([`fault_storm_trace`]): how many of
@@ -487,6 +547,8 @@ pub fn fault_storm_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceBuilder;
+    use proptest::prelude::*;
     use score_topology::VmId;
     use score_traffic::PairTrafficBuilder;
 
@@ -496,6 +558,128 @@ mod tests {
         b.add(VmId::new(2), VmId::new(3), 2e5);
         b.add(VmId::new(4), VmId::new(5), 9e6);
         b.build()
+    }
+
+    /// [`churn_trace`] as it was first written, kept as the oracle: a
+    /// stable sort of `(time, u, v, delta)` tuples, the running rates in
+    /// an ordered map keyed by pair, the events sorted and validated once
+    /// more by [`TraceBuilder::build`].
+    fn churn_trace_reference(
+        base: &PairTraffic,
+        shape: &ChurnShape,
+        seed: u64,
+    ) -> Result<Trace, TraceError> {
+        shape
+            .validate()
+            .map_err(|reason| TraceError::BadEvent { index: 0, reason })?;
+        let horizon = shape.window_s * f64::from(shape.windows);
+        let mut edges: Vec<(f64, u32, u32, f64)> = Vec::new();
+        for w in 0..shape.windows {
+            let sampler = FlowSampler::new(shape.window_s, seed.wrapping_add(u64::from(w)));
+            let offset = shape.window_s * f64::from(w);
+            for flow in sampler.sample(base) {
+                let thr = flow.throughput_bps();
+                let start = offset + flow.start_s;
+                let end = (start + flow.duration_s).min(horizon);
+                edges.push((start, flow.src.get(), flow.dst.get(), thr));
+                if end < horizon {
+                    edges.push((end, flow.src.get(), flow.dst.get(), -thr));
+                }
+            }
+        }
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let canon = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
+        let mut rates: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        let mut b = TraceBuilder::new(base.num_vms(), horizon);
+        for (t, u, v, delta) in edges {
+            let key = canon(u, v);
+            let rate = rates.entry(key).or_insert(0.0);
+            *rate += delta;
+            if *rate < 1e-9 {
+                *rate = 0.0;
+            }
+            b = b.set_rate(t.max(1e-9), key.0, key.1, *rate);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pair-ordinal fold over key-sorted edges emits the stream
+        /// the ordered-map fold over stably sorted tuples did, event for
+        /// event and bit for bit, over random bases (repeated and
+        /// reversed pairs, mice and elephants) and shapes.
+        #[test]
+        fn churn_trace_equals_the_reference_fold(
+            num_vms in 2u32..24,
+            adds in prop::collection::vec((0u32..24, 0u32..24, 1e3f64..2e7), 0..40),
+            window_s in 0.5f64..90.0,
+            windows in 1u32..5,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut b = PairTrafficBuilder::new(num_vms);
+            for (u, v, rate) in adds {
+                let (u, v) = (u % num_vms, v % num_vms);
+                if u != v {
+                    b.add(VmId::new(u), VmId::new(v), rate);
+                }
+            }
+            let base = b.build();
+            let shape = ChurnShape { window_s, windows };
+            let got = churn_trace(&base, &shape, seed).unwrap();
+            let want = churn_trace_reference(&base, &shape, seed).unwrap();
+            prop_assert_eq!(&got, &want);
+            // `==` lets `0.0 == -0.0` through; the JSONL text (shortest
+            // round-trip floats) is equal only when every bit is.
+            prop_assert_eq!(got.to_jsonl(), want.to_jsonl());
+        }
+    }
+
+    #[test]
+    fn key_sort_orders_tied_times_like_a_stable_total_cmp_sort() {
+        // Few distinct times (zero among them) over many edges: nearly
+        // everything ties, in runs the arrival index must keep in order.
+        let times = [0.0f64, 1e-9, 0.25, 0.25000000000000006, 1.0, 59.5, 7e8];
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut edges = Vec::new();
+        for arrival in 0..500u32 {
+            edges.push(FlowEdge {
+                time_bits: times[rng.gen_range(0..times.len())].to_bits(),
+                arrival,
+                pair: rng.gen_range(0..9),
+                delta: f64::from(arrival) - 250.0,
+            });
+        }
+        let mut want = edges.clone();
+        want.sort_by(|a, b| f64::from_bits(a.time_bits).total_cmp(&f64::from_bits(b.time_bits)));
+        sort_by_time(&mut edges);
+        assert_eq!(edges, want);
+        assert!(edges.windows(2).any(|w| w[0].time_bits == w[1].time_bits));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn ordinals_that_do_not_fit_are_an_error_not_a_wrap() {
+        assert_eq!(ordinal(0), Ok(0));
+        assert_eq!(ordinal(u32::MAX as usize), Ok(u32::MAX));
+        assert!(matches!(
+            ordinal(u32::MAX as usize + 1),
+            Err(TraceError::BadEvent { .. })
+        ));
+    }
+
+    #[test]
+    fn churn_rejects_a_horizon_that_overflows() {
+        let shape = ChurnShape {
+            window_s: 1e308,
+            windows: 4,
+        };
+        assert!(shape.validate().unwrap_err().contains("finite"));
+        assert!(matches!(
+            churn_trace(&base(), &shape, 1),
+            Err(TraceError::BadEvent { .. })
+        ));
     }
 
     #[test]

@@ -583,7 +583,7 @@ impl Trace {
                 });
             };
 
-        for ev in &self.events {
+        for (index, ev) in self.events.iter().enumerate() {
             if let TraceEvent::Marker { label } = &ev.event {
                 if ev.time_s > seg_start {
                     let initial = seg_initial.take().unwrap_or_else(|| snapshot(&running));
@@ -611,6 +611,9 @@ impl Trace {
                 Change::ScaleAll(factor) => running.scale_all(factor),
             }
             if in_segment {
+                if shifts.is_empty() {
+                    shifts.reserve_until_marker(&self.events[index..]);
+                }
                 shifts.push(ev.time_s - seg_start, change);
             }
         }
@@ -767,7 +770,10 @@ impl TraceBuilder {
         )
     }
 
-    /// Sorts the events stably by time and validates the result.
+    /// Sorts the events stably by time and validates the result — the
+    /// path of every trace whose events were pushed in any order. (A
+    /// generator that emits its events in firing order hands them to
+    /// [`Trace::new`], which checks sortedness and never sorts.)
     ///
     /// # Errors
     ///
@@ -848,6 +854,29 @@ impl ShiftRun {
             TrafficDelta::Rates(range) => tm.apply_updates(self.updates(range)),
             TrafficDelta::ScaleAll(factor) => tm.scale_all(factor),
         }
+    }
+
+    /// Sizes both stores, once, for the segment whose first in-segment
+    /// event heads `events`: every event before the next marker is at
+    /// most one batch, and every pair re-rate among them one update.
+    /// (The marker closes the segment — it fires later than the segment
+    /// started, or the events before it would not be in-segment.) Exact
+    /// when none of them turns out a no-op; a vector grown by doubling
+    /// instead ends up to twice the size and copies itself on the way.
+    fn reserve_until_marker(&mut self, events: &[TimedEvent]) {
+        let segment = events
+            .iter()
+            .take_while(|e| !matches!(e.event, TraceEvent::Marker { .. }));
+        let (mut batches, mut updates) = (0, 0);
+        for ev in segment {
+            batches += 1;
+            updates += usize::from(matches!(
+                ev.event,
+                TraceEvent::SetRate { .. } | TraceEvent::ScalePair { .. }
+            ));
+        }
+        self.batches.reserve_exact(batches);
+        self.updates.reserve_exact(updates);
     }
 
     /// Appends the batch of one compiled event.

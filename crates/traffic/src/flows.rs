@@ -92,23 +92,28 @@ impl FlowSampler {
     /// Instantiates flows for every communicating pair.
     ///
     /// Per-pair byte conservation: the sampled flows' bytes sum to
-    /// `λ(u, v) / 8 × window` exactly.
+    /// `λ(u, v) / 8 × window` exactly. Flows come grouped by pair, the
+    /// pairs in [`PairTraffic::pairs`] order, `src < dst`, at least one
+    /// flow a pair.
     pub fn sample(&self, traffic: &PairTraffic) -> Vec<Flow> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut flows = Vec::new();
         for (u, v, rate) in traffic.pairs() {
             let pair_bytes = rate / 8.0 * self.window_s;
-            let n_flows = if rate >= ELEPHANT_THRESHOLD_BPS {
+            let n_flows: i32 = if rate >= ELEPHANT_THRESHOLD_BPS {
                 // One to three long-lived elephant flows.
                 rng.gen_range(1..=3)
             } else {
                 // A handful of mice; heavier pairs burst more often.
                 rng.gen_range(2..=8)
             };
-            // Split bytes over flows with random positive weights.
-            let weights: Vec<f64> = (0..n_flows).map(|_| rng.gen_range(0.2..1.0)).collect();
+            // Split bytes over flows with random positive weights (at
+            // most eight of them, so they live on the stack).
+            let mut weights = [0.0f64; 8];
+            let weights = &mut weights[..n_flows as usize];
+            weights.fill_with(|| rng.gen_range(0.2..1.0));
             let weight_sum: f64 = weights.iter().sum();
-            for w in weights {
+            for &w in weights.iter() {
                 let bytes = pair_bytes * w / weight_sum;
                 let duration = if rate >= ELEPHANT_THRESHOLD_BPS {
                     rng.gen_range(0.5..1.0) * self.window_s

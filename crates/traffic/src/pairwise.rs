@@ -34,15 +34,15 @@
 
 use score_topology::VmId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Builder that accumulates pairwise rates before freezing them into a
 /// [`PairTraffic`].
 #[derive(Debug, Clone, Default)]
 pub struct PairTrafficBuilder {
     num_vms: u32,
-    // Canonically ordered (min, max) pair → accumulated rate.
-    rates: BTreeMap<(u32, u32), f64>,
+    // Every `add` in arrival order, keyed by its canonical (min, max)
+    // pair; `build` sorts and sums them.
+    rates: Vec<((u32, u32), f64)>,
 }
 
 impl PairTrafficBuilder {
@@ -50,7 +50,7 @@ impl PairTrafficBuilder {
     pub fn new(num_vms: u32) -> Self {
         PairTrafficBuilder {
             num_vms,
-            rates: BTreeMap::new(),
+            rates: Vec::new(),
         }
     }
 
@@ -78,37 +78,53 @@ impl PairTrafficBuilder {
         } else if !(rate.is_finite() && rate > 0.0) {
             "rate must be positive and finite"
         } else {
-            let key = (u.min(v).get(), u.max(v).get());
-            *self.rates.entry(key).or_insert(0.0) += rate;
+            self.rates.push(((u.min(v).get(), u.max(v).get()), rate));
             return Ok(());
         };
         Err(format!("pair ({u}, {v}) at rate {rate}: {why}"))
     }
 
-    /// Number of distinct pairs recorded so far.
-    pub fn num_pairs(&self) -> usize {
-        self.rates.len()
-    }
-
     /// Freezes the builder into an immutable [`PairTraffic`].
     pub fn build(&self) -> PairTraffic {
+        // Key order, equal keys still in arrival order (the sort is
+        // stable), so a pair's adds are summed from 0.0 in the order they
+        // were made: the float sum every golden TM hash pins. Adds that
+        // arrived in key order (a `pairs()` walk fed back in) need no
+        // copy and no sort.
+        let mut sorted = Vec::new();
+        let rates = if self.rates.is_sorted_by_key(|&(key, _)| key) {
+            &self.rates
+        } else {
+            sorted.clone_from(&self.rates);
+            sorted.sort_by_key(|&(key, _)| key);
+            &sorted
+        };
         // Keys ascend by `(u, v)` with `u < v`, so VM `x` receives its
         // peers below `x` (keys `(u, x)`, ascending `u`) before its peers
         // above (keys `(x, v)`, ascending `v`): every list ends up sorted.
         let mut adjacency = vec![Vec::new(); self.num_vms as usize];
         let mut total = 0.0;
-        for (&(u, v), &rate) in &self.rates {
+        let mut live = 0;
+        for adds in rates.chunk_by(|a, b| a.0 == b.0) {
+            let (u, v) = adds[0].0;
+            // Saturating like every scaled rate does: reads already clamp
+            // an overflowed sum to `f64::MAX`, so the row may as well hold it.
+            let rate = adds.iter().fold(0.0, |sum, &(_, r)| sum + r).min(f64::MAX);
             adjacency[u as usize].push((VmId::new(v), rate));
             adjacency[v as usize].push((VmId::new(u), rate));
             total += rate;
+            live += 1;
         }
-        PairTraffic {
+        let traffic = PairTraffic {
             num_vms: self.num_vms,
-            live: self.rates.len(),
+            live,
             adjacency,
             total,
             scale: 1.0,
-        }
+        };
+        #[cfg(any(test, debug_assertions))]
+        traffic.check_invariants(0.0);
+        traffic
     }
 }
 
@@ -408,6 +424,59 @@ impl PairTraffic {
         }
     }
 
+    /// Panics unless the store is what the module docs say it is: one
+    /// peer list per VM, each ascending strictly by peer id with no self
+    /// row and no peer outside the population; every stored rate finite
+    /// and positive; the two rows of a pair carrying the same bits; `live`
+    /// the number of pairs; and the running total within 1e-9 of a fresh
+    /// sum, relative to the larger of the two and `peak_total` — a running
+    /// sum keeps float residue proportional to the largest value it ever
+    /// carried, which only the caller knows (`0.0` for a store that was
+    /// only built, never patched). O(pairs · log degree): the builder runs
+    /// it once per build, the property suites inside their step loops.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn check_invariants(&self, peak_total: f64) {
+        assert_eq!(self.adjacency.len(), self.num_vms as usize, "one list a VM");
+        assert!(
+            self.scale.is_finite() && self.scale > 0.0,
+            "pending scale {} must be positive and finite",
+            self.scale
+        );
+        let mut rows = 0;
+        for (u, peers) in self.adjacency.iter().enumerate() {
+            let u = VmId::new(u as u32);
+            assert!(
+                peers.windows(2).all(|w| w[0].0 < w[1].0),
+                "peers of {u} must ascend strictly"
+            );
+            for &(v, stored) in peers {
+                assert!(v != u && v.get() < self.num_vms, "{u} lists peer {v}");
+                assert!(
+                    stored.is_finite() && stored > 0.0,
+                    "({u}, {v}) stores {stored}"
+                );
+                let back = &self.adjacency[v.index()];
+                let twin = back
+                    .binary_search_by_key(&u, |&(p, _)| p)
+                    .map(|i| back[i].1.to_bits());
+                assert_eq!(
+                    twin,
+                    Ok(stored.to_bits()),
+                    "({u}, {v}) has no equal twin row"
+                );
+            }
+            rows += peers.len();
+        }
+        assert_eq!(rows, 2 * self.live, "live counts the pairs");
+        let fresh: f64 = self.pairs().iter().map(|&(_, _, r)| r).sum();
+        let (fresh, total) = (fresh.min(f64::MAX), self.total_rate());
+        assert!(
+            (total - fresh).abs() <= 1e-9 * total.max(fresh).max(peak_total),
+            "running total {total} drifted from the fresh sum {fresh}"
+        );
+    }
+
     /// Grows the population by one VM (the next dense id), returning the
     /// new VM's id. The newcomer starts with an empty peer set — rates
     /// involving it arrive later through
@@ -459,6 +528,10 @@ mod tests {
         let t = b.build();
         assert_eq!(t.rate(VmId::new(0), VmId::new(1)), 12.0);
         assert_eq!(t.num_pairs(), 1);
+        // A sum that overflows is stored as the `f64::MAX` it reads as.
+        b.add(VmId::new(0), VmId::new(1), f64::MAX);
+        b.add(VmId::new(0), VmId::new(1), f64::MAX);
+        assert_eq!(b.build().adjacency[0], [(VmId::new(1), f64::MAX)]);
     }
 
     #[test]
@@ -663,6 +736,38 @@ mod tests {
             assert!(msg.contains(&format!("(vm{u}, vm{v})")), "{msg}");
         }
         assert!(PairTraffic::from_value(&doc(1, 0, 2.5)).is_ok());
+    }
+
+    #[test]
+    fn check_invariants_accepts_churn_and_catches_each_corruption() {
+        let mut t = triangle();
+        t.check_invariants(0.0);
+        t.scale_all(3.0);
+        t.apply_update(VmId::new(0), VmId::new(3), 5.0);
+        t.apply_update(VmId::new(1), VmId::new(2), 0.0);
+        t.check_invariants(180.0);
+        PairTraffic::empty(0).check_invariants(0.0);
+
+        type Corruption = fn(&mut PairTraffic);
+        let corruptions: [(&str, Corruption); 7] = [
+            ("twin", |t| t.adjacency[0][0].1 = 11.0),
+            ("ascend", |t| t.adjacency[0].swap(0, 1)),
+            ("lists peer", |t| t.adjacency[3].push((VmId::new(3), 1.0))),
+            ("stores", |t| {
+                t.adjacency[0][0].1 = f64::INFINITY;
+                t.adjacency[1][0].1 = f64::INFINITY;
+            }),
+            ("live", |t| t.live += 1),
+            ("drifted", |t| t.total *= 1.0 + 1e-6),
+            ("one list a VM", |t| t.num_vms += 1),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = triangle();
+            corrupt(&mut bad);
+            let caught = std::panic::catch_unwind(|| bad.check_invariants(0.0)).unwrap_err();
+            let msg = caught.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains(what), "{what}: {msg}");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use score_topology::{RackId, VmId};
 use score_traffic::{
     FlowSampler, PairTrafficBuilder, TrafficIntensity, TrafficMatrix, WorkloadConfig,
 };
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -41,10 +42,18 @@ proptest! {
         // reads bit for bit from both endpoints' sorted peer lists and no
         // row exists outside it.
         let mut t = t;
+        // The running total keeps residue of the largest value it held.
+        #[cfg(debug_assertions)]
+        let mut peak_total = t.total_rate();
         for (u, v, kind, r) in updates {
             let (u, v) = (u % num_vms, v % num_vms);
             if u == v { continue; }
             t.apply_update(VmId::new(u), VmId::new(v), if kind == 0 { 0.0 } else { r });
+            #[cfg(debug_assertions)]
+            {
+                peak_total = peak_total.max(t.total_rate());
+                t.check_invariants(peak_total);
+            }
         }
         let pairs = t.pairs();
         prop_assert_eq!(pairs.len(), t.num_pairs());
@@ -63,6 +72,49 @@ proptest! {
             rows += ids.len();
         }
         prop_assert_eq!(rows, 2 * pairs.len());
+    }
+
+    #[test]
+    fn builder_equals_an_ordered_map_accumulator(
+        num_vms in 2u32..24,
+        adds in prop::collection::vec((0u32..24, 0u32..24, 1e-3f64..1e9), 0..120),
+        presorted in 0u8..2,
+    ) {
+        // Few VMs, many adds: pairs repeat, in both orientations.
+        let mut adds: Vec<(u32, u32, f64)> = adds
+            .into_iter()
+            .map(|(u, v, r)| (u % num_vms, v % num_vms, r))
+            .filter(|&(u, v, _)| u != v)
+            .collect();
+        if presorted == 1 {
+            // The builder's no-copy path: adds already in key order.
+            adds.sort_by_key(|&(u, v, _)| (u.min(v), u.max(v)));
+        }
+        let mut b = PairTrafficBuilder::new(num_vms);
+        let mut reference: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for &(u, v, r) in &adds {
+            b.add(VmId::new(u), VmId::new(v), r);
+            *reference.entry((u.min(v), u.max(v))).or_insert(0.0) += r;
+        }
+        let t = b.build();
+        let got: Vec<(u32, u32, u64)> = t
+            .pairs()
+            .iter()
+            .map(|&(u, v, r)| (u.get(), v.get(), r.to_bits()))
+            .collect();
+        let want: Vec<(u32, u32, u64)> = reference
+            .iter()
+            .map(|(&(u, v), r)| (u, v, r.to_bits()))
+            .collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(t.num_pairs(), reference.len());
+        let mut total = 0.0;
+        for r in reference.values() {
+            total += r;
+        }
+        prop_assert_eq!(t.total_rate().to_bits(), total.to_bits());
+        // Building twice is building once: `build` borrows the adds.
+        prop_assert_eq!(b.build(), t);
     }
 
     #[test]
