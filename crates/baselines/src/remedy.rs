@@ -165,12 +165,12 @@ impl Remedy {
         vm: VmId,
         target: ServerId,
         alloc: &Allocation,
-        traffic: &PairTraffic,
+        pairs: &[(VmId, VmId, f64)],
         topo: &dyn Topology,
     ) -> f64 {
         let mut hypothetical = alloc.clone();
         hypothetical.move_vm(vm, target);
-        LinkLoadMap::compute(&hypothetical, traffic, topo)
+        LinkLoadMap::compute(&hypothetical, pairs, topo)
             .max_utilization(self.config.min_level)
             .map_or(0.0, |(_, u)| u)
     }
@@ -204,9 +204,11 @@ impl Remedy {
     pub fn run(&self, cluster: &mut Cluster, traffic: &PairTraffic) -> RemedyResult {
         let mut result = RemedyResult::default();
         let bytes_per_migration = self.migration_bytes();
+        // The TM is fixed for the run: one pair list serves every map.
+        let pairs = traffic.pairs();
 
         for _ in 0..self.config.max_migrations {
-            let map = LinkLoadMap::compute(cluster.allocation(), traffic, cluster.topo());
+            let map = LinkLoadMap::compute(cluster.allocation(), &pairs, cluster.topo());
             let Some((hot_link, max_util)) = map.max_utilization(self.config.min_level) else {
                 break;
             };
@@ -224,7 +226,7 @@ impl Remedy {
                         vm,
                         target,
                         cluster.allocation(),
-                        traffic,
+                        &pairs,
                         cluster.topo(),
                     );
                     if best.as_ref().is_none_or(|&(_, _, b)| predicted < b) {
@@ -327,12 +329,12 @@ mod tests {
     #[test]
     fn remedy_reduces_max_utilization() {
         let (mut cluster, traffic) = world(11);
-        let before = LinkLoadMap::compute(cluster.allocation(), &traffic, cluster.topo())
+        let before = LinkLoadMap::compute(cluster.allocation(), &traffic.pairs(), cluster.topo())
             .max_utilization(Level::AGGREGATION)
             .unwrap()
             .1;
         let result = Remedy::new(RemedyConfig::paper_default()).run(&mut cluster, &traffic);
-        let after = LinkLoadMap::compute(cluster.allocation(), &traffic, cluster.topo())
+        let after = LinkLoadMap::compute(cluster.allocation(), &traffic.pairs(), cluster.topo())
             .max_utilization(Level::AGGREGATION)
             .unwrap()
             .1;

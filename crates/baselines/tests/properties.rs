@@ -77,10 +77,10 @@ proptest! {
             &traffic,
             alloc,
         ).unwrap();
-        let before = LinkLoadMap::compute(cluster.allocation(), &traffic, cluster.topo())
+        let before = LinkLoadMap::compute(cluster.allocation(), &traffic.pairs(), cluster.topo())
             .max_utilization(Level::AGGREGATION).map_or(0.0, |(_, u)| u);
         let result = Remedy::new(RemedyConfig::paper_default()).run(&mut cluster, &traffic);
-        let after = LinkLoadMap::compute(cluster.allocation(), &traffic, cluster.topo())
+        let after = LinkLoadMap::compute(cluster.allocation(), &traffic.pairs(), cluster.topo())
             .max_utilization(Level::AGGREGATION).map_or(0.0, |(_, u)| u);
         prop_assert!(after <= before + 1e-9);
         for w in result.steps.windows(2) {

@@ -392,14 +392,87 @@ impl Cluster {
         if let Some(v) = self.ext_load.get(host.index()) {
             return v;
         }
-        let v: f64 = self
-            .alloc
+        let v = self.external_load_sweep(host);
+        self.ext_load.put(host.index(), v);
+        v
+    }
+
+    /// `host`'s external load summed afresh, past the cache.
+    fn external_load_sweep(&self, host: ServerId) -> f64 {
+        self.alloc
             .vms_on(host)
             .iter()
             .map(|&u| self.external_rate(u, host))
-            .sum();
-        self.ext_load.put(host.index(), v);
-        v
+            .sum()
+    }
+
+    /// Panics unless the derived state agrees with the allocation: the
+    /// allocation, the TM, the specs and the liveness flags count the same
+    /// VMs; every host's usage is the sum of the specs of the live VMs it
+    /// hosts (CPU, a running float sum, to 1e-9) and within its capacity,
+    /// and its free-slot index entry matches; down hosts host no live VM
+    /// and `hosts_down` counts them; and every memoised external load is
+    /// within 1e-9 relative of a fresh sum (a `ScaleAll` multiplies cached
+    /// sums through instead of re-summing, so they may differ in the last
+    /// bits). O(VMs × degree): the property suites call it inside their
+    /// step loops.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let vms = self.alloc.num_vms();
+        assert!(
+            self.traffic.num_vms() == vms
+                && self.vm_specs.len() == vms as usize
+                && self.active.len() == vms as usize,
+            "VM count: allocation {vms}, TM {}, specs {}, liveness flags {}",
+            self.traffic.num_vms(),
+            self.vm_specs.len(),
+            self.active.len()
+        );
+        let down = self.host_up.iter().filter(|&&up| !up).count();
+        assert_eq!(
+            self.hosts_down as usize, down,
+            "hosts_down counts the down hosts"
+        );
+        let spec = &self.server_spec;
+        for (s, used) in self.usage.iter().enumerate() {
+            let server = ServerId::new(s as u32);
+            let mut fresh = ServerUsage::default();
+            for &vm in self
+                .alloc
+                .vms_on(server)
+                .iter()
+                .filter(|vm| self.active[vm.index()])
+            {
+                assert!(self.host_up[s], "down host {server} hosts {vm}");
+                fresh.admit(&self.vm_specs[vm.index()]);
+            }
+            assert!(
+                used.slots == fresh.slots
+                    && used.ram_mb == fresh.ram_mb
+                    && (used.cpu_cores - fresh.cpu_cores).abs() <= 1e-9 * fresh.cpu_cores.max(1.0),
+                "usage of {server} {used:?} is not the sum of its VMs' specs {fresh:?}"
+            );
+            assert!(
+                used.slots <= spec.vm_slots
+                    && used.ram_mb <= spec.ram_mb
+                    && used.cpu_cores <= spec.cpu_cores + 1e-9,
+                "{server} over capacity: {used:?} on {spec:?}"
+            );
+            let free = if self.host_up[s] {
+                spec.vm_slots - used.slots
+            } else {
+                0
+            };
+            assert_eq!(self.slot_index.free(s), free, "free-slot index of {server}");
+            if let Some(cached) = self.ext_load.get(s) {
+                let fresh = self.external_load_sweep(server);
+                assert!(
+                    (cached - fresh).abs() <= 1e-9 * cached.abs().max(fresh.abs()),
+                    "memoised external load of {server}: {cached} vs a fresh {fresh}"
+                );
+            }
+        }
     }
 
     /// Can `server` host `vm` right now, honouring the bandwidth threshold
@@ -1183,6 +1256,52 @@ mod tests {
         // LinkRestore resets it.
         c.set_nic_capacity_factor(1.0);
         assert!(c.can_host(ServerId::new(5), VmId::new(0), 1.0).is_ok());
+    }
+
+    #[test]
+    fn check_invariants_accepts_every_mutator_and_catches_each_corruption() {
+        let mut c = cluster(32, 16);
+        c.check_invariants();
+        c.migrate(VmId::new(0), ServerId::new(3), f64::INFINITY)
+            .unwrap();
+        let (vm, _) = c.place_vm(VmSpec::paper_default(), None).unwrap();
+        c.patch_traffic(&[(VmId::new(1), vm, 0.0, 10.0)]);
+        for s in 0..16 {
+            let _ = c.host_external_load(ServerId::new(s));
+        }
+        c.scale_traffic(1.7);
+        c.remove_vm(VmId::new(2)).unwrap();
+        for victim in c.fail_host(ServerId::new(5)) {
+            c.migrate(victim, ServerId::new(6), f64::INFINITY).unwrap();
+        }
+        c.check_invariants();
+
+        type Corruption = fn(&mut Cluster);
+        let corruptions: [(&str, Corruption); 7] = [
+            ("VM count", |c| {
+                c.traffic.push_vm();
+            }),
+            ("hosts_down", |c| c.hosts_down += 1),
+            ("not the sum", |c| c.usage[0].ram_mb += 1),
+            ("over capacity", |c| c.server_spec.vm_slots = 1),
+            ("free-slot index", |c| c.slot_index.set(0, 0)),
+            ("down host", |c| {
+                c.host_up[0] = false;
+                c.hosts_down += 1;
+            }),
+            ("memoised external load", |c| {
+                let load = c.host_external_load(ServerId::new(0));
+                c.ext_load.put(0, load * (1.0 + 1e-6) + 1.0);
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = cluster(32, 16);
+            corrupt(&mut bad);
+            let check = std::panic::AssertUnwindSafe(|| bad.check_invariants());
+            let caught = std::panic::catch_unwind(check).unwrap_err();
+            let msg = caught.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains(what), "{what}: {msg}");
+        }
     }
 
     #[test]

@@ -179,13 +179,18 @@ impl Default for CostModel {
 /// This is the quantity S-CORE physically moves: migrations shift mass
 /// from high indices (core) to low ones (rack/host). The vector has
 /// `max_level + 1` entries and sums to 1 for non-empty traffic.
+///
+/// `pairs` is the TM as [`PairTraffic::pairs`] lists it; each level's
+/// mass is summed in that order, so the same list gives the same bits. A
+/// caller that also needs link loads passes the one list to
+/// [`crate::LinkLoadMap::compute`] too, and walks the TM once.
 pub fn level_breakdown<T: Topology + ?Sized>(
     alloc: &Allocation,
-    traffic: &PairTraffic,
+    pairs: &[(VmId, VmId, f64)],
     topo: &T,
 ) -> Vec<f64> {
     let mut mass = vec![0.0; topo.max_level().index() + 1];
-    for (u, v, rate) in traffic.pairs() {
+    for &(u, v, rate) in pairs {
         let level = topo.level(alloc.server_of(u), alloc.server_of(v));
         mass[level.index()] += rate;
     }
@@ -326,7 +331,7 @@ mod tests {
     #[test]
     fn level_breakdown_sums_to_one_and_tracks_moves() {
         let (mut a, t, topo) = (alloc(), traffic(), topo());
-        let before = level_breakdown(&a, &t, &topo);
+        let before = level_breakdown(&a, &t.pairs(), &topo);
         assert_eq!(before.len(), 4);
         assert!((before.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // Pairs: 10@L1, 5@L2, 1@L3 → shares 10/16, 5/16, 1/16.
@@ -334,7 +339,7 @@ mod tests {
         assert!((before[3] - 1.0 / 16.0).abs() < 1e-12);
         // Collocate vm0 with vm1: the 10-unit pair drops to level 0.
         a.move_vm(VmId::new(0), ServerId::new(1));
-        let after = level_breakdown(&a, &t, &topo);
+        let after = level_breakdown(&a, &t.pairs(), &topo);
         assert!((after[0] - 10.0 / 16.0).abs() < 1e-12);
         assert!(after[1] < before[1]);
     }
@@ -343,7 +348,7 @@ mod tests {
     fn level_breakdown_empty_traffic() {
         let (a, _, topo) = (alloc(), traffic(), topo());
         let empty = score_traffic::PairTraffic::empty(4);
-        let breakdown = level_breakdown(&a, &empty, &topo);
+        let breakdown = level_breakdown(&a, &empty.pairs(), &topo);
         assert!(breakdown.iter().all(|&x| x == 0.0));
     }
 

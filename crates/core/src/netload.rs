@@ -26,7 +26,7 @@ use crate::allocation::Allocation;
 /// let traffic = b.build();
 /// let alloc = Allocation::from_fn(2, 16, |vm| ServerId::new(vm.get() * 8));
 ///
-/// let map = LinkLoadMap::compute(&alloc, &traffic, &topo);
+/// let map = LinkLoadMap::compute(&alloc, &traffic.pairs(), &topo);
 /// // Both 1 GbE host links carry the full rate: 10% utilization.
 /// let (_, max_util) = map.max_utilization(Level::RACK).unwrap();
 /// assert!((max_util - 0.1).abs() < 1e-9);
@@ -43,18 +43,21 @@ pub struct LinkLoadMap {
 
 impl LinkLoadMap {
     /// Computes link loads for `alloc` by fluid-routing every communicating
-    /// pair over its topology route shares.
+    /// pair over its topology route shares ([`Topology::link_loads`]).
+    ///
+    /// `pairs` is the TM as [`PairTraffic::pairs`] lists it; every link
+    /// sums its addends in that order, so the same list gives the same
+    /// bits (the list [`crate::level_breakdown`] takes too).
     pub fn compute<T: Topology + ?Sized>(
         alloc: &Allocation,
-        traffic: &PairTraffic,
+        pairs: &[(VmId, VmId, f64)],
         topo: &T,
     ) -> Self {
         let links = topo.graph().links();
         let load_bps = topo.link_loads(
-            &mut traffic
-                .pairs()
-                .into_iter()
-                .map(|(u, v, rate)| (alloc.server_of(u), alloc.server_of(v), rate)),
+            &mut pairs
+                .iter()
+                .map(|&(u, v, rate)| (alloc.server_of(u), alloc.server_of(v), rate)),
         );
         LinkLoadMap {
             load_bps,
@@ -184,7 +187,7 @@ mod tests {
     #[test]
     fn loads_land_on_route_links() {
         let (topo, alloc, traffic) = fixture();
-        let map = LinkLoadMap::compute(&alloc, &traffic, &topo);
+        let map = LinkLoadMap::compute(&alloc, &traffic.pairs(), &topo);
         // srv0's host link carries both pairs: 150 Mb/s.
         let host0 =
             score_topology::Topology::route_shares(&topo, ServerId::new(0), ServerId::new(1))[0]
@@ -197,7 +200,7 @@ mod tests {
     #[test]
     fn core_links_split_by_ecmp() {
         let (topo, alloc, traffic) = fixture();
-        let map = LinkLoadMap::compute(&alloc, &traffic, &topo);
+        let map = LinkLoadMap::compute(&alloc, &traffic.pairs(), &topo);
         // The 50 Mb/s core pair splits across 2 cores: each agg-core link
         // on the path carries 25 Mb/s.
         let core_loads: Vec<f64> = map
@@ -216,7 +219,7 @@ mod tests {
     #[test]
     fn max_utilization_finds_hot_link() {
         let (topo, alloc, traffic) = fixture();
-        let map = LinkLoadMap::compute(&alloc, &traffic, &topo);
+        let map = LinkLoadMap::compute(&alloc, &traffic.pairs(), &topo);
         let (_link, util) = map.max_utilization(Level::RACK).unwrap();
         assert!((util - 0.15).abs() < 1e-9); // srv0's host link
                                              // Restricted to core level only.
@@ -227,7 +230,7 @@ mod tests {
     #[test]
     fn cdf_is_sorted_and_complete() {
         let (topo, alloc, traffic) = fixture();
-        let map = LinkLoadMap::compute(&alloc, &traffic, &topo);
+        let map = LinkLoadMap::compute(&alloc, &traffic.pairs(), &topo);
         let cdf = map.utilization_cdf(Level::RACK);
         assert_eq!(cdf.len(), 16); // all host links
         assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
@@ -236,7 +239,7 @@ mod tests {
     #[test]
     fn contributors_ranked() {
         let (topo, alloc, traffic) = fixture();
-        let map = LinkLoadMap::compute(&alloc, &traffic, &topo);
+        let map = LinkLoadMap::compute(&alloc, &traffic.pairs(), &topo);
         let (hot, _) = map.max_utilization(Level::CORE).unwrap();
         let contribs = LinkLoadMap::contributors(hot, &alloc, &traffic, &topo);
         // Only the core pair (vm0, vm2) touches core links.
@@ -249,7 +252,7 @@ mod tests {
     fn collocation_produces_zero_load() {
         let (topo, _, traffic) = fixture();
         let together = Allocation::from_fn(3, 16, |_| ServerId::new(0));
-        let map = LinkLoadMap::compute(&together, &traffic, &topo);
+        let map = LinkLoadMap::compute(&together, &traffic.pairs(), &topo);
         assert!(map.iter().all(|(_, load, _)| load == 0.0));
         assert!(map.max_utilization(Level::RACK).unwrap().1 == 0.0);
     }

@@ -88,10 +88,7 @@ pub fn run(paper_scale: bool) -> (Vec<OversubPoint>, String) {
             .scenario
             .session()
             .expect("matrix cell re-materializes");
-        let before = upper_max(&UtilizationSnapshot::capture(
-            initial.cluster(),
-            initial.traffic(),
-        ));
+        let before = upper_max(&initial.report().link_utilization);
         let after = upper_max(&cell.report.link_utilization);
         write_report(&format!("ext_oversub_{ratio:.0}x.json"), &cell.report);
         let mut upper = cell.report.link_utilization.aggregation.clone();

@@ -12,7 +12,7 @@
 //! amortised over the measurement window.
 
 use score_baselines::{Remedy, RemedyConfig};
-use score_core::CostModel;
+use score_core::{CostModel, LinkLoadMap};
 use score_sim::{PolicyKind, Scenario, UtilizationSnapshot};
 use score_topology::Level;
 use score_traffic::TrafficIntensity;
@@ -97,7 +97,11 @@ pub fn run(paper_scale: bool) -> (Fig4Result, String) {
     }
     remedy_series.push((t_end_s, remedy_series.last().unwrap().1));
     let remedy_final = remedy_series.last().unwrap().1;
-    let remedy_snapshot = UtilizationSnapshot::capture(&remedy_cluster, traffic);
+    let remedy_snapshot = UtilizationSnapshot::capture(&LinkLoadMap::compute(
+        remedy_cluster.allocation(),
+        &traffic.pairs(),
+        remedy_cluster.topo(),
+    ));
 
     // --- Outputs. ---
     let mut csv_cdf = String::from("system,layer,utilization,cdf\n");

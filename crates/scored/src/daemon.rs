@@ -33,6 +33,17 @@ use std::time::Duration;
 /// hot tenant from starving its own request queue.
 const PUMP_SLICE_STEPS: usize = 512;
 
+/// The longest request line the daemon reads, newline excluded. The
+/// largest legitimate line is a `Traffic` batch re-rating every pair of a
+/// tenant: at the paper's 2,560 hosts that is ~8,400 `SetRate` events of
+/// at most 75 bytes each (`{"SetRate":{"u":4294967295,"v":4294967295,
+/// "rate":1.7976931348623157e308}},`), about 630 KB. Anything longer is
+/// discarded through its newline and answered `too-long` (a uniform
+/// re-rate is one `ScaleAll`; a bigger batch goes as several requests),
+/// so a connection costs the daemon at most this much buffer, whatever
+/// it sends.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// How the daemon binds, paces, and persists.
 pub struct DaemonConfig {
     /// The scenario every tenant materializes (trace workloads are
@@ -402,14 +413,53 @@ fn verb_of(req: &Request) -> &'static str {
     }
 }
 
+/// What [`next_line`] found on a connection.
+enum Line {
+    /// A line of at most [`MAX_LINE_BYTES`], left in the buffer without
+    /// its line ending.
+    Fits,
+    /// A longer line, read past and dropped through its newline.
+    TooLong,
+    /// End of stream, or a read error: the connection is done.
+    End,
+}
+
+/// Reads the next line into `buf` (cleared first), never holding more
+/// than [`MAX_LINE_BYTES`] + 1 bytes of it. A final line without a
+/// newline is a line, as `BufRead::lines` has it.
+fn next_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
+    buf.clear();
+    let limit = MAX_LINE_BYTES + 1;
+    match reader.by_ref().take(limit as u64).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return Line::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Line::Fits;
+    }
+    if buf.len() < limit {
+        return Line::Fits;
+    }
+    buf.clear();
+    match reader.skip_until(b'\n') {
+        Ok(_) => Line::TooLong,
+        Err(_) => Line::End,
+    }
+}
+
 /// Serves one accepted connection until EOF or shutdown. Malformed
-/// lines produce `parse` errors and the loop continues — a protocol
-/// guarantee, pinned by tests. One convenience exception to the JSON
-/// framing: a line starting with `GET ` (an HTTP request line, as sent
-/// by `curl http://addr/metrics` or a Prometheus scraper pointed at
-/// the TCP listener) gets a one-shot HTTP response carrying the
-/// registry in Prometheus text exposition format, then the connection
-/// closes — plain sockets and scrapers share one port.
+/// lines produce `parse` errors (a line that is not UTF-8 included),
+/// lines over [`MAX_LINE_BYTES`] a `too-long` error, and the loop
+/// continues — a protocol guarantee, pinned by tests. One convenience
+/// exception to the JSON framing: a line starting with `GET ` (an HTTP
+/// request line, as sent by `curl http://addr/metrics` or a Prometheus
+/// scraper pointed at the TCP listener) gets a one-shot HTTP response
+/// carrying the registry in Prometheus text exposition format, then the
+/// connection closes — plain sockets and scrapers share one port.
 fn serve_connection<S>(state: Arc<DaemonState>, stream: S)
 where
     S: Read + Write + Send + CloneWriter + 'static,
@@ -419,14 +469,23 @@ where
         Some(w) => w,
         None => return,
     };
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     let mut conn_tenant: Option<String> = None;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    loop {
+        let line = match next_line(&mut reader, &mut buf) {
+            Line::End => break,
+            Line::TooLong => Err(Response::error(
+                "too-long",
+                format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            )),
+            Line::Fits => std::str::from_utf8(&buf)
+                .map_err(|e| Response::error("parse", format!("bad request line: {e}"))),
+        };
+        if matches!(line, Ok(text) if text.trim().is_empty()) {
             continue;
         }
-        if line.starts_with("GET ") {
+        if matches!(line, Ok(text) if text.starts_with("GET ")) {
             let body = state.obs.prometheus().unwrap_or_default();
             let head = format!(
                 "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
@@ -438,7 +497,7 @@ where
             let _ = writer.flush();
             break;
         }
-        let resp = match parse_request(&line) {
+        let resp = match line.and_then(parse_request) {
             Ok(req) => {
                 let verb = verb_of(&req);
                 let sw = state.obs.stopwatch();

@@ -9,8 +9,9 @@
 //! session records is *the same encoding* a synthetic churn trace uses.
 //!
 //! Malformed input never tears a connection down: a line that fails to
-//! parse produces a structured [`Response::Error`] (code `parse`) and
-//! the connection keeps serving.
+//! parse (or is not UTF-8) produces a structured [`Response::Error`]
+//! (code `parse`), a line over the daemon's 1 MiB cap one with code
+//! `too-long`, and the connection keeps serving.
 
 use score_trace::TraceEvent;
 use serde::json::Reader;
@@ -307,8 +308,8 @@ pub enum Response {
     ShuttingDown,
     /// A request failed; the connection stays open.
     Error {
-        /// Machine-readable class: `parse`, `detached`, `placement`,
-        /// `unknown-vm`, `bad-event`, `bad-request`.
+        /// Machine-readable class: `parse`, `too-long`, `detached`,
+        /// `placement`, `unknown-vm`, `bad-event`, `bad-request`.
         code: String,
         /// Human-readable detail.
         message: String,

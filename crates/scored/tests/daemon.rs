@@ -524,6 +524,58 @@ fn hostile_lines_get_parse_errors_and_the_connection_lives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A line is read into a bounded buffer: 16 MiB without a newline is
+/// dropped through its newline and answered `too-long` (the daemon used to
+/// grow one string for as long as the client kept sending), a line that
+/// is not UTF-8 is a `parse` error (it used to end the connection), and
+/// the same connection then places a VM. The recording replays byte for
+/// byte: neither refused line reached the audit log.
+#[test]
+fn oversized_and_non_utf8_lines_are_answered_on_the_same_connection() {
+    let dir = temp_dir("daemon_bounded_lines");
+    let socket = dir.join("scored.sock");
+    let record_dir = dir.join("records");
+    let daemon = Daemon::bind(DaemonConfig {
+        scenario: quick_scenario(19),
+        unix_socket: Some(socket.clone()),
+        tcp_addr: None,
+        rate: 500.0,
+        record_dir: Some(record_dir.clone()),
+    })
+    .unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let huge = "x".repeat(16 << 20);
+    match roundtrip(&mut reader, &mut writer, &huge) {
+        Response::Error { code, .. } => assert_eq!(code, "too-long"),
+        other => panic!("expected too-long, got {other:?}"),
+    }
+    drop(huge);
+    writer.write_all(b"{\"Place\": {\xff\xfe}}\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match serde_json::from_str::<Response>(&line).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, "parse"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    let num_vms = quick_scenario(19).session().unwrap().traffic().num_vms();
+    match roundtrip(&mut reader, &mut writer, r#"{"Place": {}}"#) {
+        Response::Placed { vm, .. } => assert_eq!(vm, num_vms),
+        other => panic!("expected Placed, got {other:?}"),
+    }
+    match roundtrip(&mut reader, &mut writer, "\"Shutdown\"") {
+        Response::ShuttingDown => server.join().unwrap(),
+        other => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    let tenant = record_dir.join("default");
+    let final_report = std::fs::read_to_string(tenant.join("report.json")).unwrap();
+    assert_eq!(replay_dir(&tenant).unwrap(), final_report);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Observability end to end: a paced daemon answers `Stats` with a
 /// live registry snapshot (nonzero decision-latency histogram, journal
 /// tail), exposes the same registry in Prometheus text format to an

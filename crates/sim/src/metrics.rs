@@ -8,9 +8,8 @@
 //! * [`ascii_chart`] — quick multi-series terminal plots for the
 //!   human-readable experiment summaries.
 
-use score_core::{Cluster, LinkLoadMap};
+use score_core::LinkLoadMap;
 use score_topology::Level;
-use score_traffic::PairTraffic;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -26,9 +25,9 @@ pub struct UtilizationSnapshot {
 }
 
 impl UtilizationSnapshot {
-    /// Captures the utilization CDFs of the cluster's current allocation.
-    pub fn capture(cluster: &Cluster, traffic: &PairTraffic) -> Self {
-        let map = LinkLoadMap::compute(cluster.allocation(), traffic, cluster.topo());
+    /// Captures the per-tier utilization CDFs of one link-load map (see
+    /// [`LinkLoadMap::compute`]).
+    pub fn capture(map: &LinkLoadMap) -> Self {
         UtilizationSnapshot {
             core: map.utilization_cdf(Level::CORE),
             aggregation: map.utilization_cdf(Level::AGGREGATION),
@@ -157,7 +156,12 @@ mod tests {
         let session = Scenario::small_canonical(TrafficIntensity::Sparse, seed)
             .session()
             .expect("preset scenario is feasible");
-        UtilizationSnapshot::capture(session.cluster(), session.traffic())
+        let cluster = session.cluster();
+        UtilizationSnapshot::capture(&LinkLoadMap::compute(
+            cluster.allocation(),
+            &session.traffic().pairs(),
+            cluster.topo(),
+        ))
     }
 
     #[test]

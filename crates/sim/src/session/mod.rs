@@ -27,8 +27,8 @@ pub use faults::FaultOutcome;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use score_core::{
-    Cluster, CostLedger, CostModel, IterationStats, OutlookContext, ScoreEngine, StepOutcome,
-    TokenRing,
+    Cluster, CostLedger, CostModel, IterationStats, LinkLoadMap, OutlookContext, ScoreEngine,
+    StepOutcome, TokenRing,
 };
 use score_topology::{Topology, VmId};
 use score_trace::{CompiledTrace, ShiftRun, TraceSegment};
@@ -439,6 +439,7 @@ impl Session {
     /// at any point (before, during, after the horizon); the final cost
     /// and the link-utilization snapshot reflect the current placement.
     pub fn report(&self) -> RunReport {
+        let (level_breakdown, link_utilization) = self.placement_snapshot();
         let mut iterations = self.seg.iterations.clone();
         if self.seg.current_iter.steps > 0 {
             iterations.push(self.seg.current_iter);
@@ -457,12 +458,8 @@ impl Session {
             iterations,
             migration_ratios,
             token_holds: self.seg.token_holds,
-            level_breakdown: score_core::level_breakdown(
-                self.cluster.allocation(),
-                &self.traffic,
-                self.cluster.topo(),
-            ),
-            link_utilization: UtilizationSnapshot::capture(&self.cluster, &self.traffic),
+            level_breakdown,
+            link_utilization,
             flow_table: FlowTableOps {
                 aggregations: self.seg.token_holds as u64,
                 rule_updates: 2 * self.seg.migrations.len() as u64,
@@ -471,6 +468,39 @@ impl Session {
             forecast: self.forecast_stats(),
             recovery: self.recovery_stats(),
         }
+    }
+
+    /// The current placement's level breakdown and per-tier link
+    /// utilization, from one walk of the live pairs. The pair list is
+    /// dropped before the CDF vectors are built, so a report never holds
+    /// both.
+    fn placement_snapshot(&self) -> (Vec<f64>, UtilizationSnapshot) {
+        let (alloc, topo) = (self.cluster.allocation(), self.cluster.topo());
+        let pairs = self.live_pairs();
+        let breakdown = score_core::level_breakdown(alloc, &pairs, topo);
+        let map = LinkLoadMap::compute(alloc, &pairs, topo);
+        drop(pairs);
+        (breakdown, UtilizationSnapshot::capture(&map))
+    }
+
+    /// Every live pair `(u, v, λ)`, `u < v`, in [`PairTraffic::pairs`]'
+    /// canonical order, found in O(live VMs + live pairs) rather than by a
+    /// walk over every id ever admitted: the token lists every live VM in
+    /// ascending id order, and a departed VM keeps its id but no pair (its
+    /// rates are zeroed before it leaves the ring, and a delta naming it is
+    /// refused).
+    fn live_pairs(&self) -> Vec<(VmId, VmId, f64)> {
+        let mut pairs = Vec::with_capacity(self.traffic.num_pairs());
+        for entry in self.ring.token().entries() {
+            let u = entry.id;
+            let above = self.traffic.peers(u).filter(|&(v, _)| v > u);
+            pairs.extend(above.map(|(v, rate)| (u, v, rate)));
+        }
+        debug_assert!(
+            pairs == self.traffic.pairs(),
+            "a VM with live pairs is missing from the token"
+        );
+        pairs
     }
 
     /// Recovery accounting so far: the segment's fault/evacuation

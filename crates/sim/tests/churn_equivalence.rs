@@ -24,7 +24,10 @@
 //!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs;
 //! * `PairTraffic::check_invariants` holds on the session's store
 //!   (sorted peer lists, bit-equal twin rows, `live` and the running
-//!   total re-derivable) — in debug builds, which carry the check.
+//!   total re-derivable), and `Cluster::check_invariants` on its cluster
+//!   (usage = the hosted specs, within capacity; memoised external loads
+//!   = a fresh sum; down hosts empty; one VM count) — in debug builds,
+//!   which carry the checks.
 //!
 //! Running sums keep float residue proportional to the largest values
 //! they ever carried, so from the first scale on the relative bounds
@@ -253,11 +256,13 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
         peak = peak.max(max_rate(&reference));
         let floor = if scaled { peak } else { 1.0 };
         check_equivalence(&session, &reference, floor);
-        // The store's own invariants (debug builds carry the check).
+        // The store's and the cluster's own invariants (debug builds
+        // carry the checks).
         #[cfg(debug_assertions)]
         {
             peak_total = peak_total.max(session.traffic().total_rate());
             session.traffic().check_invariants(peak_total);
+            session.cluster().check_invariants();
         }
     }
 }

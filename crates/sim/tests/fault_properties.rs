@@ -11,7 +11,9 @@
 //!   relative of a from-scratch recomputation;
 //! * no migration — voluntary or forced — ever lands a VM on a host
 //!   that was down at decision time, and the final placement keeps
-//!   every live VM on a live host.
+//!   every live VM on a live host;
+//! * `Cluster::check_invariants` holds after every operation (debug
+//!   builds, which carry the check).
 
 use proptest::prelude::*;
 use score_sim::{PolicyKind, RunReport, Scenario, Session};
@@ -172,6 +174,10 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
                 }
             }
         }
+        // Capacity, NIC cache, down hosts and VM counts after every op
+        // (debug builds carry the check).
+        #[cfg(debug_assertions)]
+        session.cluster().check_invariants();
     }
     session.run_to_horizon();
     assert_cost_exact(&session);

@@ -448,6 +448,47 @@ impl Topology for CanonicalTree {
         }
         shares
     }
+
+    /// O(flows + links), with no share list per flow: host links and ToR
+    /// uplinks take `rate` directly (`rate × 1.0` is `rate`), and the
+    /// `cores` agg→core links of an aggregation group receive `rate /
+    /// cores` from exactly the flows that leave that group (see
+    /// [`route_shares`](Topology::route_shares): the fraction does not
+    /// depend on the core). No link appears twice in one flow's shares, so
+    /// one accumulator per group sees the same addends in the same flow
+    /// order as each of its links would, and copying it to them at the end
+    /// is bit-for-bit the per-link sum.
+    fn link_loads(&self, flows: &mut dyn Iterator<Item = (ServerId, ServerId, f64)>) -> Vec<f64> {
+        let frac = 1.0 / self.cores as f64;
+        let mut load = vec![0.0; self.graph.num_links()];
+        let mut agg_up = vec![0.0; self.agg_core_links.len()];
+        for (a, b, rate) in flows {
+            self.assert_server(a);
+            self.assert_server(b);
+            if a == b {
+                continue;
+            }
+            load[self.host_links[a.index()].index()] += rate;
+            load[self.host_links[b.index()].index()] += rate;
+            let (ra, rb) = (a.get() / self.hosts_per_rack, b.get() / self.hosts_per_rack);
+            if ra == rb {
+                continue;
+            }
+            load[self.tor_agg_links[ra as usize].index()] += rate;
+            load[self.tor_agg_links[rb as usize].index()] += rate;
+            let (ga, gb) = (ra / self.racks_per_agg, rb / self.racks_per_agg);
+            if ga != gb {
+                agg_up[ga as usize] += rate * frac;
+                agg_up[gb as usize] += rate * frac;
+            }
+        }
+        for (links, &up) in self.agg_core_links.iter().zip(&agg_up) {
+            for link in links {
+                load[link.index()] = up;
+            }
+        }
+        load
+    }
 }
 
 #[cfg(test)]
@@ -520,6 +561,50 @@ mod tests {
         for s in core_links {
             assert!((s.fraction - 0.5).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn link_loads_give_every_link_of_a_bundle_the_same_bits() {
+        // 6 racks of 2 hosts, 2 racks per aggregation group, 3 cores.
+        let t = CanonicalTreeBuilder::new()
+            .racks(6)
+            .hosts_per_rack(2)
+            .racks_per_agg(2)
+            .cores(3)
+            .build()
+            .unwrap();
+        let s = ServerId::new;
+        // Out of group 0: two cross-group flows, one same-group, one
+        // same-rack, one collocated — rates whose sums round, and whose
+        // `rate / 3` differs from `rate × (1/3)`.
+        let flows = [
+            (s(0), s(9), 7.7),
+            (s(3), s(9), 5.0),
+            (s(1), s(2), 0.7),
+            (s(0), s(1), 5.0),
+            (s(7), s(7), 9.0),
+        ];
+        let load = t.link_loads(&mut flows.into_iter());
+        let third: f64 = 1.0 / 3.0;
+        let group0 = 7.7 * third + 5.0 * third;
+        for link in &t.agg_core_links[0] {
+            assert_eq!(load[link.index()].to_bits(), group0.to_bits());
+        }
+        // Rack 0's uplink carries both of its cross-rack flows, unsplit.
+        let rack0: f64 = 7.7 + 0.7;
+        assert_eq!(load[t.tor_agg_links[0].index()].to_bits(), rack0.to_bits());
+        // Nothing leaks past the flows' own racks and groups.
+        assert_eq!(load[t.tor_agg_links[3].index()], 0.0);
+        assert_eq!(load[t.agg_core_links[1][0].index()], 0.0);
+        // And every link equals the per-share definition, bit for bit.
+        let mut by_share = vec![0.0; t.graph().num_links()];
+        for (a, b, rate) in flows {
+            for share in t.route_shares(a, b) {
+                by_share[share.link.index()] += rate * share.fraction;
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&load), bits(&by_share));
     }
 
     #[test]

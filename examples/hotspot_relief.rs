@@ -12,7 +12,7 @@ use s_core::topology::Level;
 use s_core::traffic::TrafficIntensity;
 
 fn describe(label: &str, cluster: &s_core::core::Cluster, traffic: &s_core::traffic::PairTraffic) {
-    let map = LinkLoadMap::compute(cluster.allocation(), traffic, cluster.topo());
+    let map = LinkLoadMap::compute(cluster.allocation(), &traffic.pairs(), cluster.topo());
     let mut row = format!("{label:<12}");
     for (name, level) in [("core", Level::CORE), ("agg", Level::AGGREGATION)] {
         let cdf = map.utilization_cdf(level);

@@ -22,6 +22,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 mod reader;
+mod shortest;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -263,33 +264,45 @@ pub mod json {
         let _ = write!(out, "{i}");
     }
 
-    /// A float; JSON has no NaN/Infinity, so those become `null`.
+    /// A float, spelled byte for byte as `{:?}` spells it: the shortest
+    /// representation that parses back to the same f64, always with a
+    /// `.` or an exponent (see `shortest.rs` for the layout rules). JSON
+    /// has no NaN/Infinity, so those become `null`.
     pub fn write_f64(out: &mut String, f: f64) {
         if f.is_finite() {
-            // `{:?}` prints the shortest representation that parses
-            // back to the same f64, always with a `.` or exponent.
-            let _ = write!(out, "{f:?}");
+            crate::shortest::write_finite(out, f);
         } else {
             out.push_str("null");
         }
     }
 
-    /// A quoted, escaped string.
+    /// A quoted, escaped string. Runs of bytes that need no escape are
+    /// copied with one `push_str` each.
     pub fn write_str(out: &mut String, s: &str) {
+        out.reserve(s.len() + 2);
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => Some("\\\""),
+                b'\\' => Some("\\\\"),
+                b'\n' => Some("\\n"),
+                b'\r' => Some("\\r"),
+                b'\t' => Some("\\t"),
+                0..=0x1f => None,
+                _ => continue,
+            };
+            // `b` is ASCII, so `i` is a char boundary.
+            out.push_str(&s[run..i]);
+            match escape {
+                Some(escape) => out.push_str(escape),
+                None => {
+                    let _ = write!(out, "\\u{b:04x}");
                 }
-                c => out.push(c),
             }
+            run = i + 1;
         }
+        out.push_str(&s[run..]);
         out.push('"');
     }
 

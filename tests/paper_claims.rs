@@ -122,13 +122,16 @@ fn score_outperforms_remedy() {
     // Core-layer relief (Fig. 4a): S-CORE shifts the core CDF further left.
     let score_core = LinkLoadMap::compute(
         score_session.cluster().allocation(),
-        score_session.traffic(),
+        &score_session.traffic().pairs(),
         score_session.cluster().topo(),
     )
     .utilization_cdf(Level::CORE);
-    let remedy_core =
-        LinkLoadMap::compute(remedy_cluster.allocation(), traffic, remedy_cluster.topo())
-            .utilization_cdf(Level::CORE);
+    let remedy_core = LinkLoadMap::compute(
+        remedy_cluster.allocation(),
+        &traffic.pairs(),
+        remedy_cluster.topo(),
+    )
+    .utilization_cdf(Level::CORE);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     assert!(mean(&score_core) < mean(&remedy_core));
 }
