@@ -8,7 +8,6 @@
 //! one level byte (5 bytes per VM), so "the size of the message is of the
 //! order of the number of VMs in the network".
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use score_topology::{Level, VmId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -371,13 +370,13 @@ impl Token {
     }
 
     /// Serialises the token to its 5-byte-per-entry wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.entries.len() * Self::ENTRY_BYTES);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
         for e in &self.entries {
-            buf.put_u32(e.id.get());
-            buf.put_u8(e.level.get());
+            buf.extend_from_slice(&e.id.get().to_be_bytes());
+            buf.push(e.level.get());
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a token from its wire format.
@@ -386,16 +385,15 @@ impl Token {
     ///
     /// Returns [`TokenCodecError`] if the length is not a multiple of the
     /// entry size or entries are not strictly ascending by id.
-    pub fn decode(mut bytes: &[u8]) -> Result<Self, TokenCodecError> {
+    pub fn decode(bytes: &[u8]) -> Result<Self, TokenCodecError> {
         if !bytes.len().is_multiple_of(Self::ENTRY_BYTES) {
             return Err(TokenCodecError::BadLength { len: bytes.len() });
         }
-        let n = bytes.len() / Self::ENTRY_BYTES;
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = Vec::with_capacity(bytes.len() / Self::ENTRY_BYTES);
         let mut prev: Option<u32> = None;
-        for index in 0..n {
-            let id = bytes.get_u32();
-            let level = bytes.get_u8();
+        for (index, entry) in bytes.chunks_exact(Self::ENTRY_BYTES).enumerate() {
+            let id = u32::from_be_bytes([entry[0], entry[1], entry[2], entry[3]]);
+            let level = entry[4];
             if let Some(p) = prev {
                 if id <= p {
                     return Err(TokenCodecError::NotSorted { index });

@@ -29,8 +29,8 @@
 //!
 //! `--policy` also accepts a comma-separated list (or `all`): the run
 //! becomes a `ScenarioMatrix` policy sweep executed on the
-//! work-stealing [`score_sim::MatrixRunner`] — `--threads N` sets the
-//! pool width (default: every core; results are bit-identical at any
+//! [`score_sim::MatrixRunner`] — `--threads N` sets the worker
+//! count (default: every core; results are bit-identical at any
 //! width, except that trace-workload reports embed wall-clock
 //! `apply_ns_*` rebind diagnostics that vary between any two runs) and
 //! `--json` then writes the collected [`score_sim::MatrixReport`].
@@ -928,9 +928,9 @@ fn build_storm(session: &score_sim::Session, args: &Args) -> Result<Vec<TimedEve
         .map_err(|e| format!("{e}"))
 }
 
-/// Runs a multi-policy sweep on the work-stealing `MatrixRunner`:
-/// every `--policy` entry becomes one cell over the same scenario,
-/// `--threads` sets the pool width (default: every core), and `--json`
+/// Runs a multi-policy sweep on the `MatrixRunner`: every `--policy`
+/// entry becomes one cell over the same scenario, `--threads` sets the
+/// worker count (default: every core), and `--json`
 /// writes the collected `MatrixReport`. Results are bit-identical at
 /// any width.
 fn run_policy_sweep(scenario: Scenario, args: &Args) -> ExitCode {

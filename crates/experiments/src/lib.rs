@@ -133,7 +133,7 @@ pub fn sweep_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs a sweep on the work-stealing [`score_sim::MatrixRunner`] at
+/// Runs a sweep on the parallel [`score_sim::MatrixRunner`] at
 /// [`sweep_threads`] width — the one execution path every experiment
 /// module's matrix goes through, so `--threads` reaches all of them.
 ///

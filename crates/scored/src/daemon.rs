@@ -1,32 +1,38 @@
 //! The `scored` daemon: an always-on event loop serving live clusters
 //! over line-delimited JSON sockets (Unix and/or TCP).
 //!
-//! One [`crate::TenantEngine`] per tenant namespace, each pinned to a
-//! named persistent worker thread from the `rayon` shim's
-//! [`rayon::registry::WorkerRegistry`] — every request for a tenant
-//! runs on that tenant's worker, so tenant state is single-writer by
-//! construction and tenants never block each other. Between requests a
-//! pacing thread keeps each tenant's token ring circulating on the
-//! event clock at `rate` simulated seconds per wall second.
+//! One [`crate::TenantEngine`] per tenant namespace, **owned** — with
+//! that tenant's subscriber list — by a named worker thread of its own
+//! (`scored-<tenant>`). Every request for a tenant is a job sent to that
+//! worker over a channel, so tenant state is single-writer by
+//! construction, needs no lock, and tenants never block each other. A
+//! job that panics fails its tenant alone: the worker drops the state
+//! the job may have left half-mutated, the tenant answers
+//! `tenant-failed` from then on, and the daemon goes on serving the
+//! others. Between requests a pacing thread keeps each tenant's token
+//! ring circulating on the event clock at `rate` simulated seconds per
+//! wall second.
 //!
-//! Connections are plain sockets carrying one request per line; any
-//! number may attach to the same tenant. `Subscribe` turns a
-//! connection into an observer: every later mutation response, audit
-//! trace line, and refreshed canonical report for that tenant is
-//! streamed to it.
+//! Connections are plain sockets carrying one request per line, each
+//! served on a thread of its own, at most `MAX_CONNECTIONS` (256) at
+//! once; one more is answered `busy` and closed. Any number may attach
+//! to the same tenant. `Subscribe` turns a connection into an observer:
+//! every later mutation response, audit trace line, and refreshed
+//! canonical report for that tenant is streamed to it.
 
 use crate::engine::TenantEngine;
 use crate::proto::{parse_request, response_line, Request, Response};
-use rayon::registry::{registry, WorkerHandle};
 use score_obs::{Counter, Gauge, ObsHandle};
 use score_sim::Scenario;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Token holds one pacing slice may execute per tenant — keeps a
@@ -43,6 +49,14 @@ const PUMP_SLICE_STEPS: usize = 512;
 /// so a connection costs the daemon at most this much buffer, whatever
 /// it sends.
 const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most connections served at once. Each holds three descriptors
+/// (the stream plus two `try_clone` writers: one for responses, one kept
+/// for `Subscribe`), so 256 of them take 768 of the common
+/// 1,024-descriptor soft limit and leave the rest to the listeners, the
+/// tenants' record files and the process itself. One connection more is
+/// answered a single `busy` error line and closed, without a thread.
+const MAX_CONNECTIONS: usize = 256;
 
 /// How the daemon binds, paces, and persists.
 pub struct DaemonConfig {
@@ -61,12 +75,14 @@ pub struct DaemonConfig {
     pub record_dir: Option<PathBuf>,
 }
 
-/// One live tenant: its engine, its dedicated worker, its observers.
-struct Tenant {
-    name: String,
-    engine: Arc<Mutex<TenantEngine>>,
-    worker: WorkerHandle,
-    subscribers: Arc<Mutex<Vec<Box<dyn Write + Send>>>>,
+/// A job for a tenant's worker, run on the state only that worker owns.
+type Job = Box<dyn FnOnce(&mut TenantState) + Send>;
+
+/// Everything a tenant's worker thread owns outright: the engine and the
+/// observers streaming from it. No other thread ever sees it.
+struct TenantState {
+    engine: TenantEngine,
+    subscribers: Vec<Box<dyn Write + Send>>,
     /// Live observer connections (`scored_subscribers{tenant=..}`).
     subscriber_gauge: Arc<Gauge>,
     /// Observers dropped because their socket hung up mid-stream
@@ -74,10 +90,22 @@ struct Tenant {
     subscribers_dropped: Arc<Counter>,
 }
 
+/// One live tenant as the rest of the daemon sees it: the queue into the
+/// worker that owns its state. Dropping it closes the queue, which ends
+/// the worker.
+struct Tenant {
+    name: String,
+    jobs: Sender<Job>,
+    /// Set once a job has panicked: the tenant's state is gone.
+    failed: AtomicBool,
+}
+
 struct DaemonState {
     config: DaemonConfig,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
     shutdown: AtomicBool,
+    /// Connections being served, against [`MAX_CONNECTIONS`].
+    connections: AtomicUsize,
     /// The daemon-wide registry + decision journal; tenants get
     /// label-scoped clones of this handle.
     obs: ObsHandle,
@@ -98,43 +126,102 @@ fn write_line(w: &mut dyn Write, resp: &Response) -> std::io::Result<()> {
     w.flush()
 }
 
-impl DaemonState {
-    /// The tenant for `name`, created (engine + worker) on first use.
-    fn tenant(self: &Arc<Self>, name: &str) -> Result<Arc<Tenant>, String> {
-        let mut table = self.tenants.lock().expect("tenant table poisoned");
-        if let Some(t) = table.get(name) {
-            return Ok(Arc::clone(t));
-        }
-        let mut engine = TenantEngine::new(
-            name,
-            self.config.scenario.clone(),
-            self.config.rate,
-            self.config.record_dir.as_deref(),
-        )?;
-        let scoped = self.obs.with_label("tenant", name);
-        engine.attach_obs(&scoped);
-        let tenant = Arc::new(Tenant {
+impl Tenant {
+    /// Starts the worker thread `scored-<name>`, which owns `state` and
+    /// runs the tenant's jobs one at a time, in the order they were sent.
+    /// It ends when the tenant is dropped, or at the first job that
+    /// panics: the state that job may have left half-mutated is dropped
+    /// unread, and so is every job still queued behind it.
+    fn spawn(name: &str, mut state: TenantState) -> std::io::Result<Tenant> {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        std::thread::Builder::new()
+            .name(format!("scored-{name}"))
+            .spawn(move || {
+                while let Ok(job) = queue.recv() {
+                    if catch_unwind(AssertUnwindSafe(|| job(&mut state))).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Tenant {
             name: name.to_string(),
-            engine: Arc::new(Mutex::new(engine)),
-            worker: registry().worker(&format!("scored-{name}")),
-            subscribers: Arc::new(Mutex::new(Vec::new())),
-            subscriber_gauge: scoped.gauge("scored_subscribers").expect("obs enabled"),
-            subscribers_dropped: scoped
-                .counter("scored_subscribers_dropped_total")
-                .expect("obs enabled"),
-        });
-        table.insert(name.to_string(), Arc::clone(&tenant));
-        Ok(tenant)
+            jobs,
+            failed: AtomicBool::new(false),
+        })
+    }
+
+    /// Runs `job` on the tenant's worker and waits for its result: `None`
+    /// once the tenant has failed, this job's own panic included. The
+    /// first caller to find it failed names it on stderr.
+    fn run<R: Send + 'static>(
+        &self,
+        job: impl FnOnce(&mut TenantState) -> R + Send + 'static,
+    ) -> Option<R> {
+        if !self.failed.load(Ordering::SeqCst) {
+            let (reply, answer) = mpsc::channel();
+            let job: Job = Box::new(move |state| {
+                let _ = reply.send(job(state));
+            });
+            // A panic drops `reply` unsent, and a dead worker drops the
+            // job: either way `recv` errs instead of blocking.
+            if self.jobs.send(job).is_ok() {
+                if let Ok(result) = answer.recv() {
+                    return Some(result);
+                }
+            }
+        }
+        if !self.failed.swap(true, Ordering::SeqCst) {
+            eprintln!(
+                "scored: tenant {} failed (a request panicked on its worker); it answers \
+                 `tenant-failed` from now on, and the pacer and shutdown skip it",
+                self.name
+            );
+        }
+        None
+    }
+
+    /// [`Tenant::run`] for a request, answered `tenant-failed` once the
+    /// tenant has failed.
+    fn answer(&self, job: impl FnOnce(&mut TenantState) -> Response + Send + 'static) -> Response {
+        self.run(job).unwrap_or_else(|| {
+            let message = format!("tenant {} failed: a request panicked its worker", self.name);
+            Response::error("tenant-failed", message)
+        })
+    }
+}
+
+impl TenantState {
+    /// Applies one mutating request: mutate, flush the audit log, notify
+    /// subscribers.
+    fn mutate(
+        &mut self,
+        op: impl FnOnce(&mut TenantEngine) -> Result<Response, Response>,
+    ) -> Response {
+        let resp = match op(&mut self.engine) {
+            Ok(resp) => resp,
+            Err(resp) => return resp,
+        };
+        if let Err(e) = self.engine.flush_trace() {
+            return Response::error("internal", e);
+        }
+        // Serializing the stream (and a fresh report, which is large at
+        // scale) is only worth it when someone is listening; an observer
+        // arriving later catches up from the cursor.
+        if !self.subscribers.is_empty() {
+            let lines = self.engine.fresh_trace_lines();
+            let report = self.engine.report_json();
+            self.broadcast(&resp, &lines, &report);
+        }
+        resp
     }
 
     /// Streams `lines` then `resp` (and a fresh report) to the
-    /// tenant's subscribers. Any that hang up (closed socket, dead
-    /// pipe) are dropped from the list — counted, gauged, and logged,
-    /// never silently.
-    fn broadcast(tenant: &Tenant, resp: &Response, trace_lines: &[String], report: &str) {
-        let mut subs = tenant.subscribers.lock().expect("subscriber list poisoned");
-        let before = subs.len();
-        subs.retain_mut(|w| {
+    /// subscribers. Any that hang up (closed socket, dead pipe) are
+    /// dropped from the list — counted, gauged, and logged, never
+    /// silently.
+    fn broadcast(&mut self, resp: &Response, trace_lines: &[String], report: &str) {
+        let before = self.subscribers.len();
+        self.subscribers.retain_mut(|w| {
             for line in trace_lines {
                 let t = Response::Trace { line: line.clone() };
                 if write_line(w.as_mut(), &t).is_err() {
@@ -152,64 +239,121 @@ impl DaemonState {
             )
             .is_ok()
         });
-        let dropped = before - subs.len();
+        let left = self.subscribers.len();
+        let dropped = before - left;
         if dropped > 0 {
-            tenant.subscribers_dropped.add(dropped as u64);
-            tenant.subscriber_gauge.set(subs.len() as f64);
+            self.subscribers_dropped.add(dropped as u64);
+            self.subscriber_gauge.set(left as f64);
             eprintln!(
-                "scored: tenant {} dropped {dropped} hung-up subscriber{} ({} left)",
-                tenant.name,
+                "scored: tenant {} dropped {dropped} hung-up subscriber{} ({left} left)",
+                self.engine.name(),
                 if dropped == 1 { "" } else { "s" },
-                subs.len()
             );
         }
     }
+}
 
-    /// Runs one mutating request on the tenant's worker: mutate, flush
-    /// the audit log, notify subscribers.
-    fn mutate<F>(self: &Arc<Self>, tenant: &Arc<Tenant>, op: F) -> Response
-    where
-        F: FnOnce(&mut TenantEngine) -> Result<Response, Response> + Send + 'static,
-    {
-        let t = Arc::clone(tenant);
-        tenant.worker.run(move || {
-            let mut engine = t.engine.lock().expect("engine poisoned");
-            match op(&mut engine) {
-                Ok(resp) => {
-                    if let Err(e) = engine.flush_trace() {
-                        return Response::error("internal", e);
-                    }
-                    // Serializing the stream (and a fresh report, which
-                    // is large at scale) is only worth it when someone
-                    // is listening; an observer arriving later catches
-                    // up from the cursor.
-                    let observed = !t
-                        .subscribers
-                        .lock()
-                        .expect("subscriber list poisoned")
-                        .is_empty();
-                    if observed {
-                        let lines = engine.fresh_trace_lines();
-                        let report = engine.report_json();
-                        drop(engine);
-                        DaemonState::broadcast(&t, &resp, &lines, &report);
-                    }
-                    resp
-                }
-                Err(resp) => resp,
+impl DaemonState {
+    fn new(config: DaemonConfig) -> Self {
+        DaemonState {
+            config,
+            tenants: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+            obs: ObsHandle::new(),
+        }
+    }
+
+    /// The tenant table. A panic while it is held (inside
+    /// [`TenantEngine::new`]) cannot leave it half-written, because a
+    /// tenant is inserted whole, after it is built.
+    fn table(&self) -> MutexGuard<'_, HashMap<String, Arc<Tenant>>> {
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The tenant for `name`, created (engine + worker) on first use.
+    fn tenant(&self, name: &str) -> Result<Arc<Tenant>, String> {
+        let mut table = self.table();
+        if let Some(t) = table.get(name) {
+            return Ok(Arc::clone(t));
+        }
+        let mut engine = TenantEngine::new(
+            name,
+            self.config.scenario.clone(),
+            self.config.rate,
+            self.config.record_dir.as_deref(),
+        )?;
+        let scoped = self.obs.with_label("tenant", name);
+        engine.attach_obs(&scoped);
+        // `ObsHandle::new` is enabled, so its instruments always resolve.
+        let state = TenantState {
+            engine,
+            subscribers: Vec::new(),
+            subscriber_gauge: scoped.gauge("scored_subscribers").expect("obs enabled"),
+            subscribers_dropped: scoped
+                .counter("scored_subscribers_dropped_total")
+                .expect("obs enabled"),
+        };
+        let tenant = Tenant::spawn(name, state)
+            .map_err(|e| format!("starting the worker of tenant {name}: {e}"))?;
+        let tenant = Arc::new(tenant);
+        table.insert(name.to_string(), Arc::clone(&tenant));
+        Ok(tenant)
+    }
+
+    /// Every tenant, in no particular order.
+    fn all_tenants(&self) -> Vec<Arc<Tenant>> {
+        self.table().values().cloned().collect()
+    }
+
+    /// Runs `job` on the worker of the connection's tenant (`default`
+    /// until the connection attaches).
+    fn on_tenant(
+        &self,
+        conn_tenant: &Option<String>,
+        job: impl FnOnce(&mut TenantState) -> Response + Send + 'static,
+    ) -> Response {
+        match self.tenant(conn_tenant.as_deref().unwrap_or("default")) {
+            Ok(t) => t.answer(job),
+            Err(e) => Response::error("bad-request", e),
+        }
+    }
+
+    /// One pacing tick: each tenant advances by at most
+    /// [`PUMP_SLICE_STEPS`] token holds, on its own worker, so pacing
+    /// never races a request. A failed tenant is skipped.
+    fn pace(&self) {
+        for t in self.all_tenants() {
+            let _ = t.run(|s| s.engine.pump(PUMP_SLICE_STEPS));
+        }
+    }
+
+    /// Drains and persists every tenant and tells its subscribers the
+    /// daemon is going. A failed tenant has nothing left to finish and is
+    /// skipped, by name.
+    fn shut_down(&self) -> Response {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for t in self.all_tenants() {
+            let finished = t.run(|s| {
+                let finished = s.engine.finish().map(drop);
+                s.broadcast(&Response::ShuttingDown, &[], "");
+                finished
+            });
+            match finished {
+                Some(Ok(())) => {}
+                Some(Err(e)) => return Response::error("internal", e),
+                None => eprintln!("scored: shutdown skips failed tenant {}", t.name),
             }
-        })
+        }
+        Response::ShuttingDown
     }
 
     fn handle(
-        self: &Arc<Self>,
+        &self,
         conn_tenant: &mut Option<String>,
         subscriber_writer: &mut Option<Box<dyn Write + Send>>,
         req: Request,
     ) -> Response {
-        // Connections that never attach land in the "default" tenant.
-        let tenant_name =
-            |conn: &Option<String>| conn.clone().unwrap_or_else(|| "default".to_string());
         match req {
             Request::Attach { tenant } => {
                 if tenant.is_empty()
@@ -227,89 +371,63 @@ impl DaemonState {
                     Err(e) => return Response::error("bad-request", e),
                 };
                 *conn_tenant = Some(tenant.clone());
-                let engine = Arc::clone(&t.engine);
-                t.worker.run(move || {
-                    let engine = engine.lock().expect("engine poisoned");
-                    Response::Attached {
-                        tenant,
-                        num_vms: engine.session().cluster().num_active(),
-                        now_s: engine.session().now_s(),
-                    }
+                t.answer(move |s| Response::Attached {
+                    tenant,
+                    num_vms: s.engine.session().cluster().num_active(),
+                    now_s: s.engine.session().now_s(),
                 })
             }
-            Request::Place { server } => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
-                self.mutate(&t, move |engine| {
+            Request::Place { server } => self.on_tenant(conn_tenant, move |s| {
+                s.mutate(|engine| {
                     engine
                         .place(server)
                         .map(|(vm, server, at_s)| Response::Placed { vm, server, at_s })
                         .map_err(|e| Response::error("placement", e))
                 })
-            }
-            Request::Remove { vm } => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
-                self.mutate(&t, move |engine| {
+            }),
+            Request::Remove { vm } => self.on_tenant(conn_tenant, move |s| {
+                s.mutate(|engine| {
                     engine
                         .remove(vm)
                         .map(|at_s| Response::Removed { vm, at_s })
                         .map_err(|e| Response::error("unknown-vm", e))
                 })
-            }
+            }),
             Request::Traffic { events } => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
                 let count = events.len() as u32;
-                self.mutate(&t, move |engine| {
-                    engine
-                        .traffic(&events)
-                        .map(|a| Response::Applied {
-                            events: count,
-                            pairs_changed: a.pairs_changed,
-                            at_s: a.at_s,
-                        })
-                        .map_err(|e| Response::error("bad-event", e))
+                self.on_tenant(conn_tenant, move |s| {
+                    s.mutate(|engine| {
+                        engine
+                            .traffic(&events)
+                            .map(|a| Response::Applied {
+                                events: count,
+                                pairs_changed: a.pairs_changed,
+                                at_s: a.at_s,
+                            })
+                            .map_err(|e| Response::error("bad-event", e))
+                    })
                 })
             }
             Request::Fault { events } => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
                 let count = events.len() as u32;
-                self.mutate(&t, move |engine| {
-                    engine
-                        .fault(&events)
-                        .map(|f| Response::Faulted {
-                            events: count,
-                            hosts_failed: f.hosts_failed,
-                            evacuations: f.evacuations,
-                            unplaceable: f.unplaceable,
-                            at_s: f.at_s,
-                        })
-                        .map_err(|e| Response::error("bad-event", e))
+                self.on_tenant(conn_tenant, move |s| {
+                    s.mutate(|engine| {
+                        engine
+                            .fault(&events)
+                            .map(|f| Response::Faulted {
+                                events: count,
+                                hosts_failed: f.hosts_failed,
+                                evacuations: f.evacuations,
+                                unplaceable: f.unplaceable,
+                                at_s: f.at_s,
+                            })
+                            .map_err(|e| Response::error("bad-event", e))
+                    })
                 })
             }
-            Request::Report => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
-                let engine = Arc::clone(&t.engine);
-                t.worker.run(move || {
-                    let engine = engine.lock().expect("engine poisoned");
-                    Response::Report {
-                        json: engine.report_json(),
-                    }
-                })
-            }
+            Request::Report => self.on_tenant(conn_tenant, |s| Response::Report {
+                json: s.engine.report_json(),
+            }),
             Request::Stats => {
                 let metrics = self.obs.snapshot_json().unwrap_or_else(|| "{}".to_string());
                 let journal = self
@@ -321,45 +439,29 @@ impl DaemonState {
                     json: format!("{{\"metrics\":{metrics},\"journal\":{journal}}}"),
                 }
             }
-            Request::Pause => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
-                let engine = Arc::clone(&t.engine);
-                t.worker.run(move || {
-                    let mut engine = engine.lock().expect("engine poisoned");
-                    Response::Paused {
-                        at_s: engine.pause(),
-                    }
-                })
-            }
-            Request::Resume => {
-                let t = match self.tenant(&tenant_name(conn_tenant)) {
-                    Ok(t) => t,
-                    Err(e) => return Response::error("bad-request", e),
-                };
-                let engine = Arc::clone(&t.engine);
-                t.worker.run(move || {
-                    let mut engine = engine.lock().expect("engine poisoned");
-                    Response::Resumed {
-                        at_s: engine.resume(),
-                    }
-                })
-            }
+            Request::Pause => self.on_tenant(conn_tenant, |s| Response::Paused {
+                at_s: s.engine.pause(),
+            }),
+            Request::Resume => self.on_tenant(conn_tenant, |s| Response::Resumed {
+                at_s: s.engine.resume(),
+            }),
             Request::Subscribe => {
-                let name = tenant_name(conn_tenant);
-                let t = match self.tenant(&name) {
+                let name = conn_tenant.as_deref().unwrap_or("default");
+                let t = match self.tenant(name) {
                     Ok(t) => t,
                     Err(e) => return Response::error("bad-request", e),
                 };
                 match subscriber_writer.take() {
-                    Some(w) => {
-                        let mut subs = t.subscribers.lock().expect("subscriber list poisoned");
-                        subs.push(w);
-                        t.subscriber_gauge.set(subs.len() as f64);
-                        Response::Subscribed { tenant: name }
-                    }
+                    // A job like any other, so the subscription lands
+                    // between two of the tenant's mutations, never inside
+                    // one.
+                    Some(w) => t.answer(move |s| {
+                        s.subscribers.push(w);
+                        s.subscriber_gauge.set(s.subscribers.len() as f64);
+                        Response::Subscribed {
+                            tenant: s.engine.name().to_string(),
+                        }
+                    }),
                     None => Response::error(
                         "bad-request",
                         "this connection cannot subscribe (already subscribed, or the \
@@ -367,31 +469,7 @@ impl DaemonState {
                     ),
                 }
             }
-            Request::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                let tenants: Vec<Arc<Tenant>> = self
-                    .tenants
-                    .lock()
-                    .expect("tenant table poisoned")
-                    .values()
-                    .cloned()
-                    .collect();
-                for t in tenants {
-                    let engine = Arc::clone(&t.engine);
-                    let final_resp = t.worker.run(move || {
-                        let mut engine = engine.lock().expect("engine poisoned");
-                        match engine.finish() {
-                            Ok(report) => Response::Report { json: report },
-                            Err(e) => Response::error("internal", e),
-                        }
-                    });
-                    DaemonState::broadcast(&t, &Response::ShuttingDown, &[], "");
-                    if let Response::Error { message, .. } = final_resp {
-                        return Response::error("internal", message);
-                    }
-                }
-                Response::ShuttingDown
-            }
+            Request::Shutdown => self.shut_down(),
         }
     }
 }
@@ -451,6 +529,47 @@ fn next_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
     }
 }
 
+/// Serves `stream` on a thread of its own (`scored-conn`), or — with
+/// [`MAX_CONNECTIONS`] already being served — answers it one `busy`
+/// error line and closes it.
+fn admit<S>(state: &Arc<DaemonState>, mut stream: S)
+where
+    S: Read + Write + Send + CloneWriter + 'static,
+{
+    // Only the accept loop adds connections, so the count can only fall
+    // between this check and the increment.
+    if state.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+        let busy = Response::error(
+            "busy",
+            format!("the daemon is serving its limit of {MAX_CONNECTIONS} connections"),
+        );
+        let _ = write_line(&mut stream, &busy);
+        return;
+    }
+    let slot = ConnectionSlot::new(state);
+    // The closure owns the slot (a `Drop` type is captured whole), so the
+    // count falls when the connection ends, or at once if the spawn fails.
+    let _ = std::thread::Builder::new()
+        .name("scored-conn".to_string())
+        .spawn(move || serve_connection(&slot.0, stream));
+}
+
+/// One connection counted against [`MAX_CONNECTIONS`] until dropped.
+struct ConnectionSlot(Arc<DaemonState>);
+
+impl ConnectionSlot {
+    fn new(state: &Arc<DaemonState>) -> Self {
+        state.connections.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(state))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Serves one accepted connection until EOF or shutdown. Malformed
 /// lines produce `parse` errors (a line that is not UTF-8 included),
 /// lines over [`MAX_LINE_BYTES`] a `too-long` error, and the loop
@@ -460,7 +579,7 @@ fn next_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
 /// scraper pointed at the TCP listener) gets a one-shot HTTP response
 /// carrying the registry in Prometheus text exposition format, then the
 /// connection closes — plain sockets and scrapers share one port.
-fn serve_connection<S>(state: Arc<DaemonState>, stream: S)
+fn serve_connection<S>(state: &DaemonState, stream: S)
 where
     S: Read + Write + Send + CloneWriter + 'static,
 {
@@ -577,12 +696,7 @@ impl Daemon {
             None => None,
         };
         Ok(Daemon {
-            state: Arc::new(DaemonState {
-                config,
-                tenants: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-                obs: ObsHandle::new(),
-            }),
+            state: Arc::new(DaemonState::new(config)),
             unix,
             tcp,
         })
@@ -599,8 +713,6 @@ impl Daemon {
     /// artifacts.
     pub fn run(self) {
         let state = Arc::clone(&self.state);
-        // The pacing thread: round-robins tenants, advancing each on
-        // its own worker so pacing never races a request.
         let pacer = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
@@ -617,22 +729,7 @@ impl Daemon {
                         h.record(ns.saturating_sub(period.as_nanos() as u64));
                     }
                     last_tick = Some(state.obs.stopwatch());
-                    let tenants: Vec<Arc<Tenant>> = state
-                        .tenants
-                        .lock()
-                        .expect("tenant table poisoned")
-                        .values()
-                        .cloned()
-                        .collect();
-                    for t in tenants {
-                        let engine = Arc::clone(&t.engine);
-                        t.worker.run(move || {
-                            engine
-                                .lock()
-                                .expect("engine poisoned")
-                                .pump(PUMP_SLICE_STEPS);
-                        });
-                    }
+                    state.pace();
                     std::thread::sleep(period);
                 }
             })
@@ -642,15 +739,13 @@ impl Daemon {
             if let Some(l) = &self.unix {
                 if let Ok((stream, _)) = l.accept() {
                     accepted = true;
-                    let state = Arc::clone(&state);
-                    rayon::spawn(move || serve_connection(state, stream));
+                    admit(&state, stream);
                 }
             }
             if let Some(l) = &self.tcp {
                 if let Ok((stream, _)) = l.accept() {
                     accepted = true;
-                    let state = Arc::clone(&state);
-                    rayon::spawn(move || serve_connection(state, stream));
+                    admit(&state, stream);
                 }
             }
             if !accepted {
@@ -661,5 +756,124 @@ impl Daemon {
         if let Some(path) = &state.config.unix_socket {
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    fn daemon_state() -> Arc<DaemonState> {
+        let scenario = Scenario::builder()
+            .canonical_tree(8, 4)
+            .horizon(1e6)
+            .build();
+        Arc::new(DaemonState::new(DaemonConfig {
+            scenario,
+            unix_socket: None,
+            tcp_addr: None,
+            rate: 1000.0,
+            record_dir: None,
+        }))
+    }
+
+    fn on(tenant: &str) -> Option<String> {
+        Some(tenant.to_string())
+    }
+
+    fn code(resp: &Response) -> &str {
+        match resp {
+            Response::Error { code, .. } => code,
+            _ => "",
+        }
+    }
+
+    #[test]
+    fn jobs_on_one_tenant_run_in_submission_order() {
+        let state = daemon_state();
+        let t = state.tenant("fifo").unwrap();
+        let (seen_tx, seen) = channel();
+        for i in 0..32 {
+            let seen_tx = seen_tx.clone();
+            t.jobs
+                .send(Box::new(move |_| seen_tx.send(i).unwrap()))
+                .unwrap();
+        }
+        // `run` queues behind the jobs already sent.
+        assert_eq!(t.run(|_| ()), Some(()));
+        drop(seen_tx);
+        assert_eq!(seen.iter().collect::<Vec<_>>(), (0..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn distinct_tenants_run_concurrently() {
+        let state = daemon_state();
+        let a = state.tenant("a").unwrap();
+        let (open_gate, gate) = channel::<()>();
+        a.jobs
+            .send(Box::new(move |_| {
+                let _ = gate.recv();
+            }))
+            .unwrap();
+        // With `a`'s worker blocked on the gate, `b` still answers.
+        let (answered, answer) = channel();
+        let server = Arc::clone(&state);
+        let asker = std::thread::spawn(move || {
+            let resp = server.handle(&mut on("b"), &mut None, Request::Place { server: None });
+            let _ = answered.send(resp);
+        });
+        let resp = answer.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert!(matches!(resp, Response::Placed { .. }), "{resp:?}");
+        asker.join().unwrap();
+        open_gate.send(()).unwrap();
+        assert_eq!(a.run(|_| ()), Some(()));
+    }
+
+    #[test]
+    fn a_panicking_tenant_fails_alone() {
+        let state = daemon_state();
+        let now_s = |tenant: &str| match state.handle(
+            &mut None,
+            &mut None,
+            Request::Attach {
+                tenant: tenant.to_string(),
+            },
+        ) {
+            Response::Attached { now_s, .. } => now_s,
+            other => panic!("expected Attached, got {other:?}"),
+        };
+        let b_before = now_s("b");
+        let a = state.tenant("a").unwrap();
+        let panicked: Option<()> = a.run(|_| panic!("injected"));
+        assert_eq!(panicked, None);
+        for req in [
+            Request::Place { server: None },
+            Request::Report,
+            Request::Pause,
+            Request::Subscribe,
+        ] {
+            let resp = state.handle(&mut on("a"), &mut Some(Box::new(Vec::new())), req);
+            assert_eq!(code(&resp), "tenant-failed", "{resp:?}");
+        }
+        let resp = state.handle(
+            &mut None,
+            &mut None,
+            Request::Attach {
+                tenant: "a".to_string(),
+            },
+        );
+        assert_eq!(code(&resp), "tenant-failed", "{resp:?}");
+
+        // `b` still places and, after one pacer tick, has advanced.
+        let resp = state.handle(&mut on("b"), &mut None, Request::Place { server: None });
+        assert!(matches!(resp, Response::Placed { .. }), "{resp:?}");
+        std::thread::sleep(Duration::from_millis(20));
+        state.pace();
+        assert!(now_s("b") > b_before, "the pacer stopped advancing b");
+        assert_eq!(
+            state.handle(&mut on("b"), &mut None, Request::Shutdown),
+            Response::ShuttingDown
+        );
     }
 }

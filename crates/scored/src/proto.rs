@@ -309,7 +309,9 @@ pub enum Response {
     /// A request failed; the connection stays open.
     Error {
         /// Machine-readable class: `parse`, `too-long`, `detached`,
-        /// `placement`, `unknown-vm`, `bad-event`, `bad-request`.
+        /// `placement`, `unknown-vm`, `bad-event`, `bad-request`,
+        /// `internal`, `tenant-failed` (a request panicked the tenant's
+        /// worker), `busy` (the connection cap; the connection closes).
         code: String,
         /// Human-readable detail.
         message: String,

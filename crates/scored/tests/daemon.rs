@@ -917,6 +917,81 @@ fn daemon_injects_faults_and_replays_them() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// At most 256 connections are served at once. With 256 held open (each
+/// answered once, so each is being served), the 257th reads one `busy`
+/// line and is closed; once one of the 256 hangs up, a new connection is
+/// served again. The test process holds both ends of every connection,
+/// about 1,030 descriptors.
+#[test]
+fn connections_past_the_cap_are_answered_busy() {
+    let dir = temp_dir("daemon_connection_cap");
+    let socket = dir.join("scored.sock");
+    let daemon = Daemon::bind(DaemonConfig {
+        scenario: quick_scenario(37),
+        unix_socket: Some(socket.clone()),
+        tcp_addr: None,
+        rate: 500.0,
+        record_dir: None,
+    })
+    .unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+    // Sends `req` (write errors ignored: a refused connection may already
+    // be closed) and reads one response line.
+    let ask = |mut stream: &UnixStream, req: &str| {
+        let _ = stream.write_all(format!("{req}\n").as_bytes());
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        serde_json::from_str::<Response>(&line).unwrap()
+    };
+    let mut held: Vec<UnixStream> = (0..256)
+        .map(|_| {
+            let stream = UnixStream::connect(&socket).unwrap();
+            match ask(&stream, "\"Stats\"") {
+                Response::Stats { .. } => stream,
+                other => panic!("expected Stats, got {other:?}"),
+            }
+        })
+        .collect();
+
+    let refused = UnixStream::connect(&socket).unwrap();
+    // Served instead of refused, it would wait for a request forever.
+    refused
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut line = String::new();
+    let mut reader = BufReader::new(&refused);
+    reader.read_line(&mut line).unwrap();
+    match serde_json::from_str::<Response>(&line).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, "busy"),
+        other => panic!("expected busy, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "busy closes");
+
+    // One hangs up; its slot frees as soon as its thread sees EOF.
+    drop(held.pop());
+    let mut served = None;
+    for _ in 0..500 {
+        let stream = UnixStream::connect(&socket).unwrap();
+        match ask(&stream, "\"Stats\"") {
+            Response::Stats { .. } => {
+                served = Some(stream);
+                break;
+            }
+            Response::Error { code, .. } if code == "busy" => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            other => panic!("expected Stats or busy, got {other:?}"),
+        }
+    }
+    let served = served.expect("a freed slot serves the next connection");
+    match ask(&served, "\"Shutdown\"") {
+        Response::ShuttingDown => server.join().unwrap(),
+        other => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `response_line` is what the daemon writes; sanity-pin the shape once
 /// at the integration level too.
 #[test]

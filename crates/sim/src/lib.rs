@@ -12,8 +12,8 @@
 //!   sampled from an incremental `CostLedger` in `O(1)`;
 //! * [`matrix`] — [`ScenarioMatrix`]: policy × topology × intensity
 //!   (× engine) sweeps collected into one [`MatrixReport`] with a
-//!   single JSON writer; [`MatrixRunner`] fans the cells out onto a
-//!   work-stealing pool with bit-identical results;
+//!   single JSON writer; [`MatrixRunner`] fans the cells out onto
+//!   scoped worker threads with bit-identical results;
 //! * [`report`] — [`RunReport`]: one unified, JSON-serializable result
 //!   format (cost trajectory, migration ratios, link utilization,
 //!   flow-table ops);

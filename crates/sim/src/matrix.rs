@@ -13,10 +13,10 @@
 //! # Parallel sweeps
 //!
 //! Cells are independent — each builds its own `Session` (cluster,
-//! token ring, RNG) from its own `Scenario`, so a sweep fans out onto a
-//! work-stealing pool with no shared mutable state. [`MatrixRunner`]
-//! (via [`ScenarioMatrix::runner`]) runs the same cells on `rayon`'s
-//! pool: [`MatrixRunner::threads`] picks the width,
+//! token ring, RNG) from its own `Scenario`, so a sweep fans out onto
+//! worker threads with no shared mutable state. [`MatrixRunner`]
+//! (via [`ScenarioMatrix::runner`]) runs the same cells on scoped
+//! `std` threads: [`MatrixRunner::threads`] picks the width,
 //! [`MatrixRunner::parallel`] uses every available core, and the
 //! resulting [`MatrixReport`] is **bit-identical** to the serial
 //! [`ScenarioMatrix::run`] — same cell order, same per-cell seeds, same
@@ -51,6 +51,8 @@ use score_traffic::TrafficIntensity;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::report::RunReport;
 use crate::spec::{EngineSpec, PolicyKind, Scenario, ScenarioError, TopologySpec};
@@ -293,15 +295,17 @@ fn run_cell(
     })
 }
 
-/// Work-stealing parallel executor for a [`ScenarioMatrix`].
+/// Parallel executor for a [`ScenarioMatrix`].
 ///
-/// Cells are dealt onto a `rayon` pool ([`MatrixRunner::threads`] wide)
-/// and stolen by idle workers, so a sweep's wall-clock approaches
-/// `serial_time / threads` even when cell durations are skewed (dense
-/// cells migrate more and run longer than sparse ones). Each worker
-/// materializes its cell's `Session` from scratch — nothing is shared
-/// across cells but the immutable `ScenarioMatrix` — and results are
-/// collected in cell order, so the [`MatrixReport`] (and its JSON) is
+/// [`MatrixRunner::threads`] workers on one `std::thread::scope` each
+/// claim the next unclaimed cell index from a shared counter, so a
+/// sweep's wall-clock approaches `serial_time / threads` even when cell
+/// durations are skewed (dense cells migrate more and run longer than
+/// sparse ones): a worker that finishes early just claims more. Each
+/// worker materializes its cell's `Session` from scratch — nothing is
+/// shared across cells but the immutable `ScenarioMatrix` — and writes
+/// the outcome into that cell's slot. Slots are read back in cell
+/// order, so the [`MatrixReport`] (and its JSON) is
 /// bit-identical to [`ScenarioMatrix::run`] at any thread count (for
 /// trace workloads: modulo the wall-clock `apply_ns_*` diagnostics in
 /// `RunReport.trace`, which differ between any two runs — see the
@@ -328,13 +332,13 @@ fn run_cell(
 #[derive(Debug, Clone)]
 pub struct MatrixRunner {
     matrix: ScenarioMatrix,
-    /// Pool width; `1` short-circuits to the serial path.
+    /// Worker count; `1` short-circuits to the serial path.
     threads: usize,
 }
 
 impl MatrixRunner {
-    /// Sets the worker-pool width (clamped to at least 1). Width 1 runs
-    /// the plain serial loop with no pool at all.
+    /// Sets the worker count (clamped to at least 1). Width 1 runs the
+    /// plain serial loop on the calling thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -348,7 +352,7 @@ impl MatrixRunner {
         self.threads(cores)
     }
 
-    /// The configured pool width.
+    /// The configured worker count.
     pub fn thread_count(&self) -> usize {
         self.threads
     }
@@ -358,7 +362,7 @@ impl MatrixRunner {
         &self.matrix
     }
 
-    /// Runs every cell across the pool, collecting results in cell
+    /// Runs every cell across the workers, collecting results in cell
     /// order.
     ///
     /// # Errors
@@ -374,21 +378,28 @@ impl MatrixRunner {
         }
         let run_length = self.matrix.run_length;
         let scenarios = self.matrix.scenarios();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("shim pool construction is infallible");
-        let outcomes: Vec<Result<MatrixCell, ScenarioError>> = pool.install(|| {
-            use rayon::prelude::*;
-            scenarios
-                .into_par_iter()
-                .map(|(engine_label, scenario)| run_cell(engine_label, scenario, run_length))
-                .collect()
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<Result<MatrixCell, ScenarioError>>> =
+            scenarios.iter().map(|_| OnceLock::new()).collect();
+        std::thread::scope(|s| {
+            for _ in 0..self.threads.min(scenarios.len()) {
+                s.spawn(|| loop {
+                    // Relaxed: the counter only hands out indices; the
+                    // outcomes travel through the slots and the scope's join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some((engine_label, scenario)) = scenarios.get(i) else {
+                        break;
+                    };
+                    let outcome = run_cell(engine_label.clone(), scenario.clone(), run_length);
+                    // Index `i` is claimed by this worker alone.
+                    let _ = slots[i].set(outcome);
+                });
+            }
         });
-        let mut cells = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            cells.push(outcome?);
-        }
+        let cells = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every cell was claimed and run"))
+            .collect::<Result<_, _>>()?;
         Ok(MatrixReport { cells })
     }
 }

@@ -205,3 +205,47 @@ fn trace_sweeps_match_modulo_wall_clock_diagnostics() {
         );
     }
 }
+
+/// A failing cell mid-grid: valid cells around two invalid fabrics. At
+/// any width the runner must return the error the serial loop stops at,
+/// the earlier invalid cell's, even when a worker reaches the later one
+/// first.
+#[test]
+fn a_failing_cell_mid_grid_returns_the_serial_error() {
+    let matrix = ScenarioMatrix::new(quick_base(3))
+        .topologies([
+            TopologySpec::Star {
+                hosts: 8,
+                capacities: None,
+            },
+            TopologySpec::FatTree {
+                k: 3,
+                capacities: None,
+            },
+            TopologySpec::Star {
+                hosts: 12,
+                capacities: None,
+            },
+            TopologySpec::FatTree {
+                k: 5,
+                capacities: None,
+            },
+        ])
+        .policies(PolicyKind::paper_policies());
+    let serial = matrix.clone().run().unwrap_err();
+    let alone = |k| {
+        ScenarioMatrix::new(quick_base(3))
+            .topologies([TopologySpec::FatTree {
+                k,
+                capacities: None,
+            }])
+            .run()
+            .unwrap_err()
+    };
+    assert_eq!(serial, alone(3));
+    assert_ne!(serial, alone(5), "the two invalid cells must be told apart");
+    for threads in [1usize, 2, 8] {
+        let parallel = matrix.clone().runner().threads(threads).run().unwrap_err();
+        assert_eq!(parallel, serial, "{threads} threads");
+    }
+}
