@@ -9,16 +9,21 @@
 //! job that panics fails its tenant alone: the worker drops the state
 //! the job may have left half-mutated, the tenant answers
 //! `tenant-failed` from then on, and the daemon goes on serving the
-//! others. Between requests a pacing thread keeps each tenant's token
-//! ring circulating on the event clock at `rate` simulated seconds per
-//! wall second.
+//! others. So does a tenant whose audit log refuses a write: that
+//! request is answered `io`, and the tenant's memory, now ahead of its
+//! log, is never served again. Between requests a pacing thread keeps
+//! each tenant's token ring circulating on the event clock at `rate`
+//! simulated seconds per wall second.
 //!
 //! Connections are plain sockets carrying one request per line, each
 //! served on a thread of its own, at most `MAX_CONNECTIONS` (256) at
 //! once; one more is answered `busy` and closed. Any number may attach
 //! to the same tenant. `Subscribe` turns a connection into an observer:
 //! every later mutation response, audit trace line, and refreshed
-//! canonical report for that tenant is streamed to it.
+//! canonical report for that tenant is streamed to it. A write that
+//! makes no progress for `WRITE_TIMEOUT` ends the connection, so an
+//! observer that stops reading is dropped rather than stalling its
+//! tenant.
 
 use crate::engine::TenantEngine;
 use crate::proto::{parse_request, response_line, Request, Response};
@@ -58,6 +63,16 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// answered a single `busy` error line and closed, without a thread.
 const MAX_CONNECTIONS: usize = 256;
 
+/// How long a write to a connection may make no progress before the peer
+/// counts as gone. Subscriber lines are written on the tenant's worker,
+/// so without a bound one observer that stops reading would, once its
+/// socket buffer filled, stall every later request to that tenant,
+/// `Shutdown` included. A live observer on a loaded host drains its
+/// buffer far sooner; a stalled one costs its tenant this long, once,
+/// before it is dropped. The bound is a socket option, so it also frees
+/// the thread of a client that stops reading its own responses.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// How the daemon binds, paces, and persists.
 pub struct DaemonConfig {
     /// The scenario every tenant materializes (trace workloads are
@@ -85,9 +100,12 @@ struct TenantState {
     subscribers: Vec<Box<dyn Write + Send>>,
     /// Live observer connections (`scored_subscribers{tenant=..}`).
     subscriber_gauge: Arc<Gauge>,
-    /// Observers dropped because their socket hung up mid-stream
-    /// (`scored_subscribers_dropped_total{tenant=..}`).
+    /// Observers dropped because their socket hung up or stopped
+    /// reading mid-stream (`scored_subscribers_dropped_total{tenant=..}`).
     subscribers_dropped: Arc<Counter>,
+    /// Set when the audit log refused a write: the engine is ahead of
+    /// its log, so the worker stops after the job that found out.
+    log_failed: bool,
 }
 
 /// One live tenant as the rest of the daemon sees it: the queue into the
@@ -130,15 +148,18 @@ impl Tenant {
     /// Starts the worker thread `scored-<name>`, which owns `state` and
     /// runs the tenant's jobs one at a time, in the order they were sent.
     /// It ends when the tenant is dropped, or at the first job that
-    /// panics: the state that job may have left half-mutated is dropped
-    /// unread, and so is every job still queued behind it.
+    /// panics or finds the audit log refusing a write: the state that job
+    /// left half-mutated, or ahead of its log, is dropped unread, and so
+    /// is every job still queued behind it.
     fn spawn(name: &str, mut state: TenantState) -> std::io::Result<Tenant> {
         let (jobs, queue) = mpsc::channel::<Job>();
         std::thread::Builder::new()
             .name(format!("scored-{name}"))
             .spawn(move || {
                 while let Ok(job) = queue.recv() {
-                    if catch_unwind(AssertUnwindSafe(|| job(&mut state))).is_err() {
+                    if catch_unwind(AssertUnwindSafe(|| job(&mut state))).is_err()
+                        || state.log_failed
+                    {
                         break;
                     }
                 }
@@ -151,8 +172,9 @@ impl Tenant {
     }
 
     /// Runs `job` on the tenant's worker and waits for its result: `None`
-    /// once the tenant has failed, this job's own panic included. The
-    /// first caller to find it failed names it on stderr.
+    /// once the tenant has failed, this job's own panic included (a job
+    /// that finds the audit log refusing a write still gets its answer).
+    /// The first caller to find it failed names it on stderr.
     fn run<R: Send + 'static>(
         &self,
         job: impl FnOnce(&mut TenantState) -> R + Send + 'static,
@@ -172,8 +194,9 @@ impl Tenant {
         }
         if !self.failed.swap(true, Ordering::SeqCst) {
             eprintln!(
-                "scored: tenant {} failed (a request panicked on its worker); it answers \
-                 `tenant-failed` from now on, and the pacer and shutdown skip it",
+                "scored: tenant {} failed (a request panicked on its worker, or its audit log \
+                 refused a write); it answers `tenant-failed` from now on, and the pacer and \
+                 shutdown skip it",
                 self.name
             );
         }
@@ -184,15 +207,19 @@ impl Tenant {
     /// tenant has failed.
     fn answer(&self, job: impl FnOnce(&mut TenantState) -> Response + Send + 'static) -> Response {
         self.run(job).unwrap_or_else(|| {
-            let message = format!("tenant {} failed: a request panicked its worker", self.name);
+            let message = format!(
+                "tenant {} failed: a request panicked its worker, or its audit log refused a write",
+                self.name
+            );
             Response::error("tenant-failed", message)
         })
     }
 }
 
 impl TenantState {
-    /// Applies one mutating request: mutate, flush the audit log, notify
-    /// subscribers.
+    /// Applies one mutating request: mutate, append it to the audit log,
+    /// notify subscribers. A log that refuses the write leaves the engine
+    /// ahead of it: the request is answered `io` and the tenant fails.
     fn mutate(
         &mut self,
         op: impl FnOnce(&mut TenantEngine) -> Result<Response, Response>,
@@ -202,7 +229,8 @@ impl TenantState {
             Err(resp) => return resp,
         };
         if let Err(e) = self.engine.flush_trace() {
-            return Response::error("internal", e);
+            self.log_failed = true;
+            return Response::error("io", e);
         }
         // Serializing the stream (and a fresh report, which is large at
         // scale) is only worth it when someone is listening; an observer
@@ -216,9 +244,9 @@ impl TenantState {
     }
 
     /// Streams `lines` then `resp` (and a fresh report) to the
-    /// subscribers. Any that hang up (closed socket, dead pipe) are
-    /// dropped from the list — counted, gauged, and logged, never
-    /// silently.
+    /// subscribers. Any that hang up (closed socket, dead pipe) or stop
+    /// reading (a write stalled past [`WRITE_TIMEOUT`]) are dropped from
+    /// the list — counted, gauged, and logged, never silently.
     fn broadcast(&mut self, resp: &Response, trace_lines: &[String], report: &str) {
         let before = self.subscribers.len();
         self.subscribers.retain_mut(|w| {
@@ -245,7 +273,8 @@ impl TenantState {
             self.subscribers_dropped.add(dropped as u64);
             self.subscriber_gauge.set(left as f64);
             eprintln!(
-                "scored: tenant {} dropped {dropped} hung-up subscriber{} ({left} left)",
+                "scored: tenant {} dropped {dropped} subscriber{} that hung up or stopped \
+                 reading ({left} left)",
                 self.engine.name(),
                 if dropped == 1 { "" } else { "s" },
             );
@@ -285,14 +314,16 @@ impl DaemonState {
         )?;
         let scoped = self.obs.with_label("tenant", name);
         engine.attach_obs(&scoped);
-        // `ObsHandle::new` is enabled, so its instruments always resolve.
+        // `ObsHandle::new` is enabled, so these resolve to registered
+        // series; a detached default would serve a disabled handle.
         let state = TenantState {
             engine,
             subscribers: Vec::new(),
-            subscriber_gauge: scoped.gauge("scored_subscribers").expect("obs enabled"),
+            subscriber_gauge: scoped.gauge("scored_subscribers").unwrap_or_default(),
             subscribers_dropped: scoped
                 .counter("scored_subscribers_dropped_total")
-                .expect("obs enabled"),
+                .unwrap_or_default(),
+            log_failed: false,
         };
         let tenant = Tenant::spawn(name, state)
             .map_err(|e| format!("starting the worker of tenant {name}: {e}"))?;
@@ -330,9 +361,11 @@ impl DaemonState {
 
     /// Drains and persists every tenant and tells its subscribers the
     /// daemon is going. A failed tenant has nothing left to finish and is
-    /// skipped, by name.
+    /// skipped, by name; one whose artifacts cannot be written is named
+    /// too, the others are still finished, and the answer is `io`.
     fn shut_down(&self) -> Response {
         self.shutdown.store(true, Ordering::SeqCst);
+        let mut unpersisted = None;
         for t in self.all_tenants() {
             let finished = t.run(|s| {
                 let finished = s.engine.finish().map(drop);
@@ -341,11 +374,17 @@ impl DaemonState {
             });
             match finished {
                 Some(Ok(())) => {}
-                Some(Err(e)) => return Response::error("internal", e),
+                Some(Err(e)) => {
+                    eprintln!("scored: shutdown could not persist tenant {}: {e}", t.name);
+                    unpersisted.get_or_insert(e);
+                }
                 None => eprintln!("scored: shutdown skips failed tenant {}", t.name),
             }
         }
-        Response::ShuttingDown
+        match unpersisted {
+            Some(e) => Response::error("io", e),
+            None => Response::ShuttingDown,
+        }
     }
 
     fn handle(
@@ -647,20 +686,25 @@ where
 }
 
 /// Streams that can hand out an independent writer half (both socket
-/// families can; `BufReader` then owns the read half).
+/// families can; `BufReader` then owns the read half), its writes bounded
+/// by [`WRITE_TIMEOUT`].
 trait CloneWriter {
     fn clone_writer(&self) -> Option<Box<dyn Write + Send>>;
 }
 
 impl CloneWriter for UnixStream {
     fn clone_writer(&self) -> Option<Box<dyn Write + Send>> {
-        self.try_clone().ok().map(|s| Box::new(s) as _)
+        let writer = self.try_clone().ok()?;
+        writer.set_write_timeout(Some(WRITE_TIMEOUT)).ok()?;
+        Some(Box::new(writer))
     }
 }
 
 impl CloneWriter for TcpStream {
     fn clone_writer(&self) -> Option<Box<dyn Write + Send>> {
-        self.try_clone().ok().map(|s| Box::new(s) as _)
+        let writer = self.try_clone().ok()?;
+        writer.set_write_timeout(Some(WRITE_TIMEOUT)).ok()?;
+        Some(Box::new(writer))
     }
 }
 
@@ -765,6 +809,10 @@ mod tests {
     use std::sync::mpsc::channel;
 
     fn daemon_state() -> Arc<DaemonState> {
+        state_with(None)
+    }
+
+    fn state_with(record_dir: Option<PathBuf>) -> Arc<DaemonState> {
         let scenario = Scenario::builder()
             .canonical_tree(8, 4)
             .horizon(1e6)
@@ -774,8 +822,27 @@ mod tests {
             unix_socket: None,
             tcp_addr: None,
             rate: 1000.0,
-            record_dir: None,
+            record_dir,
         }))
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("scored_unit_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn attach(state: &DaemonState, tenant: &str) -> Response {
+        let tenant = tenant.to_string();
+        state.handle(&mut None, &mut None, Request::Attach { tenant })
+    }
+
+    fn now_s(state: &DaemonState, tenant: &str) -> f64 {
+        match attach(state, tenant) {
+            Response::Attached { now_s, .. } => now_s,
+            other => panic!("expected Attached, got {other:?}"),
+        }
     }
 
     fn on(tenant: &str) -> Option<String> {
@@ -875,5 +942,99 @@ mod tests {
             state.handle(&mut on("b"), &mut None, Request::Shutdown),
             Response::ShuttingDown
         );
+    }
+
+    /// A disk that refuses the new tenant's artifacts refuses the tenant,
+    /// with the I/O failure named, and the daemon goes on serving the
+    /// tenants it has: first a `trace.jsonl` that is a symlink to
+    /// `/dev/full` (every write fails with ENOSPC), then a record dir
+    /// made read-only.
+    #[test]
+    fn a_tenant_the_disk_refuses_is_not_created() {
+        use std::os::unix::fs::PermissionsExt as _;
+        let dir = temp_dir("disk_refuses");
+        let state = state_with(Some(dir.clone()));
+        let b_before = now_s(&state, "b");
+        let refusal = |tenant: &str| match attach(&state, tenant) {
+            Response::Error { message, .. } => message,
+            other => panic!("expected {tenant} to be refused, got {other:?}"),
+        };
+
+        std::fs::create_dir(dir.join("full")).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join("full").join("trace.jsonl")).unwrap();
+        let refused = refusal("full");
+        assert!(
+            refused.contains("trace.jsonl") && refused.contains("No space left on device"),
+            "{refused}"
+        );
+
+        let permissions = |mode| std::fs::Permissions::from_mode(mode);
+        std::fs::set_permissions(&dir, permissions(0o555)).unwrap();
+        if std::fs::create_dir(dir.join("probe")).is_ok() {
+            eprintln!("skipping the read-only leg: this process writes past directory modes");
+        } else {
+            let refused = refusal("ro");
+            assert!(
+                refused.contains("record dir") && refused.contains("Permission denied"),
+                "{refused}"
+            );
+        }
+
+        let resp = state.handle(&mut on("b"), &mut None, Request::Place { server: None });
+        assert!(matches!(resp, Response::Placed { .. }), "{resp:?}");
+        std::thread::sleep(Duration::from_millis(20));
+        state.pace();
+        assert!(
+            now_s(&state, "b") > b_before,
+            "the pacer stopped advancing b"
+        );
+        assert_eq!(
+            state.handle(&mut on("b"), &mut None, Request::Shutdown),
+            Response::ShuttingDown
+        );
+        std::fs::set_permissions(&dir, permissions(0o755)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A live tenant whose audit log stops taking writes (its append
+    /// handle swapped for one on `/dev/full`) answers the mutation that
+    /// found out `io`, and from then on `tenant-failed`: its memory is
+    /// ahead of its log and is never served again. The pacer and
+    /// `Shutdown` skip it while `b` keeps placing, advancing and
+    /// persisting.
+    #[test]
+    fn a_log_that_refuses_an_append_fails_its_tenant() {
+        let dir = temp_dir("log_refuses");
+        let state = state_with(Some(dir.clone()));
+        let b_before = now_s(&state, "b");
+        let a = state.tenant("a").unwrap();
+        let full = std::fs::OpenOptions::new()
+            .append(true)
+            .open("/dev/full")
+            .unwrap();
+        assert_eq!(a.run(move |s| s.engine.swap_log_file(full)), Some(()));
+
+        let resp = state.handle(&mut on("a"), &mut None, Request::Place { server: None });
+        assert_eq!(code(&resp), "io", "{resp:?}");
+        for req in [Request::Place { server: None }, Request::Report] {
+            let resp = state.handle(&mut on("a"), &mut None, req);
+            assert_eq!(code(&resp), "tenant-failed", "{resp:?}");
+        }
+
+        let resp = state.handle(&mut on("b"), &mut None, Request::Place { server: None });
+        assert!(matches!(resp, Response::Placed { .. }), "{resp:?}");
+        std::thread::sleep(Duration::from_millis(20));
+        state.pace();
+        assert!(
+            now_s(&state, "b") > b_before,
+            "the pacer stopped advancing b"
+        );
+        assert_eq!(
+            state.handle(&mut on("b"), &mut None, Request::Shutdown),
+            Response::ShuttingDown
+        );
+        let report = std::fs::read_to_string(dir.join("b").join("report.json")).unwrap();
+        assert_eq!(crate::replay_dir(&dir.join("b")).unwrap(), report);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

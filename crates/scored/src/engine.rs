@@ -24,10 +24,14 @@
 //! the replay apply-call count are all the same number and the
 //! `events_applied` statistic survives the round trip.
 
+use crate::proto::compact_json;
 use score_obs::{Counter, Gauge, ObsHandle};
 use score_sim::{RunReport, Scenario, Session, WorkloadSpec};
 use score_topology::{ServerId, VmId};
+use score_trace::jsonl::{replace_file, write_event_lines};
 use score_trace::{scaled_rate, Trace, TraceEvent};
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,7 +49,7 @@ pub fn canonical_report_json(report: &RunReport) -> String {
 fn canonical_json(mut report: RunReport) -> String {
     report.trace.apply_ns_total = 0;
     report.trace.apply_ns_max = 0;
-    serde_json::to_string(&report).expect("reports always serialize")
+    compact_json(&report)
 }
 
 /// What one engine mutation changed, for responses and subscribers.
@@ -84,13 +88,53 @@ pub struct TenantEngine {
     anchor_wall: Instant,
     /// Event-clock time at that instant.
     anchor_virtual: f64,
-    /// Artifact directory (`scenario.json`, `trace.jsonl`,
-    /// `report.json`) when persistence is on.
-    record_dir: Option<PathBuf>,
+    /// The persisted artifacts, when persistence is on.
+    log: Option<AuditLog>,
     /// Recorder events already handed to subscribers.
     streamed: usize,
     /// Pre-resolved pacing instruments, when observability is attached.
     obs: Option<EngineObs>,
+}
+
+/// A persisting tenant's artifact directory (`scenario.json`,
+/// `trace.jsonl`, `report.json`) and its one append handle on
+/// `trace.jsonl`, open from the tenant's creation or recovery on.
+/// [`TenantEngine::flush_trace`] appends through the handle; every write
+/// of the whole file (the header at creation, the re-recorded log at
+/// recovery, the true end time at [`TenantEngine::finish`]) is an atomic
+/// replace, after which the handle is opened again on the new file.
+struct AuditLog {
+    dir: PathBuf,
+    /// Opened in append mode on the file the last whole-file write left.
+    file: File,
+    /// Recorder events already in the file: the only file cursor.
+    written: usize,
+}
+
+impl AuditLog {
+    /// Writes `session`'s recording so far, closed at `end_s`, as the
+    /// whole of `dir/trace.jsonl` in one atomic replace ([`Trace::save`]),
+    /// and opens the append handle on the result.
+    fn replace(dir: PathBuf, session: &mut Session, end_s: f64) -> Result<AuditLog, String> {
+        let trace = session
+            .trace_recorder_mut()
+            .ok_or_else(|| "the tenant's session is not recording".to_string())?
+            .finish(end_s)
+            .map_err(|e| format!("closing the audit log: {e}"))?;
+        let path = dir.join("trace.jsonl");
+        trace
+            .save(&path)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let file = OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("opening {} to append: {e}", path.display()))?;
+        Ok(AuditLog {
+            dir,
+            file,
+            written: trace.num_events(),
+        })
+    }
 }
 
 /// The engine's own instruments (the session carries its own set).
@@ -104,10 +148,15 @@ struct EngineObs {
 }
 
 impl TenantEngine {
-    /// Materializes a tenant from `scenario`, starts its audit
-    /// recording, and (with `record_dir`) persists `scenario.json`
-    /// immediately so a crashed daemon still leaves a replayable pair
-    /// behind.
+    /// Materializes a tenant from `scenario` and starts its audit
+    /// recording. With `record_dir`, the tenant persists under
+    /// `<record_dir>/<name>/`: `scenario.json` and the header of
+    /// `trace.jsonl` are written at once, so a crashed daemon still
+    /// leaves a replayable pair behind, and a pair a previous incarnation
+    /// left there rebuilds the tenant where it stopped (wall-clock pacing
+    /// re-anchors there, so crashed wall time is never "caught up"). A
+    /// pair that does not rebuild is set aside (the log as
+    /// `trace.jsonl.stale`, for forensics) and the tenant starts fresh.
     ///
     /// # Errors
     ///
@@ -132,39 +181,52 @@ impl TenantEngine {
                 "pacing rate must be positive and finite, got {rate}"
             ));
         }
-        // A crashed daemon leaves `scenario.json` + `trace.jsonl` behind;
-        // when the same tenant is re-created over them, rebuild the live
-        // session from its own audit log instead of starting over.
-        if let Some(base) = record_dir {
-            let dir = base.join(name);
-            if dir.join("trace.jsonl").is_file() {
-                match Self::recover(name, &scenario, rate, &dir) {
-                    Ok(engine) => return Ok(engine),
-                    Err(_) => {
-                        // Unrecoverable artifacts (corrupt stream, or a
-                        // different scenario under the same name): keep
-                        // the stream aside for forensics and fall
-                        // through to a fresh start.
+        let dir = record_dir.map(|base| base.join(name));
+        // Artifacts that do not rebuild are set aside, not deleted.
+        let recovered = dir
+            .as_deref()
+            .filter(|dir| dir.join("trace.jsonl").is_file())
+            .and_then(|dir| {
+                rebuild(&scenario, dir)
+                    .inspect_err(|e| {
+                        eprintln!("scored: tenant {name}: trace.jsonl set aside as stale: {e}");
                         let _ =
                             std::fs::rename(dir.join("trace.jsonl"), dir.join("trace.jsonl.stale"));
                         let _ = std::fs::remove_file(dir.join("report.json"));
-                    }
-                }
+                    })
+                    .ok()
+            });
+        let mut session = match recovered {
+            Some(session) => session,
+            None => {
+                let mut session = scenario.session().map_err(|e| e.to_string())?;
+                session.start_trace_recording();
+                session
             }
-        }
-        let mut session = scenario.session().map_err(|e| e.to_string())?;
-        session.start_trace_recording();
-        let record_dir = match record_dir {
-            Some(base) => {
-                let dir = base.join(name);
+        };
+        let log = match dir {
+            Some(dir) => {
                 std::fs::create_dir_all(&dir)
                     .map_err(|e| format!("creating record dir {}: {e}", dir.display()))?;
-                std::fs::write(dir.join("scenario.json"), scenario.to_json_pretty())
-                    .map_err(|e| format!("writing scenario.json: {e}"))?;
-                Some(dir)
+                replace_file(
+                    &dir.join("scenario.json"),
+                    scenario.to_json_pretty().as_bytes(),
+                )
+                .map_err(|e| format!("writing scenario.json: {e}"))?;
+                // Stamped with the planned horizon until `finish` knows
+                // the true end, so the log loads whenever it is cut off.
+                Some(AuditLog::replace(
+                    dir,
+                    &mut session,
+                    scenario.timing.t_end_s,
+                )?)
             }
             None => None,
         };
+        let streamed = session
+            .trace_recorder_mut()
+            .map_or(0, |rec| rec.num_events());
+        let anchor_virtual = session.now_s();
         Ok(TenantEngine {
             name: name.to_string(),
             scenario,
@@ -172,9 +234,9 @@ impl TenantEngine {
             paused: false,
             rate,
             anchor_wall: Instant::now(),
-            anchor_virtual: 0.0,
-            record_dir,
-            streamed: 0,
+            anchor_virtual,
+            log,
+            streamed,
             obs: None,
         })
     }
@@ -186,80 +248,18 @@ impl TenantEngine {
     /// contract holds here exactly as in the simulator: reports and
     /// audit logs are byte-identical with or without a handle attached.
     pub fn attach_obs(&mut self, handle: &ObsHandle) {
-        if !handle.is_enabled() {
+        // A disabled handle resolves no instruments.
+        let (Some(clock_lag), Some(pump_steps)) = (
+            handle.gauge("scored_clock_lag_s"),
+            handle.counter("scored_pump_steps_total"),
+        ) else {
             return;
-        }
+        };
         self.session.attach_obs(handle);
         self.obs = Some(EngineObs {
-            clock_lag: handle.gauge("scored_clock_lag_s").expect("handle enabled"),
-            pump_steps: handle
-                .counter("scored_pump_steps_total")
-                .expect("handle enabled"),
+            clock_lag,
+            pump_steps,
         });
-    }
-
-    /// Rebuilds a tenant from the artifact pair a previous daemon
-    /// incarnation left in `dir`: replays `trace.jsonl` against a fresh
-    /// session of the (verified identical) scenario **with recording
-    /// active**, so the rebuilt audit log re-records every mutation at
-    /// its original drained-boundary time, bit for bit. The event clock
-    /// resumes from the last recorded boundary; wall-clock pacing
-    /// re-anchors there, so crashed wall time is never "caught up".
-    ///
-    /// # Errors
-    ///
-    /// Fails when `scenario.json` does not match the requested
-    /// scenario, the stream is not a daemon recording, an event fails
-    /// to re-apply, or the re-recorded stream diverges from the loaded
-    /// one (any of which sends the caller down the fresh-start path).
-    fn recover(name: &str, scenario: &Scenario, rate: f64, dir: &Path) -> Result<Self, String> {
-        let on_disk = std::fs::read_to_string(dir.join("scenario.json"))
-            .map_err(|e| format!("reading scenario.json: {e}"))?;
-        if on_disk != scenario.to_json_pretty() {
-            return Err("scenario.json differs from the requested scenario".to_string());
-        }
-        let trace = Trace::load(&dir.join("trace.jsonl"))
-            .map_err(|e| format!("loading trace.jsonl: {e}"))?;
-        let mut session = replay_session(scenario, &trace)?;
-        session.start_trace_recording();
-        session
-            .run_storm(trace.events())
-            .map_err(|e| e.to_string())?;
-        // The rebuilt recording must be the loaded stream, event for
-        // event — the proof the tenant is exactly where it crashed.
-        let rerecorded = session
-            .trace_recorder_mut()
-            .expect("recording was just started")
-            .events()
-            .to_vec();
-        if rerecorded != trace.events() {
-            return Err("re-recorded stream diverges from the loaded audit log".to_string());
-        }
-        let streamed = rerecorded.len();
-        // Rewrite the audit log from the fresh recorder so its flush
-        // cursor owns the file again (append-only flushing would
-        // otherwise duplicate the history).
-        std::fs::remove_file(dir.join("trace.jsonl"))
-            .map_err(|e| format!("rewriting trace.jsonl: {e}"))?;
-        let end_s = scenario.timing.t_end_s;
-        session
-            .trace_recorder_mut()
-            .expect("recording was just started")
-            .append_jsonl(&dir.join("trace.jsonl"), end_s)
-            .map_err(|e| format!("rewriting trace.jsonl: {e}"))?;
-        let anchor_virtual = session.now_s();
-        Ok(TenantEngine {
-            name: name.to_string(),
-            scenario: scenario.clone(),
-            session,
-            paused: false,
-            rate,
-            anchor_wall: Instant::now(),
-            anchor_virtual,
-            record_dir: Some(dir.to_path_buf()),
-            streamed,
-            obs: None,
-        })
     }
 
     /// The tenant's name.
@@ -480,7 +480,7 @@ impl TenantEngine {
         let events = recorder.events();
         let lines = events[self.streamed.min(events.len())..]
             .iter()
-            .map(|ev| serde_json::to_string(ev).expect("events always serialize"))
+            .map(compact_json)
             .collect();
         self.streamed = events.len();
         lines
@@ -492,28 +492,34 @@ impl TenantEngine {
         canonical_json(self.session.report())
     }
 
-    /// Flushes the audit log to `trace.jsonl` when persisting (cheap;
-    /// the recorder streams incrementally, stamping the *planned*
-    /// horizon into the header so a crashed daemon still leaves a
-    /// loadable stream). Call after mutations; [`TenantEngine::finish`]
-    /// rewrites the file with the true end time.
+    /// Appends the events recorded since the last flush to
+    /// `trace.jsonl`, in one write through the tenant's append handle,
+    /// when persisting; a no-op otherwise. Call after every mutation and
+    /// before anyone hears of it: a log that refused the write is behind
+    /// the tenant's memory (the daemon fails such a tenant).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write's I/O failure; the cursor then stays put.
     pub fn flush_trace(&mut self) -> Result<(), String> {
-        let Some(dir) = self.record_dir.clone() else {
+        let (Some(log), Some(rec)) = (&mut self.log, self.session.trace_recorder_mut()) else {
             return Ok(());
         };
-        let end_s = self.scenario.timing.t_end_s;
-        if let Some(rec) = self.session.trace_recorder_mut() {
-            rec.append_jsonl(&dir.join("trace.jsonl"), end_s)
-                .map_err(|e| format!("flushing trace.jsonl: {e}"))?;
-        }
+        let fresh = &rec.events()[log.written..];
+        let mut lines = String::new();
+        write_event_lines(&mut lines, fresh);
+        log.file
+            .write_all(lines.as_bytes())
+            .map_err(|e| format!("appending to {}/trace.jsonl: {e}", log.dir.display()))?;
+        log.written += fresh.len();
         Ok(())
     }
 
-    /// Drains to a final boundary, persists `report.json` (canonical)
-    /// and the full audit log (rewritten with the true end time), and
-    /// returns the final canonical report JSON. The recorded `end_s`
-    /// is that drained boundary, so [`replay_trace`] stops at exactly
-    /// the same instant.
+    /// Drains to a final boundary, persists the full audit log (stamped
+    /// with that boundary as its true end time) and `report.json`
+    /// (canonical), each as an atomic replace, and returns the final
+    /// canonical report JSON. The recorded `end_s` is that drained
+    /// boundary, so [`replay_trace`] stops at exactly the same instant.
     ///
     /// # Errors
     ///
@@ -521,22 +527,56 @@ impl TenantEngine {
     pub fn finish(&mut self) -> Result<String, String> {
         self.session.drain_to_boundary();
         let report = self.report_json();
-        if let Some(dir) = self.record_dir.clone() {
+        if let Some(log) = &mut self.log {
             let end_s = self.session.now_s().max(1e-6);
-            let trace = self
-                .session
-                .trace_recorder_mut()
-                .expect("daemon sessions always record")
-                .finish(end_s)
-                .map_err(|e| format!("closing the audit log: {e}"))?;
-            trace
-                .save(&dir.join("trace.jsonl"))
-                .map_err(|e| format!("writing trace.jsonl: {e}"))?;
-            std::fs::write(dir.join("report.json"), &report)
+            *log = AuditLog::replace(log.dir.clone(), &mut self.session, end_s)?;
+            replace_file(&log.dir.join("report.json"), report.as_bytes())
                 .map_err(|e| format!("writing report.json: {e}"))?;
         }
         Ok(report)
     }
+
+    /// Points the audit log's append handle at `file`: the way a test
+    /// gives a live tenant a disk that refuses writes.
+    #[cfg(test)]
+    pub(crate) fn swap_log_file(&mut self, file: File) {
+        if let Some(log) = &mut self.log {
+            log.file = file;
+        }
+    }
+}
+
+/// Rebuilds the recording session a previous incarnation of a tenant
+/// left in `dir`, reading but never writing its artifacts: the log
+/// replays against a fresh session with recording active, so every
+/// mutation is re-recorded at its original drained-boundary time, bit
+/// for bit, and the event clock stands at the last recorded boundary.
+///
+/// # Errors
+///
+/// Fails when `scenario.json` does not match `scenario`, the log's whole
+/// lines are not a daemon recording, an event fails to re-apply, or the
+/// re-recorded stream diverges from the loaded one.
+fn rebuild(scenario: &Scenario, dir: &Path) -> Result<Session, String> {
+    let on_disk = std::fs::read_to_string(dir.join("scenario.json"))
+        .map_err(|e| format!("reading scenario.json: {e}"))?;
+    if on_disk != scenario.to_json_pretty() {
+        return Err("scenario.json differs from the requested scenario".to_string());
+    }
+    let trace = Trace::load_log(&dir.join("trace.jsonl"))
+        .map_err(|e| format!("loading trace.jsonl: {e}"))?;
+    let mut session = replay_session(scenario, &trace)?;
+    session.start_trace_recording();
+    session
+        .run_storm(trace.events())
+        .map_err(|e| e.to_string())?;
+    // The rebuilt recording must be the loaded stream, event for event —
+    // the proof the tenant is exactly where it crashed.
+    let rerecorded = session.trace_recorder_mut().map(|rec| rec.events());
+    if rerecorded != Some(trace.events()) {
+        return Err("re-recorded stream diverges from the loaded audit log".to_string());
+    }
+    Ok(session)
 }
 
 /// Replays a recorded daemon audit log against a fresh session of the
@@ -564,8 +604,8 @@ pub fn replay_trace(scenario: &Scenario, trace: &Trace) -> Result<RunReport, Str
 /// lowers those to absolute re-rates before they are recorded; a
 /// `ScaleAll` is recorded as itself, and recordings made before it was
 /// hold only the `SetRate`s it used to be lowered to). A marker is a
-/// replay no-op; [`TenantEngine::recover`] refuses one anyway, because
-/// its re-recorded stream comes out an event short.
+/// replay no-op; crash recovery ([`TenantEngine::new`]) refuses one
+/// anyway, because its re-recorded stream comes out an event short.
 fn replay_session(scenario: &Scenario, trace: &Trace) -> Result<Session, String> {
     let session = scenario.session().map_err(|e| e.to_string())?;
     if trace.num_vms() != session.traffic().num_vms() {

@@ -310,8 +310,11 @@ pub enum Response {
     Error {
         /// Machine-readable class: `parse`, `too-long`, `detached`,
         /// `placement`, `unknown-vm`, `bad-event`, `bad-request`,
-        /// `internal`, `tenant-failed` (a request panicked the tenant's
-        /// worker), `busy` (the connection cap; the connection closes).
+        /// `internal`, `io` (the tenant's audit log or artifacts refused a
+        /// write; after a mutation the tenant has failed), `tenant-failed`
+        /// (a request panicked the tenant's worker, or its audit log
+        /// refused a write), `busy` (the connection cap; the connection
+        /// closes).
         code: String,
         /// Human-readable detail.
         message: String,
@@ -337,7 +340,15 @@ pub fn parse_request(line: &str) -> Result<Request, Response> {
 
 /// Serializes one response as a protocol line (no trailing newline).
 pub fn response_line(resp: &Response) -> String {
-    serde_json::to_string(resp).expect("responses always serialize")
+    compact_json(resp)
+}
+
+/// `value` as compact JSON: [`serde_json::to_string`]'s bytes, from the
+/// infallible writer under it.
+pub(crate) fn compact_json<T: Serialize>(value: &T) -> String {
+    let mut json = String::new();
+    value.write_compact(&mut json);
+    json
 }
 
 #[cfg(test)]

@@ -992,6 +992,107 @@ fn connections_past_the_cap_are_answered_busy() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A subscriber that never reads cannot stall its tenant. Once its socket
+/// buffer is full, the broadcast blocked on it gives up after the
+/// daemon's two-second write timeout and drops it, counted like a hung-up
+/// one; meanwhile a second connection to the tenant is answered within
+/// that timeout plus slack (without the timeout it waited forever, as
+/// did `Shutdown`).
+#[test]
+fn a_subscriber_that_never_reads_is_dropped_not_waited_on() {
+    use std::time::{Duration, Instant};
+    let dir = temp_dir("daemon_stalled_subscriber");
+    let socket = dir.join("scored.sock");
+    let daemon = Daemon::bind(DaemonConfig {
+        scenario: quick_scenario(47),
+        unix_socket: Some(socket.clone()),
+        tcp_addr: None,
+        rate: 500.0,
+        record_dir: None,
+    })
+    .unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+    let connect = |read_timeout: Duration| {
+        let stream = UnixStream::connect(&socket).unwrap();
+        stream.set_read_timeout(Some(read_timeout)).unwrap();
+        let writer = stream.try_clone().unwrap();
+        (BufReader::new(stream), writer)
+    };
+    let (mut sub_reader, mut sub_writer) = connect(Duration::from_secs(30));
+    match roundtrip(&mut sub_reader, &mut sub_writer, "\"Subscribe\"") {
+        Response::Subscribed { .. } => {}
+        other => panic!("expected Subscribed, got {other:?}"),
+    }
+
+    // Every mutation broadcasts the trace lines, the response and a full
+    // report to the subscriber, which reads none of it. The mutator stops
+    // a few requests after the one that waited on the full buffer.
+    let (mut reader, mut writer) = connect(Duration::from_secs(30));
+    let mutator = std::thread::spawn(move || {
+        let mut stalled_at = None;
+        for i in 0..4_000 {
+            let started = Instant::now();
+            let vm = match roundtrip(&mut reader, &mut writer, r#"{"Place": {}}"#) {
+                Response::Placed { vm, .. } => vm,
+                other => panic!("expected Placed, got {other:?}"),
+            };
+            let remove = format!(r#"{{"Remove": {{"vm": {vm}}}}}"#);
+            match roundtrip(&mut reader, &mut writer, &remove) {
+                Response::Removed { .. } => {}
+                other => panic!("expected Removed, got {other:?}"),
+            }
+            if started.elapsed() >= Duration::from_secs(1) {
+                stalled_at.get_or_insert(i);
+            }
+            if stalled_at.is_some_and(|at| i >= at + 5) {
+                break;
+            }
+        }
+        (stalled_at, reader, writer)
+    });
+
+    // The slack covers a loaded host; the read timeout turns a tenant
+    // stalled for good into a failure rather than a hang.
+    let limit = Duration::from_secs(2 + 3);
+    let (mut ask_reader, mut ask_writer) = connect(limit);
+    while !mutator.is_finished() {
+        let started = Instant::now();
+        match roundtrip(&mut ask_reader, &mut ask_writer, "\"Report\"") {
+            Response::Report { .. } => {}
+            other => panic!("expected Report, got {other:?}"),
+        }
+        assert!(started.elapsed() < limit, "the tenant stalled");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (stalled_at, mut reader, mut writer) = mutator.join().unwrap();
+    assert!(stalled_at.is_some(), "the subscriber's buffer never filled");
+
+    let stats = match roundtrip(&mut reader, &mut writer, "\"Stats\"") {
+        Response::Stats { json } => json,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    let v = serde_json::parse_value_str(&stats).unwrap();
+    let metrics = serde::field(v.as_object().unwrap(), "metrics").unwrap();
+    let counters = serde::field(metrics.as_object().unwrap(), "counters").unwrap();
+    let dropped: f64 = counters
+        .as_object()
+        .unwrap()
+        .iter()
+        .filter(|(k, _)| k.starts_with("scored_subscribers_dropped_total"))
+        .filter_map(|(_, v)| v.as_f64())
+        .sum();
+    assert_eq!(
+        dropped, 1.0,
+        "the stalled subscriber was not counted: {stats}"
+    );
+    match roundtrip(&mut reader, &mut writer, "\"Shutdown\"") {
+        Response::ShuttingDown => server.join().unwrap(),
+        other => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    drop((sub_reader, sub_writer));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `response_line` is what the daemon writes; sanity-pin the shape once
 /// at the integration level too.
 #[test]

@@ -174,8 +174,8 @@ impl Session {
         };
     }
 
-    /// The recorder itself, for incremental JSONL streaming
-    /// ([`TraceRecorder::append_jsonl`]).
+    /// The recorder itself, for a caller that streams its events to a
+    /// log as they are captured (the `scored` audit log).
     pub fn trace_recorder_mut(&mut self) -> Option<&mut TraceRecorder> {
         self.recording.recorder.as_mut()
     }

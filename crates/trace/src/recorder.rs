@@ -11,14 +11,12 @@
 //! recorded production trace.
 //!
 //! Recording composes with the JSONL persistence format by design:
-//! JSONL appends cleanly, and [`TraceRecorder::append_jsonl`] streams
-//! the header + any not-yet-flushed events to a file incrementally, so
-//! a long-running recorder never has to hold its output hostage until
-//! the end.
+//! JSONL appends cleanly, so a long-running caller can stream the tail
+//! of [`TraceRecorder::events`] to a log as it grows
+//! ([`crate::jsonl::write_event_lines`]) instead of holding its output
+//! hostage until the end.
 
 use score_traffic::PairTraffic;
-use std::io::Write as _;
-use std::path::Path;
 
 use crate::trace::{push_rebind, TimedEvent, Trace, TraceError, TraceEvent};
 
@@ -32,8 +30,6 @@ pub struct TraceRecorder {
     num_vms: u32,
     base: Vec<(u32, u32, f64)>,
     events: Vec<TimedEvent>,
-    /// Number of events already streamed out by `append_jsonl`.
-    flushed: usize,
 }
 
 impl TraceRecorder {
@@ -47,7 +43,6 @@ impl TraceRecorder {
                 .map(|&(u, v, r)| (u.get(), v.get(), r))
                 .collect(),
             events: Vec::new(),
-            flushed: 0,
         }
     }
 
@@ -163,46 +158,6 @@ impl TraceRecorder {
     pub fn finish(&self, end_s: f64) -> Result<Trace, TraceError> {
         Trace::new(self.num_vms, end_s, self.base.clone(), self.events.clone())
     }
-
-    /// Appends the not-yet-flushed part of the recording to a JSONL
-    /// file: on first call the header line (population, duration,
-    /// base TM) plus all events so far; on later calls only the events
-    /// captured since. The result is the same stream
-    /// [`Trace::to_jsonl`] would emit once recording ends, written
-    /// incrementally.
-    ///
-    /// `end_s` is stamped into the header, so pass the planned horizon
-    /// (re-flushing from scratch after [`TraceRecorder::finish`] is the
-    /// way to correct it when a run stops early).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; the flush cursor only advances on
-    /// success.
-    pub fn append_jsonl(&mut self, path: &Path, end_s: f64) -> std::io::Result<()> {
-        let mut out = String::new();
-        if self.flushed == 0 {
-            // Reuse the canonical writer for the header by serializing
-            // an eventless trace (validation is deferred to load time —
-            // a partial stream may legitimately still be invalid).
-            let header =
-                Trace::new(self.num_vms, end_s, self.base.clone(), Vec::new()).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-                })?;
-            out.push_str(&header.to_jsonl());
-        }
-        for ev in &self.events[self.flushed..] {
-            out.push_str(&serde_json::to_string(ev).expect("event serialization is infallible"));
-            out.push('\n');
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(out.as_bytes())?;
-        self.flushed = self.events.len();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -280,24 +235,5 @@ mod tests {
         rec.record_updates(50.0, &[(0, 1, 2.0)]);
         assert!(rec.finish(10.0).is_err(), "end before the last event");
         assert!(rec.finish(50.0).is_ok());
-    }
-
-    #[test]
-    fn jsonl_append_streams_incrementally() {
-        let dir = std::env::temp_dir().join("score_trace_recorder_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("recorded.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let base = tm(&[(0, 1, 3.0)]);
-        let mut rec = TraceRecorder::new(&base);
-        rec.record_updates(5.0, &[(0, 1, 6.0)]);
-        rec.append_jsonl(&path, 20.0).unwrap();
-        rec.record_updates(10.0, &[(0, 1, 9.0)]);
-        rec.append_jsonl(&path, 20.0).unwrap();
-
-        let loaded = Trace::load(&path).unwrap();
-        assert_eq!(loaded, rec.finish(20.0).unwrap());
-        std::fs::remove_file(&path).ok();
     }
 }
