@@ -16,9 +16,11 @@ use score_traffic::{predicted_traffic, PairTraffic, RateForecaster};
 use crate::remedy::{Remedy, RemedyResult};
 
 /// Runs Remedy against the forecasted TM: the predicted per-pair rates
-/// at `now_s + horizon_s` drive its utilization balancing, while the
-/// cluster's capacity state stays the live one. With a zero horizon the
-/// prediction *is* the current TM and this is exactly `Remedy::run`.
+/// at `now_s + horizon_s` drive its utilization balancing and its NIC
+/// probe, while the cluster's slot/RAM/CPU state stays the live one. The
+/// cluster is told of the swap both ways, so it leaves bound to
+/// `current` again. With a zero horizon the prediction *is* the current
+/// TM and this is exactly `Remedy::run`.
 pub fn remedy_on_forecast(
     remedy: &Remedy,
     cluster: &mut Cluster,
@@ -28,7 +30,11 @@ pub fn remedy_on_forecast(
     horizon_s: f64,
 ) -> RemedyResult {
     let ahead = predicted_traffic(forecaster, current, now_s, horizon_s);
-    remedy.run(cluster, &ahead)
+    let rebind = "a prediction keeps the population";
+    cluster.rebind_traffic(&ahead).expect(rebind);
+    let result = remedy.run(cluster, &ahead);
+    cluster.rebind_traffic(current).expect(rebind);
+    result
 }
 
 #[cfg(test)]
@@ -93,5 +99,8 @@ mod tests {
         let mut cluster = cluster_for(&current);
         let _ahead_run = remedy_on_forecast(&remedy, &mut cluster, &current, &f, 10.0, 20.0);
         assert!(cluster.allocation().is_consistent());
+        // The cluster's memoised NIC loads are the live TM's again.
+        #[cfg(debug_assertions)]
+        cluster.check_invariants(&current);
     }
 }

@@ -178,13 +178,19 @@ impl Remedy {
     /// Candidate target hosts: servers with free capacity, ranked by the
     /// residual headroom of their host link (Remedy balances load, so it
     /// prefers the least-loaded corners of the fabric).
-    fn candidate_targets(&self, vm: VmId, cluster: &Cluster, map: &LinkLoadMap) -> Vec<ServerId> {
+    fn candidate_targets(
+        &self,
+        vm: VmId,
+        cluster: &Cluster,
+        traffic: &PairTraffic,
+        map: &LinkLoadMap,
+    ) -> Vec<ServerId> {
         let topo = cluster.topo();
         let current = cluster.allocation().server_of(vm);
         let mut targets: Vec<(ServerId, f64)> = topo
             .servers()
             .filter(|&s| s != current)
-            .filter(|&s| cluster.can_host(s, vm, 1.0).is_ok())
+            .filter(|&s| cluster.can_host(traffic, s, vm, 1.0).is_ok())
             .map(|s| {
                 // Utilization of the server's access link.
                 let shares = topo.route_shares(s, current);
@@ -221,7 +227,7 @@ impl Remedy {
                 LinkLoadMap::contributors(hot_link, cluster.allocation(), traffic, cluster.topo());
             let mut best: Option<(VmId, ServerId, f64)> = None;
             for &(vm, _) in contributors.iter().take(self.config.candidates_per_step) {
-                for target in self.candidate_targets(vm, cluster, &map) {
+                for target in self.candidate_targets(vm, cluster, traffic, &map) {
                     let predicted = self.predicted_max_util(
                         vm,
                         target,
@@ -249,7 +255,7 @@ impl Remedy {
             }
             let from = cluster.allocation().server_of(vm);
             cluster
-                .migrate(vm, target, 1.0)
+                .migrate(traffic, vm, target, 1.0)
                 .expect("candidate_targets validated capacity");
             result.steps.push(RemedyStep {
                 vm,

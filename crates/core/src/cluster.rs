@@ -101,12 +101,14 @@ impl std::error::Error for ClusterError {}
 /// by every mutator that changes the quantity.
 ///
 /// Why racing readers are sound: the load is a pure function of the
-/// allocation and the traffic matrix, both of which only change under
-/// `&mut Cluster`. Within any `&self` borrow the true value is therefore
-/// constant — concurrent fillers compute bit-identical values, so
-/// whichever `put` lands last rewrites the same bits. The value store is
-/// ordered before the stamp store (Release) and readers load the stamp
-/// with Acquire, so a stamped slot always yields a fully-written value.
+/// allocation and the traffic matrix. The allocation only changes under
+/// `&mut Cluster`, and the TM's owner tells the cluster of every change
+/// to it under `&mut Cluster` too, so within any `&self` borrow the true
+/// value is constant — concurrent fillers compute bit-identical values,
+/// so whichever `put` lands last rewrites the same bits. The value store
+/// is ordered before the stamp store (Release) and readers load the
+/// stamp with Acquire, so a stamped slot always yields a fully-written
+/// value.
 /// Cached reads are bit-identical to recomputation by construction —
 /// until a uniform traffic scale multiplies the cached sums through
 /// ([`ExtLoadCache::scale_all`]), after which they equal a re-sweep up to
@@ -118,6 +120,14 @@ struct ExtLoadCache {
     stamps: Vec<AtomicU64>,
     /// `f64::to_bits` of the cached load, meaningful only when stamped.
     values: Vec<AtomicU64>,
+}
+
+/// A clone starts cold: atomics are not `Clone`, and the copy re-fills
+/// lazily from its own cluster's state anyway.
+impl Clone for ExtLoadCache {
+    fn clone(&self) -> Self {
+        ExtLoadCache::new(self.stamps.len())
+    }
 }
 
 impl ExtLoadCache {
@@ -166,18 +176,25 @@ impl ExtLoadCache {
 }
 
 /// Topology + allocation + resource ledger.
+///
+/// The cluster holds no rates. Every method that reads them — the §V-C
+/// NIC probe ([`Cluster::can_host`], [`Cluster::migrate`]) and the loads
+/// behind it — borrows the one traffic matrix its caller owns, and the
+/// owner tells the cluster of each change to that matrix
+/// ([`Cluster::patch_traffic`], [`Cluster::scale_traffic`],
+/// [`Cluster::rebind_traffic`]) so the memoised per-host loads stay
+/// exact, the way a [`crate::CostLedger`] is told. Every call must
+/// therefore pass the same, current matrix.
+#[derive(Clone)]
 pub struct Cluster {
     topo: Arc<dyn Topology>,
     server_spec: ServerSpec,
     vm_specs: Vec<VmSpec>,
-    /// The pairwise loads, kept for dynamic NIC accounting.
-    traffic: PairTraffic,
     alloc: Allocation,
     usage: Vec<ServerUsage>,
     /// Liveness per VM id. Departed VMs are tombstoned (kept in the
-    /// allocation with zero traffic and zero resource usage) rather than
-    /// compacted, so ids stay dense and stable for audit logs and
-    /// replay.
+    /// allocation with zero resource usage) rather than compacted, so
+    /// ids stay dense and stable for audit logs and replay.
     active: Vec<bool>,
     /// Max-free-slots segment tree over the fleet, kept in lockstep with
     /// `usage[*].slots` so [`Cluster::choose_server`] resolves in
@@ -210,27 +227,6 @@ impl fmt::Debug for Cluster {
     }
 }
 
-impl Clone for Cluster {
-    fn clone(&self) -> Self {
-        Cluster {
-            topo: Arc::clone(&self.topo),
-            server_spec: self.server_spec,
-            vm_specs: self.vm_specs.clone(),
-            traffic: self.traffic.clone(),
-            alloc: self.alloc.clone(),
-            usage: self.usage.clone(),
-            active: self.active.clone(),
-            slot_index: self.slot_index.clone(),
-            host_up: self.host_up.clone(),
-            hosts_down: self.hosts_down,
-            nic_capacity_factor: self.nic_capacity_factor,
-            // Clones start with a cold cache: atomics are not `Clone`,
-            // and the copy re-fills lazily from its own state anyway.
-            ext_load: ExtLoadCache::new(self.usage.len()),
-        }
-    }
-}
-
 impl Cluster {
     /// Builds a cluster with uniform VM specs.
     ///
@@ -249,7 +245,9 @@ impl Cluster {
     }
 
     /// Builds a cluster with per-VM (heterogeneous) specs, validating the
-    /// initial allocation against server capacities.
+    /// initial allocation against server capacities. `traffic` is only
+    /// checked for its population and swept once to fill the memoised
+    /// NIC loads; the cluster keeps no copy.
     ///
     /// # Errors
     ///
@@ -297,7 +295,6 @@ impl Cluster {
             topo,
             server_spec,
             vm_specs,
-            traffic: traffic.clone(),
             alloc,
             usage,
             active,
@@ -312,7 +309,7 @@ impl Cluster {
         // sweep at build time means the first decisions of a fresh
         // cluster don't each pay a cold per-host compute.
         for s in 0..cluster.usage.len() {
-            let _ = cluster.host_external_load(ServerId::new(s as u32));
+            let _ = cluster.host_external_load(traffic, ServerId::new(s as u32));
         }
         Ok(cluster)
     }
@@ -372,8 +369,8 @@ impl Cluster {
 
     /// Traffic of `vm` that would leave `host`'s NIC if `vm` ran there:
     /// the sum of its pair rates to peers hosted elsewhere.
-    pub fn external_rate(&self, vm: VmId, host: ServerId) -> f64 {
-        self.traffic
+    pub fn external_rate(&self, traffic: &PairTraffic, vm: VmId, host: ServerId) -> f64 {
+        traffic
             .peers(vm)
             .filter(|&(peer, _)| peer != vm && self.alloc.server_of(peer) != host)
             .map(|(_, rate)| rate)
@@ -386,46 +383,47 @@ impl Cluster {
     /// Memoized per host (see `ExtLoadCache`): the first read after a
     /// mutation touching the host pays the O(hosted VMs × degree) sweep,
     /// repeat reads are O(1). The cache only ever serves values produced
-    /// by the sweep below against the current allocation/traffic state,
+    /// by the sweep below against the current allocation and `traffic`,
     /// multiplied through by any [`Cluster::scale_traffic`] since.
-    pub fn host_external_load(&self, host: ServerId) -> f64 {
+    pub fn host_external_load(&self, traffic: &PairTraffic, host: ServerId) -> f64 {
         if let Some(v) = self.ext_load.get(host.index()) {
             return v;
         }
-        let v = self.external_load_sweep(host);
+        let v = self.external_load_sweep(traffic, host);
         self.ext_load.put(host.index(), v);
         v
     }
 
     /// `host`'s external load summed afresh, past the cache.
-    fn external_load_sweep(&self, host: ServerId) -> f64 {
+    fn external_load_sweep(&self, traffic: &PairTraffic, host: ServerId) -> f64 {
         self.alloc
             .vms_on(host)
             .iter()
-            .map(|&u| self.external_rate(u, host))
+            .map(|&u| self.external_rate(traffic, u, host))
             .sum()
     }
 
-    /// Panics unless the derived state agrees with the allocation: the
-    /// allocation, the TM, the specs and the liveness flags count the same
-    /// VMs; every host's usage is the sum of the specs of the live VMs it
-    /// hosts (CPU, a running float sum, to 1e-9) and within its capacity,
-    /// and its free-slot index entry matches; down hosts host no live VM
-    /// and `hosts_down` counts them; and every memoised external load is
-    /// within 1e-9 relative of a fresh sum (a `ScaleAll` multiplies cached
-    /// sums through instead of re-summing, so they may differ in the last
-    /// bits). O(VMs × degree): the property suites call it inside their
-    /// step loops.
+    /// Panics unless the derived state agrees with the allocation and
+    /// `traffic`, the TM the cluster has been told of: the allocation,
+    /// the TM, the specs and the liveness flags count the same VMs; every
+    /// host's usage is the sum of the specs of the live VMs it hosts (CPU,
+    /// a running float sum, to 1e-9) and within its capacity, and its
+    /// free-slot index entry matches; down hosts host no live VM and
+    /// `hosts_down` counts them; and every memoised external load is
+    /// within 1e-9 relative of a fresh sum over `traffic` (a `ScaleAll`
+    /// multiplies cached sums through instead of re-summing, so they may
+    /// differ in the last bits). O(VMs × degree): the property suites
+    /// call it inside their step loops.
     #[cfg(any(test, debug_assertions))]
     #[doc(hidden)]
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self, traffic: &PairTraffic) {
         let vms = self.alloc.num_vms();
         assert!(
-            self.traffic.num_vms() == vms
+            traffic.num_vms() == vms
                 && self.vm_specs.len() == vms as usize
                 && self.active.len() == vms as usize,
             "VM count: allocation {vms}, TM {}, specs {}, liveness flags {}",
-            self.traffic.num_vms(),
+            traffic.num_vms(),
             self.vm_specs.len(),
             self.active.len()
         );
@@ -466,7 +464,7 @@ impl Cluster {
             };
             assert_eq!(self.slot_index.free(s), free, "free-slot index of {server}");
             if let Some(cached) = self.ext_load.get(s) {
-                let fresh = self.external_load_sweep(server);
+                let fresh = self.external_load_sweep(traffic, server);
                 assert!(
                     (cached - fresh).abs() <= 1e-9 * cached.abs().max(fresh.abs()),
                     "memoised external load of {server}: {cached} vs a fresh {fresh}"
@@ -481,13 +479,15 @@ impl Cluster {
     /// The bandwidth check is *dynamic* (§V-C): it accounts for the NIC
     /// load the move would actually produce — pairs that become intra-host
     /// stop loading the NIC at all, so collocating a heavy pair can
-    /// *relieve* the target's NIC.
+    /// *relieve* the target's NIC. `traffic` is the TM the cluster has
+    /// been told of; it is read only when the threshold is finite.
     ///
     /// # Errors
     ///
     /// Returns the violated resource.
     pub fn can_host(
         &self,
+        traffic: &PairTraffic,
         server: ServerId,
         vm: VmId,
         bandwidth_threshold: f64,
@@ -498,16 +498,15 @@ impl Cluster {
         self.usage[server.index()]
             .admission_check(&self.server_spec, &self.vm_specs[vm.index()])?;
         if bandwidth_threshold.is_finite() {
-            let incoming = self.external_rate(vm, server);
+            let incoming = self.external_rate(traffic, vm, server);
             // Pairs between `vm` and VMs already on `server` currently load
             // the server's NIC; after the move they become intra-host.
-            let internalised: f64 = self
-                .traffic
+            let internalised: f64 = traffic
                 .peers(vm)
                 .filter(|&(peer, _)| self.alloc.server_of(peer) == server)
                 .map(|(_, rate)| rate)
                 .sum();
-            let new_load = self.host_external_load(server) + incoming - internalised;
+            let new_load = self.host_external_load(traffic, server) + incoming - internalised;
             let capacity = self.nic_capacity_factor * self.server_spec.nic_bps;
             if new_load > bandwidth_threshold * capacity + 1e-9 {
                 return Err(AdmissionError::Bandwidth);
@@ -516,13 +515,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Migrates `vm` to `target` after re-validating admission.
+    /// Migrates `vm` to `target` after re-validating admission against
+    /// `traffic` (see [`Cluster::can_host`]).
     ///
     /// # Errors
     ///
     /// Returns the violated resource; the cluster is unchanged on error.
     pub fn migrate(
         &mut self,
+        traffic: &PairTraffic,
         vm: VmId,
         target: ServerId,
         bandwidth_threshold: f64,
@@ -531,7 +532,7 @@ impl Cluster {
         if current == target {
             return Ok(());
         }
-        self.can_host(target, vm, bandwidth_threshold)?;
+        self.can_host(traffic, target, vm, bandwidth_threshold)?;
         let spec = self.vm_specs[vm.index()];
         self.usage[current.index()].evict(&spec);
         self.usage[target.index()].admit(&spec);
@@ -585,11 +586,12 @@ impl Cluster {
 
     /// Places a newly arriving VM on `server` (or the
     /// [`Cluster::choose_server`] pick when `None`), growing the
-    /// population by one dense id. The newcomer starts with zero traffic
-    /// — its communication cost contribution is exactly 0 until rates
-    /// arrive as ordinary traffic deltas — so placement never touches
-    /// existing pairs and any external cost ledger stays exact without
-    /// repricing anything.
+    /// population by one dense id. The TM's owner grows its matrix by
+    /// the same id ([`PairTraffic::push_vm`]): the newcomer starts with
+    /// zero traffic — its communication cost contribution is exactly 0
+    /// until rates arrive as ordinary traffic deltas — so placement never
+    /// touches existing pairs and any external cost ledger stays exact
+    /// without repricing anything.
     ///
     /// # Errors
     ///
@@ -627,50 +629,36 @@ impl Cluster {
         // about (every allocation change drops the touched hosts).
         self.ext_load.invalidate(target.index());
         self.vm_specs.push(spec);
-        let vm = self.traffic.push_vm();
-        let placed = self.alloc.push_vm(target);
-        debug_assert_eq!(vm, placed, "traffic and allocation ids diverged");
+        let vm = self.alloc.push_vm(target);
         self.active.push(true);
         Ok((vm, target))
     }
 
-    /// Removes a live VM from the cluster: zeroes all its pair rates
-    /// through the sparse [`Cluster::patch_traffic`] path, releases its
-    /// server resources, and tombstones the id (see the `active` field —
-    /// ids stay dense and stable). Returns the `(u, v, old, new)` rate
-    /// changes applied, so callers keeping an incremental cost ledger
-    /// can reprice exactly the departed pairs — `O(degree)`, no resync.
+    /// Removes a live VM from the cluster: releases its server resources
+    /// and tombstones the id (see the `active` field — ids stay dense and
+    /// stable). The TM's owner zeroes the VM's pairs and tells the
+    /// cluster through [`Cluster::patch_traffic`], as for any delta.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownVm`] for an out-of-range or
     /// already-removed id; the cluster is unchanged on error.
-    pub fn remove_vm(&mut self, vm: VmId) -> Result<Vec<(VmId, VmId, f64, f64)>, ClusterError> {
+    pub fn remove_vm(&mut self, vm: VmId) -> Result<(), ClusterError> {
         if !self.is_active(vm) {
             return Err(ClusterError::UnknownVm { vm });
         }
-        let changes: Vec<(VmId, VmId, f64, f64)> = self
-            .traffic
-            .peers(vm)
-            .map(|(peer, rate)| {
-                let (u, v) = if vm < peer { (vm, peer) } else { (peer, vm) };
-                (u, v, rate, 0.0)
-            })
-            .collect();
-        self.patch_traffic(&changes);
         let server = self.alloc.server_of(vm);
         let spec = self.vm_specs[vm.index()];
         self.usage[server.index()].evict(&spec);
         self.refresh_slot_index(server);
         self.active[vm.index()] = false;
-        Ok(changes)
+        Ok(())
     }
 
-    /// Rebinds the cluster to a new traffic matrix **in place**: the
-    /// allocation, server specs, VM specs and slot/RAM/CPU usage carry
-    /// over untouched (none of them depend on traffic); only the held
-    /// rates are replaced and the memoized external loads dropped. This
-    /// is the cheap path for a traffic-phase shift.
+    /// Tells the cluster its TM was replaced wholesale by `traffic` (a
+    /// traffic-phase shift): after a population check every memoised
+    /// external load is dropped. The allocation, specs and slot/RAM/CPU
+    /// usage carry over untouched (none of them depend on traffic).
     ///
     /// # Errors
     ///
@@ -685,26 +673,22 @@ impl Cluster {
                 traffic: traffic.num_vms(),
             });
         }
-        self.traffic = traffic.clone();
         self.ext_load.invalidate_all();
         Ok(())
     }
 
-    /// Applies a **sparse** traffic delta in place: each change is
+    /// Tells the cluster of a **sparse** traffic delta: each change is
     /// `(u, v, old_rate, new_rate)` for one pair (the shape a cost
-    /// ledger reprices from; only `new_rate` is read here). The held
-    /// traffic is patched per pair and only the two endpoints' hosts
-    /// lose their memoized external load (`O(changed pairs)`, vs
-    /// [`Cluster::rebind_traffic`]'s wholesale replacement) — the path
-    /// trace replay takes for each mid-run delta.
+    /// ledger reprices from; no rate is read here). Only the two
+    /// endpoints' hosts lose their memoized external load
+    /// (`O(changed pairs)`, vs [`Cluster::rebind_traffic`]'s wholesale
+    /// drop) — the path trace replay takes for each mid-run delta.
     ///
     /// # Panics
     ///
-    /// Panics if a change names a self-pair, an out-of-range VM, or a
-    /// negative/non-finite new rate.
+    /// Panics if a change names an out-of-range VM.
     pub fn patch_traffic(&mut self, changes: &[(VmId, VmId, f64, f64)]) {
-        for &(u, v, _, new) in changes {
-            self.traffic.apply_update(u, v, new);
+        for &(u, v, ..) in changes {
             // A pair-rate change moves both endpoints' hosts' external
             // loads (a no-op when they share a host, but harmless).
             for vm in [u, v] {
@@ -740,18 +724,13 @@ impl Cluster {
         Ok(())
     }
 
-    /// Rescales every pair rate by `factor` **in place** — the cluster's
-    /// share of a uniform `ScaleAll`. The held traffic scales in O(1)
-    /// ([`score_traffic::PairTraffic::scale_all`]) and the memoized
-    /// external loads are multiplied through instead of being re-swept
-    /// pair by pair: O(servers), no pair is visited. Slot/RAM/CPU state
-    /// is untouched (none of it depends on traffic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite.
+    /// Tells the cluster every pair rate was multiplied by `factor` — its
+    /// share of a uniform `ScaleAll`, after the owner's
+    /// [`PairTraffic::scale_all`]. The memoized external loads are
+    /// multiplied through instead of being re-swept pair by pair:
+    /// O(servers), no pair is visited. Slot/RAM/CPU state is untouched
+    /// (none of it depends on traffic).
     pub fn scale_traffic(&mut self, factor: f64) {
-        self.traffic.scale_all(factor);
         self.ext_load.scale_all(factor);
     }
 
@@ -832,68 +811,133 @@ mod tests {
         b.build()
     }
 
-    fn cluster(vms: u32, per_server: u32) -> Cluster {
-        let topo = Arc::new(CanonicalTree::small());
+    /// A cluster and the one TM it is told of, changed the way a session
+    /// changes them: the matrix is written, then the cluster is told.
+    #[derive(Clone)]
+    struct World {
+        c: Cluster,
+        tm: PairTraffic,
+    }
+
+    impl World {
+        fn new(traffic: PairTraffic, spec: ServerSpec, alloc: Allocation) -> Self {
+            let topo = Arc::new(CanonicalTree::small());
+            let c = Cluster::new(topo, spec, VmSpec::paper_default(), &traffic, alloc).unwrap();
+            World { c, tm: traffic }
+        }
+
+        fn patch(&mut self, u: VmId, v: VmId, rate: f64) {
+            let old = self.tm.rate(u, v);
+            self.tm.apply_update(u, v, rate);
+            self.c.patch_traffic(&[(u, v, old, rate)]);
+        }
+
+        fn scale(&mut self, factor: f64) {
+            self.tm.scale_all(factor);
+            self.c.scale_traffic(factor);
+        }
+
+        fn rebind(&mut self, tm: PairTraffic) -> Result<(), ClusterError> {
+            self.c.rebind_traffic(&tm)?;
+            self.tm = tm;
+            Ok(())
+        }
+
+        fn place(&mut self, server: Option<ServerId>) -> Result<(VmId, ServerId), ClusterError> {
+            let placed = self.c.place_vm(VmSpec::paper_default(), server)?;
+            assert_eq!(
+                self.tm.push_vm(),
+                placed.0,
+                "TM and allocation ids diverged"
+            );
+            Ok(placed)
+        }
+
+        fn remove(&mut self, vm: VmId) -> Result<(), ClusterError> {
+            if self.c.is_active(vm) {
+                let peers: Vec<VmId> = self.tm.peers(vm).map(|(p, _)| p).collect();
+                for peer in peers {
+                    self.patch(vm, peer, 0.0);
+                }
+            }
+            self.c.remove_vm(vm)
+        }
+
+        fn migrate(
+            &mut self,
+            vm: VmId,
+            target: ServerId,
+            threshold: f64,
+        ) -> Result<(), AdmissionError> {
+            self.c.migrate(&self.tm, vm, target, threshold)
+        }
+
+        fn load(&self, s: ServerId) -> f64 {
+            self.c.host_external_load(&self.tm, s)
+        }
+    }
+
+    fn world(vms: u32, per_server: u32) -> World {
         let spec = ServerSpec {
             vm_slots: per_server,
             ..ServerSpec::paper_default()
         };
         let alloc = Allocation::from_fn(vms, 16, |vm| ServerId::new(vm.get() % 16));
-        Cluster::new(topo, spec, VmSpec::paper_default(), &traffic(vms), alloc).unwrap()
+        World::new(traffic(vms), spec, alloc)
     }
 
     /// Every host's external load — the NIC account `can_host` decides
     /// on — equals a from-scratch sum over the reference `pairs` and the
     /// current allocation.
-    fn assert_ext_loads(c: &Cluster, pairs: &[(u32, u32, f64)]) {
-        for s in 0..c.usage.len() as u32 {
+    fn assert_ext_loads(w: &World, pairs: &[(u32, u32, f64)]) {
+        for s in 0..w.c.usage.len() as u32 {
             let s = ServerId::new(s);
-            let on = |vm: u32| c.allocation().server_of(VmId::new(vm)) == s;
+            let on = |vm: u32| w.c.allocation().server_of(VmId::new(vm)) == s;
             let fresh: f64 = pairs
                 .iter()
                 .filter(|&&(u, v, _)| on(u) != on(v))
                 .map(|&(_, _, r)| r)
                 .sum();
-            let got = c.host_external_load(s);
+            let got = w.load(s);
             assert!((got - fresh).abs() < 1e-9, "{s}: {got} vs {fresh}");
         }
     }
 
     #[test]
     fn construction_tracks_usage() {
-        let c = cluster(32, 16);
-        assert_eq!(c.num_vms(), 32);
-        assert_eq!(c.usage(ServerId::new(0)).slots, 2);
-        assert_ext_loads(&c, &[(0, 1, 100.0)]);
-        assert_eq!(c.capacity_report(ServerId::new(0)).free_slots, 14);
+        let w = world(32, 16);
+        assert_eq!(w.c.num_vms(), 32);
+        assert_eq!(w.c.usage(ServerId::new(0)).slots, 2);
+        assert_ext_loads(&w, &[(0, 1, 100.0)]);
+        assert_eq!(w.c.capacity_report(ServerId::new(0)).free_slots, 14);
     }
 
     #[test]
     fn migrate_moves_usage() {
-        let mut c = cluster(4, 16);
-        c.migrate(VmId::new(0), ServerId::new(3), 1.0).unwrap();
-        assert_eq!(c.allocation().server_of(VmId::new(0)), ServerId::new(3));
-        assert_eq!(c.usage(ServerId::new(0)).slots, 0);
-        assert_eq!(c.usage(ServerId::new(3)).slots, 2);
+        let mut w = world(4, 16);
+        w.migrate(VmId::new(0), ServerId::new(3), 1.0).unwrap();
+        assert_eq!(w.c.allocation().server_of(VmId::new(0)), ServerId::new(3));
+        assert_eq!(w.c.usage(ServerId::new(0)).slots, 0);
+        assert_eq!(w.c.usage(ServerId::new(3)).slots, 2);
         // Its external traffic moved with it.
-        assert_ext_loads(&c, &[(0, 1, 100.0)]);
+        assert_ext_loads(&w, &[(0, 1, 100.0)]);
     }
 
     #[test]
     fn migrate_respects_slots() {
-        let mut c = cluster(16, 1); // one slot per server, all full
-        let err = c.migrate(VmId::new(0), ServerId::new(1), 1.0).unwrap_err();
+        let mut w = world(16, 1); // one slot per server, all full
+        let err = w.migrate(VmId::new(0), ServerId::new(1), 1.0).unwrap_err();
         assert_eq!(err, AdmissionError::NoSlot);
         // State unchanged on failure.
-        assert_eq!(c.allocation().server_of(VmId::new(0)), ServerId::new(0));
-        assert_eq!(c.usage(ServerId::new(1)).slots, 1);
+        assert_eq!(w.c.allocation().server_of(VmId::new(0)), ServerId::new(0));
+        assert_eq!(w.c.usage(ServerId::new(1)).slots, 1);
     }
 
     #[test]
     fn migrate_to_self_is_ok() {
-        let mut c = cluster(16, 1);
+        let mut w = world(16, 1);
         // Even at capacity, staying put is fine.
-        c.migrate(VmId::new(0), ServerId::new(0), 1.0).unwrap();
+        w.migrate(VmId::new(0), ServerId::new(0), 1.0).unwrap();
     }
 
     #[test]
@@ -943,7 +987,7 @@ mod tests {
 
     #[test]
     fn set_allocation_revalidates() {
-        let mut c = cluster(4, 2);
+        let mut c = world(4, 2).c;
         let packed = Allocation::from_fn(4, 16, |_| ServerId::new(0));
         assert!(matches!(
             c.set_allocation(packed),
@@ -957,175 +1001,154 @@ mod tests {
 
     #[test]
     fn bandwidth_threshold_blocks_migration() {
-        let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
         // vm0 exchanges 0.7 Gb/s with vm1 and 0.5 Gb/s with vm2.
         let mut b = PairTrafficBuilder::new(3);
         b.add(VmId::new(0), VmId::new(1), 0.7e9);
         b.add(VmId::new(0), VmId::new(2), 0.5e9);
-        let traffic = b.build();
         let alloc = Allocation::from_fn(3, 16, |vm| ServerId::new(vm.get()));
-        let mut c = Cluster::new(
-            topo,
-            ServerSpec::paper_default(),
-            VmSpec::paper_default(),
-            &traffic,
-            alloc,
-        )
-        .unwrap();
+        let mut w = World::new(b.build(), ServerSpec::paper_default(), alloc);
         // Moving vm0 to an *empty* server puts its full 1.2 Gb/s external
         // demand on a 1 GbE NIC: blocked at threshold 1.0 …
-        let err = c.migrate(VmId::new(0), ServerId::new(5), 1.0).unwrap_err();
+        let err = w.migrate(VmId::new(0), ServerId::new(5), 1.0).unwrap_err();
         assert_eq!(err, AdmissionError::Bandwidth);
         // … but collocating with vm1 internalises the 0.7 Gb/s pair, so
         // only 0.5 Gb/s hits srv1's NIC: allowed.
-        c.migrate(VmId::new(0), ServerId::new(1), 1.0).unwrap();
-        assert!((c.host_external_load(ServerId::new(1)) - 0.5e9).abs() < 1.0);
+        w.migrate(VmId::new(0), ServerId::new(1), 1.0).unwrap();
+        assert!((w.load(ServerId::new(1)) - 0.5e9).abs() < 1.0);
         // An unconstrained threshold admits anything.
-        c.migrate(VmId::new(0), ServerId::new(5), f64::INFINITY)
+        w.migrate(VmId::new(0), ServerId::new(5), f64::INFINITY)
             .unwrap();
     }
 
     #[test]
     fn external_rate_tracks_allocation() {
-        let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
         let mut b = PairTrafficBuilder::new(3);
         b.add(VmId::new(0), VmId::new(1), 100.0);
         b.add(VmId::new(0), VmId::new(2), 10.0);
-        let traffic = b.build();
         let alloc = Allocation::from_fn(3, 16, |vm| ServerId::new(vm.get() / 2));
-        let c = Cluster::new(
-            topo,
-            ServerSpec::paper_default(),
-            VmSpec::paper_default(),
-            &traffic,
-            alloc,
-        )
-        .unwrap();
+        let w = World::new(b.build(), ServerSpec::paper_default(), alloc);
         // vm0 and vm1 share srv0, vm2 is on srv1.
-        assert_eq!(c.external_rate(VmId::new(0), ServerId::new(0)), 10.0);
-        assert_eq!(c.external_rate(VmId::new(0), ServerId::new(5)), 110.0);
+        let rate = |host| w.c.external_rate(&w.tm, VmId::new(0), ServerId::new(host));
+        assert_eq!(rate(0), 10.0);
+        assert_eq!(rate(5), 110.0);
         // vm0 contributes its (0,2) pair; vm1's only peer is on-host.
-        assert_eq!(c.host_external_load(ServerId::new(0)), 10.0);
+        assert_eq!(w.load(ServerId::new(0)), 10.0);
     }
 
     #[test]
     fn ext_load_cache_matches_fresh_compute_after_each_mutator() {
         // Warm every host's cache slot, mutate, then compare against a
         // clone — clones start cold, so the clone recomputes from state.
-        fn warm(c: &Cluster) {
+        fn warm(w: &World) {
             for s in 0..16 {
-                let _ = c.host_external_load(ServerId::new(s));
+                let _ = w.load(ServerId::new(s));
             }
         }
-        fn check(c: &Cluster) {
-            let cold = c.clone();
+        fn check(w: &World) {
+            let cold = w.clone();
             for s in 0..16 {
                 let sid = ServerId::new(s);
                 assert_eq!(
-                    c.host_external_load(sid).to_bits(),
-                    cold.host_external_load(sid).to_bits(),
+                    w.load(sid).to_bits(),
+                    cold.load(sid).to_bits(),
                     "stale cached load on server {s}"
                 );
             }
         }
-        let mut c = cluster(32, 16);
-        warm(&c);
-        c.migrate(VmId::new(0), ServerId::new(3), f64::INFINITY)
+        let mut w = world(32, 16);
+        warm(&w);
+        w.migrate(VmId::new(0), ServerId::new(3), f64::INFINITY)
             .unwrap();
-        check(&c);
-        warm(&c);
-        c.patch_traffic(&[(VmId::new(2), VmId::new(7), 0.0, 55.0)]);
-        check(&c);
-        warm(&c);
-        c.scale_traffic(1.5);
-        check(&c);
-        warm(&c);
-        let (vm, _) = c.place_vm(VmSpec::paper_default(), None).unwrap();
-        c.patch_traffic(&[(VmId::new(1), vm, 0.0, 10.0)]);
-        check(&c);
-        warm(&c);
-        c.remove_vm(vm).unwrap();
-        check(&c);
-        warm(&c);
-        let spread = Allocation::from_fn(c.num_vms(), 16, |v| ServerId::new((v.get() * 3) % 16));
-        c.set_allocation(spread).unwrap();
-        check(&c);
-        warm(&c);
-        let mut b = PairTrafficBuilder::new(c.num_vms());
+        check(&w);
+        warm(&w);
+        w.patch(VmId::new(2), VmId::new(7), 55.0);
+        check(&w);
+        warm(&w);
+        w.scale(1.5);
+        check(&w);
+        warm(&w);
+        let (vm, _) = w.place(None).unwrap();
+        w.patch(VmId::new(1), vm, 10.0);
+        check(&w);
+        warm(&w);
+        w.remove(vm).unwrap();
+        check(&w);
+        warm(&w);
+        let spread = Allocation::from_fn(w.c.num_vms(), 16, |v| ServerId::new((v.get() * 3) % 16));
+        w.c.set_allocation(spread).unwrap();
+        check(&w);
+        warm(&w);
+        let mut b = PairTrafficBuilder::new(w.c.num_vms());
         b.add(VmId::new(4), VmId::new(9), 77.0);
-        c.rebind_traffic(&b.build()).unwrap();
-        check(&c);
+        w.rebind(b.build()).unwrap();
+        check(&w);
     }
 
     #[test]
     fn rebind_traffic_patches_nic_ledger_in_place() {
-        let mut c = cluster(4, 16);
-        let before_alloc = c.allocation().clone();
-        assert_ext_loads(&c, &[(0, 1, 100.0)]);
+        let mut w = world(4, 16);
+        let before_alloc = w.c.allocation().clone();
+        assert_ext_loads(&w, &[(0, 1, 100.0)]);
         // New matrix: the (0,1) pair disappears, (2,3) appears at 40.
         let mut b = PairTrafficBuilder::new(4);
         b.add(VmId::new(2), VmId::new(3), 40.0);
-        c.rebind_traffic(&b.build()).unwrap();
+        w.rebind(b.build()).unwrap();
         // Allocation and slot/RAM usage carry over untouched.
-        assert_eq!(c.allocation(), &before_alloc);
-        assert_eq!(c.usage(ServerId::new(0)).slots, 1);
+        assert_eq!(w.c.allocation(), &before_alloc);
+        assert_eq!(w.c.usage(ServerId::new(0)).slots, 1);
         // NIC accounting reflects the new rates.
-        assert_ext_loads(&c, &[(2, 3, 40.0)]);
-        assert_eq!(c.host_external_load(ServerId::new(0)), 0.0);
+        assert_ext_loads(&w, &[(2, 3, 40.0)]);
+        assert_eq!(w.load(ServerId::new(0)), 0.0);
         // A population mismatch is rejected and leaves the cluster alone.
-        let err = c.rebind_traffic(&traffic(5)).unwrap_err();
+        let err = w.rebind(traffic(5)).unwrap_err();
         assert!(matches!(err, ClusterError::VmCountMismatch { .. }));
-        assert_ext_loads(&c, &[(2, 3, 40.0)]);
+        assert_ext_loads(&w, &[(2, 3, 40.0)]);
     }
 
     #[test]
     fn patch_traffic_adjusts_only_changed_pairs() {
-        let mut c = cluster(4, 16);
+        let mut w = world(4, 16);
         // (0,1) re-rated to 60, (2,3) appears at 40.
-        let changes = [
-            (VmId::new(0), VmId::new(1), 100.0, 60.0),
-            (VmId::new(2), VmId::new(3), 0.0, 40.0),
-        ];
-        c.patch_traffic(&changes);
-        assert_ext_loads(&c, &[(0, 1, 60.0), (2, 3, 40.0)]);
-        // The held traffic was patched in place to the same rates …
-        assert_eq!(c.external_rate(VmId::new(2), ServerId::new(5)), 40.0);
-        // … and the patched account matches what a full rebind derives.
-        let patched = c.traffic.clone();
-        let mut full = c.clone();
-        full.rebind_traffic(&patched).unwrap();
+        w.patch(VmId::new(0), VmId::new(1), 60.0);
+        w.patch(VmId::new(2), VmId::new(3), 40.0);
+        assert_ext_loads(&w, &[(0, 1, 60.0), (2, 3, 40.0)]);
+        assert_eq!(
+            w.c.external_rate(&w.tm, VmId::new(2), ServerId::new(5)),
+            40.0
+        );
+        // The patched account matches what a full rebind derives.
+        let mut full = w.clone();
+        full.rebind(w.tm.clone()).unwrap();
         for s in (0..16).map(ServerId::new) {
-            assert_eq!(c.host_external_load(s), full.host_external_load(s));
+            assert_eq!(w.load(s), full.load(s));
         }
     }
 
     #[test]
     fn place_vm_appends_with_zero_traffic() {
-        let mut c = cluster(4, 16);
-        assert_eq!(c.num_active(), 4);
-        let (vm, server) = c.place_vm(VmSpec::paper_default(), None).unwrap();
+        let mut w = world(4, 16);
+        assert_eq!(w.c.num_active(), 4);
+        let (vm, server) = w.place(None).unwrap();
         assert_eq!(vm, VmId::new(4));
-        assert_eq!(c.num_vms(), 5);
-        assert_eq!(c.num_active(), 5);
-        assert!(c.is_active(vm));
-        assert_eq!(c.allocation().server_of(vm), server);
-        assert_eq!(c.external_rate(vm, server), 0.0);
-        assert_ext_loads(&c, &[(0, 1, 100.0)]);
+        assert_eq!(w.c.num_vms(), 5);
+        assert_eq!(w.c.num_active(), 5);
+        assert!(w.c.is_active(vm));
+        assert_eq!(w.c.allocation().server_of(vm), server);
+        assert_eq!(w.c.external_rate(&w.tm, vm, server), 0.0);
+        assert_ext_loads(&w, &[(0, 1, 100.0)]);
         // Chooses an empty server (most free slots, lowest id wins): the
         // base cluster packs VMs 0..4 onto servers 0..4.
         assert_eq!(server, ServerId::new(4));
-        assert_eq!(c.usage(server).slots, 1);
+        assert_eq!(w.c.usage(server).slots, 1);
         // Explicit target honoured.
-        let (vm2, s2) = c
-            .place_vm(VmSpec::paper_default(), Some(ServerId::new(7)))
-            .unwrap();
+        let (vm2, s2) = w.place(Some(ServerId::new(7))).unwrap();
         assert_eq!(vm2, VmId::new(5));
         assert_eq!(s2, ServerId::new(7));
     }
 
     #[test]
     fn place_vm_respects_capacity() {
-        let mut c = cluster(16, 1); // one slot per server, all 16 full
+        let mut c = world(16, 1).c; // one slot per server, all 16 full
         assert!(matches!(
             c.place_vm(VmSpec::paper_default(), None),
             Err(ClusterError::NoCapacity)
@@ -1142,162 +1165,154 @@ mod tests {
 
     #[test]
     fn remove_vm_zeroes_pairs_and_tombstones() {
-        let mut c = cluster(4, 16);
-        // vm0 ↔ vm1 at 100.0; removing vm0 must zero the pair and free
-        // its slot, and report the change for ledger repricing.
-        let changes = c.remove_vm(VmId::new(0)).unwrap();
-        assert_eq!(changes, vec![(VmId::new(0), VmId::new(1), 100.0, 0.0)]);
-        assert!(!c.is_active(VmId::new(0)));
-        assert_eq!(c.num_active(), 3);
-        assert_eq!(c.usage(ServerId::new(0)).slots, 0);
-        assert_ext_loads(&c, &[]);
-        assert_eq!(c.external_rate(VmId::new(1), ServerId::new(5)), 0.0);
+        let mut w = world(4, 16);
+        // vm0 ↔ vm1 at 100.0; removing vm0 zeroes the pair through the
+        // ordinary patch path, frees its slot and tombstones the id.
+        w.remove(VmId::new(0)).unwrap();
+        assert_eq!(w.tm.num_pairs(), 0);
+        assert!(!w.c.is_active(VmId::new(0)));
+        assert_eq!(w.c.num_active(), 3);
+        assert_eq!(w.c.usage(ServerId::new(0)).slots, 0);
+        assert_ext_loads(&w, &[]);
+        assert_eq!(
+            w.c.external_rate(&w.tm, VmId::new(1), ServerId::new(5)),
+            0.0
+        );
         // Double removal and unknown ids are rejected.
         assert!(matches!(
-            c.remove_vm(VmId::new(0)),
+            w.c.remove_vm(VmId::new(0)),
             Err(ClusterError::UnknownVm { .. })
         ));
         assert!(matches!(
-            c.remove_vm(VmId::new(99)),
+            w.c.remove_vm(VmId::new(99)),
             Err(ClusterError::UnknownVm { .. })
         ));
         // The freed slot is reusable by a later arrival.
-        let (vm, _) = c
-            .place_vm(VmSpec::paper_default(), Some(ServerId::new(0)))
-            .unwrap();
+        let (vm, _) = w.place(Some(ServerId::new(0))).unwrap();
         assert_eq!(vm, VmId::new(4), "ids stay dense; tombstones are kept");
     }
 
     #[test]
     fn scale_traffic_matches_patched_rates() {
-        let mut scaled = cluster(4, 16);
-        scaled.scale_traffic(10.0);
-        assert_eq!(scaled.external_rate(VmId::new(0), ServerId::new(5)), 1000.0);
+        let mut scaled = world(4, 16);
+        scaled.scale(10.0);
+        assert_eq!(
+            scaled
+                .c
+                .external_rate(&scaled.tm, VmId::new(0), ServerId::new(5)),
+            1000.0
+        );
         assert_ext_loads(&scaled, &[(0, 1, 1000.0)]);
         // The memoized external loads were scaled, not dropped: they agree
         // with a cold-cache clone's re-sweep.
         for s in 0..4 {
             let s = ServerId::new(s);
-            assert!(scaled.ext_load.get(s.index()).is_some());
-            assert_eq!(
-                scaled.host_external_load(s),
-                scaled.clone().host_external_load(s)
-            );
+            assert!(scaled.c.ext_load.get(s.index()).is_some());
+            assert_eq!(scaled.load(s), scaled.clone().load(s));
         }
         // Matches the sparse patch path applying the same rates.
-        let mut patched = cluster(4, 16);
-        patched.patch_traffic(&[(VmId::new(0), VmId::new(1), 100.0, 1000.0)]);
+        let mut patched = world(4, 16);
+        patched.patch(VmId::new(0), VmId::new(1), 1000.0);
         assert_ext_loads(&patched, &[(0, 1, 1000.0)]);
         // Slot/RAM state is untouched.
-        assert_eq!(scaled.usage(ServerId::new(0)).slots, 1);
+        assert_eq!(scaled.c.usage(ServerId::new(0)).slots, 1);
     }
 
     #[test]
     fn failed_host_rejects_admissions_and_is_skipped() {
-        let mut c = cluster(4, 16);
-        assert!(c.host_is_up(ServerId::new(0)));
-        assert_eq!(c.num_hosts_down(), 0);
-        let victims = c.fail_host(ServerId::new(0));
+        let mut w = world(4, 16);
+        assert!(w.c.host_is_up(ServerId::new(0)));
+        assert_eq!(w.c.num_hosts_down(), 0);
+        let victims = w.c.fail_host(ServerId::new(0));
         assert_eq!(victims, vec![VmId::new(0)]);
-        assert!(!c.host_is_up(ServerId::new(0)));
-        assert_eq!(c.num_hosts_down(), 1);
+        assert!(!w.c.host_is_up(ServerId::new(0)));
+        assert_eq!(w.c.num_hosts_down(), 1);
         // Idempotent; out-of-range is an empty worklist, not a panic.
-        assert!(c.fail_host(ServerId::new(0)).is_empty());
-        assert!(c.fail_host(ServerId::new(999)).is_empty());
-        assert_eq!(c.num_hosts_down(), 1);
+        assert!(w.c.fail_host(ServerId::new(0)).is_empty());
+        assert!(w.c.fail_host(ServerId::new(999)).is_empty());
+        assert_eq!(w.c.num_hosts_down(), 1);
         // No admission path reaches a down host …
         assert_eq!(
-            c.migrate(VmId::new(1), ServerId::new(0), f64::INFINITY),
+            w.migrate(VmId::new(1), ServerId::new(0), f64::INFINITY),
             Err(AdmissionError::HostDown)
         );
         assert!(matches!(
-            c.place_vm(VmSpec::paper_default(), Some(ServerId::new(0))),
+            w.place(Some(ServerId::new(0))),
             Err(ClusterError::PlacementRejected {
                 source: AdmissionError::HostDown,
                 ..
             })
         ));
         assert_ne!(
-            c.choose_server(&VmSpec::paper_default()).unwrap(),
+            w.c.choose_server(&VmSpec::paper_default()).unwrap(),
             ServerId::new(0)
         );
         // … but evacuating the victim *off* it is legal, and its slot
         // accounting follows.
-        c.migrate(VmId::new(0), ServerId::new(5), f64::INFINITY)
+        w.migrate(VmId::new(0), ServerId::new(5), f64::INFINITY)
             .unwrap();
-        assert_eq!(c.usage(ServerId::new(0)).slots, 0);
-        assert_eq!(c.allocation().server_of(VmId::new(0)), ServerId::new(5));
+        assert_eq!(w.c.usage(ServerId::new(0)).slots, 0);
+        assert_eq!(w.c.allocation().server_of(VmId::new(0)), ServerId::new(5));
     }
 
     #[test]
     fn nic_capacity_factor_scales_admission() {
-        let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
         let mut b = PairTrafficBuilder::new(2);
         b.add(VmId::new(0), VmId::new(1), 0.6e9);
-        let traffic = b.build();
         let alloc = Allocation::from_fn(2, 16, |vm| ServerId::new(vm.get()));
-        let mut c = Cluster::new(
-            topo,
-            ServerSpec::paper_default(),
-            VmSpec::paper_default(),
-            &traffic,
-            alloc,
-        )
-        .unwrap();
+        let mut w = World::new(b.build(), ServerSpec::paper_default(), alloc);
+        let probe = |w: &World| w.c.can_host(&w.tm, ServerId::new(5), VmId::new(0), 1.0);
         // 0.6 Gb/s external demand fits a healthy 1 GbE NIC at threshold
         // 1.0 …
-        assert!(c.can_host(ServerId::new(5), VmId::new(0), 1.0).is_ok());
+        assert!(probe(&w).is_ok());
         // … but not one degraded to half capacity.
-        c.set_nic_capacity_factor(0.5);
-        assert_eq!(
-            c.can_host(ServerId::new(5), VmId::new(0), 1.0),
-            Err(AdmissionError::Bandwidth)
-        );
+        w.c.set_nic_capacity_factor(0.5);
+        assert_eq!(probe(&w), Err(AdmissionError::Bandwidth));
         // LinkRestore resets it.
-        c.set_nic_capacity_factor(1.0);
-        assert!(c.can_host(ServerId::new(5), VmId::new(0), 1.0).is_ok());
+        w.c.set_nic_capacity_factor(1.0);
+        assert!(probe(&w).is_ok());
     }
 
     #[test]
     fn check_invariants_accepts_every_mutator_and_catches_each_corruption() {
-        let mut c = cluster(32, 16);
-        c.check_invariants();
-        c.migrate(VmId::new(0), ServerId::new(3), f64::INFINITY)
+        let mut w = world(32, 16);
+        w.c.check_invariants(&w.tm);
+        w.migrate(VmId::new(0), ServerId::new(3), f64::INFINITY)
             .unwrap();
-        let (vm, _) = c.place_vm(VmSpec::paper_default(), None).unwrap();
-        c.patch_traffic(&[(VmId::new(1), vm, 0.0, 10.0)]);
+        let (vm, _) = w.place(None).unwrap();
+        w.patch(VmId::new(1), vm, 10.0);
         for s in 0..16 {
-            let _ = c.host_external_load(ServerId::new(s));
+            let _ = w.load(ServerId::new(s));
         }
-        c.scale_traffic(1.7);
-        c.remove_vm(VmId::new(2)).unwrap();
-        for victim in c.fail_host(ServerId::new(5)) {
-            c.migrate(victim, ServerId::new(6), f64::INFINITY).unwrap();
+        w.scale(1.7);
+        w.remove(VmId::new(2)).unwrap();
+        for victim in w.c.fail_host(ServerId::new(5)) {
+            w.migrate(victim, ServerId::new(6), f64::INFINITY).unwrap();
         }
-        c.check_invariants();
+        w.c.check_invariants(&w.tm);
 
-        type Corruption = fn(&mut Cluster);
+        type Corruption = fn(&mut World);
         let corruptions: [(&str, Corruption); 7] = [
-            ("VM count", |c| {
-                c.traffic.push_vm();
+            ("VM count", |w| {
+                w.tm.push_vm();
             }),
-            ("hosts_down", |c| c.hosts_down += 1),
-            ("not the sum", |c| c.usage[0].ram_mb += 1),
-            ("over capacity", |c| c.server_spec.vm_slots = 1),
-            ("free-slot index", |c| c.slot_index.set(0, 0)),
-            ("down host", |c| {
-                c.host_up[0] = false;
-                c.hosts_down += 1;
+            ("hosts_down", |w| w.c.hosts_down += 1),
+            ("not the sum", |w| w.c.usage[0].ram_mb += 1),
+            ("over capacity", |w| w.c.server_spec.vm_slots = 1),
+            ("free-slot index", |w| w.c.slot_index.set(0, 0)),
+            ("down host", |w| {
+                w.c.host_up[0] = false;
+                w.c.hosts_down += 1;
             }),
-            ("memoised external load", |c| {
-                let load = c.host_external_load(ServerId::new(0));
-                c.ext_load.put(0, load * (1.0 + 1e-6) + 1.0);
+            ("memoised external load", |w| {
+                let load = w.load(ServerId::new(0));
+                w.c.ext_load.put(0, load * (1.0 + 1e-6) + 1.0);
             }),
         ];
         for (what, corrupt) in corruptions {
-            let mut bad = cluster(32, 16);
+            let mut bad = world(32, 16);
             corrupt(&mut bad);
-            let check = std::panic::AssertUnwindSafe(|| bad.check_invariants());
+            let check = std::panic::AssertUnwindSafe(|| bad.c.check_invariants(&bad.tm));
             let caught = std::panic::catch_unwind(check).unwrap_err();
             let msg = caught.downcast_ref::<String>().expect("a formatted panic");
             assert!(msg.contains(what), "{what}: {msg}");

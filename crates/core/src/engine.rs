@@ -12,6 +12,7 @@
 //! [`ScoreEngine`] implements steps 3–4 over a [`LocalView`] (steps 1–2).
 
 use score_topology::{ServerId, VmId};
+use score_traffic::PairTraffic;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
@@ -151,9 +152,9 @@ impl ScoreEngine {
     ///
     /// Candidates are the servers hosting the holder's peers, ranked
     /// "from highest to lowest communication levels" with ties towards
-    /// heavier pairs; each is capacity-probed against the live cluster;
-    /// among the feasible ones the largest `ΔC` wins, provided it
-    /// exceeds `c_m` (Theorem 1).
+    /// heavier pairs; each is capacity-probed against the live cluster
+    /// and current `traffic`; among the feasible ones the largest `ΔC`
+    /// wins, provided it exceeds `c_m` (Theorem 1).
     ///
     /// `current` is `None` for a reactive decision: `view` *is* the
     /// current view and this is bit-for-bit the paper's procedure. With
@@ -189,6 +190,7 @@ impl ScoreEngine {
         view: &LocalView,
         current: Option<&LocalView>,
         cluster: &Cluster,
+        traffic: &PairTraffic,
         scratch: &mut KernelScratch,
     ) -> MigrationDecision {
         let topo = cluster.topo();
@@ -215,7 +217,7 @@ impl ScoreEngine {
                 total += p.rate;
             }
             let max_level = topo.max_level();
-            self.probe_candidates(&candidates, view.vm, cluster, |target| {
+            self.probe_candidates(&candidates, view.vm, cluster, traffic, |target| {
                 let tc = topo.coords_of(target);
                 combine_bucketed(
                     before,
@@ -229,7 +231,7 @@ impl ScoreEngine {
                 )
             })
         } else {
-            self.probe_candidates(&candidates, view.vm, cluster, |target| {
+            self.probe_candidates(&candidates, view.vm, cluster, traffic, |target| {
                 view.delta_for(target, weights, topo)
             })
         };
@@ -247,13 +249,14 @@ impl ScoreEngine {
         candidates: &[RankEntry],
         vm: VmId,
         cluster: &Cluster,
+        traffic: &PairTraffic,
         mut score: impl FnMut(ServerId) -> f64,
     ) -> (Option<(ServerId, f64)>, usize, usize) {
         let mut best: Option<(ServerId, f64)> = None;
         let mut rejected = 0;
         for &(target, ..) in candidates {
             if cluster
-                .can_host(target, vm, self.config.bandwidth_threshold)
+                .can_host(traffic, target, vm, self.config.bandwidth_threshold)
                 .is_err()
             {
                 rejected += 1;
@@ -278,6 +281,7 @@ impl ScoreEngine {
         view: &LocalView,
         current: Option<&LocalView>,
         cluster: &Cluster,
+        traffic: &PairTraffic,
     ) -> MigrationDecision {
         let mut candidates = Vec::new();
         view.rank_candidates_into(&mut candidates);
@@ -290,7 +294,7 @@ impl ScoreEngine {
         for (target, ..) in candidates {
             evaluated += 1;
             if cluster
-                .can_host(target, view.vm, self.config.bandwidth_threshold)
+                .can_host(traffic, target, view.vm, self.config.bandwidth_threshold)
                 .is_err()
             {
                 rejected += 1;
@@ -344,11 +348,16 @@ mod tests {
     use crate::allocation::Allocation;
     use crate::resources::{ServerSpec, VmSpec};
     use score_topology::CanonicalTree;
-    use score_traffic::{PairTraffic, PairTrafficBuilder};
+    use score_traffic::PairTrafficBuilder;
     use std::sync::Arc;
 
-    fn decide(engine: &ScoreEngine, view: &LocalView, cluster: &Cluster) -> MigrationDecision {
-        engine.decide(view, None, cluster, &mut KernelScratch::new())
+    fn decide(
+        engine: &ScoreEngine,
+        view: &LocalView,
+        cluster: &Cluster,
+        traffic: &PairTraffic,
+    ) -> MigrationDecision {
+        engine.decide(view, None, cluster, traffic, &mut KernelScratch::new())
     }
 
     /// One reactive hold for `u`: observe, decide, migrate if warranted.
@@ -359,10 +368,10 @@ mod tests {
         traffic: &PairTraffic,
     ) -> MigrationDecision {
         let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-        let decision = decide(engine, &view, cluster);
+        let decision = decide(engine, &view, cluster, traffic);
         if let Some(target) = decision.target {
             cluster
-                .migrate(u, target, engine.config().bandwidth_threshold)
+                .migrate(traffic, u, target, engine.config().bandwidth_threshold)
                 .expect("decide() validated admission for the chosen target");
         }
         decision
@@ -408,7 +417,7 @@ mod tests {
         let (cluster, traffic) = fixture();
         let engine = ScoreEngine::paper_default();
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = decide(&engine, &view, &cluster);
+        let d = decide(&engine, &view, &cluster, &traffic);
         assert_eq!(d.evaluated, 2);
         assert_eq!(d.rejected_capacity, 0);
         assert!(d.migrates());
@@ -419,12 +428,12 @@ mod tests {
         let (cluster, traffic) = fixture();
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
         let free = ScoreEngine::paper_default();
-        let gain = decide(&free, &view, &cluster).gain;
+        let gain = decide(&free, &view, &cluster, &traffic).gain;
         let expensive = ScoreEngine::new(
             CostModel::paper_default(),
             ScoreConfig::paper_default().with_migration_cost(gain + 1.0),
         );
-        let d = decide(&expensive, &view, &cluster);
+        let d = decide(&expensive, &view, &cluster, &traffic);
         assert!(!d.migrates(), "cm above the best gain must block migration");
         assert_eq!(d.gain, 0.0);
     }
@@ -496,7 +505,7 @@ mod tests {
             },
         );
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = decide(&engine, &view, &cluster);
+        let d = decide(&engine, &view, &cluster, &traffic);
         assert_eq!(d.evaluated, 1);
     }
 

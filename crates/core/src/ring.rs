@@ -340,15 +340,17 @@ impl TokenRing {
                 &scratch.decision_view,
                 Some(&scratch.view),
                 cluster,
+                traffic,
                 &mut scratch.kernel,
             )
         } else {
             self.engine
-                .decide(&scratch.view, None, cluster, &mut scratch.kernel)
+                .decide(&scratch.view, None, cluster, traffic, &mut scratch.kernel)
         };
         if let Some(target) = decision.target {
+            let threshold = self.engine.config().bandwidth_threshold;
             cluster
-                .migrate(holder, target, self.engine.config().bandwidth_threshold)
+                .migrate(traffic, holder, target, threshold)
                 .expect("decide() validated admission for the chosen target");
         }
         // The policy sees the *post-migration* state: if the holder moved,

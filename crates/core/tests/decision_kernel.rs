@@ -130,9 +130,15 @@ fn compare_for(
         (observed.clone(), None)
     };
 
-    let reference = engine.decide_reference(&decision_view, current, &cluster);
+    let reference = engine.decide_reference(&decision_view, current, &cluster, traffic);
     SCRATCH.with(|s| {
-        let hot = engine.decide(&decision_view, current, &cluster, &mut s.borrow_mut());
+        let hot = engine.decide(
+            &decision_view,
+            current,
+            &cluster,
+            traffic,
+            &mut s.borrow_mut(),
+        );
         assert_bit_identical(&reference, &hot, "decide");
     });
     reference

@@ -37,10 +37,10 @@ fn hold(
     traffic: &PairTraffic,
 ) -> MigrationDecision {
     let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-    let decision = engine.decide(&view, None, cluster, &mut KernelScratch::new());
+    let decision = engine.decide(&view, None, cluster, traffic, &mut KernelScratch::new());
     if let Some(target) = decision.target {
         cluster
-            .migrate(u, target, engine.config().bandwidth_threshold)
+            .migrate(traffic, u, target, engine.config().bandwidth_threshold)
             .expect("decide() validated admission for the chosen target");
     }
     decision

@@ -27,10 +27,10 @@ fn hold(
     traffic: &PairTraffic,
 ) -> MigrationDecision {
     let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-    let decision = engine.decide(&view, None, cluster, &mut KernelScratch::new());
+    let decision = engine.decide(&view, None, cluster, traffic, &mut KernelScratch::new());
     if let Some(target) = decision.target {
         cluster
-            .migrate(u, target, engine.config().bandwidth_threshold)
+            .migrate(traffic, u, target, engine.config().bandwidth_threshold)
             .expect("decide() validated admission for the chosen target");
     }
     decision
@@ -161,7 +161,7 @@ proptest! {
         );
         for v in 0..24 {
             let view = LocalView::observe(VmId::new(v), cluster.allocation(), &traffic, cluster.topo());
-            let d = engine.decide(&view, None, &cluster, &mut KernelScratch::new());
+            let d = engine.decide(&view, None, &cluster, &traffic, &mut KernelScratch::new());
             if d.migrates() {
                 prop_assert!(d.gain > cm, "gain {} must exceed cm {}", d.gain, cm);
             }

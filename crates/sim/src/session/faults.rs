@@ -136,7 +136,7 @@ impl Session {
                             self.cluster.topo(),
                         );
                         self.cluster
-                            .migrate(vm, target, f64::INFINITY)
+                            .migrate(&self.traffic, vm, target, f64::INFINITY)
                             .map_err(|source| ClusterError::PlacementRejected {
                                 server: target,
                                 source,
@@ -159,7 +159,13 @@ impl Session {
                         // path, bypassing the recorder — the removal is
                         // a fault consequence, re-derived on replay.
                         self.settle_forecast_evals(now_s);
-                        let changes = self.cluster.remove_vm(vm)?;
+                        self.cluster.remove_vm(vm)?;
+                        let changes: Vec<(VmId, VmId, f64, f64)> = self
+                            .traffic
+                            .peers(vm)
+                            .map(|(peer, rate)| (vm.min(peer), vm.max(peer), rate, 0.0))
+                            .collect();
+                        self.cluster.patch_traffic(&changes);
                         self.ledger.apply_rate_changes(
                             self.cluster.allocation(),
                             &changes,

@@ -538,6 +538,38 @@ impl Session {
         self.ledger.resyncs()
     }
 
+    /// Panics unless every account the session keeps agrees with its one
+    /// TM: the cluster's ([`Cluster::check_invariants`]); the ledger's,
+    /// within 1e-9 of a full Eq.-(2) pass relative to the larger of that
+    /// pass and the peak sampled cost (a running sum keeps residue of the
+    /// largest value it carried), with no resync paid; and the token's,
+    /// whose members are exactly the live VMs. O(pairs + VMs × degree):
+    /// the property suites call it inside their step loops. Debug builds
+    /// only, because the cluster's check is compiled into those alone.
+    #[cfg(debug_assertions)]
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.cluster.check_invariants(&self.traffic);
+        let (alloc, topo) = (self.cluster.allocation(), self.cluster.topo());
+        let fresh = self.model.total_cost(alloc, &self.traffic, topo);
+        let samples = self.seg.cost_series.iter().map(|&(_, cost)| cost);
+        let peak = samples.fold(fresh.max(self.initial_cost), f64::max);
+        let ledgered = self.ledger.current();
+        assert!(
+            (ledgered - fresh).abs() <= 1e-9 * peak,
+            "ledger {ledgered} drifted from a full Eq.-(2) pass {fresh} (peak {peak})"
+        );
+        assert_eq!(self.ledger_resyncs(), 0, "the ledger paid a full resync");
+        let token = self.ring.token();
+        assert!(
+            token.len() == self.cluster.num_active() as usize
+                && token.entries().iter().all(|e| self.cluster.is_active(e.id)),
+            "the token's {} members are not the {} live VMs",
+            token.len(),
+            self.cluster.num_active()
+        );
+    }
+
     /// Absolute drift between the merged shard sample and the
     /// authoritative ledger total (pinned ≤ 1e-9 relative by tests).
     pub fn shard_drift(&self) -> f64 {

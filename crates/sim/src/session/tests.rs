@@ -408,7 +408,9 @@ fn traffic_scale_matches_expanded_deltas() {
             }
         }
         for (s, &ds) in fresh.iter().enumerate() {
-            let df = fast.cluster().host_external_load(ServerId::new(s as u32));
+            let df = fast
+                .cluster()
+                .host_external_load(fast.traffic(), ServerId::new(s as u32));
             assert!(
                 (df - ds).abs() <= 1e-9 * ds.max(1.0),
                 "srv{s}: {df} vs {ds}"
@@ -759,6 +761,52 @@ fn live_churn_keeps_the_ledger_exact_without_resyncs() {
     );
 }
 
+/// `Session::check_invariants` accepts a session its mutators kept
+/// coherent, and names each account a corruption breaks.
+#[cfg(debug_assertions)]
+#[test]
+fn check_invariants_names_each_corrupted_account() {
+    type Corruption = fn(&mut Session);
+    let corruptions: [(&str, Corruption); 3] = [
+        // A rate written past the cluster leaves the memoised NIC loads
+        // of the pair's two hosts stale.
+        ("memoised external load", |s| {
+            let alloc = s.cluster.allocation();
+            let (u, v, rate) = (s.traffic.pairs().into_iter())
+                .find(|&(u, v, _)| alloc.server_of(u) != alloc.server_of(v))
+                .expect("a pair across hosts");
+            for host in 0..alloc.num_servers() {
+                let _ = s
+                    .cluster
+                    .host_external_load(&s.traffic, ServerId::new(host));
+            }
+            s.traffic.apply_update(u, v, 2.0 * rate + 1e6);
+        }),
+        ("ledger", |s| {
+            s.ledger.apply_gain(1.0 + 1e-3 * s.ledger.current())
+        }),
+        // A departure the ring is never told of.
+        ("token", |s| {
+            let vm = VmId::new(0);
+            let quiet: Vec<_> = s.traffic.peers(vm).map(|(p, _)| (vm, p, 0.0)).collect();
+            s.apply_traffic_deltas(&quiet).unwrap();
+            s.cluster.remove_vm(vm).unwrap();
+        }),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut session = quick_scenario(PolicyKind::RoundRobin, 24)
+            .session()
+            .unwrap();
+        session.run(1);
+        session.check_invariants();
+        corrupt(&mut session);
+        let check = std::panic::AssertUnwindSafe(|| session.check_invariants());
+        let caught = std::panic::catch_unwind(check).unwrap_err();
+        let msg = caught.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains(what), "{what}: {msg}");
+    }
+}
+
 #[test]
 fn churn_rejects_dead_or_unknown_vms() {
     let mut session = quick_scenario(PolicyKind::RoundRobin, 22)
@@ -1021,10 +1069,14 @@ mod fault_tests {
         let racks = session.topo().num_racks() as u32;
         for rack in 0..racks {
             session.apply_fault(&TraceEvent::RackFail { rack }).unwrap();
+            #[cfg(debug_assertions)]
+            session.check_invariants();
         }
         // No live server remains: every VM was retired as unplaceable
-        // (earlier racks' victims evacuate; the last survivors can't).
+        // (earlier racks' victims evacuate; the last survivors can't),
+        // and retiring one zeroed its pairs in the one TM.
         assert_eq!(session.cluster().num_active(), 0);
+        assert_eq!(session.traffic().num_pairs(), 0);
         let recovery = session.recovery_stats();
         assert!(recovery.unplaceable_vms > 0);
         assert!(

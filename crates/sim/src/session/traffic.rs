@@ -130,13 +130,13 @@ impl Session {
     /// Applies a batch of absolute-rate traffic updates **in place**,
     /// without resetting the clock, ring, or report accumulators: each
     /// `(u, v, new_rate)` entry replaces λ(u, v) (`0` removes the pair;
-    /// duplicates within one batch: the later entry wins). The cluster's
-    /// copy of the rates is patched per changed pair and the cost ledger
-    /// is re-priced per changed pair — no full Eq.-(2) pass, no cluster
-    /// rebuild — so `C_A(t)` reacts to traffic *between* samples at
-    /// O(changed-pairs) cost. This is the path every trace event takes;
-    /// external callers (benches, custom drivers) may invoke it
-    /// directly.
+    /// duplicates within one batch: the later entry wins). The session's
+    /// TM is patched per pair, the cluster drops the memoized NIC loads
+    /// of the changed pairs' hosts and the cost ledger is re-priced per
+    /// changed pair — no full Eq.-(2) pass, no cluster rebuild — so
+    /// `C_A(t)` reacts to traffic *between* samples at O(changed-pairs)
+    /// cost. This is the path every trace event takes; external callers
+    /// (benches, custom drivers) may invoke it directly.
     ///
     /// Returns the number of pairs whose rate actually changed.
     ///
@@ -228,8 +228,8 @@ impl Session {
         Ok(())
     }
 
-    /// Lands a staged, non-empty delta on the cluster, the ledger, the
-    /// session's TM and whoever is listening.
+    /// Lands a staged, non-empty delta on the session's TM and tells the
+    /// cluster, the ledger and whoever is listening.
     fn commit_deltas(&mut self, scratch: &DeltaScratch) {
         let DeltaScratch { canon, changes } = scratch;
         self.cluster.patch_traffic(changes);
@@ -260,9 +260,9 @@ impl Session {
 
     /// Applies a uniform `ScaleAll` traffic shift: every live pair's
     /// rate is multiplied by `factor`, saturating at `f64::MAX`. `C_A` is
-    /// linear in `λ`, so nothing is re-priced pair by pair: the traffic
-    /// stores take the factor as a pending multiplier their reads fold
-    /// in, the cluster's memoized host NIC loads and the cost ledger with
+    /// linear in `λ`, so nothing is re-priced pair by pair: the TM takes
+    /// the factor as a pending multiplier its reads fold in, the
+    /// cluster's memoized host NIC loads and the cost ledger with
     /// its shards are multiplied through — O(servers + racks), the same
     /// whether 10² or 10⁷ pairs are live. This is the only way a session
     /// scales: compiled trace batches, raw `ScaleAll` events and the
@@ -365,10 +365,11 @@ impl Session {
     /// scripts them). The session rebinds to the segment's initial TM
     /// **in place**: clock, queue, ring and report accumulators restart
     /// (segment *i* is reseeded with `scenario.seed + i`), the
-    /// allocation carries over, the cluster takes the new rates and the
-    /// cost ledger is re-priced over the changed pairs only; then the
-    /// segment's delta batches are scheduled. Returns
-    /// `false` when no segments remain (including on static workloads).
+    /// allocation carries over, the segment's TM becomes the session's,
+    /// the cluster drops its memoized NIC loads and the cost ledger is
+    /// re-priced over the changed pairs only; then the segment's delta
+    /// batches are scheduled. Returns `false` when no segments remain
+    /// (including on static workloads).
     ///
     /// # Errors
     ///
@@ -400,10 +401,19 @@ impl Session {
         // Counters mirror per-segment accumulators about to reset; flush
         // the unpublished tail first so totals stay monotonic.
         self.publish_obs(now_s);
+        // Forecaster state restarts with the segment, like ring and
+        // policy state do (the new clock starts at 0); the oracle reads
+        // ahead into the segment, before its TM moves into the session.
+        if let Some(f) = &mut self.forecaster {
+            f.as_dyn_mut().prime(&seg.initial, 0.0);
+            if let SessionForecaster::Oracle(oracle) = f {
+                oracle.load_segment(&seg);
+            }
+        }
         // The recording clock keeps running across the rebind even
         // though the event clock restarts; the wholesale re-rate is
         // captured as a marker + per-pair deltas at the boundary.
-        let old_traffic = std::mem::replace(&mut self.traffic, seg.initial.clone());
+        let old_traffic = std::mem::replace(&mut self.traffic, seg.initial);
         self.recording.log(now_s, |rec, at_s| {
             rec.record_rebind(at_s, "rebind", &old_traffic, &self.traffic);
         });
@@ -414,15 +424,6 @@ impl Session {
             &self.traffic,
             self.cluster.topo(),
         );
-        // Forecaster state restarts with the segment, like ring and
-        // policy state do (the new clock starts at 0); the oracle reads
-        // ahead into the freshly bound segment.
-        if let Some(f) = &mut self.forecaster {
-            f.as_dyn_mut().prime(&self.traffic, 0.0);
-            if let SessionForecaster::Oracle(oracle) = f {
-                oracle.load_segment(&seg);
-            }
-        }
         let seed = self.scenario.seed.wrapping_add(self.segment_index);
         self.ring = build_ring(&self.scenario, &self.model, seed, self.traffic.num_vms());
         self.rng = StdRng::seed_from_u64(seed);

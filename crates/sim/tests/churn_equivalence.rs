@@ -24,10 +24,10 @@
 //!   Eq.-(2) pass over the reference-rebuilt matrix, with zero resyncs;
 //! * `PairTraffic::check_invariants` holds on the session's store
 //!   (sorted peer lists, bit-equal twin rows, `live` and the running
-//!   total re-derivable), and `Cluster::check_invariants` on its cluster
+//!   total re-derivable), and `Session::check_invariants` on the rest
 //!   (usage = the hosted specs, within capacity; memoised external loads
-//!   = a fresh sum; down hosts empty; one VM count) — in debug builds,
-//!   which carry the checks.
+//!   = a fresh sum; down hosts empty; one VM count; the ledger exact;
+//!   the token = the live VMs) — in debug builds, which carry the checks.
 //!
 //! Running sums keep float residue proportional to the largest values
 //! they ever carried, so from the first scale on the relative bounds
@@ -159,7 +159,7 @@ fn check_equivalence(session: &Session, reference: &Reference, floor: f64) {
     for (s, &expect) in expect.iter().enumerate() {
         let got = session
             .cluster()
-            .host_external_load(ServerId::new(s as u32));
+            .host_external_load(session.traffic(), ServerId::new(s as u32));
         assert!(
             (got - expect).abs() <= 1e-9 * expect.max(floor),
             "srv{s} external load {got} diverged from reference {expect}"
@@ -256,13 +256,13 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
         peak = peak.max(max_rate(&reference));
         let floor = if scaled { peak } else { 1.0 };
         check_equivalence(&session, &reference, floor);
-        // The store's and the cluster's own invariants (debug builds
+        // The store's and the session's own invariants (debug builds
         // carry the checks).
         #[cfg(debug_assertions)]
         {
             peak_total = peak_total.max(session.traffic().total_rate());
             session.traffic().check_invariants(peak_total);
-            session.cluster().check_invariants();
+            session.check_invariants();
         }
     }
 }

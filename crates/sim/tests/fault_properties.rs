@@ -12,8 +12,8 @@
 //! * no migration — voluntary or forced — ever lands a VM on a host
 //!   that was down at decision time, and the final placement keeps
 //!   every live VM on a live host;
-//! * `Cluster::check_invariants` holds after every operation (debug
-//!   builds, which carry the check).
+//! * `Session::check_invariants` (cluster, ledger and token accounts)
+//!   holds after every operation (debug builds, which carry the check).
 
 use proptest::prelude::*;
 use score_sim::{PolicyKind, RunReport, Scenario, Session};
@@ -174,10 +174,10 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
                 }
             }
         }
-        // Capacity, NIC cache, down hosts and VM counts after every op
-        // (debug builds carry the check).
+        // Capacity, NIC cache, down hosts, VM counts, ledger and token
+        // after every op (debug builds carry the check).
         #[cfg(debug_assertions)]
-        session.cluster().check_invariants();
+        session.check_invariants();
     }
     session.run_to_horizon();
     assert_cost_exact(&session);
