@@ -432,20 +432,6 @@ impl TokenRing {
         ctx: &OutlookContext<'_>,
     ) -> Option<StepOutcome> {
         let outcome = self.step_with(cluster, traffic, ctx)?;
-        if let Some(target) = outcome.decision.target {
-            // Sharded ledgers re-attribute the moved VM's pair costs to
-            // the racks on the migration's path — O(degree), a no-op
-            // when sharding is off. The authoritative total still
-            // absorbs the engine's own Lemma-3 gain below, unchanged.
-            ledger.apply_migration_shards(
-                outcome.holder,
-                outcome.source,
-                target,
-                cluster.allocation(),
-                traffic,
-                cluster.topo(),
-            );
-        }
         ledger.apply_gain(outcome.decision.gain);
         Some(outcome)
     }

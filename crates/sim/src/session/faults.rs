@@ -127,7 +127,6 @@ impl Session {
                         // bandwidth threshold is waived (liveness over
                         // NIC headroom — the SLO clock records the
                         // degradation instead).
-                        let from = self.cluster.allocation().server_of(vm);
                         let gain = self.model.migration_delta(
                             vm,
                             target,
@@ -141,14 +140,6 @@ impl Session {
                                 server: target,
                                 source,
                             })?;
-                        self.ledger.apply_migration_shards(
-                            vm,
-                            from,
-                            target,
-                            self.cluster.allocation(),
-                            &self.traffic,
-                            self.cluster.topo(),
-                        );
                         self.ledger.apply_gain(gain);
                         self.seg.recovery.evacuations += 1;
                         outcome.evacuated.push((vm, target));

@@ -225,11 +225,7 @@ impl Session {
         )?;
         let model = CostModel::new(scenario.engine.weights());
         let ring = build_ring(&scenario, &model, scenario.seed, traffic.num_vms());
-        let mut ledger = model.ledger(cluster.allocation(), &traffic, cluster.topo());
-        // Per-rack/zone cost partials ride along for hierarchical
-        // observability; the ledger's authoritative total (and thus
-        // every reported cost) keeps its own byte-identical arithmetic.
-        ledger.enable_sharding(cluster.allocation(), &traffic, cluster.topo());
+        let ledger = model.ledger(cluster.allocation(), &traffic, cluster.topo());
 
         let mut session = Session {
             horizon_s: segment.map_or(scenario.timing.t_end_s, |s| s.duration_s),
@@ -568,12 +564,6 @@ impl Session {
             token.len(),
             self.cluster.num_active()
         );
-    }
-
-    /// Absolute drift between the merged shard sample and the
-    /// authoritative ledger total (pinned ≤ 1e-9 relative by tests).
-    pub fn shard_drift(&self) -> f64 {
-        self.ledger.shard_drift()
     }
 
     /// One [`Session::step`] if the next pending event fires at or

@@ -217,22 +217,24 @@ fn ledger_sampling_matches_full_recomputation() {
 }
 
 #[test]
-fn shard_rollups_stay_coherent_through_a_run() {
-    // The sharded ledger's per-zone partials must keep summing to
-    // the authoritative total through migrations and sampling.
+fn ledger_matches_a_full_pass_after_an_hlf_run() {
+    // Every migration of an HLF run to the horizon is folded in as its
+    // Lemma-3 gain alone; the running total must land on Eq. (2).
     let mut session = quick_scenario(PolicyKind::HighestLevelFirst, 23)
         .session()
         .unwrap();
     session.run_to_horizon();
+    assert!(!session.report().migrations.is_empty());
+    let fresh = session.cost_model().total_cost(
+        session.cluster().allocation(),
+        session.traffic(),
+        session.cluster().topo(),
+    );
     let total = session.current_cost();
     assert!(
-        session.shard_drift() <= 1e-9 * total.abs().max(1.0),
-        "shard drift {} after a full run (total {total})",
-        session.shard_drift()
+        (total - fresh).abs() <= 1e-9 * fresh.max(1.0),
+        "ledger {total} vs a full pass {fresh} after an HLF run"
     );
-    let zones = session.cluster().topo().num_zones() as u32;
-    let zone_sum: f64 = (0..zones).map(|z| session.ledger.zone_cost(z)).sum();
-    assert!((zone_sum - total).abs() <= 1e-9 * total.abs().max(1.0));
 }
 
 #[test]
@@ -395,7 +397,6 @@ fn traffic_scale_matches_expanded_deltas() {
     let close = |fast: &Session, slow: &Session| {
         let (cf, cs) = (fast.current_cost(), slow.current_cost());
         assert!((cf - cs).abs() <= 1e-9 * cs.abs().max(1.0), "{cf} vs {cs}");
-        assert!(fast.shard_drift() <= 1e-9 * cf.abs().max(1.0));
         // The memoized external loads the scale multiplied through
         // equal a from-scratch sum over the reference's rates.
         let alloc = fast.cluster().allocation();
@@ -493,7 +494,6 @@ fn ten_thousand_scales_around_a_cycle_leave_no_drift() {
     ] {
         assert!(drifted.abs() <= 1e-9 * cost, "ledger drifted by {drifted}");
     }
-    assert!(session.shard_drift() <= 1e-9 * cost);
     assert_eq!(session.ledger_resyncs(), 0);
     assert_eq!(session.trace_stats().events_applied, 10_000);
 }

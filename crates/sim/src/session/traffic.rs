@@ -262,8 +262,8 @@ impl Session {
     /// rate is multiplied by `factor`, saturating at `f64::MAX`. `C_A` is
     /// linear in `λ`, so nothing is re-priced pair by pair: the TM takes
     /// the factor as a pending multiplier its reads fold in, the
-    /// cluster's memoized host NIC loads and the cost ledger with
-    /// its shards are multiplied through — O(servers + racks), the same
+    /// cluster's memoized host NIC loads and the cost ledger are
+    /// multiplied through — O(servers), the same
     /// whether 10² or 10⁷ pairs are live. This is the only way a session
     /// scales: compiled trace batches, raw `ScaleAll` events and the
     /// daemon all land here, a recorder logs the event itself, and a
