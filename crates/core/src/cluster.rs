@@ -697,8 +697,9 @@ impl Cluster {
         }
     }
 
-    /// Replaces the allocation wholesale (used by centralized baselines),
-    /// re-deriving usage.
+    /// Replaces the allocation wholesale, re-deriving usage and dropping
+    /// every memoised load. Only tests call it; no baseline replaces a
+    /// cluster's allocation.
     ///
     /// # Errors
     ///

@@ -374,7 +374,10 @@ fn forecasting_sweeps_are_thread_count_invariant() {
 
 /// An active flash-crowd oracle run pre-empts spikes without ever
 /// paying a full ledger resync — the outlook path reads ahead, it
-/// never mutates.
+/// never mutates. A pre-emptive migration folds in its *current-TM*
+/// gain (possibly ≤ 0), so in debug builds every account is checked
+/// after every hold: a mis-absorbed gain or a NIC load left stale by a
+/// forecast move fails at the hold that caused it.
 #[test]
 fn forecasting_never_dirties_the_ledger() {
     let mut scenario = quick_scenario(
@@ -399,8 +402,16 @@ fn forecasting_never_dirties_the_ledger() {
     };
     scenario.forecast = ForecastSpec::TraceOracle { horizon_s: 12.0 };
     let mut session = scenario.session().unwrap();
-    session.run_to_horizon();
+    while session.step().is_some() {
+        #[cfg(debug_assertions)]
+        session.check_invariants();
+    }
+    assert!(session.horizon_reached());
     assert!(session.report().trace.events_applied > 0);
+    assert!(
+        session.report().forecast.preempted > 0,
+        "the run must take the pre-emptive path it checks"
+    );
     assert_eq!(
         session.ledger_resyncs(),
         0,

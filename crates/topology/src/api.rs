@@ -181,10 +181,10 @@ pub trait Topology: fmt::Debug + Send + Sync {
 
     /// Number of aggregation *zones* — the subtrees one level above
     /// racks (aggregation groups in the canonical tree, pods in the
-    /// fat-tree). Zones key hierarchical rollups (sharded cost ledgers,
-    /// per-subtree rate aggregates) so large-cluster bookkeeping can
-    /// touch O(zones-on-path) state instead of O(cluster). Topologies
-    /// without an aggregation layer report a single zone.
+    /// fat-tree). The decision kernel buckets a VM's peer rates by zone
+    /// (one accumulator per zone on the path), so a decision touches
+    /// O(zones) state instead of O(cluster). Topologies without an
+    /// aggregation layer report a single zone.
     fn num_zones(&self) -> usize {
         1
     }
