@@ -28,6 +28,8 @@ use crate::view::{combine_bucketed, LocalView, RankEntry};
 /// cutoff can never change a decision — it is chosen from the candidate
 /// count the code already has, not from configuration. Both sides carry
 /// benchmark traffic; the measured split is in `docs/ARCHITECTURE.md`.
+/// Public for the model suite, which checks that holds land on both sides.
+#[doc(hidden)]
 pub const KERNEL_MIN_CANDIDATES: usize = 12;
 
 /// Tunables of the S-CORE migration decision.
@@ -171,7 +173,7 @@ impl ScoreEngine {
     /// and on topologies exposing [`score_topology::LevelBuckets`] the
     /// `after` term only depends on how much peer rate sits on the
     /// candidate's host, rack and zone. With at least
-    /// [`KERNEL_MIN_CANDIDATES`] candidates, one pass over the peers
+    /// `KERNEL_MIN_CANDIDATES` (12) candidates, one pass over the peers
     /// accumulates `before` plus per-host/rack/zone rate sums into the
     /// epoch-stamped [`KernelScratch`], and each candidate is scored
     /// from ≤ L bucket reads — O(peers + candidates·L). Below the cutoff
@@ -183,8 +185,8 @@ impl ScoreEngine {
     /// Per-bucket sums accumulate the same peer subsequences in the
     /// same order as the decomposed `delta_for`, and both scorers share
     /// `combine_bucketed`, so the scores — and therefore the decision —
-    /// are bit-identical on both sides of the cutoff and to
-    /// [`ScoreEngine::decide_reference`].
+    /// are bit-identical on both sides of the cutoff. The oracle is the
+    /// naive model of `crates/sim/tests/model.rs`.
     pub fn decide(
         &self,
         view: &LocalView,
@@ -203,7 +205,7 @@ impl ScoreEngine {
         let buckets = topo
             .level_buckets()
             .filter(|_| candidates.len() >= KERNEL_MIN_CANDIDATES);
-        let (best, evaluated, rejected) = if let Some(buckets) = buckets {
+        let (best, rejected) = if let Some(buckets) = buckets {
             scratch.ensure_topology(topo);
             scratch.begin();
             let mut before = 0.0;
@@ -235,14 +237,33 @@ impl ScoreEngine {
                 view.delta_for(target, weights, topo)
             })
         };
+        let evaluated = candidates.len();
         scratch.candidates = candidates;
-        self.finish_decision(best, evaluated, rejected, view, current, cluster)
+        // The ledger needs the *actual* delta of the accepted move;
+        // whether the current TM alone would have justified it decides
+        // pre-emptive vs reactive.
+        let (gain, preemptive) = match (best, current) {
+            (Some((target, _)), Some(now)) => {
+                let actual = now.delta_for(target, weights, topo);
+                (actual, actual <= self.config.migration_cost)
+            }
+            (Some((_, predicted)), None) => (predicted, false),
+            (None, _) => (0.0, false),
+        };
+        MigrationDecision {
+            vm: view.vm,
+            target: best.map(|(s, _)| s),
+            gain,
+            predicted_gain: best.map_or(0.0, |(_, g)| g),
+            preemptive,
+            evaluated,
+            rejected_capacity: rejected,
+        }
     }
 
     /// The candidate loop of [`ScoreEngine::decide`]: probe each ranked
     /// candidate for capacity, score the feasible ones with `score`, and
-    /// track the largest `ΔC` above `c_m`. Returns `(best, evaluated,
-    /// rejected)`.
+    /// track the largest `ΔC` above `c_m`. Returns `(best, rejected)`.
     #[inline]
     fn probe_candidates(
         &self,
@@ -251,7 +272,7 @@ impl ScoreEngine {
         cluster: &Cluster,
         traffic: &PairTraffic,
         mut score: impl FnMut(ServerId) -> f64,
-    ) -> (Option<(ServerId, f64)>, usize, usize) {
+    ) -> (Option<(ServerId, f64)>, usize) {
         let mut best: Option<(ServerId, f64)> = None;
         let mut rejected = 0;
         for &(target, ..) in candidates {
@@ -267,78 +288,7 @@ impl ScoreEngine {
                 best = Some((target, delta));
             }
         }
-        (best, candidates.len(), rejected)
-    }
-
-    /// The oracle [`ScoreEngine::decide`] is pinned bit-identical to by
-    /// proptest (`tests/decision_kernel.rs`): allocate the ranked
-    /// candidate list, then sweep [`LocalView::delta_for`] per
-    /// candidate. It keeps a candidate loop of its own so it shares no
-    /// control flow with what it checks; nothing on a production path
-    /// calls it.
-    pub fn decide_reference(
-        &self,
-        view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-        traffic: &PairTraffic,
-    ) -> MigrationDecision {
-        let mut candidates = Vec::new();
-        view.rank_candidates_into(&mut candidates);
-        if let Some(cap) = self.config.max_candidates {
-            candidates.truncate(cap);
-        }
-        let mut best: Option<(ServerId, f64)> = None;
-        let mut evaluated = 0;
-        let mut rejected = 0;
-        for (target, ..) in candidates {
-            evaluated += 1;
-            if cluster
-                .can_host(traffic, target, view.vm, self.config.bandwidth_threshold)
-                .is_err()
-            {
-                rejected += 1;
-                continue;
-            }
-            let delta = view.delta_for(target, self.cost.weights(), cluster.topo());
-            if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
-                best = Some((target, delta));
-            }
-        }
-        self.finish_decision(best, evaluated, rejected, view, current, cluster)
-    }
-
-    /// Shared tail of [`ScoreEngine::decide`] and the oracle: current-TM
-    /// gain, pre-emptive flag and the assembled [`MigrationDecision`].
-    fn finish_decision(
-        &self,
-        best: Option<(ServerId, f64)>,
-        evaluated: usize,
-        rejected: usize,
-        decision_view: &LocalView,
-        current: Option<&LocalView>,
-        cluster: &Cluster,
-    ) -> MigrationDecision {
-        let (gain, preemptive) = match (best, current) {
-            (Some((target, _)), Some(view)) => {
-                // The ledger needs the *actual* delta of the accepted
-                // move; whether the current TM alone would have
-                // justified it decides pre-emptive vs reactive.
-                let actual = view.delta_for(target, self.cost.weights(), cluster.topo());
-                (actual, actual <= self.config.migration_cost)
-            }
-            (Some((_, predicted)), None) => (predicted, false),
-            (None, _) => (0.0, false),
-        };
-        MigrationDecision {
-            vm: decision_view.vm,
-            target: best.map(|(s, _)| s),
-            gain,
-            predicted_gain: best.map_or(0.0, |(_, g)| g),
-            preemptive,
-            evaluated,
-            rejected_capacity: rejected,
-        }
+        (best, rejected)
     }
 }
 

@@ -96,7 +96,7 @@ pub mod view;
 pub use allocation::Allocation;
 pub use cluster::{Cluster, ClusterError};
 pub use cost::{level_breakdown, CostModel};
-pub use engine::{MigrationDecision, ScoreConfig, ScoreEngine, KERNEL_MIN_CANDIDATES};
+pub use engine::{MigrationDecision, ScoreConfig, ScoreEngine};
 pub use ledger::CostLedger;
 pub use netload::LinkLoadMap;
 pub use outlook::{OutlookContext, TrafficOutlook};

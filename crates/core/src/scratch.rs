@@ -199,6 +199,13 @@ mod tests {
         assert_eq!(k.host_sum(ServerId::new(3)), 0.0, "new epoch, clean slate");
         assert_eq!(k.rack_sum(1), 0.0);
         assert_eq!(k.zone_sum(0), 0.0);
+        // A larger fabric under the same scratch: its new slots start
+        // clean and the old ones stay stale.
+        k.ensure_topology(&CanonicalTree::paper_default());
+        k.begin();
+        k.add_host(ServerId::new(100), 1.0);
+        assert_eq!(k.host_sum(ServerId::new(100)), 1.0);
+        assert_eq!(k.host_sum(ServerId::new(3)), 0.0);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! time-averaged communication cost and reporting how many migrations
 //! the forecast pre-empted.
 
-use score_sim::{ForecastSpec, PolicyKind, RunReport, Scenario, ScenarioMatrix, TraceSpec};
+use score_sim::{
+    ForecastSpec, PolicyKind, RunReport, Scenario, ScenarioMatrix, TopologySpec, TraceSpec,
+};
 use score_trace::{DiurnalShape, FlashCrowdShape};
 use score_traffic::TrafficIntensity;
 use std::fmt::Write as _;
@@ -66,28 +68,41 @@ pub fn policies() -> [PolicyKind; 4] {
     ]
 }
 
+/// The two forecast modes each shape runs under: reactive, and exact
+/// lookahead an eighth of the horizon ahead.
+fn modes(horizon_s: f64) -> [(&'static str, ForecastSpec); 2] {
+    let oracle = ForecastSpec::TraceOracle {
+        horizon_s: horizon_s / 8.0,
+    };
+    [("none", ForecastSpec::None), ("oracle", oracle)]
+}
+
+/// The scenario of one shape × mode cell (before the policy sweep). At
+/// paper scale the fabric is the paper's 2,560-host canonical tree: the
+/// default 160-host tree cannot hold 5,120 VMs.
+fn scenario(spec: &TraceSpec, forecast: ForecastSpec, paper_scale: bool) -> Scenario {
+    let topology = match paper_scale {
+        true => TopologySpec::paper_canonical(),
+        false => TopologySpec::small_canonical(),
+    };
+    Scenario::builder()
+        .topology(topology)
+        .trace(spec.clone())
+        .forecast(forecast)
+        .seed(97)
+        .build()
+}
+
 fn run_shape(
     shape_name: &'static str,
     spec: TraceSpec,
-    horizon_s: f64,
+    (horizon_s, paper_scale): (f64, bool),
     points: &mut Vec<DynamicPoint>,
     csv: &mut String,
     summary: &mut String,
 ) {
-    for (mode, forecast) in [
-        ("none", ForecastSpec::None),
-        (
-            "oracle",
-            ForecastSpec::TraceOracle {
-                horizon_s: horizon_s / 8.0,
-            },
-        ),
-    ] {
-        let base = Scenario::builder()
-            .trace(spec.clone())
-            .forecast(forecast)
-            .seed(97)
-            .build();
+    for (mode, forecast) in modes(horizon_s) {
+        let base = scenario(&spec, forecast, paper_scale);
         let results = crate::run_matrix(ScenarioMatrix::new(base).policies(policies()))
             .expect("trace scenarios materialize");
         results
@@ -166,10 +181,8 @@ fn run_shape(
     }
 }
 
-/// Runs both trace shapes across the policies, reactive and
-/// forecast-aware, and writes `ext_dynamic.csv` (plus one matrix JSON
-/// per shape × mode).
-pub fn run(paper_scale: bool) -> (Vec<DynamicPoint>, String) {
+/// The trace shapes `run` replays and their horizon.
+fn shapes(paper_scale: bool) -> ([(&'static str, TraceSpec); 2], f64) {
     let num_vms: u32 = if paper_scale { 5120 } else { 256 };
     let horizon = if paper_scale { 700.0 } else { 300.0 };
     let diurnal = TraceSpec::Diurnal {
@@ -195,7 +208,24 @@ pub fn run(paper_scale: bool) -> (Vec<DynamicPoint>, String) {
             horizon_s: horizon,
         },
     };
+    ([("diurnal", diurnal), ("flash-crowd", flash)], horizon)
+}
 
+/// Every scenario `run` materializes, one per shape × mode.
+#[cfg(test)]
+pub(crate) fn scenarios(paper_scale: bool) -> Vec<Scenario> {
+    let (shapes, horizon) = shapes(paper_scale);
+    let cells = shapes.iter().flat_map(|(_, spec)| {
+        modes(horizon).map(|(_, forecast)| scenario(spec, forecast, paper_scale))
+    });
+    cells.collect()
+}
+
+/// Runs both trace shapes across the policies, reactive and
+/// forecast-aware, and writes `ext_dynamic.csv` (plus one matrix JSON
+/// per shape × mode).
+pub fn run(paper_scale: bool) -> (Vec<DynamicPoint>, String) {
+    let (shapes, horizon) = shapes(paper_scale);
     let mut points = Vec::new();
     let mut csv = String::from(
         "shape,forecast,policy,initial_cost,mean_cost,final_cost,migrations,preempted,\
@@ -204,22 +234,10 @@ pub fn run(paper_scale: bool) -> (Vec<DynamicPoint>, String) {
     let mut summary = String::from(
         "Extension — policy rankings under time-varying traffic, reactive vs forecast-aware\n",
     );
-    run_shape(
-        "diurnal",
-        diurnal,
-        horizon,
-        &mut points,
-        &mut csv,
-        &mut summary,
-    );
-    run_shape(
-        "flash-crowd",
-        flash,
-        horizon,
-        &mut points,
-        &mut csv,
-        &mut summary,
-    );
+    for (name, spec) in shapes {
+        let scale = (horizon, paper_scale);
+        run_shape(name, spec, scale, &mut points, &mut csv, &mut summary);
+    }
     let _ = writeln!(
         summary,
         "  (every delta is applied in place between token holds; the oracle forecaster \

@@ -114,23 +114,20 @@ fn run_cell(scenario: &Scenario, storm: &[TimedEvent]) -> (score_sim::RunReport,
     (session.report(), per_fault_us)
 }
 
+/// The scenario every storm cell starts from, before its policy and
+/// horizon are set.
+pub(crate) fn scenario(paper_scale: bool) -> Scenario {
+    crate::canonical(TrafficIntensity::Sparse, 97, paper_scale)
+}
+
 /// Runs every severity × policy storm and writes `ext_faults.csv`
 /// (plus one `RunReport` JSON per cell, `recovery` block populated).
 pub fn run(paper_scale: bool) -> (Vec<FaultPoint>, String) {
     let horizon = if paper_scale { 700.0 } else { 240.0 };
-    let (scenario_for, num_servers, num_racks) = if paper_scale {
-        (
-            Scenario::paper_canonical as fn(TrafficIntensity, u64) -> Scenario,
-            2560,
-            512,
-        )
-    } else {
-        (
-            Scenario::small_canonical as fn(TrafficIntensity, u64) -> Scenario,
-            160,
-            32,
-        )
-    };
+    let base = scenario(paper_scale);
+    // Storms are drawn over the fabric's own hosts and racks.
+    let topo = base.topology.build().expect("preset dimensions are valid");
+    let (num_servers, num_racks) = (topo.num_servers() as u32, topo.num_racks() as u32);
 
     let mut points = Vec::new();
     let mut csv = String::from(
@@ -152,7 +149,7 @@ pub fn run(paper_scale: bool) -> (Vec<FaultPoint>, String) {
             storm.len(),
         );
         for policy in policies() {
-            let mut scenario = scenario_for(TrafficIntensity::Sparse, 97);
+            let mut scenario = base.clone();
             scenario.policy = policy;
             scenario.timing = TimingSpec {
                 t_end_s: horizon,

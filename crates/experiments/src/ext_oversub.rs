@@ -12,7 +12,9 @@
 //! sweep is a `ScenarioMatrix` over those specs (the last experiment to
 //! migrate off bespoke topology loops).
 
-use score_sim::{jain_fairness, PolicyKind, Scenario, ScenarioMatrix, UtilizationSnapshot};
+use score_sim::{
+    jain_fairness, PolicyKind, Scenario, ScenarioMatrix, TopologySpec, UtilizationSnapshot,
+};
 use score_topology::LinkCapacities;
 use std::fmt::Write as _;
 
@@ -41,25 +43,23 @@ fn upper_max(snapshot: &UtilizationSnapshot) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs the sweep and writes `ext_oversubscription.csv` plus the
-/// collected `ext_oversub_matrix.json`.
-pub fn run(paper_scale: bool) -> (Vec<OversubPoint>, String) {
+/// The ToR oversubscription ratios swept.
+const RATIOS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
+
+/// The sweep's base scenario and one fabric per oversubscription ratio:
+/// downlink hosts × 1 GbE, uplink sized for the ratio.
+fn sweep(paper_scale: bool) -> (Scenario, Vec<TopologySpec>) {
     let (racks, hosts_per_rack) = if paper_scale { (128, 20) } else { (32, 5) };
-    let ratios = [1.0f64, 2.0, 4.0, 8.0];
-    // Downlink: hosts x 1 GbE; uplink sized for the requested ratio —
-    // one TopologySpec per design point, expanded by the matrix.
     let host_bps = 1e9;
-    let topologies: Vec<_> = ratios
+    let topologies = RATIOS
         .iter()
         .map(|&ratio| {
             let uplink = (f64::from(hosts_per_rack) * host_bps / ratio).max(1e8);
-            score_sim::TopologySpec::canonical(racks, hosts_per_rack).with_capacities(
-                LinkCapacities {
-                    host_bps,
-                    tor_agg_bps: uplink,
-                    agg_core_bps: uplink,
-                },
-            )
+            TopologySpec::canonical(racks, hosts_per_rack).with_capacities(LinkCapacities {
+                host_bps,
+                tor_agg_bps: uplink,
+                agg_core_bps: uplink,
+            })
         })
         .collect();
     let base = Scenario::builder()
@@ -68,6 +68,24 @@ pub fn run(paper_scale: bool) -> (Vec<OversubPoint>, String) {
         .workload_seed(37)
         .horizon(400.0)
         .build();
+    (base, topologies)
+}
+
+/// Every scenario the sweep materializes, one per ratio.
+#[cfg(test)]
+pub(crate) fn scenarios(paper_scale: bool) -> Vec<Scenario> {
+    let (base, topologies) = sweep(paper_scale);
+    let on = |topology| Scenario {
+        topology,
+        ..base.clone()
+    };
+    topologies.into_iter().map(on).collect()
+}
+
+/// Runs the sweep and writes `ext_oversubscription.csv` plus the
+/// collected `ext_oversub_matrix.json`.
+pub fn run(paper_scale: bool) -> (Vec<OversubPoint>, String) {
+    let (base, topologies) = sweep(paper_scale);
     let results = crate::run_matrix(ScenarioMatrix::new(base).topologies(topologies))
         .expect("sweep dimensions are valid");
     results
@@ -82,7 +100,7 @@ pub fn run(paper_scale: bool) -> (Vec<OversubPoint>, String) {
         "  {:>6} {:>17} {:>16} {:>15}",
         "ratio", "max util before", "max util after", "fairness after"
     );
-    for (cell, &ratio) in results.cells.iter().zip(&ratios) {
+    for (cell, &ratio) in results.cells.iter().zip(&RATIOS) {
         // "Before": the same scenario freshly materialized, not run.
         let initial = cell
             .scenario

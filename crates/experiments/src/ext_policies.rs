@@ -25,16 +25,18 @@ pub struct PolicyOutcome {
     pub migrations: usize,
 }
 
+/// The scenario every policy runs.
+pub(crate) fn scenario(paper_scale: bool) -> Scenario {
+    let mut base = crate::canonical(TrafficIntensity::Sparse, 17, paper_scale);
+    base.timing.t_end_s = 500.0;
+    base
+}
+
 /// Runs the comparison (one `ScenarioMatrix` sweep over every policy)
 /// and writes `ext_policy_comparison.csv` plus one collected
 /// `ext_policy_matrix.json`.
 pub fn run(paper_scale: bool) -> (Vec<PolicyOutcome>, String) {
-    let mut base = if paper_scale {
-        Scenario::paper_canonical(TrafficIntensity::Sparse, 17)
-    } else {
-        Scenario::small_canonical(TrafficIntensity::Sparse, 17)
-    };
-    base.timing.t_end_s = 500.0;
+    let base = scenario(paper_scale);
     let results = crate::run_matrix(ScenarioMatrix::new(base).policies(PolicyKind::all()))
         .expect("preset scenarios are feasible");
     results

@@ -27,19 +27,21 @@ pub struct WeightOutcome {
     pub above_rack: f64,
 }
 
+/// The scenario every weighting runs.
+pub(crate) fn scenario(paper_scale: bool) -> Scenario {
+    let mut base = crate::canonical(TrafficIntensity::Sparse, 29, paper_scale);
+    // A horizon that cannot cut the 6 iterations short (the event
+    // queue needs a finite end marker).
+    base.timing.t_end_s = 1e6;
+    base
+}
+
 /// Runs the sweep (one `ScenarioMatrix` over the labeled engine axis,
 /// capped at 6 iterations per cell) and writes
 /// `ext_weight_sensitivity.csv` plus one collected
 /// `ext_weights_matrix.json`.
 pub fn run(paper_scale: bool) -> (Vec<WeightOutcome>, String) {
-    let mut base = if paper_scale {
-        Scenario::paper_canonical(TrafficIntensity::Sparse, 29)
-    } else {
-        Scenario::small_canonical(TrafficIntensity::Sparse, 29)
-    };
-    // A horizon that cannot cut the 6 iterations short (the event
-    // queue needs a finite end marker).
-    base.timing.t_end_s = 1e6;
+    let base = scenario(paper_scale);
 
     let weightings: Vec<(String, LinkWeights)> = vec![
         (

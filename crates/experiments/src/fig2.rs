@@ -20,13 +20,14 @@ pub struct Fig2Result {
     pub series: Vec<(&'static str, Vec<f64>)>,
 }
 
+/// The scenario both policies run, before their timing is set.
+pub(crate) fn scenario(paper_scale: bool) -> Scenario {
+    crate::canonical(TrafficIntensity::Sparse, 7, paper_scale)
+}
+
 /// Runs the experiment and writes `fig2_migration_ratio.csv`.
 pub fn run(paper_scale: bool) -> (Fig2Result, String) {
-    let base = if paper_scale {
-        Scenario::paper_canonical(TrafficIntensity::Sparse, 7)
-    } else {
-        Scenario::small_canonical(TrafficIntensity::Sparse, 7)
-    };
+    let base = scenario(paper_scale);
 
     let topo = base.topology.build().expect("preset dimensions are valid");
     let num_vms = base.workload.num_vms(topo.as_ref()) as f64;

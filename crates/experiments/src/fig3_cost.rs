@@ -33,6 +33,19 @@ pub struct CostRatioCell {
     pub series: Vec<(f64, f64)>,
 }
 
+/// The scenario the intensity × policy sweep expands on `kind`.
+pub(crate) fn scenario(kind: TopologyKind, paper_scale: bool) -> Scenario {
+    let sparse = TrafficIntensity::Sparse;
+    let mut base = match kind {
+        TopologyKind::CanonicalTree => crate::canonical(sparse, 11, paper_scale),
+        TopologyKind::FatTree if paper_scale => Scenario::paper_fattree(sparse, 11),
+        TopologyKind::FatTree => Scenario::small_fattree(sparse, 11),
+        TopologyKind::Star => unreachable!("the figure plots tree fabrics only"),
+    };
+    base.timing.t_end_s = 700.0;
+    base
+}
+
 /// Runs all intensities and policies for one topology: one
 /// `ScenarioMatrix` sweep (intensity × policy), with the GA-optimal
 /// approximation computed once per intensity as the ratio baseline.
@@ -50,18 +63,7 @@ pub fn run(kind: TopologyKind, paper_scale: bool) -> (Vec<CostRatioCell>, String
         kind.name()
     );
 
-    let mut base = match (kind, paper_scale) {
-        (TopologyKind::CanonicalTree, false) => {
-            Scenario::small_canonical(TrafficIntensity::Sparse, 11)
-        }
-        (TopologyKind::CanonicalTree, true) => {
-            Scenario::paper_canonical(TrafficIntensity::Sparse, 11)
-        }
-        (TopologyKind::FatTree, false) => Scenario::small_fattree(TrafficIntensity::Sparse, 11),
-        (TopologyKind::FatTree, true) => Scenario::paper_fattree(TrafficIntensity::Sparse, 11),
-        (TopologyKind::Star, _) => unreachable!("the figure plots tree fabrics only"),
-    };
-    base.timing.t_end_s = 700.0;
+    let base = scenario(kind, paper_scale);
     let results = crate::run_matrix(
         ScenarioMatrix::new(base)
             .intensities(TrafficIntensity::all())

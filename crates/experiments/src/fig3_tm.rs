@@ -24,16 +24,17 @@ pub struct TmStats {
     pub total_gbps: f64,
 }
 
+/// The scenario of one intensity.
+pub(crate) fn scenario(intensity: TrafficIntensity, paper_scale: bool) -> Scenario {
+    crate::canonical(intensity, 7, paper_scale)
+}
+
 /// Runs the experiment, writing one CSV per intensity.
 pub fn run(paper_scale: bool) -> (Vec<(TrafficIntensity, TmStats)>, String) {
     let mut out = Vec::new();
     let mut summary = String::from("Fig. 3a–c — ToR-to-ToR traffic matrices\n");
     for intensity in TrafficIntensity::all() {
-        let scenario = if paper_scale {
-            Scenario::paper_canonical(intensity, 7)
-        } else {
-            Scenario::small_canonical(intensity, 7)
-        };
+        let scenario = self::scenario(intensity, paper_scale);
         let session = scenario.session().expect("preset scenario is feasible");
         let racks = session.topo().num_racks();
         let alloc = session.cluster().allocation();

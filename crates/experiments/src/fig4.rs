@@ -40,13 +40,14 @@ pub fn cm_from_remedy_bytes(bytes: f64, model: &CostModel, window_s: f64) -> f64
     rate_bps * model.weights().pair_cost_per_unit(Level::RACK)
 }
 
+/// The scenario S-CORE and Remedy both start from.
+pub(crate) fn scenario(paper_scale: bool) -> Scenario {
+    crate::canonical(TrafficIntensity::Sparse, 23, paper_scale)
+}
+
 /// Runs the comparison and writes the Fig. 4a/4b CSVs.
 pub fn run(paper_scale: bool) -> (Fig4Result, String) {
-    let scenario = if paper_scale {
-        Scenario::paper_canonical(TrafficIntensity::Sparse, 23)
-    } else {
-        Scenario::small_canonical(TrafficIntensity::Sparse, 23)
-    };
+    let scenario = self::scenario(paper_scale);
     let model = CostModel::paper_default();
     let remedy_cfg = RemedyConfig::paper_default();
     let migration_bytes = Remedy::new(remedy_cfg).migration_bytes();

@@ -46,6 +46,8 @@ pub mod fig5a;
 pub mod fig5b;
 pub mod fig5cd;
 
+use score_sim::Scenario;
+use score_traffic::TrafficIntensity;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -88,6 +90,16 @@ pub fn write_report(name: &str, report: &score_sim::RunReport) -> PathBuf {
     report
         .write_json(&results_dir(), name)
         .expect("write run report")
+}
+
+/// The canonical-tree preset at CI scale (32 × 5 hosts) or at paper
+/// scale (128 × 20).
+pub(crate) fn canonical(intensity: TrafficIntensity, seed: u64, paper_scale: bool) -> Scenario {
+    if paper_scale {
+        Scenario::paper_canonical(intensity, seed)
+    } else {
+        Scenario::small_canonical(intensity, seed)
+    }
 }
 
 /// True when the `--paper-scale` flag (or `SCORE_PAPER_SCALE=1`) asks for
@@ -208,6 +220,33 @@ mod tests {
         let t = kv_table(&[("a", "1".into()), ("long-key", "2".into())]);
         assert!(t.contains("a         1"));
         assert!(t.contains("long-key  2"));
+    }
+
+    /// Every experiment's `--paper-scale` scenarios build their fabric,
+    /// workload and cluster (nothing runs), so a population that no
+    /// longer fits its fabric fails here in seconds instead of minutes
+    /// into `all --paper-scale`.
+    #[test]
+    fn paper_scale_materializes() {
+        use score_sim::TopologyKind;
+        use score_traffic::TrafficIntensity;
+        let mut scenarios = ext_dynamic::scenarios(true);
+        scenarios.extend(ext_oversub::scenarios(true));
+        scenarios.extend(TrafficIntensity::all().map(|i| fig3_tm::scenario(i, true)));
+        scenarios.extend([
+            ext_faults::scenario(true),
+            ext_policies::scenario(true),
+            ext_weights::scenario(true),
+            fig2::scenario(true),
+            fig3_cost::scenario(TopologyKind::CanonicalTree, true),
+            fig3_cost::scenario(TopologyKind::FatTree, true),
+            fig4::scenario(true),
+        ]);
+        for scenario in scenarios {
+            if let Err(e) = scenario.session() {
+                panic!("{:?} does not materialize: {e}", scenario.topology);
+            }
+        }
     }
 
     #[test]

@@ -980,7 +980,9 @@ impl EngineSpec {
     /// Checks the invariants a deserialized or flag-built spec might
     /// violate: the decision parameters must be finite (the JSON writer
     /// renders non-finite floats as `null`, which would make an emitted
-    /// spec impossible to reload).
+    /// spec impossible to reload), and none may silently disable S-CORE
+    /// — a bandwidth threshold ≤ 0 admits no target and a zero candidate
+    /// cap probes none, so either would load and never migrate.
     pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         let score = self.score();
         if !score.migration_cost.is_finite() {
@@ -989,11 +991,16 @@ impl EngineSpec {
                 score.migration_cost
             )));
         }
-        if !score.bandwidth_threshold.is_finite() {
+        if !score.bandwidth_threshold.is_finite() || score.bandwidth_threshold <= 0.0 {
             return Err(ScenarioError::Engine(format!(
-                "bandwidth threshold must be finite, got {}",
+                "bandwidth threshold must be positive and finite, got {}",
                 score.bandwidth_threshold
             )));
+        }
+        if score.max_candidates == Some(0) {
+            return Err(ScenarioError::Engine(
+                "the candidate cap must allow at least one candidate".into(),
+            ));
         }
         Ok(())
     }

@@ -193,9 +193,32 @@ fn bad_timing_is_an_error_not_a_hang() {
 #[test]
 fn non_finite_engine_params_are_an_error() {
     use s_core::sim::ScenarioError;
-    let mut scenario = quick(PolicyKind::RoundRobin, TopologySpec::small_canonical());
-    scenario.engine = EngineSpec::Paper.with_migration_cost(f64::NAN);
-    assert!(matches!(scenario.session(), Err(ScenarioError::Engine(_))));
+    let paper = s_core::core::ScoreConfig::paper_default();
+    let with = |score| {
+        let mut engine = EngineSpec::custom();
+        if let EngineSpec::Custom { score: s, .. } = &mut engine {
+            *s = score;
+        }
+        engine
+    };
+    for engine in [
+        EngineSpec::Paper.with_migration_cost(f64::NAN),
+        // Valid floats that would load and then never migrate.
+        with(paper.with_bandwidth_threshold(0.0)),
+        with(paper.with_bandwidth_threshold(-0.5)),
+        with(s_core::core::ScoreConfig {
+            max_candidates: Some(0),
+            ..paper
+        }),
+    ] {
+        let mut scenario = quick(PolicyKind::RoundRobin, TopologySpec::small_canonical());
+        scenario.engine = engine.clone();
+        let result = scenario.session();
+        assert!(
+            matches!(result, Err(ScenarioError::Engine(_))),
+            "{engine:?} must be refused"
+        );
+    }
 }
 
 /// The builder's canonical-tree derivation must always pick a valid
