@@ -1,8 +1,9 @@
 //! Forecast-aware baselines: running the centralized algorithms on the
 //! *predicted* traffic matrix.
 //!
-//! The token-ring pipeline became forecast-aware through the
-//! `TrafficOutlook` layer in `score_core`; the centralized baselines
+//! The token-ring pipeline became forecast-aware through the expected
+//! per-peer rates `score_core::OutlookContext` fills into each token
+//! holder's view; the centralized baselines
 //! (Remedy, the GA, the exhaustive search) need no such surgery —
 //! every one of them ranks placements against a `PairTraffic`, so
 //! handing them `score_traffic::predicted_traffic` (each current pair

@@ -32,7 +32,7 @@ fn bench_ablations(c: &mut Criterion) {
                         &traffic,
                         cluster.topo(),
                     );
-                    engine.decide(&view, None, &cluster, &traffic, &mut scratch)
+                    engine.decide(&view, &cluster, &traffic, &mut scratch)
                 })
             },
         );
@@ -55,7 +55,7 @@ fn bench_ablations(c: &mut Criterion) {
                         &traffic,
                         cluster.topo(),
                     );
-                    engine.decide(&view, None, &cluster, &traffic, &mut scratch)
+                    engine.decide(&view, &cluster, &traffic, &mut scratch)
                 })
             },
         );

@@ -89,7 +89,7 @@ pub struct MigrationDecision {
     /// pre-emptive move it can be at or below `c_m` (even negative):
     /// the payoff is expected at the horizon, not now.
     pub gain: f64,
-    /// `ΔC` of the chosen target under the outlook's *expected* rates —
+    /// `ΔC` of the chosen target under the view's *expected* rates —
     /// what the decision was actually ranked on. Equals `gain` for
     /// reactive (no-forecast) decisions.
     pub predicted_gain: f64,
@@ -158,13 +158,12 @@ impl ScoreEngine {
     /// and current `traffic`; among the feasible ones the largest `ΔC`
     /// wins, provided it exceeds `c_m` (Theorem 1).
     ///
-    /// `current` is `None` for a reactive decision: `view` *is* the
-    /// current view and this is bit-for-bit the paper's procedure. With
-    /// a forecast, `view` carries the expected (peak-envelope) rates
-    /// that selection and acceptance run on, and `current` supplies the
-    /// landed rates: [`MigrationDecision::gain`] then reports the
-    /// current-TM delta of the chosen move (what the cost ledger must
-    /// absorb) and `preemptive` flags moves only the forecast justified.
+    /// Candidates are ranked, capped, scored and tested against Theorem 1
+    /// on each peer's `expected` rate; [`MigrationDecision::gain`] reports
+    /// the chosen move's ΔC at the *current* rates (what the cost ledger
+    /// must absorb). Without a forecast the two rates are one and this is
+    /// bit-for-bit the paper's procedure; with one, `preemptive` flags
+    /// moves only the forecast justified.
     ///
     /// # Scoring
     ///
@@ -190,7 +189,6 @@ impl ScoreEngine {
     pub fn decide(
         &self,
         view: &LocalView,
-        current: Option<&LocalView>,
         cluster: &Cluster,
         traffic: &PairTraffic,
         scratch: &mut KernelScratch,
@@ -211,12 +209,12 @@ impl ScoreEngine {
             let mut before = 0.0;
             let mut total = 0.0;
             for p in &view.peers {
-                before += p.rate * weights.prefix(p.level);
+                before += p.expected * weights.prefix(p.level);
                 let pc = topo.coords_of(p.server);
-                scratch.add_host(p.server, p.rate);
-                scratch.add_rack(pc.rack, p.rate);
-                scratch.add_zone(pc.zone, p.rate);
-                total += p.rate;
+                scratch.add_host(p.server, p.expected);
+                scratch.add_rack(pc.rack, p.expected);
+                scratch.add_zone(pc.zone, p.expected);
+                total += p.expected;
             }
             let max_level = topo.max_level();
             self.probe_candidates(&candidates, view.vm, cluster, traffic, |target| {
@@ -239,16 +237,17 @@ impl ScoreEngine {
         };
         let evaluated = candidates.len();
         scratch.candidates = candidates;
-        // The ledger needs the *actual* delta of the accepted move;
-        // whether the current TM alone would have justified it decides
-        // pre-emptive vs reactive.
-        let (gain, preemptive) = match (best, current) {
-            (Some((target, _)), Some(now)) => {
-                let actual = now.delta_for(target, weights, topo);
-                (actual, actual <= self.config.migration_cost)
+        // The ledger needs the current-rate delta of the accepted move;
+        // whether it alone would have justified the move decides
+        // pre-emptive vs reactive. Where no peer was forecast to change,
+        // the score already is that delta, bit for bit.
+        let (gain, preemptive) = match best {
+            Some((target, _)) if view.is_forecast() => {
+                let now = view.current_delta_for(target, weights, topo);
+                (now, now <= self.config.migration_cost)
             }
-            (Some((_, predicted)), None) => (predicted, false),
-            (None, _) => (0.0, false),
+            Some((_, score)) => (score, false),
+            None => (0.0, false),
         };
         MigrationDecision {
             vm: view.vm,
@@ -307,7 +306,7 @@ mod tests {
         cluster: &Cluster,
         traffic: &PairTraffic,
     ) -> MigrationDecision {
-        engine.decide(view, None, cluster, traffic, &mut KernelScratch::new())
+        engine.decide(view, cluster, traffic, &mut KernelScratch::new())
     }
 
     /// One reactive hold for `u`: observe, decide, migrate if warranted.

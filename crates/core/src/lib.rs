@@ -24,16 +24,19 @@
 //! * [`token`] — the 5-byte-per-entry migration token of §V-B2;
 //! * [`policy`] — Round-Robin and Highest-Level-First (Algorithm 1) token
 //!   policies;
-//! * [`view`] — the holder's local knowledge ([`LocalView`]);
-//! * [`outlook`] — [`TrafficOutlook`], the decision input proper: the
-//!   local view plus an optional short-horizon per-peer rate forecast
-//!   (reactive outlooks reproduce the paper pipeline bit for bit);
+//! * [`view`] — the holder's local knowledge ([`LocalView`]): each
+//!   peer's location, level, current rate and the `expected` rate
+//!   decisions score on;
+//! * [`outlook`] — [`OutlookContext`], which fills those expected rates
+//!   from an optional short-horizon forecast (a reactive context leaves
+//!   them current and reproduces the paper pipeline bit for bit);
 //! * [`engine`] — the §V-B5 decision procedure (rank peers, probe
 //!   capacity, apply Theorem 1): one [`ScoreEngine::decide`], scored by
 //!   the single-pass level-bucketed kernel or a per-candidate sweep
 //!   depending on the candidate count;
-//! * [`scratch`] — [`DecisionScratch`]: reusable buffers so the
-//!   steady-state decision path performs zero heap allocations;
+//! * [`scratch`] — [`KernelScratch`]: the kernel's reusable buffers, so
+//!   with the ring's one reused view the steady-state decision path
+//!   performs zero heap allocations;
 //! * [`ring`] — iteration driver producing the paper's per-iteration
 //!   migration statistics.
 //!
@@ -99,13 +102,13 @@ pub use cost::{level_breakdown, CostModel};
 pub use engine::{MigrationDecision, ScoreConfig, ScoreEngine};
 pub use ledger::CostLedger;
 pub use netload::LinkLoadMap;
-pub use outlook::{OutlookContext, TrafficOutlook};
+pub use outlook::OutlookContext;
 pub use policy::{
     ForecastCostFirst, HighestCostFirst, HighestLevelFirst, RandomNext, RoundRobin, TokenPolicy,
 };
 pub use resources::{AdmissionError, CapacityReport, ServerSpec, ServerUsage, VmSpec};
 pub use ring::{IterationStats, StepOutcome, TokenRing};
-pub use scratch::{DecisionScratch, KernelScratch};
+pub use scratch::KernelScratch;
 pub use slotindex::FreeSlotIndex;
 pub use token::{Token, TokenCodecError, TokenEntry};
 pub use view::{LocalView, PeerInfo};

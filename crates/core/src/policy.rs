@@ -10,33 +10,23 @@ use rand::{Rng, SeedableRng};
 use score_topology::{Level, VmId};
 use std::fmt;
 
-use crate::outlook::TrafficOutlook;
 use crate::token::Token;
+use crate::view::{LocalView, PeerInfo};
 
 /// A token-passing policy.
 ///
 /// `next_holder` is invoked while `holder` still owns the token, *after*
-/// its migration decision; `outlook` carries the holder's post-decision
-/// [`crate::LocalView`] plus, when the pipeline forecasts, the predicted
-/// per-peer rates at the lookahead horizon. Implementations may update
-/// the token's level entries (HLF does, RR does not need to). Returning
-/// `None` means no next holder exists (empty or singleton token).
-///
-/// Reactive outlooks ([`TrafficOutlook::reactive`]) carry no forecast;
-/// policies that only read `outlook.view()` behave exactly as they did
-/// before the outlook existed — the compatibility invariant the
-/// forecast refactor preserves bit for bit.
+/// its migration decision; `view` is the holder's post-decision
+/// [`LocalView`], whose peers carry their `expected` rates when the
+/// pipeline forecasts. Implementations may update the token's level
+/// entries (HLF does, RR does not need to). Returning `None` means no
+/// next holder exists (empty or singleton token).
 pub trait TokenPolicy: fmt::Debug + Send {
     /// Short policy name for logs and CSV columns (e.g. `"rr"`, `"hlf"`).
     fn name(&self) -> &'static str;
 
     /// Picks the next token holder and updates token state.
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        outlook: &TrafficOutlook,
-    ) -> Option<VmId>;
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, view: &LocalView) -> Option<VmId>;
 
     /// Builds any derived acceleration state for `token` ahead of the first
     /// hold, so construction (not the steady-state decision path) pays the
@@ -53,13 +43,8 @@ impl<P: TokenPolicy + ?Sized> TokenPolicy for Box<P> {
         (**self).name()
     }
 
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        outlook: &TrafficOutlook,
-    ) -> Option<VmId> {
-        (**self).next_holder(token, holder, outlook)
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, view: &LocalView) -> Option<VmId> {
+        (**self).next_holder(token, holder, view)
     }
 
     fn prepare(&mut self, token: &Token) {
@@ -359,12 +344,7 @@ impl TokenPolicy for RoundRobin {
         "rr"
     }
 
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        _outlook: &TrafficOutlook,
-    ) -> Option<VmId> {
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, _view: &LocalView) -> Option<VmId> {
         let next = token.next_after(holder)?;
         if next == holder {
             None
@@ -409,13 +389,7 @@ impl TokenPolicy for HighestLevelFirst {
         self.index.sync(token, &self.checked);
     }
 
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        outlook: &TrafficOutlook,
-    ) -> Option<VmId> {
-        let view = outlook.view();
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, view: &LocalView) -> Option<VmId> {
         self.index.sync(token, &self.checked);
         // Line 1 and the preceding text: the holder refreshes its own entry
         // (it knows ℓ_A(u) exactly) …
@@ -556,8 +530,7 @@ impl MaxTournament {
 /// (from observed pairs) for their peers — plus the per-round checked
 /// set that guarantees coverage. The two public policies differ *only*
 /// in which rate each pair is priced at (current vs expected), which is
-/// what keeps "fcf ≡ hcf under a reactive outlook" true by
-/// construction.
+/// what keeps "fcf ≡ hcf without a forecast" true by construction.
 ///
 /// "Highest estimate among the unchecked, lowest id first" is answered
 /// by a [`MaxTournament`] keyed by the estimates of the unchecked token
@@ -613,7 +586,7 @@ impl CostFirstCore {
     }
 
     /// One holder visit: refresh estimates (Eq. 1 with each pair priced
-    /// by `rate_of(peer_index)`), keep token levels fresh, mark the
+    /// by `rate_of(peer)`), keep token levels fresh, mark the
     /// holder checked, and pick the next holder — restarting the round
     /// at the globally highest-estimate VM when everyone was checked.
     fn next_holder(
@@ -621,26 +594,24 @@ impl CostFirstCore {
         weights: &score_topology::LinkWeights,
         token: &mut Token,
         holder: VmId,
-        outlook: &TrafficOutlook,
-        rate_of: impl Fn(&TrafficOutlook, usize) -> f64,
+        view: &LocalView,
+        rate_of: impl Fn(&PeerInfo) -> f64,
     ) -> Option<VmId> {
         if !self.stamp.is_current(token) {
             self.rebuild(token);
         }
-        let view = outlook.view();
         // Exact cost for the holder (Eq. 1 over its local view) …
         let own: f64 = 2.0
             * view
                 .peers
                 .iter()
-                .enumerate()
-                .map(|(i, p)| rate_of(outlook, i) * weights.prefix(p.level))
+                .map(|p| rate_of(p) * weights.prefix(p.level))
                 .sum::<f64>();
         self.write_estimate(holder, own);
         // … and a partial lower-bound estimate for each peer: the pair the
         // holder can see. Keep the max across observations.
-        for (i, p) in view.peers.iter().enumerate() {
-            let pair_cost = 2.0 * rate_of(outlook, i) * weights.prefix(p.level);
+        for p in &view.peers {
+            let pair_cost = 2.0 * rate_of(p) * weights.prefix(p.level);
             if self.estimate(p.vm) < pair_cost {
                 self.write_estimate(p.vm, pair_cost);
                 if !self.checked.contains(p.vm) {
@@ -692,7 +663,7 @@ impl CostFirstCore {
 /// VM at core level with negligible traffic matters less than one at
 /// aggregation level moving gigabits. Pairs are priced at their
 /// *current* rates; see [`ForecastCostFirst`] for the variant priced at
-/// the outlook's expected rates.
+/// the expected rates.
 #[derive(Debug, Clone)]
 pub struct HighestCostFirst {
     weights: score_topology::LinkWeights,
@@ -728,27 +699,20 @@ impl TokenPolicy for HighestCostFirst {
         self.core.rebuild(token);
     }
 
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        outlook: &TrafficOutlook,
-    ) -> Option<VmId> {
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, view: &LocalView) -> Option<VmId> {
         self.core
-            .next_holder(&self.weights, token, holder, outlook, |o, i| {
-                o.view().peers[i].rate
-            })
+            .next_holder(&self.weights, token, holder, view, |p| p.rate)
     }
 }
 
 /// Forecast-Cost-First: the forecast-aware variant of
 /// [`HighestCostFirst`] — prioritise VMs by the communication cost they
-/// are *expected* to incur at the outlook's horizon, so the token
+/// are *expected* to incur at the forecast horizon, so the token
 /// reaches tomorrow's elephants before their spike lands.
 ///
 /// Same cost-first mechanics; only the pair pricing differs
-/// ([`TrafficOutlook::expected_rate`] instead of the current rate), so
-/// with a reactive outlook this is exactly [`HighestCostFirst`].
+/// ([`PeerInfo::expected`] instead of the current rate), so without a
+/// forecast this is exactly [`HighestCostFirst`].
 #[derive(Debug, Clone)]
 pub struct ForecastCostFirst {
     weights: score_topology::LinkWeights,
@@ -784,16 +748,9 @@ impl TokenPolicy for ForecastCostFirst {
         self.core.rebuild(token);
     }
 
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        outlook: &TrafficOutlook,
-    ) -> Option<VmId> {
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, view: &LocalView) -> Option<VmId> {
         self.core
-            .next_holder(&self.weights, token, holder, outlook, |o, i| {
-                o.expected_rate(i)
-            })
+            .next_holder(&self.weights, token, holder, view, |p| p.expected)
     }
 }
 
@@ -817,12 +774,7 @@ impl TokenPolicy for RandomNext {
         "random"
     }
 
-    fn next_holder(
-        &mut self,
-        token: &mut Token,
-        holder: VmId,
-        _outlook: &TrafficOutlook,
-    ) -> Option<VmId> {
+    fn next_holder(&mut self, token: &mut Token, holder: VmId, _view: &LocalView) -> Option<VmId> {
         let entries = token.entries();
         // Index-walk formulation of "uniform pick among ids ≠ holder":
         // sample k in the skip-holder index space, then map it back onto
@@ -846,13 +798,16 @@ impl TokenPolicy for RandomNext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::LocalView;
     use score_topology::ServerId;
 
-    /// Wraps a view in a reactive outlook (what every pre-forecast test
-    /// exercised).
-    fn o(view: &LocalView) -> TrafficOutlook {
-        TrafficOutlook::reactive(view.clone())
+    fn peer(vm: VmId, rate: f64, server: u32, level: Level) -> PeerInfo {
+        PeerInfo {
+            vm,
+            rate,
+            expected: rate,
+            server: ServerId::new(server),
+            level,
+        }
     }
 
     fn view_with_level(vm: VmId, own: Level, peers: Vec<(VmId, Level)>) -> LocalView {
@@ -864,18 +819,8 @@ mod tests {
             server: ServerId::new(0),
             peers: peers
                 .into_iter()
-                .map(|(v, l)| crate::view::PeerInfo {
-                    vm: v,
-                    rate: 1.0,
-                    server: ServerId::new(1),
-                    level: l,
-                })
-                .chain(std::iter::once(crate::view::PeerInfo {
-                    vm: VmId::new(u32::MAX),
-                    rate: 0.0,
-                    server: ServerId::new(1),
-                    level: own,
-                }))
+                .map(|(v, l)| peer(v, 1.0, 1, l))
+                .chain(std::iter::once(peer(VmId::new(u32::MAX), 0.0, 1, own)))
                 .collect(),
         }
     }
@@ -886,15 +831,15 @@ mod tests {
         let mut rr = RoundRobin::new();
         let v = view_with_level(VmId::new(2), Level::ZERO, vec![]);
         assert_eq!(
-            rr.next_holder(&mut token, VmId::new(2), &o(&v)),
+            rr.next_holder(&mut token, VmId::new(2), &v),
             Some(VmId::new(5))
         );
         assert_eq!(
-            rr.next_holder(&mut token, VmId::new(5), &o(&v)),
+            rr.next_holder(&mut token, VmId::new(5), &v),
             Some(VmId::new(9))
         );
         assert_eq!(
-            rr.next_holder(&mut token, VmId::new(9), &o(&v)),
+            rr.next_holder(&mut token, VmId::new(9), &v),
             Some(VmId::new(2))
         );
     }
@@ -904,7 +849,7 @@ mod tests {
         let mut token = Token::for_vms([VmId::new(4)]);
         let mut rr = RoundRobin::new();
         let v = view_with_level(VmId::new(4), Level::ZERO, vec![]);
-        assert_eq!(rr.next_holder(&mut token, VmId::new(4), &o(&v)), None);
+        assert_eq!(rr.next_holder(&mut token, VmId::new(4), &v), None);
     }
 
     #[test]
@@ -916,7 +861,7 @@ mod tests {
             Level::CORE,
             vec![(VmId::new(1), Level::AGGREGATION)],
         );
-        let _ = hlf.next_holder(&mut token, VmId::new(0), &o(&v));
+        let _ = hlf.next_holder(&mut token, VmId::new(0), &v);
         assert_eq!(token.level_of(VmId::new(0)), Some(Level::CORE));
         assert_eq!(token.level_of(VmId::new(1)), Some(Level::AGGREGATION));
         assert_eq!(token.level_of(VmId::new(2)), Some(Level::ZERO));
@@ -931,7 +876,7 @@ mod tests {
         // Holder 2 at core level: scan starts after 2, finds 3 before 1.
         let v = view_with_level(VmId::new(2), Level::CORE, vec![]);
         assert_eq!(
-            hlf.next_holder(&mut token, VmId::new(2), &o(&v)),
+            hlf.next_holder(&mut token, VmId::new(2), &v),
             Some(VmId::new(3))
         );
     }
@@ -946,7 +891,7 @@ mod tests {
         // level and take the lowest id (1).
         let v = view_with_level(VmId::new(2), Level::AGGREGATION, vec![]);
         assert_eq!(
-            hlf.next_holder(&mut token, VmId::new(2), &o(&v)),
+            hlf.next_holder(&mut token, VmId::new(2), &v),
             Some(VmId::new(1))
         );
     }
@@ -968,7 +913,7 @@ mod tests {
         };
         let _ = v;
         assert_eq!(
-            hlf.next_holder(&mut token, VmId::new(0), &o(&v0)),
+            hlf.next_holder(&mut token, VmId::new(0), &v0),
             Some(VmId::new(1))
         );
     }
@@ -982,7 +927,7 @@ mod tests {
             server: ServerId::new(0),
             peers: vec![],
         };
-        assert_eq!(hlf.next_holder(&mut token, VmId::new(7), &o(&v)), None);
+        assert_eq!(hlf.next_holder(&mut token, VmId::new(7), &v), None);
     }
 
     #[test]
@@ -1000,7 +945,7 @@ mod tests {
             // Holders report their stored level as their true level.
             let own = token.level_of(holder).unwrap();
             let v = view_with_level(holder, own, vec![]);
-            match hlf.next_holder(&mut token, holder, &o(&v)) {
+            match hlf.next_holder(&mut token, holder, &v) {
                 Some(next) => holder = next,
                 None => break,
             }
@@ -1021,14 +966,14 @@ mod tests {
             peers: vec![],
         };
         assert_eq!(
-            hlf.next_holder(&mut token, VmId::new(0), &o(&v0)),
+            hlf.next_holder(&mut token, VmId::new(0), &v0),
             Some(VmId::new(1))
         );
         let v1 = view_with_level(VmId::new(1), Level::CORE, vec![]);
         // Round over: restart. Max level is 1's own CORE, but 1 is the
         // holder, so 0 gets it.
         assert_eq!(
-            hlf.next_holder(&mut token, VmId::new(1), &o(&v1)),
+            hlf.next_holder(&mut token, VmId::new(1), &v1),
             Some(VmId::new(0))
         );
     }
@@ -1044,7 +989,7 @@ mod tests {
         let picks: Vec<Option<VmId>> = {
             let mut p = RandomNext::new(9);
             (0..16)
-                .map(|_| p.next_holder(&mut token, VmId::new(0), &o(&v)))
+                .map(|_| p.next_holder(&mut token, VmId::new(0), &v))
                 .collect()
         };
         assert!(picks
@@ -1052,7 +997,7 @@ mod tests {
             .all(|p| p.is_some() && p.unwrap() != VmId::new(0)));
         let mut p2 = RandomNext::new(9);
         let picks2: Vec<Option<VmId>> = (0..16)
-            .map(|_| p2.next_holder(&mut token, VmId::new(0), &o(&v)))
+            .map(|_| p2.next_holder(&mut token, VmId::new(0), &v))
             .collect();
         assert_eq!(picks, picks2, "seeded policy must be deterministic");
     }
@@ -1075,21 +1020,11 @@ mod tests {
             vm: VmId::new(0),
             server: ServerId::new(0),
             peers: vec![
-                crate::view::PeerInfo {
-                    vm: VmId::new(1),
-                    rate: 1.0,
-                    server: ServerId::new(1),
-                    level: Level::RACK,
-                },
-                crate::view::PeerInfo {
-                    vm: VmId::new(2),
-                    rate: 100.0,
-                    server: ServerId::new(8),
-                    level: Level::CORE,
-                },
+                peer(VmId::new(1), 1.0, 1, Level::RACK),
+                peer(VmId::new(2), 100.0, 8, Level::CORE),
             ],
         };
-        let next = hcf.next_holder(&mut token, VmId::new(0), &o(&view));
+        let next = hcf.next_holder(&mut token, VmId::new(0), &view);
         assert_eq!(next, Some(VmId::new(2)));
         assert!(hcf.estimate(VmId::new(2)) > hcf.estimate(VmId::new(1)));
         // The holder's own (exact) estimate covers both pairs.
@@ -1109,7 +1044,7 @@ mod tests {
                 server: ServerId::new(0),
                 peers: vec![],
             };
-            match hcf.next_holder(&mut token, holder, &o(&view)) {
+            match hcf.next_holder(&mut token, holder, &view) {
                 Some(next) => holder = next,
                 None => break,
             }
@@ -1126,7 +1061,7 @@ mod tests {
             server: ServerId::new(0),
             peers: vec![],
         };
-        assert_eq!(hcf.next_holder(&mut token, VmId::new(3), &o(&view)), None);
+        assert_eq!(hcf.next_holder(&mut token, VmId::new(3), &view), None);
     }
 
     /// xorshift64: a seeded stream of random views.
@@ -1152,24 +1087,25 @@ mod tests {
     /// token, whose estimate must not size anything.
     fn random_cost_view(rng: &mut XorShift, holder: VmId) -> LocalView {
         let r = rng.next();
-        let mut peers: Vec<crate::view::PeerInfo> = (0..(r >> 24) % 5)
+        let mut peers: Vec<PeerInfo> = (0..(r >> 24) % 5)
             .map(|_| {
                 let p = rng.next();
-                crate::view::PeerInfo {
-                    vm: VmId::new((p % u64::from(COST_IDS)) as u32),
-                    rate: COST_RATES[(p >> 8) as usize % 4],
-                    server: ServerId::new(1),
-                    level: Level::new((p >> 16) as u8 % 4),
-                }
+                let vm = VmId::new((p % u64::from(COST_IDS)) as u32);
+                peer(
+                    vm,
+                    COST_RATES[(p >> 8) as usize % 4],
+                    1,
+                    Level::new((p >> 16) as u8 % 4),
+                )
             })
             .filter(|p| p.vm != holder)
             .collect();
-        peers.push(crate::view::PeerInfo {
-            vm: VmId::new(u32::MAX),
-            rate: COST_RATES[(r >> 32) as usize % 4],
-            server: ServerId::new(1),
-            level: Level::CORE,
-        });
+        peers.push(peer(
+            VmId::new(u32::MAX),
+            COST_RATES[(r >> 32) as usize % 4],
+            1,
+            Level::CORE,
+        ));
         LocalView {
             vm: holder,
             server: ServerId::new(0),
@@ -1186,9 +1122,9 @@ mod tests {
         let mut fcf = ForecastCostFirst::paper_default();
         let mut holder = VmId::new(0);
         for step in 0..1000 {
-            let outlook = o(&random_cost_view(&mut rng, holder));
-            let h = hcf.next_holder(&mut token_h, holder, &outlook);
-            let f = fcf.next_holder(&mut token_f, holder, &outlook);
+            let view = random_cost_view(&mut rng, holder);
+            let h = hcf.next_holder(&mut token_h, holder, &view);
+            let f = fcf.next_holder(&mut token_f, holder, &view);
             assert_eq!(h, f, "divergence at step {step}");
             assert_eq!(token_h, token_f);
             for v in (0..COST_IDS).map(VmId::new) {
@@ -1206,7 +1142,7 @@ mod tests {
         let mut hcf = HighestCostFirst::paper_default();
         let v = view_with_level(VmId::new(0), Level::CORE, vec![(VmId::new(2), Level::CORE)]);
         assert_eq!(
-            hcf.next_holder(&mut token, VmId::new(0), &o(&v)),
+            hcf.next_holder(&mut token, VmId::new(0), &v),
             Some(VmId::new(2))
         );
         assert_eq!(hcf.core.estimates.len(), 3);

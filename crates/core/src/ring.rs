@@ -15,10 +15,11 @@ use std::sync::Arc;
 use crate::cluster::Cluster;
 use crate::engine::{MigrationDecision, ScoreEngine};
 use crate::ledger::CostLedger;
-use crate::outlook::{OutlookContext, TrafficOutlook};
+use crate::outlook::OutlookContext;
 use crate::policy::TokenPolicy;
-use crate::scratch::DecisionScratch;
+use crate::scratch::KernelScratch;
 use crate::token::Token;
+use crate::view::LocalView;
 
 /// Outcome of one token-holder step.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,10 +77,12 @@ pub struct TokenRing {
     token: Token,
     holder: Option<VmId>,
     obs: Option<RingObs>,
-    /// Per-ring decision buffers: a ring is single-threaded, so owning
-    /// the scratch here gives `Session`, the daemon's tenant engines and
-    /// every `MatrixRunner` cell a private scratch for free.
-    scratch: DecisionScratch,
+    /// The holder's view and the kernel's buffers, reused by every hold:
+    /// a ring is single-threaded, so owning them here gives `Session`,
+    /// the daemon's tenant engines and every `MatrixRunner` cell private
+    /// ones for free.
+    view: LocalView,
+    kernel: KernelScratch,
 }
 
 /// Pre-resolved instruments for the decision hot path, built once at
@@ -140,7 +143,8 @@ impl TokenRing {
             token,
             holder,
             obs: None,
-            scratch: DecisionScratch::new(),
+            view: LocalView::default(),
+            kernel: KernelScratch::new(),
         }
     }
 
@@ -293,11 +297,11 @@ impl TokenRing {
     }
 
     /// One token hold under `ctx`: both the migration decision and the
-    /// next-holder choice consume the holder's local view plus, when the
-    /// context forecasts, the predicted per-peer rates at the lookahead
-    /// horizon. With [`OutlookContext::reactive`] this is the paper
-    /// pipeline bit for bit; the context only ever *reads* its
-    /// forecaster, so stepping with one cannot dirty any ledger.
+    /// next-holder choice read the holder's one local view, whose peers
+    /// carry their expected rates when the context forecasts. With
+    /// [`OutlookContext::reactive`] this is the paper pipeline bit for
+    /// bit; the context only ever *reads* its forecaster, so stepping
+    /// with one cannot dirty any ledger.
     fn step_with(
         &mut self,
         cluster: &mut Cluster,
@@ -306,70 +310,21 @@ impl TokenRing {
     ) -> Option<StepOutcome> {
         let holder = self.holder?;
         let sw = self.obs.as_ref().map(|o| o.handle.stopwatch());
-        let scratch = &mut self.scratch;
-        scratch
-            .view
-            .observe_into(holder, cluster.allocation(), traffic, cluster.topo());
-        let source = scratch.view.server;
-        // A forecasting context re-rates the scoring view to the
-        // peak-demand envelope first (`TrafficOutlook::expected_rate`).
-        let decision = if ctx.predict_into(&scratch.view, &mut scratch.predicted) {
-            for (slot, p) in scratch.predicted.iter_mut().zip(&scratch.view.peers) {
-                *slot = slot.max(p.rate);
-            }
-            scratch
-                .decision_view
-                .assign_with_rates(&scratch.view, &scratch.predicted);
-            self.engine.decide(
-                &scratch.decision_view,
-                Some(&scratch.view),
-                cluster,
-                traffic,
-                &mut scratch.kernel,
-            )
-        } else {
-            self.engine
-                .decide(&scratch.view, None, cluster, traffic, &mut scratch.kernel)
-        };
+        let view = &mut self.view;
+        view.observe_into(holder, cluster.allocation(), traffic, cluster.topo());
+        ctx.fill_expected(view);
+        let source = view.server;
+        let decision = self.engine.decide(view, cluster, traffic, &mut self.kernel);
         if let Some(target) = decision.target {
             let threshold = self.engine.config().bandwidth_threshold;
             cluster
                 .migrate(traffic, holder, target, threshold)
                 .expect("decide() validated admission for the chosen target");
+            // The policy sees the post-migration levels.
+            view.relocate(target, cluster.topo());
         }
-        // The policy sees the *post-migration* state: if the holder moved,
-        // its levels (and those of its peers) changed — otherwise the
-        // pre-migration view is still exact and is reused as-is. The view
-        // (and any predicted-rate slab) is lent to the policy inside an
-        // owned outlook and reclaimed from its parts afterwards.
-        let migrated = decision.migrates();
-        let post_view = if migrated {
-            scratch
-                .post_view
-                .observe_into(holder, cluster.allocation(), traffic, cluster.topo());
-            std::mem::take(&mut scratch.post_view)
-        } else {
-            std::mem::take(&mut scratch.view)
-        };
-        let post_outlook = if ctx.predict_into(&post_view, &mut scratch.predicted) {
-            let predicted = std::mem::take(&mut scratch.predicted);
-            TrafficOutlook::with_forecast(post_view, predicted, ctx.horizon_s())
-        } else {
-            TrafficOutlook::reactive(post_view)
-        };
-        let next = self
-            .policy
-            .next_holder(&mut self.token, holder, &post_outlook);
+        let next = self.policy.next_holder(&mut self.token, holder, view);
         self.holder = next;
-        let (post_view, predicted) = post_outlook.into_parts();
-        if migrated {
-            scratch.post_view = post_view;
-        } else {
-            scratch.view = post_view;
-        }
-        if let Some(predicted) = predicted {
-            scratch.predicted = predicted;
-        }
         if let Some(o) = &self.obs {
             o.hops.inc();
             if let Some(ns) = sw.and_then(|s| s.elapsed_ns()) {

@@ -1,22 +1,21 @@
-//! Reusable decision-path buffers.
+//! The decision kernel's reusable buffers.
 //!
 //! A steady-state token hold must not touch the heap: at 100k hosts the
 //! decision itself is a few microseconds, so even one `Vec` growth per
-//! hold shows up. [`DecisionScratch`] owns every buffer the hold needs —
-//! the observed view, the forecast-re-rated decision view, the
-//! post-migration view, the predicted-rate slab, and the level-bucket
-//! accumulators of the single-pass kernel — all grown once to the
-//! topology's size and reused forever after.
+//! hold shows up. [`KernelScratch`] owns the ranked-candidate buffer and
+//! the level-bucket accumulators of the single-pass kernel, grown once
+//! to the topology's size and reused forever after.
 //!
-//! Ownership rules (see `docs/ARCHITECTURE.md` § Decision kernel):
-//! every [`crate::TokenRing`] owns exactly one scratch (so `Session`,
-//! `scored`'s tenant engines and `MatrixRunner` cells each get their own
-//! through the rings they already own), and a scratch is never shared
-//! across threads — per-worker rings mean per-worker scratches.
+//! Ownership rules (see `docs/ARCHITECTURE.md` § The decision path):
+//! every [`crate::TokenRing`] owns exactly one scratch and one
+//! [`crate::LocalView`] (so `Session`, `scored`'s tenant engines and
+//! `MatrixRunner` cells each get their own through the rings they
+//! already own), and a scratch is never shared across threads —
+//! per-worker rings mean per-worker scratches.
 
 use score_topology::{ServerId, Topology};
 
-use crate::view::{LocalView, RankEntry};
+use crate::view::RankEntry;
 
 /// Epoch-stamped sparse accumulators for the level-bucketed kernel.
 ///
@@ -150,29 +149,6 @@ impl KernelScratch {
     #[inline]
     pub(crate) fn zone_sum(&self, zone: u32) -> f64 {
         Self::get(self.epoch, &self.zone_rate, &self.zone_mark, zone as usize)
-    }
-}
-
-/// Every buffer one token hold needs, reusable across holds.
-#[derive(Debug, Default)]
-pub struct DecisionScratch {
-    /// The holder's observed (pre-migration) view.
-    pub(crate) view: LocalView,
-    /// The post-migration view the policy consumes (only refilled when a
-    /// migration actually happened; otherwise the pre-view is reused).
-    pub(crate) post_view: LocalView,
-    /// The forecast-re-rated scoring view (forecast contexts only).
-    pub(crate) decision_view: LocalView,
-    /// Predicted per-peer rates, index-aligned with `view.peers`.
-    pub(crate) predicted: Vec<f64>,
-    /// The level-bucketed kernel's accumulators.
-    pub(crate) kernel: KernelScratch,
-}
-
-impl DecisionScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        DecisionScratch::default()
     }
 }
 

@@ -72,6 +72,11 @@ pub struct PeerInfo {
     pub vm: VmId,
     /// Aggregate rate λ(z, u) in bits per second (both directions).
     pub rate: f64,
+    /// The rate decisions rank and score this pair at: the peak-demand
+    /// envelope `max(rate, forecast)` once
+    /// [`crate::OutlookContext::fill_expected`] has run with a forecast,
+    /// `rate` otherwise.
+    pub expected: f64,
     /// The server hosting the peer (learned via the location probe,
     /// §V-B4).
     pub server: ServerId,
@@ -110,8 +115,9 @@ impl LocalView {
     }
 
     /// Re-gathers the view in place, reusing the peer buffer — the
-    /// allocation-free form of [`LocalView::observe`] used by the
-    /// steady-state decision path via [`crate::DecisionScratch`].
+    /// allocation-free form of [`LocalView::observe`] that every token
+    /// hold runs on the ring's one view. Each peer's `expected` rate
+    /// starts at its current rate.
     pub fn observe_into<T: Topology + ?Sized>(
         &mut self,
         u: VmId,
@@ -124,16 +130,28 @@ impl LocalView {
         self.server = server;
         self.peers.clear();
         // `PairTraffic::peers` yields the adjacency list sorted by peer id;
-        // `peers` inherits that order (the `rate_to` lookup relies on it).
+        // `peers` inherits that order.
         self.peers.extend(traffic.peers(u).map(|(vm, rate)| {
             let peer_server = alloc.server_of(vm);
             PeerInfo {
                 vm,
                 rate,
+                expected: rate,
                 server: peer_server,
                 level: topo.level(server, peer_server),
             }
         }));
+    }
+
+    /// Moves the holder to `server` and recomputes each peer's level from
+    /// the peer server already stored — the view after the holder's own
+    /// migration. A migration changes no rate, no peer's server and no
+    /// forecast input, so this equals observing (and forecasting) again.
+    pub fn relocate<T: Topology + ?Sized>(&mut self, server: ServerId, topo: &T) {
+        self.server = server;
+        for p in &mut self.peers {
+            p.level = topo.level(server, p.server);
+        }
     }
 
     /// The holder's highest communication level `ℓ_A(u)`; level 0 when the
@@ -147,7 +165,8 @@ impl LocalView {
     }
 
     /// Lemma-3 migration delta `ΔC_{u→x̂}` computed from the local view
-    /// only: `2 Σ_z λ(z,u) (Σ_{i≤ℓ(z,u)} c_i − Σ_{i≤ℓ'(z,u)} c_i)`.
+    /// only, at the `expected` rates decisions score on:
+    /// `2 Σ_z λ(z,u) (Σ_{i≤ℓ(z,u)} c_i − Σ_{i≤ℓ'(z,u)} c_i)`.
     ///
     /// On topologies exposing [`LevelBuckets`] the sum is evaluated in the
     /// decomposed form `2·(before − after)`: `before = Σ λ·prefix(ℓ)` is
@@ -155,15 +174,35 @@ impl LocalView {
     /// rate lands on the target's host / rack / zone — the same
     /// `combine_bucketed` the single-pass kernel uses, so a per-candidate
     /// sweep of this method and the kernel produce bit-identical deltas.
-    ///
-    /// When the move is accepted, this same value is what a
-    /// [`crate::CostLedger`] absorbs via `apply_gain` — the global cost
-    /// stays tracked without ever recomputing Eq. (2).
     pub fn delta_for<T: Topology + ?Sized>(
         &self,
         target: ServerId,
         weights: &LinkWeights,
         topo: &T,
+    ) -> f64 {
+        self.delta_at(target, weights, topo, |p| p.expected)
+    }
+
+    /// [`LocalView::delta_for`] at the current rates: the ΔC an accepted
+    /// move applies to `C_A`, which is what a [`crate::CostLedger`]
+    /// absorbs via `apply_gain` — the global cost stays tracked without
+    /// ever recomputing Eq. (2).
+    pub(crate) fn current_delta_for<T: Topology + ?Sized>(
+        &self,
+        target: ServerId,
+        weights: &LinkWeights,
+        topo: &T,
+    ) -> f64 {
+        self.delta_at(target, weights, topo, |p| p.rate)
+    }
+
+    #[inline]
+    fn delta_at<T: Topology + ?Sized>(
+        &self,
+        target: ServerId,
+        weights: &LinkWeights,
+        topo: &T,
+        rate: impl Fn(&PeerInfo) -> f64,
     ) -> f64 {
         if target == self.server {
             return 0.0;
@@ -174,18 +213,19 @@ impl LocalView {
                 let mut before = 0.0;
                 let (mut host, mut rack, mut zone, mut total) = (0.0, 0.0, 0.0, 0.0);
                 for p in &self.peers {
-                    before += p.rate * weights.prefix(p.level);
+                    let r = rate(p);
+                    before += r * weights.prefix(p.level);
                     let pc = topo.coords_of(p.server);
                     if p.server == target {
-                        host += p.rate;
+                        host += r;
                     }
                     if pc.rack == tc.rack {
-                        rack += p.rate;
+                        rack += r;
                     }
                     if pc.zone == tc.zone {
-                        zone += p.rate;
+                        zone += r;
                     }
-                    total += p.rate;
+                    total += r;
                 }
                 combine_bucketed(
                     before,
@@ -202,16 +242,22 @@ impl LocalView {
                 let mut delta = 0.0;
                 for p in &self.peers {
                     let after = topo.level(p.server, target);
-                    delta += p.rate * weights.level_change_saving(p.level, after);
+                    delta += rate(p) * weights.level_change_saving(p.level, after);
                 }
                 2.0 * delta
             }
         }
     }
 
+    /// True when some peer's `expected` rate differs from its current
+    /// one — the hold forecast a change.
+    pub(crate) fn is_forecast(&self) -> bool {
+        self.peers.iter().any(|p| p.expected != p.rate)
+    }
+
     /// Fills `buf` with the candidate target servers, "rank\[ed\] … from
     /// highest to lowest communication levels" (§V-B5), ties broken
-    /// towards heavier peers. The holder's own server is excluded;
+    /// towards heavier (`expected`) peers. The holder's own server is excluded;
     /// duplicates are removed keeping the best rank.
     ///
     /// Rank key: level desc, rate desc, peer index asc. The explicit
@@ -226,55 +272,11 @@ impl LocalView {
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| p.server != self.server)
-                .map(|(i, p)| (p.server, p.level, p.rate, i as u32)),
+                .map(|(i, p)| (p.server, p.level, p.expected, i as u32)),
         );
         buf.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| candidate_rank(a, b)));
         buf.dedup_by_key(|e| e.0);
         buf.sort_unstable_by(candidate_rank);
-    }
-
-    /// Total traffic rate of this VM (its NIC demand estimate).
-    pub fn total_rate(&self) -> f64 {
-        self.peers.iter().map(|p| p.rate).sum()
-    }
-
-    /// The current rate towards one peer (0 for non-peers).
-    ///
-    /// `peers` is the holder's `PairTraffic` adjacency list and inherits
-    /// its sorted-by-peer-id order (see [`LocalView::observe_into`]), so
-    /// the lookup is a binary search rather than a linear scan — the
-    /// outlook/forecast path calls this once per peer.
-    pub fn rate_to(&self, vm: VmId) -> f64 {
-        self.peers
-            .binary_search_by_key(&vm, |p| p.vm)
-            .map_or(0.0, |i| self.peers[i].rate)
-    }
-
-    /// Copies `src` into `self` with every peer's rate replaced
-    /// (index-aligned), reusing the peer buffer — how a forecast
-    /// re-rates the decision view: same peers, same locations and
-    /// levels, expected rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not aligned with `src`'s peer list.
-    pub fn assign_with_rates(&mut self, src: &LocalView, rates: &[f64]) {
-        assert_eq!(rates.len(), src.peers.len(), "rates must cover every peer");
-        self.vm = src.vm;
-        self.server = src.server;
-        self.peers.clear();
-        self.peers.extend(
-            src.peers
-                .iter()
-                .zip(rates)
-                .map(|(p, &rate)| PeerInfo { rate, ..*p }),
-        );
-    }
-
-    /// Peer levels as `(vm, level)` pairs — what the HLF token policy
-    /// needs to refresh token entries.
-    pub fn peer_levels(&self) -> Vec<(VmId, Level)> {
-        self.peers.iter().map(|p| (p.vm, p.level)).collect()
     }
 }
 
@@ -324,9 +326,8 @@ mod tests {
         assert_eq!(view.peers[1].level, Level::AGGREGATION);
         assert_eq!(view.peers[2].level, Level::CORE);
         assert_eq!(view.own_level(), Level::CORE);
-        assert_eq!(view.total_rate(), 16.0);
-        assert_eq!(view.rate_to(VmId::new(1)), 10.0);
-        assert_eq!(view.rate_to(VmId::new(9)), 0.0);
+        assert!(view.peers.iter().all(|p| p.expected == p.rate));
+        assert_eq!(view.peers[0].rate, 10.0);
     }
 
     #[test]
@@ -456,12 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn peer_levels_for_token_updates() {
-        let (topo, alloc, traffic) = fixture();
-        let view = LocalView::observe(VmId::new(0), &alloc, &traffic, &topo);
-        let levels = view.peer_levels();
-        assert_eq!(levels.len(), 3);
-        assert_eq!(levels[0], (VmId::new(1), Level::RACK));
-        assert_eq!(levels[2], (VmId::new(3), Level::CORE));
+    fn relocate_matches_a_fresh_observation() {
+        let (topo, mut alloc, traffic) = fixture();
+        let mut view = LocalView::observe(VmId::new(0), &alloc, &traffic, &topo);
+        for target in [1u32, 4, 8, 15, 0] {
+            let t = ServerId::new(target);
+            view.relocate(t, &topo);
+            alloc.move_vm(VmId::new(0), t);
+            assert_eq!(
+                view,
+                LocalView::observe(VmId::new(0), &alloc, &traffic, &topo)
+            );
+        }
     }
 }

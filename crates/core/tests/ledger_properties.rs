@@ -37,7 +37,7 @@ fn hold(
     traffic: &PairTraffic,
 ) -> MigrationDecision {
     let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-    let decision = engine.decide(&view, None, cluster, traffic, &mut KernelScratch::new());
+    let decision = engine.decide(&view, cluster, traffic, &mut KernelScratch::new());
     if let Some(target) = decision.target {
         cluster
             .migrate(traffic, u, target, engine.config().bandwidth_threshold)

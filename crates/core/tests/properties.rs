@@ -27,7 +27,7 @@ fn hold(
     traffic: &PairTraffic,
 ) -> MigrationDecision {
     let view = LocalView::observe(u, cluster.allocation(), traffic, cluster.topo());
-    let decision = engine.decide(&view, None, cluster, traffic, &mut KernelScratch::new());
+    let decision = engine.decide(&view, cluster, traffic, &mut KernelScratch::new());
     if let Some(target) = decision.target {
         cluster
             .migrate(traffic, u, target, engine.config().bandwidth_threshold)
@@ -95,7 +95,8 @@ proptest! {
         // Tolerance is relative to the traffic magnitude: the bucketed
         // delta_for evaluates the same sum in decomposed order, so the two
         // agree to FP rounding of the summed terms, not absolutely.
-        prop_assert!((local - global).abs() < 1e-9 * view.total_rate().max(1.0),
+        let total: f64 = view.peers.iter().map(|p| p.rate).sum();
+        prop_assert!((local - global).abs() < 1e-9 * total.max(1.0),
             "local {} vs global {}", local, global);
     }
 
@@ -161,7 +162,7 @@ proptest! {
         );
         for v in 0..24 {
             let view = LocalView::observe(VmId::new(v), cluster.allocation(), &traffic, cluster.topo());
-            let d = engine.decide(&view, None, &cluster, &traffic, &mut KernelScratch::new());
+            let d = engine.decide(&view, &cluster, &traffic, &mut KernelScratch::new());
             if d.migrates() {
                 prop_assert!(d.gain > cm, "gain {} must exceed cm {}", d.gain, cm);
             }

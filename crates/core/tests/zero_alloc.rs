@@ -1,13 +1,13 @@
 //! Counting-allocator proof that the steady-state decision path makes
 //! **zero heap allocations**.
 //!
-//! The ring threads one `DecisionScratch` (observation buffers + the
-//! level-bucketed `KernelScratch`) through every hold, and the token
-//! policies run on epoch-stamped sets and pre-built indexes (HLF's
-//! per-level bitsets, the cost-first tournament) — so
+//! The ring reuses one `LocalView` and one level-bucketed `KernelScratch`
+//! for every hold, a forecast fills the view's expected rates in place,
+//! and the token policies run on epoch-stamped sets and pre-built
+//! indexes (HLF's per-level bitsets, the cost-first tournament) — so
 //! once the ring has seen a full iteration (every buffer at its
 //! high-water mark, the placement converged), further holds must not
-//! touch the allocator at all. A regression here silently reintroduces
+//! touch the allocator at all, with or without a forecast. A regression here silently reintroduces
 //! per-decision malloc traffic, which is exactly what the single-pass
 //! kernel exists to avoid.
 //!
@@ -15,11 +15,11 @@
 //! an arrival appended within capacity, patch the position map in place.
 
 use score_core::{
-    Allocation, Cluster, ForecastCostFirst, HighestCostFirst, HighestLevelFirst, RoundRobin,
-    ScoreEngine, ServerSpec, Token, TokenPolicy, TokenRing, VmSpec,
+    Allocation, Cluster, CostLedger, ForecastCostFirst, HighestCostFirst, HighestLevelFirst,
+    OutlookContext, RoundRobin, ScoreEngine, ServerSpec, Token, TokenPolicy, TokenRing, VmSpec,
 };
 use score_topology::{CanonicalTree, ServerId, Topology, VmId};
-use score_traffic::WorkloadConfig;
+use score_traffic::{EwmaForecaster, PairTraffic, RateForecaster, WorkloadConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -60,7 +60,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
+/// An EWMA forecaster primed on `traffic` at t = 0 that then saw every
+/// third pair double by t = 10 s, so forecasts differ from current rates.
+fn rising(traffic: &PairTraffic) -> EwmaForecaster {
+    let mut f = EwmaForecaster::new(0.5);
+    f.prime(traffic, 0.0);
+    let ups: Vec<_> = traffic
+        .pairs()
+        .into_iter()
+        .step_by(3)
+        .map(|(u, v, r)| (u, v, 2.0 * r))
+        .collect();
+    f.observe_updates(&ups, 10.0);
+    f
+}
+
+/// Steady-state holds of a `policy` ring, reactive or (`forecast`) with
+/// an EWMA forecast read at t = 10 s, 30 s ahead.
+fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str, forecast: bool) {
     let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
     let num_servers = topo.num_servers() as u32;
     let num_vms = num_servers * 2;
@@ -77,12 +94,24 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
     )
     .expect("round-robin allocation is feasible");
     let mut ring = TokenRing::new(ScoreEngine::paper_default(), policy, num_vms);
+    let mut ledger = CostLedger::new(
+        ring.engine().cost_model().clone(),
+        cluster.allocation(),
+        &traffic,
+        cluster.topo(),
+    );
+    let forecaster = rising(&traffic);
+    let ctx = if forecast {
+        OutlookContext::forecast(&forecaster as &dyn RateForecaster, 10.0, 30.0)
+    } else {
+        OutlookContext::reactive()
+    };
 
     // Warm-up: enough full iterations for the placement to converge (no
     // more beneficial moves) and every reusable buffer to reach its
     // high-water mark.
-    for _ in 0..4 {
-        ring.run_iteration(&mut cluster, &traffic);
+    for _ in 0..(num_vms as usize * 4) {
+        ring.step_ledgered_outlook(&mut cluster, &traffic, &mut ledger, &ctx);
     }
 
     // Steady state: two more full iterations — covering round restarts,
@@ -92,7 +121,8 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
     let before = alloc_calls();
     let mut migrations = 0;
     for _ in 0..(num_vms as usize * 2) {
-        let Some(outcome) = ring.step(&mut cluster, &traffic) else {
+        let Some(outcome) = ring.step_ledgered_outlook(&mut cluster, &traffic, &mut ledger, &ctx)
+        else {
             break;
         };
         if outcome.decision.migrates() {
@@ -112,10 +142,11 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str) {
 
 #[test]
 fn steady_state_decisions_do_not_allocate() {
-    steady_state_allocs(RoundRobin::new(), "round-robin");
-    steady_state_allocs(HighestLevelFirst::new(), "hlf");
-    steady_state_allocs(HighestCostFirst::paper_default(), "hcf");
-    steady_state_allocs(ForecastCostFirst::paper_default(), "fcf");
+    steady_state_allocs(RoundRobin::new(), "round-robin", false);
+    steady_state_allocs(HighestLevelFirst::new(), "hlf", false);
+    steady_state_allocs(HighestCostFirst::paper_default(), "hcf", false);
+    steady_state_allocs(ForecastCostFirst::paper_default(), "fcf", false);
+    steady_state_allocs(ForecastCostFirst::paper_default(), "fcf+ewma", true);
 }
 
 #[test]

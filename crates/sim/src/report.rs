@@ -30,8 +30,8 @@ pub struct MigrationEvent {
     /// Lemma-3 gain of the move under the TM at decision time (what
     /// the cost ledger absorbed; ≤ 0 for pre-emptive moves).
     pub gain: f64,
-    /// The gain the decision was ranked on — expected rates under the
-    /// outlook (equals `gain` for reactive decisions). The per-move
+    /// The gain the decision was ranked on, at the expected rates
+    /// (equals `gain` for reactive decisions). The per-move
     /// predicted-vs-actual spread is the forecaster's scorecard.
     pub predicted_gain: f64,
     /// Bytes moved by pre-copy.
@@ -124,7 +124,7 @@ impl TraceReplayStats {
 
 /// Pre-empted-vs-reactive migration counts under a forecasting
 /// pipeline: a *pre-emptive* migration cleared Theorem 1 only on the
-/// outlook's predicted rates (the current TM alone would not have
+/// expected rates (the current TM alone would not have
 /// justified it — the move anticipates a shift instead of chasing one);
 /// a *reactive* migration cleared it on current rates. Without an
 /// active `ForecastSpec` every migration is reactive.

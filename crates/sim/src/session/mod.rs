@@ -80,7 +80,7 @@ pub struct Session {
     /// Index of the current segment (segment *i* reseeds ring and RNG
     /// with `scenario.seed + i`).
     segment_index: u64,
-    /// The short-horizon rate forecaster feeding every decision outlook
+    /// The short-horizon rate forecaster feeding every decision
     /// at `scenario.forecast`'s horizon (`None` = reactive pipeline).
     forecaster: Option<SessionForecaster>,
     /// Trace capture (off by default); see
@@ -351,9 +351,8 @@ impl Session {
                 SimEvent::TokenArrive => {
                     self.token_event_pending = false;
                     self.ring.set_obs_clock(t);
-                    // Every decision flows through an outlook; without a
-                    // forecaster it is the reactive one and this is the
-                    // paper pipeline, bit for bit.
+                    // Without a forecaster the context is the reactive
+                    // one and this is the paper pipeline, bit for bit.
                     let ctx = match &self.forecaster {
                         Some(f) => {
                             let horizon_s = self.scenario.forecast.horizon_s();

@@ -741,8 +741,8 @@ impl PlacementSpec {
 /// Declarative short-horizon forecasting description: whether (and how)
 /// the decision pipeline looks ahead of the current TM.
 ///
-/// The forecaster feeds every `TrafficOutlook` the session builds; see
-/// `score_core::outlook`. The compatibility contract is strict:
+/// The forecaster fills the expected per-peer rates of every token
+/// hold's view; see `score_core::outlook`. The compatibility contract is strict:
 /// `ForecastSpec::None` — and any variant with a zero horizon — runs
 /// the reactive pipeline bit for bit (pinned by the proptests in
 /// `crates/sim/tests/forecast_properties.rs`).
@@ -827,7 +827,7 @@ pub enum PolicyKind {
     HighestLevelFirst,
     /// Highest-Cost-First (TR-2013-338-inspired extension).
     HighestCostFirst,
-    /// Forecast-Cost-First: Highest-Cost-First over the outlook's
+    /// Forecast-Cost-First: Highest-Cost-First over the view's
     /// *expected* rates — routes the token to predicted elephants
     /// (identical to `HighestCostFirst` without an active
     /// [`ForecastSpec`]).
@@ -1117,7 +1117,7 @@ pub struct Scenario {
     pub policy: PolicySpec,
     /// Decision engine and migration-overhead model.
     pub engine: EngineSpec,
-    /// Short-horizon rate forecasting feeding every decision outlook
+    /// Short-horizon rate forecasting feeding every decision
     /// (`ForecastSpec::None` = the reactive paper pipeline).
     pub forecast: ForecastSpec,
     /// Simulation timing.
