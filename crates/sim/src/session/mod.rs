@@ -396,7 +396,9 @@ impl Session {
                         self.queue
                             .schedule_in(sample.total_time_s, SimEvent::MigrationComplete);
                     }
-                    if self.seg.current_iter.steps as u32 >= self.traffic.num_vms() {
+                    // An iteration is |V| holds of the live membership,
+                    // as in `TokenRing::run_iteration`.
+                    if self.seg.current_iter.steps >= self.ring.token().len() {
                         self.seg.iterations.push(self.seg.current_iter);
                         self.seg.current_iter = IterationStats::default();
                     }

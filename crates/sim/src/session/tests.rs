@@ -61,6 +61,20 @@ fn iteration_stats_group_by_population() {
 }
 
 #[test]
+fn iterations_after_departures_cover_the_live_population() {
+    let mut session = quick_scenario(PolicyKind::RoundRobin, 2).session().unwrap();
+    for v in [3, 9, 10] {
+        session.remove_vm(VmId::new(v)).unwrap();
+    }
+    let live = session.traffic().num_vms() as usize - 3;
+    let iterations = session.run(2);
+    assert_eq!(iterations.len(), 2);
+    for it in iterations {
+        assert_eq!(it.steps, live, "an iteration is |V| live holds");
+    }
+}
+
+#[test]
 fn run_n_iterations_is_incremental() {
     let mut session = quick_scenario(PolicyKind::RoundRobin, 3).session().unwrap();
     let first = session.run(1);
