@@ -1349,11 +1349,6 @@ impl ScenarioBuilder {
         self.intensity(TrafficIntensity::Sparse).workload_seed(seed)
     }
 
-    /// Medium workload with the given seed.
-    pub fn medium_traffic(self, seed: u64) -> Self {
-        self.intensity(TrafficIntensity::Medium).workload_seed(seed)
-    }
-
     /// Dense workload with the given seed.
     pub fn dense_traffic(self, seed: u64) -> Self {
         self.intensity(TrafficIntensity::Dense).workload_seed(seed)
@@ -1480,19 +1475,6 @@ impl ScenarioBuilder {
     /// Sets the simulation horizon in seconds.
     pub fn horizon(mut self, t_end_s: f64) -> Self {
         self.timing.t_end_s = t_end_s;
-        self
-    }
-
-    /// Sets the cost sampling interval in seconds.
-    pub fn sample_interval(mut self, interval_s: f64) -> Self {
-        self.timing.sample_interval_s = interval_s;
-        self
-    }
-
-    /// Sets token hold and pass delays in seconds.
-    pub fn token_timing(mut self, hold_s: f64, pass_s: f64) -> Self {
-        self.timing.token_hold_s = hold_s;
-        self.timing.token_pass_s = pass_s;
         self
     }
 
