@@ -241,8 +241,9 @@ impl ScoreEngine {
         // whether it alone would have justified the move decides
         // pre-emptive vs reactive. Where no peer was forecast to change,
         // the score already is that delta, bit for bit.
+        let forecast = || view.peers.iter().any(|p| p.expected != p.rate);
         let (gain, preemptive) = match best {
-            Some((target, _)) if view.is_forecast() => {
+            Some((target, _)) if forecast() => {
                 let now = view.current_delta_for(target, weights, topo);
                 (now, now <= self.config.migration_cost)
             }

@@ -249,16 +249,10 @@ impl LocalView {
         }
     }
 
-    /// True when some peer's `expected` rate differs from its current
-    /// one — the hold forecast a change.
-    pub(crate) fn is_forecast(&self) -> bool {
-        self.peers.iter().any(|p| p.expected != p.rate)
-    }
-
     /// Fills `buf` with the candidate target servers, "rank\[ed\] … from
     /// highest to lowest communication levels" (§V-B5), ties broken
-    /// towards heavier (`expected`) peers. The holder's own server is excluded;
-    /// duplicates are removed keeping the best rank.
+    /// towards heavier (`expected`) peers. The holder's own server is
+    /// excluded; duplicates are removed keeping the best rank.
     ///
     /// Rank key: level desc, rate desc, peer index asc. The explicit
     /// index tiebreak reproduces the former stable sort, so the output
