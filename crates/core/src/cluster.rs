@@ -91,83 +91,214 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Lazy per-host cache of [`Cluster::host_external_load`].
+/// A slot's bound word when nothing is memoised: the next read sweeps.
+const UNKNOWN: u64 = u64::MAX;
+/// A slot's bound word when its value is a sweep of the host, multiplied
+/// through by every `ScaleAll` since.
+const EXACT: u64 = 0;
+/// Twice the unit roundoff, so `n · EPS` bounds the `γ_n = n·u / (1 − n·u)`
+/// of an `n`-term float sum of nonnegative terms for any `n` met here.
+const EPS: f64 = f64::EPSILON;
+/// What one `ScaleAll` adds to a memo's relative distance from the exact
+/// load, doubled: the memo's multiply and the rates' own re-rounding.
+const SCALE_ERR: f64 = 4.0 * EPS;
+/// A fold whose relative bound passes this drops the slot: a load that
+/// cancelled that far is cheaper to re-sweep than to keep uncertain, and
+/// every bound here stays a first-order one.
+const MAX_BOUND: f64 = 1e-6;
+/// Folded values stay within `[2^-256, 2^256]`, and a `ScaleAll` history
+/// whose composed factor leaves that range drops every slot, so a folded
+/// value never leaves the normal floats (where rounding is relative).
+const FOLD_MIN: f64 = f64::from_bits((1023 - 256) << 52);
+const FOLD_MAX: f64 = f64::from_bits((1023 + 256) << 52);
+/// Covers the rounding of the bound arithmetic itself.
+const SLACK: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
+
+/// The relative rounding bound of a fresh sweep over a TM of `pairs`
+/// pairs: a host's sum has at most `2 · pairs` terms.
+fn sweep_err(pairs: usize) -> f64 {
+    (2 * pairs + 1) as f64 * EPS
+}
+
+/// What an [`ExtLoadCache`] slot holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    Unknown,
+    Exact(f64),
+    /// A load that carries folded migrations: `|load − E| ≤ (rho +
+    /// since · SCALE_ERR) · load`, where `E` is the exact sum of the
+    /// host's current external rates and `since` counts the `ScaleAll`s
+    /// after the last fold.
+    Folded {
+        load: f64,
+        rho: f64,
+        since: u32,
+    },
+}
+
+/// Per-host memo of [`Cluster::host_external_load`], kept as a bounded
+/// NIC account.
 ///
 /// The dynamic bandwidth probe reads the target's external load on every
-/// candidate, and computing it is O(hosted VMs × their degrees) — the
-/// single most expensive part of a decision at 100k hosts. The cache
-/// memoizes it per host under `&self` (atomics, not locks): a slot is a
-/// `(stamp, f64 bits)` pair, filled on first read and invalidated in O(1)
-/// by every mutator that changes the quantity.
+/// candidate, and summing it afresh is O(hosted VMs × their degrees) — the
+/// single most expensive part of a decision at 100k hosts. A slot is a
+/// `(bound, f64 bits)` pair of atomics, so readers under `&self` can fill
+/// it. The bound word is [`UNKNOWN`], [`EXACT`] (the value a sweep gave,
+/// multiplied through by every `ScaleAll` since), or a folded slot's
+/// relative error bound: an `f32` rounded up, packed with the `ScaleAll`
+/// counter at its last fold so that a scale widens every bound in O(1).
 ///
-/// Why racing readers are sound: the load is a pure function of the
-/// allocation and the traffic matrix. The allocation only changes under
-/// `&mut Cluster`, and the TM's owner tells the cluster of every change
-/// to it under `&mut Cluster` too, so within any `&self` borrow the true
-/// value is constant — concurrent fillers compute bit-identical values,
-/// so whichever `put` lands last rewrites the same bits. The value store
-/// is ordered before the stamp store (Release) and readers load the
-/// stamp with Acquire, so a stamped slot always yields a fully-written
-/// value.
-/// Cached reads are bit-identical to recomputation by construction —
-/// until a uniform traffic scale multiplies the cached sums through
-/// ([`ExtLoadCache::scale_all`]), after which they equal a re-sweep up to
-/// rounding, and identically so on every run that applies the same
-/// events.
-#[derive(Debug, Default)]
+/// A migration folds its mover's exact effect into both endpoints' slots
+/// ([`ExtLoadCache::fold`]) and widens their bounds by the rounding of
+/// that arithmetic; patches, churn, placement and rebinds drop slots.
+/// [`ExtLoadCache::interval`] widens a folded slot once more, by what a
+/// fresh sweep may round, so the interval holds every value the memo
+/// could have held had the host been re-swept after its last migration:
+/// a fresh sweep, or an older one multiplied through by `ScaleAll`s.
+/// [`Cluster::can_host`] decides from the two ends of that interval and
+/// sweeps only when they disagree; public reads re-sweep a folded slot.
+///
+/// The bounds are counted per era: an era ends, dropping every slot, when
+/// its `ScaleAll`s overflow the `u32` counter or compose a factor outside
+/// `[2^-256, 2^256]`.
+///
+/// Why racing readers are sound: folds and drops need `&mut`; under
+/// `&self` the only write is a sweep storing an exact value, and the load
+/// is a pure function of the allocation and the TM, which change only
+/// under `&mut Cluster` — so racing sweeps store the same bits. The value
+/// store is ordered before the bound store (Release) and readers load the
+/// bound with Acquire, so an exact bound always yields a fully written
+/// value. A reader that pairs a folded bound with a value a racing sweep
+/// just stored reads a sweep, which the folded interval holds anyway.
+#[derive(Debug)]
 struct ExtLoadCache {
-    /// 1 = the matching `values` slot holds the host's current load.
-    stamps: Vec<AtomicU64>,
-    /// `f64::to_bits` of the cached load, meaningful only when stamped.
+    /// [`UNKNOWN`], [`EXACT`] or a packed folded bound (see [`Slot`]).
+    bounds: Vec<AtomicU64>,
+    /// `f64::to_bits` of the memoised load, meaningful unless unknown.
     values: Vec<AtomicU64>,
+    /// `ScaleAll`s this era.
+    scales: u32,
+    /// Their composed factor.
+    drift: f64,
 }
 
 /// A clone starts cold: atomics are not `Clone`, and the copy re-fills
 /// lazily from its own cluster's state anyway.
 impl Clone for ExtLoadCache {
     fn clone(&self) -> Self {
-        ExtLoadCache::new(self.stamps.len())
+        ExtLoadCache::new(self.bounds.len())
     }
 }
 
 impl ExtLoadCache {
     fn new(servers: usize) -> Self {
         ExtLoadCache {
-            stamps: (0..servers).map(|_| AtomicU64::new(0)).collect(),
+            bounds: (0..servers).map(|_| AtomicU64::new(UNKNOWN)).collect(),
             values: (0..servers).map(|_| AtomicU64::new(0)).collect(),
+            scales: 0,
+            drift: 1.0,
         }
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Option<f64> {
-        if self.stamps[i].load(Ordering::Acquire) == 1 {
-            Some(f64::from_bits(self.values[i].load(Ordering::Relaxed)))
-        } else {
-            None
+    fn slot(&self, i: usize) -> Slot {
+        let word = self.bounds[i].load(Ordering::Acquire);
+        if word == UNKNOWN {
+            return Slot::Unknown;
+        }
+        let load = f64::from_bits(self.values[i].load(Ordering::Relaxed));
+        if word == EXACT {
+            return Slot::Exact(load);
+        }
+        Slot::Folded {
+            load,
+            rho: f64::from(f32::from_bits((word >> 32) as u32)),
+            since: self.scales - word as u32,
+        }
+    }
+
+    /// `Some((load, radius))` for a memoised slot: `load ± radius` holds
+    /// the exact load and any sweep of it over a TM of `pairs` pairs, at
+    /// any point since the slot's last fold, multiplied through by the
+    /// `ScaleAll`s after that point. An exact slot has radius 0.
+    #[inline]
+    fn interval(&self, i: usize, pairs: usize) -> Option<(f64, f64)> {
+        match self.slot(i) {
+            Slot::Unknown => None,
+            Slot::Exact(load) => Some((load, 0.0)),
+            // The slot's own bound, and a sweep's rounding with the scales
+            // a memo swept after the last fold has taken since.
+            Slot::Folded { load, rho, since } => {
+                let rel = rho + sweep_err(pairs) + 2.0 * f64::from(since) * SCALE_ERR;
+                Some((load, rel * load * SLACK))
+            }
         }
     }
 
     #[inline]
     fn put(&self, i: usize, v: f64) {
         self.values[i].store(v.to_bits(), Ordering::Relaxed);
-        self.stamps[i].store(1, Ordering::Release);
+        self.bounds[i].store(EXACT, Ordering::Release);
     }
 
     #[inline]
     fn invalidate(&self, i: usize) {
-        self.stamps[i].store(0, Ordering::Relaxed);
+        self.bounds[i].store(UNKNOWN, Ordering::Relaxed);
     }
 
-    fn invalidate_all(&self) {
-        for s in &self.stamps {
-            s.store(0, Ordering::Relaxed);
+    /// Drops every slot and starts a new era.
+    fn invalidate_all(&mut self) {
+        for b in &mut self.bounds {
+            *b.get_mut() = UNKNOWN;
         }
+        self.scales = 0;
+        self.drift = 1.0;
     }
 
-    /// Multiplies every cached load by `factor` (saturating): a load is
+    /// Folds a migration into slot `i`: its load becomes `load + first +
+    /// second`, evaluated in that order, where `first` and `second` are
+    /// sums over the mover's `degree` peers. The bound widens by the
+    /// rounding of both sums and both additions. A slot whose folded value
+    /// leaves `[FOLD_MIN, FOLD_MAX]` (0 among them) or whose bound passes
+    /// [`MAX_BOUND`] is dropped.
+    fn fold(&mut self, i: usize, first: f64, second: f64, degree: usize, pairs: usize) {
+        let (load, bound) = match self.slot(i) {
+            Slot::Unknown => return,
+            // A sweep's rounding, and every scale this era may have added.
+            Slot::Exact(load) => (load, sweep_err(pairs) + f64::from(self.scales) * SCALE_ERR),
+            Slot::Folded { load, rho, since } => (load, rho + f64::from(since) * SCALE_ERR),
+        };
+        let partial = load + first;
+        let folded = partial + second;
+        let err = bound * load
+            + EPS * (degree as f64 * (first.abs() + second.abs()) + partial.abs() + folded.abs());
+        let rho = err / folded * SLACK;
+        let in_range = |v: f64| (FOLD_MIN..=FOLD_MAX).contains(&v);
+        if !(in_range(load) && in_range(folded) && rho <= MAX_BOUND) {
+            *self.bounds[i].get_mut() = UNKNOWN;
+            return;
+        }
+        let mut packed = rho as f32;
+        if f64::from(packed) < rho {
+            packed = packed.next_up();
+        }
+        *self.values[i].get_mut() = folded.to_bits();
+        *self.bounds[i].get_mut() = (u64::from(packed.to_bits()) << 32) | u64::from(self.scales);
+    }
+
+    /// Multiplies every memoised load by `factor` (saturating): a load is
     /// a sum of pair rates, so a uniform rate scale scales it too and no
-    /// host has to be re-swept. Unstamped slots hold garbage either way.
+    /// host has to be re-swept. One pass over the values; the folded
+    /// bounds widen through the era's counter. Unknown slots hold garbage
+    /// either way.
     fn scale_all(&mut self, factor: f64) {
+        let drift = self.drift * factor;
+        if self.scales == u32::MAX || !(FOLD_MIN..=FOLD_MAX).contains(&drift) {
+            self.invalidate_all();
+            return;
+        }
+        self.scales += 1;
+        self.drift = drift;
         for v in &mut self.values {
             let bits = v.get_mut();
             *bits = (f64::from_bits(*bits) * factor).min(f64::MAX).to_bits();
@@ -183,8 +314,8 @@ impl ExtLoadCache {
 /// owner tells the cluster of each change to that matrix
 /// ([`Cluster::patch_traffic`], [`Cluster::scale_traffic`],
 /// [`Cluster::rebind_traffic`]) so the memoised per-host loads stay
-/// exact, the way a [`crate::CostLedger`] is told. Every call must
-/// therefore pass the same, current matrix.
+/// within their bounds, the way a [`crate::CostLedger`] is told. Every
+/// call must therefore pass the same, current matrix.
 #[derive(Clone)]
 pub struct Cluster {
     topo: Arc<dyn Topology>,
@@ -369,26 +500,70 @@ impl Cluster {
 
     /// Traffic of `vm` that would leave `host`'s NIC if `vm` ran there:
     /// the sum of its pair rates to peers hosted elsewhere.
-    pub fn external_rate(&self, traffic: &PairTraffic, vm: VmId, host: ServerId) -> f64 {
-        traffic
-            .peers(vm)
-            .filter(|&(peer, _)| peer != vm && self.alloc.server_of(peer) != host)
-            .map(|(_, rate)| rate)
-            .sum()
+    fn external_rate(&self, traffic: &PairTraffic, vm: VmId, host: ServerId) -> f64 {
+        let [(off, _)] = self.split_peers(traffic, vm, [host]);
+        off
+    }
+
+    /// `vm`'s pair rates split against each of `hosts` in one walk of its
+    /// peer list: `(off, on)`, the sums of its rates to peers hosted
+    /// elsewhere and on that host. Each accumulator adds its terms in
+    /// peer order from `.sum()`'s `-0.0`, so it has the bits of a `.sum()`
+    /// over the same filter.
+    #[inline]
+    fn split_peers<const N: usize>(
+        &self,
+        traffic: &PairTraffic,
+        vm: VmId,
+        hosts: [ServerId; N],
+    ) -> [(f64, f64); N] {
+        let mut sums = [(-0.0, -0.0); N];
+        for (peer, rate) in traffic.peers(vm) {
+            let at = self.alloc.server_of(peer);
+            for (&host, (off, on)) in hosts.iter().zip(&mut sums) {
+                if at == host {
+                    *on += rate;
+                } else if peer != vm {
+                    *off += rate;
+                }
+            }
+        }
+        sums
     }
 
     /// Current NIC load of a server: traffic its hosted VMs exchange with
     /// VMs on other servers.
     ///
-    /// Memoized per host (see `ExtLoadCache`): the first read after a
-    /// mutation touching the host pays the O(hosted VMs × degree) sweep,
-    /// repeat reads are O(1). The cache only ever serves values produced
-    /// by the sweep below against the current allocation and `traffic`,
-    /// multiplied through by any [`Cluster::scale_traffic`] since.
+    /// Memoised per host (see `ExtLoadCache`) and always exact: reading a
+    /// host whose memo is unknown, or carries folded migrations, pays the
+    /// O(hosted VMs × degree) sweep and leaves the memo exact; repeat
+    /// reads are O(1). It returns the sweep below against the current
+    /// allocation and `traffic`, multiplied through by any
+    /// [`Cluster::scale_traffic`] since.
     pub fn host_external_load(&self, traffic: &PairTraffic, host: ServerId) -> f64 {
-        if let Some(v) = self.ext_load.get(host.index()) {
-            return v;
+        match self.ext_load.slot(host.index()) {
+            Slot::Exact(v) => v,
+            _ => self.refill(traffic, host),
         }
+    }
+
+    /// The memoised NIC load of `host` as the account holds it, past the
+    /// re-sweep of [`Cluster::host_external_load`]: `Some((load,
+    /// radius))`, where `load ± radius` holds a fresh sweep (radius 0
+    /// when exact), or `None` when nothing is memoised. Its one caller is
+    /// `crates/sim/tests/drift_soak.rs`, which measures the folded values
+    /// themselves.
+    #[doc(hidden)]
+    pub fn memoised_external_load(
+        &self,
+        traffic: &PairTraffic,
+        host: ServerId,
+    ) -> Option<(f64, f64)> {
+        self.ext_load.interval(host.index(), traffic.num_pairs())
+    }
+
+    /// Sweeps `host` and memoises the exact load.
+    fn refill(&self, traffic: &PairTraffic, host: ServerId) -> f64 {
         let v = self.external_load_sweep(traffic, host);
         self.ext_load.put(host.index(), v);
         v
@@ -409,11 +584,12 @@ impl Cluster {
     /// host's usage is the sum of the specs of the live VMs it hosts (CPU,
     /// a running float sum, to 1e-9) and within its capacity, and its
     /// free-slot index entry matches; down hosts host no live VM and
-    /// `hosts_down` counts them; and every memoised external load is
+    /// `hosts_down` counts them; every exact memoised external load is
     /// within 1e-9 relative of a fresh sum over `traffic` (a `ScaleAll`
     /// multiplies cached sums through instead of re-summing, so they may
-    /// differ in the last bits). O(VMs × degree): the property suites
-    /// call it inside their step loops.
+    /// differ in the last bits), and every folded one's interval holds
+    /// that sum. O(VMs × degree): the property suites call it inside
+    /// their step loops.
     #[cfg(any(test, debug_assertions))]
     #[doc(hidden)]
     pub fn check_invariants(&self, traffic: &PairTraffic) {
@@ -463,11 +639,16 @@ impl Cluster {
                 0
             };
             assert_eq!(self.slot_index.free(s), free, "free-slot index of {server}");
-            if let Some(cached) = self.ext_load.get(s) {
+            if let Some((memo, radius)) = self.ext_load.interval(s, traffic.num_pairs()) {
                 let fresh = self.external_load_sweep(traffic, server);
+                let tolerance = if radius == 0.0 {
+                    1e-9 * memo.abs().max(fresh.abs())
+                } else {
+                    radius
+                };
                 assert!(
-                    (cached - fresh).abs() <= 1e-9 * cached.abs().max(fresh.abs()),
-                    "memoised external load of {server}: {cached} vs a fresh {fresh}"
+                    (memo - fresh).abs() <= tolerance,
+                    "memoised external load of {server}: {memo} ± {radius} vs a fresh {fresh}"
                 );
             }
         }
@@ -482,6 +663,12 @@ impl Cluster {
     /// *relieve* the target's NIC. `traffic` is the TM the cluster has
     /// been told of; it is read only when the threshold is finite.
     ///
+    /// The answer is the one an exact memo gives. When the target's memo
+    /// carries folded migrations, the check runs at both ends of its
+    /// interval (see `ExtLoadCache`): it is monotone in the load, so two
+    /// equal answers certify it. Only a threshold inside the interval
+    /// pays a sweep, which leaves the memo exact.
+    ///
     /// # Errors
     ///
     /// Returns the violated resource.
@@ -492,25 +679,43 @@ impl Cluster {
         vm: VmId,
         bandwidth_threshold: f64,
     ) -> Result<(), AdmissionError> {
+        self.static_admission(server, vm)?;
+        if bandwidth_threshold.is_finite() {
+            let [split] = self.split_peers(traffic, vm, [server]);
+            self.nic_admission(traffic, server, bandwidth_threshold, split)?;
+        }
+        Ok(())
+    }
+
+    /// The liveness and slot/RAM/CPU half of [`Cluster::can_host`].
+    fn static_admission(&self, server: ServerId, vm: VmId) -> Result<(), AdmissionError> {
         if !self.host_up[server.index()] {
             return Err(AdmissionError::HostDown);
         }
-        self.usage[server.index()]
-            .admission_check(&self.server_spec, &self.vm_specs[vm.index()])?;
-        if bandwidth_threshold.is_finite() {
-            let incoming = self.external_rate(traffic, vm, server);
-            // Pairs between `vm` and VMs already on `server` currently load
-            // the server's NIC; after the move they become intra-host.
-            let internalised: f64 = traffic
-                .peers(vm)
-                .filter(|&(peer, _)| self.alloc.server_of(peer) == server)
-                .map(|(_, rate)| rate)
-                .sum();
-            let new_load = self.host_external_load(traffic, server) + incoming - internalised;
-            let capacity = self.nic_capacity_factor * self.server_spec.nic_bps;
-            if new_load > bandwidth_threshold * capacity + 1e-9 {
-                return Err(AdmissionError::Bandwidth);
-            }
+        self.usage[server.index()].admission_check(&self.server_spec, &self.vm_specs[vm.index()])
+    }
+
+    /// The NIC half of [`Cluster::can_host`], given the mover's
+    /// `(incoming, internalised)` rates against `server`: the sums to
+    /// peers hosted elsewhere, which would load the NIC after the move,
+    /// and to peers on `server`, which load it now and would become
+    /// intra-host.
+    fn nic_admission(
+        &self,
+        traffic: &PairTraffic,
+        server: ServerId,
+        bandwidth_threshold: f64,
+        (incoming, internalised): (f64, f64),
+    ) -> Result<(), AdmissionError> {
+        let capacity = self.nic_capacity_factor * self.server_spec.nic_bps;
+        let over =
+            |load: f64| load + incoming - internalised > bandwidth_threshold * capacity + 1e-9;
+        let exceeds = match self.ext_load.interval(server.index(), traffic.num_pairs()) {
+            Some((load, radius)) if over(load - radius) == over(load + radius) => over(load),
+            _ => over(self.refill(traffic, server)),
+        };
+        if exceeds {
+            return Err(AdmissionError::Bandwidth);
         }
         Ok(())
     }
@@ -532,7 +737,17 @@ impl Cluster {
         if current == target {
             return Ok(());
         }
-        self.can_host(traffic, target, vm, bandwidth_threshold)?;
+        let [(off_source, on_source), (off_target, on_target)] =
+            self.split_peers(traffic, vm, [current, target]);
+        self.static_admission(target, vm)?;
+        if bandwidth_threshold.is_finite() {
+            self.nic_admission(
+                traffic,
+                target,
+                bandwidth_threshold,
+                (off_target, on_target),
+            )?;
+        }
         let spec = self.vm_specs[vm.index()];
         self.usage[current.index()].evict(&spec);
         self.usage[target.index()].admit(&spec);
@@ -541,8 +756,13 @@ impl Cluster {
         self.alloc.move_vm(vm, target);
         // Only the two endpoints' external loads change: for any third
         // server, `vm`'s pairs were external before and stay external.
-        self.ext_load.invalidate(current.index());
-        self.ext_load.invalidate(target.index());
+        // The source stops carrying `vm`'s external pairs and starts
+        // carrying its pairs to the VMs left behind; the target takes the
+        // sums its admission check just added to its load.
+        let (degree, pairs) = (traffic.degree(vm), traffic.num_pairs());
+        let cache = &mut self.ext_load;
+        cache.fold(current.index(), -off_source, on_source, degree, pairs);
+        cache.fold(target.index(), off_target, -on_target, degree, pairs);
         Ok(())
     }
 
@@ -728,8 +948,9 @@ impl Cluster {
     /// Tells the cluster every pair rate was multiplied by `factor` — its
     /// share of a uniform `ScaleAll`, after the owner's
     /// [`PairTraffic::scale_all`]. The memoized external loads are
-    /// multiplied through instead of being re-swept pair by pair:
-    /// O(servers), no pair is visited. Slot/RAM/CPU state is untouched
+    /// multiplied through instead of being re-swept pair by pair, and the
+    /// folded ones' bounds widen through one counter: O(servers), no pair
+    /// is visited. Slot/RAM/CPU state is untouched
     /// (none of it depends on traffic).
     pub fn scale_traffic(&mut self, factor: f64) {
         self.ext_load.scale_all(factor);
@@ -801,6 +1022,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use score_topology::CanonicalTree;
     use score_traffic::PairTrafficBuilder;
 
@@ -1207,7 +1429,7 @@ mod tests {
         // with a cold-cache clone's re-sweep.
         for s in 0..4 {
             let s = ServerId::new(s);
-            assert!(scaled.c.ext_load.get(s.index()).is_some());
+            assert!(matches!(scaled.c.ext_load.slot(s.index()), Slot::Exact(_)));
             let cold = scaled.c.clone();
             assert_eq!(scaled.load(s), cold.host_external_load(&scaled.tm, s));
         }
@@ -1317,6 +1539,164 @@ mod tests {
             let caught = std::panic::catch_unwind(check).unwrap_err();
             let msg = caught.downcast_ref::<String>().expect("a formatted panic");
             assert!(msg.contains(what), "{what}: {msg}");
+        }
+    }
+
+    /// vm0 talks to vm1 (3e8) and vm2 (2e8), vm3 to vm1 (1e8); vm `i`
+    /// starts on srv`i`. Moving vm0 onto vm1's host folds both slots: the
+    /// source's to exactly 0, the target's to 4e8 + 2e8 − 3e8.
+    fn folded_world() -> World {
+        let mut b = PairTrafficBuilder::new(4);
+        b.add(VmId::new(0), VmId::new(1), 3e8);
+        b.add(VmId::new(0), VmId::new(2), 2e8);
+        b.add(VmId::new(3), VmId::new(1), 1e8);
+        let alloc = Allocation::from_fn(4, 16, |vm| ServerId::new(vm.get()));
+        let mut w = World::new(b.build(), ServerSpec::paper_default(), alloc);
+        w.migrate(VmId::new(0), ServerId::new(1), f64::INFINITY)
+            .unwrap();
+        w
+    }
+
+    #[test]
+    fn a_fold_to_exactly_zero_drops_the_slot() {
+        let w = folded_world();
+        assert_eq!(w.c.ext_load.slot(0), Slot::Unknown);
+        assert_eq!(w.load(ServerId::new(0)), 0.0);
+        // The target kept a folded value, not a sweep.
+        assert!(matches!(w.c.ext_load.slot(1), Slot::Folded { load, .. } if load == 3e8));
+        w.c.check_invariants(&w.tm);
+    }
+
+    #[test]
+    fn a_threshold_inside_the_interval_sweeps_and_leaves_the_slot_exact() {
+        let w = folded_world();
+        let (vm, srv1) = (VmId::new(3), ServerId::new(1));
+        let (load, radius) = w.c.ext_load.interval(1, w.tm.num_pairs()).unwrap();
+        assert!(radius > 0.0 && radius < 1e-6 * load, "{load} ± {radius}");
+        // vm3 would bring nothing and internalise its 1e8 pair: 2e8 after
+        // the move. A threshold far from it is certified without a sweep …
+        let probe = |threshold: f64| w.c.can_host(&w.tm, srv1, vm, threshold);
+        assert_eq!(probe(0.5), Ok(()));
+        assert_eq!(probe(0.1), Err(AdmissionError::Bandwidth));
+        assert!(matches!(w.c.ext_load.slot(1), Slot::Folded { .. }));
+        // … one inside the interval is not, and pays the sweep.
+        let capacity = ServerSpec::paper_default().nic_bps;
+        let limit = (load + radius / 2.0) - 1e8;
+        let threshold = limit / capacity;
+        let cold = w.c.clone();
+        assert_eq!(probe(threshold), cold.can_host(&w.tm, srv1, vm, threshold));
+        assert_eq!(w.c.ext_load.slot(1), Slot::Exact(3e8));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random migrations, sparse patches, `ScaleAll`s and NIC-factor
+        /// changes, with admission thresholds drawn near live loads: after
+        /// every op each memoised interval holds a cold clone's sweep, and
+        /// `can_host` answers as the cold clone does for every live VM and
+        /// up host.
+        #[test]
+        fn folded_intervals_hold_a_cold_sweep_and_certify_the_cold_answer(seed in 0u64..1_000_000) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let vms = 40u32;
+            let mut b = PairTrafficBuilder::new(vms);
+            for _ in 0..70 {
+                let (u, v) = (rng.gen_range(0..vms), rng.gen_range(0..vms));
+                if u != v {
+                    b.add(VmId::new(u), VmId::new(v), rng.gen_range(1e6..3e8));
+                }
+            }
+            let spec = ServerSpec { vm_slots: 6, ..ServerSpec::paper_default() };
+            let alloc = Allocation::from_fn(vms, 16, |vm| ServerId::new(vm.get() % 16));
+            let mut w = World::new(b.build(), spec, alloc);
+            let servers = (0..16).map(ServerId::new);
+            let capacity = |w: &World| w.c.nic_capacity_factor() * w.c.server_spec().nic_bps;
+            // A threshold that puts the limit either a log-uniform relative
+            // distance of 1e-13 to 1e-3 either side of the load `vm` would
+            // leave on `server`, as a cold clone sums it, or (half the time
+            // on a folded slot) anywhere within twice the slot's radius.
+            let near = |w: &World, cold: &Cluster, rng: &mut StdRng, vm: VmId, server: ServerId| {
+                let [(incoming, internalised)] = cold.split_peers(&w.tm, vm, [server]);
+                let limit = match w.c.ext_load.interval(server.index(), w.tm.num_pairs()) {
+                    Some((load, radius)) if radius > 0.0 && rng.gen_bool(0.5) => {
+                        load + rng.gen_range(-2.0..2.0) * radius + incoming - internalised
+                    }
+                    _ => {
+                        let after = cold.host_external_load(&w.tm, server) + incoming - internalised;
+                        let distance = 10f64.powf(rng.gen_range(-13.0..-3.0));
+                        let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                        after * (1.0 + sign * distance)
+                    }
+                };
+                limit / capacity(w)
+            };
+            let (mut certified, mut swept) = (0u32, 0u32);
+            for _ in 0..60 {
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let vm = VmId::new(rng.gen_range(0..vms));
+                        let target = ServerId::new(rng.gen_range(0..16));
+                        let cold = w.c.clone();
+                        let threshold = if rng.gen_bool(0.2) {
+                            f64::INFINITY
+                        } else {
+                            near(&w, &cold, &mut rng, vm, target)
+                        };
+                        let want = if cold.allocation().server_of(vm) == target {
+                            Ok(())
+                        } else {
+                            cold.can_host(&w.tm, target, vm, threshold)
+                        };
+                        prop_assert_eq!(w.migrate(vm, target, threshold), want);
+                    }
+                    5..=6 => {
+                        let (u, v) = (rng.gen_range(0..vms), rng.gen_range(0..vms));
+                        if u != v {
+                            let rate = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(1e6..3e8) };
+                            w.patch(VmId::new(u), VmId::new(v), rate);
+                        }
+                    }
+                    7..=8 => w.scale(rng.gen_range(0.5..2.0)),
+                    _ => w.c.set_nic_capacity_factor(rng.gen_range(0.3..=1.0)),
+                }
+                let cold = w.c.clone();
+                for s in servers.clone() {
+                    if let Some((load, radius)) = w.c.ext_load.interval(s.index(), w.tm.num_pairs()) {
+                        let swept = cold.host_external_load(&w.tm, s);
+                        let tolerance = if radius == 0.0 { 1e-9 * swept } else { radius };
+                        prop_assert!(
+                            (load - swept).abs() <= tolerance,
+                            "{s}: {load} ± {radius} vs a cold {swept}"
+                        );
+                    }
+                }
+                for vm in (0..vms).map(VmId::new) {
+                    for s in servers.clone() {
+                        let threshold = near(&w, &cold, &mut rng, vm, s);
+                        let before = w.c.ext_load.slot(s.index());
+                        let got = w.c.can_host(&w.tm, s, vm, threshold);
+                        let nic_checked = matches!(got, Ok(()) | Err(AdmissionError::Bandwidth));
+                        if nic_checked && matches!(before, Slot::Folded { .. }) {
+                            if w.c.ext_load.slot(s.index()) == before {
+                                certified += 1;
+                            } else {
+                                swept += 1;
+                            }
+                        }
+                        prop_assert_eq!(
+                            got,
+                            cold.can_host(&w.tm, s, vm, threshold),
+                            "{} on {} at threshold {}", vm, s, threshold
+                        );
+                    }
+                }
+                w.c.check_invariants(&w.tm);
+            }
+            // Both arms of the certificate ran.
+            prop_assert!(certified > 0 && swept > 0, "{} certified, {} swept", certified, swept);
         }
     }
 
