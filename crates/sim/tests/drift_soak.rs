@@ -5,10 +5,13 @@
 //! from-scratch reference every 10⁵ events:
 //!
 //! * the cost ledger's running `C_A` against a full Eq.-(2) pass;
-//! * the cluster's memoised per-host external loads — multiplied through
-//!   by every `ScaleAll` and re-derived only when a patch, churn or
-//!   migration drops them — against a cold `Cluster::clone()`, which
-//!   re-sums every host from the TM;
+//! * the cluster's memoised per-host external loads as the account holds
+//!   them (`Cluster::memoised_external_load`) — multiplied through by
+//!   every `ScaleAll`, folded by every migration, re-derived only when a
+//!   patch or churn drops them or a read re-sweeps them — against a cold
+//!   `Cluster::clone()`, which re-sums every host from the TM; every
+//!   folded memo's interval must hold that sum, and the widest relative
+//!   bound is printed beside the drift;
 //! * the TM's composed lazy `ScaleAll` factor against a reference map
 //!   that multiplies every pair by each factor in turn.
 //!
@@ -46,6 +49,9 @@ struct Drift {
     ledger: f64,
     ext_load: f64,
     factor: f64,
+    /// The widest relative bound of a folded NIC memo (printed, not a
+    /// drift: each interval must hold its host's sum).
+    bound: f64,
 }
 
 impl Drift {
@@ -62,14 +68,19 @@ impl Drift {
             .total_cost(cluster.allocation(), traffic, cluster.topo());
         let ledger = (session.current_cost() - fresh).abs() / fresh;
         let cold = cluster.clone();
-        let mut ext_load = 0.0f64;
+        let (mut ext_load, mut bound) = (0.0f64, 0.0f64);
         for s in 0..cluster.allocation().num_servers() {
             let s = ServerId::new(s);
-            let (memo, swept) = (
-                cluster.host_external_load(traffic, s),
-                cold.host_external_load(traffic, s),
+            let Some((memo, radius)) = cluster.memoised_external_load(traffic, s) else {
+                continue;
+            };
+            let swept = cold.host_external_load(traffic, s);
+            assert!(
+                (memo - swept).abs() <= radius || radius == 0.0,
+                "{s}: the memo {memo} ± {radius} does not hold the sum {swept}"
             );
             ext_load = ext_load.max(relative(memo, swept));
+            bound = bound.max(radius / memo);
         }
         let mut factor = 0.0f64;
         for (&(u, v), &want) in reference {
@@ -80,6 +91,7 @@ impl Drift {
             ledger,
             ext_load,
             factor,
+            bound,
         }
     }
 
@@ -254,8 +266,8 @@ fn ten_million_events_keep_every_account_within_1e9() {
         if event % CHECK_EVERY == 0 {
             let drift = Drift::measure(&session, &reference);
             println!(
-                "events {event:>9}  ledger {:.3e}  ext_load {:.3e}  factor {:.3e}",
-                drift.ledger, drift.ext_load, drift.factor
+                "events {event:>9}  ledger {:.3e}  ext_load {:.3e}  factor {:.3e}  bound {:.3e}",
+                drift.ledger, drift.ext_load, drift.factor, drift.bound
             );
             curve.push((event, drift));
         }

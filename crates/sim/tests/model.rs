@@ -15,7 +15,8 @@
 //! and the pre-emptive flag, and for a reactive move the kernel's score
 //! against `LocalView::delta_for`, bit for bit. Checked after every op:
 //! the pair map, the allocation and liveness, the cost to 1e-9
-//! relative, every host's NIC load, and (debug builds)
+//! relative, every host's NIC load (against the model, and against a cold
+//! clone's sweep within what the two sums round), and (debug builds)
 //! `Session::check_invariants()`. A near-tie (see `RefSession::hold`)
 //! is settled by the product's pick and counted.
 
@@ -205,6 +206,8 @@ struct World {
     draws: StdRng,
     next_sample: f64,
     completions: Vec<f64>,
+    /// `ScaleAll`s applied so far.
+    scales: u32,
 }
 
 impl World {
@@ -304,7 +307,7 @@ impl World {
     }
 }
 
-fn check(session: &Session, model: &RefSession) {
+fn check(session: &Session, model: &RefSession, scales: u32) {
     let pairs = session.traffic().pairs();
     assert_eq!(pairs.len(), model.rates.len(), "pair count");
     for (&(u, v, r), (&key, &want)) in pairs.iter().zip(&model.rates) {
@@ -327,11 +330,36 @@ fn check(session: &Session, model: &RefSession) {
         (got - want).abs() <= 1e-9 * got.max(want),
         "cost {got} vs {want}"
     );
-    for (s, want) in model.nic_loads(&model.alloc).into_iter().enumerate() {
-        let got = cluster.host_external_load(session.traffic(), ServerId::new(s as u32));
+    // The public read is a sweep: it equals a cold clone's fresh sweep up
+    // to what the two sums round (at most one rounding per external pair
+    // row and per VM on the host, each) and what the `ScaleAll`s it was
+    // multiplied through by round. A migration folded into it shows here
+    // long before it reaches 1e-9 once the host's load cancels.
+    let cold = cluster.clone();
+    let loads = model.nic_loads(&model.alloc);
+    let mut terms = vec![0u32; loads.len()];
+    for &s in &model.alloc {
+        terms[s as usize] += 1;
+    }
+    for &(u, v) in model.rates.keys() {
+        let (su, sv) = (model.alloc[u as usize], model.alloc[v as usize]);
+        if su != sv {
+            terms[su as usize] += 1;
+            terms[sv as usize] += 1;
+        }
+    }
+    for (s, want) in loads.into_iter().enumerate() {
+        let server = ServerId::new(s as u32);
+        let got = cluster.host_external_load(session.traffic(), server);
         assert!(
             (got - want).abs() <= 1e-9 * got.max(want),
             "NIC load of srv{s}: {got} vs {want}"
+        );
+        let swept = cold.host_external_load(session.traffic(), server);
+        let rounding = f64::from(2 * terms[s] + 4 * scales + 2) * f64::EPSILON;
+        assert!(
+            (got - swept).abs() <= rounding * swept,
+            "NIC load of srv{s}: {got} is no sweep of {swept}"
         );
     }
     #[cfg(debug_assertions)]
@@ -378,6 +406,7 @@ impl World {
                     .apply_trace_event(&TraceEvent::ScaleAll { factor })
                     .unwrap();
                 model.scale_all(factor, now);
+                self.scales += 1;
             }
             Op::Place(server) => {
                 let server = server.map(|s| s % servers);
@@ -451,16 +480,17 @@ fn drive(fabric: Fabric, case: u32, tally: &mut Tally) {
         draws: StdRng::seed_from_u64(scenario.seed),
         next_sample: 0.0,
         completions: Vec::new(),
+        scales: 0,
         tally: std::mem::take(tally),
         session,
         model,
     };
     let start = world.tally.holds;
-    check(&world.session, &world.model);
+    check(&world.session, &world.model, 0);
     for (i, op) in ops.iter().enumerate() {
         eprintln!("{fabric:?} case {case} op {i}: {op:?}");
         world.apply(op);
-        check(&world.session, &world.model);
+        check(&world.session, &world.model, world.scales);
     }
     let holds = world.session.report().token_holds;
     assert_eq!(holds, world.tally.holds - start, "holds");
