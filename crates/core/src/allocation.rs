@@ -155,11 +155,6 @@ impl Allocation {
             .map(|(i, &s)| (VmId::new(i as u32), s))
     }
 
-    /// Largest per-server occupancy (for capacity sanity checks).
-    pub fn max_occupancy(&self) -> usize {
-        self.server_vms.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Verifies the bidirectional index; used in tests and debug
     /// assertions.
     pub fn is_consistent(&self) -> bool {
@@ -219,7 +214,6 @@ mod tests {
         let a = Allocation::from_vec(servers.clone(), 3);
         assert_eq!(a.as_slice(), servers.as_slice());
         assert_eq!(a.occupancy(ServerId::new(2)), 2);
-        assert_eq!(a.max_occupancy(), 2);
     }
 
     #[test]
@@ -247,7 +241,6 @@ mod tests {
     fn empty_allocation() {
         let a = Allocation::from_fn(0, 4, |_| ServerId::new(0));
         assert_eq!(a.num_vms(), 0);
-        assert_eq!(a.max_occupancy(), 0);
         assert!(a.is_consistent());
     }
 }

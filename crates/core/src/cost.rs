@@ -132,38 +132,6 @@ impl CostModel {
     ) -> crate::CostLedger {
         crate::CostLedger::new(self.clone(), alloc, traffic, topo)
     }
-
-    /// Theorem 1: should `u` migrate to `target` given migration cost
-    /// `cm`? True iff `ΔC > cm`.
-    pub fn should_migrate<T: Topology + ?Sized>(
-        &self,
-        u: VmId,
-        target: ServerId,
-        alloc: &Allocation,
-        traffic: &PairTraffic,
-        topo: &T,
-        cm: f64,
-    ) -> bool {
-        self.migration_delta(u, target, alloc, traffic, topo) > cm
-    }
-
-    /// The highest communication level of `u` under `alloc` —
-    /// `ℓ_A(u) = max_{v∈Vu} ℓ_A(u, v)` (§II), used by the HLF token policy.
-    /// Returns level 0 for VMs with no peers.
-    pub fn highest_level<T: Topology + ?Sized>(
-        &self,
-        u: VmId,
-        alloc: &Allocation,
-        traffic: &PairTraffic,
-        topo: &T,
-    ) -> score_topology::Level {
-        let su = alloc.server_of(u);
-        traffic
-            .peers(u)
-            .map(|(v, _)| topo.level(su, alloc.server_of(v)))
-            .max()
-            .unwrap_or(score_topology::Level::ZERO)
-    }
 }
 
 impl Default for CostModel {
@@ -299,33 +267,6 @@ mod tests {
         let cost = m.total_cost(&a, &t, &topo);
         let expected = 2.0 * (5.0 * w(2) + 1.0 * w(3));
         assert!((cost - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn theorem1_gate() {
-        let m = CostModel::paper_default();
-        let (a, t, topo) = (alloc(), traffic(), topo());
-        let delta = m.migration_delta(VmId::new(0), ServerId::new(1), &a, &t, &topo);
-        assert!(delta > 0.0);
-        assert!(m.should_migrate(VmId::new(0), ServerId::new(1), &a, &t, &topo, 0.0));
-        // A migration cost above the gain blocks the move.
-        assert!(!m.should_migrate(VmId::new(0), ServerId::new(1), &a, &t, &topo, delta + 1.0));
-    }
-
-    #[test]
-    fn highest_level() {
-        let m = CostModel::paper_default();
-        let (a, t, topo) = (alloc(), traffic(), topo());
-        assert_eq!(
-            m.highest_level(VmId::new(0), &a, &t, &topo),
-            Level::AGGREGATION
-        );
-        assert_eq!(m.highest_level(VmId::new(2), &a, &t, &topo), Level::CORE);
-        // vm with no peers
-        let mut b = PairTrafficBuilder::new(4);
-        b.add(VmId::new(0), VmId::new(1), 1.0);
-        let t2 = b.build();
-        assert_eq!(m.highest_level(VmId::new(3), &a, &t2, &topo), Level::ZERO);
     }
 
     #[test]
