@@ -331,10 +331,10 @@ fn check(session: &Session, model: &RefSession, scales: u32) {
         "cost {got} vs {want}"
     );
     // The public read is a sweep: it equals a cold clone's fresh sweep up
-    // to what the two sums round (at most one rounding per external pair
-    // row and per VM on the host, each) and what the `ScaleAll`s it was
-    // multiplied through by round. A migration folded into it shows here
-    // long before it reaches 1e-9 once the host's load cancels.
+    // to the rounding of both sums (at most one per external row and per
+    // VM on the host) and of the `ScaleAll`s it was multiplied through by.
+    // A migration folded into it shows here long before it reaches 1e-9
+    // once the host's load cancels.
     let cold = cluster.clone();
     let loads = model.nic_loads(&model.alloc);
     let mut terms = vec![0u32; loads.len()];
