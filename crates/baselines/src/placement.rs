@@ -7,7 +7,7 @@
 
 use rand::Rng;
 use score_core::Allocation;
-use score_topology::{ServerId, VmId};
+use score_topology::ServerId;
 
 /// Uniform-random placement honouring a per-server slot limit.
 ///
@@ -99,15 +99,6 @@ pub fn respects_slots(alloc: &Allocation, slots_per_server: u32) -> bool {
     (0..alloc.num_servers()).all(|s| alloc.occupancy(ServerId::new(s)) <= slots_per_server as usize)
 }
 
-/// Convenience for experiments: which rack a VM lands on under an
-/// allocation and a rack-of-server function.
-pub fn rack_of_vm<F>(alloc: &Allocation, vm: VmId, rack_of: F) -> u32
-where
-    F: Fn(ServerId) -> u32,
-{
-    rack_of(alloc.server_of(vm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,11 +163,5 @@ mod tests {
         // Different VM identities than plain packed (with overwhelming
         // probability for this seed).
         assert_ne!(a, packed_placement(10, 4, 4));
-    }
-
-    #[test]
-    fn rack_of_vm_helper() {
-        let a = packed_placement(8, 4, 2);
-        assert_eq!(rack_of_vm(&a, VmId::new(5), |s| s.get() / 2), 1);
     }
 }

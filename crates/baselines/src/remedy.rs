@@ -114,13 +114,6 @@ pub struct RemedyResult {
     pub final_max_util: f64,
 }
 
-impl RemedyResult {
-    /// Total estimated migration traffic in bytes.
-    pub fn total_migrated_bytes(&self) -> f64 {
-        self.steps.iter().map(|s| s.migrated_bytes).sum()
-    }
-}
-
 /// The Remedy controller.
 ///
 /// # Examples
@@ -408,7 +401,7 @@ mod tests {
         assert!(before > 0.0);
         assert!(after > 0.0);
         assert_eq!(
-            result.total_migrated_bytes(),
+            result.steps.iter().map(|s| s.migrated_bytes).sum::<f64>(),
             result.steps.len() as f64
                 * Remedy::new(RemedyConfig::paper_default()).migration_bytes()
         );

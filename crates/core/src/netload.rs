@@ -82,11 +82,6 @@ impl LinkLoadMap {
         self.load_bps[link.index()] / self.capacity_bps[link.index()]
     }
 
-    /// Level of one link.
-    pub fn link_level(&self, link: LinkId) -> Level {
-        Level::new(self.level[link.index()])
-    }
-
     /// Iterator over `(link, load_bps, utilization)` tuples.
     pub fn iter(&self) -> impl Iterator<Item = (LinkId, f64, f64)> + '_ {
         (0..self.load_bps.len()).map(move |i| {
@@ -96,14 +91,6 @@ impl LinkLoadMap {
                 self.load_bps[i] / self.capacity_bps[i],
             )
         })
-    }
-
-    /// Utilizations of all links at the given level, unsorted.
-    pub fn utilizations_at_level(&self, level: Level) -> Vec<f64> {
-        (0..self.load_bps.len())
-            .filter(|&i| self.level[i] == level.get())
-            .map(|i| self.load_bps[i] / self.capacity_bps[i])
-            .collect()
     }
 
     /// The most utilized link and its utilization, optionally restricted to
@@ -133,7 +120,10 @@ impl LinkLoadMap {
     /// utilization values; plotting index/(n-1) against value reproduces
     /// Fig. 4a's per-layer CDFs.
     pub fn utilization_cdf(&self, level: Level) -> Vec<f64> {
-        let mut utils = self.utilizations_at_level(level);
+        let mut utils: Vec<f64> = (0..self.load_bps.len())
+            .filter(|&i| self.level[i] == level.get())
+            .map(|i| self.load_bps[i] / self.capacity_bps[i])
+            .collect();
         utils.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         utils
     }
@@ -205,7 +195,7 @@ mod tests {
         // on the path carries 25 Mb/s.
         let core_loads: Vec<f64> = map
             .iter()
-            .filter(|&(l, _, _)| map.link_level(l) == Level::CORE)
+            .filter(|&(l, _, _)| map.level[l.index()] == Level::CORE.get())
             .map(|(_, load, _)| load)
             .filter(|&l| l > 0.0)
             .collect();

@@ -34,14 +34,6 @@ pub struct StepOutcome {
     pub next: Option<VmId>,
 }
 
-impl StepOutcome {
-    /// The signed change this step applied to the network-wide cost
-    /// `C_A` (see [`MigrationDecision::applied_delta`]).
-    pub fn applied_delta(&self) -> f64 {
-        self.decision.applied_delta()
-    }
-}
-
 /// Aggregate statistics of one iteration (`|V|` token holds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationStats {
@@ -531,7 +523,7 @@ mod tests {
             ) else {
                 break;
             };
-            assert_eq!(outcome.applied_delta(), -outcome.decision.gain);
+            assert_eq!(outcome.decision.applied_delta(), -outcome.decision.gain);
         }
         let fresh = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
         assert!(
