@@ -52,11 +52,7 @@ pub struct FaultPoint {
 
 /// The storm severities this experiment escalates through, sized for
 /// `num_servers` hosts in `num_racks` racks inside `horizon_s`.
-pub fn severities(
-    num_servers: u32,
-    num_racks: u32,
-    horizon_s: f64,
-) -> [(&'static str, FaultSpec); 3] {
+fn severities(num_servers: u32, num_racks: u32, horizon_s: f64) -> [(&'static str, FaultSpec); 3] {
     let spec = |host_crashes, rack_fails, degradations| FaultSpec {
         num_servers,
         num_racks,

@@ -29,7 +29,7 @@ pub struct OverheadPoint {
 }
 
 /// Mean peers per VM assumed for probe counting (sparse-workload figure).
-pub const MEAN_PEERS: u64 = 4;
+const MEAN_PEERS: u64 = 4;
 
 /// Runs the accounting and writes `ext_control_overhead.csv`.
 pub fn run(paper_scale: bool) -> (Vec<OverheadPoint>, String) {

@@ -35,7 +35,7 @@ pub struct Fig4Result {
 
 /// Translates Remedy's per-migration byte estimate into S-CORE cost units
 /// (bits moved at rack level, amortised over `window_s`).
-pub fn cm_from_remedy_bytes(bytes: f64, model: &CostModel, window_s: f64) -> f64 {
+fn cm_from_remedy_bytes(bytes: f64, model: &CostModel, window_s: f64) -> f64 {
     let rate_bps = bytes * 8.0 / window_s;
     rate_bps * model.weights().pair_cost_per_unit(Level::RACK)
 }

@@ -29,7 +29,7 @@ pub struct OpTiming {
 }
 
 /// Flow-set sizes exercised (the paper sweeps 10⁰..10⁶).
-pub fn paper_sizes(paper_scale: bool) -> Vec<usize> {
+fn paper_sizes(paper_scale: bool) -> Vec<usize> {
     if paper_scale {
         vec![1, 10, 100, 1_000, 10_000, 100_000, 1_000_000]
     } else {

@@ -49,7 +49,7 @@ pub mod fig5cd;
 use score_sim::Scenario;
 use score_traffic::TrafficIntensity;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Directory where experiment CSVs are written (`results/` at the
 /// workspace root, overridable with `SCORE_RESULTS_DIR`).
@@ -164,15 +164,6 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Formats a `(label, value)` table with aligned columns.
-pub fn kv_table(rows: &[(&str, String)]) -> String {
-    let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    rows.iter()
-        .map(|(k, v)| format!("  {k:<width$}  {v}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Simple elapsed-time stopwatch for the timing experiments.
 #[derive(Debug)]
 pub struct Stopwatch(std::time::Instant);
@@ -189,12 +180,6 @@ impl Stopwatch {
     }
 }
 
-/// Asserts a path is inside the results directory (sanity helper for
-/// tests).
-pub fn is_result_path(path: &Path) -> bool {
-    path.starts_with(results_dir())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,17 +194,10 @@ mod tests {
     fn write_and_locate_result() {
         let path = write_result("test_artifact.csv", "a,b\n1,2\n");
         assert!(path.exists());
-        assert!(is_result_path(&path));
+        assert!(path.starts_with(results_dir()));
         let contents = std::fs::read_to_string(&path).unwrap();
         assert_eq!(contents, "a,b\n1,2\n");
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn kv_table_aligns() {
-        let t = kv_table(&[("a", "1".into()), ("long-key", "2".into())]);
-        assert!(t.contains("a         1"));
-        assert!(t.contains("long-key  2"));
     }
 
     /// Every experiment's `--paper-scale` scenarios build their fabric,

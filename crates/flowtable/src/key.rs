@@ -78,17 +78,6 @@ impl FlowKey {
         }
     }
 
-    /// Creates a UDP flow key.
-    pub fn udp(src_ip: Ipv4Addr, src_port: u16, dst_ip: Ipv4Addr, dst_port: u16) -> Self {
-        FlowKey {
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            proto: Protocol::Udp,
-        }
-    }
-
     /// The same flow viewed from the opposite direction.
     pub fn reversed(&self) -> FlowKey {
         FlowKey {
@@ -178,16 +167,5 @@ mod tests {
         assert_eq!(k.to_string(), "10.0.0.1:5000 -> 10.0.1.2:80 (tcp)");
         assert_eq!(Protocol::Other(47).to_string(), "proto47");
         assert_eq!(Protocol::Udp.to_string(), "udp");
-    }
-
-    #[test]
-    fn udp_constructor() {
-        let k = FlowKey::udp(
-            Ipv4Addr::new(1, 1, 1, 1),
-            53,
-            Ipv4Addr::new(2, 2, 2, 2),
-            5353,
-        );
-        assert_eq!(k.proto, Protocol::Udp);
     }
 }

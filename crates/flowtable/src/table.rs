@@ -47,7 +47,7 @@ impl FlowRecord {
     ///
     /// Returns 0 for flows younger than `min_age_s` to avoid dividing by a
     /// near-zero age.
-    pub fn throughput_bytes_per_s(&self, now_s: f64, min_age_s: f64) -> f64 {
+    fn throughput_bytes_per_s(&self, now_s: f64, min_age_s: f64) -> f64 {
         let age = self.duration_s(now_s);
         if age < min_age_s {
             return 0.0;
@@ -184,11 +184,6 @@ impl FlowTable {
     /// Iterates over all records.
     pub fn iter(&self) -> impl Iterator<Item = &FlowRecord> + '_ {
         self.flows.values()
-    }
-
-    /// Total bytes across all flows.
-    pub fn total_bytes(&self) -> u64 {
-        self.flows.values().map(|r| r.bytes).sum()
     }
 
     /// Aggregate load between `local` and each of its peers at time
@@ -347,7 +342,7 @@ mod tests {
         let mut t = FlowTable::with_capacity(16);
         t.record(key(1, 2, 1000), 10, 1, 0.0);
         t.record(key(1, 3, 1001), 20, 1, 0.0);
-        assert_eq!(t.total_bytes(), 30);
+        assert_eq!(t.iter().map(|r| r.bytes).sum::<u64>(), 30);
         assert_eq!(t.iter().count(), 2);
     }
 

@@ -72,15 +72,10 @@ impl ObsHandle {
     /// An enabled handle with a fresh registry and a journal bounded at
     /// [`DEFAULT_JOURNAL_CAPACITY`].
     pub fn new() -> Self {
-        Self::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// An enabled handle with a journal bounded at `capacity`.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
         Self {
             inner: Some(Arc::new(Obs {
                 registry: Registry::new(),
-                journal: Journal::new(capacity),
+                journal: Journal::new(DEFAULT_JOURNAL_CAPACITY),
             })),
             labels: String::new(),
         }
