@@ -277,11 +277,6 @@ impl TenantEngine {
         &self.session
     }
 
-    /// True while the event clock is frozen.
-    pub fn paused(&self) -> bool {
-        self.paused
-    }
-
     /// Advances the session toward wall-clock pace: steps until the
     /// event clock catches up with `rate ×` elapsed run time, but at
     /// most `max_steps` token holds per call so one tenant never

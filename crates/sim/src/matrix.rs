@@ -69,7 +69,7 @@ pub enum RunLength {
 
 /// One labeled engine-axis entry (the label names the sweep point in
 /// reports, e.g. `"base-10"` for a link-weight variant).
-pub type LabeledEngine = (String, EngineSpec);
+type LabeledEngine = (String, EngineSpec);
 
 /// A policy × topology × intensity (× engine) sweep over one base
 /// scenario (see the module docs).
@@ -405,25 +405,11 @@ impl MatrixRunner {
 }
 
 impl MatrixReport {
-    /// Cells run under the given policy.
-    pub fn for_policy(&self, policy: PolicyKind) -> impl Iterator<Item = &MatrixCell> {
-        self.cells.iter().filter(move |c| c.policy == policy)
-    }
-
     /// Cells run at the given intensity.
     pub fn for_intensity(&self, intensity: TrafficIntensity) -> impl Iterator<Item = &MatrixCell> {
         self.cells
             .iter()
             .filter(move |c| c.intensity == Some(intensity))
-    }
-
-    /// The cell with the given engine label, if the engine axis was
-    /// swept.
-    pub fn for_engine(&self, label: &str) -> impl Iterator<Item = &MatrixCell> + '_ {
-        let label = label.to_string();
-        self.cells
-            .iter()
-            .filter(move |c| c.engine_label.as_deref() == Some(label.as_str()))
     }
 
     /// Serializes to compact JSON.
@@ -541,7 +527,11 @@ mod tests {
             assert_eq!(cell.report.policy, cell.policy.name());
             assert!(cell.report.final_cost <= cell.report.initial_cost);
         }
-        assert_eq!(results.for_policy(PolicyKind::RoundRobin).count(), 2);
+        let round_robin = results
+            .cells
+            .iter()
+            .filter(|c| c.policy == PolicyKind::RoundRobin);
+        assert_eq!(round_robin.count(), 2);
         assert_eq!(results.for_intensity(TrafficIntensity::Dense).count(), 2);
         // The whole collection serializes and parses back identically.
         let back = MatrixReport::from_json(&results.to_json()).unwrap();
@@ -562,11 +552,15 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(results.cells.len(), 2);
-        let pricey: Vec<_> = results.for_engine("pricey").collect();
+        let labelled = |label| {
+            let cells = results.cells.iter();
+            cells.filter(move |c| c.engine_label.as_deref() == Some(label))
+        };
+        let pricey: Vec<_> = labelled("pricey").collect();
         assert_eq!(pricey.len(), 1);
         // The prohibitive migration cost reached the engine.
         assert!(pricey[0].report.migrations.is_empty());
-        let paper: Vec<_> = results.for_engine("paper").collect();
+        let paper: Vec<_> = labelled("paper").collect();
         assert_eq!(paper[0].engine_label.as_deref(), Some("paper"));
     }
 

@@ -110,16 +110,6 @@ impl TraceReplayStats {
             self.apply_ns_total as f64 / self.events_applied as f64
         }
     }
-
-    /// Applied batches per wall-clock second of rebind work
-    /// (`f64::INFINITY` when no time was measured but events fired).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.events_applied == 0 {
-            0.0
-        } else {
-            self.events_applied as f64 / (self.apply_ns_total as f64 * 1e-9)
-        }
-    }
 }
 
 /// Pre-empted-vs-reactive migration counts under a forecasting
@@ -425,9 +415,7 @@ mod tests {
             apply_ns_max: 900,
         };
         assert_eq!(stats.mean_apply_ns(), 500.0);
-        assert!((stats.events_per_sec() - 2e6).abs() < 1.0);
         assert_eq!(TraceReplayStats::default().mean_apply_ns(), 0.0);
-        assert_eq!(TraceReplayStats::default().events_per_sec(), 0.0);
     }
 
     #[test]

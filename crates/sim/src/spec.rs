@@ -1411,12 +1411,6 @@ impl ScenarioBuilder {
         self.trace(TraceSpec::Literal { trace, seed })
     }
 
-    /// Adds a per-VM resource override (heterogeneous populations).
-    pub fn vm_override(mut self, vm: u32, spec: VmSpec) -> Self {
-        self.resources.vm_overrides.push((vm, spec));
-        self
-    }
-
     /// Sets the initial placement.
     pub fn placement(mut self, placement: PlacementSpec) -> Self {
         self.placement = placement;
@@ -1832,11 +1826,8 @@ mod tests {
             ram_mb: 512,
             cpu_cores: 1.0,
         };
-        let scenario = Scenario::builder()
-            .star(8)
-            .num_vms(16)
-            .vm_override(3, heavy)
-            .build();
+        let mut scenario = Scenario::builder().star(8).num_vms(16).build();
+        scenario.resources.vm_overrides.push((3, heavy));
         let back = Scenario::from_json(&scenario.to_json()).unwrap();
         assert_eq!(back, scenario);
         let session = scenario.session().unwrap();
@@ -1858,22 +1849,22 @@ mod tests {
     fn invalid_vm_overrides_are_errors() {
         use score_core::VmSpec;
         // Out of range.
-        let scenario = Scenario::builder()
-            .star(8)
-            .num_vms(4)
-            .vm_override(9, VmSpec::paper_default())
-            .build();
+        let mut scenario = Scenario::builder().star(8).num_vms(4).build();
+        scenario
+            .resources
+            .vm_overrides
+            .push((9, VmSpec::paper_default()));
         assert!(matches!(
             scenario.session(),
             Err(ScenarioError::Placement(_))
         ));
         // Duplicate override.
-        let scenario = Scenario::builder()
-            .star(8)
-            .num_vms(4)
-            .vm_override(1, VmSpec::paper_default())
-            .vm_override(1, VmSpec::paper_default())
-            .build();
+        let mut scenario = Scenario::builder().star(8).num_vms(4).build();
+        let duplicate = (1, VmSpec::paper_default());
+        scenario
+            .resources
+            .vm_overrides
+            .extend([duplicate, duplicate]);
         assert!(matches!(
             scenario.session(),
             Err(ScenarioError::Placement(_))
