@@ -200,12 +200,12 @@ impl FatTree {
     }
 
     /// Hosts per pod: `(k/2)²`.
-    pub fn hosts_per_pod(&self) -> u32 {
+    fn hosts_per_pod(&self) -> u32 {
         self.half() * self.half()
     }
 
     /// The pod of a server.
-    pub fn pod_of(&self, s: ServerId) -> PodId {
+    fn pod_of(&self, s: ServerId) -> PodId {
         self.assert_server(s);
         PodId::new(s.get() / self.hosts_per_pod())
     }

@@ -12,9 +12,10 @@
 //!   hosts/rack) and the [`FatTree`] (`k = 16`, 1024 hosts);
 //! * an explicit [`NetGraph`] per topology for link-utilization accounting
 //!   and BFS cross-validation;
-//! * rack-subnet addressing and the precomputed location-cost mapping
-//!   ([`AddressPlan`], [`LocationOracle`]) that let S-CORE determine
-//!   communication levels from information available locally (paper §V-B4).
+//! * rack-subnet addressing ([`AddressPlan`]) plus the location-cost
+//!   mapping ([`Topology::level`], precomputed as [`LevelBuckets`]) that
+//!   let S-CORE determine communication levels from information available
+//!   locally (paper §V-B4).
 //!
 //! # Examples
 //!
@@ -49,7 +50,7 @@ pub use api::{checks, LevelBuckets, RouteShare, ServerCoords, Topology};
 pub use fattree::{FatTree, FatTreeBuilder};
 pub use graph::{Link, NetGraph, Node, NodeKind};
 pub use ids::{Level, LinkId, NodeId, PodId, RackId, ServerId, VmId};
-pub use location::{AddressPlan, Ip4, LocationOracle, UnknownAddressError};
+pub use location::{AddressPlan, Ip4, UnknownAddressError};
 pub use star::StarTopology;
 pub use tree::{BuildError, CanonicalTree, CanonicalTreeBuilder, LinkCapacities};
 pub use weights::{LinkWeights, WeightsError};

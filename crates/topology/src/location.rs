@@ -9,11 +9,12 @@
 //!
 //! [`AddressPlan`] implements that scheme: every rack owns a `/24`-style
 //! subnet of a 10.0.0.0/8-like space and every server gets a host address
-//! inside its rack subnet. [`LocationOracle`] is the precomputed
-//! address-pair → level mapping.
+//! inside its rack subnet. Once an address resolves to a server, the
+//! level itself is [`Topology::level`], and [`LevelBuckets`](crate::LevelBuckets)
+//! is the precomputed rack/zone → level mapping that scoring reads.
 
 use crate::api::Topology;
-use crate::ids::{Level, RackId, ServerId};
+use crate::ids::{RackId, ServerId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -40,7 +41,7 @@ impl Ip4 {
     }
 
     /// Dotted-quad octets.
-    pub const fn octets(self) -> [u8; 4] {
+    const fn octets(self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
             (self.0 >> 16) as u8,
@@ -172,84 +173,6 @@ impl AddressPlan {
     }
 }
 
-/// Precomputed location-cost mapping (paper §V-B4): communication level for
-/// every pair of racks.
-///
-/// The per-rack matrix is tiny compared to per-server state (128×128 for the
-/// paper's canonical topology) and lets a dom0 answer "what level do I talk
-/// to that hypervisor at" with two address lookups and one table read.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LocationOracle {
-    racks: usize,
-    /// Row-major rack×rack levels; level 0 on the diagonal refers to
-    /// *same-rack* (the oracle cannot distinguish same-server; callers check
-    /// server equality first).
-    levels: Vec<u8>,
-    plan: AddressPlan,
-}
-
-impl LocationOracle {
-    /// Precomputes the rack-pair level table from a topology.
-    pub fn new<T: Topology + ?Sized>(topo: &T) -> Self {
-        let racks = topo.num_racks();
-        let mut levels = vec![0u8; racks * racks];
-        // Level between racks is the level between any representative
-        // servers of those racks (uniform within racks in layered trees).
-        let reps: Vec<ServerId> = (0..racks as u32)
-            .map(|r| ServerId::new(topo.servers_in_rack(RackId::new(r)).start))
-            .collect();
-        for (i, &a) in reps.iter().enumerate() {
-            for (j, &b) in reps.iter().enumerate() {
-                levels[i * racks + j] = if i == j {
-                    Level::RACK.get()
-                } else {
-                    topo.level(a, b).get()
-                };
-            }
-        }
-        LocationOracle {
-            racks,
-            levels,
-            plan: AddressPlan::new(topo),
-        }
-    }
-
-    /// The address plan the oracle was built from.
-    pub fn plan(&self) -> &AddressPlan {
-        &self.plan
-    }
-
-    /// Communication level between two servers identified by dom0 address.
-    ///
-    /// Collocated servers (same address) are level 0; same-rack pairs are
-    /// level 1; higher levels come from the precomputed rack matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAddressError`] if either address is foreign.
-    pub fn level_between(&self, a: Ip4, b: Ip4) -> Result<Level, UnknownAddressError> {
-        if a == b {
-            return Ok(Level::ZERO);
-        }
-        let ra = self.plan.rack_of(a)?.index();
-        let rb = self.plan.rack_of(b)?.index();
-        Ok(Level::new(self.levels[ra * self.racks + rb]))
-    }
-
-    /// Communication level between two racks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rack is out of range.
-    pub fn rack_level(&self, a: RackId, b: RackId) -> Level {
-        assert!(
-            a.index() < self.racks && b.index() < self.racks,
-            "rack out of range"
-        );
-        Level::new(self.levels[a.index() * self.racks + b.index()])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,53 +225,5 @@ mod tests {
         let err = plan.server_of(Ip4::from_octets(10, 200, 0, 1)).unwrap_err();
         assert_eq!(err.address(), Ip4::from_octets(10, 200, 0, 1));
         assert!(err.to_string().contains("10.200.0.1"));
-    }
-
-    #[test]
-    fn oracle_levels_match_topology() {
-        let topo = CanonicalTree::small();
-        let oracle = LocationOracle::new(&topo);
-        let plan = oracle.plan().clone();
-        for a in 0..topo.num_servers() as u32 {
-            for b in 0..topo.num_servers() as u32 {
-                let (sa, sb) = (ServerId::new(a), ServerId::new(b));
-                let got = oracle
-                    .level_between(plan.server_ip(sa), plan.server_ip(sb))
-                    .unwrap();
-                assert_eq!(got, topo.level(sa, sb), "pair {a},{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn oracle_rack_level() {
-        let topo = CanonicalTree::small();
-        let oracle = LocationOracle::new(&topo);
-        assert_eq!(
-            oracle.rack_level(RackId::new(0), RackId::new(0)),
-            Level::RACK
-        );
-        assert_eq!(
-            oracle.rack_level(RackId::new(0), RackId::new(1)),
-            Level::AGGREGATION
-        );
-        assert_eq!(
-            oracle.rack_level(RackId::new(0), RackId::new(2)),
-            Level::CORE
-        );
-    }
-
-    #[test]
-    fn oracle_works_on_fattree() {
-        let topo = FatTree::small();
-        let oracle = LocationOracle::new(&topo);
-        let plan = oracle.plan().clone();
-        let (a, b) = (ServerId::new(0), ServerId::new(4));
-        assert_eq!(
-            oracle
-                .level_between(plan.server_ip(a), plan.server_ip(b))
-                .unwrap(),
-            Level::CORE
-        );
     }
 }

@@ -28,16 +28,6 @@ pub struct LinkCapacities {
 }
 
 impl LinkCapacities {
-    /// 1 GbE at the edge, 10 GbE uplinks — the typical oversubscribed DC of
-    /// the paper's era.
-    pub fn oversubscribed_default() -> Self {
-        LinkCapacities {
-            host_bps: 1e9,
-            tor_agg_bps: 10e9,
-            agg_core_bps: 10e9,
-        }
-    }
-
     /// Uniform capacity on all links (used by the fat-tree, which relies on
     /// path multiplicity rather than faster uplinks).
     pub fn uniform(bps: f64) -> Self {
@@ -49,9 +39,15 @@ impl LinkCapacities {
     }
 }
 
+/// 1 GbE at the edge, 10 GbE uplinks — the typical oversubscribed DC of
+/// the paper's era.
 impl Default for LinkCapacities {
     fn default() -> Self {
-        LinkCapacities::oversubscribed_default()
+        LinkCapacities {
+            host_bps: 1e9,
+            tor_agg_bps: 10e9,
+            agg_core_bps: 10e9,
+        }
     }
 }
 
@@ -322,7 +318,7 @@ impl CanonicalTree {
     }
 
     /// Aggregation group of a rack.
-    pub fn agg_of_rack(&self, r: RackId) -> u32 {
+    fn agg_of_rack(&self, r: RackId) -> u32 {
         assert!(r.get() < self.racks, "rack {r} out of range");
         r.get() / self.racks_per_agg
     }

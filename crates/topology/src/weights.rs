@@ -62,7 +62,7 @@ impl std::error::Error for WeightsError {}
 /// use score_topology::{Level, LinkWeights};
 ///
 /// let w = LinkWeights::paper_default();
-/// assert_eq!(w.num_levels(), 3);
+/// assert_eq!(w.max_level(), Level::CORE);
 /// // Level-1 communication uses two 1-level links of weight e^0 = 1.
 /// assert!((w.pair_cost_per_unit(Level::RACK) - 2.0).abs() < 1e-12);
 /// ```
@@ -112,7 +112,7 @@ impl LinkWeights {
         LinkWeights::new([1.0, 1f64.exp(), 3f64.exp()]).expect("paper default weights are valid")
     }
 
-    /// Exponentially growing weights `c_i = base^(i-1)` for `levels` layers.
+    /// Geometrically growing weights `c_i = base^(i-1)` for `levels` layers.
     ///
     /// # Errors
     ///
@@ -122,32 +122,16 @@ impl LinkWeights {
         LinkWeights::new((0..levels).map(|i| base.powi(i as i32)))
     }
 
-    /// Number of link levels these weights cover.
-    pub fn num_levels(&self) -> u8 {
-        self.costs.len() as u8
-    }
-
     /// The raw per-level costs `c_1, c_2, …`.
     pub fn weights(&self) -> &[f64] {
         &self.costs
-    }
-
-    /// Weight `c_i` of an `i`-level link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i == 0` (links start at level 1) or `i` exceeds
-    /// [`num_levels`](Self::num_levels).
-    pub fn cost_of_link_level(&self, i: u8) -> f64 {
-        assert!(i >= 1, "links start at level 1");
-        self.costs[(i - 1) as usize]
     }
 
     /// Prefix sum `Σ_{i=1..ℓ} c_i`; `prefix(Level::ZERO) == 0`.
     ///
     /// # Panics
     ///
-    /// Panics if `level` exceeds [`num_levels`](Self::num_levels).
+    /// Panics if `level` exceeds [`max_level`](Self::max_level).
     pub fn prefix(&self, level: Level) -> f64 {
         self.prefix[level.index()]
     }
@@ -168,7 +152,7 @@ impl LinkWeights {
 
     /// Highest expressible communication level.
     pub fn max_level(&self) -> Level {
-        Level::new(self.num_levels())
+        Level::new(self.costs.len() as u8)
     }
 }
 
@@ -185,10 +169,10 @@ mod tests {
     #[test]
     fn paper_default_matches_evaluation_section() {
         let w = LinkWeights::paper_default();
-        assert_eq!(w.num_levels(), 3);
-        assert!((w.cost_of_link_level(1) - 1.0).abs() < 1e-12);
-        assert!((w.cost_of_link_level(2) - std::f64::consts::E).abs() < 1e-12);
-        assert!((w.cost_of_link_level(3) - 3f64.exp()).abs() < 1e-9);
+        assert_eq!(w.max_level(), Level::CORE);
+        assert!((w.weights()[0] - 1.0).abs() < 1e-12);
+        assert!((w.weights()[1] - std::f64::consts::E).abs() < 1e-12);
+        assert!((w.weights()[2] - 3f64.exp()).abs() < 1e-9);
     }
 
     #[test]

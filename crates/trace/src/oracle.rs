@@ -104,12 +104,6 @@ impl OracleForecaster {
             .all(|bps| bps.windows(2).all(|w| w[0].0 <= w[1].0)));
     }
 
-    /// Number of breakpoints currently indexed: per-pair absolute
-    /// re-rates plus one per uniform scale.
-    pub fn indexed_breakpoints(&self) -> usize {
-        self.breakpoints.values().map(Vec::len).sum::<usize>() + self.scales.len()
-    }
-
     fn key(u: VmId, v: VmId) -> (u32, u32) {
         if u < v {
             (u.get(), v.get())
@@ -219,6 +213,12 @@ mod tests {
         o
     }
 
+    /// Breakpoints indexed: per-pair absolute re-rates plus one per
+    /// uniform scale.
+    fn indexed_breakpoints(o: &OracleForecaster) -> usize {
+        o.breakpoints.values().map(Vec::len).sum::<usize>() + o.scales.len()
+    }
+
     #[test]
     fn lookahead_is_exact_on_the_delta_stream() {
         let trace = Trace::builder(3, 100.0)
@@ -229,7 +229,7 @@ mod tests {
             .build()
             .unwrap();
         let o = oracle_for(&trace);
-        assert_eq!(o.indexed_breakpoints(), 3);
+        assert_eq!(indexed_breakpoints(&o), 3);
         // Horizon stops short of the first breakpoint: current rate.
         assert_eq!(o.predict(vm(0), vm(1), 0.0, 29.9), 10.0);
         // Horizon covers the first but not the second: 50.
@@ -271,7 +271,7 @@ mod tests {
             .build()
             .unwrap();
         o.prime(&trace.base_traffic(), 0.0);
-        assert_eq!(o.indexed_breakpoints(), 0);
+        assert_eq!(indexed_breakpoints(&o), 0);
         assert_eq!(o.predict(vm(0), vm(1), 0.0, 100.0), 3.0);
         assert_eq!(o.name(), "oracle");
     }

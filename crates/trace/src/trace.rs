@@ -509,7 +509,7 @@ impl Trace {
     /// traces replay through the raw event stream (the `scored` daemon
     /// replay path) — they cannot be compiled into fixed-population
     /// segments.
-    pub fn has_churn(&self) -> bool {
+    fn has_churn(&self) -> bool {
         self.events.iter().any(|e| {
             matches!(
                 e.event,
@@ -539,7 +539,8 @@ impl Trace {
     ///
     /// Panics (debug assertion) on an unvalidated trace; run
     /// [`Trace::validate`] on untrusted input first. Panics on a churn
-    /// trace ([`Trace::has_churn`]) — segments have a fixed population;
+    /// trace (one with [`TraceEvent::PlaceVm`] / [`TraceEvent::RemoveVm`])
+    /// — segments have a fixed population;
     /// churn traces replay through the raw event stream instead.
     pub fn compile(&self) -> CompiledTrace {
         debug_assert!(self.validate().is_ok(), "compile needs a valid trace");
@@ -738,26 +739,6 @@ impl TraceBuilder {
     /// Pushes a [`TraceEvent::RemoveVm`] departure.
     pub fn remove_vm(self, time_s: f64, vm: u32) -> Self {
         self.event(time_s, TraceEvent::RemoveVm { vm })
-    }
-
-    /// Pushes a [`TraceEvent::HostCrash`] fault.
-    pub fn host_crash(self, time_s: f64, server: u32) -> Self {
-        self.event(time_s, TraceEvent::HostCrash { server })
-    }
-
-    /// Pushes a [`TraceEvent::RackFail`] fault.
-    pub fn rack_fail(self, time_s: f64, rack: u32) -> Self {
-        self.event(time_s, TraceEvent::RackFail { rack })
-    }
-
-    /// Pushes a [`TraceEvent::LinkDegrade`] fault.
-    pub fn link_degrade(self, time_s: f64, tier: u32, factor: f64) -> Self {
-        self.event(time_s, TraceEvent::LinkDegrade { tier, factor })
-    }
-
-    /// Pushes a [`TraceEvent::LinkRestore`] recovery.
-    pub fn link_restore(self, time_s: f64, tier: u32) -> Self {
-        self.event(time_s, TraceEvent::LinkRestore { tier })
     }
 
     /// Pushes a [`TraceEvent::Marker`] phase boundary.
@@ -1281,10 +1262,16 @@ mod tests {
     #[test]
     fn fault_events_validate_and_round_trip() {
         let t = base_trace()
-            .host_crash(10.0, 3)
-            .link_degrade(20.0, 1, 0.25)
-            .rack_fail(30.0, 2)
-            .link_restore(40.0, 1)
+            .event(10.0, TraceEvent::HostCrash { server: 3 })
+            .event(
+                20.0,
+                TraceEvent::LinkDegrade {
+                    tier: 1,
+                    factor: 0.25,
+                },
+            )
+            .event(30.0, TraceEvent::RackFail { rack: 2 })
+            .event(40.0, TraceEvent::LinkRestore { tier: 1 })
             .build()
             .unwrap();
         assert!(t.has_faults());
@@ -1299,7 +1286,15 @@ mod tests {
         // Degrade factors outside (0, 1] are rejected.
         for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                base_trace().link_degrade(5.0, 0, bad).build(),
+                base_trace()
+                    .event(
+                        5.0,
+                        TraceEvent::LinkDegrade {
+                            tier: 0,
+                            factor: bad
+                        }
+                    )
+                    .build(),
                 Err(TraceError::BadEvent { .. })
             ));
         }
@@ -1308,7 +1303,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "fault traces")]
     fn compile_rejects_fault_traces() {
-        let t = base_trace().host_crash(10.0, 0).build().unwrap();
+        let t = base_trace()
+            .event(10.0, TraceEvent::HostCrash { server: 0 })
+            .build()
+            .unwrap();
         let _ = t.compile();
     }
 
