@@ -125,36 +125,6 @@ impl BoundedPareto {
     }
 }
 
-/// Exponential distribution with the given rate (events per unit time),
-/// used for flow inter-arrival times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates the distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        Exponential { rate }
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.rate
-    }
-
-    /// The mean inter-arrival time `1 / rate`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-}
-
 /// A two-population rate model: log-normal mice with a probability
 /// `elephant_prob` of drawing from a bounded-Pareto elephant tail instead.
 ///
@@ -249,16 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let d = Exponential::new(2.0);
-        let mut r = rng();
-        let n = 20_000;
-        let mean = (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        assert_eq!(d.mean(), 0.5);
-    }
-
-    #[test]
     fn rate_model_mixes_populations() {
         let m = RateModel::datacenter_default();
         let mut r = rng();
@@ -283,11 +243,5 @@ mod tests {
     #[should_panic(expected = "0 < min < max")]
     fn pareto_rejects_inverted_bounds() {
         let _ = BoundedPareto::new(1.0, 10.0, 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn exponential_rejects_zero_rate() {
-        let _ = Exponential::new(0.0);
     }
 }

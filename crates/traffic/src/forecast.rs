@@ -116,7 +116,7 @@ struct PairTrend {
     last_s: f64,
 }
 
-/// Exponentially weighted linear-trend forecaster (Holt-style double
+/// An exponentially weighted linear-trend forecaster (Holt-style double
 /// smoothing over absolute re-rates).
 ///
 /// The *level* needs no smoothing — observations are absolute rates, so

@@ -49,7 +49,7 @@ pub enum TrafficIntensity {
 
 impl TrafficIntensity {
     /// The paper's scale factor for this intensity (1, 10, 50).
-    pub fn scale_factor(self) -> f64 {
+    fn scale_factor(self) -> f64 {
         match self {
             TrafficIntensity::Sparse => 1.0,
             TrafficIntensity::Medium => 10.0,

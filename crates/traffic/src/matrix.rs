@@ -113,20 +113,6 @@ impl TrafficMatrix {
         self.cells.iter().sum()
     }
 
-    /// Sum of off-diagonal cells — the traffic that must traverse at least
-    /// one ToR uplink.
-    pub fn inter_rack_total(&self) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..self.racks {
-            for j in 0..self.racks {
-                if i != j {
-                    sum += self.cells[i * self.racks + j];
-                }
-            }
-        }
-        sum
-    }
-
     /// Fraction of cells whose value exceeds `threshold` — the paper's TM
     /// *density*.
     pub fn density(&self, threshold: f64) -> f64 {
@@ -265,7 +251,6 @@ mod tests {
         assert_eq!(m.get(1, 2), 20.0);
         assert!(m.is_symmetric(1e-12));
         assert_eq!(m.total(), 70.0);
-        assert_eq!(m.inter_rack_total(), 60.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum Dom0Message {
 
 impl Dom0Message {
     /// Wire size of the message in bytes (for overhead accounting).
-    pub fn wire_bytes(&self) -> usize {
+    fn wire_bytes(&self) -> usize {
         match self {
             Dom0Message::Token(bytes) => bytes.len(),
             Dom0Message::LocationRequest { .. } => 8,
@@ -137,34 +137,13 @@ impl ControlPlane {
         self.vm_route.insert(vm, host);
     }
 
-    /// Re-homes a VM after migration (the NAT redirect moves with it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnroutableError`] for unknown VMs.
-    pub fn migrate_vm(&mut self, vm: Ip4, to_host: usize) -> Result<(), UnroutableError> {
-        assert!(to_host < self.hosts.len(), "host {to_host} out of range");
-        match self.vm_route.get_mut(&vm) {
-            Some(h) => {
-                *h = to_host;
-                Ok(())
-            }
-            None => Err(UnroutableError { addr: vm }),
-        }
-    }
-
-    /// Updates a host's advertised capacity.
-    pub fn set_capacity(&mut self, host: usize, capacity: CapacityReport) {
-        self.hosts[host].capacity = capacity;
-    }
-
     /// Routes a message addressed to `vm` through the NAT redirect,
     /// returning the dom0 (host index, address) that receives it.
     ///
     /// # Errors
     ///
     /// Returns [`UnroutableError`] for unknown VM addresses.
-    pub fn route_to_vm(&self, vm: Ip4) -> Result<(usize, Ip4), UnroutableError> {
+    fn route_to_vm(&self, vm: Ip4) -> Result<(usize, Ip4), UnroutableError> {
         self.vm_route
             .get(&vm)
             .map(|&h| (h, self.hosts[h].dom0))
@@ -304,28 +283,6 @@ mod tests {
         assert_eq!(report.free_slots, 2);
         assert!(cp.capacity_probe(ip(10, 0, 9, 1)).is_err());
         assert_eq!(cp.stats().capacity_probes, 1);
-    }
-
-    #[test]
-    fn migration_rehomes_nat_entry() {
-        let mut cp = plane();
-        cp.migrate_vm(ip(172, 16, 0, 1), 1).unwrap();
-        let (host, _) = cp.route_to_vm(ip(172, 16, 0, 1)).unwrap();
-        assert_eq!(host, 1);
-        assert!(cp.migrate_vm(ip(1, 1, 1, 1), 0).is_err());
-    }
-
-    #[test]
-    fn capacity_updates_visible() {
-        let mut cp = plane();
-        cp.set_capacity(
-            1,
-            CapacityReport {
-                free_slots: 5,
-                free_ram_mb: 1000,
-            },
-        );
-        assert_eq!(cp.capacity_probe(ip(10, 0, 1, 1)).unwrap().free_slots, 5);
     }
 
     #[test]
