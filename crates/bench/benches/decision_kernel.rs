@@ -4,17 +4,14 @@
 //! at the paper's 2,560-host scale and on the mega-scale fat-trees
 //! (k = 48: 27,648 hosts; k = 74: 101,306 hosts).
 //!
-//! Each point averages 500 fresh-session holds — the same methodology
-//! that recorded the pre-kernel baselines — and keeps the **minimum**
+//! Each point averages 500 fresh-session holds and keeps the **minimum**
 //! of several repetitions, the standard latency treatment on shared
 //! hardware (scheduler preemption only ever adds time, so the minimum
 //! is the closest observable to the true cost).
 //!
-//! Writes `BENCH_decisions.json` at the workspace root with the
-//! pre-kernel baselines and speedups alongside the fresh numbers, and
-//! prints a `^WARNING:` line (the CI gate greps for it) if the
-//! 2,560-host point regresses more than 25% past its post-kernel
-//! reference.
+//! Writes `BENCH_decisions.json` at the workspace root and prints a
+//! `^WARNING:` line (the CI gate greps for it) if the 2,560-host point
+//! regresses more than 25% past its post-kernel reference.
 //!
 //! Run with `cargo bench --bench decision_kernel`.
 
@@ -22,14 +19,6 @@ use criterion::Criterion;
 use score_sim::{Scenario, TopologySpec};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Pre-kernel per-hold latency (ns) recorded before the single-pass
-/// kernel landed — the denominator of the speedups.
-const BASELINE_NS: [(&str, f64); 3] = [
-    ("canonical-2560", 2653.9),
-    ("fat-tree-27648", 5348.8),
-    ("fat-tree-101306", 11118.0),
-];
 
 /// Post-kernel reference for the 2,560-host point; the gate fires when
 /// a run lands more than 25% above it.
@@ -41,7 +30,6 @@ struct KernelPoint {
     hosts: usize,
     vms: u32,
     decision_ns: f64,
-    baseline_ns: f64,
 }
 
 fn record_sizes() -> [(&'static str, TopologySpec); 3] {
@@ -101,16 +89,11 @@ fn measure(label: &'static str, topology: TopologySpec) -> KernelPoint {
     let decision_ns = (0..5)
         .map(|_| holds_500(&scenario))
         .fold(f64::INFINITY, f64::min);
-    let baseline_ns = BASELINE_NS
-        .iter()
-        .find(|(l, _)| *l == label)
-        .map_or(f64::NAN, |&(_, b)| b);
     KernelPoint {
         label,
         hosts,
         vms,
         decision_ns,
-        baseline_ns,
     }
 }
 
@@ -143,14 +126,8 @@ fn record(points: &[KernelPoint], warnings: &[String]) {
     for (i, p) in points.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"label\": \"{}\", \"hosts\": {}, \"vms\": {}, \"decision_ns\": {:.1}, \
-             \"baseline_ns\": {:.1}, \"speedup\": {:.2}}}",
-            p.label,
-            p.hosts,
-            p.vms,
-            p.decision_ns,
-            p.baseline_ns,
-            p.baseline_ns / p.decision_ns.max(f64::MIN_POSITIVE),
+            "    {{\"label\": \"{}\", \"hosts\": {}, \"vms\": {}, \"decision_ns\": {:.1}}}",
+            p.label, p.hosts, p.vms, p.decision_ns,
         );
         json.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }
@@ -178,14 +155,8 @@ fn main() {
     let mut warnings = Vec::new();
     for p in &points {
         println!(
-            "decision_kernel: {:<16} {:>6} hosts {:>7} vms  decision {:>9.1} ns  \
-             (baseline {:>9.1} ns, {:.2}x)",
-            p.label,
-            p.hosts,
-            p.vms,
-            p.decision_ns,
-            p.baseline_ns,
-            p.baseline_ns / p.decision_ns.max(f64::MIN_POSITIVE),
+            "decision_kernel: {:<16} {:>6} hosts {:>7} vms  decision {:>9.1} ns",
+            p.label, p.hosts, p.vms, p.decision_ns,
         );
         if p.label == "canonical-2560" && p.decision_ns > GATE_2560_NS * GATE_SLACK {
             warnings.push(format!(
