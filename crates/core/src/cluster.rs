@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::allocation::Allocation;
-use crate::resources::{AdmissionError, CapacityReport, ServerSpec, ServerUsage, VmSpec};
+use crate::resources::{AdmissionError, ServerSpec, ServerUsage, VmSpec};
 use crate::slotindex::FreeSlotIndex;
 
 /// Error constructing a [`Cluster`].
@@ -463,11 +463,6 @@ impl Cluster {
         self.topo.as_ref()
     }
 
-    /// Shared handle to the topology.
-    pub fn topo_arc(&self) -> Arc<dyn Topology> {
-        Arc::clone(&self.topo)
-    }
-
     /// The current allocation.
     pub fn allocation(&self) -> &Allocation {
         &self.alloc
@@ -491,11 +486,6 @@ impl Cluster {
     /// Number of VMs.
     pub fn num_vms(&self) -> u32 {
         self.alloc.num_vms()
-    }
-
-    /// The §V-B5 capacity probe for a server.
-    pub fn capacity_report(&self, server: ServerId) -> CapacityReport {
-        CapacityReport::from_usage(&self.server_spec, &self.usage[server.index()])
     }
 
     /// Traffic of `vm` that would leave `host`'s NIC if `vm` ran there:
@@ -917,34 +907,6 @@ impl Cluster {
         }
     }
 
-    /// Replaces the allocation wholesale, re-deriving usage and dropping
-    /// every memoised load. Only tests call it; no baseline replaces a
-    /// cluster's allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InitialOverCommit`] if the new allocation
-    /// violates capacity; the cluster is unchanged on error.
-    pub fn set_allocation(&mut self, alloc: Allocation) -> Result<(), ClusterError> {
-        let mut usage = vec![ServerUsage::default(); self.usage.len()];
-        for (vm, server) in alloc.iter() {
-            let u = &mut usage[server.index()];
-            if let Err(source) = u.admission_check(&self.server_spec, &self.vm_specs[vm.index()]) {
-                return Err(ClusterError::InitialOverCommit { server, source });
-            }
-            u.admit(&self.vm_specs[vm.index()]);
-        }
-        self.alloc = alloc;
-        self.usage = usage;
-        self.slot_index = FreeSlotIndex::new(
-            self.usage
-                .iter()
-                .map(|u| self.server_spec.vm_slots.saturating_sub(u.slots)),
-        );
-        self.ext_load.invalidate_all();
-        Ok(())
-    }
-
     /// Tells the cluster every pair rate was multiplied by `factor` — its
     /// share of a uniform `ScaleAll`, after the owner's
     /// [`PairTraffic::scale_all`]. The memoized external loads are
@@ -1131,7 +1093,6 @@ mod tests {
         assert_eq!(w.c.num_vms(), 32);
         assert_eq!(w.c.usage(ServerId::new(0)).slots, 2);
         assert_ext_loads(&w, &[(0, 1, 100.0)]);
-        assert_eq!(w.c.capacity_report(ServerId::new(0)).free_slots, 14);
     }
 
     #[test]
@@ -1205,20 +1166,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ClusterError::ServerCountMismatch { .. }));
-    }
-
-    #[test]
-    fn set_allocation_revalidates() {
-        let mut c = world(4, 2).c;
-        let packed = Allocation::from_fn(4, 16, |_| ServerId::new(0));
-        assert!(matches!(
-            c.set_allocation(packed),
-            Err(ClusterError::InitialOverCommit { .. })
-        ));
-        let fine = Allocation::from_fn(4, 16, |vm| ServerId::new(vm.get() / 2));
-        c.set_allocation(fine).unwrap();
-        assert_eq!(c.usage(ServerId::new(0)).slots, 2);
-        assert_eq!(c.usage(ServerId::new(3)).slots, 0);
     }
 
     #[test]
@@ -1296,9 +1243,9 @@ mod tests {
         w.remove(vm).unwrap();
         check(&w);
         warm(&w);
+        // A fresh cluster over another allocation, rebound below.
         let spread = Allocation::from_fn(w.c.num_vms(), 16, |v| ServerId::new((v.get() * 3) % 16));
-        w.c.set_allocation(spread).unwrap();
-        check(&w);
+        w = World::new(w.tm, *w.c.server_spec(), spread);
         warm(&w);
         let mut b = PairTrafficBuilder::new(w.c.num_vms());
         b.add(VmId::new(4), VmId::new(9), 77.0);

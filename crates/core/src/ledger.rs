@@ -9,7 +9,8 @@
 //!
 //! [`CostLedger`] keeps `C_A` as a running total instead:
 //!
-//! * **initialization** — one full Eq.-(2) pass ([`CostLedger::new`]);
+//! * **initialization** — one full Eq.-(2) pass ([`CostModel::ledger`],
+//!   the one public constructor);
 //! * **migration** — every accepted move already computed its Lemma-3
 //!   delta `ΔC`; [`CostLedger::apply_gain`] folds it in, making the
 //!   update `O(1)` on top of the `O(|Vu|)` the decision itself paid;
@@ -22,10 +23,12 @@
 //! Lemma 3 guarantees the delta equals the difference of full
 //! recomputations exactly; the ledger therefore tracks the true cost up
 //! to floating-point rounding (pinned to ≤ 1e-9 relative by the property
-//! suite in `tests/ledger_properties.rs`). A driver that owns ledger and
-//! cluster itself and replaces the allocation wholesale
-//! (`Cluster::set_allocation`) calls [`CostLedger::resync`] to restore
-//! the invariant with one full pass; `score_sim::Session` never does.
+//! suite in `tests/ledger_properties.rs`). Every later change reaches the
+//! total as a delta: a Lemma-3 gain, a rebind, a sparse re-price
+//! ([`CostLedger::apply_rate_changes`]) or a scale ([`CostLedger::scale`]).
+//! There is no second full pass and no wholesale reset. A ring folds
+//! each hold in through
+//! [`TokenRing::step_ledgered_outlook`](crate::TokenRing::step_ledgered_outlook).
 
 use score_topology::{Topology, VmId};
 use score_traffic::PairTraffic;
@@ -39,7 +42,6 @@ use crate::cost::CostModel;
 pub struct CostLedger {
     model: CostModel,
     total: f64,
-    resyncs: u64,
     obs: Option<LedgerObs>,
 }
 
@@ -57,8 +59,6 @@ struct LedgerObs {
     delta_batches: std::sync::Arc<score_obs::Counter>,
     /// `score_ledger_pairs_repriced_total`: pair rates re-priced.
     pairs_repriced: std::sync::Arc<score_obs::Counter>,
-    /// `score_ledger_resyncs_total`: full-pass escape hatches paid.
-    resyncs: std::sync::Arc<score_obs::Counter>,
     /// Delta batches applied since the last [`CostLedger::publish_obs`].
     pending_batches: u64,
     /// Pairs re-priced since the last [`CostLedger::publish_obs`].
@@ -74,7 +74,6 @@ impl LedgerObs {
             cost: handle.gauge("score_ledger_cost")?,
             delta_batches: handle.counter("score_ledger_delta_batches_total")?,
             pairs_repriced: handle.counter("score_ledger_pairs_repriced_total")?,
-            resyncs: handle.counter("score_ledger_resyncs_total")?,
             pending_batches: 0,
             pending_pairs: 0,
         })
@@ -83,8 +82,9 @@ impl LedgerObs {
 
 impl CostLedger {
     /// Initializes the ledger with one full Eq.-(2) pass over `traffic`
-    /// under `alloc`.
-    pub fn new<T: Topology + ?Sized>(
+    /// under `alloc`. Callers outside this crate use
+    /// [`CostModel::ledger`].
+    pub(crate) fn new<T: Topology + ?Sized>(
         model: CostModel,
         alloc: &Allocation,
         traffic: &PairTraffic,
@@ -94,12 +94,11 @@ impl CostLedger {
         CostLedger {
             model,
             total,
-            resyncs: 0,
             obs: None,
         }
     }
 
-    /// Attaches observability: delta/resync counters plus the cost gauge.
+    /// Attaches observability: delta counters plus the cost gauge.
     /// Purely a side channel — the ledger's arithmetic (and therefore
     /// `total`) is bit-identical with or without it. Passing a disabled
     /// handle, or one that cannot provide an instrument, detaches.
@@ -258,42 +257,6 @@ impl CostLedger {
             obs.pending_pairs += changes.len() as u64;
         }
     }
-
-    /// Discards the running total and recomputes it with one full
-    /// Eq.-(2) pass — the escape hatch for a caller that owns both the
-    /// ledger and the cluster and replaced the allocation wholesale. No
-    /// session path calls it (a session hands out no `&mut Cluster`).
-    pub fn resync<T: Topology + ?Sized>(
-        &mut self,
-        alloc: &Allocation,
-        traffic: &PairTraffic,
-        topo: &T,
-    ) {
-        self.total = self.model.total_cost(alloc, traffic, topo);
-        self.resyncs += 1;
-        if let Some(obs) = &self.obs {
-            obs.resyncs.inc();
-            obs.cost.set(self.total);
-        }
-    }
-
-    /// Number of full-pass resyncs this ledger has paid — the counter a
-    /// trace-replay test pins to zero to prove every delta took the
-    /// sparse path.
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs
-    }
-
-    /// Absolute difference between the ledger and a fresh full
-    /// recomputation — the drift a test pins to (near) zero.
-    pub fn drift<T: Topology + ?Sized>(
-        &self,
-        alloc: &Allocation,
-        traffic: &PairTraffic,
-        topo: &T,
-    ) -> f64 {
-        (self.total - self.model.total_cost(alloc, traffic, topo)).abs()
-    }
 }
 
 #[cfg(test)]
@@ -319,13 +282,19 @@ mod tests {
         Allocation::from_fn(4, 16, |vm| ServerId::new(servers[vm.index()]))
     }
 
+    /// Absolute difference between the ledger and a fresh full pass.
+    fn drift(ledger: &CostLedger, alloc: &Allocation, traffic: &PairTraffic) -> f64 {
+        let fresh = ledger.model().total_cost(alloc, traffic, &topo());
+        (ledger.current() - fresh).abs()
+    }
+
     #[test]
     fn initialization_matches_full_pass() {
         let (a, t, topo) = (alloc(), traffic(), topo());
         let model = CostModel::paper_default();
         let ledger = CostLedger::new(model.clone(), &a, &t, &topo);
         assert_eq!(ledger.current(), model.total_cost(&a, &t, &topo));
-        assert_eq!(ledger.drift(&a, &t, &topo), 0.0);
+        assert_eq!(drift(&ledger, &a, &t), 0.0);
     }
 
     #[test]
@@ -337,7 +306,7 @@ mod tests {
         let delta = model.migration_delta(VmId::new(0), ServerId::new(4), &a, &t, &topo);
         a.move_vm(VmId::new(0), ServerId::new(4));
         ledger.apply_gain(delta);
-        assert!(ledger.drift(&a, &t, &topo) < 1e-9);
+        assert!(drift(&ledger, &a, &t) < 1e-9);
         // A declined decision's 0.0 gain is a no-op.
         let before = ledger.current();
         ledger.apply_gain(0.0);
@@ -346,11 +315,7 @@ mod tests {
         let mut scaled = t.clone();
         scaled.scale_all(3.5);
         ledger.scale(3.5);
-        assert!(ledger.drift(&a, &scaled, &topo) <= 1e-9 * ledger.current());
-        // A resync lands exactly on the full pass and is counted.
-        ledger.resync(&a, &scaled, &topo);
-        assert_eq!(ledger.drift(&a, &scaled, &topo), 0.0);
-        assert_eq!(ledger.resyncs(), 1);
+        assert!(drift(&ledger, &a, &scaled) <= 1e-9 * ledger.current());
     }
 
     #[test]
@@ -380,7 +345,7 @@ mod tests {
         ledger.rebind(&a, &t, &empty, &topo);
         assert_eq!(ledger.current(), 0.0);
         ledger.rebind(&a, &empty, &t, &topo);
-        assert!(ledger.drift(&a, &t, &topo) < 1e-9);
+        assert!(drift(&ledger, &a, &t) < 1e-9);
     }
 
     #[test]
@@ -405,23 +370,9 @@ mod tests {
             (ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0),
             "sparse re-pricing must land on the full recomputation"
         );
-        // No full pass was paid.
-        assert_eq!(ledger.resyncs(), 0);
         // An empty change list is a no-op.
         let before = ledger.current();
         ledger.apply_rate_changes(&a, &[], &topo);
         assert_eq!(ledger.current(), before);
-    }
-
-    #[test]
-    fn resync_restores_after_external_mutation() {
-        let (mut a, t, topo) = (alloc(), traffic(), topo());
-        let mut ledger = CostLedger::new(CostModel::paper_default(), &a, &t, &topo);
-        // Mutate the allocation without telling the ledger …
-        a.move_vm(VmId::new(3), ServerId::new(0));
-        assert!(ledger.drift(&a, &t, &topo) > 0.0);
-        // … then resync.
-        ledger.resync(&a, &t, &topo);
-        assert_eq!(ledger.drift(&a, &t, &topo), 0.0);
     }
 }

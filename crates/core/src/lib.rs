@@ -37,8 +37,8 @@
 //! * [`scratch`] — [`KernelScratch`]: the kernel's reusable buffers, so
 //!   with the ring's one reused view the steady-state decision path
 //!   performs zero heap allocations;
-//! * [`ring`] — iteration driver producing the paper's per-iteration
-//!   migration statistics.
+//! * [`ring`] — [`TokenRing`]: the token and its one hold, which folds
+//!   each migration's Lemma-3 delta into a [`CostLedger`].
 //!
 //! ## Example
 //!
@@ -51,7 +51,7 @@
 //!
 //! ```
 //! use score_core::{
-//!     Allocation, Cluster, RoundRobin, ScoreEngine, ServerSpec, TokenRing, VmSpec,
+//!     Allocation, Cluster, OutlookContext, RoundRobin, ScoreEngine, ServerSpec, TokenRing, VmSpec,
 //! };
 //! use score_topology::{CanonicalTree, ServerId};
 //! use score_traffic::WorkloadConfig;
@@ -71,9 +71,22 @@
 //! )?;
 //!
 //! let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-//! let stats = ring.run_iterations(3, &mut cluster, &traffic);
-//! assert!(stats[0].migrations > 0); // the first sweep finds improvements
 //! assert_eq!(ring.policy().name(), "rr"); // the policy is a runtime value
+//! // One full Eq.-(2) pass; each hold then folds in its Lemma-3 delta.
+//! let model = ring.engine().cost_model().clone();
+//! let mut ledger = model.ledger(cluster.allocation(), &traffic, cluster.topo());
+//! let ctx = OutlookContext::reactive(); // the paper pipeline, no forecast
+//! let mut migrations = 0;
+//! for _ in 0..32 {
+//!     // One iteration: |V| token holds.
+//!     let outcome = ring
+//!         .step_ledgered_outlook(&mut cluster, &traffic, &mut ledger, &ctx)
+//!         .expect("a non-empty ring always has a holder");
+//!     migrations += usize::from(outcome.decision.migrates());
+//! }
+//! assert!(migrations > 0); // the first sweep finds improvements
+//! let fresh = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
+//! assert!((ledger.current() - fresh).abs() <= 1e-9 * fresh);
 //! # Ok(())
 //! # }
 //! ```

@@ -166,14 +166,6 @@ pub struct CapacityReport {
 }
 
 impl CapacityReport {
-    /// Builds the report from a server's spec and current usage.
-    pub fn from_usage(spec: &ServerSpec, usage: &ServerUsage) -> Self {
-        CapacityReport {
-            free_slots: spec.vm_slots.saturating_sub(usage.slots),
-            free_ram_mb: spec.ram_mb.saturating_sub(usage.ram_mb),
-        }
-    }
-
     /// Whether a VM of the given spec could be hosted (slot + RAM only —
     /// the coarse filter a capacity response enables before the detailed
     /// admission check).
@@ -274,19 +266,14 @@ mod tests {
 
     #[test]
     fn capacity_report() {
-        let spec = ServerSpec::paper_default();
-        let mut usage = ServerUsage::default();
         let vm = VmSpec::paper_default();
-        for _ in 0..15 {
-            usage.admit(&vm);
-        }
-        let report = CapacityReport::from_usage(&spec, &usage);
-        assert_eq!(report.free_slots, 1);
-        assert_eq!(report.free_ram_mb, 16 * 256 - 15 * 196);
-        assert!(report.can_host(&vm));
-        usage.admit(&vm);
-        let report = CapacityReport::from_usage(&spec, &usage);
-        assert!(!report.can_host(&vm));
+        let report = |free_slots, free_ram_mb| CapacityReport {
+            free_slots,
+            free_ram_mb,
+        };
+        assert!(report(1, vm.ram_mb).can_host(&vm));
+        assert!(!report(0, 16 * 256).can_host(&vm), "no slot");
+        assert!(!report(1, vm.ram_mb - 1).can_host(&vm), "too little RAM");
     }
 
     #[test]

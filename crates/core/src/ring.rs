@@ -1,10 +1,13 @@
 //! The token ring: driving S-CORE over a whole VM population.
 //!
-//! One *iteration* passes the token through `|V|` holders (for round-robin
-//! this is exactly one sweep over the VM ids). Fig. 2 of the paper plots
-//! the ratio of migrated VMs in each of 5 consecutive iterations and shows
-//! it plummeting after the second one — [`TokenRing::run_iteration`]
-//! produces exactly that statistic.
+//! [`TokenRing::step_ledgered_outlook`] is the one token hold: the holder
+//! migrates if Theorem 1 says so, and the move's Lemma-3 delta is folded
+//! into a [`CostLedger`], so no hold pays a full Eq.-(2) pass. One
+//! *iteration* passes the token through `|V|` holders (for round-robin
+//! this is exactly one sweep over the VM ids); `score_sim`'s
+//! `Session::step` counts holds into the [`IterationStats`] whose
+//! migration ratio Fig. 2 of the paper plots, plummeting after the
+//! second iteration.
 
 use score_obs::{Counter, DecisionTrace, Histogram, ObsEvent, ObsHandle};
 use score_topology::VmId;
@@ -227,9 +230,9 @@ impl TokenRing {
     /// successor no matter how their batches interleave.
     ///
     /// When no survivor exists the ring degrades gracefully: the holder
-    /// becomes `None`, [`TokenRing::step`] returns `None`, and
-    /// iteration loops terminate instead of spinning on a dead
-    /// membership. A later [`TokenRing::add_vm`] restarts the ring.
+    /// becomes `None`, [`TokenRing::step_ledgered_outlook`] returns
+    /// `None`, and iteration loops terminate instead of spinning on a
+    /// dead membership. A later [`TokenRing::add_vm`] restarts the ring.
     ///
     /// Returns the post-failure holder.
     pub fn fail_vms(&mut self, dead: &[VmId]) -> Option<VmId> {
@@ -278,26 +281,23 @@ impl TokenRing {
         self.holder
     }
 
-    /// Performs one reactive, unledgered token-holder step: decide from
-    /// current rates, migrate if warranted, pass the token. Returns
-    /// `None` when no holder remains. This is the paper's pipeline as
-    /// [`TokenRing::run_iteration`] drives it; callers that track `C_A`
-    /// incrementally or forecast use
-    /// [`TokenRing::step_ledgered_outlook`].
-    pub fn step(&mut self, cluster: &mut Cluster, traffic: &PairTraffic) -> Option<StepOutcome> {
-        self.step_with(cluster, traffic, &OutlookContext::reactive())
-    }
-
-    /// One token hold under `ctx`: both the migration decision and the
-    /// next-holder choice read the holder's one local view, whose peers
-    /// carry their expected rates when the context forecasts. With
-    /// [`OutlookContext::reactive`] this is the paper pipeline bit for
-    /// bit; the context only ever *reads* its forecaster, so stepping
-    /// with one cannot dirty any ledger.
-    fn step_with(
+    /// One token hold under `ctx` (see [`OutlookContext`]; pass
+    /// [`OutlookContext::reactive`] for the paper pipeline bit for bit):
+    /// decide from the holder's one local view, migrate if warranted,
+    /// fold the step's applied cost delta into `ledger`, pass the token.
+    /// The network-wide cost thus stays observable in `O(1)` without any
+    /// Eq.-(2) recomputation. Both the migration decision and the
+    /// next-holder choice read that view, whose peers carry their
+    /// expected rates when the context forecasts; the context only ever
+    /// *reads* its forecaster. For a pre-emptive migration the
+    /// decision's `gain` is its *current-TM* delta (possibly ≤ 0), so
+    /// the ledger stays exact even when the move only pays off at the
+    /// forecast horizon. Returns `None` when no holder remains.
+    pub fn step_ledgered_outlook(
         &mut self,
         cluster: &mut Cluster,
         traffic: &PairTraffic,
+        ledger: &mut CostLedger,
         ctx: &OutlookContext<'_>,
     ) -> Option<StepOutcome> {
         let holder = self.holder?;
@@ -339,66 +339,13 @@ impl TokenRing {
                 preemptive: decision.preemptive,
             }));
         }
+        ledger.apply_gain(decision.gain);
         Some(StepOutcome {
             holder,
             source,
             decision,
             next,
         })
-    }
-
-    /// One token hold under `ctx` (see [`OutlookContext`]; pass
-    /// [`OutlookContext::reactive`] for the paper pipeline) that folds
-    /// the step's applied cost delta into `ledger`, so the network-wide
-    /// cost stays observable in `O(1)` without any Eq.-(2)
-    /// recomputation — what `Session` runs for every hold. For a
-    /// pre-emptive migration the decision's `gain` is its *current-TM*
-    /// delta (possibly ≤ 0), so the ledger stays exact even when the
-    /// move only pays off at the forecast horizon.
-    pub fn step_ledgered_outlook(
-        &mut self,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-        ledger: &mut CostLedger,
-        ctx: &OutlookContext<'_>,
-    ) -> Option<StepOutcome> {
-        let outcome = self.step_with(cluster, traffic, ctx)?;
-        ledger.apply_gain(outcome.decision.gain);
-        Some(outcome)
-    }
-
-    /// Runs `|V|` steps — one iteration in the paper's sense.
-    pub fn run_iteration(
-        &mut self,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-    ) -> IterationStats {
-        let n = self.token.len();
-        let mut stats = IterationStats::default();
-        for _ in 0..n {
-            let Some(outcome) = self.step(cluster, traffic) else {
-                break;
-            };
-            stats.steps += 1;
-            if outcome.decision.migrates() {
-                stats.migrations += 1;
-                stats.total_gain += outcome.decision.gain;
-            }
-        }
-        stats
-    }
-
-    /// Runs `iterations` iterations, returning per-iteration statistics
-    /// (the Fig. 2 series).
-    pub fn run_iterations(
-        &mut self,
-        iterations: usize,
-        cluster: &mut Cluster,
-        traffic: &PairTraffic,
-    ) -> Vec<IterationStats> {
-        (0..iterations)
-            .map(|_| self.run_iteration(cluster, traffic))
-            .collect()
     }
 }
 
@@ -412,33 +359,87 @@ mod tests {
     use score_traffic::WorkloadConfig;
     use std::sync::Arc;
 
-    fn fixture(seed: u64) -> (Cluster, PairTraffic) {
-        let topo = Arc::new(CanonicalTree::small()); // 16 servers
-        let traffic = WorkloadConfig::new(32, seed).generate();
-        // Spread VMs round-robin across servers (a traffic-agnostic initial
-        // placement).
-        let alloc = Allocation::from_fn(32, 16, |vm| ServerId::new(vm.get() % 16));
-        let cluster = Cluster::new(
-            topo,
-            ServerSpec::paper_default(),
-            VmSpec::paper_default(),
-            &traffic,
-            alloc,
-        )
-        .unwrap();
-        (cluster, traffic)
+    /// A ring's cluster, TM and ledger, stepped reactively.
+    struct Run {
+        ring: TokenRing,
+        cluster: Cluster,
+        traffic: PairTraffic,
+        ledger: CostLedger,
+    }
+
+    impl Run {
+        fn new(seed: u64, policy: impl TokenPolicy + 'static, num_vms: u32) -> Self {
+            let topo = Arc::new(CanonicalTree::small()); // 16 servers
+            let traffic = WorkloadConfig::new(32, seed).generate();
+            // Spread VMs round-robin across servers (a traffic-agnostic
+            // initial placement).
+            let alloc = Allocation::from_fn(32, 16, |vm| ServerId::new(vm.get() % 16));
+            let cluster = Cluster::new(
+                topo,
+                ServerSpec::paper_default(),
+                VmSpec::paper_default(),
+                &traffic,
+                alloc,
+            )
+            .unwrap();
+            let ring = TokenRing::new(ScoreEngine::paper_default(), policy, num_vms);
+            let model = ring.engine().cost_model();
+            let ledger = model.ledger(cluster.allocation(), &traffic, cluster.topo());
+            Run {
+                ring,
+                cluster,
+                traffic,
+                ledger,
+            }
+        }
+
+        fn step(&mut self) -> Option<StepOutcome> {
+            self.ring.step_ledgered_outlook(
+                &mut self.cluster,
+                &self.traffic,
+                &mut self.ledger,
+                &OutlookContext::reactive(),
+            )
+        }
+
+        /// `|V|` holds of the membership at its start: one iteration.
+        fn iteration(&mut self) -> IterationStats {
+            let mut stats = IterationStats::default();
+            for _ in 0..self.ring.token().len() {
+                let Some(outcome) = self.step() else {
+                    break;
+                };
+                stats.steps += 1;
+                if outcome.decision.migrates() {
+                    stats.migrations += 1;
+                    stats.total_gain += outcome.decision.gain;
+                }
+            }
+            stats
+        }
+
+        /// A full Eq.-(2) pass, after asserting the ledger agrees with it.
+        fn cost(&self) -> f64 {
+            let model = self.ring.engine().cost_model();
+            let (alloc, topo) = (self.cluster.allocation(), self.cluster.topo());
+            let fresh = model.total_cost(alloc, &self.traffic, topo);
+            let ledgered = self.ledger.current();
+            assert!(
+                (ledgered - fresh).abs() <= 1e-9 * fresh.max(1.0),
+                "ledger {ledgered} vs fresh {fresh}"
+            );
+            fresh
+        }
     }
 
     #[test]
     fn iterations_reduce_cost_monotonically() {
-        let (mut cluster, traffic) = fixture(1);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let model = ring.engine().cost_model().clone();
-        let mut last = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
+        let mut run = Run::new(1, RoundRobin::new(), 32);
+        let mut last = run.cost();
         let initial = last;
         for _ in 0..4 {
-            ring.run_iteration(&mut cluster, &traffic);
-            let now = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
+            run.iteration();
+            let now = run.cost();
             assert!(now <= last + 1e-9, "cost must never increase");
             last = now;
         }
@@ -452,10 +453,8 @@ mod tests {
     fn migration_ratio_plummets() {
         // The Fig. 2 property: after the first couple of iterations almost
         // nobody migrates any more.
-        let (mut cluster, traffic) = fixture(2);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let stats = ring.run_iterations(5, &mut cluster, &traffic);
-        assert_eq!(stats.len(), 5);
+        let mut run = Run::new(2, RoundRobin::new(), 32);
+        let stats: Vec<IterationStats> = (0..5).map(|_| run.iteration()).collect();
         assert!(stats[0].migrations >= 1);
         let late: usize = stats[3].migrations + stats[4].migrations;
         assert!(
@@ -468,24 +467,19 @@ mod tests {
 
     #[test]
     fn hlf_converges_too() {
-        let (mut cluster, traffic) = fixture(3);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), HighestLevelFirst::new(), 32);
-        let model = ring.engine().cost_model().clone();
-        let initial = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
-        let stats = ring.run_iterations(5, &mut cluster, &traffic);
-        let final_cost = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
-        assert!(final_cost < initial);
+        let mut run = Run::new(3, HighestLevelFirst::new(), 32);
+        let initial = run.cost();
+        let stats: Vec<IterationStats> = (0..5).map(|_| run.iteration()).collect();
+        assert!(run.cost() < initial);
         assert!(stats[4].migration_ratio() < 0.1);
     }
 
     #[test]
     fn gains_match_cost_drop() {
-        let (mut cluster, traffic) = fixture(4);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let model = ring.engine().cost_model().clone();
-        let before = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
-        let stats = ring.run_iteration(&mut cluster, &traffic);
-        let after = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
+        let mut run = Run::new(4, RoundRobin::new(), 32);
+        let before = run.cost();
+        let stats = run.iteration();
+        let after = run.cost();
         assert!(
             (before - after - stats.total_gain).abs() < 1e-6 * before.max(1.0),
             "sum of Lemma-3 gains must equal the total cost drop"
@@ -494,66 +488,45 @@ mod tests {
 
     #[test]
     fn step_outcome_chain() {
-        let (mut cluster, traffic) = fixture(5);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let o1 = ring.step(&mut cluster, &traffic).unwrap();
+        let mut run = Run::new(5, RoundRobin::new(), 32);
+        let o1 = run.step().unwrap();
         assert_eq!(o1.holder, VmId::new(0));
         assert_eq!(o1.next, Some(VmId::new(1)));
-        let o2 = ring.step(&mut cluster, &traffic).unwrap();
+        let o2 = run.step().unwrap();
         assert_eq!(o2.holder, VmId::new(1));
     }
 
     #[test]
     fn ledgered_steps_track_full_recomputation() {
-        let (mut cluster, traffic) = fixture(10);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let model = ring.engine().cost_model().clone();
-        let mut ledger = crate::CostLedger::new(
-            model.clone(),
-            cluster.allocation(),
-            &traffic,
-            cluster.topo(),
-        );
+        let mut run = Run::new(10, RoundRobin::new(), 32);
         for _ in 0..64 {
-            let Some(outcome) = ring.step_ledgered_outlook(
-                &mut cluster,
-                &traffic,
-                &mut ledger,
-                &OutlookContext::reactive(),
-            ) else {
+            let Some(outcome) = run.step() else {
                 break;
             };
             assert_eq!(outcome.decision.applied_delta(), -outcome.decision.gain);
         }
-        let fresh = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
-        assert!(
-            (ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0),
-            "ledger {} vs fresh {}",
-            ledger.current(),
-            fresh
-        );
+        run.cost();
     }
 
     #[test]
     fn empty_ring_terminates() {
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 0);
-        let (mut cluster, traffic) = fixture(6);
-        assert!(ring.holder().is_none());
-        assert!(ring.step(&mut cluster, &traffic).is_none());
-        let stats = ring.run_iteration(&mut cluster, &traffic);
+        let mut run = Run::new(6, RoundRobin::new(), 0);
+        assert!(run.ring.holder().is_none());
+        assert!(run.step().is_none());
+        let stats = run.iteration();
         assert_eq!(stats.steps, 0);
         assert_eq!(stats.migration_ratio(), 0.0);
     }
 
     #[test]
     fn churn_add_and_remove_vms_mid_run() {
-        let (mut cluster, traffic) = fixture(8);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
+        let mut run = Run::new(8, RoundRobin::new(), 32);
         // Run half an iteration, then remove the current holder and a
         // bystander; the ring must keep functioning.
         for _ in 0..16 {
-            ring.step(&mut cluster, &traffic);
+            run.step();
         }
+        let ring = &mut run.ring;
         let holder = ring.holder().unwrap();
         assert!(ring.remove_vm(holder));
         assert!(ring.remove_vm(VmId::new(0)));
@@ -563,33 +536,34 @@ mod tests {
         // Re-adding restores membership and the ring still converges.
         assert!(ring.add_vm(VmId::new(0)));
         assert!(!ring.add_vm(VmId::new(0)));
-        let stats = ring.run_iteration(&mut cluster, &traffic);
+        let stats = run.iteration();
         assert_eq!(stats.steps, 31);
-        assert!(cluster.allocation().is_consistent());
+        assert!(run.cluster.allocation().is_consistent());
+        run.cost();
     }
 
     #[test]
     fn removing_last_vm_empties_ring() {
-        let (mut cluster, traffic) = fixture(9);
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 1);
-        assert_eq!(ring.holder(), Some(VmId::new(0)));
-        assert!(ring.remove_vm(VmId::new(0)));
-        assert!(ring.holder().is_none());
-        assert!(ring.step(&mut cluster, &traffic).is_none());
+        let mut run = Run::new(9, RoundRobin::new(), 1);
+        assert_eq!(run.ring.holder(), Some(VmId::new(0)));
+        assert!(run.ring.remove_vm(VmId::new(0)));
+        assert!(run.ring.holder().is_none());
+        assert!(run.step().is_none());
         // An arrival restarts the ring.
-        assert!(ring.add_vm(VmId::new(0)));
-        assert_eq!(ring.holder(), Some(VmId::new(0)));
+        assert!(run.ring.add_vm(VmId::new(0)));
+        assert_eq!(run.ring.holder(), Some(VmId::new(0)));
     }
 
     #[test]
     fn capacity_is_never_violated() {
-        let (mut cluster, traffic) = fixture(7);
-        let slots = cluster.server_spec().vm_slots as usize;
-        let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        ring.run_iterations(3, &mut cluster, &traffic);
-        for s in cluster.topo().servers() {
-            assert!(cluster.allocation().occupancy(s) <= slots);
+        let mut run = Run::new(7, RoundRobin::new(), 32);
+        let slots = run.cluster.server_spec().vm_slots as usize;
+        for _ in 0..3 {
+            run.iteration();
         }
-        assert!(cluster.allocation().is_consistent());
+        for s in run.cluster.topo().servers() {
+            assert!(run.cluster.allocation().occupancy(s) <= slots);
+        }
+        assert!(run.cluster.allocation().is_consistent());
     }
 }

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_core::{
     Allocation, Cluster, CostModel, HighestLevelFirst, KernelScratch, LocalView, MigrationDecision,
-    RoundRobin, ScoreConfig, ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
+    OutlookContext, RoundRobin, ScoreConfig, ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
 };
 use score_topology::{CanonicalTree, FatTree, Level, ServerId, Topology, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
@@ -34,6 +34,38 @@ fn hold(
             .expect("decide() validated admission for the chosen target");
     }
     decision
+}
+
+/// `sweeps` iterations of `|V|` reactive holds, each hold's Lemma-3
+/// delta folded into a ledger that must land on a full Eq.-(2) pass.
+/// Returns each sweep's migration count.
+fn run_sweeps(
+    ring: &mut TokenRing,
+    sweeps: usize,
+    cluster: &mut Cluster,
+    traffic: &PairTraffic,
+) -> Vec<usize> {
+    let model = ring.engine().cost_model().clone();
+    let mut ledger = model.ledger(cluster.allocation(), traffic, cluster.topo());
+    let ctx = OutlookContext::reactive();
+    let holds = ring.token().len();
+    let migrations = (0..sweeps)
+        .map(|_| {
+            (0..holds)
+                .filter(|_| {
+                    ring.step_ledgered_outlook(cluster, traffic, &mut ledger, &ctx)
+                        .is_some_and(|o| o.decision.migrates())
+                })
+                .count()
+        })
+        .collect();
+    let fresh = model.total_cost(cluster.allocation(), traffic, cluster.topo());
+    let ledgered = ledger.current();
+    assert!(
+        (ledgered - fresh).abs() <= 1e-9 * fresh.max(1.0),
+        "ledger {ledgered} vs full pass {fresh}"
+    );
+    migrations
 }
 
 fn random_allocation(num_vms: u32, num_servers: u32, seed: u64) -> Allocation {
@@ -179,11 +211,11 @@ proptest! {
             Arc::clone(&topo), spec, VmSpec::paper_default(), &traffic, alloc,
         ).unwrap();
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 32);
-        let stats = ring.run_iterations(6, &mut cluster, &traffic);
+        let migrations = run_sweeps(&mut ring, 6, &mut cluster, &traffic);
         // Convergence: the last iteration performs no migrations (cm = 0
         // requires strictly positive gain, and gains strictly decrease the
         // cost which is bounded below).
-        prop_assert_eq!(stats[5].migrations, 0, "should converge within 6 sweeps");
+        prop_assert_eq!(migrations[5], 0, "should converge within 6 sweeps");
         for s in 0..16u32 {
             prop_assert!(cluster.allocation().occupancy(ServerId::new(s)) <= slots as usize);
         }
@@ -218,13 +250,13 @@ fn hlf_competitive_with_rr_on_average() {
 
         let mut c_rr = make_cluster(alloc.clone());
         let mut ring_rr = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 48);
-        ring_rr.run_iterations(6, &mut c_rr, &traffic);
+        run_sweeps(&mut ring_rr, 6, &mut c_rr, &traffic);
         sum_rr += model.total_cost(c_rr.allocation(), &traffic, c_rr.topo());
 
         let mut c_hlf = make_cluster(alloc);
         let mut ring_hlf =
             TokenRing::new(ScoreEngine::paper_default(), HighestLevelFirst::new(), 48);
-        ring_hlf.run_iterations(6, &mut c_hlf, &traffic);
+        run_sweeps(&mut ring_hlf, 6, &mut c_hlf, &traffic);
         sum_hlf += model.total_cost(c_hlf.allocation(), &traffic, c_hlf.topo());
     }
     assert!(

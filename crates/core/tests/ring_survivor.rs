@@ -5,14 +5,33 @@
 //! degrades gracefully instead of spinning.
 
 use proptest::prelude::*;
-use score_core::{Allocation, Cluster, RoundRobin, ScoreEngine, ServerSpec, TokenRing, VmSpec};
+use score_core::{
+    Allocation, Cluster, CostLedger, CostModel, OutlookContext, RoundRobin, ScoreEngine,
+    ServerSpec, StepOutcome, TokenRing, VmSpec,
+};
 use score_topology::{CanonicalTree, ServerId, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
 use std::sync::Arc;
 
 const NUM_VMS: u32 = 24;
 
-fn fixture(seed: u64) -> (Cluster, PairTraffic) {
+/// A cluster, its TM and its cost ledger, stepped by a ring.
+#[derive(Clone)]
+struct World {
+    cluster: Cluster,
+    traffic: PairTraffic,
+    ledger: CostLedger,
+}
+
+impl World {
+    /// One reactive hold of `ring`'s token.
+    fn step(&mut self, ring: &mut TokenRing) -> Option<StepOutcome> {
+        let ctx = OutlookContext::reactive();
+        ring.step_ledgered_outlook(&mut self.cluster, &self.traffic, &mut self.ledger, &ctx)
+    }
+}
+
+fn fixture(seed: u64) -> World {
     let topo = Arc::new(CanonicalTree::small()); // 16 servers
     let traffic = WorkloadConfig::new(NUM_VMS, seed).generate();
     let alloc = Allocation::from_fn(NUM_VMS, 16, |vm| ServerId::new(vm.get() % 16));
@@ -24,7 +43,12 @@ fn fixture(seed: u64) -> (Cluster, PairTraffic) {
         alloc,
     )
     .unwrap();
-    (cluster, traffic)
+    let ledger = CostModel::paper_default().ledger(cluster.allocation(), &traffic, cluster.topo());
+    World {
+        cluster,
+        traffic,
+        ledger,
+    }
 }
 
 fn ring() -> TokenRing {
@@ -77,10 +101,10 @@ fn election_is_insensitive_to_batch_order() {
 fn killing_the_holder_mid_hold_converges() {
     // Advance the token into the middle of an iteration, then crash the
     // current holder plus neighbours on both sides.
-    let (mut cluster, traffic) = fixture(11);
+    let mut w = fixture(11);
     let mut r = ring();
     for _ in 0..9 {
-        r.step(&mut cluster, &traffic);
+        w.step(&mut r);
     }
     let holder = r.holder().unwrap().get();
     let dead = [
@@ -93,23 +117,26 @@ fn killing_the_holder_mid_hold_converges() {
     let got = r.fail_vms(&dead.map(VmId::new));
     assert_eq!(got.map(|v| v.get()), want);
     // The ring keeps making progress over the survivors only.
-    let stats = r.run_iteration(&mut cluster, &traffic);
-    assert_eq!(stats.steps, (NUM_VMS - 3) as usize);
-    assert!(cluster.allocation().is_consistent());
+    assert_eq!(r.token().len(), (NUM_VMS - 3) as usize);
+    for _ in 0..r.token().len() {
+        assert!(w.step(&mut r).is_some());
+    }
+    assert!(w.cluster.allocation().is_consistent());
+    let model = CostModel::paper_default();
+    let fresh = model.total_cost(w.cluster.allocation(), &w.traffic, w.cluster.topo());
+    assert!((w.ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0));
 }
 
 #[test]
 fn fully_dead_ring_degrades_gracefully() {
-    let (mut cluster, traffic) = fixture(13);
+    let mut w = fixture(13);
     let mut r = ring();
     let everyone: Vec<VmId> = (0..NUM_VMS).map(VmId::new).collect();
     assert_eq!(r.fail_vms(&everyone), None);
     assert!(r.holder().is_none());
     assert!(r.token().is_empty());
-    // step() terminates instead of spinning; iterations are empty.
-    assert!(r.step(&mut cluster, &traffic).is_none());
-    let stats = r.run_iteration(&mut cluster, &traffic);
-    assert_eq!(stats.steps, 0);
+    // A step terminates instead of spinning.
+    assert!(w.step(&mut r).is_none());
     // A later arrival restarts the ring.
     assert!(r.add_vm(VmId::new(5)));
     assert_eq!(r.holder(), Some(VmId::new(5)));
@@ -161,10 +188,10 @@ proptest! {
         steps in 0usize..30,
         dead_raw in prop::collection::btree_set(0u32..NUM_VMS, 1..=NUM_VMS as usize),
     ) {
-        let (mut cluster, traffic) = fixture(seed);
+        let mut w = fixture(seed);
         let mut r = ring();
         for _ in 0..steps {
-            r.step(&mut cluster, &traffic);
+            w.step(&mut r);
         }
         let dead: Vec<u32> = dead_raw.iter().copied().collect();
         let holder = r.holder().unwrap().get();
@@ -177,9 +204,9 @@ proptest! {
 
         // One batch …
         let mut batched = ring();
-        let mut c2 = cluster.clone();
+        let mut w2 = w.clone();
         for _ in 0..steps {
-            batched.step(&mut c2, &traffic);
+            w2.step(&mut batched);
         }
         let ids: Vec<VmId> = dead.iter().map(|&v| VmId::new(v)).collect();
         let got = batched.fail_vms(&ids);
@@ -191,9 +218,9 @@ proptest! {
         // feeds may pass through intermediate holders, but the final
         // membership must agree.
         let mut seq = ring();
-        let mut c3 = cluster.clone();
+        let mut w3 = w.clone();
         for _ in 0..steps {
-            seq.step(&mut c3, &traffic);
+            w3.step(&mut seq);
         }
         let mut desc = ids.clone();
         desc.sort_unstable_by(|a, b| b.cmp(a));

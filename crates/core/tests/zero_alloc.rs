@@ -15,8 +15,8 @@
 //! an arrival appended within capacity, patch the position map in place.
 
 use score_core::{
-    Allocation, Cluster, CostLedger, ForecastCostFirst, HighestCostFirst, HighestLevelFirst,
-    OutlookContext, RoundRobin, ScoreEngine, ServerSpec, Token, TokenPolicy, TokenRing, VmSpec,
+    Allocation, Cluster, ForecastCostFirst, HighestCostFirst, HighestLevelFirst, OutlookContext,
+    RoundRobin, ScoreEngine, ServerSpec, Token, TokenPolicy, TokenRing, VmSpec,
 };
 use score_topology::{CanonicalTree, ServerId, Topology, VmId};
 use score_traffic::{EwmaForecaster, PairTraffic, RateForecaster, WorkloadConfig};
@@ -94,12 +94,10 @@ fn steady_state_allocs(policy: impl TokenPolicy + 'static, name: &str, forecast:
     )
     .expect("round-robin allocation is feasible");
     let mut ring = TokenRing::new(ScoreEngine::paper_default(), policy, num_vms);
-    let mut ledger = CostLedger::new(
-        ring.engine().cost_model().clone(),
-        cluster.allocation(),
-        &traffic,
-        cluster.topo(),
-    );
+    let mut ledger =
+        ring.engine()
+            .cost_model()
+            .ledger(cluster.allocation(), &traffic, cluster.topo());
     let forecaster = rising(&traffic);
     let ctx = if forecast {
         OutlookContext::forecast(&forecaster as &dyn RateForecaster, 10.0, 30.0)

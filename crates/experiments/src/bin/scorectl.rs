@@ -857,15 +857,13 @@ fn main() -> ExitCode {
         let r = &report.recovery;
         println!(
             "recovery: {} fault(s) | {} host(s) down | {} evacuation(s) \
-             ({} unplaceable) | stable {:.1} s after last fault | {:.1} s degraded \
-             | {} ledger resyncs",
+             ({} unplaceable) | stable {:.1} s after last fault | {:.1} s degraded",
             r.faults_injected,
             r.hosts_down,
             r.evacuations,
             r.unplaceable_vms,
             r.time_to_stable_s,
             r.slo_violating_s,
-            session.ledger_resyncs(),
         );
     }
     if let Some(path) = &args.record_trace {
@@ -1021,11 +1019,10 @@ fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
     }
     println!(
         "trace replay: {} segment(s), {} traffic deltas applied in place \
-         ({} pairs re-priced, {} full ledger resyncs)",
+         ({} pairs re-priced)",
         reports.len(),
         total_deltas,
         total_pairs,
-        session.ledger_resyncs(),
     );
     if let Some(path) = &args.csv {
         let mut csv = String::from("segment,time_s,cost\n");

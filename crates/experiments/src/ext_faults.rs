@@ -10,9 +10,7 @@
 //! and three escalating severities, and reports the
 //! [`score_sim::RecoveryStats`] block: forced evacuations, VMs the
 //! fabric could no longer hold, SLO-violating seconds, and the time
-//! the placement needed to stop moving again. Every cell also pins
-//! the adversity invariant the test harness proves at small scale:
-//! `ledger_resyncs() == 0` through the whole storm.
+//! the placement needed to stop moving again.
 
 use score_sim::{PolicyKind, Scenario, TimingSpec};
 use score_trace::{fault_storm_events, FaultSpec, TimedEvent};
@@ -97,11 +95,6 @@ fn run_cell(scenario: &Scenario, storm: &[TimedEvent]) -> (score_sim::RunReport,
         apply_s += sw.elapsed_s();
     }
     session.run_to_horizon();
-    assert_eq!(
-        session.ledger_resyncs(),
-        0,
-        "the adversity path never falls back to a full resync"
-    );
     let per_fault_us = if storm.is_empty() {
         0.0
     } else {
@@ -202,9 +195,9 @@ pub fn run(paper_scale: bool) -> (Vec<FaultPoint>, String) {
     }
     let _ = writeln!(
         summary,
-        "  (every cell replays its storm at drained event boundaries with zero \
-         ledger resyncs; only the fault events enter the audit log — the \
-         evacuations are re-derived on replay)"
+        "  (every cell replays its storm at drained event boundaries; only the \
+         fault events enter the audit log — the evacuations are re-derived on \
+         replay)"
     );
     let path = write_result("ext_faults.csv", &csv);
     let _ = writeln!(summary, "  -> {}", path.display());

@@ -32,7 +32,7 @@ pub enum ObsEvent {
         /// Event-clock time of the boundary (seconds).
         at_s: f64,
     },
-    /// Free-form marker (daemon lifecycle, resyncs, subscriber drops...).
+    /// Free-form marker (daemon lifecycle, subscriber drops...).
     Note(String),
 }
 

@@ -21,7 +21,7 @@
 //! The headline guarantee is **replayability**: every mutation is
 //! applied at a drained event boundary and appended to an audit trace;
 //! `scorectl replay` of a recorded session reproduces the live run's
-//! final report byte for byte, with zero ledger resyncs throughout.
+//! final report byte for byte.
 
 pub mod daemon;
 pub mod engine;

@@ -1,5 +1,5 @@
 //! Population churn: VMs arriving at and departing from a running
-//! session, live, without a resync.
+//! session, live, without a full Eq.-(2) pass.
 
 use score_core::ClusterError;
 use score_topology::{ServerId, VmId};
@@ -49,7 +49,7 @@ impl Session {
     /// zeroed through the ordinary sparse delta path (one
     /// [`Session::apply_traffic_deltas`] call per pair, so the recorded
     /// `SetRate` stream replays with the same number of apply calls and
-    /// the cost ledger re-prices exactly `O(degree)` pairs — no resync),
+    /// the cost ledger re-prices exactly `O(degree)` pairs — no full pass),
     /// its server resources are released, the id is tombstoned (ids stay
     /// dense and stable), and it leaves the token ring — if it held the
     /// token, the pending pass simply finds the successor. Recorded as a

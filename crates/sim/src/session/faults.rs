@@ -35,7 +35,7 @@ impl Session {
     ///   deterministic [`score_core::Cluster::choose_server`] pick (down hosts are
     ///   excluded) and the cost ledger absorbs the move through the
     ///   same Lemma-3 delta path an ordinary migration takes — exact,
-    ///   `O(degree)` per victim, zero resyncs. Victims no live server
+    ///   `O(degree)` per victim, no full pass. Victims no live server
     ///   can admit are retired (pairs zeroed through the sparse path,
     ///   id tombstoned, ring membership dropped via the survivor
     ///   election) and counted as unplaceable.

@@ -95,8 +95,8 @@ pub struct Session {
     /// Link tiers currently degraded (`tier → factor`). Tier 0 also
     /// scales the cluster's NIC admission capacity; higher tiers are
     /// tracked for SLO accounting only (re-weighting the cost model
-    /// mid-run would force a ledger resync, which the adversity engine
-    /// refuses to pay).
+    /// mid-run would need a full Eq.-(2) re-pricing of the ledger, which
+    /// the adversity engine refuses to pay).
     degraded_tiers: BTreeMap<u32, f64>,
     /// Attached observability (disabled by default); see
     /// [`Session::attach_obs`].
@@ -396,8 +396,7 @@ impl Session {
                         self.queue
                             .schedule_in(sample.total_time_s, SimEvent::MigrationComplete);
                     }
-                    // An iteration is |V| holds of the live membership,
-                    // as in `TokenRing::run_iteration`.
+                    // An iteration is |V| holds of the live membership.
                     if self.seg.current_iter.steps >= self.ring.token().len() {
                         self.seg.iterations.push(self.seg.current_iter);
                         self.seg.current_iter = IterationStats::default();
@@ -526,21 +525,22 @@ impl Session {
         stats
     }
 
-    /// Number of full-pass ledger resyncs paid so far: always 0. No
-    /// `&mut Cluster` leaves a session, so every change to the placement
-    /// or the TM reaches the ledger as a Lemma-3 delta, a sparse
-    /// re-price or a scale, and nothing calls `CostLedger::resync`. Kept
-    /// because the benchmark's audit and the suites assert it.
+    /// Returns 0. The ledger has no full-pass resync any more; every
+    /// change reaches it as a delta. Kept, with its old signature, only
+    /// because the performance harness's `audit` still calls it
+    /// (`benchmark/src/sim_workloads.rs`, `benchmark/src/daemon.rs`);
+    /// ROADMAP item 5(d) deletes those calls and this method.
+    #[doc(hidden)]
     pub fn ledger_resyncs(&self) -> u64 {
-        self.ledger.resyncs()
+        0
     }
 
     /// Panics unless every account the session keeps agrees with its one
     /// TM: the cluster's ([`Cluster::check_invariants`]); the ledger's,
     /// within 1e-9 of a full Eq.-(2) pass relative to the larger of that
     /// pass and the peak sampled cost (a running sum keeps residue of the
-    /// largest value it carried), with no resync paid; and the token's,
-    /// whose members are exactly the live VMs. O(pairs + VMs × degree):
+    /// largest value it carried); and the token's, whose members are
+    /// exactly the live VMs. O(pairs + VMs × degree):
     /// the property suites call it inside their step loops. Debug builds
     /// only, because the cluster's check is compiled into those alone.
     #[cfg(debug_assertions)]
@@ -556,7 +556,6 @@ impl Session {
             (ledgered - fresh).abs() <= 1e-9 * peak,
             "ledger {ledgered} drifted from a full Eq.-(2) pass {fresh} (peak {peak})"
         );
-        assert_eq!(self.ledger_resyncs(), 0, "the ledger paid a full resync");
         let token = self.ring.token();
         assert!(
             token.len() == self.cluster.num_active() as usize

@@ -286,7 +286,6 @@ fn ten_million_events_keep_every_account_within_1e9() {
             "an account drifted past {BOUND} by event {event}: {drift:?}"
         );
     }
-    assert_eq!(session.ledger_resyncs(), 0);
     assert!(scales > 0 && migrations > 0 && evacuations > 0 && placed > 0 && removed > 0);
 }
 

@@ -1,7 +1,7 @@
 //! Trace-driven time-varying workloads: the offered traffic drifts and
 //! spikes *while the token circulates*, and every change lands on the
 //! cluster in place — O(changed-pairs) cost-ledger re-pricing between
-//! token holds, no cluster rebuild, no full Eq.-(2) resync.
+//! token holds, no cluster rebuild, no full Eq.-(2) pass.
 //!
 //! ```sh
 //! cargo run --example trace_replay
@@ -51,14 +51,13 @@ fn main() {
         let report = session.report();
         println!(
             "{name:>13}: cost {:.3e} -> {:.3e} | {:>3} migrations | {:>3} deltas \
-             re-pricing {:>5} pairs in place ({:.0} µs each, {} full resyncs)",
+             re-pricing {:>5} pairs in place ({:.0} µs each)",
             report.initial_cost,
             report.final_cost,
             report.migrations.len(),
             report.trace.events_applied,
             report.trace.pairs_repriced,
             report.trace.mean_apply_ns() / 1e3,
-            session.ledger_resyncs(),
         );
     }
 

@@ -4,17 +4,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s_core::baselines::{exhaustive_optimal, random_placement, GaConfig, GeneticOptimizer};
 use s_core::core::{
-    Allocation, CapacityReport, Cluster, CostModel, HighestLevelFirst, RoundRobin, ScoreEngine,
-    ServerSpec, Token, TokenRing, VmSpec,
+    Allocation, CapacityReport, Cluster, CostModel, HighestLevelFirst, OutlookContext, RoundRobin,
+    ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
 };
 use s_core::topology::{
     AddressPlan, CanonicalTree, CanonicalTreeBuilder, ServerId, Topology, VmId,
 };
-use s_core::traffic::{PairTrafficBuilder, WorkloadConfig};
+use s_core::traffic::{PairTraffic, PairTrafficBuilder, WorkloadConfig};
 use s_core::xen::ControlPlane;
 use std::sync::Arc;
 
-fn small_cluster(seed: u64) -> (Cluster, s_core::traffic::PairTraffic) {
+fn small_cluster(seed: u64) -> (Cluster, PairTraffic) {
     let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
     let traffic = WorkloadConfig::new(48, seed).generate();
     let alloc = random_placement(48, 16, 16, &mut StdRng::seed_from_u64(seed));
@@ -29,6 +29,38 @@ fn small_cluster(seed: u64) -> (Cluster, s_core::traffic::PairTraffic) {
     (cluster, traffic)
 }
 
+/// `sweeps` iterations of `|V|` reactive holds, each hold's Lemma-3
+/// delta folded into a ledger that must land on a full Eq.-(2) pass.
+/// Returns each sweep's migration count.
+fn run_sweeps(
+    ring: &mut TokenRing,
+    sweeps: usize,
+    cluster: &mut Cluster,
+    traffic: &PairTraffic,
+) -> Vec<usize> {
+    let model = ring.engine().cost_model().clone();
+    let mut ledger = model.ledger(cluster.allocation(), traffic, cluster.topo());
+    let ctx = OutlookContext::reactive();
+    let holds = ring.token().len();
+    let migrations = (0..sweeps)
+        .map(|_| {
+            (0..holds)
+                .filter(|_| {
+                    ring.step_ledgered_outlook(cluster, traffic, &mut ledger, &ctx)
+                        .is_some_and(|o| o.decision.migrates())
+                })
+                .count()
+        })
+        .collect();
+    let fresh = model.total_cost(cluster.allocation(), traffic, cluster.topo());
+    let ledgered = ledger.current();
+    assert!(
+        (ledgered - fresh).abs() <= 1e-9 * fresh.max(1.0),
+        "ledger {ledgered} vs full pass {fresh}"
+    );
+    migrations
+}
+
 #[test]
 fn facade_pipeline_reduces_cost_and_respects_invariants() {
     let (mut cluster, traffic) = small_cluster(1);
@@ -36,14 +68,14 @@ fn facade_pipeline_reduces_cost_and_respects_invariants() {
     let initial = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
 
     let mut ring = TokenRing::new(ScoreEngine::paper_default(), HighestLevelFirst::new(), 48);
-    let stats = ring.run_iterations(6, &mut cluster, &traffic);
+    let migrations = run_sweeps(&mut ring, 6, &mut cluster, &traffic);
     let final_cost = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
 
     assert!(
         final_cost < initial,
         "S-CORE must improve a random placement"
     );
-    assert_eq!(stats.last().unwrap().migrations, 0, "must converge");
+    assert_eq!(migrations[5], 0, "must converge");
     assert!(cluster.allocation().is_consistent());
     for s in cluster.topo().servers() {
         assert!(cluster.allocation().occupancy(s) <= 16);
@@ -68,7 +100,7 @@ fn ga_bound_dominates_distributed_result_on_average() {
         )
         .run();
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 48);
-        ring.run_iterations(6, &mut cluster, &traffic);
+        run_sweeps(&mut ring, 6, &mut cluster, &traffic);
         ga_total += ga.best_cost;
         score_total += model.total_cost(cluster.allocation(), &traffic, cluster.topo());
     }
@@ -111,7 +143,7 @@ fn exhaustive_bounds_ga_and_score_on_tiny_instance() {
     let mut cluster =
         Cluster::new(topo_arc, spec, VmSpec::paper_default(), &traffic, alloc).unwrap();
     let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), 6);
-    ring.run_iterations(8, &mut cluster, &traffic);
+    run_sweeps(&mut ring, 8, &mut cluster, &traffic);
     let score_cost = model.total_cost(cluster.allocation(), &traffic, cluster.topo());
     assert!(
         score_cost + 1e-9 >= exact.best_cost,
@@ -188,7 +220,7 @@ fn runs_are_deterministic_across_invocations() {
     let run = |seed| {
         let (mut cluster, traffic) = small_cluster(seed);
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), HighestLevelFirst::new(), 48);
-        ring.run_iterations(5, &mut cluster, &traffic);
+        run_sweeps(&mut ring, 5, &mut cluster, &traffic);
         CostModel::paper_default().total_cost(cluster.allocation(), &traffic, cluster.topo())
     };
     assert_eq!(run(3), run(3));

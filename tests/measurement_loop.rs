@@ -5,7 +5,8 @@
 //! truth once the window has converged.
 
 use s_core::core::{
-    Allocation, Cluster, CostModel, RoundRobin, ScoreEngine, ServerSpec, TokenRing, VmSpec,
+    Allocation, Cluster, CostModel, OutlookContext, RoundRobin, ScoreEngine, ServerSpec, TokenRing,
+    VmSpec,
 };
 use s_core::topology::{CanonicalTree, ServerId, Topology};
 use s_core::traffic::{FlowSampler, RateEstimator, WorkloadConfig};
@@ -49,7 +50,15 @@ fn estimated_rates_drive_equivalent_decisions() {
         )
         .unwrap();
         let mut ring = TokenRing::new(ScoreEngine::paper_default(), RoundRobin::new(), num_vms);
-        ring.run_iterations(5, &mut cluster, traffic);
+        let model = ring.engine().cost_model().clone();
+        let mut ledger = model.ledger(cluster.allocation(), traffic, cluster.topo());
+        let ctx = OutlookContext::reactive();
+        // Five iterations of |V| holds, each folded into the ledger.
+        for _ in 0..5 * num_vms {
+            ring.step_ledgered_outlook(&mut cluster, traffic, &mut ledger, &ctx);
+        }
+        let fresh = model.total_cost(cluster.allocation(), traffic, cluster.topo());
+        assert!((ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0));
         cluster
     };
     let truth_cluster = run(&truth);
