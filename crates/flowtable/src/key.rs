@@ -78,17 +78,6 @@ impl FlowKey {
         }
     }
 
-    /// The same flow viewed from the opposite direction.
-    pub fn reversed(&self) -> FlowKey {
-        FlowKey {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            proto: self.proto,
-        }
-    }
-
     /// True if `ip` is either endpoint.
     pub fn involves(&self, ip: Ipv4Addr) -> bool {
         self.src_ip == ip || self.dst_ip == ip
@@ -127,14 +116,6 @@ mod tests {
             Ipv4Addr::new(10, 0, 1, 2),
             80,
         )
-    }
-
-    #[test]
-    fn reversal_is_involutive() {
-        let k = key();
-        assert_eq!(k.reversed().reversed(), k);
-        assert_eq!(k.reversed().src_ip, k.dst_ip);
-        assert_eq!(k.reversed().dst_port, k.src_port);
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl NetGraph {
         self.links.len()
     }
 
-    /// All nodes, ordered by identifier.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     /// All links, ordered by identifier.
     pub fn links(&self) -> &[Link] {
         &self.links

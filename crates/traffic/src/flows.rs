@@ -18,15 +18,6 @@ use crate::pairwise::PairTraffic;
 /// Classification threshold: pairs above 1 Mb/s average are elephants.
 pub const ELEPHANT_THRESHOLD_BPS: f64 = 1e6;
 
-/// Mouse or elephant, per the DC measurement literature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FlowClass {
-    /// Short, small flow; dominates flow *counts*.
-    Mouse,
-    /// Long, large flow; dominates *bytes*.
-    Elephant,
-}
-
 /// A single flow between two VMs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Flow {
@@ -51,15 +42,6 @@ impl Flow {
     pub fn throughput_bps(&self) -> f64 {
         assert!(self.duration_s > 0.0, "flow has zero duration");
         self.bytes * 8.0 / self.duration_s
-    }
-
-    /// Classifies the flow by its average throughput.
-    pub fn class(&self) -> FlowClass {
-        if self.throughput_bps() >= ELEPHANT_THRESHOLD_BPS {
-            FlowClass::Elephant
-        } else {
-            FlowClass::Mouse
-        }
     }
 }
 
@@ -174,20 +156,6 @@ mod tests {
             assert!(f.start_s + f.duration_s <= 10.0 + 1e-9);
             assert!(f.duration_s > 0.0);
         }
-    }
-
-    #[test]
-    fn classification() {
-        let f = Flow {
-            src: VmId::new(0),
-            dst: VmId::new(1),
-            bytes: 125e6, // 1e9 bits over 10 s = 100 Mb/s
-            start_s: 0.0,
-            duration_s: 10.0,
-        };
-        assert_eq!(f.class(), FlowClass::Elephant);
-        let m = Flow { bytes: 125.0, ..f }; // 100 b/s
-        assert_eq!(m.class(), FlowClass::Mouse);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod pairwise;
 
 pub use cbr::{residual_bandwidth, CbrLoad};
 pub use estimator::RateEstimator;
-pub use flows::{Flow, FlowClass, FlowSampler, ELEPHANT_THRESHOLD_BPS};
+pub use flows::{Flow, FlowSampler, ELEPHANT_THRESHOLD_BPS};
 pub use forecast::{predicted_traffic, EwmaForecaster, RateForecaster};
 pub use generator::{
     dense_workload, medium_workload, sparse_workload, TrafficIntensity, WorkloadConfig,

@@ -29,7 +29,7 @@ impl TrafficMatrix {
     /// # Panics
     ///
     /// Panics if `racks == 0`.
-    pub fn zeros(racks: usize) -> Self {
+    fn zeros(racks: usize) -> Self {
         assert!(racks > 0, "matrix needs at least one rack");
         TrafficMatrix {
             racks,
@@ -88,21 +88,6 @@ impl TrafficMatrix {
         self.cells[i * self.racks + j] += rate;
     }
 
-    /// Multiplies every cell by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite.
-    pub fn scale(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        for c in &mut self.cells {
-            *c *= factor;
-        }
-    }
-
     /// The largest cell value.
     pub fn max(&self) -> f64 {
         self.cells.iter().copied().fold(0.0, f64::max)
@@ -148,16 +133,6 @@ impl TrafficMatrix {
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
         let take = ((sorted.len() as f64 * fraction).ceil() as usize).max(1);
         sorted.iter().take(take).sum::<f64>() / total
-    }
-
-    /// Cells normalised to `[0, 1]` by the global maximum (for heatmap
-    /// rendering like Fig. 3a–c).
-    pub fn normalized(&self) -> Vec<f64> {
-        let max = self.max();
-        if max == 0.0 {
-            return vec![0.0; self.cells.len()];
-        }
-        self.cells.iter().map(|&c| c / max).collect()
     }
 
     /// True if the matrix equals its transpose (within `tol`).
@@ -254,14 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling() {
-        let mut m = TrafficMatrix::from_pairs(3, &sample_traffic(), rack_of);
-        m.scale(10.0);
-        assert_eq!(m.get(1, 2), 200.0);
-        assert_eq!(m.max(), 200.0);
-    }
-
-    #[test]
     fn density_and_hotspots() {
         let m = TrafficMatrix::from_pairs(3, &sample_traffic(), rack_of);
         // 5 cells are nonzero out of 9.
@@ -288,11 +255,17 @@ mod tests {
 
     #[test]
     fn normalization() {
+        // The CSV's last column is each hot cell over the global maximum.
         let m = TrafficMatrix::from_pairs(3, &sample_traffic(), rack_of);
-        let n = m.normalized();
+        let csv = m.to_csv();
+        let n: Vec<f64> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.rsplit(',').next().unwrap().parse().unwrap())
+            .collect();
         assert!(n.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        assert!((n.iter().cloned().fold(0.0, f64::max) - 1.0).abs() < 1e-12);
-        assert_eq!(TrafficMatrix::zeros(2).normalized(), vec![0.0; 4]);
+        assert_eq!(n.iter().cloned().fold(0.0, f64::max), 1.0);
+        assert_eq!(TrafficMatrix::zeros(2).to_csv().lines().count(), 1);
     }
 
     #[test]
