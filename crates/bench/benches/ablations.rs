@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for three design choices of the decision engine:
 //! candidate-probe budget, bandwidth-threshold enforcement, and link-weight
 //! vector length.
 

@@ -1,19 +1,30 @@
-//! Extension experiment: control-plane overhead accounting.
+//! Extension experiment: control-plane overhead, measured from the ring.
 //!
 //! The paper argues S-CORE's coordination is cheap: the token is 5 bytes
-//! per VM (§V-B2), and per decision the holder sends one location probe
-//! per peer plus a few capacity probes (§V-B4/5). This experiment totals
-//! those bytes for one full token iteration at increasing DC scale and
-//! expresses them as transmission time on a 1 Gb/s control network —
-//! substantiating "incurring minimal overhead".
+//! per VM (§V-B2), and per decision the holder resolves each peer's
+//! location (§V-B4) and probes the capacity of each candidate server
+//! (§V-B5). This experiment runs one token iteration — `n` holds of
+//! `Session::step` — at increasing DC scale and sums, over those holds,
+//! the token bytes passed on, the location probes (the holder's peers)
+//! and the capacity probes (the candidates its decision evaluated). It
+//! expresses the total as transmission time on a 1 Gb/s control network.
+//! The token grows linearly with the VM count; an iteration passes it
+//! once per VM, so an iteration's bytes grow quadratically.
 
-use score_core::resources::CapacityReport;
 use score_core::Token;
-use score_topology::{Ip4, VmId};
-use score_xen::ControlPlane;
+use score_sim::{Scenario, TimingSpec};
+use score_topology::VmId;
 use std::fmt::Write as _;
 
 use crate::write_result;
+
+/// Bytes of one location exchange: an 8 B request naming the peer VM
+/// and an 8 B reply carrying the address of its host's dom0.
+const LOCATION_EXCHANGE_BYTES: u64 = 16;
+
+/// Bytes of one capacity exchange: an 8 B request and a 12 B reply
+/// carrying the host's free slots and free RAM.
+const CAPACITY_EXCHANGE_BYTES: u64 = 20;
 
 /// Overhead for one population size.
 #[derive(Debug, Clone, Copy)]
@@ -22,75 +33,101 @@ pub struct OverheadPoint {
     pub vms: u32,
     /// Token wire size in bytes.
     pub token_bytes: usize,
+    /// Location probes sent in the iteration: the holders' peer counts.
+    pub location_probes: u64,
+    /// Capacity probes sent in the iteration: the candidate servers the
+    /// holders' decisions evaluated.
+    pub capacity_probes: u64,
     /// Control bytes for one full iteration (token passes + probes).
     pub iteration_bytes: u64,
     /// Seconds to transmit those bytes at 1 Gb/s.
     pub iteration_tx_s: f64,
 }
 
-/// Mean peers per VM assumed for probe counting (sparse-workload figure).
-const MEAN_PEERS: u64 = 4;
+/// The scenario measured at `vms` VMs: a canonical tree of `vms / 40`
+/// racks × 20 hosts at 2 VMs per host, a sparse TM, HLF, and a horizon
+/// that fits one iteration twice over.
+pub(crate) fn scenario(vms: u32) -> Scenario {
+    let timing = TimingSpec::paper_default();
+    let hold_s = timing.token_hold_s + timing.token_pass_s;
+    Scenario::builder()
+        .canonical_tree(vms / 40, 20)
+        .sparse_traffic(7)
+        .seed(7)
+        .horizon(2.0 * f64::from(vms) * hold_s)
+        .build()
+}
 
-/// Runs the accounting and writes `ext_control_overhead.csv`.
+/// Runs one iteration of [`scenario`]`(vms)` and sums its control traffic.
+fn measure(vms: u32) -> OverheadPoint {
+    let mut session = scenario(vms).session().expect("scenario is feasible");
+    let holds = session.cluster().num_vms();
+    // Fault-free, the membership is fixed: every hop carries this token.
+    let token_bytes = Token::for_vms((0..holds).map(VmId::new)).encoded_len();
+    let (mut location_probes, mut capacity_probes) = (0u64, 0u64);
+    for _ in 0..holds {
+        let outcome = session.step().expect("the horizon fits one iteration");
+        location_probes += session.traffic().degree(outcome.holder) as u64;
+        capacity_probes += outcome.decision.evaluated as u64;
+    }
+    let iteration_bytes = u64::from(holds) * token_bytes as u64
+        + location_probes * LOCATION_EXCHANGE_BYTES
+        + capacity_probes * CAPACITY_EXCHANGE_BYTES;
+    OverheadPoint {
+        vms,
+        token_bytes,
+        location_probes,
+        capacity_probes,
+        iteration_bytes,
+        iteration_tx_s: iteration_bytes as f64 * 8.0 / 1e9,
+    }
+}
+
+/// Runs the measurement and writes `ext_control_overhead.csv`.
 pub fn run(paper_scale: bool) -> (Vec<OverheadPoint>, String) {
     let sizes: &[u32] = if paper_scale {
         &[1_000, 10_000, 100_000, 1_000_000]
     } else {
         &[1_000, 10_000, 100_000]
     };
-    let mut points = Vec::new();
-    let mut csv = String::from("vms,token_bytes,iteration_bytes,iteration_tx_s\n");
+    let mut csv = String::from(
+        "vms,token_bytes,location_probes,capacity_probes,iteration_bytes,iteration_tx_s\n",
+    );
     let mut summary = String::from("Extension — control-plane overhead per iteration\n");
     let _ = writeln!(
         summary,
-        "  {:>9} {:>12} {:>16} {:>14}",
-        "VMs", "token (B)", "iteration (B)", "tx @1Gb/s (s)"
+        "  {:>9} {:>12} {:>12} {:>12} {:>16} {:>14}",
+        "VMs", "token (B)", "loc. probes", "cap. probes", "iteration (B)", "tx @1Gb/s (s)"
     );
-    for &n in sizes {
-        // Real token, synthetic homes: VMs spread over n/16 hosts.
-        let hosts = (n / 16).max(1);
-        let mut cp = ControlPlane::new();
-        for h in 0..hosts.min(1024) {
-            cp.add_host(
-                Ip4::from_octets(10, (h >> 8) as u8, h as u8, 1),
-                CapacityReport {
-                    free_slots: 16,
-                    free_ram_mb: 4096,
-                },
-            );
-        }
-        let token = Token::for_vms((0..n).map(VmId::new));
-        let token_bytes = token.encoded_len();
-
-        // One iteration: n token passes + per-hold probes. We count probe
-        // bytes analytically (the ControlPlane rates are the same ones
-        // exercised in its unit tests): 16 B per location exchange, 20 B
-        // per capacity exchange.
-        let location_bytes = n as u64 * MEAN_PEERS * 16;
-        let capacity_bytes = n as u64 * MEAN_PEERS * 20;
-        let iteration_bytes = n as u64 * token_bytes as u64 + location_bytes + capacity_bytes;
-        let iteration_tx_s = iteration_bytes as f64 * 8.0 / 1e9;
-        let point = OverheadPoint {
-            vms: n,
-            token_bytes,
-            iteration_bytes,
-            iteration_tx_s,
-        };
+    let points: Vec<OverheadPoint> = sizes.iter().map(|&n| measure(n)).collect();
+    for p in &points {
         let _ = writeln!(
             csv,
-            "{n},{token_bytes},{iteration_bytes},{iteration_tx_s:.4}"
+            "{},{},{},{},{},{:.4}",
+            p.vms,
+            p.token_bytes,
+            p.location_probes,
+            p.capacity_probes,
+            p.iteration_bytes,
+            p.iteration_tx_s
         );
         let _ = writeln!(
             summary,
-            "  {:>9} {:>12} {:>16} {:>14.3}",
-            n, token_bytes, iteration_bytes, iteration_tx_s
+            "  {:>9} {:>12} {:>12} {:>12} {:>16} {:>14.3}",
+            p.vms,
+            p.token_bytes,
+            p.location_probes,
+            p.capacity_probes,
+            p.iteration_bytes,
+            p.iteration_tx_s
         );
-        points.push(point);
     }
+    let big = points.last().expect("at least one size");
     let _ = writeln!(
         summary,
-        "  (token grows linearly at 5 B/VM; even at 100k VMs an iteration's \
-         control traffic is seconds of one 1 Gb/s link)"
+        "  (the token grows linearly at 5 B/VM; an iteration passes it once per VM, \
+         so its bytes grow quadratically: {:.0} s of one 1 Gb/s link at {} VMs)",
+        big.iteration_tx_s, big.vms
     );
     let path = write_result("ext_control_overhead.csv", &csv);
     let _ = writeln!(summary, "  -> {}", path.display());
@@ -102,20 +139,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overhead_is_linear_and_small() {
+    fn token_is_linear_and_an_iteration_is_quadratic() {
         let (points, summary) = run(false);
         assert_eq!(points.len(), 3);
         for p in &points {
             assert_eq!(p.token_bytes, p.vms as usize * 5, "5 bytes per VM");
+            assert!(p.location_probes > 0 && p.capacity_probes > 0);
         }
-        // Linearity: 10x VMs → ~100x iteration bytes (n passes x n-sized
-        // token dominates), still seconds at 100k VMs.
+        // n hops of a 5n-byte token: 10x VMs → ~100x iteration bytes.
+        for pair in points.windows(2) {
+            let growth = pair[1].iteration_bytes as f64 / pair[0].iteration_bytes as f64;
+            assert!(
+                (90.0..=110.0).contains(&growth),
+                "{} → {} VMs multiplies iteration bytes by {growth:.1}",
+                pair[0].vms,
+                pair[1].vms
+            );
+        }
         let big = points.last().unwrap();
         assert!(
             big.iteration_tx_s < 600.0,
             "100k-VM iteration transmits in {:.0} s",
             big.iteration_tx_s
         );
-        assert!(summary.contains("token grows linearly"));
+        assert!(summary.contains("grow quadratically"));
     }
 }

@@ -22,7 +22,7 @@
 //! | `ext_oversubscription` | extension — ToR oversubscription sweep |
 //! | `ext_dynamic` | extension — policies under time-varying (trace) traffic |
 //! | `ext_faults` | extension — recovery under seeded failure storms |
-//! | `ext_control_overhead` | extension — control-plane overhead |
+//! | `ext_control_overhead` | extension — control-plane bytes of one measured token iteration |
 //! | `scorectl` | ad-hoc scenarios from CLI flags or JSON specs |
 //! | `all` | runs everything and summarises paper-vs-measured |
 //!
@@ -211,6 +211,7 @@ mod tests {
         let mut scenarios = ext_dynamic::scenarios(true);
         scenarios.extend(ext_oversub::scenarios(true));
         scenarios.extend(TrafficIntensity::all().map(|i| fig3_tm::scenario(i, true)));
+        scenarios.extend([1_000, 10_000, 100_000, 1_000_000].map(ext_overhead::scenario));
         scenarios.extend([
             ext_faults::scenario(true),
             ext_policies::scenario(true),

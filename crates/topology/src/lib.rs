@@ -12,10 +12,9 @@
 //!   hosts/rack) and the [`FatTree`] (`k = 16`, 1024 hosts);
 //! * an explicit [`NetGraph`] per topology for link-utilization accounting
 //!   and BFS cross-validation;
-//! * rack-subnet addressing ([`AddressPlan`]) plus the location-cost
-//!   mapping ([`Topology::level`], precomputed as [`LevelBuckets`]) that
-//!   let S-CORE determine communication levels from information available
-//!   locally (paper §V-B4).
+//! * the location-cost mapping ([`Topology::level`], precomputed as
+//!   [`LevelBuckets`]) that lets S-CORE determine communication levels
+//!   from information available locally (paper §V-B4).
 //!
 //! # Examples
 //!
@@ -41,7 +40,6 @@ pub mod api;
 pub mod fattree;
 pub mod graph;
 pub mod ids;
-pub mod location;
 pub mod star;
 pub mod tree;
 pub mod weights;
@@ -50,7 +48,6 @@ pub use api::{checks, LevelBuckets, RouteShare, ServerCoords, Topology};
 pub use fattree::{FatTree, FatTreeBuilder};
 pub use graph::{Link, NetGraph, Node, NodeKind};
 pub use ids::{Level, LinkId, NodeId, PodId, RackId, ServerId, VmId};
-pub use location::{AddressPlan, Ip4, UnknownAddressError};
 pub use star::StarTopology;
 pub use tree::{BuildError, CanonicalTree, CanonicalTreeBuilder, LinkCapacities};
 pub use weights::{LinkWeights, WeightsError};

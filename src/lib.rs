@@ -5,7 +5,7 @@
 //! Kavvadia, Pezaros — IEEE ICDCS 2014):
 //!
 //! * [`topology`] — canonical-tree / fat-tree / star DC fabrics, levels,
-//!   link weights, addressing;
+//!   link weights;
 //! * [`traffic`] — synthetic DC workloads (sparse/medium/dense), traffic
 //!   matrices, flows, CBR;
 //! * [`flowtable`] — the dom0 flow-monitoring table;
@@ -13,7 +13,8 @@
 //!   decision engine, cluster state;
 //! * [`baselines`] — GA approximate-optimal, Remedy, naive placements, the
 //!   NP-completeness reduction;
-//! * [`xen`] — pre-copy live-migration model and dom0 control plane;
+//! * [`xen`] — pre-copy live-migration model and the Fig. 5 testbed
+//!   harnesses;
 //! * [`trace`] — trace-driven time-varying workloads: traffic-delta
 //!   event streams, JSONL persistence, synthetic generators;
 //! * [`obs`] — metrics + decision-journal telemetry, attachable to any

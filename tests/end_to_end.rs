@@ -4,14 +4,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s_core::baselines::{exhaustive_optimal, random_placement, GaConfig, GeneticOptimizer};
 use s_core::core::{
-    Allocation, CapacityReport, Cluster, CostModel, HighestLevelFirst, OutlookContext, RoundRobin,
-    ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
+    Allocation, Cluster, CostModel, HighestLevelFirst, OutlookContext, RoundRobin, ScoreEngine,
+    ServerSpec, Token, TokenRing, VmSpec,
 };
-use s_core::topology::{
-    AddressPlan, CanonicalTree, CanonicalTreeBuilder, ServerId, Topology, VmId,
-};
+use s_core::topology::{CanonicalTree, CanonicalTreeBuilder, ServerId, Topology, VmId};
 use s_core::traffic::{PairTraffic, PairTrafficBuilder, WorkloadConfig};
-use s_core::xen::ControlPlane;
 use std::sync::Arc;
 
 fn small_cluster(seed: u64) -> (Cluster, PairTraffic) {
@@ -149,53 +146,6 @@ fn exhaustive_bounds_ga_and_score_on_tiny_instance() {
         score_cost + 1e-9 >= exact.best_cost,
         "S-CORE cannot beat the true optimum"
     );
-}
-
-#[test]
-fn token_travels_the_control_plane() {
-    // Wire a token through the dom0 NAT machinery end to end.
-    let topo = CanonicalTree::small();
-    let plan = AddressPlan::new(&topo);
-    let mut cp = ControlPlane::new();
-    for s in 0..topo.num_servers() as u32 {
-        cp.add_host(
-            plan.server_ip(ServerId::new(s)),
-            CapacityReport {
-                free_slots: 16,
-                free_ram_mb: 4096,
-            },
-        );
-    }
-    // VM addresses from a disjoint space, routed to their hosts.
-    let vm_ip = |v: u32| s_core::topology::Ip4::from_octets(172, 16, (v >> 8) as u8, v as u8);
-    for v in 0..32u32 {
-        cp.place_vm(vm_ip(v), (v % 16) as usize);
-    }
-
-    let mut token = Token::for_vms((0..32).map(VmId::new));
-    token.set_level(VmId::new(3), s_core::topology::Level::CORE);
-    let wire = token.encode();
-
-    // Pass the token around the full ring.
-    let mut holder = VmId::new(0);
-    for _ in 0..32 {
-        let host = cp.send_token(vm_ip(holder.get()), &wire).unwrap();
-        assert_eq!(host, (holder.get() % 16) as usize);
-        holder = token.next_after(holder).unwrap();
-    }
-    assert_eq!(holder, VmId::new(0), "round robin wraps to the start");
-    assert_eq!(cp.stats().tokens, 32);
-    assert_eq!(cp.stats().bytes, 32 * 32 * 5); // 32 passes x 32 entries x 5 B
-
-    // Location and capacity probes resolve correctly.
-    let dom0 = cp.location_probe(vm_ip(5)).unwrap();
-    assert_eq!(dom0, plan.server_ip(ServerId::new(5)));
-    let report = cp.capacity_probe(dom0).unwrap();
-    assert!(report.can_host(&VmSpec::paper_default()));
-
-    // The decoded token matches what was sent.
-    let decoded = Token::decode(&wire).unwrap();
-    assert_eq!(decoded, token);
 }
 
 #[test]
