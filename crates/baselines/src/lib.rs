@@ -17,32 +17,25 @@
 //! * [`exhaustive`] provides a provably optimal branch-and-bound search for
 //!   tiny instances, used to validate the GA and S-CORE;
 //! * [`reduction`] implements the paper's appendix — the Graph-Partitioning
-//!   → OVMA NP-completeness reduction — as executable, tested code;
-//! * [`forecast`] runs the centralized baselines on the *predicted* TM
-//!   (`score_traffic::predicted_traffic`), mirroring the token ring's
-//!   forecast-aware decision pipeline.
+//!   → OVMA NP-completeness reduction — as executable, tested code.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod exhaustive;
-pub mod forecast;
 pub mod ga;
 pub mod placement;
 pub mod reduction;
 pub mod remedy;
 
 pub use exhaustive::{exhaustive_optimal, ExhaustiveResult, MAX_STATES};
-pub use forecast::remedy_on_forecast;
 pub use ga::{GaConfig, GaResult, GeneticOptimizer};
 pub use placement::{
     packed_placement, random_placement, respects_slots, shuffled_packed_placement,
     striped_placement,
 };
 pub use reduction::{
-    cut_weight, min_cost_brute_force, min_cut_brute_force, reduce, verify_reduction,
-    GraphPartitionInstance, OvmaInstance,
+    min_cost_brute_force, min_cut_brute_force, reduce, verify_reduction, GraphPartitionInstance,
+    OvmaInstance,
 };
-pub use remedy::{
-    precopy_bytes_estimate, remedy_cost_reduction, Remedy, RemedyConfig, RemedyResult, RemedyStep,
-};
+pub use remedy::{remedy_cost_reduction, Remedy, RemedyConfig, RemedyResult, RemedyStep};

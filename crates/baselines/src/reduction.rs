@@ -71,16 +71,6 @@ pub fn reduce(gp: &GraphPartitionInstance) -> OvmaInstance {
     }
 }
 
-/// Cut weight of the partition induced by an allocation: total weight of
-/// edges whose endpoints land on different servers.
-pub fn cut_weight(gp: &GraphPartitionInstance, alloc: &Allocation) -> f64 {
-    gp.edges
-        .iter()
-        .filter(|&&(u, v, _)| alloc.server_of(VmId::new(u)) != alloc.server_of(VmId::new(v)))
-        .map(|&(_, _, w)| w)
-        .sum()
-}
-
 /// Brute-force: does a partition with cut weight ≤ `goal` and parts of at
 /// most `capacity` vertices exist? Returns the best (minimum) cut weight.
 ///
@@ -197,15 +187,6 @@ mod tests {
             5.0,
             "edge weights become traffic loads"
         );
-    }
-
-    #[test]
-    fn cut_weight_matches_manual() {
-        let gp = triangle_plus_pendant();
-        // Partition {0,1,2} | {3}: only the (2,3) edge is cut.
-        let alloc =
-            Allocation::from_fn(4, 4, |vm| ServerId::new(if vm.get() == 3 { 1 } else { 0 }));
-        assert_eq!(cut_weight(&gp, &alloc), 5.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// # Panics
 ///
 /// Panics if `bandwidth_bytes_per_s` is not positive.
-pub fn precopy_bytes_estimate(
+fn precopy_bytes_estimate(
     ram_bytes: f64,
     dirty_rate_bytes_per_s: f64,
     bandwidth_bytes_per_s: f64,

@@ -1,6 +1,7 @@
-//! Quick mega-scale sanity probe: materializes the 25k- and 100k-host
-//! fat-tree sessions the large-topology benches use and prints build
-//! time and per-token-hold decision latency. Run with
+//! Quick mega-scale sanity probe: materializes the 27,648- and
+//! 101,306-host fat-tree sessions (k = 48 and k = 74, the fabrics of the
+//! `benchmark/` replay and converge workloads) and prints build time and
+//! per-token-hold decision latency. Run with
 //! `cargo run --release -p score-bench --example scale_probe`.
 
 use score_sim::{Scenario, TopologySpec};

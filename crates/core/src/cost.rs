@@ -59,23 +59,6 @@ impl CostModel {
         &self.weights
     }
 
-    /// Per-VM communication cost `C_A(u)` — Eq. (1).
-    pub fn vm_cost<T: Topology + ?Sized>(
-        &self,
-        u: VmId,
-        alloc: &Allocation,
-        traffic: &PairTraffic,
-        topo: &T,
-    ) -> f64 {
-        let su = alloc.server_of(u);
-        let mut cost = 0.0;
-        for (v, rate) in traffic.peers(u) {
-            let level = topo.level(su, alloc.server_of(v));
-            cost += rate * self.weights.prefix(level);
-        }
-        2.0 * cost
-    }
-
     /// Network-wide communication cost `C_A` — Eq. (2).
     pub fn total_cost<T: Topology + ?Sized>(
         &self,
@@ -202,18 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn vm_cost_matches_hand_computation() {
-        let m = CostModel::paper_default();
-        // vm0: 10 * prefix(1) [to vm1, same rack] + 5 * prefix(2) [to vm2].
-        let expected = 2.0 * (10.0 * w(1) + 5.0 * w(2));
-        let got = m.vm_cost(VmId::new(0), &alloc(), &traffic(), &topo());
-        assert!(
-            (got - expected).abs() < 1e-9,
-            "got {got} expected {expected}"
-        );
-    }
-
-    #[test]
     fn total_cost_matches_hand_computation() {
         let m = CostModel::paper_default();
         // Pairs: (0,1)@L1 rate10, (0,2)@L2 rate5, (2,3)@L3 rate1.
@@ -224,11 +195,22 @@ mod tests {
 
     #[test]
     fn total_is_half_sum_of_vm_costs() {
-        // C_A = ½ Σ_u C_A(u) (paper §III).
+        // C_A = ½ Σ_u C_A(u) (paper §III), with Eq. (1)'s C_A(u) summed
+        // over each VM's peers.
         let m = CostModel::paper_default();
         let (a, t, topo) = (alloc(), traffic(), topo());
         let total = m.total_cost(&a, &t, &topo);
-        let sum: f64 = (0..4).map(|v| m.vm_cost(VmId::new(v), &a, &t, &topo)).sum();
+        let sum: f64 = (0..4)
+            .map(VmId::new)
+            .map(|u| {
+                let su = a.server_of(u);
+                t.peers(u)
+                    .map(|(v, rate)| {
+                        2.0 * rate * m.weights().prefix(topo.level(su, a.server_of(v)))
+                    })
+                    .sum::<f64>()
+            })
+            .sum();
         assert!((total - sum / 2.0).abs() < 1e-9);
     }
 

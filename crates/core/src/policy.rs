@@ -683,11 +683,6 @@ impl HighestCostFirst {
     pub fn paper_default() -> Self {
         HighestCostFirst::new(score_topology::LinkWeights::paper_default())
     }
-
-    /// The current cost estimate for a VM (0 when unobserved).
-    pub fn estimate(&self, vm: VmId) -> f64 {
-        self.core.estimate(vm)
-    }
 }
 
 impl TokenPolicy for HighestCostFirst {
@@ -731,11 +726,6 @@ impl ForecastCostFirst {
     /// Creates the policy with the paper's default weights.
     pub fn paper_default() -> Self {
         ForecastCostFirst::new(score_topology::LinkWeights::paper_default())
-    }
-
-    /// The current expected-cost estimate for a VM (0 when unobserved).
-    pub fn estimate(&self, vm: VmId) -> f64 {
-        self.core.estimate(vm)
     }
 }
 
@@ -1026,9 +1016,9 @@ mod tests {
         };
         let next = hcf.next_holder(&mut token, VmId::new(0), &view);
         assert_eq!(next, Some(VmId::new(2)));
-        assert!(hcf.estimate(VmId::new(2)) > hcf.estimate(VmId::new(1)));
+        assert!(hcf.core.estimate(VmId::new(2)) > hcf.core.estimate(VmId::new(1)));
         // The holder's own (exact) estimate covers both pairs.
-        assert!(hcf.estimate(VmId::new(0)) > hcf.estimate(VmId::new(2)));
+        assert!(hcf.core.estimate(VmId::new(0)) > hcf.core.estimate(VmId::new(2)));
     }
 
     #[test]
@@ -1128,7 +1118,10 @@ mod tests {
             assert_eq!(h, f, "divergence at step {step}");
             assert_eq!(token_h, token_f);
             for v in (0..COST_IDS).map(VmId::new) {
-                assert_eq!(hcf.estimate(v).to_bits(), fcf.estimate(v).to_bits());
+                assert_eq!(
+                    hcf.core.estimate(v).to_bits(),
+                    fcf.core.estimate(v).to_bits()
+                );
             }
             holder = h.expect("more than one member");
         }
@@ -1146,6 +1139,6 @@ mod tests {
             Some(VmId::new(2))
         );
         assert_eq!(hcf.core.estimates.len(), 3);
-        assert_eq!(hcf.estimate(VmId::new(u32::MAX)), 0.0);
+        assert_eq!(hcf.core.estimate(VmId::new(u32::MAX)), 0.0);
     }
 }

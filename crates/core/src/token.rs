@@ -4,56 +4,21 @@
 //! representing over 4 billion IDs before recycling, and an 8-bit
 //! communication level. Entries are stored in ascending order by VM ID."
 //!
-//! The wire format packs each entry as a big-endian `u32` VM id followed by
-//! one level byte (5 bytes per VM), so "the size of the message is of the
-//! order of the number of VMs in the network".
+//! An entry is a 32-bit VM id plus one level byte, 5 bytes a VM, so "the
+//! size of the message is of the order of the number of VMs in the
+//! network". The simulator passes the token in memory and prices each hop
+//! by [`Token::encoded_len`]; it has no byte codec.
 
 use score_topology::{Level, VmId};
-use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// One token entry: a VM id and its last known highest communication level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenEntry {
     /// The VM this entry describes.
     pub id: VmId,
     /// Last recorded highest communication level `l_v` (0 initially).
     pub level: Level,
 }
-
-/// Error decoding a token from bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenCodecError {
-    /// The byte length is not a multiple of the 5-byte entry size.
-    BadLength {
-        /// Received length in bytes.
-        len: usize,
-    },
-    /// Entries were not in strictly ascending VM-id order.
-    NotSorted {
-        /// Index of the first out-of-order entry.
-        index: usize,
-    },
-}
-
-impl fmt::Display for TokenCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenCodecError::BadLength { len } => {
-                write!(
-                    f,
-                    "token length {len} is not a multiple of {} bytes",
-                    Token::ENTRY_BYTES
-                )
-            }
-            TokenCodecError::NotSorted { index } => {
-                write!(f, "token entry {index} is not in ascending VM-id order")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TokenCodecError {}
 
 /// The migration token: an ordered array of `(VM id, level)` entries.
 ///
@@ -65,10 +30,8 @@ impl std::error::Error for TokenCodecError {}
 ///
 /// let mut token = Token::for_vms((0..4).map(VmId::new));
 /// token.raise_level(VmId::new(2), Level::CORE);
-/// let bytes = token.encode();
-/// assert_eq!(bytes.len(), 4 * Token::ENTRY_BYTES);
-/// let decoded = Token::decode(&bytes).unwrap();
-/// assert_eq!(decoded.level_of(VmId::new(2)), Some(Level::CORE));
+/// assert_eq!(token.level_of(VmId::new(2)), Some(Level::CORE));
+/// assert_eq!(token.encoded_len(), 4 * Token::ENTRY_BYTES);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Token {
@@ -85,36 +48,12 @@ pub struct Token {
     /// Bumped by every membership change (`add_vm`/`remove_vm`), so
     /// policies keeping derived indexes over the entries can detect
     /// churn they were not told about and rebuild. Not part of token
-    /// identity or the wire format.
+    /// identity.
     version: u64,
 }
 
 /// Sentinel in [`Token::pos`] for ids without an entry.
 const NO_POS: u32 = u32::MAX;
-
-// Manual impls so the derived wire shape stays exactly what the
-// entries-only struct produced — the position map is derived state and
-// must not leak into persisted tokens.
-impl Serialize for Token {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![("entries".to_string(), self.entries.to_value())])
-    }
-}
-
-impl Deserialize for Token {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .get("entries")
-            .ok_or_else(|| serde::Error::custom("Token: missing field `entries`"))?;
-        let mut token = Token {
-            entries: Vec::<TokenEntry>::from_value(entries)?,
-            pos: Vec::new(),
-            version: 0,
-        };
-        token.rebuild_pos();
-        Ok(token)
-    }
-}
 
 impl PartialEq for Token {
     fn eq(&self, other: &Self) -> bool {
@@ -167,10 +106,10 @@ impl Token {
 
     /// Whether the members are dense enough in their id span to carry
     /// the position map: at most 32 slots (4 bytes each) a member, so no
-    /// id — `u32::MAX` arriving in a decoded token included — can size a
-    /// table on its own. A `Session` mints ids densely and never reuses
-    /// one, so its token stays on the map until over 31 of every 32 VMs
-    /// it ever admitted have left.
+    /// id that [`Token::add_vm`] is given — `u32::MAX` included — can
+    /// size a table on its own. A `Session` mints ids densely and never
+    /// reuses one, so its token stays on the map until over 31 of every
+    /// 32 VMs it ever admitted have left.
     fn is_dense(&self) -> bool {
         self.id_span() <= 32 * self.entries.len() + 64
     }
@@ -369,52 +308,8 @@ impl Token {
         true
     }
 
-    /// Serialises the token to its 5-byte-per-entry wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        for e in &self.entries {
-            buf.extend_from_slice(&e.id.get().to_be_bytes());
-            buf.push(e.level.get());
-        }
-        buf
-    }
-
-    /// Parses a token from its wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TokenCodecError`] if the length is not a multiple of the
-    /// entry size or entries are not strictly ascending by id.
-    pub fn decode(bytes: &[u8]) -> Result<Self, TokenCodecError> {
-        if !bytes.len().is_multiple_of(Self::ENTRY_BYTES) {
-            return Err(TokenCodecError::BadLength { len: bytes.len() });
-        }
-        let mut entries = Vec::with_capacity(bytes.len() / Self::ENTRY_BYTES);
-        let mut prev: Option<u32> = None;
-        for (index, entry) in bytes.chunks_exact(Self::ENTRY_BYTES).enumerate() {
-            let id = u32::from_be_bytes([entry[0], entry[1], entry[2], entry[3]]);
-            let level = entry[4];
-            if let Some(p) = prev {
-                if id <= p {
-                    return Err(TokenCodecError::NotSorted { index });
-                }
-            }
-            prev = Some(id);
-            entries.push(TokenEntry {
-                id: VmId::new(id),
-                level: Level::new(level),
-            });
-        }
-        let mut token = Token {
-            entries,
-            pos: Vec::new(),
-            version: 0,
-        };
-        token.rebuild_pos();
-        Ok(token)
-    }
-
-    /// Wire size in bytes.
+    /// Size in bytes of the token as the paper sends it:
+    /// [`Token::ENTRY_BYTES`] an entry.
     pub fn encoded_len(&self) -> usize {
         self.entries.len() * Self::ENTRY_BYTES
     }
@@ -467,49 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let mut t = token();
-        t.set_level(VmId::new(5), Level::CORE);
-        let bytes = t.encode();
-        assert_eq!(bytes.len(), t.encoded_len());
-        assert_eq!(bytes.len(), 4 * Token::ENTRY_BYTES);
-        let decoded = Token::decode(&bytes).unwrap();
-        assert_eq!(decoded, t);
-    }
-
-    #[test]
-    fn wire_format_layout() {
-        let mut t = Token::for_vms([VmId::new(0x01020304)]);
-        t.set_level(VmId::new(0x01020304), Level::new(9));
-        let bytes = t.encode();
-        assert_eq!(&bytes[..], &[0x01, 0x02, 0x03, 0x04, 9]);
-    }
-
-    #[test]
-    fn decode_rejects_bad_length() {
-        assert_eq!(
-            Token::decode(&[0, 0, 0]),
-            Err(TokenCodecError::BadLength { len: 3 })
-        );
-    }
-
-    #[test]
-    fn decode_rejects_unsorted() {
-        // two entries: id 2 then id 1
-        let bytes = [0, 0, 0, 2, 0, 0, 0, 0, 1, 0];
-        assert_eq!(
-            Token::decode(&bytes),
-            Err(TokenCodecError::NotSorted { index: 1 })
-        );
-        // duplicate ids are also rejected
-        let dup = [0, 0, 0, 2, 0, 0, 0, 0, 2, 0];
-        assert_eq!(
-            Token::decode(&dup),
-            Err(TokenCodecError::NotSorted { index: 1 })
-        );
-    }
-
-    #[test]
     fn membership_changes() {
         let mut t = token();
         assert!(t.add_vm(VmId::new(4)));
@@ -539,7 +391,7 @@ mod tests {
     }
 
     /// `contains`/`level_of`/`next_after` of a one-entry token whose only
-    /// id is `u32::MAX`, decoded without a table sized by that id.
+    /// id is `u32::MAX`, added without a table sized by that id.
     fn assert_lone_max_id(t: &Token) {
         let max = VmId::new(u32::MAX);
         assert!(t.pos.is_empty() && t.pos.capacity() == 0);
@@ -553,17 +405,7 @@ mod tests {
 
     #[test]
     fn an_id_of_u32_max_sizes_no_table() {
-        // Each of these asked the allocator for 16 GiB and aborted.
-        assert_lone_max_id(&Token::decode(&[0xff, 0xff, 0xff, 0xff, 0x03]).unwrap());
-        let entry = serde::Value::Object(vec![
-            ("id".to_string(), serde::Value::Int(i128::from(u32::MAX))),
-            ("level".to_string(), serde::Value::Int(3)),
-        ]);
-        let doc = serde::Value::Object(vec![(
-            "entries".to_string(),
-            serde::Value::Array(vec![entry]),
-        )]);
-        assert_lone_max_id(&Token::from_value(&doc).unwrap());
+        // This asked the allocator for 16 GiB and aborted.
         let mut t = Token::for_vms([]);
         assert!(t.add_vm(VmId::new(u32::MAX)));
         assert!(t.set_level(VmId::new(u32::MAX), Level::new(3)));
@@ -629,7 +471,7 @@ mod tests {
         /// the membership ops) against a `BTreeMap<id, level>`, over id
         /// spans wide enough to cross the density rule both ways (62 of
         /// the 64 default cases do): after every op the invariants hold
-        /// and entries, lookups, successor and wire bytes are the model's.
+        /// and entries, lookups, successor and size are the model's.
         #[test]
         fn token_matches_a_btreemap_model(
             start in 0u32..80,
@@ -713,11 +555,7 @@ mod tests {
                     Some(h) => proptest::prop_assert!(model.contains_key(&h.get())),
                     None => proptest::prop_assert!(model.is_empty()),
                 }
-                let wire: Vec<u8> = model
-                    .iter()
-                    .flat_map(|(&k, &l)| k.to_be_bytes().into_iter().chain([l]))
-                    .collect();
-                proptest::prop_assert_eq!(&t.encode()[..], &wire[..]);
+                proptest::prop_assert_eq!(t.encoded_len(), Token::ENTRY_BYTES * model.len());
                 for &probe in probes.iter().chain(ids.iter().take(4)) {
                     let vm = VmId::new(probe);
                     proptest::prop_assert_eq!(
@@ -761,15 +599,5 @@ mod tests {
                 proptest::prop_assert!(t.entries.windows(2).all(|w| w[0].id < w[1].id));
             }
         }
-    }
-
-    #[test]
-    fn codec_error_display() {
-        assert!(TokenCodecError::BadLength { len: 3 }
-            .to_string()
-            .contains('3'));
-        assert!(TokenCodecError::NotSorted { index: 1 }
-            .to_string()
-            .contains("entry 1"));
     }
 }

@@ -9,9 +9,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_core::{
     Allocation, Cluster, CostModel, HighestLevelFirst, KernelScratch, LocalView, MigrationDecision,
-    OutlookContext, RoundRobin, ScoreConfig, ScoreEngine, ServerSpec, Token, TokenRing, VmSpec,
+    OutlookContext, RoundRobin, ScoreConfig, ScoreEngine, ServerSpec, TokenRing, VmSpec,
 };
-use score_topology::{CanonicalTree, FatTree, Level, ServerId, Topology, VmId};
+use score_topology::{CanonicalTree, FatTree, ServerId, Topology, VmId};
 use score_traffic::{PairTraffic, WorkloadConfig};
 use std::sync::Arc;
 
@@ -139,21 +139,14 @@ proptest! {
         let alloc = random_allocation(20, 16, seed ^ 0x99);
         let model = CostModel::paper_default();
         let total = model.total_cost(&alloc, &traffic, &topo);
-        let sum: f64 = (0..20).map(|v| model.vm_cost(VmId::new(v), &alloc, &traffic, &topo)).sum();
+        // Eq. (1), C_A(u) = 2 Σ_{v∈Vu} λ(u,v) Σ_{i≤ℓ} c_i, summed over u.
+        let sum: f64 = (0..20).map(VmId::new).map(|u| {
+            let su = alloc.server_of(u);
+            traffic.peers(u).map(|(v, rate)| {
+                2.0 * rate * model.weights().prefix(topo.level(su, alloc.server_of(v)))
+            }).sum::<f64>()
+        }).sum();
         prop_assert!((total - sum / 2.0).abs() < 1e-6 * total.max(1.0));
-    }
-
-    #[test]
-    fn token_roundtrip(ids in prop::collection::btree_set(0u32..10_000, 0..128),
-                       levels in prop::collection::vec(0u8..4, 0..128)) {
-        let mut token = Token::for_vms(ids.iter().copied().map(VmId::new));
-        for (i, &id) in ids.iter().enumerate() {
-            if let Some(&l) = levels.get(i) {
-                token.set_level(VmId::new(id), Level::new(l));
-            }
-        }
-        let decoded = Token::decode(&token.encode()).unwrap();
-        prop_assert_eq!(decoded, token);
     }
 
     #[test]

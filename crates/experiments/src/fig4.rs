@@ -169,6 +169,9 @@ mod tests {
 
     #[test]
     fn score_beats_remedy_on_both_axes() {
+        // The EXPERIMENTS row reports this run, with S-CORE at the `c_m`
+        // of `cm_from_remedy_bytes`; `paper_claims::score_outperforms_remedy`
+        // makes the same two checks at `c_m = 0`.
         let (r, summary) = run(false);
         // S-CORE reduces core/agg utilization more than Remedy does.
         assert!(
@@ -176,11 +179,18 @@ mod tests {
             "S-CORE must relieve the core"
         );
         assert!(
-            r.core_mean[1] <= r.core_mean[2],
-            "S-CORE core relief must at least match Remedy's"
+            r.core_mean[1] < r.core_mean[2],
+            "S-CORE must relieve the core more than Remedy: {:?}",
+            r.core_mean
         );
-        // Cost: S-CORE's reduction dominates Remedy's (paper: 40% vs 10%).
-        assert!(r.score_cost_reduction > r.remedy_cost_reduction);
+        // Cost: S-CORE's reduction clearly dominates Remedy's (paper: 40%
+        // vs 10%).
+        assert!(
+            r.score_cost_reduction > r.remedy_cost_reduction + 0.1,
+            "S-CORE {} vs Remedy {}",
+            r.score_cost_reduction,
+            r.remedy_cost_reduction
+        );
         assert!(r.score_cost_reduction > 0.2, "{}", r.score_cost_reduction);
         assert!(summary.contains("Remedy"));
     }

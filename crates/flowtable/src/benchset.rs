@@ -31,7 +31,7 @@ pub fn type1_flows(n: usize) -> Vec<FlowKey> {
 
 /// Generates `n` unique type-2 flows where each group of `group` flows
 /// shares one source IP (ports differentiate the flows).
-pub fn type2_flows(n: usize, group: usize) -> Vec<FlowKey> {
+fn type2_flows(n: usize, group: usize) -> Vec<FlowKey> {
     assert!(group >= 1, "group size must be at least 1");
     assert!(group <= u16::MAX as usize, "group must fit the port space");
     (0..n as u32)

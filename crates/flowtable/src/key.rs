@@ -82,17 +82,6 @@ impl FlowKey {
     pub fn involves(&self, ip: Ipv4Addr) -> bool {
         self.src_ip == ip || self.dst_ip == ip
     }
-
-    /// Given one endpoint, returns the other; `None` if `ip` is neither.
-    pub fn peer_of(&self, ip: Ipv4Addr) -> Option<Ipv4Addr> {
-        if self.src_ip == ip {
-            Some(self.dst_ip)
-        } else if self.dst_ip == ip {
-            Some(self.src_ip)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for FlowKey {
@@ -127,9 +116,6 @@ mod tests {
         assert!(k.involves(a));
         assert!(k.involves(b));
         assert!(!k.involves(c));
-        assert_eq!(k.peer_of(a), Some(b));
-        assert_eq!(k.peer_of(b), Some(a));
-        assert_eq!(k.peer_of(c), None);
     }
 
     #[test]

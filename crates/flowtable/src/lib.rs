@@ -9,8 +9,12 @@
 //!
 //! * [`FlowKey`] / [`Protocol`] — 5-tuple flow identification;
 //! * [`FlowTable`] — add/update/lookup/delete with a by-IP secondary index,
-//!   byte counters, timestamps, and per-peer aggregate throughput;
+//!   byte counters and timestamps;
 //! * [`benchset`] — the type-1/type-2 million-flow stress sets of Fig. 5a.
+//!
+//! The simulator's decisions read per-pair rates from
+//! `score_traffic::PairTraffic` directly; the table's by-IP index is what
+//! Fig. 5a times.
 //!
 //! # Examples
 //!
@@ -23,9 +27,10 @@
 //! let peer = Ipv4Addr::new(10, 0, 1, 1);
 //! table.record(FlowKey::tcp(vm, 40_000, peer, 80), 1_000_000, 800, 0.0);
 //!
-//! // Ten seconds later the token arrives and dom0 aggregates the load.
-//! let rates = table.aggregate_peer_rates(vm, 10.0, 1.0);
-//! assert_eq!(rates, vec![(peer, 100_000.0)]); // bytes per second
+//! // A migration decision for `vm` drops every flow it is part of.
+//! assert_eq!(table.flows_by_ip(peer).count(), 1);
+//! assert_eq!(table.clear_ip(vm), 1);
+//! assert!(table.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -35,6 +40,6 @@ pub mod benchset;
 pub mod key;
 pub mod table;
 
-pub use benchset::{paper_type2_flows, type1_flows, type2_flows, TYPE2_GROUP};
+pub use benchset::{paper_type2_flows, type1_flows, TYPE2_GROUP};
 pub use key::{FlowKey, Protocol};
 pub use table::{FlowRecord, FlowTable};

@@ -7,7 +7,8 @@
 //! * updating existing flows;
 //! * retrieval of a subset of flows, by IP address;
 //! * access to the number of bytes transmitted per flow;
-//! * access to flow duration, for calculation of throughput.
+//! * access to flow duration, for calculation of throughput (the
+//!   record's `first_seen_s` and `last_seen_s`).
 //!
 //! "Flows are stored from when they start and until a migration decision is
 //! made for a VM" — hence the explicit [`FlowTable::clear`] and per-IP
@@ -34,26 +35,6 @@ pub struct FlowRecord {
     pub first_seen_s: f64,
     /// Timestamp (seconds) of the most recent update.
     pub last_seen_s: f64,
-}
-
-impl FlowRecord {
-    /// Flow age at time `now_s`, in seconds — the denominator of the
-    /// paper's throughput calculation (§V-B3).
-    pub fn duration_s(&self, now_s: f64) -> f64 {
-        (now_s - self.first_seen_s).max(0.0)
-    }
-
-    /// Average throughput in bytes per second over the flow's lifetime.
-    ///
-    /// Returns 0 for flows younger than `min_age_s` to avoid dividing by a
-    /// near-zero age.
-    fn throughput_bytes_per_s(&self, now_s: f64, min_age_s: f64) -> f64 {
-        let age = self.duration_s(now_s);
-        if age < min_age_s {
-            return 0.0;
-        }
-        self.bytes as f64 / age
-    }
 }
 
 /// Per-hypervisor flow table with a by-IP secondary index.
@@ -186,36 +167,6 @@ impl FlowTable {
         self.flows.values()
     }
 
-    /// Aggregate load between `local` and each of its peers at time
-    /// `now_s`, in **bytes per second** — the first step of the token-holder
-    /// procedure (§V-B3): "calculate the aggregate load between that VM and
-    /// all the neighbors it communicates with".
-    ///
-    /// Flow statistics younger than `min_age_s` are ignored.
-    pub fn aggregate_peer_rates(
-        &self,
-        local: Ipv4Addr,
-        now_s: f64,
-        min_age_s: f64,
-    ) -> Vec<(Ipv4Addr, f64)> {
-        let mut per_peer: HashMap<Ipv4Addr, f64> = HashMap::new();
-        for rec in self.flows_by_ip(local) {
-            let Some(peer) = rec.key.peer_of(local) else {
-                continue;
-            };
-            if peer == local {
-                continue;
-            }
-            let rate = rec.throughput_bytes_per_s(now_s, min_age_s);
-            if rate > 0.0 {
-                *per_peer.entry(peer).or_insert(0.0) += rate;
-            }
-        }
-        let mut rates: Vec<(Ipv4Addr, f64)> = per_peer.into_iter().collect();
-        rates.sort_by_key(|a| a.0);
-        rates
-    }
-
     /// Verifies the secondary index against the primary map; used by tests
     /// and debug assertions.
     pub fn index_is_consistent(&self) -> bool {
@@ -302,32 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_from_duration() {
-        let mut t = FlowTable::new();
-        t.record(key(1, 2, 1000), 1000, 1, 10.0);
-        t.record(key(1, 2, 1000), 1000, 1, 15.0);
-        let rec = t.get(&key(1, 2, 1000)).unwrap();
-        assert_eq!(rec.duration_s(20.0), 10.0);
-        assert_eq!(rec.throughput_bytes_per_s(20.0, 1.0), 200.0);
-        // Younger than the minimum age → no rate yet.
-        assert_eq!(rec.throughput_bytes_per_s(10.5, 1.0), 0.0);
-    }
-
-    #[test]
-    fn aggregate_peer_rates_groups_flows() {
-        let mut t = FlowTable::new();
-        // Two flows to peer 2, one to peer 3, one unrelated.
-        t.record(key(1, 2, 1000), 1000, 1, 0.0);
-        t.record(key(2, 1, 2000), 3000, 1, 0.0);
-        t.record(key(1, 3, 1001), 500, 1, 0.0);
-        t.record(key(4, 5, 1002), 9999, 1, 0.0);
-        let rates = t.aggregate_peer_rates(ip(1), 10.0, 1.0);
-        assert_eq!(rates.len(), 2);
-        assert_eq!(rates[0], (ip(2), 400.0)); // (1000+3000)/10
-        assert_eq!(rates[1], (ip(3), 50.0));
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let mut t = FlowTable::new();
         t.record(key(1, 2, 1000), 10, 1, 0.0);
@@ -352,13 +277,5 @@ mod tests {
         t.record(key(1, 2, 1000), u64::MAX, 1, 0.0);
         t.record(key(1, 2, 1000), 100, 1, 1.0);
         assert_eq!(t.get(&key(1, 2, 1000)).unwrap().bytes, u64::MAX);
-    }
-
-    #[test]
-    fn negative_age_clamped() {
-        let mut t = FlowTable::new();
-        t.record(key(1, 2, 1000), 10, 1, 100.0);
-        let rec = t.get(&key(1, 2, 1000)).unwrap();
-        assert_eq!(rec.duration_s(50.0), 0.0);
     }
 }

@@ -146,18 +146,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Fold every sample of `other` into `self` (bucket-wise addition).
-    pub fn merge(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Immutable point-in-time view for quantile math and rendering.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
@@ -301,23 +289,6 @@ mod tests {
                 "q={q}: {p} > 1.25x exact {truth}"
             );
         }
-    }
-
-    #[test]
-    fn merge_adds_bucketwise() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [5u64, 9, 130] {
-            a.record(v);
-        }
-        for v in [5u64, 1_000_000] {
-            b.record(v);
-        }
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.sum, 5 + 9 + 130 + 5 + 1_000_000);
-        assert_eq!(snap.buckets[bucket_of(5)], 2);
     }
 
     #[test]

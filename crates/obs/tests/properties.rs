@@ -43,30 +43,6 @@ proptest! {
         prop_assert!(snap.max_bound() >= max);
         prop_assert!(snap.max_bound() as f64 <= max as f64 * 1.25 + 1.0);
     }
-
-    /// Recording a sample stream split across two histograms then merging is
-    /// bucket-for-bucket identical to recording it all into one.
-    #[test]
-    fn merge_equals_single_recorder(
-        a in prop::collection::vec(0u64..=1_000_000_000, 0..200),
-        b in prop::collection::vec(0u64..=1_000_000_000, 0..200),
-    ) {
-        let merged = Histogram::new();
-        let ha = Histogram::new();
-        let hb = Histogram::new();
-        let single = Histogram::new();
-        for &s in &a {
-            ha.record(s);
-            single.record(s);
-        }
-        for &s in &b {
-            hb.record(s);
-            single.record(s);
-        }
-        merged.merge(&ha);
-        merged.merge(&hb);
-        prop_assert_eq!(merged.snapshot(), single.snapshot());
-    }
 }
 
 /// Concurrent recorders lose nothing: N threads hammer one shared histogram

@@ -202,7 +202,7 @@ impl TopologySpec {
     }
 
     /// The capacity overrides carried by the spec, if any.
-    pub fn capacities(&self) -> Option<LinkCapacities> {
+    fn capacities(&self) -> Option<LinkCapacities> {
         match *self {
             TopologySpec::CanonicalTree { capacities, .. }
             | TopologySpec::FatTree { capacities, .. }
@@ -1326,12 +1326,6 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Overrides the current topology's per-tier link capacities.
-    pub fn capacities(mut self, caps: LinkCapacities) -> Self {
-        self.topology = self.topology.with_capacities(caps);
-        self
-    }
-
     /// Sets the workload intensity. Order-independent with the other
     /// workload knobs: an already-set wholesale workload is updated in
     /// place (a no-op for explicit pair lists, which have no
@@ -1414,12 +1408,6 @@ impl ScenarioBuilder {
     /// Sets the initial placement.
     pub fn placement(mut self, placement: PlacementSpec) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Sets the server/VM resource spec wholesale.
-    pub fn resources(mut self, resources: ResourceSpec) -> Self {
-        self.resources = resources;
         self
     }
 
@@ -1772,8 +1760,7 @@ mod tests {
             agg_core_bps: 2.5e9,
         };
         let scenario = Scenario::builder()
-            .topology(TopologySpec::small_canonical())
-            .capacities(caps)
+            .topology(TopologySpec::small_canonical().with_capacities(caps))
             .build();
         assert_eq!(scenario.topology.capacities(), Some(caps));
         let back = Scenario::from_json(&scenario.to_json()).unwrap();

@@ -39,10 +39,10 @@
 //!
 //! ```
 //! use score_trace::{diurnal_trace, DiurnalShape, Trace, TraceEvent, TrafficDelta};
-//! use score_traffic::sparse_workload;
+//! use score_traffic::WorkloadConfig;
 //!
 //! // A day/night cycle over a synthetic base TM, deterministic.
-//! let base = sparse_workload(64, 42);
+//! let base = WorkloadConfig::new(64, 42).generate();
 //! let shape = DiurnalShape { period_s: 200.0, amplitude: 0.4, step_s: 10.0, horizon_s: 400.0 };
 //! let trace = diurnal_trace(&base, &shape).unwrap();
 //! assert_eq!(trace.num_events(), 39);
@@ -79,8 +79,8 @@ pub mod trace;
 pub use oracle::OracleForecaster;
 pub use recorder::TraceRecorder;
 pub use synth::{
-    churn_trace, diurnal_trace, fault_storm_events, fault_storm_trace, flash_crowd_trace,
-    ChurnShape, DiurnalShape, FaultSpec, FlashCrowdShape,
+    churn_trace, diurnal_trace, fault_storm_events, flash_crowd_trace, ChurnShape, DiurnalShape,
+    FaultSpec, FlashCrowdShape,
 };
 pub use trace::{
     scaled_rate, CompiledTrace, DeltaBatch, ShiftRun, TimedEvent, Trace, TraceBuilder, TraceError,

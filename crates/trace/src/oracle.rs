@@ -238,8 +238,8 @@ mod tests {
         // Covers both: the latest wins.
         assert_eq!(o.predict(vm(0), vm(1), 25.0, 40.0), 5.0);
         // A pair silent now but appearing within the horizon is seen,
-        // both by predict and by the known-pairs enumeration (what
-        // `predicted_traffic` unions into the predicted TM).
+        // both by predict and by the known-pairs enumeration (what a
+        // session scores at the horizon after a `ScaleAll`).
         assert_eq!(o.predict(vm(1), vm(2), 0.0, 10.0), 0.0);
         assert_eq!(o.predict(vm(2), vm(1), 0.0, 50.0), 7.0);
         assert_eq!(o.known_pairs(), vec![(vm(0), vm(1)), (vm(1), vm(2))]);

@@ -390,7 +390,7 @@ fn sort_by_time(edges: &mut [FlowEdge]) {
     edges.sort_unstable_by_key(|e| (e.time_bits, e.arrival));
 }
 
-/// Shape of a seeded failure storm ([`fault_storm_trace`]): how many of
+/// Shape of a seeded failure storm ([`fault_storm_events`]): how many of
 /// each fault kind land inside the horizon, and how long degradations
 /// hold before their matching restore.
 ///
@@ -523,25 +523,6 @@ pub fn fault_storm_events(
     }
     events.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
     Ok(events)
-}
-
-/// Builds a full adversity trace: the storm of [`fault_storm_events`]
-/// played over `base` as the initial TM. The result replays through the
-/// raw event stream ([`Trace::has_faults`] is true).
-///
-/// # Errors
-///
-/// Returns [`TraceError`] if the spec is invalid.
-pub fn fault_storm_trace(
-    base: &PairTraffic,
-    spec: &FaultSpec,
-    seed: u64,
-) -> Result<Trace, TraceError> {
-    let mut b = Trace::builder(base.num_vms(), spec.horizon_s).base_traffic(base);
-    for ev in fault_storm_events(spec, seed)? {
-        b = b.event(ev.time_s, ev.event);
-    }
-    b.build()
 }
 
 #[cfg(test)]
@@ -766,14 +747,13 @@ mod tests {
     #[test]
     fn fault_storm_is_deterministic_and_bounded() {
         let spec = FaultSpec::default_storm(160, 32);
-        let t = fault_storm_trace(&base(), &spec, 9).unwrap();
-        assert!(t.has_faults());
-        assert_eq!(fault_storm_trace(&base(), &spec, 9).unwrap(), t);
-        assert_ne!(fault_storm_trace(&base(), &spec, 10).unwrap(), t);
+        let events = fault_storm_events(&spec, 9).unwrap();
+        assert_eq!(fault_storm_events(&spec, 9).unwrap(), events);
+        assert_ne!(fault_storm_events(&spec, 10).unwrap(), events);
         // 3 crashes + 1 rack fail + 2 × (degrade + restore).
-        assert_eq!(t.num_events(), 8);
+        assert_eq!(events.len(), 8);
         let mut degrades = 0;
-        for ev in t.events() {
+        for ev in &events {
             assert!(ev.time_s >= 0.0 && ev.time_s <= spec.horizon_s);
             match ev.event {
                 TraceEvent::HostCrash { server } => assert!(server < spec.num_servers),
@@ -788,7 +768,17 @@ mod tests {
             }
         }
         assert_eq!(degrades, 2);
+        // Played over a base TM, the storm is a fault trace, and its
         // JSONL round trip survives.
+        let t = events
+            .iter()
+            .fold(
+                Trace::builder(16, spec.horizon_s).base_traffic(&base()),
+                |b, ev| b.event(ev.time_s, ev.event.clone()),
+            )
+            .build()
+            .unwrap();
+        assert!(t.has_faults());
         assert_eq!(Trace::from_jsonl(&t.to_jsonl()).unwrap(), t);
     }
 

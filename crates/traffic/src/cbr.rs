@@ -2,8 +2,8 @@
 //!
 //! The testbed experiments load the migration path with CBR traffic of
 //! increasing intensity ("the ratio of 1 Gb/s CBR"). [`CbrLoad`] is that
-//! ratio as a validated newtype; [`residual_bandwidth`] is the share left
-//! for a migration flow competing with the CBR source.
+//! ratio as a validated newtype; the share of the link it leaves a
+//! migration flow is `score_xen::migration_throughput_fraction`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -52,22 +52,6 @@ impl fmt::Display for CbrLoad {
     }
 }
 
-/// Bandwidth available to a migration flow competing with CBR background
-/// traffic on a link of `capacity_bps`.
-///
-/// A TCP migration stream sharing a bottleneck with an open-loop CBR source
-/// of intensity ρ gets the leftover capacity, but never starves completely:
-/// the CBR source is not congestion-controlled, yet packet-level
-/// interleaving leaves the TCP flow a small share even at ρ = 1. We model
-/// the residual as `capacity × max(1 − ρ, floor)` with `floor = 0.12`,
-/// calibrated so migration times match the paper's 2.94 s (idle) → 9.34 s
-/// (saturated) range for ~127 MB of migrated state.
-pub fn residual_bandwidth(capacity_bps: f64, load: CbrLoad) -> f64 {
-    const FLOOR: f64 = 0.12;
-    assert!(capacity_bps > 0.0, "capacity must be positive");
-    capacity_bps * (1.0 - load.get()).max(FLOOR)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,19 +75,6 @@ mod tests {
         assert_eq!(sweep.len(), 11);
         assert_eq!(sweep[0], CbrLoad::IDLE);
         assert_eq!(sweep[10].get(), 1.0);
-    }
-
-    #[test]
-    fn residual_decreases_with_load() {
-        let cap = 1e9;
-        let idle = residual_bandwidth(cap, CbrLoad::IDLE);
-        let half = residual_bandwidth(cap, CbrLoad::new(0.5));
-        let full = residual_bandwidth(cap, CbrLoad::new(1.0));
-        assert_eq!(idle, 1e9);
-        assert_eq!(half, 0.5e9);
-        assert!(full > 0.0, "TCP never fully starves");
-        assert!((full - 0.12e9).abs() < 1e-6);
-        assert!(idle > half && half > full);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use score_topology::VmId;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::pairwise::{PairTraffic, PairTrafficBuilder};
+use crate::pairwise::PairTraffic;
 
 /// An online short-horizon predictor of pairwise traffic rates.
 ///
@@ -60,49 +60,8 @@ pub trait RateForecaster: fmt::Debug + Send {
 
     /// Every canonical `(u, v)` pair this forecaster holds state for —
     /// including pairs silent *now* but predicted to appear (a flash
-    /// crowd's emerging elephants). Consumers materializing a predicted
-    /// TM must union this with the current pairs or they silently drop
-    /// exactly the pre-emption cases forecasting exists for.
+    /// crowd's emerging elephants).
     fn known_pairs(&self) -> Vec<(VmId, VmId)>;
-}
-
-/// Materializes a forecaster's view of the future as a [`PairTraffic`]:
-/// the union of `current`'s pairs and the forecaster's
-/// [`RateForecaster::known_pairs`], each re-rated to its prediction at
-/// `now_s + horizon_s` (pairs predicted to go silent are dropped;
-/// pairs silent now but predicted to appear — emerging flash-crowd
-/// elephants — are included).
-///
-/// This is the bridge to the centralized baselines: Remedy, the GA and
-/// the exhaustive search all rank placements against a TM, so handing
-/// them the *predicted* TM makes every one of them forecast-aware
-/// without touching their internals.
-pub fn predicted_traffic(
-    forecaster: &dyn RateForecaster,
-    current: &PairTraffic,
-    now_s: f64,
-    horizon_s: f64,
-) -> PairTraffic {
-    let num_vms = current.num_vms();
-    let mut pairs: std::collections::BTreeSet<(u32, u32)> = current
-        .pairs()
-        .iter()
-        .map(|&(u, v, _)| (u.get().min(v.get()), u.get().max(v.get())))
-        .collect();
-    for (u, v) in forecaster.known_pairs() {
-        if u.get() < num_vms && v.get() < num_vms {
-            pairs.insert((u.get().min(v.get()), u.get().max(v.get())));
-        }
-    }
-    let mut b = PairTrafficBuilder::new(num_vms);
-    for (u, v) in pairs {
-        let (u, v) = (VmId::new(u), VmId::new(v));
-        let rate = forecaster.predict(u, v, now_s, horizon_s);
-        if rate > 0.0 && rate.is_finite() {
-            b.add(u, v, rate);
-        }
-    }
-    b.build()
 }
 
 /// Per-pair state of the EWMA linear-trend estimator.
@@ -269,6 +228,7 @@ impl RateForecaster for EwmaForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairwise::PairTrafficBuilder;
 
     fn vm(i: u32) -> VmId {
         VmId::new(i)
@@ -360,38 +320,6 @@ mod tests {
         f.observe_updates(&[(vm(0), vm(1), 9e6)], 10.0);
         f.prime(&tm(&[(0, 1, 2e6)]), 0.0);
         assert_eq!(f.predict(vm(0), vm(1), 0.0, 100.0), 2e6, "trend cleared");
-    }
-
-    #[test]
-    fn predicted_traffic_materializes_the_forecast() {
-        let mut f = EwmaForecaster::new(1.0);
-        let base = tm(&[(0, 1, 1e6), (1, 2, 2e6)]);
-        f.prime(&base, 0.0);
-        // (0,1) ramps up; (1,2) collapses towards zero.
-        f.observe_updates(&[(vm(0), vm(1), 2e6), (vm(1), vm(2), 0.2e6)], 10.0);
-        let current = tm(&[(0, 1, 2e6), (1, 2, 0.2e6)]);
-        let ahead = predicted_traffic(&f, &current, 10.0, 20.0);
-        assert!((ahead.rate(vm(0), vm(1)) - 4e6).abs() < 1.0);
-        // The collapsing pair extrapolates below zero and is dropped.
-        assert_eq!(ahead.rate(vm(1), vm(2)), 0.0);
-        assert_eq!(ahead.num_pairs(), 1);
-    }
-
-    #[test]
-    fn predicted_traffic_includes_emerging_pairs() {
-        // Pair (0, 2) is absent from the *current* TM but the
-        // forecaster has seen it appear — the predicted TM must carry
-        // it (this is the pre-emption case the bridge exists for).
-        let mut b = PairTrafficBuilder::new(4);
-        b.add(vm(0), vm(1), 1e6);
-        let current = b.build();
-        let mut f = EwmaForecaster::new(1.0);
-        f.prime(&current, 0.0);
-        f.observe_updates(&[(vm(0), vm(2), 5e6)], 10.0);
-        assert_eq!(f.known_pairs().len(), 2);
-        let ahead = predicted_traffic(&f, &current, 10.0, 20.0);
-        assert_eq!(ahead.rate(vm(0), vm(2)), 5e6);
-        assert_eq!(ahead.num_pairs(), 2);
     }
 
     #[test]

@@ -226,41 +226,28 @@ impl WorkloadConfig {
     }
 }
 
-/// Convenience: the paper's sparse workload over `num_vms` VMs.
-pub fn sparse_workload(num_vms: u32, seed: u64) -> PairTraffic {
-    WorkloadConfig::new(num_vms, seed).generate()
-}
-
-/// Convenience: the paper's medium (×10) workload.
-pub fn medium_workload(num_vms: u32, seed: u64) -> PairTraffic {
-    WorkloadConfig::new(num_vms, seed)
-        .with_intensity(TrafficIntensity::Medium)
-        .generate()
-}
-
-/// Convenience: the paper's dense (×50) workload.
-pub fn dense_workload(num_vms: u32, seed: u64) -> PairTraffic {
-    WorkloadConfig::new(num_vms, seed)
-        .with_intensity(TrafficIntensity::Dense)
-        .generate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn workload(num_vms: u32, seed: u64, intensity: TrafficIntensity) -> PairTraffic {
+        WorkloadConfig::new(num_vms, seed)
+            .with_intensity(intensity)
+            .generate()
+    }
+
     #[test]
     fn deterministic_under_seed() {
-        let a = sparse_workload(200, 7);
-        let b = sparse_workload(200, 7);
+        let a = workload(200, 7, TrafficIntensity::Sparse);
+        let b = workload(200, 7, TrafficIntensity::Sparse);
         assert_eq!(a, b);
-        let c = sparse_workload(200, 8);
+        let c = workload(200, 8, TrafficIntensity::Sparse);
         assert_ne!(a, c);
     }
 
     #[test]
     fn every_vm_covered() {
-        let t = sparse_workload(300, 1);
+        let t = workload(300, 1, TrafficIntensity::Sparse);
         assert_eq!(t.num_vms(), 300);
         // Clusters of >= 2 give nearly every VM at least one peer; allow a
         // single trailing singleton cluster.
@@ -270,9 +257,9 @@ mod tests {
 
     #[test]
     fn densification_with_intensity() {
-        let sparse = sparse_workload(400, 3);
-        let medium = medium_workload(400, 3);
-        let dense = dense_workload(400, 3);
+        let sparse = workload(400, 3, TrafficIntensity::Sparse);
+        let medium = workload(400, 3, TrafficIntensity::Medium);
+        let dense = workload(400, 3, TrafficIntensity::Dense);
         assert!(medium.num_pairs() > sparse.num_pairs());
         assert!(dense.num_pairs() > medium.num_pairs());
         // Rates scale with the factor, compressed by the line-rate cap.
@@ -282,7 +269,10 @@ mod tests {
 
     #[test]
     fn rates_respect_line_rate_cap() {
-        for t in [sparse_workload(300, 9), dense_workload(300, 9)] {
+        for t in [
+            workload(300, 9, TrafficIntensity::Sparse),
+            workload(300, 9, TrafficIntensity::Dense),
+        ] {
             for (_, _, rate) in t.pairs() {
                 assert!(rate <= 250e6 + 1e-6, "pair rate {rate} above cap");
             }
@@ -292,7 +282,7 @@ mod tests {
     #[test]
     fn long_tail_property() {
         // The heaviest 10% of pairs should carry the majority of bytes.
-        let t = sparse_workload(2000, 11);
+        let t = workload(2000, 11, TrafficIntensity::Sparse);
         let rates: Vec<f64> = t.pairs().iter().map(|&(_, _, r)| r).collect();
         let total: f64 = rates.iter().sum();
         let mut sorted = rates.clone();
@@ -309,7 +299,7 @@ mod tests {
     fn hotspot_skew_exists() {
         // At medium intensity the cross-cluster churn concentrates on the
         // hot VM subset, so the busiest VM far exceeds the mean degree.
-        let t = medium_workload(1000, 5);
+        let t = workload(1000, 5, TrafficIntensity::Medium);
         let mut degrees: Vec<usize> = (0..1000).map(|v| t.degree(VmId::new(v))).collect();
         degrees.sort_unstable_by(|a, b| b.cmp(a));
         let mean = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
@@ -324,7 +314,7 @@ mod tests {
     fn ids_carry_no_cluster_structure() {
         // Consecutive ids should usually NOT be cluster peers: with
         // shuffled ids the probability of adjacency is low.
-        let t = sparse_workload(1000, 13);
+        let t = workload(1000, 13, TrafficIntensity::Sparse);
         let adjacent_pairs = (0..999)
             .filter(|&v| t.rate(VmId::new(v), VmId::new(v + 1)) > 0.0)
             .count();
@@ -351,7 +341,7 @@ mod tests {
 
     #[test]
     fn tiny_population_works() {
-        let t = sparse_workload(2, 9);
+        let t = workload(2, 9, TrafficIntensity::Sparse);
         assert_eq!(t.num_vms(), 2);
         assert!(t.num_pairs() <= 1 || t.total_rate() > 0.0);
     }

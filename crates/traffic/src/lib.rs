@@ -17,19 +17,18 @@
 //! * short-horizon per-pair rate forecasting for the forecast-aware
 //!   decision pipeline ([`RateForecaster`], [`EwmaForecaster`]);
 //! * CBR background load for the migration experiments ([`CbrLoad`]);
-//! * hand-rolled distributions (log-normal, bounded Pareto, exponential) in
-//!   [`dist`].
+//! * hand-rolled distributions (log-normal, bounded Pareto) in [`dist`].
 //!
 //! # Examples
 //!
 //! ```
-//! use score_traffic::{sparse_workload, TrafficMatrix};
-//! use score_topology::{RackId, VmId};
+//! use score_traffic::{TrafficMatrix, WorkloadConfig};
+//! use score_topology::RackId;
 //!
-//! let traffic = sparse_workload(400, 42);
+//! let traffic = WorkloadConfig::new(400, 42).generate();
 //! // Aggregate to a 20-rack TM with a trivial placement: VM v on rack v/20.
 //! let tm = TrafficMatrix::from_pairs(20, &traffic, |v| RackId::new(v.get() / 20));
-//! assert!(tm.is_symmetric(1e-9));
+//! assert_eq!(tm.get(0, 1), tm.get(1, 0));
 //! assert!(tm.total() > 0.0);
 //! ```
 
@@ -38,19 +37,15 @@
 
 pub mod cbr;
 pub mod dist;
-pub mod estimator;
 pub mod flows;
 pub mod forecast;
 pub mod generator;
 pub mod matrix;
 pub mod pairwise;
 
-pub use cbr::{residual_bandwidth, CbrLoad};
-pub use estimator::RateEstimator;
+pub use cbr::CbrLoad;
 pub use flows::{Flow, FlowSampler, ELEPHANT_THRESHOLD_BPS};
-pub use forecast::{predicted_traffic, EwmaForecaster, RateForecaster};
-pub use generator::{
-    dense_workload, medium_workload, sparse_workload, TrafficIntensity, WorkloadConfig,
-};
+pub use forecast::{EwmaForecaster, RateForecaster};
+pub use generator::{TrafficIntensity, WorkloadConfig};
 pub use matrix::TrafficMatrix;
 pub use pairwise::{PairTraffic, PairTrafficBuilder};

@@ -89,6 +89,9 @@ fn score_experiments_like_fig3() -> (Vec<(String, f64)>, ()) {
 
 /// §VI-B / Fig. 4: on a sparse TM, S-CORE reduces communication cost far
 /// more than Remedy (paper: ~40% vs ~10%) and relieves core links more.
+/// S-CORE runs here at `c_m = 0` (the `EngineSpec::Paper` default);
+/// `fig4::tests::score_beats_remedy_on_both_axes` makes the same checks
+/// at the `c_m` Fig. 4 reports.
 #[test]
 fn score_outperforms_remedy() {
     let mut scenario = Scenario::small_canonical(TrafficIntensity::Sparse, 23);
