@@ -31,9 +31,8 @@
 //! becomes a `ScenarioMatrix` policy sweep executed on the
 //! [`score_sim::MatrixRunner`] — `--threads N` sets the worker
 //! count (default: every core; results are bit-identical at any
-//! width, except that trace-workload reports embed wall-clock
-//! `apply_ns_*` rebind diagnostics that vary between any two runs) and
-//! `--json` then writes the collected [`score_sim::MatrixReport`].
+//! width, trace workloads included) and `--json` then writes the
+//! collected [`score_sim::MatrixReport`].
 //!
 //! The `--fault-*` flags inject a deterministic **failure storm** into a
 //! batch run: a seeded [`FaultSpec`] generator (host crashes, correlated
@@ -979,9 +978,13 @@ fn run_policy_sweep(scenario: Scenario, args: &Args) -> ExitCode {
 }
 
 /// Replays a trace session segment by segment and prints per-segment
-/// results plus the in-place rebind statistics.
+/// results plus the in-place rebind statistics. The session reads no
+/// clock; the replay's wall time is taken here, around the whole run.
 fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
-    let reports = match session.run_trace() {
+    let sw = score_experiments::Stopwatch::start();
+    let replayed = session.run_trace();
+    let wall_s = sw.elapsed_s();
+    let reports = match replayed {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -995,7 +998,7 @@ fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
     for (i, report) in reports.iter().enumerate() {
         println!(
             "segment {}: cost {:.4e} -> {:.4e} ({:>5.1}%) | {:>4} migrations \
-             ({} pre-empted) | {:>4} deltas re-pricing {:>6} pairs ({:.1} µs/delta)",
+             ({} pre-empted) | {:>4} deltas re-pricing {:>6} pairs",
             i + 1,
             report.initial_cost,
             report.final_cost,
@@ -1004,7 +1007,6 @@ fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
             report.forecast.preempted,
             report.trace.events_applied,
             report.trace.pairs_repriced,
-            report.trace.mean_apply_ns() / 1e3,
         );
         total_deltas += report.trace.events_applied;
         total_pairs += report.trace.pairs_repriced;
@@ -1019,10 +1021,11 @@ fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
     }
     println!(
         "trace replay: {} segment(s), {} traffic deltas applied in place \
-         ({} pairs re-priced)",
+         ({} pairs re-priced) in {:.1} ms",
         reports.len(),
         total_deltas,
         total_pairs,
+        wall_s * 1e3,
     );
     if let Some(path) = &args.csv {
         let mut csv = String::from("segment,time_s,cost\n");

@@ -44,9 +44,6 @@ pub struct DynamicPoint {
     pub preempted: u64,
     /// Mid-run traffic deltas applied.
     pub events_applied: u64,
-    /// Mean wall-clock time to apply one delta batch, in microseconds —
-    /// printed in the summary, never written to a results file.
-    pub mean_apply_us: f64,
 }
 
 /// Time-average of the sampled cost series.
@@ -133,7 +130,6 @@ fn run_shape(
                 migrations: report.migrations.len(),
                 preempted: report.forecast.preempted,
                 events_applied: report.trace.events_applied,
-                mean_apply_us: report.trace.mean_apply_ns() / 1e3,
             };
             let _ = writeln!(
                 csv,
@@ -149,7 +145,7 @@ fn run_shape(
             let _ = writeln!(
                 summary,
                 "    #{} {:<7} mean cost {:>10.3e}  final {:>10.3e}  {:>4} migrations \
-                 ({:>3} pre-empted)  {:>4} deltas  {:>6.2} µs/delta",
+                 ({:>3} pre-empted)  {:>4} deltas",
                 rank + 1,
                 point.policy.name(),
                 point.mean_cost,
@@ -157,7 +153,6 @@ fn run_shape(
                 point.migrations,
                 point.preempted,
                 point.events_applied,
-                point.mean_apply_us,
             );
             points.push(point);
         }
@@ -290,6 +285,5 @@ mod tests {
         assert!(summary.contains("diurnal"));
         assert!(summary.contains("flash-crowd"));
         assert!(summary.contains("oracle/reactive"));
-        assert!(summary.contains("µs/delta"));
     }
 }

@@ -9,7 +9,7 @@
 //! hand-run `cmp`. A change that means to move them updates the table
 //! below and says why.
 //!
-//! The wall-clock files are named in [`WALL_CLOCK`] with the reason each
+//! The one wall-clock file is named in [`WALL_CLOCK`] with the reason it
 //! cannot be pinned; any file the suite writes that is in neither table
 //! fails the test, so a new output cannot go unpinned by accident.
 
@@ -26,43 +26,117 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A `RunReport` carries `trace.apply_ns_total` / `trace.apply_ns_max`,
-/// the wall-clock time its trace batches took to apply.
-const APPLY_NS: &str = "RunReport trace.apply_ns_total/apply_ns_max are wall-clock";
-
 /// Files whose bytes differ between any two runs, and why.
-const WALL_CLOCK: [(&str, &str); 21] = [
-    ("ext_dynamic_diurnal_none_fcf.json", APPLY_NS),
-    ("ext_dynamic_diurnal_none_hcf.json", APPLY_NS),
-    ("ext_dynamic_diurnal_none_hlf.json", APPLY_NS),
-    ("ext_dynamic_diurnal_none_matrix.json", APPLY_NS),
-    ("ext_dynamic_diurnal_none_rr.json", APPLY_NS),
-    ("ext_dynamic_diurnal_oracle_fcf.json", APPLY_NS),
-    ("ext_dynamic_diurnal_oracle_hcf.json", APPLY_NS),
-    ("ext_dynamic_diurnal_oracle_hlf.json", APPLY_NS),
-    ("ext_dynamic_diurnal_oracle_matrix.json", APPLY_NS),
-    ("ext_dynamic_diurnal_oracle_rr.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_none_fcf.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_none_hcf.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_none_hlf.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_none_matrix.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_none_rr.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_oracle_fcf.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_oracle_hcf.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_oracle_hlf.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_oracle_matrix.json", APPLY_NS),
-    ("ext_dynamic_flash-crowd_oracle_rr.json", APPLY_NS),
-    (
-        "fig5a_flowtable_ops.csv",
-        "Fig. 5a is a timing experiment: every row is a measured duration",
-    ),
-];
+const WALL_CLOCK: [(&str, &str); 1] = [(
+    "fig5a_flowtable_ops.csv",
+    "Fig. 5a is a timing experiment: every row is a measured duration",
+)];
 
-/// `(file, length in bytes, FNV-1a of the bytes)` of the 48 deterministic
+/// `(file, length in bytes, FNV-1a of the bytes)` of the 68 deterministic
 /// files, at CI scale.
-const GOLDEN: [(&str, usize, u64); 48] = [
+const GOLDEN: [(&str, usize, u64); 68] = [
     ("ext_control_overhead.csv", 204, 0x0659_374e_bf7d_7f2f),
     ("ext_dynamic.csv", 1120, 0x10e7_6e69_373c_ba61),
+    (
+        "ext_dynamic_diurnal_none_fcf.json",
+        68623,
+        0x31fe_9fa6_7424_571d,
+    ),
+    (
+        "ext_dynamic_diurnal_none_hcf.json",
+        68623,
+        0x3b1d_7fae_dae6_6a2b,
+    ),
+    (
+        "ext_dynamic_diurnal_none_hlf.json",
+        70411,
+        0x1d36_c752_7dad_b4c6,
+    ),
+    (
+        "ext_dynamic_diurnal_none_matrix.json",
+        357725,
+        0x69ae_5bba_5489_5596,
+    ),
+    (
+        "ext_dynamic_diurnal_none_rr.json",
+        74039,
+        0x0078_2b2c_9e08_6738,
+    ),
+    (
+        "ext_dynamic_diurnal_oracle_fcf.json",
+        70061,
+        0xde8f_2358_8951_6851,
+    ),
+    (
+        "ext_dynamic_diurnal_oracle_hcf.json",
+        68671,
+        0xa03b_ad6d_1896_7e4a,
+    ),
+    (
+        "ext_dynamic_diurnal_oracle_hlf.json",
+        70462,
+        0x42da_4452_90f6_eaf1,
+    ),
+    (
+        "ext_dynamic_diurnal_oracle_matrix.json",
+        359931,
+        0x85f2_0fa1_33e8_e855,
+    ),
+    (
+        "ext_dynamic_diurnal_oracle_rr.json",
+        74082,
+        0x9171_c915_a176_d07d,
+    ),
+    (
+        "ext_dynamic_flash-crowd_none_fcf.json",
+        101258,
+        0xbed0_9643_1c7e_4bc3,
+    ),
+    (
+        "ext_dynamic_flash-crowd_none_hcf.json",
+        101258,
+        0x168c_4206_22fc_e871,
+    ),
+    (
+        "ext_dynamic_flash-crowd_none_hlf.json",
+        101699,
+        0xc991_3b40_8673_0e87,
+    ),
+    (
+        "ext_dynamic_flash-crowd_none_matrix.json",
+        508127,
+        0xccab_e3fc_229e_8f71,
+    ),
+    (
+        "ext_dynamic_flash-crowd_none_rr.json",
+        100011,
+        0x4aa5_268d_4be0_91fc,
+    ),
+    (
+        "ext_dynamic_flash-crowd_oracle_fcf.json",
+        101858,
+        0x3953_2318_3044_4494,
+    ),
+    (
+        "ext_dynamic_flash-crowd_oracle_hcf.json",
+        101858,
+        0x0ed1_74be_8dd8_7a3a,
+    ),
+    (
+        "ext_dynamic_flash-crowd_oracle_hlf.json",
+        102011,
+        0xa1a9_fed8_3a07_2ab2,
+    ),
+    (
+        "ext_dynamic_flash-crowd_oracle_matrix.json",
+        510999,
+        0x09d2_d9f3_39f2_eaa9,
+    ),
+    (
+        "ext_dynamic_flash-crowd_oracle_rr.json",
+        100613,
+        0xaa74_ddce_23b5_3165,
+    ),
     ("ext_faults.csv", 633, 0x4160_3744_679c_d880),
     ("ext_faults_breeze_hcf.json", 78156, 0x0454_c435_409f_b072),
     ("ext_faults_breeze_hlf.json", 79336, 0x9e66_0d53_321f_3ec0),

@@ -5,12 +5,11 @@
 //! statistics; IP addresses double as VM identifiers in the Xen deployment
 //! (§V-B2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Transport protocol of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Transmission Control Protocol.
     Tcp,
@@ -52,7 +51,7 @@ impl fmt::Display for Protocol {
 }
 
 /// 5-tuple flow key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source IP address.
     pub src_ip: Ipv4Addr,

@@ -18,12 +18,11 @@
 //! the table deterministic under test and simulation.
 
 use crate::key::FlowKey;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// Statistics of one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRecord {
     /// The flow's 5-tuple.
     pub key: FlowKey,

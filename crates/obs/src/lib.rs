@@ -12,6 +12,8 @@
 //! - **Wall-clock reads live here, not in simulation state.** Instrumented
 //!   code asks the handle for a [`Stopwatch`]; when observability is
 //!   disabled the stopwatch is inert and `Instant::now()` is never called.
+//!   The simulation crates read no clock of their own (CI checks it), so
+//!   a report holds simulated state only and is byte-stable across runs.
 //! - **Disabled means free.** [`ObsHandle::disabled`] is an `Option::None`
 //!   inside — every instrumentation site is one branch on a cold `None`.
 //!

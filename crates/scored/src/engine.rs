@@ -11,10 +11,8 @@
 //! that instant. Replaying the recorded raw event stream against a
 //! fresh session of the same scenario ([`replay_trace`]) therefore
 //! pops exactly the event prefix the live run popped before each
-//! mutation, and the final [`RunReport`]s agree **byte for byte** once
-//! serialized canonically ([`canonical_report_json`] zeroes the two
-//! wall-clock-measurement fields, which are the only nondeterministic
-//! ones).
+//! mutation, and the final [`RunReport`]s agree **byte for byte**
+//! ([`canonical_report_json`]).
 //!
 //! Call-count parity is part of the contract: the engine lowers every
 //! `SetRate` / `ScalePair` to one [`Session::apply_traffic_deltas`] call
@@ -36,20 +34,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Serializes a report canonically: the two wall-clock measurement
-/// fields (`trace.apply_ns_total` / `trace.apply_ns_max`) are zeroed —
-/// they measure *this host's* nanoseconds, not simulated state — and
-/// everything else is byte-stable under record → replay.
+/// Serializes a report canonically: compact JSON, which is byte-stable
+/// under record → replay because a report holds simulated state only.
 pub fn canonical_report_json(report: &RunReport) -> String {
-    canonical_json(report.clone())
-}
-
-/// [`canonical_report_json`] for a caller that owns the report: no
-/// second copy of every migration just to zero two fields.
-fn canonical_json(mut report: RunReport) -> String {
-    report.trace.apply_ns_total = 0;
-    report.trace.apply_ns_max = 0;
-    compact_json(&report)
+    compact_json(report)
 }
 
 /// What one engine mutation changed, for responses and subscribers.
@@ -484,7 +472,7 @@ impl TenantEngine {
     /// The tenant's canonical report JSON (see
     /// [`canonical_report_json`]).
     pub fn report_json(&self) -> String {
-        canonical_json(self.session.report())
+        canonical_report_json(&self.session.report())
     }
 
     /// Appends the events recorded since the last flush to
@@ -639,5 +627,5 @@ pub fn replay_dir(dir: &Path) -> Result<String, String> {
     let trace = Trace::load(&dir.join("trace.jsonl"))
         .map_err(|e| format!("loading {}/trace.jsonl: {e}", dir.display()))?;
     let report = replay_trace(&scenario, &trace)?;
-    Ok(canonical_json(report))
+    Ok(canonical_report_json(&report))
 }

@@ -20,14 +20,9 @@
 //! [`MatrixRunner::parallel`] uses every available core, and the
 //! resulting [`MatrixReport`] is **bit-identical** to the serial
 //! [`ScenarioMatrix::run`] — same cell order, same per-cell seeds, same
-//! JSON — at any thread count (pinned by the proptests in
-//! `tests/matrix_parallel.rs`). One carve-out: trace-workload cells
-//! measure their in-place rebinds, so `RunReport.trace` carries the
-//! wall-clock diagnostics `apply_ns_total`/`apply_ns_max`, which vary
-//! between *any* two runs (serial ones included). Trace sweeps are
-//! therefore identical modulo those two fields — everything the
-//! simulation computes (costs, migrations, events applied, pairs
-//! re-priced) still matches exactly.
+//! JSON — at any thread count, trace workloads included (pinned by the
+//! proptests in `tests/matrix_parallel.rs`): a session reads no clock,
+//! so nothing in a report varies between two runs.
 //!
 //! # Example
 //!
@@ -306,10 +301,7 @@ fn run_cell(
 /// shared across cells but the immutable `ScenarioMatrix` — and writes
 /// the outcome into that cell's slot. Slots are read back in cell
 /// order, so the [`MatrixReport`] (and its JSON) is
-/// bit-identical to [`ScenarioMatrix::run`] at any thread count (for
-/// trace workloads: modulo the wall-clock `apply_ns_*` diagnostics in
-/// `RunReport.trace`, which differ between any two runs — see the
-/// module docs).
+/// bit-identical to [`ScenarioMatrix::run`] at any thread count.
 ///
 /// # Example
 ///

@@ -12,7 +12,6 @@ use score_topology::{ServerId, VmId};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crate::metrics::UtilizationSnapshot;
 
@@ -72,9 +71,9 @@ impl FlowTableOps {
 }
 
 /// Bookkeeping of trace-driven traffic deltas applied during a run:
-/// how many event batches fired, how many pairs they re-priced, and how
-/// long each in-place rebind took (wall clock). All zeros for static
-/// workloads.
+/// how many event batches fired and how many pairs they re-priced. All
+/// zeros for static workloads. A session reads no clock, so every field
+/// is simulated state and a report is byte-stable across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceReplayStats {
     /// Trace delta batches applied mid-run.
@@ -84,31 +83,22 @@ pub struct TraceReplayStats {
     /// `ScaleAll` changes every live pair's rate and counts them all,
     /// though it re-prices none of them individually.
     pub pairs_repriced: u64,
-    /// Total wall-clock nanoseconds spent applying batches. Wall-clock
-    /// noise: compare counts, not latencies, when asserting determinism.
+    /// Always 0: a session times no batch. Kept, with the JSON key, only
+    /// for its two readers, `benchmark/src/sim_workloads.rs:40`
+    /// (`report_hash`) and `:633` (replay `sim.loop_overhead_ns`);
+    /// ROADMAP item 5(e) drops those reads, and then the field goes.
+    #[doc(hidden)]
     pub apply_ns_total: u64,
-    /// Slowest single batch in nanoseconds.
+    /// Always 0; see `apply_ns_total`.
+    #[doc(hidden)]
     pub apply_ns_max: u64,
 }
 
 impl TraceReplayStats {
-    /// Counts one applied batch that changed `pairs` rates and began at
-    /// `started` on the wall clock.
-    pub(crate) fn count_batch(&mut self, pairs: usize, started: Instant) {
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Counts one applied batch that changed `pairs` rates.
+    pub(crate) fn count_batch(&mut self, pairs: usize) {
         self.events_applied += 1;
         self.pairs_repriced += pairs as u64;
-        self.apply_ns_total += ns;
-        self.apply_ns_max = self.apply_ns_max.max(ns);
-    }
-
-    /// Mean nanoseconds per applied batch (0 when none fired).
-    pub fn mean_apply_ns(&self) -> f64 {
-        if self.events_applied == 0 {
-            0.0
-        } else {
-            self.apply_ns_total as f64 / self.events_applied as f64
-        }
     }
 }
 
@@ -408,14 +398,19 @@ mod tests {
 
     #[test]
     fn trace_stats_aggregates() {
-        let stats = TraceReplayStats {
-            events_applied: 4,
-            pairs_repriced: 40,
-            apply_ns_total: 2_000,
-            apply_ns_max: 900,
-        };
-        assert_eq!(stats.mean_apply_ns(), 500.0);
-        assert_eq!(TraceReplayStats::default().mean_apply_ns(), 0.0);
+        let mut stats = TraceReplayStats::default();
+        stats.count_batch(30);
+        stats.count_batch(0);
+        stats.count_batch(10);
+        assert_eq!(
+            stats,
+            TraceReplayStats {
+                events_applied: 3,
+                pairs_repriced: 40,
+                apply_ns_total: 0,
+                apply_ns_max: 0,
+            }
+        );
     }
 
     #[test]

@@ -320,7 +320,6 @@ fn trace_workload_applies_deltas_mid_run() {
     let report = session.report();
     assert_eq!(report.trace.events_applied, 119);
     assert!(report.trace.pairs_repriced > 0);
-    assert!(report.trace.apply_ns_max >= 1);
     // Every delta took the sparse path, and the ledger still agrees
     // with a fresh recomputation.
     let fresh = session.cost_model().total_cost(
@@ -549,11 +548,7 @@ fn zero_horizon_forecast_is_bit_identical_to_none() {
         scenario.timing.t_end_s = 120.0;
         let mut session = scenario.session().unwrap();
         session.run_to_horizon();
-        let mut report = session.report();
-        // Wall-clock rebind latencies differ between any two runs.
-        report.trace.apply_ns_total = 0;
-        report.trace.apply_ns_max = 0;
-        report.to_json()
+        session.report().to_json()
     };
     let reactive = run(ForecastSpec::None, false);
     let zero_ewma = run(
@@ -672,14 +667,9 @@ fn recorded_trace_replays_the_same_run() {
     let mut replayed = replay_scenario.session().unwrap();
     replayed.run_to_horizon();
 
-    let strip = |mut r: RunReport| {
-        r.trace.apply_ns_total = 0;
-        r.trace.apply_ns_max = 0;
-        r
-    };
     assert_eq!(
-        strip(original.report()),
-        strip(replayed.report()),
+        original.report(),
+        replayed.report(),
         "record → replay must reproduce the run"
     );
     assert_eq!(original.traffic(), replayed.traffic());
@@ -895,14 +885,9 @@ fn recorded_churn_replays_identically() {
         .unwrap();
     replay.run_storm(trace.events()).unwrap();
     replay.run_to_horizon();
-    let strip = |mut r: RunReport| {
-        r.trace.apply_ns_total = 0;
-        r.trace.apply_ns_max = 0;
-        r
-    };
     assert_eq!(
-        strip(live_report),
-        strip(replay.report()),
+        live_report,
+        replay.report(),
         "a recorded churn session must replay byte-for-byte"
     );
 }
@@ -1160,14 +1145,9 @@ mod fault_tests {
             replay.apply_trace_event(&ev.event).unwrap();
         }
         replay.run_to_horizon();
-        let strip = |mut r: RunReport| {
-            r.trace.apply_ns_total = 0;
-            r.trace.apply_ns_max = 0;
-            r
-        };
         assert_eq!(
-            strip(live_report),
-            strip(replay.report()),
+            live_report,
+            replay.report(),
             "a recorded adversity log must replay byte-for-byte"
         );
     }

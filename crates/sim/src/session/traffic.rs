@@ -8,7 +8,6 @@ use rand::SeedableRng;
 use score_topology::VmId;
 use score_trace::{OracleForecaster, ShiftRun, TraceEvent, TraceSegment, TrafficDelta};
 use score_traffic::{EwmaForecaster, PairTraffic, RateForecaster};
-use std::time::Instant;
 
 use super::{build_ring, SegmentRecord, Session};
 use crate::events::EventQueue;
@@ -157,7 +156,6 @@ impl Session {
         updates: &[(VmId, VmId, f64)],
         departed: Departed,
     ) -> Result<usize, ScenarioError> {
-        let start = Instant::now();
         let mut scratch = std::mem::take(&mut self.delta_scratch);
         let applied = self
             .stage_deltas(updates, departed, &mut scratch)
@@ -169,7 +167,7 @@ impl Session {
             });
         self.delta_scratch = scratch;
         let changed = applied?;
-        self.seg.trace_stats.count_batch(changed, start);
+        self.seg.trace_stats.count_batch(changed);
         Ok(changed)
     }
 
@@ -250,11 +248,12 @@ impl Session {
         }
         self.queue_forecast_evals(changes.iter().map(|&(u, v, _, _)| (u, v)), now_s);
         self.recording.log(now_s, |rec, at_s| {
-            let recorded: Vec<(u32, u32, f64)> = changes
-                .iter()
-                .map(|&(u, v, _, new)| (u.get(), v.get(), new))
-                .collect();
-            rec.record_updates(at_s, &recorded);
+            rec.record_updates(
+                at_s,
+                changes
+                    .iter()
+                    .map(|&(u, v, _, new)| (u.get(), v.get(), new)),
+            );
         });
     }
 
@@ -283,7 +282,6 @@ impl Session {
         TraceEvent::ScaleAll { factor }
             .check_payload()
             .map_err(|e| ScenarioError::Workload(format!("traffic scale {e}")))?;
-        let start = Instant::now();
         let mut repriced = 0;
         if factor != 1.0 {
             repriced = self.traffic.num_pairs();
@@ -309,7 +307,7 @@ impl Session {
             self.recording
                 .log(now_s, |rec, at_s| rec.record_scale(at_s, factor));
         }
-        self.seg.trace_stats.count_batch(repriced, start);
+        self.seg.trace_stats.count_batch(repriced);
         Ok(repriced)
     }
 

@@ -14,7 +14,7 @@
 //!   holds after every operation (debug builds, which carry the check).
 
 use proptest::prelude::*;
-use score_sim::{PolicyKind, RunReport, Scenario, Session};
+use score_sim::{PolicyKind, Scenario, Session};
 use score_topology::{RackId, ServerId, VmId};
 use score_trace::TraceEvent;
 
@@ -89,12 +89,6 @@ fn assert_no_vm_on_dead_host(session: &Session) {
             );
         }
     }
-}
-
-fn strip(mut r: RunReport) -> RunReport {
-    r.trace.apply_ns_total = 0;
-    r.trace.apply_ns_max = 0;
-    r
 }
 
 /// Drives the op list against a recording session, checking the cost
@@ -213,8 +207,8 @@ fn drive(fat_tree: bool, seed: u64, ops: &[Op]) {
     replay.run_storm(trace.events()).unwrap();
     replay.run_to_horizon();
     assert_eq!(
-        strip(report),
-        strip(replay.report()),
+        report,
+        replay.report(),
         "a recorded adversity run must replay byte-for-byte"
     );
 }

@@ -10,9 +10,8 @@
 //!    policy and random workloads.
 //! 2. **Forecaster determinism** — an *active* forecaster stays
 //!    deterministic under the work-stealing `MatrixRunner`: the same
-//!    sweep produces the same report at 1, 2 and 8 threads (modulo the
-//!    documented wall-clock `apply_ns_*` carve-out for trace
-//!    workloads), because each cell builds its own session-owned
+//!    sweep produces the same report JSON at 1, 2 and 8 threads, byte
+//!    for byte, because each cell builds its own session-owned
 //!    forecaster fed a deterministic delta stream.
 //! 3. **A uniform scale is an observation like any other** —
 //!    `observe_scale` leaves the EWMA estimator in the state
@@ -22,8 +21,8 @@
 
 use proptest::prelude::*;
 use score_sim::{
-    ForecastSpec, MatrixReport, PolicyKind, RunReport, Scenario, ScenarioMatrix, TimingSpec,
-    TopologySpec, TraceSpec, WorkloadSpec,
+    ForecastSpec, PolicyKind, Scenario, ScenarioMatrix, TimingSpec, TopologySpec, TraceSpec,
+    WorkloadSpec,
 };
 use score_topology::VmId;
 use score_trace::{
@@ -84,15 +83,11 @@ fn quick_scenario(
     s
 }
 
-/// Runs a scenario to the horizon and serializes its report with the
-/// wall-clock rebind diagnostics normalized.
+/// Runs a scenario to the horizon and serializes its report.
 fn report_json(scenario: &Scenario) -> String {
     let mut session = scenario.session().expect("scenario materializes");
     session.run_to_horizon();
-    let mut report: RunReport = session.report();
-    report.trace.apply_ns_total = 0;
-    report.trace.apply_ns_max = 0;
-    report.to_json()
+    session.report().to_json()
 }
 
 /// Swaps in a diurnal trace workload over the same population.
@@ -323,15 +318,6 @@ proptest! {
     }
 }
 
-/// Strips the wall-clock rebind diagnostics so matrix reports compare
-/// on simulated state only.
-fn normalize_trace_timings(report: &mut MatrixReport) {
-    for cell in &mut report.cells {
-        cell.report.trace.apply_ns_total = 0;
-        cell.report.trace.apply_ns_max = 0;
-    }
-}
-
 /// Active forecasters are deterministic across `MatrixRunner` thread
 /// counts {1, 2, 8}: per-cell forecaster state is rebuilt from the
 /// cell's own deterministic delta stream, so parallelism stays
@@ -356,12 +342,9 @@ fn forecasting_sweeps_are_thread_count_invariant() {
         );
         base.forecast = forecast;
         let matrix = ScenarioMatrix::new(base).policies(PolicyKind::all());
-        let mut serial = matrix.clone().run().unwrap();
-        normalize_trace_timings(&mut serial);
-        let reference = serial.to_json();
+        let reference = matrix.clone().run().unwrap().to_json();
         for threads in [1usize, 2, 8] {
-            let mut parallel = matrix.clone().runner().threads(threads).run().unwrap();
-            normalize_trace_timings(&mut parallel);
+            let parallel = matrix.clone().runner().threads(threads).run().unwrap();
             assert_eq!(
                 parallel.to_json(),
                 reference,

@@ -7,13 +7,9 @@
 //! order, same per-cell seeding, same floating-point trajectories.
 //! Random policy × topology × intensity grids (plus iteration caps and
 //! engine variants) are swept at 1, 2 and 8 threads and compared
-//! byte-for-byte against the serial reference.
-//!
-//! Trace-workload sweeps get the one documented carve-out: their
-//! reports embed wall-clock rebind diagnostics
-//! (`RunReport.trace.apply_ns_total`/`apply_ns_max`) that differ
-//! between *any* two runs, so they are compared with exactly those two
-//! fields normalized — everything simulated must still match.
+//! byte-for-byte against the serial reference. Trace-workload sweeps
+//! are held to the same bytes: a session reads no clock, so nothing in
+//! a report differs between two runs.
 
 use proptest::prelude::*;
 use score_sim::{
@@ -157,19 +153,10 @@ proptest! {
     }
 }
 
-/// Strips the wall-clock rebind diagnostics (the documented carve-out
-/// for trace workloads) so reports can be compared on simulated state.
-fn normalize_trace_timings(report: &mut MatrixReport) {
-    for cell in &mut report.cells {
-        cell.report.trace.apply_ns_total = 0;
-        cell.report.trace.apply_ns_max = 0;
-    }
-}
-
-/// Trace-workload sweeps: identical at any thread count modulo the
-/// `apply_ns_*` wall-clock fields (which differ even serial-vs-serial).
+/// Trace-workload sweeps: byte-identical at any thread count, like
+/// static ones.
 #[test]
-fn trace_sweeps_match_modulo_wall_clock_diagnostics() {
+fn trace_sweeps_are_byte_identical() {
     use score_sim::{TraceSpec, WorkloadSpec};
     use score_trace::DiurnalShape;
     let mut base = quick_base(7);
@@ -187,21 +174,18 @@ fn trace_sweeps_match_modulo_wall_clock_diagnostics() {
         },
     };
     let matrix = ScenarioMatrix::new(base).policies(PolicyKind::all());
-    let mut serial = matrix.clone().run().unwrap();
-    normalize_trace_timings(&mut serial);
+    let serial = matrix.clone().run().unwrap().to_json();
     for threads in [2usize, 8] {
-        let mut parallel = matrix.clone().runner().threads(threads).run().unwrap();
-        // The diagnostics themselves must still be populated (deltas
-        // really were applied) before normalization wipes them.
+        let parallel = matrix.clone().runner().threads(threads).run().unwrap();
+        // Deltas really were applied in every cell.
         assert!(parallel
             .cells
             .iter()
             .all(|c| c.report.trace.events_applied > 0));
-        normalize_trace_timings(&mut parallel);
         assert_eq!(
             parallel.to_json(),
-            serial.to_json(),
-            "{threads}-thread trace sweep diverged beyond wall-clock fields"
+            serial,
+            "{threads}-thread trace sweep diverged"
         );
     }
 }

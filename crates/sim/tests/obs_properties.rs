@@ -2,11 +2,9 @@
 //! `score_obs::ObsHandle` (registry + journal, all instruments live) to a
 //! `Session` must leave the `RunReport` JSON **byte-identical** to a bare
 //! run — on tree and fat-tree fabrics, across every policy, on static,
-//! trace-driven and forecasted workloads.
-//!
-//! The only normalized fields are the documented wall-clock diagnostics
-//! (`trace.apply_ns_total` / `apply_ns_max`), which differ between any two
-//! runs of the *same* scenario, observability or not.
+//! trace-driven and forecasted workloads. Nothing is normalized: a
+//! session reads no clock, so two runs of the same scenario serialize
+//! to the same bytes, observability or not.
 
 use proptest::prelude::*;
 use score_obs::ObsHandle;
@@ -67,7 +65,7 @@ fn with_diurnal_trace(mut scenario: Scenario, seed: u64) -> Scenario {
 }
 
 /// Runs `scenario` to the horizon (through every trace segment) with or
-/// without observability attached, returning the normalized report JSON.
+/// without observability attached, returning the report JSON.
 fn run_json(scenario: &Scenario, obs: Option<&ObsHandle>) -> String {
     let mut session = scenario.session().expect("scenario materializes");
     if let Some(handle) = obs {
@@ -75,14 +73,9 @@ fn run_json(scenario: &Scenario, obs: Option<&ObsHandle>) -> String {
         assert!(session.obs_attached());
     }
     let reports = session.run_trace().expect("run to the end of the trace");
-    let normalize = |mut r: RunReport| {
-        r.trace.apply_ns_total = 0;
-        r.trace.apply_ns_max = 0;
-        r.to_json()
-    };
     reports
-        .into_iter()
-        .map(normalize)
+        .iter()
+        .map(RunReport::to_json)
         .collect::<Vec<_>>()
         .join("\n")
 }

@@ -8,7 +8,9 @@
 //! its TM update by update and the run is popped by index — so once the
 //! buffers have seen a batch of the size, re-rating live pairs must not
 //! touch the allocator. A regression here puts `malloc`/`free` back on a
-//! path that does half a microsecond of work per batch.
+//! path that does half a microsecond of work per batch. A recording
+//! session (the daemon's) may grow its recorder's event list, and
+//! nothing else.
 
 use score_sim::{EventQueue, Scenario, SimEvent};
 use score_topology::VmId;
@@ -103,6 +105,25 @@ fn sparse_replay_does_not_allocate() {
     assert!(
         insert <= 2 * 2,
         "one insert performed {insert} heap allocations"
+    );
+
+    // A recording session (the daemon's configuration) logs each re-rate
+    // straight into the recorder's event list: its amortised growth is
+    // the only allocation, never one per call.
+    session.start_trace_recording();
+    let mut rerated = 0;
+    let recorded = allocs_during(|| {
+        for i in 0..10_000 {
+            let (u, v, rate) = pairs[i % pairs.len()];
+            let bumped = rate * (4.0 + i as f64);
+            rerated += session.apply_traffic_deltas(&[(u, v, bumped)]).unwrap();
+        }
+    });
+    assert_eq!(rerated, 10_000);
+    assert_eq!(session.trace_recorder_mut().unwrap().num_events(), 10_000);
+    assert!(
+        recorded <= 32,
+        "10,000 recorded re-rates performed {recorded} heap allocations"
     );
 
     // The event queue: a loaded run pops by index, whatever sits in the

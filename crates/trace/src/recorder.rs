@@ -69,13 +69,16 @@ impl TraceRecorder {
 
     /// Records one applied batch of absolute re-rates at `at_s`: each
     /// `(u, v, new_rate)` entry becomes a [`TraceEvent::SetRate`].
-    pub fn record_updates(&mut self, at_s: f64, updates: &[(u32, u32, f64)]) {
-        for &(u, v, rate) in updates {
-            self.events.push(TimedEvent {
+    pub fn record_updates(
+        &mut self,
+        at_s: f64,
+        updates: impl IntoIterator<Item = (u32, u32, f64)>,
+    ) {
+        self.events
+            .extend(updates.into_iter().map(|(u, v, rate)| TimedEvent {
                 time_s: at_s,
                 event: TraceEvent::SetRate { u, v, rate },
-            });
-        }
+            }));
     }
 
     /// Records one applied uniform scale at `at_s` as the
@@ -180,8 +183,8 @@ mod tests {
         let base = tm(&[(0, 1, 10.0), (2, 3, 5.0)]);
         let mut rec = TraceRecorder::new(&base);
         assert!(rec.is_empty());
-        rec.record_updates(10.0, &[(0, 1, 50.0)]);
-        rec.record_updates(20.0, &[(2, 3, 0.0), (0, 2, 7.0)]);
+        rec.record_updates(10.0, [(0, 1, 50.0)]);
+        rec.record_updates(20.0, [(2, 3, 0.0), (0, 2, 7.0)]);
         rec.record_scale(25.0, 1.5);
         let trace = rec.finish(30.0).unwrap();
         assert_eq!(trace.num_events(), 4);
@@ -232,7 +235,7 @@ mod tests {
         let rec = TraceRecorder::new(&tm(&[(0, 1, 1.0)]));
         assert!(rec.finish(0.0).is_err(), "zero duration is invalid");
         let mut rec = TraceRecorder::new(&tm(&[(0, 1, 1.0)]));
-        rec.record_updates(50.0, &[(0, 1, 2.0)]);
+        rec.record_updates(50.0, [(0, 1, 2.0)]);
         assert!(rec.finish(10.0).is_err(), "end before the last event");
         assert!(rec.finish(50.0).is_ok());
     }

@@ -51,13 +51,12 @@ fn main() {
         let report = session.report();
         println!(
             "{name:>13}: cost {:.3e} -> {:.3e} | {:>3} migrations | {:>3} deltas \
-             re-pricing {:>5} pairs in place ({:.0} µs each)",
+             re-pricing {:>5} pairs in place",
             report.initial_cost,
             report.final_cost,
             report.migrations.len(),
             report.trace.events_applied,
             report.trace.pairs_repriced,
-            report.trace.mean_apply_ns() / 1e3,
         );
     }
 
