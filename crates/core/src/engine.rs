@@ -5,11 +5,15 @@
 //! 1. aggregates the VM's per-peer traffic (flow table, §V-B3);
 //! 2. resolves peer locations and communication levels (§V-B4);
 //! 3. ranks the peers' servers "from highest to lowest communication
-//!    levels" and probes each for capacity (§V-B5);
+//!    levels" and probes them for capacity (§V-B5);
 //! 4. migrates iff Theorem 1 holds: `ΔC_{u→x̂} > c_m`, preferring the
 //!    feasible target with the largest gain.
 //!
 //! [`ScoreEngine`] implements steps 3–4 over a [`LocalView`] (steps 1–2).
+//! It scores every ranked candidate but probes only one whose `ΔC`
+//! exceeds `c_m` and beats the best feasible one so far: no other probe
+//! could change the choice, so the target and gain are those of probing
+//! all of them.
 
 use score_topology::{ServerId, VmId};
 use score_traffic::PairTraffic;
@@ -105,10 +109,9 @@ pub struct MigrationDecision {
     /// migration pre-empts a predicted shift instead of reacting to a
     /// landed one.
     pub preemptive: bool,
-    /// Candidate servers evaluated.
+    /// Candidate servers evaluated: ranked and scored. Only those that
+    /// could become the choice are probed for capacity.
     pub evaluated: usize,
-    /// Candidates rejected by the capacity/bandwidth probe.
-    pub rejected_capacity: usize,
 }
 
 impl MigrationDecision {
@@ -161,9 +164,10 @@ impl ScoreEngine {
     ///
     /// Candidates are the servers hosting the holder's peers, ranked
     /// "from highest to lowest communication levels" with ties towards
-    /// heavier pairs; each is capacity-probed against the live cluster
-    /// and current `traffic`; among the feasible ones the largest `ΔC`
-    /// wins, provided it exceeds `c_m` (Theorem 1).
+    /// heavier pairs; among those that pass the capacity probe against
+    /// the live cluster and current `traffic`, the largest `ΔC` wins,
+    /// provided it exceeds `c_m` (Theorem 1). Only a candidate that would
+    /// win is probed (see `probe_candidates`).
     ///
     /// Candidates are ranked, capped, scored and tested against Theorem 1
     /// on each peer's `expected` rate; [`MigrationDecision::gain`] reports
@@ -210,7 +214,7 @@ impl ScoreEngine {
         let buckets = topo
             .level_buckets()
             .filter(|_| candidates.len() >= KERNEL_MIN_CANDIDATES);
-        let (best, rejected) = if let Some(buckets) = buckets {
+        let best = if let Some(buckets) = buckets {
             scratch.ensure_topology(topo);
             scratch.begin();
             let mut before = 0.0;
@@ -264,13 +268,18 @@ impl ScoreEngine {
             predicted_gain: best.map_or(0.0, |(_, g)| g),
             preemptive,
             evaluated,
-            rejected_capacity: rejected,
         }
     }
 
-    /// The candidate loop of [`ScoreEngine::decide`]: probe each ranked
-    /// candidate for capacity, score the feasible ones with `score`, and
-    /// track the largest `ΔC` above `c_m`. Returns `(best, rejected)`.
+    /// The candidate loop of [`ScoreEngine::decide`]: score each ranked
+    /// candidate with `score` and track the first largest `ΔC` above
+    /// `c_m` among those that pass the capacity probe.
+    ///
+    /// A candidate is probed only when its `ΔC` exceeds `c_m` and beats
+    /// the best so far; any other leaves the best unchanged whether it
+    /// fits or not. `can_host` gives the same verdict from any state of
+    /// the NIC memo, so the choice is bit for bit that of probing every
+    /// candidate first.
     #[inline]
     fn probe_candidates(
         &self,
@@ -279,23 +288,20 @@ impl ScoreEngine {
         cluster: &Cluster,
         traffic: &PairTraffic,
         mut score: impl FnMut(ServerId) -> f64,
-    ) -> (Option<(ServerId, f64)>, usize) {
+    ) -> Option<(ServerId, f64)> {
         let mut best: Option<(ServerId, f64)> = None;
-        let mut rejected = 0;
         for &(target, ..) in candidates {
-            if cluster
-                .can_host(traffic, target, vm, self.config.bandwidth_threshold)
-                .is_err()
-            {
-                rejected += 1;
-                continue;
-            }
             let delta = score(target);
-            if delta > self.config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
+            if delta > self.config.migration_cost
+                && best.is_none_or(|(_, b)| delta > b)
+                && cluster
+                    .can_host(traffic, target, vm, self.config.bandwidth_threshold)
+                    .is_ok()
+            {
                 best = Some((target, delta));
             }
         }
-        (best, rejected)
+        best
     }
 }
 
@@ -303,7 +309,7 @@ impl ScoreEngine {
 mod tests {
     use super::*;
     use crate::allocation::Allocation;
-    use crate::resources::{ServerSpec, VmSpec};
+    use crate::resources::{AdmissionError, ServerSpec, VmSpec};
     use score_topology::CanonicalTree;
     use score_traffic::PairTrafficBuilder;
     use std::sync::Arc;
@@ -376,7 +382,6 @@ mod tests {
         let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
         let d = decide(&engine, &view, &cluster, &traffic);
         assert_eq!(d.evaluated, 2);
-        assert_eq!(d.rejected_capacity, 0);
         assert!(d.migrates());
     }
 
@@ -417,8 +422,148 @@ mod tests {
             Cluster::new(topo, spec, VmSpec::paper_default(), &traffic, alloc).unwrap();
         let engine = ScoreEngine::paper_default();
         let decision = hold(&engine, VmId::new(0), &mut cluster, &traffic);
-        assert_eq!(decision.rejected_capacity, 1);
+        assert_eq!(decision.evaluated, 2);
         assert_eq!(decision.target, Some(ServerId::new(2)));
+    }
+
+    /// The first strict maximum of `ΔC > c_m` among the ranked candidates
+    /// that pass the capacity probe, each of them probed.
+    fn eager_choice(
+        engine: &ScoreEngine,
+        view: &LocalView,
+        cluster: &Cluster,
+        traffic: &PairTraffic,
+    ) -> Option<(ServerId, f64)> {
+        let config = engine.config();
+        let mut ranked = Vec::new();
+        view.rank_candidates_into(&mut ranked);
+        let mut best: Option<(ServerId, f64)> = None;
+        for &(target, ..) in &ranked {
+            let fits = cluster
+                .can_host(traffic, target, view.vm, config.bandwidth_threshold)
+                .is_ok();
+            let delta = view.delta_for(target, engine.cost_model().weights(), cluster.topo());
+            if fits && delta > config.migration_cost && best.is_none_or(|(_, b)| delta > b) {
+                best = Some((target, delta));
+            }
+        }
+        best
+    }
+
+    /// vm0 on srv0 of the 16-host tree talks to one peer on each of
+    /// `peers`' hosts. `full` hosts get a second VM, which fills them
+    /// under `spec`, and the peers on `hot` hosts also send 99 % of a NIC
+    /// to a sink VM beside vm0, which leaves those NICs no room for vm0.
+    fn probing_world(
+        peers: &[(u32, f64)],
+        full: &[u32],
+        hot: &[u32],
+        spec: ServerSpec,
+    ) -> (Cluster, PairTraffic) {
+        let mut servers = vec![0u32];
+        servers.extend(peers.iter().map(|p| p.0));
+        let sink = servers.len() as u32;
+        servers.push(0);
+        servers.extend(full);
+        let n = servers.len() as u32;
+        let mut b = PairTrafficBuilder::new(n);
+        for (i, &(host, rate)) in peers.iter().enumerate() {
+            let peer = VmId::new(i as u32 + 1);
+            b.add(VmId::new(0), peer, rate);
+            if hot.contains(&host) {
+                b.add(peer, VmId::new(sink), 0.99 * spec.nic_bps);
+            }
+        }
+        let traffic = b.build();
+        let alloc = Allocation::from_fn(n, 16, |vm| ServerId::new(servers[vm.index()]));
+        let cluster = Cluster::new(
+            Arc::new(CanonicalTree::small()),
+            spec,
+            VmSpec::paper_default(),
+            &traffic,
+            alloc,
+        )
+        .unwrap();
+        (cluster, traffic)
+    }
+
+    /// Probing only a candidate that would become the choice picks the
+    /// target, and the gain bits, of probing every candidate.
+    #[test]
+    fn lazy_probing_matches_eager_probing() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let slot_full = ServerSpec {
+            vm_slots: 2,
+            ..ServerSpec::paper_default()
+        };
+        let ram_full = ServerSpec {
+            ram_mb: 2 * VmSpec::paper_default().ram_mb + 100,
+            ..ServerSpec::paper_default()
+        };
+        // Holds where the best-scoring candidate is refused for a slot or
+        // RAM, and for its NIC; with c_m > 0; on either scorer's side.
+        let (mut full_best, mut nic_best, mut cm_moves) = (0, 0, 0);
+        let mut sides = [0usize; 2];
+        let mut rng = StdRng::seed_from_u64(45);
+        for case in 0..400 {
+            let mut hosts: Vec<u32> = (1..16).collect();
+            for i in (1..hosts.len()).rev() {
+                hosts.swap(i, rng.gen_range(0..=i));
+            }
+            let k = rng.gen_range(1..=15);
+            let peers: Vec<(u32, f64)> = hosts[..k]
+                .iter()
+                .map(|&s| (s, rng.gen_range(1e6..5e7)))
+                .collect();
+            let marked: Vec<u32> = hosts[..k]
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.4))
+                .collect();
+            let (full, hot) = marked.split_at(marked.len() / 2);
+            let spec = [slot_full, ram_full][case % 2];
+            let (cluster, traffic) = probing_world(&peers, full, hot, spec);
+            let vm = VmId::new(0);
+            let view = LocalView::observe(vm, cluster.allocation(), &traffic, cluster.topo());
+            let weights = CostModel::paper_default().weights().clone();
+            let top = peers
+                .iter()
+                .map(|&(s, _)| ServerId::new(s))
+                .map(|s| (view.delta_for(s, &weights, cluster.topo()), s))
+                .max_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("a peer");
+            let cm = [0.0, top.0 * rng.gen_range(0.2..0.9)][rng.gen_range(0..2)];
+            let threshold = [1.0, 0.95, f64::INFINITY][rng.gen_range(0..3)];
+            let engine = ScoreEngine::new(
+                CostModel::paper_default(),
+                ScoreConfig::paper_default()
+                    .with_migration_cost(cm)
+                    .with_bandwidth_threshold(threshold),
+            );
+            let d = decide(&engine, &view, &cluster, &traffic);
+            let want = eager_choice(&engine, &view, &cluster, &traffic);
+            assert_eq!(d.target, want.map(|w| w.0), "target, case {case}");
+            let gain = want.map_or(0.0, |w| w.1);
+            assert_eq!(d.gain.to_bits(), gain.to_bits(), "gain, case {case}");
+            assert_eq!(d.evaluated, k, "evaluated, case {case}");
+
+            if top.0 > cm && d.migrates() {
+                let refused = cluster.can_host(&traffic, top.1, vm, threshold).err();
+                full_best += usize::from(matches!(
+                    refused,
+                    Some(AdmissionError::NoSlot | AdmissionError::Ram)
+                ));
+                nic_best += usize::from(refused == Some(AdmissionError::Bandwidth));
+                cm_moves += usize::from(cm > 0.0);
+                sides[usize::from(k >= KERNEL_MIN_CANDIDATES)] += 1;
+            }
+        }
+        assert!(
+            full_best > 0 && nic_best > 0 && cm_moves > 0,
+            "coverage: {full_best} full, {nic_best} NIC, {cm_moves} with c_m > 0"
+        );
+        assert!(sides.iter().all(|&n| n > 0), "both scorers: {sides:?}");
     }
 
     #[test]

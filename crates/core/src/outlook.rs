@@ -137,10 +137,11 @@ mod tests {
     fn forecasted_outlook_rerates_the_decision_view() {
         let mut f = trending();
         f.observe_updates(
-            &[
+            &mut [
                 (VmId::new(0), VmId::new(1), 1.0),
                 (VmId::new(0), VmId::new(2), 50.0),
-            ],
+            ]
+            .into_iter(),
             10.0,
         );
         let mut v = view();
@@ -162,7 +163,7 @@ mod tests {
     #[test]
     fn context_builds_outlooks_from_the_forecaster() {
         let mut f = trending();
-        f.observe_updates(&[(VmId::new(0), VmId::new(2), 10.0)], 10.0);
+        f.observe_updates(&mut [(VmId::new(0), VmId::new(2), 10.0)].into_iter(), 10.0);
         let ctx = OutlookContext::forecast(&f, 10.0, 10.0);
         assert_eq!(ctx.horizon_s(), 10.0);
         let mut v = view();

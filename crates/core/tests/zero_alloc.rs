@@ -71,7 +71,7 @@ fn rising(traffic: &PairTraffic) -> EwmaForecaster {
         .step_by(3)
         .map(|(u, v, r)| (u, v, 2.0 * r))
         .collect();
-    f.observe_updates(&ups, 10.0);
+    f.observe_updates(&mut ups.into_iter(), 10.0);
     f
 }
 

@@ -10,6 +10,11 @@
 //! expresses the total as transmission time on a 1 Gb/s control network.
 //! The token grows linearly with the VM count; an iteration passes it
 //! once per VM, so an iteration's bytes grow quadratically.
+//!
+//! The capacity probes counted are the ones the paper's protocol sends,
+//! one per ranked candidate. The simulator itself calls `can_host` only
+//! on a candidate whose score could make it the choice: that saving is
+//! the simulator's, not the protocol's wire's.
 
 use score_core::Token;
 use score_sim::{Scenario, TimingSpec};
@@ -36,7 +41,8 @@ pub struct OverheadPoint {
     /// Location probes sent in the iteration: the holders' peer counts.
     pub location_probes: u64,
     /// Capacity probes sent in the iteration: the candidate servers the
-    /// holders' decisions evaluated.
+    /// holders' decisions evaluated, one probe each as the paper's
+    /// protocol sends them.
     pub capacity_probes: u64,
     /// Control bytes for one full iteration (token passes + probes).
     pub iteration_bytes: u64,

@@ -166,7 +166,8 @@ impl Session {
                             changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
                         self.traffic.apply_updates(&updates);
                         if let Some(f) = &mut self.forecaster {
-                            f.as_dyn_mut().observe_updates(&updates, now_s);
+                            f.as_dyn_mut()
+                                .observe_updates(&mut updates.iter().copied(), now_s);
                         }
                         self.seg.recovery.unplaceable_vms += 1;
                         outcome.unplaceable.push(vm);

@@ -240,11 +240,11 @@ impl Session {
         self.settle_forecast_evals(now_s);
         self.traffic.apply_updates(canon);
         // The forecaster observes exactly the stream the cluster
-        // absorbed — O(changed pairs), like everything else here.
+        // absorbed — O(changed pairs), like everything else here, and
+        // mapped as it goes, with no buffer of its own.
         if let Some(f) = &mut self.forecaster {
-            let observed: Vec<(VmId, VmId, f64)> =
-                changes.iter().map(|&(u, v, _, new)| (u, v, new)).collect();
-            f.as_dyn_mut().observe_updates(&observed, now_s);
+            let mut observed = changes.iter().map(|&(u, v, _, new)| (u, v, new));
+            f.as_dyn_mut().observe_updates(&mut observed, now_s);
         }
         self.queue_forecast_evals(changes.iter().map(|&(u, v, _, _)| (u, v)), now_s);
         self.recording.log(now_s, |rec, at_s| {

@@ -217,12 +217,12 @@ proptest! {
                     *r = scaled_rate(*r, x);
                 }
                 let expanded: Vec<_> = rates.iter().map(|(&(u, v), &r)| (u, v, r)).collect();
-                by_updates.observe_updates(&expanded, t);
+                by_updates.observe_updates(&mut expanded.into_iter(), t);
             } else if a != b {
                 let (u, v) = (VmId::new(a.min(b)), VmId::new(a.max(b)));
                 let rate = if kind == 1 { x * 1e6 } else { 0.0 };
-                by_scale.observe_updates(&[(u, v, rate)], t);
-                by_updates.observe_updates(&[(u, v, rate)], t);
+                by_scale.observe_updates(&mut [(u, v, rate)].into_iter(), t);
+                by_updates.observe_updates(&mut [(u, v, rate)].into_iter(), t);
                 rates.insert((u, v), rate);
             }
             // Rate, slope and last-seen time are all visible through
@@ -298,7 +298,8 @@ proptest! {
             for batch in segment.shifts.iter().take_while(|b| b.at_s <= now) {
                 match batch.delta {
                     TrafficDelta::Rates(range) => {
-                        oracle.observe_updates(segment.shifts.updates(range), batch.at_s);
+                        let mut updates = segment.shifts.updates(range).iter().copied();
+                        oracle.observe_updates(&mut updates, batch.at_s);
                     }
                     TrafficDelta::ScaleAll(factor) => oracle.observe_scale(factor, batch.at_s),
                 }

@@ -11,7 +11,9 @@
 //! `RackFail`, `LinkDegrade` and `LinkRestore` on both.
 //!
 //! Checked at every hold: the holder, the time, `(vm, from, to)`, the
-//! next holder, the candidate and rejection counts, the current-TM gain
+//! next holder, the candidate count, each candidate's capacity verdict
+//! (the product's `Cluster::can_host` on a clone taken before the hold,
+//! so its own probes' memo traffic stays unobserved), the current-TM gain
 //! and the pre-emptive flag, and for a reactive move the kernel's score
 //! against `LocalView::delta_for`, bit for bit. Checked after every op:
 //! the pair map, the allocation and liveness, the cost to 1e-9
@@ -201,6 +203,8 @@ struct World {
     model: RefSession,
     tally: Tally,
     cm: f64,
+    /// The NIC threshold of the capacity probe.
+    threshold: f64,
     forecast: bool,
     precopy: PreCopyModel,
     draws: StdRng,
@@ -223,6 +227,19 @@ impl World {
             .holder
             .filter(|&h| h < traffic.num_vms())
             .map(observe);
+        // The capacity verdict on every peer's server, from a clone: the
+        // product probes only the candidates that could win.
+        let cold = cluster.clone();
+        let admits: BTreeMap<u32, bool> = view
+            .iter()
+            .flat_map(|v| v.peers.iter().map(move |p| (v.vm, p.server)))
+            .map(|(vm, s)| {
+                (
+                    s.get(),
+                    cold.can_host(traffic, s, vm, self.threshold).is_ok(),
+                )
+            })
+            .collect();
         let outcome = self.session.step();
         let pick = outcome.and_then(|o| o.decision.target.map(|s| s.get()));
         let (o, h) = match (outcome, self.model.hold(pick)) {
@@ -264,12 +281,10 @@ impl World {
             (h.holder, h.from, h.to, h.next),
             "holder, from, to, next at {t}"
         );
-        let probed = (d.evaluated, d.rejected_capacity);
-        assert_eq!(
-            probed,
-            (h.candidates, h.rejected),
-            "candidates, rejected at {t}"
-        );
+        assert_eq!(d.evaluated, h.candidates, "candidates at {t}");
+        for &(s, fits) in &h.fits {
+            assert_eq!(admits.get(&s), Some(&fits), "admission of srv{s} at {t}");
+        }
         assert!(
             (d.gain - h.gain).abs() <= tol,
             "gain {} vs {}",
@@ -475,6 +490,7 @@ fn drive(fabric: Fabric, case: u32, tally: &mut Tally) {
     let scenario = session.scenario();
     let mut world = World {
         cm: scenario.engine.score().migration_cost,
+        threshold: scenario.engine.score().bandwidth_threshold,
         forecast: scenario.forecast.is_active(),
         precopy: PreCopyModel::new(scenario.engine.precopy()),
         draws: StdRng::seed_from_u64(scenario.seed),

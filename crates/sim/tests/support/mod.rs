@@ -18,8 +18,9 @@ use score_sim::{ForecastSpec, PolicyKind, Scenario};
 use score_topology::{ServerId, Topology, VmId};
 use score_traffic::{EwmaForecaster, RateForecaster};
 
-/// What one token hold did; `gain` is the move's ΔC at current rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What one token hold did; `gain` is the move's ΔC at current rates,
+/// and `fits` each candidate with its verdict of the capacity probe.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefHold {
     pub holder: u32,
     pub from: u32,
@@ -28,7 +29,7 @@ pub struct RefHold {
     pub gain: f64,
     pub preemptive: bool,
     pub candidates: usize,
-    pub rejected: usize,
+    pub fits: Vec<(u32, bool)>,
     pub near_tie: bool,
 }
 
@@ -196,8 +197,9 @@ impl RefSession {
         let (now, before) = (self.cost(), self.cost_of(&scored, &self.alloc));
         let (tol, cm) = (1e-9 * now.max(before), score.migration_cost);
         // Theorem 1: the feasible target with the largest ΔC, if > c_m.
+        let fits: Vec<(u32, bool)> = candidates.iter().map(|&s| (s, self.fits(u, s))).collect();
         let (mut options, mut own, mut top) = (Vec::new(), None, f64::NEG_INFINITY);
-        for &s in candidates.iter().filter(|&&s| self.fits(u, s)) {
+        for &(s, _) in fits.iter().filter(|f| f.1) {
             let gain = before - self.cost_of(&scored, &self.moved(u, s));
             options.push((s, gain));
             if gain > top {
@@ -226,7 +228,7 @@ impl RefSession {
             gain,
             preemptive: self.forecaster.is_some() && to.is_some() && gain <= cm,
             candidates: candidates.len(),
-            rejected: candidates.len() - options.len(),
+            fits,
             near_tie,
         })
     }
@@ -320,7 +322,7 @@ impl RefSession {
             return;
         }
         if let Some(f) = &mut self.forecaster {
-            f.observe_updates(&[(VmId::new(u), VmId::new(v), rate)], now);
+            f.observe_updates(&mut [(VmId::new(u), VmId::new(v), rate)].into_iter(), now);
         }
     }
 

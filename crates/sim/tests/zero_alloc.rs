@@ -9,10 +9,11 @@
 //! buffers have seen a batch of the size, re-rating live pairs must not
 //! touch the allocator. A regression here puts `malloc`/`free` back on a
 //! path that does half a microsecond of work per batch. A recording
-//! session (the daemon's) may grow its recorder's event list, and
+//! session (the daemon's) may grow its recorder's event list, and a
+//! forecasting one its queue of pending forecast evaluations, and
 //! nothing else.
 
-use score_sim::{EventQueue, Scenario, SimEvent};
+use score_sim::{EventQueue, ForecastSpec, Scenario, SimEvent};
 use score_topology::VmId;
 use score_traffic::TrafficIntensity;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -124,6 +125,30 @@ fn sparse_replay_does_not_allocate() {
     assert!(
         recorded <= 32,
         "10,000 recorded re-rates performed {recorded} heap allocations"
+    );
+
+    // A forecasting session maps each batch's staged changes into its
+    // forecaster as they land and collects nothing per call: only its
+    // queue of pending forecast evaluations grows, amortised.
+    let mut scenario = Scenario::small_canonical(TrafficIntensity::Sparse, 0xa110c);
+    scenario.forecast = ForecastSpec::Ewma {
+        alpha: 0.5,
+        horizon_s: 30.0,
+    };
+    let mut session = scenario.session().expect("the preset is feasible");
+    let (u, v, rate) = session.traffic().pairs()[0];
+    session.apply_traffic_deltas(&[(u, v, rate * 2.0)]).unwrap();
+    let mut rerated = 0;
+    let forecast = allocs_during(|| {
+        for i in 0..10_000 {
+            let bumped = rate * (3.0 + i as f64);
+            rerated += session.apply_traffic_deltas(&[(u, v, bumped)]).unwrap();
+        }
+    });
+    assert_eq!(rerated, 10_000);
+    assert!(
+        forecast <= 32,
+        "10,000 forecast re-rates performed {forecast} heap allocations"
     );
 
     // The event queue: a loaded run pops by index, whatever sits in the

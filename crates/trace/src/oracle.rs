@@ -130,8 +130,12 @@ impl RateForecaster for OracleForecaster {
         }
     }
 
-    fn observe_updates(&mut self, updates: &[(VmId, VmId, f64)], _now_s: f64) {
-        for &(u, v, rate) in updates {
+    fn observe_updates(
+        &mut self,
+        updates: &mut dyn Iterator<Item = (VmId, VmId, f64)>,
+        _now_s: f64,
+    ) {
+        for (u, v, rate) in updates {
             let key = Self::key(u, v);
             if rate == 0.0 {
                 self.current.remove(&key);
@@ -254,12 +258,12 @@ mod tests {
             .unwrap();
         let mut o = oracle_for(&trace);
         // The session applies the delta at t = 30 and tells the oracle.
-        o.observe_updates(&[(vm(0), vm(1), 50.0)], 30.0);
+        o.observe_updates(&mut [(vm(0), vm(1), 50.0)].into_iter(), 30.0);
         // Past breakpoints and current agree from then on.
         assert_eq!(o.predict(vm(0), vm(1), 30.0, 0.0), 50.0);
         assert_eq!(o.predict(vm(0), vm(1), 35.0, 60.0), 50.0);
         // A zero re-rate removes the pair from current.
-        o.observe_updates(&[(vm(0), vm(1), 0.0)], 40.0);
+        o.observe_updates(&mut [(vm(0), vm(1), 0.0)].into_iter(), 40.0);
         assert_eq!(o.current.len(), 0);
     }
 

@@ -44,8 +44,10 @@ pub trait RateForecaster: fmt::Debug + Send {
     fn prime(&mut self, traffic: &PairTraffic, now_s: f64);
 
     /// Folds one batch of absolute re-rates observed at `now_s`; each
-    /// `(u, v, new_rate)` entry replaces λ(u, v).
-    fn observe_updates(&mut self, updates: &[(VmId, VmId, f64)], now_s: f64);
+    /// `(u, v, new_rate)` entry replaces λ(u, v). The batch is an
+    /// iterator, so a caller can map its own records into it without
+    /// collecting them first.
+    fn observe_updates(&mut self, updates: &mut dyn Iterator<Item = (VmId, VmId, f64)>, now_s: f64);
 
     /// Folds one uniform scale observed at `now_s`: every λ(u, v) was
     /// multiplied by `factor` (saturating at `f64::MAX`). Equivalent to
@@ -97,7 +99,7 @@ struct PairTrend {
 /// let mut f = EwmaForecaster::new(1.0); // no smoothing: pure trend
 /// f.prime(&tm, 0.0);
 /// // The pair ramps by 1 Mb/s every 10 s …
-/// f.observe_updates(&[(VmId::new(0), VmId::new(1), 2e6)], 10.0);
+/// f.observe_updates(&mut [(VmId::new(0), VmId::new(1), 2e6)].into_iter(), 10.0);
 /// // … so 20 s ahead it should sit near 4 Mb/s.
 /// let ahead = f.predict(VmId::new(0), VmId::new(1), 10.0, 20.0);
 /// assert!((ahead - 4e6).abs() < 1.0);
@@ -183,8 +185,12 @@ impl RateForecaster for EwmaForecaster {
         }
     }
 
-    fn observe_updates(&mut self, updates: &[(VmId, VmId, f64)], now_s: f64) {
-        for &(u, v, new_rate) in updates {
+    fn observe_updates(
+        &mut self,
+        updates: &mut dyn Iterator<Item = (VmId, VmId, f64)>,
+        now_s: f64,
+    ) {
+        for (u, v, new_rate) in updates {
             let key = Self::key(u, v);
             match self.pairs.get_mut(&key) {
                 Some(t) => t.observe(self.alpha, new_rate, now_s),
@@ -264,7 +270,10 @@ mod tests {
         f.prime(&tm(&[(0, 1, 0.0 + 1e6)]), 0.0);
         for step in 1..=5u32 {
             let t = f64::from(step) * 10.0;
-            f.observe_updates(&[(vm(0), vm(1), 1e6 + f64::from(step) * 1e6)], t);
+            f.observe_updates(
+                &mut [(vm(0), vm(1), 1e6 + f64::from(step) * 1e6)].into_iter(),
+                t,
+            );
         }
         // Rate at t=50 is 6 Mb/s climbing 0.1 Mb/s²; 30 s ahead ≈ 9 Mb/s.
         let ahead = f.predict(vm(0), vm(1), 50.0, 30.0);
@@ -275,7 +284,7 @@ mod tests {
     fn declining_pairs_clamp_at_zero() {
         let mut f = EwmaForecaster::new(1.0);
         f.prime(&tm(&[(0, 1, 1e6)]), 0.0);
-        f.observe_updates(&[(vm(0), vm(1), 0.5e6)], 10.0);
+        f.observe_updates(&mut [(vm(0), vm(1), 0.5e6)].into_iter(), 10.0);
         // Slope −50 kb/s²: 100 s ahead the linear extrapolation is
         // negative, the forecast is clamped.
         assert_eq!(f.predict(vm(0), vm(1), 10.0, 100.0), 0.0);
@@ -285,7 +294,7 @@ mod tests {
     fn direction_is_canonical() {
         let mut f = EwmaForecaster::new(0.5);
         f.prime(&tm(&[(0, 1, 2e6)]), 0.0);
-        f.observe_updates(&[(vm(1), vm(0), 4e6)], 5.0);
+        f.observe_updates(&mut [(vm(1), vm(0), 4e6)].into_iter(), 5.0);
         assert_eq!(f.tracked_pairs(), 1);
         assert_eq!(f.predict(vm(0), vm(1), 5.0, 0.0), 4e6);
         assert_eq!(
@@ -303,8 +312,8 @@ mod tests {
         jumpy.prime(&base, 0.0);
         // A steady ramp followed by one spurious dip.
         for (t, r) in [(10.0, 2e6), (20.0, 3e6), (30.0, 4e6), (40.0, 1e6)] {
-            smooth.observe_updates(&[(vm(0), vm(1), r)], t);
-            jumpy.observe_updates(&[(vm(0), vm(1), r)], t);
+            smooth.observe_updates(&mut [(vm(0), vm(1), r)].into_iter(), t);
+            jumpy.observe_updates(&mut [(vm(0), vm(1), r)].into_iter(), t);
         }
         // α = 1 swings to the dip's full negative slope; α = 0.2 keeps
         // most of the accumulated upward trend.
@@ -317,7 +326,7 @@ mod tests {
     fn prime_resets_state() {
         let mut f = EwmaForecaster::new(0.7);
         f.prime(&tm(&[(0, 1, 1e6)]), 0.0);
-        f.observe_updates(&[(vm(0), vm(1), 9e6)], 10.0);
+        f.observe_updates(&mut [(vm(0), vm(1), 9e6)].into_iter(), 10.0);
         f.prime(&tm(&[(0, 1, 2e6)]), 0.0);
         assert_eq!(f.predict(vm(0), vm(1), 0.0, 100.0), 2e6, "trend cleared");
     }
