@@ -9,7 +9,7 @@
 //!   [`GeneticOptimizer`];
 //! * **Remedy** (§VI-B, ref. \[15\]): a centralized, OpenFlow-based,
 //!   utilization-balancing VM manager — [`Remedy`];
-//! * traffic-agnostic initial placements (random / striped / packed) —
+//! * traffic-agnostic initial placements (random / shuffled-packed) —
 //!   [`placement`].
 //!
 //! Additionally:
@@ -30,10 +30,7 @@ pub mod remedy;
 
 pub use exhaustive::{exhaustive_optimal, ExhaustiveResult, MAX_STATES};
 pub use ga::{GaConfig, GaResult, GeneticOptimizer};
-pub use placement::{
-    packed_placement, random_placement, respects_slots, shuffled_packed_placement,
-    striped_placement,
-};
+pub use placement::{random_placement, respects_slots, shuffled_packed_placement};
 pub use reduction::{
     min_cost_brute_force, min_cut_brute_force, reduce, verify_reduction, GraphPartitionInstance,
     OvmaInstance,

@@ -2,8 +2,8 @@
 //!
 //! "DCs are built to support a large number of VMs that are initially
 //! allocated either at random or in a load-balanced manner" (paper §III).
-//! These are the starting points every experiment perturbs, plus the
-//! densely-packed placement that seeds the GA's initial population.
+//! Every experiment starts from a random one; the densely-packed
+//! placement seeds the GA's initial population.
 
 use rand::Rng;
 use score_core::Allocation;
@@ -34,43 +34,10 @@ pub fn random_placement<R: Rng + ?Sized>(
     })
 }
 
-/// Load-balanced placement: VM `v` on server `v mod num_servers`
-/// (round-robin striping).
-///
-/// # Panics
-///
-/// Panics if the striping would exceed `slots_per_server`.
-pub fn striped_placement(num_vms: u32, num_servers: u32, slots_per_server: u32) -> Allocation {
-    let per_server = num_vms.div_ceil(num_servers.max(1));
-    assert!(
-        per_server <= slots_per_server,
-        "striping puts {per_server} VMs per server, above the limit {slots_per_server}"
-    );
-    Allocation::from_fn(num_vms, num_servers, |vm| {
-        ServerId::new(vm.get() % num_servers)
-    })
-}
-
-/// Densely packed placement: fill server 0 to its slot limit, then server
-/// 1, and so on (first-fit). This is the "densely-packed VM distribution"
-/// shape the GA population starts from (§VI-A).
-///
-/// # Panics
-///
-/// Panics if the total slot capacity cannot hold all VMs.
-pub fn packed_placement(num_vms: u32, num_servers: u32, slots_per_server: u32) -> Allocation {
-    assert!(
-        (num_servers as u64) * (slots_per_server as u64) >= num_vms as u64,
-        "not enough slots"
-    );
-    Allocation::from_fn(num_vms, num_servers, |vm| {
-        ServerId::new(vm.get() / slots_per_server)
-    })
-}
-
-/// Randomly packed placement: like [`packed_placement`] but the VM order is
-/// shuffled, giving a *random* densely-packed individual (the GA's initial
-/// population of "densely-packed VM distributions").
+/// Randomly packed placement: servers fill to their slot limit in id
+/// order (first-fit) with the VM order shuffled, giving a *random*
+/// densely-packed individual (the GA's initial population of
+/// "densely-packed VM distributions", §VI-A).
 pub fn shuffled_packed_placement<R: Rng + ?Sized>(
     num_vms: u32,
     num_servers: u32,
@@ -129,29 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_balances() {
-        let a = striped_placement(16, 4, 8);
-        for s in 0..4 {
-            assert_eq!(a.occupancy(ServerId::new(s)), 4);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "above the limit")]
-    fn striped_rejects_overfull() {
-        let _ = striped_placement(100, 4, 8);
-    }
-
-    #[test]
-    fn packed_fills_in_order() {
-        let a = packed_placement(10, 4, 4);
-        assert_eq!(a.occupancy(ServerId::new(0)), 4);
-        assert_eq!(a.occupancy(ServerId::new(1)), 4);
-        assert_eq!(a.occupancy(ServerId::new(2)), 2);
-        assert_eq!(a.occupancy(ServerId::new(3)), 0);
-    }
-
-    #[test]
     fn shuffled_packed_is_packed_but_random() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = shuffled_packed_placement(10, 4, 4, &mut rng);
@@ -160,8 +104,9 @@ mod tests {
         let mut occ: Vec<usize> = (0..4).map(|s| a.occupancy(ServerId::new(s))).collect();
         occ.sort_unstable_by(|x, y| y.cmp(x));
         assert_eq!(occ, vec![4, 4, 2, 0]);
-        // Different VM identities than plain packed (with overwhelming
-        // probability for this seed).
-        assert_ne!(a, packed_placement(10, 4, 4));
+        // Different VM identities than an unshuffled fill (with
+        // overwhelming probability for this seed).
+        let in_order = Allocation::from_fn(10, 4, |vm| ServerId::new(vm.get() / 4));
+        assert_ne!(a, in_order);
     }
 }

@@ -1,6 +1,5 @@
-//! Ablation benchmarks for three design choices of the decision engine:
-//! candidate-probe budget, bandwidth-threshold enforcement, and link-weight
-//! vector length.
+//! Ablation benchmarks for two design choices of the decision engine:
+//! bandwidth-threshold enforcement and link-weight vector length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use score_bench::bench_world;
@@ -12,37 +11,14 @@ fn bench_ablations(c: &mut Criterion) {
     let (cluster, traffic) = bench_world(256, 6);
     let mut scratch = KernelScratch::new();
 
-    // Candidate-probe budget: how much does capping the §V-B5 probes save?
-    for budget in [1usize, 4, 16] {
-        let engine = ScoreEngine::new(
-            CostModel::paper_default(),
-            ScoreConfig {
-                max_candidates: Some(budget),
-                ..ScoreConfig::paper_default()
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("decision_with_budget", budget),
-            &budget,
-            |b, _| {
-                b.iter(|| {
-                    let view = LocalView::observe(
-                        VmId::new(3),
-                        cluster.allocation(),
-                        &traffic,
-                        cluster.topo(),
-                    );
-                    engine.decide(&view, &cluster, &traffic, &mut scratch)
-                })
-            },
-        );
-    }
-
     // Bandwidth threshold: dynamic NIC accounting on vs off.
     for (label, threshold) in [("enforced", 1.0f64), ("unbounded", f64::INFINITY)] {
         let engine = ScoreEngine::new(
             CostModel::paper_default(),
-            ScoreConfig::paper_default().with_bandwidth_threshold(threshold),
+            ScoreConfig {
+                bandwidth_threshold: threshold,
+                ..ScoreConfig::paper_default()
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("decision_bandwidth", label),

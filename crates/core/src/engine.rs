@@ -53,31 +53,22 @@ pub struct ScoreConfig {
     /// targets above this are skipped ("the next best choice with adequate
     /// bandwidth will be considered", §V-C).
     pub bandwidth_threshold: f64,
-    /// Optional cap on how many candidate servers to probe per decision
-    /// (capacity-probe budget). `None` probes every peer server.
-    pub max_candidates: Option<usize>,
 }
 
 impl ScoreConfig {
-    /// The paper's evaluation defaults: `c_m = 0`, no bandwidth headroom
-    /// reserved, probe all peers.
+    /// The paper's evaluation defaults: `c_m = 0` and no bandwidth
+    /// headroom reserved. Every decision ranks all its peers' servers
+    /// (§V-B5); that is not a tunable.
     pub fn paper_default() -> Self {
         ScoreConfig {
             migration_cost: 0.0,
             bandwidth_threshold: 1.0,
-            max_candidates: None,
         }
     }
 
     /// Returns a copy with the given migration cost.
     pub fn with_migration_cost(mut self, cm: f64) -> Self {
         self.migration_cost = cm;
-        self
-    }
-
-    /// Returns a copy with the given bandwidth threshold.
-    pub fn with_bandwidth_threshold(mut self, threshold: f64) -> Self {
-        self.bandwidth_threshold = threshold;
         self
     }
 }
@@ -169,7 +160,7 @@ impl ScoreEngine {
     /// provided it exceeds `c_m` (Theorem 1). Only a candidate that would
     /// win is probed (see `probe_candidates`).
     ///
-    /// Candidates are ranked, capped, scored and tested against Theorem 1
+    /// Candidates are ranked, scored and tested against Theorem 1
     /// on each peer's `expected` rate; [`MigrationDecision::gain`] reports
     /// the chosen move's ΔC at the *current* rates (what the cost ledger
     /// must absorb). Without a forecast the two rates are one and this is
@@ -208,9 +199,6 @@ impl ScoreEngine {
         let weights = self.cost.weights();
         let mut candidates = std::mem::take(&mut scratch.candidates);
         view.rank_candidates_into(&mut candidates);
-        if let Some(cap) = self.config.max_candidates {
-            candidates.truncate(cap);
-        }
         let buckets = topo
             .level_buckets()
             .filter(|_| candidates.len() >= KERNEL_MIN_CANDIDATES);
@@ -537,9 +525,10 @@ mod tests {
             let threshold = [1.0, 0.95, f64::INFINITY][rng.gen_range(0..3)];
             let engine = ScoreEngine::new(
                 CostModel::paper_default(),
-                ScoreConfig::paper_default()
-                    .with_migration_cost(cm)
-                    .with_bandwidth_threshold(threshold),
+                ScoreConfig {
+                    bandwidth_threshold: threshold,
+                    ..ScoreConfig::paper_default().with_migration_cost(cm)
+                },
             );
             let d = decide(&engine, &view, &cluster, &traffic);
             let want = eager_choice(&engine, &view, &cluster, &traffic);
@@ -597,27 +586,10 @@ mod tests {
     }
 
     #[test]
-    fn candidate_budget_respected() {
-        let (cluster, traffic) = fixture();
-        let engine = ScoreEngine::new(
-            CostModel::paper_default(),
-            ScoreConfig {
-                max_candidates: Some(1),
-                ..ScoreConfig::paper_default()
-            },
-        );
-        let view = LocalView::observe(VmId::new(0), cluster.allocation(), &traffic, cluster.topo());
-        let d = decide(&engine, &view, &cluster, &traffic);
-        assert_eq!(d.evaluated, 1);
-    }
-
-    #[test]
     fn config_builders() {
-        let c = ScoreConfig::paper_default()
-            .with_migration_cost(5.0)
-            .with_bandwidth_threshold(0.8);
+        let c = ScoreConfig::paper_default().with_migration_cost(5.0);
         assert_eq!(c.migration_cost, 5.0);
-        assert_eq!(c.bandwidth_threshold, 0.8);
+        assert_eq!(c.bandwidth_threshold, 1.0);
         assert_eq!(ScoreConfig::default(), ScoreConfig::paper_default());
     }
 }

@@ -146,7 +146,8 @@ proptest! {
 
         // Same pattern, re-rated (exercises the rate-change arm of the
         // merge-join, not just insert/remove).
-        let scaled = a.scaled(f64::from(scale_milli) / 1000.0);
+        let mut scaled = a.clone();
+        scaled.scale_all(f64::from(scale_milli) / 1000.0);
         ledger.rebind(&alloc, &a, &scaled, &topo);
         let fresh = model.total_cost(&alloc, &scaled, &topo);
         prop_assert!((ledger.current() - fresh).abs() <= 1e-9 * fresh.max(1.0));

@@ -4,7 +4,7 @@
 //! bench in this repository runs through.
 //!
 //! * [`spec`] — [`Scenario`]: a fully serde-round-trippable experiment
-//!   description (`TopologySpec` × `WorkloadSpec` × `PlacementSpec` ×
+//!   description (`TopologySpec` × `WorkloadSpec` × `ResourceSpec` ×
 //!   `PolicySpec` × `EngineSpec` × `ForecastSpec` × `TimingSpec`), with
 //!   builder and paper presets;
 //! * [`session`] — [`Session`]: the materialized cluster + token ring +
@@ -57,12 +57,10 @@ pub use events::{EventQueue, SimEvent};
 pub use matrix::{MatrixCell, MatrixReport, MatrixRunner, RunLength, ScenarioMatrix};
 pub use metrics::{ascii_chart, jain_fairness, series_to_csv, UtilizationSnapshot};
 pub use report::{
-    FlowTableOps, ForecastStats, HypervisorStats, MigrationEvent, RecoveryStats, RunReport,
-    TraceReplayStats,
+    FlowTableOps, ForecastStats, MigrationEvent, RecoveryStats, RunReport, TraceReplayStats,
 };
 pub use session::{FaultOutcome, Session};
 pub use spec::{
-    EngineSpec, ForecastSpec, PlacementSpec, PolicyKind, PolicySpec, ResourceSpec, Scenario,
-    ScenarioBuilder, ScenarioError, TimingSpec, TopologyKind, TopologySpec, TraceSpec,
-    WorkloadSpec,
+    EngineSpec, ForecastSpec, PolicyKind, PolicySpec, ResourceSpec, Scenario, ScenarioBuilder,
+    ScenarioError, TimingSpec, TopologyKind, TopologySpec, TraceSpec, WorkloadSpec,
 };

@@ -16,8 +16,7 @@
 //! token ring, RNG) from its own `Scenario`, so a sweep fans out onto
 //! worker threads with no shared mutable state. [`MatrixRunner`]
 //! (via [`ScenarioMatrix::runner`]) runs the same cells on scoped
-//! `std` threads: [`MatrixRunner::threads`] picks the width,
-//! [`MatrixRunner::parallel`] uses every available core, and the
+//! `std` threads: [`MatrixRunner::threads`] picks the width, and the
 //! resulting [`MatrixReport`] is **bit-identical** to the serial
 //! [`ScenarioMatrix::run`] — same cell order, same per-cell seeds, same
 //! JSON — at any thread count, trace workloads included (pinned by the
@@ -246,7 +245,7 @@ impl ScenarioMatrix {
 
     /// Wraps the sweep in a [`MatrixRunner`] for multi-core execution.
     /// The runner defaults to serial (one thread); chain
-    /// [`MatrixRunner::threads`] or [`MatrixRunner::parallel`].
+    /// [`MatrixRunner::threads`] to widen it.
     pub fn runner(self) -> MatrixRunner {
         MatrixRunner {
             matrix: self,
@@ -335,13 +334,6 @@ impl MatrixRunner {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Uses every core the host offers.
-    #[must_use]
-    pub fn parallel(self) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.threads(cores)
     }
 
     /// The configured worker count.
@@ -638,9 +630,9 @@ mod tests {
             assert_eq!(parallel, serial, "{threads} threads diverged");
             assert_eq!(parallel.to_json(), serial.to_json());
         }
-        let auto = matrix.clone().runner().parallel();
-        assert!(auto.thread_count() >= 1);
-        assert_eq!(auto.run().unwrap(), serial);
+        let clamped = matrix.clone().runner().threads(0);
+        assert_eq!(clamped.thread_count(), 1);
+        assert_eq!(clamped.run().unwrap(), serial);
     }
 
     #[test]

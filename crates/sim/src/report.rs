@@ -41,17 +41,6 @@ pub struct MigrationEvent {
     pub downtime_s: f64,
 }
 
-/// In-/out-migration counts for one hypervisor — the bookkeeping the
-/// paper's per-server "VM hypervisor network application" maintains
-/// ("supporting in-migration … as well as out-migration", §VI).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HypervisorStats {
-    /// VMs that moved onto this server.
-    pub in_migrations: u32,
-    /// VMs that moved off this server.
-    pub out_migrations: u32,
-}
-
 /// Dom0 flow-table operation counts implied by a run: every token hold
 /// aggregates the local flow table once (§V-B1), and every migration
 /// reinstalls flow rules at the source and destination dom0s.
@@ -125,18 +114,6 @@ pub struct ForecastStats {
     /// Mean signed error (predicted − realized) over `error_samples`:
     /// positive means the forecaster overshoots, negative undershoots.
     pub bias: f64,
-}
-
-impl ForecastStats {
-    /// Fraction of migrations that were pre-emptive (0 when none ran).
-    pub fn preempted_ratio(&self) -> f64 {
-        let total = self.preempted + self.reactive;
-        if total == 0 {
-            0.0
-        } else {
-            self.preempted as f64 / total as f64
-        }
-    }
 }
 
 /// Recovery accounting of the adversity engine: what faults hit the
@@ -233,34 +210,6 @@ impl RunReport {
         } else {
             1.0 - self.final_cost / self.initial_cost
         }
-    }
-
-    /// Per-server in-/out-migration counts (indexed by raw server id).
-    pub fn hypervisor_stats(&self, num_servers: usize) -> Vec<HypervisorStats> {
-        let mut stats = vec![HypervisorStats::default(); num_servers];
-        for m in &self.migrations {
-            stats[m.from.index()].out_migrations += 1;
-            stats[m.to.index()].in_migrations += 1;
-        }
-        stats
-    }
-
-    /// Maximum number of migrations in flight at any instant (each
-    /// migration occupies `[time_s, time_s + duration_s)`).
-    pub fn max_concurrent_migrations(&self) -> usize {
-        let mut events: Vec<(f64, i32)> = Vec::with_capacity(self.migrations.len() * 2);
-        for m in &self.migrations {
-            events.push((m.time_s, 1));
-            events.push((m.time_s + m.duration_s, -1));
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut current = 0i32;
-        let mut max = 0i32;
-        for (_, delta) in events {
-            current += delta;
-            max = max.max(current);
-        }
-        max.max(0) as usize
     }
 
     /// Cost series normalised by a baseline cost (the "communication cost
@@ -391,12 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn forecast_stats_ratio() {
-        assert_eq!(sample_report().forecast.preempted_ratio(), 0.5);
-        assert_eq!(ForecastStats::default().preempted_ratio(), 0.0);
-    }
-
-    #[test]
     fn trace_stats_aggregates() {
         let mut stats = TraceReplayStats::default();
         stats.count_batch(30);
@@ -420,11 +363,6 @@ mod tests {
         assert!((r.total_downtime_s() - 0.03).abs() < 1e-12);
         assert!((r.cost_reduction() - 0.5).abs() < 1e-12);
         assert_eq!(r.flow_table.total(), 12);
-        // Overlapping migrations: [1,4) and [2,6) overlap.
-        assert_eq!(r.max_concurrent_migrations(), 2);
-        let stats = r.hypervisor_stats(3);
-        assert_eq!(stats[1].in_migrations, 1);
-        assert_eq!(stats[1].out_migrations, 1);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub use faults::FaultOutcome;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use score_baselines::random_placement;
 use score_core::{
     Cluster, CostLedger, CostModel, IterationStats, LinkLoadMap, OutlookContext, ScoreEngine,
     StepOutcome, TokenRing,
@@ -210,11 +211,12 @@ impl Session {
                 server_spec.vm_slots
             )));
         }
-        let alloc = scenario.placement.build(
+        // The paper's traffic-agnostic initial placement (§III).
+        let alloc = random_placement(
             traffic.num_vms(),
             topo.num_servers() as u32,
             server_spec.vm_slots,
-            scenario.workload.seed(),
+            &mut StdRng::seed_from_u64(scenario.workload.seed() ^ 0x9e37_79b9_7f4a_7c15),
         );
         let cluster = Cluster::with_vm_specs(
             Arc::clone(&topo),

@@ -1,7 +1,8 @@
 //! The declarative experiment API: a [`Scenario`] is a fully
 //! serde-round-trippable description of one S-CORE experiment — fabric,
-//! workload, initial placement, token policy, decision engine, and
-//! timing — with nothing materialized yet.
+//! workload, resources, token policy, decision engine, forecasting and
+//! timing — with nothing materialized yet. The initial placement is the
+//! paper's traffic-agnostic random one, drawn from the workload seed.
 //!
 //! `Scenario` is the single entry point for every experiment binary,
 //! example, bench and test in this repository: declare the scenario
@@ -10,10 +11,7 @@
 //! over policies × topologies × intensities is a loop over values, and
 //! any run can be reproduced from its serialized spec alone.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use score_baselines::{packed_placement, random_placement, striped_placement};
-use score_core::{Allocation, ClusterError, ScoreConfig, ServerSpec, TokenPolicy, VmSpec};
+use score_core::{ClusterError, ScoreConfig, ServerSpec, TokenPolicy, VmSpec};
 use score_topology::{
     CanonicalTreeBuilder, FatTreeBuilder, LinkCapacities, LinkWeights, StarTopology, Topology,
 };
@@ -54,7 +52,7 @@ impl TopologyKind {
 pub enum ScenarioError {
     /// The topology dimensions are invalid (zero counts, odd `k`, …).
     Topology(String),
-    /// The requested placement cannot be represented.
+    /// The resource spec is unusable, or the VMs do not fit the servers.
     Placement(String),
     /// The workload description is unusable (out-of-range VM ids,
     /// self-pairs, non-positive rates in an explicit pair list).
@@ -73,7 +71,7 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::Topology(msg) => write!(f, "invalid topology spec: {msg}"),
             ScenarioError::Workload(msg) => write!(f, "invalid workload spec: {msg}"),
-            ScenarioError::Placement(msg) => write!(f, "invalid placement spec: {msg}"),
+            ScenarioError::Placement(msg) => write!(f, "invalid placement: {msg}"),
             ScenarioError::Timing(msg) => write!(f, "invalid timing spec: {msg}"),
             ScenarioError::Engine(msg) => write!(f, "invalid engine spec: {msg}"),
             ScenarioError::Cluster(e) => write!(f, "cluster construction failed: {e}"),
@@ -696,48 +694,6 @@ impl Default for ResourceSpec {
     }
 }
 
-/// Declarative initial-placement description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PlacementSpec {
-    /// Uniform-random placement honouring slot limits (the paper's
-    /// traffic-agnostic initial placement). The RNG derives from the
-    /// workload seed xor `salt`, so the same scenario always places the
-    /// same way.
-    Random {
-        /// Extra entropy folded into the placement RNG.
-        salt: u64,
-    },
-    /// Round-robin stripe: VM `v` on server `v mod N`.
-    Striped,
-    /// Fill servers in id order up to their slot limit.
-    Packed,
-}
-
-impl PlacementSpec {
-    /// The paper's default: random placement with no extra salt.
-    pub fn random() -> Self {
-        PlacementSpec::Random { salt: 0 }
-    }
-
-    /// Builds the VM→server assignment.
-    pub fn build(
-        &self,
-        num_vms: u32,
-        num_servers: u32,
-        slots_per_server: u32,
-        workload_seed: u64,
-    ) -> Allocation {
-        match *self {
-            PlacementSpec::Random { salt } => {
-                let mut rng = StdRng::seed_from_u64(workload_seed ^ salt ^ 0x9e37_79b9_7f4a_7c15);
-                random_placement(num_vms, num_servers, slots_per_server, &mut rng)
-            }
-            PlacementSpec::Striped => striped_placement(num_vms, num_servers, slots_per_server),
-            PlacementSpec::Packed => packed_placement(num_vms, num_servers, slots_per_server),
-        }
-    }
-}
-
 /// Declarative short-horizon forecasting description: whether (and how)
 /// the decision pipeline looks ahead of the current TM.
 ///
@@ -883,12 +839,13 @@ impl PolicyKind {
     }
 }
 
-/// Declarative decision-engine description: the S-CORE parameters plus
-/// the migration-overhead model.
+/// Declarative decision-engine description: the S-CORE parameters and
+/// the cost model's link weights. Migration overheads always follow the
+/// testbed-calibrated pre-copy model under idle background load
+/// (§VI-C): see [`EngineSpec::precopy`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EngineSpec {
-    /// The paper's evaluation defaults (`c_m = 0`, `e^ℓ` link weights,
-    /// testbed-calibrated pre-copy, idle background load).
+    /// The paper's evaluation defaults (`c_m = 0`, `e^ℓ` link weights).
     Paper,
     /// Fully explicit parameters.
     Custom {
@@ -896,10 +853,6 @@ pub enum EngineSpec {
         score: ScoreConfig,
         /// Per-level link weights of the cost model.
         weights: LinkWeights,
-        /// Pre-copy model for migration overheads.
-        precopy: PreCopyConfig,
-        /// Background load seen by migration traffic.
-        background: CbrLoad,
     },
 }
 
@@ -910,8 +863,6 @@ impl EngineSpec {
         EngineSpec::Custom {
             score: ScoreConfig::paper_default(),
             weights: LinkWeights::paper_default(),
-            precopy: PreCopyConfig::paper_default(),
-            background: CbrLoad::IDLE,
         }
     }
 
@@ -931,49 +882,33 @@ impl EngineSpec {
         }
     }
 
-    /// The pre-copy migration model parameters.
+    /// The pre-copy migration model parameters: the paper's testbed
+    /// calibration, whatever the spec.
     pub fn precopy(&self) -> PreCopyConfig {
-        match self {
-            EngineSpec::Paper => PreCopyConfig::paper_default(),
-            EngineSpec::Custom { precopy, .. } => *precopy,
-        }
+        PreCopyConfig::paper_default()
     }
 
-    /// The background load migrations compete with.
+    /// The background load migrations compete with: none, whatever the
+    /// spec.
     pub fn background(&self) -> CbrLoad {
-        match self {
-            EngineSpec::Paper => CbrLoad::IDLE,
-            EngineSpec::Custom { background, .. } => *background,
-        }
+        CbrLoad::IDLE
     }
 
     /// Returns a copy with the given migration cost `c_m` (Theorem 1's
     /// knob), promoting `Paper` to `Custom`.
     pub fn with_migration_cost(self, cm: f64) -> Self {
-        let (mut score, weights, precopy, background) = (
-            self.score(),
-            self.weights(),
-            self.precopy(),
-            self.background(),
-        );
-        score.migration_cost = cm;
         EngineSpec::Custom {
-            score,
-            weights,
-            precopy,
-            background,
+            score: self.score().with_migration_cost(cm),
+            weights: self.weights(),
         }
     }
 
     /// Returns a copy with the given cost-model link weights, promoting
     /// `Paper` to `Custom`.
     pub fn with_weights(self, weights: LinkWeights) -> Self {
-        let (score, precopy, background) = (self.score(), self.precopy(), self.background());
         EngineSpec::Custom {
-            score,
+            score: self.score(),
             weights,
-            precopy,
-            background,
         }
     }
 
@@ -981,8 +916,8 @@ impl EngineSpec {
     /// violate: the decision parameters must be finite (the JSON writer
     /// renders non-finite floats as `null`, which would make an emitted
     /// spec impossible to reload), and none may silently disable S-CORE
-    /// — a bandwidth threshold ≤ 0 admits no target and a zero candidate
-    /// cap probes none, so either would load and never migrate.
+    /// — a bandwidth threshold ≤ 0 admits no target, so it would load
+    /// and never migrate.
     pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         let score = self.score();
         if !score.migration_cost.is_finite() {
@@ -996,11 +931,6 @@ impl EngineSpec {
                 "bandwidth threshold must be positive and finite, got {}",
                 score.bandwidth_threshold
             )));
-        }
-        if score.max_candidates == Some(0) {
-            return Err(ScenarioError::Engine(
-                "the candidate cap must allow at least one candidate".into(),
-            ));
         }
         Ok(())
     }
@@ -1109,8 +1039,6 @@ pub struct Scenario {
     pub topology: TopologySpec,
     /// Workload to offer.
     pub workload: WorkloadSpec,
-    /// Initial VM placement.
-    pub placement: PlacementSpec,
     /// Server capacities and VM demands.
     pub resources: ResourceSpec,
     /// Token-passing policy.
@@ -1123,14 +1051,16 @@ pub struct Scenario {
     /// Simulation timing.
     pub timing: TimingSpec,
     /// Master seed for simulation randomness (migration-model noise, the
-    /// random policy). Workload and placement seeds live in their specs.
+    /// random policy). The workload seed, which also draws the initial
+    /// placement, lives in the workload spec.
     pub seed: u64,
 }
 
 // Hand-written (instead of derived) so that scenario JSON written
 // before the forecast layer existed — with no `forecast` key — still
 // loads, defaulting to the reactive pipeline. The offline serde shim's
-// derive has no `#[serde(default)]`.
+// derive has no `#[serde(default)]`. Keys this type no longer has (an
+// older file's `placement`) are ignored.
 impl serde::Deserialize for Scenario {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let obj = v
@@ -1140,7 +1070,6 @@ impl serde::Deserialize for Scenario {
         Ok(Scenario {
             topology: serde::Deserialize::from_value(req("topology")?)?,
             workload: serde::Deserialize::from_value(req("workload")?)?,
-            placement: serde::Deserialize::from_value(req("placement")?)?,
             resources: serde::Deserialize::from_value(req("resources")?)?,
             policy: serde::Deserialize::from_value(req("policy")?)?,
             engine: serde::Deserialize::from_value(req("engine")?)?,
@@ -1268,7 +1197,6 @@ pub struct ScenarioBuilder {
     fixed_vms: Option<u32>,
     explicit_workload: Option<WorkloadSpec>,
     workload_seed: u64,
-    placement: PlacementSpec,
     resources: ResourceSpec,
     policy: PolicySpec,
     engine: EngineSpec,
@@ -1286,7 +1214,6 @@ impl Default for ScenarioBuilder {
             fixed_vms: None,
             explicit_workload: None,
             workload_seed: 42,
-            placement: PlacementSpec::random(),
             resources: ResourceSpec::paper_default(),
             policy: PolicyKind::HighestLevelFirst,
             engine: EngineSpec::Paper,
@@ -1405,12 +1332,6 @@ impl ScenarioBuilder {
         self.trace(TraceSpec::Literal { trace, seed })
     }
 
-    /// Sets the initial placement.
-    pub fn placement(mut self, placement: PlacementSpec) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Sets the per-server capacity spec.
     pub fn server_spec(mut self, server: ServerSpec) -> Self {
         self.resources.server = server;
@@ -1484,7 +1405,6 @@ impl ScenarioBuilder {
         Scenario {
             topology: self.topology,
             workload,
-            placement: self.placement,
             resources: self.resources,
             policy: self.policy,
             engine: self.engine,
@@ -1583,20 +1503,28 @@ mod tests {
 
     #[test]
     fn placements_are_deterministic_and_feasible() {
-        for spec in [
-            PlacementSpec::random(),
-            PlacementSpec::Striped,
-            PlacementSpec::Packed,
-        ] {
-            let a = spec.build(64, 16, 16, 7);
-            let b = spec.build(64, 16, 16, 7);
-            assert_eq!(a, b, "{spec:?} must be deterministic");
-            assert!(score_baselines::respects_slots(&a, 16), "{spec:?} must fit");
-        }
-        // Different salts give different random placements.
-        let a = PlacementSpec::Random { salt: 0 }.build(64, 16, 16, 7);
-        let b = PlacementSpec::Random { salt: 1 }.build(64, 16, 16, 7);
-        assert_ne!(a, b);
+        use rand::SeedableRng;
+        // The initial placement is `random_placement` seeded from the
+        // workload seed xor a fixed constant: the draw every scenario
+        // has always made, so every allocation stays what it was.
+        let place = |seed| {
+            let scenario = Scenario::builder()
+                .star(16)
+                .num_vms(64)
+                .workload_seed(seed)
+                .build();
+            scenario.session().unwrap().cluster().allocation().clone()
+        };
+        let a = place(7);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7 ^ 0x9e37_79b9_7f4a_7c15);
+        let slots = ResourceSpec::paper_default().server.vm_slots;
+        assert_eq!(
+            a,
+            score_baselines::random_placement(64, 16, slots, &mut rng)
+        );
+        assert_eq!(a, place(7));
+        assert!(score_baselines::respects_slots(&a, slots));
+        assert_ne!(a, place(8), "the workload seed draws the placement");
     }
 
     #[test]

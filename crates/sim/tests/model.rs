@@ -3,9 +3,9 @@
 //!
 //! Each case draws a fabric (a ≤ 160-host canonical tree, a k = 4 or
 //! k = 6 fat-tree, or a star), one of the five policies with the EWMA
-//! forecast on or off, `c_m` zero or positive, a NIC threshold, an
-//! optional candidate cap, and a workload whose hub VMs have ≥ 24 peers,
-//! so decisions land on both sides of `KERNEL_MIN_CANDIDATES`. It then
+//! forecast on or off, `c_m` zero or positive, a NIC threshold, and a
+//! workload whose hub VMs have ≥ 24 peers, so decisions land on both
+//! sides of `KERNEL_MIN_CANDIDATES`. It then
 //! runs a random program of `step`, `advance_to`, `SetRate`,
 //! `ScalePair`, `ScaleAll`, `place_vm`, `remove_vm`, `HostCrash`,
 //! `RackFail`, `LinkDegrade` and `LinkRestore` on both.
@@ -151,7 +151,6 @@ fn setup(fabric: Fabric, case: u32, rng: &mut StdRng) -> (Session, RefSession) {
             10f64.powf(rng.gen_range(6.0..8.5))
         },
         bandwidth_threshold: [1.0, 0.6, 0.35][rng.gen_range(0..3)],
-        max_candidates: [None, None, None, Some(3), Some(5)][rng.gen_range(0..5)],
     };
     let mut engine = EngineSpec::custom();
     if let EngineSpec::Custom { score: s, .. } = &mut engine {

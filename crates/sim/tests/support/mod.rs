@@ -188,12 +188,11 @@ impl RefSession {
         }
         ranked.sort();
         let mut seen = BTreeSet::from([from]);
-        let mut candidates: Vec<u32> = ranked
+        let candidates: Vec<u32> = ranked
             .iter()
             .map(|e| e.3)
             .filter(|&s| seen.insert(s))
             .collect();
-        candidates.truncate(score.max_candidates.unwrap_or(usize::MAX));
         let (now, before) = (self.cost(), self.cost_of(&scored, &self.alloc));
         let (tol, cm) = (1e-9 * now.max(before), score.migration_cost);
         // Theorem 1: the feasible target with the largest ΔC, if > c_m.

@@ -284,19 +284,8 @@ impl PairTraffic {
         (self.total * self.scale).min(f64::MAX)
     }
 
-    /// Returns a copy with every rate multiplied by `factor` — the paper's
-    /// "scaled the initial TM by a factor of 10 and 50".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite.
-    pub fn scaled(&self, factor: f64) -> PairTraffic {
-        let mut next = self.clone();
-        next.scale_all(factor);
-        next
-    }
-
-    /// Multiplies every rate by `factor` **in place** in O(1): the
+    /// Multiplies every rate by `factor` **in place** in O(1) — the
+    /// paper's "scaled the initial TM by a factor of 10 and 50". The
     /// factor joins the pending one that reads fold in (see the module
     /// docs). Rates saturate at `f64::MAX`, as every other lowering of a
     /// scale event does. The running total scales with the rates (Eq. (2)
@@ -543,7 +532,8 @@ mod tests {
 
     #[test]
     fn scaling_scales_everything() {
-        let t = triangle().scaled(10.0);
+        let mut t = triangle();
+        t.scale_all(10.0);
         assert_eq!(t.rate(VmId::new(0), VmId::new(1)), 100.0);
         assert_eq!(t.total_rate(), 600.0);
         assert_eq!(t.num_pairs(), 3); // pure scaling preserves the pattern
@@ -553,7 +543,11 @@ mod tests {
     fn scale_all_matches_scaled() {
         let mut t = triangle();
         t.scale_all(10.0);
-        assert_eq!(t, triangle().scaled(10.0));
+        let mut b = PairTrafficBuilder::new(4);
+        b.add(VmId::new(0), VmId::new(1), 100.0);
+        b.add(VmId::new(1), VmId::new(2), 200.0);
+        b.add(VmId::new(2), VmId::new(0), 300.0);
+        assert_eq!(t, b.build());
         assert_eq!(t.rate(VmId::new(1), VmId::new(2)), 200.0);
         assert_eq!(
             t.peers(VmId::new(0)).collect::<Vec<_>>(),
@@ -569,7 +563,8 @@ mod tests {
         use serde::Serialize as _;
         assert_eq!(settled.to_value(), t.to_value());
         // Saturation mirrors every other lowering of a scale event.
-        let mut hot = triangle().scaled(f64::MAX / 40.0);
+        let mut hot = triangle();
+        hot.scale_all(f64::MAX / 40.0);
         hot.scale_all(4.0);
         assert_eq!(hot.rate(VmId::new(2), VmId::new(0)), f64::MAX);
         assert!(hot.total_rate().is_finite());

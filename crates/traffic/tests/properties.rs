@@ -120,7 +120,8 @@ proptest! {
     #[test]
     fn scaling_is_linear(factor in 0.1f64..100.0, seed in 0u64..50) {
         let t = WorkloadConfig::new(60, seed).generate();
-        let s = t.scaled(factor);
+        let mut s = t.clone();
+        s.scale_all(factor);
         prop_assert_eq!(t.num_pairs(), s.num_pairs());
         prop_assert!((s.total_rate() - factor * t.total_rate()).abs()
             < 1e-9 * s.total_rate().max(1.0));

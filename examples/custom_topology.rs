@@ -10,12 +10,11 @@
 //! ```
 
 use s_core::core::ScoreConfig;
-use s_core::sim::{EngineSpec, PlacementSpec, PolicyKind, Scenario};
+use s_core::sim::{EngineSpec, PolicyKind, Scenario};
 use s_core::topology::{
     Level, LinkId, LinkWeights, NetGraph, NodeId, NodeKind, RackId, RouteShare, ServerId, Topology,
 };
-use s_core::traffic::{CbrLoad, WorkloadConfig};
-use s_core::xen::PreCopyConfig;
+use s_core::traffic::WorkloadConfig;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -147,23 +146,20 @@ fn main() {
     let traffic = WorkloadConfig::new(num_vms, 5).generate();
 
     // A two-level fabric wants a two-level weight vector; everything else
-    // of the scenario (placement, policy, timing) is declarative.
+    // of the scenario (resources, policy, timing) is declarative.
     let weights = LinkWeights::new([1.0, std::f64::consts::E]).expect("valid weights");
     let scenario = Scenario::builder()
-        .placement(PlacementSpec::Striped)
         .policy(PolicyKind::RoundRobin)
         .engine(EngineSpec::Custom {
             score: ScoreConfig::paper_default(),
             weights,
-            precopy: PreCopyConfig::paper_default(),
-            background: CbrLoad::IDLE,
         })
         .horizon(1e6)
         .build();
 
     let mut session = scenario
         .session_with(Arc::clone(&topo), traffic)
-        .expect("striped placement fits");
+        .expect("random placement fits");
     let initial = session.initial_cost();
     session.run(4);
     let final_cost = session.current_cost();

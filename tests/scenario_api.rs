@@ -2,9 +2,7 @@
 //! that preserve behavior exactly, and a smoke matrix over every policy
 //! and fabric family.
 
-use s_core::sim::{
-    EngineSpec, PlacementSpec, PolicyKind, RunReport, Scenario, TopologySpec, WorkloadSpec,
-};
+use s_core::sim::{EngineSpec, PolicyKind, RunReport, Scenario, TopologySpec, WorkloadSpec};
 use s_core::traffic::TrafficIntensity;
 
 fn quick(policy: PolicyKind, topology: TopologySpec) -> Scenario {
@@ -19,6 +17,84 @@ fn quick(policy: PolicyKind, topology: TopologySpec) -> Scenario {
     scenario
 }
 
+/// A scenario file written before the initial placement, the candidate
+/// cap and the engine's pre-copy and background knobs left the schema:
+/// `scorectl --topology star --hosts 8 --vms-per-host 2 --policy hlf
+/// --cm 1e6 --t-end 5 --seed 7 --emit-scenario`, with `max_candidates`,
+/// `link_bps` and `background` then set by hand to values that once
+/// capped the probes, panicked the pre-copy model and ran at 700 % of
+/// link capacity. Such a file still loads, its retired keys are
+/// ignored, and it runs exactly as the same scenario written today.
+const OLDER_SCENARIO: &str = r#"{
+  "topology": {"Star": {"hosts": 8, "capacities": null}},
+  "workload": {"Synthetic": {"intensity": "Sparse", "vms_per_host": 2.0, "seed": 7}},
+  "placement": {"Random": {"salt": 0}},
+  "resources": {
+    "server": {"vm_slots": 16, "ram_mb": 4096, "cpu_cores": 8.0, "nic_bps": 1000000000.0},
+    "vm": {"ram_mb": 196, "cpu_cores": 0.25},
+    "vm_overrides": []
+  },
+  "policy": "HighestLevelFirst",
+  "engine": {
+    "Custom": {
+      "score": {"migration_cost": 1000000.0, "bandwidth_threshold": 1.0, "max_candidates": 1},
+      "weights": {
+        "costs": [1.0, 2.718281828459045, 20.085536923187668],
+        "prefix": [0.0, 1.0, 3.718281828459045, 23.803818751646713]
+      },
+      "precopy": {
+        "ram_bytes": 205520896.0,
+        "skip_fraction_mean": 0.37,
+        "skip_fraction_std": 0.054,
+        "dirty_rate_mean": 1600000.0,
+        "dirty_rate_std": 800000.0,
+        "stop_threshold_bytes": 524288.0,
+        "max_rounds": 30,
+        "setup_s": 1.85,
+        "suspend_overhead_mean_s": 0.009,
+        "suspend_overhead_jitter_s": 0.003,
+        "link_bps": 0.0
+      },
+      "background": 7.0
+    }
+  },
+  "forecast": "None",
+  "timing": {"t_end_s": 5.0, "sample_interval_s": 5.0, "token_hold_s": 0.08, "token_pass_s": 0.02},
+  "seed": 7
+}"#;
+
+#[test]
+fn older_scenario_files_load_and_run_as_written_today() {
+    let run = |scenario: &Scenario| -> RunReport {
+        let mut session = scenario.session().expect("scenario is feasible");
+        session.run_to_horizon();
+        session.report()
+    };
+    let older = Scenario::from_json(OLDER_SCENARIO).expect("an older file loads");
+    let report = run(&older);
+    let today = Scenario::builder()
+        .star(8)
+        .sparse_traffic(7)
+        .vms_per_host(2.0)
+        .policy(PolicyKind::HighestLevelFirst)
+        .migration_cost(1e6)
+        .horizon(5.0)
+        .seed(7)
+        .build();
+    assert_eq!(older, today);
+    let json = older.to_json();
+    for retired in ["placement", "max_candidates", "precopy", "background"] {
+        assert!(!json.contains(retired), "{retired} is written: {json}");
+    }
+    assert_eq!(report.to_json(), run(&today).to_json());
+    assert!(!report.migrations.is_empty(), "the run migrates");
+    assert!(
+        report.total_downtime_s() < 1.0,
+        "idle-link downtimes, got {} s",
+        report.total_downtime_s()
+    );
+}
+
 /// Spec → JSON → spec must be identity.
 #[test]
 fn scenario_json_round_trip_is_identity() {
@@ -31,7 +107,6 @@ fn scenario_json_round_trip_is_identity() {
             .dense_traffic(9)
             .policy(PolicyKind::HighestCostFirst)
             .migration_cost(5e8)
-            .placement(PlacementSpec::Striped)
             .num_vms(64)
             .horizon(90.0)
             .seed(1234)
@@ -204,10 +279,12 @@ fn non_finite_engine_params_are_an_error() {
     for engine in [
         EngineSpec::Paper.with_migration_cost(f64::NAN),
         // Valid floats that would load and then never migrate.
-        with(paper.with_bandwidth_threshold(0.0)),
-        with(paper.with_bandwidth_threshold(-0.5)),
         with(s_core::core::ScoreConfig {
-            max_candidates: Some(0),
+            bandwidth_threshold: 0.0,
+            ..paper
+        }),
+        with(s_core::core::ScoreConfig {
+            bandwidth_threshold: -0.5,
             ..paper
         }),
     ] {
