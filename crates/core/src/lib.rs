@@ -123,5 +123,5 @@ pub use resources::{AdmissionError, CapacityReport, ServerSpec, ServerUsage, VmS
 pub use ring::{IterationStats, StepOutcome, TokenRing};
 pub use scratch::KernelScratch;
 pub use slotindex::FreeSlotIndex;
-pub use token::{Token, TokenEntry};
+pub use token::Token;
 pub use view::{LocalView, PeerInfo};

@@ -245,9 +245,8 @@ impl UncheckedIndex {
         // summaries. Avoids per-insert growth and summary maintenance,
         // which dominate when the token holds hundreds of thousands of VMs.
         let max_level = token
-            .entries()
-            .iter()
-            .map(|e| e.level.get() as usize)
+            .members()
+            .map(|(_, level)| level.get() as usize)
             .max()
             .unwrap_or(0);
         let words = token.id_span().div_ceil(64);
@@ -258,10 +257,10 @@ impl UncheckedIndex {
             set.words.clear();
             set.words.resize(words, 0);
         }
-        for e in token.entries() {
-            if !checked.contains(e.id) {
-                let i = e.id.index();
-                self.levels[e.level.get() as usize].words[i / 64] |= 1 << (i % 64);
+        for (id, level) in token.members() {
+            if !checked.contains(id) {
+                let i = id.index();
+                self.levels[level.get() as usize].words[i / 64] |= 1 << (i % 64);
             }
         }
         for set in &mut self.levels {
@@ -441,50 +440,54 @@ impl TokenPolicy for HighestLevelFirst {
         // O(token) once per round; the index rebuilds on the next call.
         self.checked.clear();
         self.index.invalidate();
-        let max = token.entries().iter().map(|e| e.level).max()?;
-        if let Some(e) = token
-            .entries()
-            .iter()
-            .find(|e| e.level == max && e.id != holder)
+        let max = token.members().map(|(_, level)| level).max()?;
+        if let Some((id, _)) = token
+            .members()
+            .find(|&(id, level)| level == max && id != holder)
         {
-            return Some(e.id);
+            return Some(id);
         }
         token.next_after(holder).filter(|&z| z != holder)
     }
 }
 
-/// A fixed-size max-tournament over token positions: an implicit binary
-/// tree of `f64` whose leaf `i` holds the key of token entry `i`
+/// A fixed-size max-tournament over VM ids: an implicit binary tree of
+/// `f64` whose leaf `i` holds the key of VM id `i`
 /// ([`MaxTournament::ABSENT`] when it has none) and whose inner nodes
 /// hold the maximum of their children. Ties resolve to the left child,
-/// so [`MaxTournament::best`] is the *first* maximum in position — i.e.
-/// ascending-id — order. Storage only grows when the token does.
+/// so [`MaxTournament::best`] is the *first* maximum in id order.
+/// Storage only grows when the id span does.
 #[derive(Debug, Clone, Default)]
 struct MaxTournament {
     /// `tree[1]` is the root, `tree[cap + i]` leaf `i`; `tree[0]` unused.
     tree: Vec<f64>,
-    /// Leaf count: a power of two ≥ the token length. 0 until the first
+    /// Leaf count: a power of two ≥ the id span. 0 until the first
     /// [`MaxTournament::rebuild`], which must precede any other call.
     cap: usize,
 }
 
 impl MaxTournament {
-    /// Key of a position that takes no part in the tournament. Real keys
-    /// are finite and ≥ 0, so every one of them beats it.
+    /// Key of a leaf that takes no part in the tournament. Real keys are
+    /// finite and ≥ 0, so every one of them beats it.
     const ABSENT: f64 = f64::NEG_INFINITY;
 
-    /// Refills the leaves from `keys` (one per token position, in order)
-    /// and replays every match: O(n).
-    fn rebuild(&mut self, keys: impl ExactSizeIterator<Item = f64>) {
-        self.cap = keys.len().next_power_of_two();
+    /// Makes `leaves` leaves, absent but for the `(leaf, key)` pairs of
+    /// `keys`, and replays every match: O(leaves).
+    fn rebuild(&mut self, leaves: usize, keys: impl Iterator<Item = (usize, f64)>) {
+        self.cap = leaves.next_power_of_two();
         self.tree.clear();
         self.tree.resize(2 * self.cap, Self::ABSENT);
-        for (slot, key) in self.tree[self.cap..].iter_mut().zip(keys) {
-            *slot = key;
+        for (leaf, key) in keys {
+            self.tree[self.cap + leaf] = key;
         }
         for i in (1..self.cap).rev() {
             self.tree[i] = Self::winner(self.tree[2 * i], self.tree[2 * i + 1]);
         }
+    }
+
+    /// Whether `leaf` takes part: a leaf past the last one does not.
+    fn is_present(&self, leaf: usize) -> bool {
+        leaf < self.cap && self.tree[self.cap + leaf] > Self::ABSENT
     }
 
     fn winner(left: f64, right: f64) -> f64 {
@@ -495,10 +498,10 @@ impl MaxTournament {
         }
     }
 
-    /// Re-keys leaf `pos` and replays its matches towards the root,
-    /// stopping at the first one whose winner does not change.
-    fn set(&mut self, pos: usize, key: f64) {
-        let mut i = self.cap + pos;
+    /// Re-keys `leaf` and replays its matches towards the root, stopping
+    /// at the first one whose winner does not change.
+    fn set(&mut self, leaf: usize, key: f64) {
+        let mut i = self.cap + leaf;
         self.tree[i] = key;
         while i > 1 {
             i /= 2;
@@ -510,8 +513,8 @@ impl MaxTournament {
         }
     }
 
-    /// Position of the highest key, the lowest position among equals;
-    /// `None` when every position is absent.
+    /// Leaf of the highest key, the lowest leaf among equals; `None` when
+    /// every leaf is absent.
     fn best(&self) -> Option<usize> {
         let mut i = 1;
         while i < self.cap {
@@ -533,12 +536,14 @@ impl MaxTournament {
 /// what keeps "fcf ≡ hcf without a forecast" true by construction.
 ///
 /// "Highest estimate among the unchecked, lowest id first" is answered
-/// by a [`MaxTournament`] keyed by the estimates of the unchecked token
-/// members, so a hop costs O(peers · log n) instead of a walk over every
-/// entry. The tournament is purely derived state: the policy keeps it in
-/// step with every estimate it raises and every VM it checks, and
-/// rebuilds it in O(n) when a round restarts or the token's membership
-/// moved under its feet ([`TokenStamp`]).
+/// by a [`MaxTournament`] with one leaf per id, keyed by the estimates of
+/// the unchecked token members; departed ids, ids that never joined and
+/// checked VMs are absent leaves. A hop thus costs O(peers · log n)
+/// instead of a walk over every member. The tournament is purely derived
+/// state: the policy keeps it in step with every estimate it raises and
+/// every VM it checks, and rebuilds it in O(id span) when a round
+/// restarts or the token's membership moved under its feet
+/// ([`TokenStamp`]).
 #[derive(Debug, Clone, Default)]
 struct CostFirstCore {
     /// vm id → estimate, covering every id up to the highest the token
@@ -547,7 +552,8 @@ struct CostFirstCore {
     estimates: Vec<f64>,
     checked: CheckedSet,
     /// Derived from `estimates` + `checked` + the token, never
-    /// authoritative.
+    /// authoritative: a leaf is present exactly when its id is an
+    /// unchecked member.
     unchecked: MaxTournament,
     stamp: TokenStamp,
 }
@@ -560,17 +566,17 @@ impl CostFirstCore {
 
     /// Re-derives the tournament (and the estimate range) from the token.
     fn rebuild(&mut self, token: &Token) {
-        if self.estimates.len() < token.id_span() {
-            self.estimates.resize(token.id_span(), 0.0);
+        let span = token.id_span();
+        if self.estimates.len() < span {
+            self.estimates.resize(span, 0.0);
         }
         let (estimates, checked) = (&self.estimates, &self.checked);
-        self.unchecked.rebuild(token.entries().iter().map(|e| {
-            if checked.contains(e.id) {
-                MaxTournament::ABSENT
-            } else {
-                estimates[e.id.index()]
-            }
-        }));
+        let keys = token
+            .ids()
+            .iter()
+            .filter(|&&id| !checked.contains(id))
+            .map(|id| (id.index(), estimates[id.index()]));
+        self.unchecked.rebuild(span, keys);
         self.stamp.record(token);
     }
 
@@ -614,10 +620,8 @@ impl CostFirstCore {
             let pair_cost = 2.0 * rate_of(p) * weights.prefix(p.level);
             if self.estimate(p.vm) < pair_cost {
                 self.write_estimate(p.vm, pair_cost);
-                if !self.checked.contains(p.vm) {
-                    if let Some(pos) = token.index_of(p.vm) {
-                        self.unchecked.set(pos, pair_cost);
-                    }
+                if self.unchecked.is_present(p.vm.index()) {
+                    self.unchecked.set(p.vm.index(), pair_cost);
                 }
             }
         }
@@ -627,29 +631,30 @@ impl CostFirstCore {
             token.raise_level(p.vm, p.level);
         }
         self.checked.insert(holder);
-        if let Some(pos) = token.index_of(holder) {
-            self.unchecked.set(pos, MaxTournament::ABSENT);
+        let holder_leaf = holder.index();
+        if self.unchecked.is_present(holder_leaf) {
+            self.unchecked.set(holder_leaf, MaxTournament::ABSENT);
         }
 
         // The holder is checked, so the tournament cannot return it.
-        if let Some(pos) = self.unchecked.best() {
-            return Some(token.entries()[pos].id);
+        if let Some(leaf) = self.unchecked.best() {
+            return Some(VmId::new(leaf as u32));
         }
         // Round over: restart at the globally highest-cost VM. The holder
         // is unchecked again but must not succeed itself, so it sits this
         // one query out.
         self.checked.clear();
         self.rebuild(token);
-        let holder_pos = token.index_of(holder);
-        if let Some(pos) = holder_pos {
-            self.unchecked.set(pos, MaxTournament::ABSENT);
+        let holder_in = self.unchecked.is_present(holder_leaf);
+        if holder_in {
+            self.unchecked.set(holder_leaf, MaxTournament::ABSENT);
         }
         let best = self.unchecked.best();
-        if let Some(pos) = holder_pos {
-            self.unchecked.set(pos, self.estimate(holder));
+        if holder_in {
+            self.unchecked.set(holder_leaf, self.estimate(holder));
         }
         match best {
-            Some(pos) => Some(token.entries()[pos].id),
+            Some(leaf) => Some(VmId::new(leaf as u32)),
             None => token.next_after(holder).filter(|&z| z != holder),
         }
     }
@@ -765,14 +770,14 @@ impl TokenPolicy for RandomNext {
     }
 
     fn next_holder(&mut self, token: &mut Token, holder: VmId, _view: &LocalView) -> Option<VmId> {
-        let entries = token.entries();
+        let ids = token.ids();
         // Index-walk formulation of "uniform pick among ids ≠ holder":
         // sample k in the skip-holder index space, then map it back onto
-        // the entry array. Draws the same `gen_range` bound as collecting
+        // the id array. Draws the same `gen_range` bound as collecting
         // the others into a vector would, so picks are bit-identical to
         // the allocating formulation this replaces.
-        let holder_pos = entries.binary_search_by_key(&holder, |e| e.id);
-        let others = entries.len() - usize::from(holder_pos.is_ok());
+        let holder_pos = ids.binary_search(&holder);
+        let others = ids.len() - usize::from(holder_pos.is_ok());
         if others == 0 {
             return None;
         }
@@ -781,7 +786,7 @@ impl TokenPolicy for RandomNext {
             Ok(h) if k >= h => k + 1,
             _ => k,
         };
-        Some(entries[idx].id)
+        Some(ids[idx])
     }
 }
 
@@ -1052,6 +1057,49 @@ mod tests {
             peers: vec![],
         };
         assert_eq!(hcf.next_holder(&mut token, VmId::new(3), &view), None);
+    }
+
+    #[test]
+    fn an_id_keyed_tournament_serves_the_lowest_id_among_equal_maxima() {
+        const ABSENT: f64 = MaxTournament::ABSENT;
+        // Ids 0..10: members 1, 4, 6 and 9 are unchecked; 2 and 7 have
+        // departed, 5 is checked and 0, 3 and 8 never joined, so all of
+        // those (and the padding leaves 10..16) are absent.
+        let mut t = MaxTournament::default();
+        t.rebuild(10, [(1, 2.0), (4, 5.0), (6, 5.0), (9, 1.0)].into_iter());
+        assert_eq!(t.cap, 16);
+        assert!(t.is_present(4) && !t.is_present(5) && !t.is_present(12));
+        assert!(!t.is_present(16) && !t.is_present(usize::MAX / 2));
+        assert_eq!(t.best(), Some(4), "equal maxima go to the lowest id");
+        // A re-keyed leaf replays its matches to the root, up and down.
+        t.set(9, 7.0);
+        assert_eq!((t.tree[1], t.best()), (7.0, Some(9)));
+        t.set(9, ABSENT);
+        assert_eq!((t.tree[1], t.best()), (5.0, Some(4)));
+        t.set(4, ABSENT);
+        assert_eq!(t.best(), Some(6), "past the absent 5");
+        t.set(1, 5.0);
+        assert_eq!(t.best(), Some(1), "a raised low id takes the tie");
+        for leaf in [1, 6] {
+            t.set(leaf, ABSENT);
+        }
+        assert_eq!((t.tree[1], t.best()), (ABSENT, None));
+
+        // Random re-keys against a linear scan of the leaves.
+        let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
+        let mut leaves = [ABSENT; 37];
+        t.rebuild(leaves.len(), std::iter::empty());
+        for _ in 0..2_000 {
+            let r = rng.next();
+            let leaf = (r % leaves.len() as u64) as usize;
+            let key = [ABSENT, 0.0, 1.0, 3.0][(r >> 8) as usize % 4];
+            leaves[leaf] = key;
+            t.set(leaf, key);
+            let max = leaves.iter().copied().fold(ABSENT, f64::max);
+            let first = leaves.iter().position(|&k| k == max && k > ABSENT);
+            assert_eq!((t.tree[1], t.best()), (max, first));
+            assert_eq!(t.is_present(leaf), key > ABSENT);
+        }
     }
 
     /// xorshift64: a seeded stream of random views.

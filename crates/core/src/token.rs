@@ -4,23 +4,19 @@
 //! representing over 4 billion IDs before recycling, and an 8-bit
 //! communication level. Entries are stored in ascending order by VM ID."
 //!
-//! An entry is a 32-bit VM id plus one level byte, 5 bytes a VM, so "the
-//! size of the message is of the order of the number of VMs in the
-//! network". The simulator passes the token in memory and prices each hop
-//! by [`Token::encoded_len`]; it has no byte codec.
+//! That array of 5-byte entries (a 32-bit VM id plus one level byte) is
+//! the wire form, so "the size of the message is of the order of the
+//! number of VMs in the network". The simulator passes the token in
+//! memory and prices each hop by [`Token::encoded_len`], the size of that
+//! array; it has no byte codec. In memory the token keeps the ids in
+//! ascending order and, apart from them, one level byte per VM id, so a
+//! hold reads or raises a peer's level with one load into an array of
+//! `id_span` bytes.
 
 use score_topology::{Level, VmId};
 
-/// One token entry: a VM id and its last known highest communication level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TokenEntry {
-    /// The VM this entry describes.
-    pub id: VmId,
-    /// Last recorded highest communication level `l_v` (0 initially).
-    pub level: Level,
-}
-
-/// The migration token: an ordered array of `(VM id, level)` entries.
+/// The migration token: the members in ascending id order, each with its
+/// last known highest communication level `l_v`.
 ///
 /// # Examples
 ///
@@ -35,30 +31,49 @@ pub struct TokenEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Token {
-    entries: Vec<TokenEntry>,
-    /// Direct map from VM id to entry index ([`NO_POS`] for untracked
-    /// ids), so the per-step entry lookups (`set_level`, `raise_level`,
-    /// `level_of`, `next_after`) are O(1) instead of binary searches.
-    /// Kept only while the ids are dense ([`Token::is_dense`]), and then
-    /// exactly `id_span()` long; a sparser token leaves it empty and
-    /// lookups fall back to binary search. Membership changes maintain
-    /// it in place: an append writes one slot, an interior change
-    /// renumbers the entries after it — never a pass over the id span.
-    pos: Vec<u32>,
+    /// The members, strictly ascending: token order, for successors,
+    /// random picks and round restarts.
+    ids: Vec<VmId>,
+    /// The members' levels. While the ids are dense ([`Token::is_dense`])
+    /// this is indexed by id, exactly `id_span()` long, with
+    /// [`NOT_MEMBER`] for ids without an entry: the per-peer calls of a
+    /// hold (`contains`, `level_of`, `set_level`, `raise_level`) touch
+    /// one byte. A sparser token keeps one byte per member in `ids` order
+    /// instead and finds a member by binary search. Membership changes
+    /// keep the table in place: an append writes one byte, a removal
+    /// clears one and trims the table to the new highest id.
+    levels: Vec<u8>,
     /// Bumped by every membership change (`add_vm`/`remove_vm`), so
-    /// policies keeping derived indexes over the entries can detect
+    /// policies keeping derived indexes over the members can detect
     /// churn they were not told about and rebuild. Not part of token
     /// identity.
     version: u64,
 }
 
-/// Sentinel in [`Token::pos`] for ids without an entry.
-const NO_POS: u32 = u32::MAX;
+/// The level byte of an id without an entry in a by-id table. No level
+/// a topology yields comes near it; writing it as a level panics.
+const NOT_MEMBER: u8 = u8::MAX;
+
+/// The density rule: `members` ids whose highest is `span - 1` carry a
+/// by-id level table when it holds at most 32 slots a member, so no id
+/// that [`Token::add_vm`] is given — `u32::MAX` included — can size a
+/// table on its own. A `Session` mints ids densely and never reuses one,
+/// so its token stays on the table until over 31 of every 32 VMs it ever
+/// admitted have left.
+fn dense(span: usize, members: usize) -> bool {
+    span <= 32 * members + 64
+}
+
+/// `level` as a stored byte.
+fn level_byte(level: Level) -> u8 {
+    assert_ne!(level.get(), NOT_MEMBER, "level {NOT_MEMBER} is reserved");
+    level.get()
+}
 
 impl PartialEq for Token {
     fn eq(&self, other: &Self) -> bool {
-        // The position map is derived state; token identity is the entries.
-        self.entries == other.entries
+        // The ids fix the layout, so equal members give equal level bytes.
+        self.ids == other.ids && self.levels == other.levels
     }
 }
 
@@ -76,24 +91,20 @@ impl Token {
         ids.sort_unstable();
         ids.dedup();
         let mut token = Token {
-            entries: ids
-                .into_iter()
-                .map(|id| TokenEntry {
-                    id,
-                    level: Level::ZERO,
-                })
-                .collect(),
-            pos: Vec::new(),
+            levels: vec![0; ids.len()],
+            ids,
             version: 0,
         };
-        token.rebuild_pos();
+        if token.is_dense() {
+            token.unpack();
+        }
         token
     }
 
     /// Membership-change counter: two reads returning the same value from
     /// the same `Token` instance guarantee no `add_vm`/`remove_vm`
     /// happened in between. Derived-index owners (e.g. the HLF policy)
-    /// use this to detect churn without scanning the entries.
+    /// use this to detect churn without scanning the members.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -101,123 +112,152 @@ impl Token {
     /// One past the highest tracked id (0 for an empty token): the length
     /// of any dense id-indexed table covering the members.
     pub(crate) fn id_span(&self) -> usize {
-        self.entries.last().map_or(0, |e| e.id.index() + 1)
+        self.ids.last().map_or(0, |id| id.index() + 1)
     }
 
-    /// Whether the members are dense enough in their id span to carry
-    /// the position map: at most 32 slots (4 bytes each) a member, so no
-    /// id that [`Token::add_vm`] is given — `u32::MAX` included — can
-    /// size a table on its own. A `Session` mints ids densely and never
-    /// reuses one, so its token stays on the map until over 31 of every
-    /// 32 VMs it ever admitted have left.
+    /// Whether the levels are kept by id (see [`dense`]).
     fn is_dense(&self) -> bool {
-        self.id_span() <= 32 * self.entries.len() + 64
+        dense(self.id_span(), self.ids.len())
     }
 
-    /// Rebuilds the id→index map from the (sorted) entries; a sparse
-    /// token gets none (and gives back the one it outgrew).
-    fn rebuild_pos(&mut self) {
-        if !self.is_dense() {
-            self.pos = Vec::new();
-            return;
+    /// How many of the lowest members are ids `0, 1, 2, …`: the prefix in
+    /// which a member's rank is its id, so both layouts put its level in
+    /// the same slot. An id is at least its rank, and once above it stays
+    /// above, so bisection finds the prefix.
+    fn settled(&self) -> usize {
+        let (mut lo, mut hi) = (0, self.ids.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.ids[mid].index() == mid {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        self.pos.clear();
-        self.pos.resize(self.id_span(), NO_POS);
-        for (i, e) in self.entries.iter().enumerate() {
-            self.pos[e.id.index()] = i as u32;
+        lo
+    }
+
+    /// Turns one level a member, in `ids` order, into the by-id table,
+    /// once the ids are dense. In place, highest rank first: a member's
+    /// id is at least its rank, so no level is overwritten before it
+    /// moves, and a rank's slot is cleared before any member lands on it.
+    fn unpack(&mut self) {
+        let settled = self.settled();
+        self.levels.resize(self.id_span(), NOT_MEMBER);
+        for rank in (settled..self.ids.len()).rev() {
+            let level = std::mem::replace(&mut self.levels[rank], NOT_MEMBER);
+            self.levels[self.ids[rank].index()] = level;
         }
     }
 
-    /// Number of entries.
+    /// Turns the by-id table into one level a member, in `ids` order, once
+    /// the ids are sparse. In place, lowest rank first, for the same
+    /// reason as [`Token::unpack`]. A member the table does not cover
+    /// yet — the one just added — is at level 0.
+    fn pack(&mut self) {
+        let len = self.ids.len();
+        if self.levels.len() < len {
+            self.levels.resize(len, NOT_MEMBER);
+        }
+        for rank in self.settled()..len {
+            self.levels[rank] = match self.levels.get(self.ids[rank].index()) {
+                Some(&l) if l != NOT_MEMBER => l,
+                _ => 0,
+            };
+        }
+        self.levels.truncate(len);
+    }
+
+    /// Number of members.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
-    /// True if the token has no entries.
+    /// True if the token has no members.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
-    /// The entries, ascending by VM id.
-    pub fn entries(&self) -> &[TokenEntry] {
-        &self.entries
+    /// The members, ascending by VM id.
+    pub fn ids(&self) -> &[VmId] {
+        &self.ids
+    }
+
+    /// The members and their levels, ascending by VM id.
+    pub(crate) fn members(&self) -> impl Iterator<Item = (VmId, Level)> + '_ {
+        let dense = self.is_dense();
+        self.ids.iter().enumerate().map(move |(rank, &id)| {
+            let slot = if dense { id.index() } else { rank };
+            (id, Level::new(self.levels[slot]))
+        })
     }
 
     /// The lowest VM id, `v0`.
     pub fn first(&self) -> Option<VmId> {
-        self.entries.first().map(|e| e.id)
+        self.ids.first().copied()
     }
 
-    fn position(&self, vm: VmId) -> Result<usize, usize> {
-        if !self.pos_is_valid() {
-            return self.entries.binary_search_by_key(&vm, |e| e.id);
+    /// Where `vm`'s level byte is in `levels`, if it is a member.
+    fn slot(&self, vm: VmId) -> Option<usize> {
+        if self.is_dense() {
+            let i = vm.index();
+            self.levels
+                .get(i)
+                .is_some_and(|&l| l != NOT_MEMBER)
+                .then_some(i)
+        } else {
+            self.ids.binary_search(&vm).ok()
         }
-        match self.pos.get(vm.index()).copied() {
-            Some(i) if i != NO_POS => Ok(i as usize),
-            // Untracked id: callers still need the insertion index.
-            _ => Err(self.entries.partition_point(|e| e.id < vm)),
-        }
     }
 
-    /// The map is valid only when sized to cover exactly the highest id
-    /// (a sparse token keeps it empty).
-    fn pos_is_valid(&self) -> bool {
-        self.pos.len() == self.id_span()
-    }
-
-    /// Panics unless the entries ascend strictly and the position map is
-    /// either absent (a sparse token) or exact: `id_span()` long, every
-    /// member's slot its index and every other slot [`NO_POS`]. Debug
+    /// Panics unless the ids ascend strictly and the levels are in the
+    /// layout the density rule picks: a dense token's table is exactly
+    /// `id_span()` long, with a level at every member and [`NOT_MEMBER`]
+    /// everywhere else; a sparse token has one level a member. Debug
     /// builds run it after every membership change.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
         assert!(
-            self.entries.windows(2).all(|w| w[0].id < w[1].id),
-            "token entries must ascend strictly by id"
+            self.ids.windows(2).all(|w| w[0] < w[1]),
+            "token ids must ascend strictly"
         );
-        if self.pos.is_empty() {
+        if !self.is_dense() {
+            assert_eq!(self.levels.len(), self.ids.len(), "one level a member");
             assert!(
-                self.entries.is_empty() || !self.is_dense(),
-                "a dense token must carry its position map"
+                !self.levels.contains(&NOT_MEMBER),
+                "a member without a level"
             );
             return;
         }
-        assert!(self.is_dense(), "a sparse token must not carry a map");
-        assert_eq!(self.pos.len(), self.id_span(), "map length");
-        let mut members = self.entries.iter().enumerate().peekable();
-        for (id, &slot) in self.pos.iter().enumerate() {
-            match members.next_if(|(_, e)| e.id.index() == id) {
-                Some((i, _)) => assert_eq!(slot, i as u32, "slot of member {id}"),
-                None => assert_eq!(slot, NO_POS, "slot of non-member {id}"),
+        assert_eq!(self.levels.len(), self.id_span(), "table length");
+        let mut members = self.ids.iter().peekable();
+        for (id, &level) in self.levels.iter().enumerate() {
+            match members.next_if(|m| m.index() == id) {
+                Some(_) => assert_ne!(level, NOT_MEMBER, "level of member {id}"),
+                None => assert_eq!(level, NOT_MEMBER, "level of non-member {id}"),
             }
         }
     }
 
     /// True if the token tracks `vm`.
     pub fn contains(&self, vm: VmId) -> bool {
-        self.position(vm).is_ok()
-    }
-
-    /// Index of `vm`'s entry in [`Token::entries`], for policies that
-    /// key derived state by token position.
-    pub(crate) fn index_of(&self, vm: VmId) -> Option<usize> {
-        self.position(vm).ok()
+        self.slot(vm).is_some()
     }
 
     /// The stored level `l_v` for a VM.
     pub fn level_of(&self, vm: VmId) -> Option<Level> {
-        self.position(vm).ok().map(|i| self.entries[i].level)
+        self.slot(vm).map(|i| Level::new(self.levels[i]))
     }
 
     /// Overwrites the stored level of a VM (used for the holder's own
     /// entry, which is always refreshed). Returns `false` for unknown VMs.
     pub fn set_level(&mut self, vm: VmId, level: Level) -> bool {
-        match self.position(vm) {
-            Ok(i) => {
-                self.entries[i].level = level;
+        match self.slot(vm) {
+            Some(i) => {
+                self.levels[i] = level_byte(level);
                 true
             }
-            Err(_) => false,
+            None => false,
         }
     }
 
@@ -226,9 +266,9 @@ impl Token {
     /// existing estimation is smaller"). Returns `true` if the entry
     /// changed.
     pub fn raise_level(&mut self, vm: VmId, level: Level) -> bool {
-        match self.position(vm) {
-            Ok(i) if self.entries[i].level < level => {
-                self.entries[i].level = level;
+        match self.slot(vm) {
+            Some(i) if self.levels[i] < level.get() => {
+                self.levels[i] = level_byte(level);
                 true
             }
             _ => false,
@@ -241,43 +281,35 @@ impl Token {
     /// tracked. Returns `None` on an empty token; returns `vm` itself only
     /// when it is the sole entry.
     pub fn next_after(&self, vm: VmId) -> Option<VmId> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let idx = match self.position(vm) {
-            Ok(i) => (i + 1) % self.entries.len(),
-            Err(i) => i % self.entries.len(),
-        };
-        Some(self.entries[idx].id)
+        let above = self.ids.partition_point(|&id| id <= vm);
+        self.ids.get(above).or(self.ids.first()).copied()
     }
 
     /// Adds a VM (level 0). Returns `false` if it was already present.
     /// Supports VM arrivals between iterations. An id above every member
     /// — what a placement manager minting ascending ids always sends —
-    /// costs O(1); one below costs the entries after it.
+    /// costs O(1) past the search; one below costs the memmove of the ids
+    /// after it.
     pub fn add_vm(&mut self, vm: VmId) -> bool {
-        let Err(i) = self.position(vm) else {
+        let Err(i) = self.ids.binary_search(&vm) else {
             return false;
         };
-        let mapped = self.pos_is_valid();
-        self.entries.insert(
-            i,
-            TokenEntry {
-                id: vm,
-                level: Level::ZERO,
-            },
-        );
+        let was_dense = self.is_dense();
+        self.ids.insert(i, vm);
         self.version += 1;
-        if mapped && self.is_dense() {
-            for e in &self.entries[i + 1..] {
-                self.pos[e.id.index()] += 1;
+        match (was_dense, self.is_dense()) {
+            (true, true) => {
+                // Only an append grows the span.
+                self.levels.resize(self.id_span(), NOT_MEMBER);
+                self.levels[vm.index()] = 0;
             }
-            // Only an append grows the span.
-            self.pos.resize(self.id_span(), NO_POS);
-            self.pos[vm.index()] = i as u32;
-        } else {
-            // The token changed sides of the density rule, or stays sparse.
-            self.rebuild_pos();
+            (true, false) => self.pack(),
+            (false, dense) => {
+                self.levels.insert(i, 0);
+                if dense {
+                    self.unpack();
+                }
+            }
         }
         #[cfg(debug_assertions)]
         self.check_invariants();
@@ -285,23 +317,28 @@ impl Token {
     }
 
     /// Removes a VM. Returns `false` if it was not present. Supports VM
-    /// departures between iterations. Costs the entries after it.
+    /// departures between iterations. Costs the memmove of the ids after
+    /// it.
     pub fn remove_vm(&mut self, vm: VmId) -> bool {
-        let Ok(i) = self.position(vm) else {
+        let Ok(i) = self.ids.binary_search(&vm) else {
             return false;
         };
-        let mapped = self.pos_is_valid();
-        self.entries.remove(i);
+        let was_dense = self.is_dense();
+        self.ids.remove(i);
         self.version += 1;
-        if mapped && self.is_dense() {
-            for e in &self.entries[i..] {
-                self.pos[e.id.index()] -= 1;
+        if was_dense {
+            self.levels[vm.index()] = NOT_MEMBER;
+            if self.is_dense() {
+                // Only removing the highest id shrinks the span.
+                self.levels.truncate(self.id_span());
+            } else {
+                self.pack();
             }
-            self.pos[vm.index()] = NO_POS;
-            // Only removing the highest id shrinks the span.
-            self.pos.truncate(self.id_span());
         } else {
-            self.rebuild_pos();
+            self.levels.remove(i);
+            if self.is_dense() {
+                self.unpack();
+            }
         }
         #[cfg(debug_assertions)]
         self.check_invariants();
@@ -311,7 +348,7 @@ impl Token {
     /// Size in bytes of the token as the paper sends it:
     /// [`Token::ENTRY_BYTES`] an entry.
     pub fn encoded_len(&self) -> usize {
-        self.entries.len() * Self::ENTRY_BYTES
+        self.ids.len() * Self::ENTRY_BYTES
     }
 }
 
@@ -327,9 +364,9 @@ mod tests {
     fn construction_sorts_and_dedups() {
         let t = token();
         assert_eq!(t.len(), 4);
-        let ids: Vec<u32> = t.entries().iter().map(|e| e.id.get()).collect();
+        let ids: Vec<u32> = t.ids().iter().map(|id| id.get()).collect();
         assert_eq!(ids, vec![1, 3, 5, 7]);
-        assert!(t.entries().iter().all(|e| e.level == Level::ZERO));
+        assert!(t.members().all(|(_, level)| level == Level::ZERO));
         assert_eq!(t.first(), Some(VmId::new(1)));
     }
 
@@ -346,6 +383,13 @@ mod tests {
         // unknown VM
         assert!(!t.set_level(VmId::new(99), Level::RACK));
         assert_eq!(t.level_of(VmId::new(99)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn the_non_member_byte_is_no_level() {
+        // Stored, it would read back as "not a member".
+        token().set_level(VmId::new(3), Level::new(u8::MAX));
     }
 
     #[test]
@@ -374,27 +418,35 @@ mod tests {
 
     #[test]
     fn lookups_fall_back_without_pos_map() {
-        // A sparse token carries no position map; every lookup must still
-        // work (via binary search).
-        let mut t = token();
-        t.pos.clear();
+        // One far id makes the token sparse: it keeps one level a member,
+        // and every lookup must still work (via binary search).
+        let far = VmId::new(10_000);
+        let mut t = Token::for_vms([3, 1, 7, 5].map(VmId::new).into_iter().chain([far]));
+        assert!(!t.is_dense() && t.levels.len() == 5);
         assert_eq!(t.level_of(VmId::new(3)), Some(Level::ZERO));
         assert!(t.set_level(VmId::new(5), Level::CORE));
         assert_eq!(t.level_of(VmId::new(5)), Some(Level::CORE));
-        assert_eq!(t.next_after(VmId::new(7)), Some(VmId::new(1)));
-        assert!(!t.contains(VmId::new(2)));
-        // A membership change rebuilds the map.
+        assert!(t.raise_level(far, Level::RACK));
+        assert!(!t.raise_level(far, Level::ZERO));
+        assert_eq!(t.level_of(far), Some(Level::RACK));
+        assert_eq!(t.next_after(far), Some(VmId::new(1)));
+        assert_eq!(t.next_after(VmId::new(7)), Some(far));
+        assert!(!t.contains(VmId::new(2)) && !t.contains(VmId::new(4)));
+        assert!(!t.set_level(VmId::new(2), Level::RACK));
+        assert_eq!(t.level_of(VmId::new(2)), None);
+        // A membership change that stays sparse keeps one level a member.
         assert!(t.add_vm(VmId::new(2)));
-        assert_eq!(t.pos.len(), 8);
+        assert_eq!(t.levels.len(), 6);
         assert_eq!(t.next_after(VmId::new(1)), Some(VmId::new(2)));
         assert_eq!(t.level_of(VmId::new(5)), Some(Level::CORE));
+        t.check_invariants();
     }
 
     /// `contains`/`level_of`/`next_after` of a one-entry token whose only
     /// id is `u32::MAX`, added without a table sized by that id.
     fn assert_lone_max_id(t: &Token) {
         let max = VmId::new(u32::MAX);
-        assert!(t.pos.is_empty() && t.pos.capacity() == 0);
+        assert!(!t.is_dense() && t.levels.len() == 1 && t.levels.capacity() < 64);
         t.check_invariants();
         assert!(t.contains(max) && !t.contains(VmId::new(0)));
         assert_eq!(t.level_of(max), Some(Level::new(3)));
@@ -415,19 +467,23 @@ mod tests {
     #[test]
     fn a_dense_token_regains_its_map_when_the_sparse_id_leaves() {
         let mut t = Token::for_vms((0..100).map(VmId::new));
-        assert_eq!(t.pos.len(), 100);
+        assert!(t.is_dense() && t.levels.len() == 100);
         // 100 members carry at most 32 · 100 + 64 slots.
         let far = VmId::new(32 * 101 + 64);
         assert!(t.add_vm(far));
-        assert!(t.pos.is_empty(), "one far id drops the map");
+        assert!(!t.is_dense(), "one far id drops the map");
+        assert_eq!(t.levels.len(), 101, "one level a member");
         assert_eq!(t.next_after(VmId::new(99)), Some(far));
         assert!(t.raise_level(VmId::new(42), Level::CORE));
         assert!(t.remove_vm(far));
-        assert_eq!(t.pos.len(), 100, "and its departure restores it");
+        assert!(t.is_dense(), "and its departure restores it");
+        assert_eq!(t.levels.len(), 100);
         assert_eq!(t.level_of(VmId::new(42)), Some(Level::CORE));
         // The last id still inside the rule keeps the map.
         assert!(t.add_vm(VmId::new(32 * 101 + 63)));
-        assert_eq!(t.pos.len(), 32 * 101 + 64);
+        assert!(t.is_dense() && t.levels.len() == 32 * 101 + 64);
+        assert_eq!(t.level_of(VmId::new(42)), Some(Level::CORE));
+        assert_eq!(t.level_of(VmId::new(32 * 101 + 63)), Some(Level::ZERO));
         t.check_invariants();
     }
 
@@ -471,7 +527,7 @@ mod tests {
         /// the membership ops) against a `BTreeMap<id, level>`, over id
         /// spans wide enough to cross the density rule both ways (62 of
         /// the 64 default cases do): after every op the invariants hold
-        /// and entries, lookups, successor and size are the model's.
+        /// and members, lookups, successor and size are the model's.
         #[test]
         fn token_matches_a_btreemap_model(
             start in 0u32..80,
@@ -545,11 +601,11 @@ mod tests {
 
                 let ids: Vec<u32> = model.keys().copied().collect();
                 let got: Vec<(u32, u8)> =
-                    t.entries().iter().map(|e| (e.id.get(), e.level.get())).collect();
+                    t.members().map(|(id, level)| (id.get(), level.get())).collect();
                 let want: Vec<(u32, u8)> = model.iter().map(|(&k, &l)| (k, l)).collect();
                 proptest::prop_assert_eq!(got, want);
                 let ring_ids: Vec<u32> =
-                    ring.token().entries().iter().map(|e| e.id.get()).collect();
+                    ring.token().ids().iter().map(|id| id.get()).collect();
                 proptest::prop_assert_eq!(&ring_ids, &ids);
                 match ring.holder() {
                     Some(h) => proptest::prop_assert!(model.contains_key(&h.get())),
@@ -573,30 +629,42 @@ mod tests {
             }
         }
 
-        /// Any `add_vm`/`remove_vm` sequence — through gaps, new highest
-        /// ids, removal of the highest id and emptying — bumps the
-        /// version once per real change and leaves the position map
-        /// exactly what a from-scratch rebuild gives (the contract the
-        /// incremental update of the map keeps).
+        /// Any `add_vm`/`remove_vm`/`raise_level` sequence — through gaps,
+        /// new highest ids, removal of the highest id, emptying, and far
+        /// ids that cross the density rule both ways — bumps the version
+        /// once per real membership change and leaves the level bytes
+        /// exactly what a from-scratch build of the same members and
+        /// levels gives (the contract the in-place upkeep keeps).
         #[test]
         fn membership_changes_keep_the_position_map_exact(
             // A narrow id span empties the token over and over.
             span in 1u32..40,
             start in proptest::prop::collection::vec(0u32..40, 0..12),
-            ops in proptest::prop::collection::vec((0u8..2, 0u32..40), 1..200),
+            ops in proptest::prop::collection::vec((0u8..3, 0u32..40, 0u8..8), 1..200),
         ) {
             let mut t = Token::for_vms(start.into_iter().map(|id| VmId::new(id % span)));
-            for (add, id) in ops {
-                let vm = VmId::new(id % span);
+            for (op, id, far) in ops {
+                // One op in eight names an id far beyond 32 a member.
+                let vm = VmId::new(if far == 0 { 4_000 + id } else { id % span });
                 let version = t.version();
-                let add = add == 1;
-                let changed = if add { t.add_vm(vm) } else { t.remove_vm(vm) };
+                let changed = match op {
+                    0 => t.remove_vm(vm),
+                    1 => t.add_vm(vm),
+                    _ => {
+                        t.raise_level(vm, Level::new((id % 4) as u8));
+                        false
+                    }
+                };
                 proptest::prop_assert_eq!(t.version(), version + u64::from(changed));
-                proptest::prop_assert_eq!(t.contains(vm), add);
-                let mut rebuilt = t.clone();
-                rebuilt.rebuild_pos();
-                proptest::prop_assert_eq!(&t.pos, &rebuilt.pos);
-                proptest::prop_assert!(t.entries.windows(2).all(|w| w[0].id < w[1].id));
+                if op < 2 {
+                    proptest::prop_assert_eq!(t.contains(vm), op == 1);
+                }
+                let mut rebuilt = Token::for_vms(t.ids().iter().copied());
+                for (member, level) in t.members() {
+                    rebuilt.set_level(member, level);
+                }
+                proptest::prop_assert_eq!(&t.levels, &rebuilt.levels);
+                t.check_invariants();
             }
         }
     }

@@ -12,7 +12,7 @@
 //! kernel exists to avoid.
 //!
 //! The same counter pins the token's membership path: a departure, and
-//! an arrival appended within capacity, patch the position map in place.
+//! an arrival appended within capacity, patch the level table in place.
 
 use score_core::{
     Allocation, Cluster, ForecastCostFirst, HighestCostFirst, HighestLevelFirst, OutlookContext,

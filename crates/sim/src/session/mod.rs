@@ -489,8 +489,7 @@ impl Session {
     /// refused).
     fn live_pairs(&self) -> Vec<(VmId, VmId, f64)> {
         let mut pairs = Vec::with_capacity(self.traffic.num_pairs());
-        for entry in self.ring.token().entries() {
-            let u = entry.id;
+        for &u in self.ring.token().ids() {
             let above = self.traffic.peers(u).filter(|&(v, _)| v > u);
             pairs.extend(above.map(|(v, rate)| (u, v, rate)));
         }
@@ -561,7 +560,7 @@ impl Session {
         let token = self.ring.token();
         assert!(
             token.len() == self.cluster.num_active() as usize
-                && token.entries().iter().all(|e| self.cluster.is_active(e.id)),
+                && token.ids().iter().all(|&vm| self.cluster.is_active(vm)),
             "the token's {} members are not the {} live VMs",
             token.len(),
             self.cluster.num_active()
