@@ -3,16 +3,17 @@
 //!
 //! Each case draws a fabric (a ≤ 160-host canonical tree, a k = 4 or
 //! k = 6 fat-tree, or a star), one of the five policies with the EWMA
-//! forecast on or off, `c_m` zero or positive, a NIC threshold, and a
+//! forecast on or off, `c_m` zero or positive, a NIC threshold, a
 //! workload whose hub VMs have ≥ 24 peers, so decisions land on both
-//! sides of `KERNEL_MIN_CANDIDATES`. It then
+//! sides of `KERNEL_MIN_CANDIDATES`, and the resource that caps a host:
+//! its slots, its RAM or its CPU. It then
 //! runs a random program of `step`, `advance_to`, `SetRate`,
 //! `ScalePair`, `ScaleAll`, `place_vm`, `remove_vm`, `HostCrash`,
 //! `RackFail`, `LinkDegrade` and `LinkRestore` on both.
 //!
 //! Checked at every hold: the holder, the time, `(vm, from, to)`, the
 //! next holder, the candidate count, each candidate's capacity verdict
-//! (the product's `Cluster::can_host` on a clone taken before the hold,
+//! with the resource that refused it (the product's `Cluster::can_host` on a clone taken before the hold,
 //! so its own probes' memo traffic stays unobserved), the current-TM gain
 //! and the pre-emptive flag, and for a reactive move the kernel's score
 //! against `LocalView::delta_for`, bit for bit. Checked after every op:
@@ -28,7 +29,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use score_core::engine::KERNEL_MIN_CANDIDATES;
-use score_core::{LocalView, ScoreConfig, ServerSpec, VmSpec};
+use score_core::{AdmissionError, LocalView, ScoreConfig, ServerSpec, VmSpec};
 use score_sim::{EngineSpec, ForecastSpec, PolicyKind, Scenario, Session, TimingSpec};
 use score_topology::{RackId, ServerId, VmId};
 use score_trace::TraceEvent;
@@ -97,6 +98,12 @@ struct Tally {
     preemptive: usize,
     /// Reactive migrations on the bucketed side whose bits were checked.
     bits: usize,
+    /// Cases whose hosts RAM, or CPU, caps below their slots.
+    ram_bound: usize,
+    cpu_bound: usize,
+    /// Candidates the capacity probe refused for want of a slot, of RAM
+    /// and of CPU.
+    refused: [usize; 3],
 }
 
 /// Every fourth VM a hub drawing 24–31 peers, the others 1–3.
@@ -119,7 +126,7 @@ fn workload(rng: &mut StdRng, n: u32) -> Vec<(u32, u32, f64)> {
     pairs.into_iter().map(|((u, v), r)| (u, v, r)).collect()
 }
 
-fn setup(fabric: Fabric, case: u32, rng: &mut StdRng) -> (Session, RefSession) {
+fn setup(fabric: Fabric, case: u32, rng: &mut StdRng, tally: &mut Tally) -> (Session, RefSession) {
     let kind = PolicyKind::all()[case as usize % 5];
     let forecast = (case / 5) % 2 == 1;
     let builder = Scenario::builder();
@@ -183,14 +190,54 @@ fn setup(fabric: Fabric, case: u32, rng: &mut StdRng) -> (Session, RefSession) {
         .timing(timing)
         .seed(seed)
         .build();
-    let session = scenario.session().expect("the case materializes");
+    let session = bind_resources(scenario, slots, rng, tally);
     let alloc = session.cluster().allocation();
     let alloc = (0..n)
         .map(|v| alloc.server_of(VmId::new(v)).get())
         .collect();
     let pairs = pairs.into_iter().map(|(u, v, r)| ((u, v), r)).collect();
-    let model = RefSession::new(&scenario, Arc::clone(session.topo()), alloc, &pairs);
+    let model = RefSession::new(
+        session.scenario(),
+        Arc::clone(session.topo()),
+        alloc,
+        &pairs,
+    );
     (session, model)
+}
+
+/// Draws the resource that caps a host and materializes the case. The
+/// initial placement fills hosts at random up to their slots. When no
+/// host is full, a coin lowers every host's RAM, or its CPU (with a VM
+/// demand of 0.3 cores, which no binary fraction holds), until a host
+/// admits exactly as many VMs as the fullest one holds: fewer than its
+/// slots, so the probe refuses for RAM or CPU, and no fewer, so the
+/// placement stands as drawn. The cap sits a fraction of one VM's demand
+/// below the next VM. A case with a full host stays capped by slots.
+fn bind_resources(
+    mut scenario: Scenario,
+    slots: u32,
+    rng: &mut StdRng,
+    tally: &mut Tally,
+) -> Session {
+    let probe = scenario.session().expect("the case materializes");
+    let (alloc, hosts) = (probe.cluster().allocation(), probe.topo().num_servers());
+    let fullest = (0..hosts as u32)
+        .map(|s| alloc.vms_on(ServerId::new(s)).len() as u32)
+        .max()
+        .unwrap_or(0);
+    if fullest < slots {
+        let (cap, resources) = (fullest, &mut scenario.resources);
+        if rng.gen_bool(0.5) {
+            let ram = resources.vm.ram_mb;
+            resources.server.ram_mb = ram * cap + rng.gen_range(0..ram);
+            tally.ram_bound += 1;
+        } else {
+            resources.vm.cpu_cores = 0.3;
+            resources.server.cpu_cores = 0.3 * f64::from(cap) + rng.gen_range(0.06..0.24);
+            tally.cpu_bound += 1;
+        }
+    }
+    scenario.session().expect("the case materializes")
 }
 
 /// The product and the model side by side, with the session's other
@@ -229,15 +276,10 @@ impl World {
         // The capacity verdict on every peer's server, from a clone: the
         // product probes only the candidates that could win.
         let cold = cluster.clone();
-        let admits: BTreeMap<u32, bool> = view
+        let admits: BTreeMap<u32, Result<(), AdmissionError>> = view
             .iter()
             .flat_map(|v| v.peers.iter().map(move |p| (v.vm, p.server)))
-            .map(|(vm, s)| {
-                (
-                    s.get(),
-                    cold.can_host(traffic, s, vm, self.threshold).is_ok(),
-                )
-            })
+            .map(|(vm, s)| (s.get(), cold.can_host(traffic, s, vm, self.threshold)))
             .collect();
         let outcome = self.session.step();
         let pick = outcome.and_then(|o| o.decision.target.map(|s| s.get()));
@@ -283,6 +325,13 @@ impl World {
         assert_eq!(d.evaluated, h.candidates, "candidates at {t}");
         for &(s, fits) in &h.fits {
             assert_eq!(admits.get(&s), Some(&fits), "admission of srv{s} at {t}");
+            let refused = match fits {
+                Err(AdmissionError::NoSlot) => 0,
+                Err(AdmissionError::Ram) => 1,
+                Err(AdmissionError::Cpu) => 2,
+                _ => continue,
+            };
+            self.tally.refused[refused] += 1;
         }
         assert!(
             (d.gain - h.gain).abs() <= tol,
@@ -485,7 +534,7 @@ fn drive(fabric: Fabric, case: u32, tally: &mut Tally) {
     let name = format!("model_{fabric:?}");
     let mut rng = proptest::case_rng(&name, case);
     let ops = prop::collection::vec(op_strategy(), 30..60).sample(&mut rng);
-    let (session, model) = setup(fabric, case, &mut rng);
+    let (session, model) = setup(fabric, case, &mut rng, tally);
     let scenario = session.scenario();
     let mut world = World {
         cm: scenario.engine.score().migration_cost,
@@ -525,6 +574,10 @@ fn suite(fabric: Fabric) {
         "bucketed share {tally:?}"
     );
     assert!(tally.bucketed < tally.holds, "no hold below the cutoff");
+    assert!(
+        tally.refused[1] > 0 && tally.refused[2] > 0,
+        "RAM and CPU each refused a candidate {tally:?}"
+    );
 }
 
 #[test]

@@ -14,12 +14,14 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use score_core::AdmissionError;
 use score_sim::{ForecastSpec, PolicyKind, Scenario};
 use score_topology::{ServerId, Topology, VmId};
 use score_traffic::{EwmaForecaster, RateForecaster};
 
 /// What one token hold did; `gain` is the move's ΔC at current rates,
-/// and `fits` each candidate with its verdict of the capacity probe.
+/// and `fits` each candidate with its verdict of the capacity probe: the
+/// first refusing check, in the order liveness, slot, RAM, CPU, NIC.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefHold {
     pub holder: u32,
@@ -29,7 +31,7 @@ pub struct RefHold {
     pub gain: f64,
     pub preemptive: bool,
     pub candidates: usize,
-    pub fits: Vec<(u32, bool)>,
+    pub fits: Vec<(u32, Result<(), AdmissionError>)>,
     pub near_tie: bool,
 }
 
@@ -135,30 +137,42 @@ impl RefSession {
         (0..self.alloc.len() as u32).filter(here).collect()
     }
 
-    /// Can `s` take one more VM: up, with a slot, RAM and CPU left?
-    fn admits(&self, s: u32) -> bool {
+    /// Can `s` take one more VM: up, with a slot, RAM and CPU left? The
+    /// CPU of the VMs already there is summed one VM at a time.
+    fn admission(&self, s: u32) -> Result<(), AdmissionError> {
         let (server, vm) = (&self.sc.resources.server, &self.sc.resources.vm);
         let n = self.on(s).len() as u32;
         let cpu: f64 = (0..n).map(|_| vm.cpu_cores).sum();
-        self.up[s as usize]
-            && n < server.vm_slots
-            && (n + 1) * vm.ram_mb <= server.ram_mb
-            && cpu + vm.cpu_cores <= server.cpu_cores + 1e-9
+        if !self.up[s as usize] {
+            Err(AdmissionError::HostDown)
+        } else if n >= server.vm_slots {
+            Err(AdmissionError::NoSlot)
+        } else if (n + 1) * vm.ram_mb > server.ram_mb {
+            Err(AdmissionError::Ram)
+        } else if cpu + vm.cpu_cores > server.cpu_cores + 1e-9 {
+            Err(AdmissionError::Cpu)
+        } else {
+            Ok(())
+        }
     }
 
     /// The placement rule: most free slots, lowest id first.
     fn place_target(&self) -> Option<u32> {
         let slots = self.sc.resources.server.vm_slots;
         let rank = |&s: &u32| (slots.saturating_sub(self.on(s).len() as u32), Reverse(s));
-        let admitting = (0..self.up.len() as u32).filter(|&s| self.admits(s));
+        let admitting = (0..self.up.len() as u32).filter(|&s| self.admission(s).is_ok());
         admitting.max_by_key(rank)
     }
 
     /// Admission, then the §V-C probe of the NIC load `vm` would bring.
-    fn fits(&self, vm: u32, s: u32) -> bool {
+    fn fits(&self, vm: u32, s: u32) -> Result<(), AdmissionError> {
         let nic = self.sc.resources.server.nic_bps * self.nic_factor;
         let cap = self.sc.engine.score().bandwidth_threshold * nic;
-        self.admits(s) && self.nic_loads(&self.moved(vm, s))[s as usize] <= cap + 1e-9
+        self.admission(s)?;
+        if self.nic_loads(&self.moved(vm, s))[s as usize] > cap + 1e-9 {
+            return Err(AdmissionError::Bandwidth);
+        }
+        Ok(())
     }
 
     /// The rate decisions score: `max(current, forecast)` when forecasting.
@@ -196,9 +210,10 @@ impl RefSession {
         let (now, before) = (self.cost(), self.cost_of(&scored, &self.alloc));
         let (tol, cm) = (1e-9 * now.max(before), score.migration_cost);
         // Theorem 1: the feasible target with the largest ΔC, if > c_m.
-        let fits: Vec<(u32, bool)> = candidates.iter().map(|&s| (s, self.fits(u, s))).collect();
+        let fits: Vec<(u32, Result<(), AdmissionError>)> =
+            candidates.iter().map(|&s| (s, self.fits(u, s))).collect();
         let (mut options, mut own, mut top) = (Vec::new(), None, f64::NEG_INFINITY);
-        for &(s, _) in fits.iter().filter(|f| f.1) {
+        for &(s, _) in fits.iter().filter(|f| f.1.is_ok()) {
             let gain = before - self.cost_of(&scored, &self.moved(u, s));
             options.push((s, gain));
             if gain > top {
@@ -349,7 +364,7 @@ impl RefSession {
     /// A stopped token chain starts again one hop from `now`.
     pub fn place(&mut self, server: Option<u32>, now: f64) -> Option<(u32, u32)> {
         let target = match server {
-            Some(s) => (s < self.up.len() as u32 && self.admits(s)).then_some(s)?,
+            Some(s) => (s < self.up.len() as u32 && self.admission(s).is_ok()).then_some(s)?,
             None => self.place_target()?,
         };
         let id = self.alloc.len() as u32;
