@@ -1,4 +1,4 @@
-//! Cluster state: topology + allocation + per-server resource usage.
+//! Cluster state: topology + allocation + per-server free VM slots.
 //!
 //! [`Cluster`] is the piece of shared world state the simulator, the S-CORE
 //! engine and the baselines all operate on. It enforces the server-side
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::allocation::Allocation;
-use crate::resources::{AdmissionError, ServerSpec, ServerUsage, VmSpec};
+use crate::resources::{AdmissionError, ServerSpec, VmSpec};
 use crate::slotindex::FreeSlotIndex;
 
 /// Error constructing a [`Cluster`].
@@ -25,12 +25,10 @@ pub enum ClusterError {
         /// Servers in the topology.
         topology: usize,
     },
-    /// VM population differs between allocation, specs and traffic.
+    /// VM population differs between allocation and traffic.
     VmCountMismatch {
         /// VMs in the allocation.
         allocation: u32,
-        /// VM specs supplied.
-        specs: usize,
         /// VMs in the traffic description.
         traffic: u32,
     },
@@ -69,11 +67,10 @@ impl fmt::Display for ClusterError {
             ),
             ClusterError::VmCountMismatch {
                 allocation,
-                specs,
                 traffic,
             } => write!(
                 f,
-                "VM population mismatch: allocation {allocation}, specs {specs}, traffic {traffic}"
+                "VM population mismatch: allocation {allocation}, traffic {traffic}"
             ),
             ClusterError::InitialOverCommit { server, source } => {
                 write!(f, "initial allocation overcommits {server}: {source}")
@@ -306,7 +303,7 @@ impl ExtLoadCache {
     }
 }
 
-/// Topology + allocation + resource ledger.
+/// Topology + allocation + free-slot account.
 ///
 /// The cluster holds no rates. Every method that reads them — the §V-C
 /// NIC probe ([`Cluster::can_host`], [`Cluster::migrate`]) and the loads
@@ -320,17 +317,19 @@ impl ExtLoadCache {
 pub struct Cluster {
     topo: Arc<dyn Topology>,
     server_spec: ServerSpec,
-    vm_specs: Vec<VmSpec>,
+    /// VMs one server hosts, and the resource that refuses the next one
+    /// ([`ServerSpec::vm_capacity`] of the cluster's one VM shape).
+    capacity: u32,
+    full: AdmissionError,
     alloc: Allocation,
-    usage: Vec<ServerUsage>,
     /// Liveness per VM id. Departed VMs are tombstoned (kept in the
-    /// allocation with zero resource usage) rather than compacted, so
-    /// ids stay dense and stable for audit logs and replay.
+    /// allocation without a slot) rather than compacted, so ids stay
+    /// dense and stable for audit logs and replay.
     active: Vec<bool>,
-    /// Max-free-slots segment tree over the fleet, kept in lockstep with
-    /// `usage[*].slots` so [`Cluster::choose_server`] resolves in
-    /// O(log servers) instead of a fleet scan. Down hosts are pinned to
-    /// zero free slots so the index never descends into them.
+    /// The one slot account: `capacity` minus the live VMs hosted for an
+    /// up host, 0 for a down one, in a max segment tree so
+    /// [`Cluster::choose_server`] resolves in O(log servers) instead of a
+    /// fleet scan.
     slot_index: FreeSlotIndex,
     /// Liveness per server. A down host admits nothing
     /// ([`AdmissionError::HostDown`]) and is excluded from
@@ -359,26 +358,10 @@ impl fmt::Debug for Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster with uniform VM specs.
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::with_vm_specs`].
-    pub fn new(
-        topo: Arc<dyn Topology>,
-        server_spec: ServerSpec,
-        vm_spec: VmSpec,
-        traffic: &PairTraffic,
-        alloc: Allocation,
-    ) -> Result<Self, ClusterError> {
-        let specs = vec![vm_spec; alloc.num_vms() as usize];
-        Cluster::with_vm_specs(topo, server_spec, specs, traffic, alloc)
-    }
-
-    /// Builds a cluster with per-VM (heterogeneous) specs, validating the
-    /// initial allocation against server capacities. `traffic` is only
-    /// checked for its population and swept once to fill the memoised
-    /// NIC loads; the cluster keeps no copy.
+    /// Builds a cluster whose VMs all demand `vm_spec`, validating the
+    /// initial allocation against the servers' VM capacity. `traffic` is
+    /// only checked for its population and swept once to fill the
+    /// memoised NIC loads; the cluster keeps no copy.
     ///
     /// # Errors
     ///
@@ -386,10 +369,10 @@ impl Cluster {
     /// initial allocation overcommits any server (slots/RAM/CPU; the NIC
     /// threshold is enforced only on migrations, since the initial
     /// placement is whatever the DC already runs).
-    pub fn with_vm_specs(
+    pub fn new(
         topo: Arc<dyn Topology>,
         server_spec: ServerSpec,
-        vm_specs: Vec<VmSpec>,
+        vm_spec: VmSpec,
         traffic: &PairTraffic,
         alloc: Allocation,
     ) -> Result<Self, ClusterError> {
@@ -399,35 +382,34 @@ impl Cluster {
                 topology: topo.num_servers(),
             });
         }
-        if vm_specs.len() != alloc.num_vms() as usize || traffic.num_vms() != alloc.num_vms() {
+        if traffic.num_vms() != alloc.num_vms() {
             return Err(ClusterError::VmCountMismatch {
                 allocation: alloc.num_vms(),
-                specs: vm_specs.len(),
                 traffic: traffic.num_vms(),
             });
         }
-        let mut usage = vec![ServerUsage::default(); topo.num_servers()];
-        for (vm, server) in alloc.iter() {
-            let u = &mut usage[server.index()];
-            if let Err(source) = u.admission_check(&server_spec, &vm_specs[vm.index()]) {
-                return Err(ClusterError::InitialOverCommit { server, source });
+        let (capacity, full) = server_spec.vm_capacity(&vm_spec);
+        let mut free = vec![capacity; topo.num_servers()];
+        for (_, server) in alloc.iter() {
+            let left = &mut free[server.index()];
+            if *left == 0 {
+                return Err(ClusterError::InitialOverCommit {
+                    server,
+                    source: full,
+                });
             }
-            u.admit(&vm_specs[vm.index()]);
+            *left -= 1;
         }
         let active = vec![true; alloc.num_vms() as usize];
-        let slot_index = FreeSlotIndex::new(
-            usage
-                .iter()
-                .map(|u| server_spec.vm_slots.saturating_sub(u.slots)),
-        );
+        let slot_index = FreeSlotIndex::new(free.into_iter());
         let host_up = vec![true; topo.num_servers()];
         let ext_load = ExtLoadCache::new(topo.num_servers());
         let cluster = Cluster {
             topo,
             server_spec,
-            vm_specs,
+            capacity,
+            full,
             alloc,
-            usage,
             active,
             slot_index,
             host_up,
@@ -439,23 +421,31 @@ impl Cluster {
         // (so cached values are bit-identical to lazy fills): one O(pairs)
         // sweep at build time means the first decisions of a fresh
         // cluster don't each pay a cold per-host compute.
-        for s in 0..cluster.usage.len() {
+        for s in 0..cluster.host_up.len() {
             let _ = cluster.host_external_load(traffic, ServerId::new(s as u32));
         }
         Ok(cluster)
     }
 
-    /// Repairs the free-slot index entry of one server after its slot
-    /// count changed. Down hosts stay pinned at zero free slots.
-    fn refresh_slot_index(&mut self, server: ServerId) {
-        let free = if self.host_up[server.index()] {
-            self.server_spec
-                .vm_slots
-                .saturating_sub(self.usage[server.index()].slots)
-        } else {
-            0
-        };
-        self.slot_index.set(server.index(), free);
+    /// Takes one free slot of an up `server` for an arriving VM.
+    fn take_slot(&mut self, server: ServerId) {
+        let free = self.slot_index.free(server.index());
+        self.slot_index.set(server.index(), free - 1);
+    }
+
+    /// Frees the slot of a VM leaving `server`. A down host's account
+    /// stays pinned at 0: it never hosts again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an up `server` has no VM to release (eviction without
+    /// admission).
+    fn release_slot(&mut self, server: ServerId) {
+        if self.host_up[server.index()] {
+            let free = self.slot_index.free(server.index());
+            assert!(free < self.capacity, "evicting from an empty server");
+            self.slot_index.set(server.index(), free + 1);
+        }
     }
 
     /// The topology.
@@ -471,16 +461,6 @@ impl Cluster {
     /// The uniform server spec.
     pub fn server_spec(&self) -> &ServerSpec {
         &self.server_spec
-    }
-
-    /// Spec of one VM.
-    pub fn vm_spec(&self, vm: VmId) -> &VmSpec {
-        &self.vm_specs[vm.index()]
-    }
-
-    /// Resource usage of one server.
-    pub fn usage(&self, server: ServerId) -> &ServerUsage {
-        &self.usage[server.index()]
     }
 
     /// Number of VMs.
@@ -570,27 +550,23 @@ impl Cluster {
 
     /// Panics unless the derived state agrees with the allocation and
     /// `traffic`, the TM the cluster has been told of: the allocation,
-    /// the TM, the specs and the liveness flags count the same VMs; every
-    /// host's usage is the sum of the specs of the live VMs it hosts (CPU,
-    /// a running float sum, to 1e-9) and within its capacity, and its
-    /// free-slot index entry matches; down hosts host no live VM and
-    /// `hosts_down` counts them; every exact memoised external load is
-    /// within 1e-9 relative of a fresh sum over `traffic` (a `ScaleAll`
-    /// multiplies cached sums through instead of re-summing, so they may
-    /// differ in the last bits), and every folded one's interval holds
-    /// that sum. O(VMs × degree): the property suites call it inside
-    /// their step loops.
+    /// the TM and the liveness flags count the same VMs; every host holds
+    /// at most `capacity` live VMs, down hosts none, and `hosts_down`
+    /// counts the down hosts; the one slot account holds `capacity` minus
+    /// the live VMs hosted for an up host and 0 for a down one; every
+    /// exact memoised external load is within 1e-9 relative of a fresh
+    /// sum over `traffic` (a `ScaleAll` multiplies cached sums through
+    /// instead of re-summing, so they may differ in the last bits), and
+    /// every folded one's interval holds that sum. O(VMs × degree): the
+    /// property suites call it inside their step loops.
     #[cfg(any(test, debug_assertions))]
     #[doc(hidden)]
     pub fn check_invariants(&self, traffic: &PairTraffic) {
         let vms = self.alloc.num_vms();
         assert!(
-            traffic.num_vms() == vms
-                && self.vm_specs.len() == vms as usize
-                && self.active.len() == vms as usize,
-            "VM count: allocation {vms}, TM {}, specs {}, liveness flags {}",
+            traffic.num_vms() == vms && self.active.len() == vms as usize,
+            "VM count: allocation {vms}, TM {}, liveness flags {}",
             traffic.num_vms(),
-            self.vm_specs.len(),
             self.active.len()
         );
         let down = self.host_up.iter().filter(|&&up| !up).count();
@@ -598,33 +574,21 @@ impl Cluster {
             self.hosts_down as usize, down,
             "hosts_down counts the down hosts"
         );
-        let spec = &self.server_spec;
-        for (s, used) in self.usage.iter().enumerate() {
+        for s in 0..self.host_up.len() {
             let server = ServerId::new(s as u32);
-            let mut fresh = ServerUsage::default();
-            for &vm in self
-                .alloc
-                .vms_on(server)
-                .iter()
-                .filter(|vm| self.active[vm.index()])
-            {
-                assert!(self.host_up[s], "down host {server} hosts {vm}");
-                fresh.admit(&self.vm_specs[vm.index()]);
-            }
+            let on = self.alloc.vms_on(server).iter();
+            let hosted = on.filter(|vm| self.active[vm.index()]).count() as u32;
             assert!(
-                used.slots == fresh.slots
-                    && used.ram_mb == fresh.ram_mb
-                    && (used.cpu_cores - fresh.cpu_cores).abs() <= 1e-9 * fresh.cpu_cores.max(1.0),
-                "usage of {server} {used:?} is not the sum of its VMs' specs {fresh:?}"
+                self.host_up[s] || hosted == 0,
+                "down host {server} hosts {hosted} live VMs"
             );
             assert!(
-                used.slots <= spec.vm_slots
-                    && used.ram_mb <= spec.ram_mb
-                    && used.cpu_cores <= spec.cpu_cores + 1e-9,
-                "{server} over capacity: {used:?} on {spec:?}"
+                hosted <= self.capacity,
+                "{server} over capacity: {hosted} VMs, room for {}",
+                self.capacity
             );
             let free = if self.host_up[s] {
-                spec.vm_slots - used.slots
+                self.capacity - hosted
             } else {
                 0
             };
@@ -669,7 +633,7 @@ impl Cluster {
         vm: VmId,
         bandwidth_threshold: f64,
     ) -> Result<(), AdmissionError> {
-        self.static_admission(server, vm)?;
+        self.static_admission(server)?;
         if bandwidth_threshold.is_finite() {
             let [split] = self.split_peers(traffic, vm, [server]);
             self.nic_admission(traffic, server, bandwidth_threshold, split)?;
@@ -677,12 +641,17 @@ impl Cluster {
         Ok(())
     }
 
-    /// The liveness and slot/RAM/CPU half of [`Cluster::can_host`].
-    fn static_admission(&self, server: ServerId, vm: VmId) -> Result<(), AdmissionError> {
+    /// The liveness and slot/RAM/CPU half of [`Cluster::can_host`]: an
+    /// up host with a free slot. A full host refuses with the resource
+    /// that caps it.
+    fn static_admission(&self, server: ServerId) -> Result<(), AdmissionError> {
         if !self.host_up[server.index()] {
             return Err(AdmissionError::HostDown);
         }
-        self.usage[server.index()].admission_check(&self.server_spec, &self.vm_specs[vm.index()])
+        if self.slot_index.free(server.index()) == 0 {
+            return Err(self.full);
+        }
+        Ok(())
     }
 
     /// The NIC half of [`Cluster::can_host`], given the mover's
@@ -729,7 +698,7 @@ impl Cluster {
         }
         let [(off_source, on_source), (off_target, on_target)] =
             self.split_peers(traffic, vm, [current, target]);
-        self.static_admission(target, vm)?;
+        self.static_admission(target)?;
         if bandwidth_threshold.is_finite() {
             self.nic_admission(
                 traffic,
@@ -738,11 +707,8 @@ impl Cluster {
                 (off_target, on_target),
             )?;
         }
-        let spec = self.vm_specs[vm.index()];
-        self.usage[current.index()].evict(&spec);
-        self.usage[target.index()].admit(&spec);
-        self.refresh_slot_index(current);
-        self.refresh_slot_index(target);
+        self.release_slot(current);
+        self.take_slot(target);
         self.alloc.move_vm(vm, target);
         // Only the two endpoints' external loads change: for any third
         // server, `vm`'s pairs were external before and stay external.
@@ -767,30 +733,25 @@ impl Cluster {
         self.active.iter().filter(|&&a| a).count() as u32
     }
 
-    /// Deterministically picks the server a newly arriving VM of `spec`
-    /// should land on: the admissible server with the most free slots,
-    /// lowest id winning ties — the §V-A "centralized VM instance
-    /// placement manager" choice, reproducible from cluster state alone.
+    /// Deterministically picks the server a newly arriving VM should
+    /// land on: the admissible server with the most free slots, lowest
+    /// id winning ties — the §V-A "centralized VM instance placement
+    /// manager" choice, reproducible from cluster state alone.
     ///
-    /// Resolved through the max-free-slots segment tree in O(log
-    /// servers) best-first descents (each candidate leaf still runs the
-    /// full slots/RAM/CPU admission check), which is what keeps arrival
-    /// decisions at µs latency on 100k-host fleets. The pick is
-    /// bit-identical to the linear fleet scan it replaced.
+    /// Every VM has the cluster's one shape, so an up host with a free
+    /// slot admits it, and the pick is the leftmost maximum of the
+    /// free-slot segment tree, found in one O(log servers) descent
+    /// (down hosts hold 0 there). That keeps arrival decisions at µs
+    /// latency on 100k-host fleets, with the pick of a linear scan.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::NoCapacity`] when no server passes the
     /// static admission check.
-    pub fn choose_server(&self, spec: &VmSpec) -> Result<ServerId, ClusterError> {
+    pub fn choose_server(&self) -> Result<ServerId, ClusterError> {
         self.slot_index
-            .best(|i| {
-                self.host_up[i]
-                    && self.usage[i]
-                        .admission_check(&self.server_spec, spec)
-                        .is_ok()
-            })
-            .map(|(_, i)| ServerId::new(i as u32))
+            .best()
+            .map(|i| ServerId::new(i as u32))
             .ok_or(ClusterError::NoCapacity)
     }
 
@@ -809,43 +770,30 @@ impl Cluster {
     /// target refuses the VM, or [`ClusterError::NoCapacity`] when no
     /// target was given and no server can host it. The cluster is
     /// unchanged on error.
-    pub fn place_vm(
-        &mut self,
-        spec: VmSpec,
-        server: Option<ServerId>,
-    ) -> Result<(VmId, ServerId), ClusterError> {
+    pub fn place_vm(&mut self, server: Option<ServerId>) -> Result<(VmId, ServerId), ClusterError> {
         let target = match server {
             Some(s) => {
-                if s.index() >= self.usage.len() {
+                if s.index() >= self.host_up.len() {
                     return Err(ClusterError::NoCapacity);
                 }
-                if !self.host_up[s.index()] {
-                    return Err(ClusterError::PlacementRejected {
-                        server: s,
-                        source: AdmissionError::HostDown,
-                    });
-                }
-                self.usage[s.index()]
-                    .admission_check(&self.server_spec, &spec)
+                self.static_admission(s)
                     .map_err(|source| ClusterError::PlacementRejected { server: s, source })?;
                 s
             }
-            None => self.choose_server(&spec)?,
+            None => self.choose_server()?,
         };
-        self.usage[target.index()].admit(&spec);
-        self.refresh_slot_index(target);
+        self.take_slot(target);
         // A zero-traffic newcomer contributes 0 to the target's external
         // load; invalidate anyway so the invariant stays local to reason
         // about (every allocation change drops the touched hosts).
         self.ext_load.invalidate(target.index());
-        self.vm_specs.push(spec);
         let vm = self.alloc.push_vm(target);
         self.active.push(true);
         Ok((vm, target))
     }
 
-    /// Removes a live VM from the cluster: releases its server resources
-    /// and tombstones the id (see the `active` field — ids stay dense and
+    /// Removes a live VM from the cluster: frees its server slot and
+    /// tombstones the id (see the `active` field — ids stay dense and
     /// stable). The TM's owner zeroes the VM's pairs and tells the
     /// cluster through [`Cluster::patch_traffic`], as for any delta.
     ///
@@ -857,18 +805,15 @@ impl Cluster {
         if !self.is_active(vm) {
             return Err(ClusterError::UnknownVm { vm });
         }
-        let server = self.alloc.server_of(vm);
-        let spec = self.vm_specs[vm.index()];
-        self.usage[server.index()].evict(&spec);
-        self.refresh_slot_index(server);
+        self.release_slot(self.alloc.server_of(vm));
         self.active[vm.index()] = false;
         Ok(())
     }
 
     /// Tells the cluster its TM was replaced wholesale by `traffic` (a
     /// traffic-phase shift): after a population check every memoised
-    /// external load is dropped. The allocation, specs and slot/RAM/CPU
-    /// usage carry over untouched (none of them depend on traffic).
+    /// external load is dropped. The allocation and the slot account
+    /// carry over untouched (neither depends on traffic).
     ///
     /// # Errors
     ///
@@ -879,7 +824,6 @@ impl Cluster {
         if traffic.num_vms() != self.alloc.num_vms() {
             return Err(ClusterError::VmCountMismatch {
                 allocation: self.alloc.num_vms(),
-                specs: self.vm_specs.len(),
                 traffic: traffic.num_vms(),
             });
         }
@@ -912,8 +856,8 @@ impl Cluster {
     /// [`PairTraffic::scale_all`]. The memoized external loads are
     /// multiplied through instead of being re-swept pair by pair, and the
     /// folded ones' bounds widen through one counter: O(servers), no pair
-    /// is visited. Slot/RAM/CPU state is untouched
-    /// (none of it depends on traffic).
+    /// is visited. The slot account is untouched (it does not depend on
+    /// traffic).
     pub fn scale_traffic(&mut self, factor: f64) {
         self.ext_load.scale_all(factor);
     }
@@ -1028,7 +972,7 @@ mod tests {
         }
 
         fn place(&mut self, server: Option<ServerId>) -> Result<(VmId, ServerId), ClusterError> {
-            let placed = self.c.place_vm(VmSpec::paper_default(), server)?;
+            let placed = self.c.place_vm(server)?;
             assert_eq!(
                 self.tm.push_vm(),
                 placed.0,
@@ -1061,6 +1005,11 @@ mod tests {
         }
     }
 
+    /// The live VMs on up host `s`, read off the slot account.
+    fn hosted(c: &Cluster, s: ServerId) -> u32 {
+        c.capacity - c.slot_index.free(s.index())
+    }
+
     fn world(vms: u32, per_server: u32) -> World {
         let spec = ServerSpec {
             vm_slots: per_server,
@@ -1074,7 +1023,7 @@ mod tests {
     /// on — equals a from-scratch sum over the reference `pairs` and the
     /// current allocation.
     fn assert_ext_loads(w: &World, pairs: &[(u32, u32, f64)]) {
-        for s in 0..w.c.usage.len() as u32 {
+        for s in 0..w.c.host_up.len() as u32 {
             let s = ServerId::new(s);
             let on = |vm: u32| w.c.allocation().server_of(VmId::new(vm)) == s;
             let fresh: f64 = pairs
@@ -1091,7 +1040,7 @@ mod tests {
     fn construction_tracks_usage() {
         let w = world(32, 16);
         assert_eq!(w.c.num_vms(), 32);
-        assert_eq!(w.c.usage(ServerId::new(0)).slots, 2);
+        assert_eq!(hosted(&w.c, ServerId::new(0)), 2);
         assert_ext_loads(&w, &[(0, 1, 100.0)]);
     }
 
@@ -1100,8 +1049,8 @@ mod tests {
         let mut w = world(4, 16);
         w.migrate(VmId::new(0), ServerId::new(3), 1.0).unwrap();
         assert_eq!(w.c.allocation().server_of(VmId::new(0)), ServerId::new(3));
-        assert_eq!(w.c.usage(ServerId::new(0)).slots, 0);
-        assert_eq!(w.c.usage(ServerId::new(3)).slots, 2);
+        assert_eq!(hosted(&w.c, ServerId::new(0)), 0);
+        assert_eq!(hosted(&w.c, ServerId::new(3)), 2);
         // Its external traffic moved with it.
         assert_ext_loads(&w, &[(0, 1, 100.0)]);
     }
@@ -1113,7 +1062,7 @@ mod tests {
         assert_eq!(err, AdmissionError::NoSlot);
         // State unchanged on failure.
         assert_eq!(w.c.allocation().server_of(VmId::new(0)), ServerId::new(0));
-        assert_eq!(w.c.usage(ServerId::new(1)).slots, 1);
+        assert_eq!(hosted(&w.c, ServerId::new(1)), 1);
     }
 
     #[test]
@@ -1125,21 +1074,141 @@ mod tests {
 
     #[test]
     fn initial_overcommit_rejected() {
-        let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
+        // Hosts capped at three VMs by slots, RAM or CPU (0.3 cores each,
+        // summed one VM at a time). VMs 0..8 land on srv1, srv0, srv0,
+        // srv0, srv1, srv1, srv0, srv1: srv0 takes its fourth VM (vm6)
+        // before srv1 does (vm7), so srv0 is named, with its cap.
+        let paper = ServerSpec::paper_default();
+        let vm = VmSpec {
+            ram_mb: 196,
+            cpu_cores: 0.3,
+        };
+        let capped = [
+            (
+                ServerSpec {
+                    vm_slots: 3,
+                    ..paper
+                },
+                AdmissionError::NoSlot,
+            ),
+            (
+                ServerSpec {
+                    ram_mb: 3 * 196 + 100,
+                    ..paper
+                },
+                AdmissionError::Ram,
+            ),
+            (
+                ServerSpec {
+                    cpu_cores: 1.0,
+                    ..paper
+                },
+                AdmissionError::Cpu,
+            ),
+        ];
+        let hosts = [1, 0, 0, 0, 1, 1, 0, 1];
+        for (spec, source) in capped {
+            let topo: Arc<dyn Topology> = Arc::new(CanonicalTree::small());
+            let alloc = Allocation::from_fn(8, 16, |v| ServerId::new(hosts[v.index()]));
+            let err = Cluster::new(topo, spec, vm, &traffic(8), alloc).unwrap_err();
+            assert_eq!(
+                err,
+                ClusterError::InitialOverCommit {
+                    server: ServerId::new(0),
+                    source
+                },
+                "{spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_ram_bound_cluster_refuses_its_capacity_plus_one_with_ram() {
+        // 16 slots, but RAM for three VMs: srv0 starts with three.
         let spec = ServerSpec {
-            vm_slots: 1,
+            ram_mb: 3 * 196 + 195,
             ..ServerSpec::paper_default()
         };
-        let alloc = Allocation::from_fn(2, 16, |_| ServerId::new(0));
-        let err =
-            Cluster::new(topo, spec, VmSpec::paper_default(), &traffic(2), alloc).unwrap_err();
+        let alloc = Allocation::from_fn(4, 16, |v| ServerId::new(v.get().min(3) % 3));
+        let mut w = World::new(traffic(4), spec, alloc);
+        assert_eq!(hosted(&w.c, ServerId::new(0)), 2);
+        w.place(Some(ServerId::new(0))).unwrap();
+        assert_eq!(hosted(&w.c, ServerId::new(0)), 3);
+        let srv0 = ServerId::new(0);
         assert_eq!(
-            err,
-            ClusterError::InitialOverCommit {
-                server: ServerId::new(0),
-                source: AdmissionError::NoSlot
-            }
+            w.c.can_host(&w.tm, srv0, VmId::new(1), f64::INFINITY),
+            Err(AdmissionError::Ram)
         );
+        assert_eq!(
+            w.migrate(VmId::new(1), srv0, f64::INFINITY),
+            Err(AdmissionError::Ram)
+        );
+        assert_eq!(
+            w.place(Some(srv0)),
+            Err(ClusterError::PlacementRejected {
+                server: srv0,
+                source: AdmissionError::Ram
+            })
+        );
+        // A departure frees the slot for the next arrival.
+        w.remove(VmId::new(0)).unwrap();
+        assert_eq!(w.place(Some(srv0)).map(|(_, s)| s), Ok(srv0));
+        w.c.check_invariants(&w.tm);
+    }
+
+    #[test]
+    fn choose_server_matches_a_linear_scan_of_the_most_free_slots() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The scan the index replaces, read off the allocation: the up
+        // host with the most free slots, lowest id first.
+        fn scan(c: &Cluster) -> Option<ServerId> {
+            let mut best: Option<(u32, ServerId)> = None;
+            for s in (0..16).map(ServerId::new).filter(|&s| c.host_is_up(s)) {
+                let on = c.allocation().vms_on(s).iter();
+                let free = c.capacity - on.filter(|&&v| c.is_active(v)).count() as u32;
+                if free > 0 && best.is_none_or(|(most, _)| free > most) {
+                    best = Some((free, s));
+                }
+            }
+            best.map(|(_, s)| s)
+        }
+        let mut rng = StdRng::seed_from_u64(49);
+        let mut w = world(40, 5);
+        for _ in 0..400 {
+            let vms = w.c.num_vms();
+            match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    let _ = w.place(None);
+                }
+                4..=6 => {
+                    let _ = w.remove(VmId::new(rng.gen_range(0..vms)));
+                }
+                7..=8 => {
+                    let (vm, to) = (rng.gen_range(0..vms), rng.gen_range(0..16));
+                    if w.c.is_active(VmId::new(vm)) {
+                        let _ = w.migrate(VmId::new(vm), ServerId::new(to), f64::INFINITY);
+                    }
+                }
+                _ => {
+                    for vm in w.c.fail_host(ServerId::new(rng.gen_range(0..16))) {
+                        match w.c.choose_server() {
+                            Ok(to) => w.migrate(vm, to, f64::INFINITY).unwrap(),
+                            Err(_) => w.remove(vm).unwrap(),
+                        }
+                    }
+                }
+            }
+            assert_eq!(w.c.choose_server().ok(), scan(&w.c));
+            w.c.check_invariants(&w.tm);
+        }
+        assert!(w.c.num_hosts_down() > 0 && w.c.num_hosts_down() < 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "evicting from an empty server")]
+    fn releasing_a_slot_of_an_empty_server_panics() {
+        world(4, 16).c.release_slot(ServerId::new(5));
     }
 
     #[test]
@@ -1264,7 +1333,7 @@ mod tests {
         w.rebind(b.build()).unwrap();
         // Allocation and slot/RAM usage carry over untouched.
         assert_eq!(w.c.allocation(), &before_alloc);
-        assert_eq!(w.c.usage(ServerId::new(0)).slots, 1);
+        assert_eq!(hosted(&w.c, ServerId::new(0)), 1);
         // NIC accounting reflects the new rates.
         assert_ext_loads(&w, &[(2, 3, 40.0)]);
         assert_eq!(w.load(ServerId::new(0)), 0.0);
@@ -1308,7 +1377,7 @@ mod tests {
         // Chooses an empty server (most free slots, lowest id wins): the
         // base cluster packs VMs 0..4 onto servers 0..4.
         assert_eq!(server, ServerId::new(4));
-        assert_eq!(w.c.usage(server).slots, 1);
+        assert_eq!(hosted(&w.c, server), 1);
         // Explicit target honoured.
         let (vm2, s2) = w.place(Some(ServerId::new(7))).unwrap();
         assert_eq!(vm2, VmId::new(5));
@@ -1318,12 +1387,9 @@ mod tests {
     #[test]
     fn place_vm_respects_capacity() {
         let mut c = world(16, 1).c; // one slot per server, all 16 full
+        assert!(matches!(c.place_vm(None), Err(ClusterError::NoCapacity)));
         assert!(matches!(
-            c.place_vm(VmSpec::paper_default(), None),
-            Err(ClusterError::NoCapacity)
-        ));
-        assert!(matches!(
-            c.place_vm(VmSpec::paper_default(), Some(ServerId::new(3))),
+            c.place_vm(Some(ServerId::new(3))),
             Err(ClusterError::PlacementRejected {
                 server: _,
                 source: AdmissionError::NoSlot
@@ -1341,7 +1407,7 @@ mod tests {
         assert_eq!(w.tm.num_pairs(), 0);
         assert!(!w.c.is_active(VmId::new(0)));
         assert_eq!(w.c.num_active(), 3);
-        assert_eq!(w.c.usage(ServerId::new(0)).slots, 0);
+        assert_eq!(hosted(&w.c, ServerId::new(0)), 0);
         assert_ext_loads(&w, &[]);
         assert_eq!(
             w.c.external_rate(&w.tm, VmId::new(1), ServerId::new(5)),
@@ -1385,7 +1451,7 @@ mod tests {
         patched.patch(VmId::new(0), VmId::new(1), 1000.0);
         assert_ext_loads(&patched, &[(0, 1, 1000.0)]);
         // Slot/RAM state is untouched.
-        assert_eq!(scaled.c.usage(ServerId::new(0)).slots, 1);
+        assert_eq!(hosted(&scaled.c, ServerId::new(0)), 1);
     }
 
     #[test]
@@ -1413,15 +1479,13 @@ mod tests {
                 ..
             })
         ));
-        assert_ne!(
-            w.c.choose_server(&VmSpec::paper_default()).unwrap(),
-            ServerId::new(0)
-        );
+        assert_ne!(w.c.choose_server().unwrap(), ServerId::new(0));
         // … but evacuating the victim *off* it is legal, and its slot
         // accounting follows.
         w.migrate(VmId::new(0), ServerId::new(5), f64::INFINITY)
             .unwrap();
-        assert_eq!(w.c.usage(ServerId::new(0)).slots, 0);
+        assert_eq!(w.c.slot_index.free(0), 0, "a down host stays full");
+        assert_eq!(hosted(&w.c, ServerId::new(5)), 1);
         assert_eq!(w.c.allocation().server_of(VmId::new(0)), ServerId::new(5));
     }
 
@@ -1462,13 +1526,12 @@ mod tests {
         w.c.check_invariants(&w.tm);
 
         type Corruption = fn(&mut World);
-        let corruptions: [(&str, Corruption); 7] = [
+        let corruptions: [(&str, Corruption); 6] = [
             ("VM count", |w| {
                 w.tm.push_vm();
             }),
             ("hosts_down", |w| w.c.hosts_down += 1),
-            ("not the sum", |w| w.c.usage[0].ram_mb += 1),
-            ("over capacity", |w| w.c.server_spec.vm_slots = 1),
+            ("over capacity", |w| w.c.capacity = 1),
             ("free-slot index", |w| w.c.slot_index.set(0, 0)),
             ("down host", |w| {
                 w.c.host_up[0] = false;

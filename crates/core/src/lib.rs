@@ -105,7 +105,7 @@ pub mod policy;
 pub mod resources;
 pub mod ring;
 pub mod scratch;
-pub mod slotindex;
+mod slotindex;
 pub mod token;
 pub mod view;
 
@@ -119,9 +119,8 @@ pub use outlook::OutlookContext;
 pub use policy::{
     ForecastCostFirst, HighestCostFirst, HighestLevelFirst, RandomNext, RoundRobin, TokenPolicy,
 };
-pub use resources::{AdmissionError, CapacityReport, ServerSpec, ServerUsage, VmSpec};
+pub use resources::{AdmissionError, ServerSpec, VmSpec};
 pub use ring::{IterationStats, StepOutcome, TokenRing};
 pub use scratch::KernelScratch;
-pub use slotindex::FreeSlotIndex;
 pub use token::Token;
 pub use view::{LocalView, PeerInfo};

@@ -6,6 +6,13 @@
 //! available" (§VI). The capacity probe of §V-B5 reports "how many more VMs
 //! it is able to host and the amount of RAM it has available (to account
 //! for VMs with heterogeneous RAM requirements)".
+//!
+//! Every VM of a cluster here has the same demand, so the RAM half of that
+//! answer adds nothing to the count: a server hosts
+//! [`ServerSpec::vm_capacity`] VMs, the largest count whose slots, RAM and
+//! CPU all fit, derived once per cluster. Admission is then one free-slot
+//! count per server against that number; host bandwidth depends on where
+//! a VM's peers run, so [`crate::Cluster::can_host`] checks it apart.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -61,6 +68,31 @@ impl ServerSpec {
             nic_bps: 1e9,
         }
     }
+
+    /// How many VMs of demand `vm` one server hosts, and the resource
+    /// that refuses the next one: the first of slot, RAM and CPU, in that
+    /// order, that runs out at this count. CPU is summed one VM at a time
+    /// and admits a sum up to `cpu_cores + 1e-9`, so a demand no binary
+    /// fraction holds (0.3 cores, say) counts as repeated admissions did.
+    pub fn vm_capacity(&self, vm: &VmSpec) -> (u32, AdmissionError) {
+        let ram = self.ram_mb.checked_div(vm.ram_mb).unwrap_or(u32::MAX);
+        let mut cpu = 0.0;
+        for hosted in 0..self.vm_slots.min(ram) {
+            let next = cpu + vm.cpu_cores;
+            if next > self.cpu_cores + 1e-9 {
+                return (hosted, AdmissionError::Cpu);
+            }
+            if next <= cpu {
+                break; // a demand that does not grow the sum never binds
+            }
+            cpu = next;
+        }
+        if self.vm_slots <= ram {
+            (self.vm_slots, AdmissionError::NoSlot)
+        } else {
+            (ram, AdmissionError::Ram)
+        }
+    }
 }
 
 impl Default for ServerSpec {
@@ -102,78 +134,6 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Running resource usage of one server.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ServerUsage {
-    /// Occupied VM slots.
-    pub slots: u32,
-    /// Committed RAM in MiB.
-    pub ram_mb: u32,
-    /// Committed CPU cores.
-    pub cpu_cores: f64,
-}
-
-impl ServerUsage {
-    /// Checks whether a VM with demand `vm` fits under `spec` — slots, RAM
-    /// and CPU. Host bandwidth depends on where the VM's peers run, so
-    /// [`crate::Cluster::can_host`] checks it against the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated resource as an [`AdmissionError`].
-    pub fn admission_check(&self, spec: &ServerSpec, vm: &VmSpec) -> Result<(), AdmissionError> {
-        if self.slots + 1 > spec.vm_slots {
-            return Err(AdmissionError::NoSlot);
-        }
-        if self.ram_mb + vm.ram_mb > spec.ram_mb {
-            return Err(AdmissionError::Ram);
-        }
-        if self.cpu_cores + vm.cpu_cores > spec.cpu_cores + 1e-9 {
-            return Err(AdmissionError::Cpu);
-        }
-        Ok(())
-    }
-
-    /// Adds a VM's demand.
-    pub fn admit(&mut self, vm: &VmSpec) {
-        self.slots += 1;
-        self.ram_mb += vm.ram_mb;
-        self.cpu_cores += vm.cpu_cores;
-    }
-
-    /// Removes a VM's demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the usage would go negative (eviction without admission).
-    pub fn evict(&mut self, vm: &VmSpec) {
-        assert!(self.slots >= 1, "evicting from an empty server");
-        assert!(self.ram_mb >= vm.ram_mb, "RAM usage underflow");
-        self.slots -= 1;
-        self.ram_mb -= vm.ram_mb;
-        self.cpu_cores = (self.cpu_cores - vm.cpu_cores).max(0.0);
-    }
-}
-
-/// The §V-B5 capacity response: "how many more VMs it is able to host and
-/// the amount of RAM it has available".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CapacityReport {
-    /// Free VM slots.
-    pub free_slots: u32,
-    /// Free RAM in MiB.
-    pub free_ram_mb: u32,
-}
-
-impl CapacityReport {
-    /// Whether a VM of the given spec could be hosted (slot + RAM only —
-    /// the coarse filter a capacity response enables before the detailed
-    /// admission check).
-    pub fn can_host(&self, vm: &VmSpec) -> bool {
-        self.free_slots >= 1 && self.free_ram_mb >= vm.ram_mb
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,92 +148,91 @@ mod tests {
         assert_eq!(VmSpec::default(), v);
     }
 
+    fn server(vm_slots: u32, ram_mb: u32, cpu_cores: f64) -> ServerSpec {
+        ServerSpec {
+            vm_slots,
+            ram_mb,
+            cpu_cores,
+            nic_bps: 1e9,
+        }
+    }
+
     #[test]
     fn admission_slot_limit() {
-        let spec = ServerSpec {
-            vm_slots: 2,
-            ram_mb: 10_000,
-            cpu_cores: 32.0,
-            nic_bps: 1e9,
-        };
         let vm = VmSpec::paper_default();
-        let mut usage = ServerUsage::default();
-        assert!(usage.admission_check(&spec, &vm).is_ok());
-        usage.admit(&vm);
-        usage.admit(&vm);
         assert_eq!(
-            usage.admission_check(&spec, &vm),
-            Err(AdmissionError::NoSlot)
+            ServerSpec::paper_default().vm_capacity(&vm),
+            (16, AdmissionError::NoSlot)
+        );
+        assert_eq!(
+            server(2, 10_000, 32.0).vm_capacity(&vm),
+            (2, AdmissionError::NoSlot)
+        );
+        // When slots and RAM run out at the same count, the slot is
+        // checked first.
+        assert_eq!(
+            server(2, 2 * 196, 32.0).vm_capacity(&vm),
+            (2, AdmissionError::NoSlot)
+        );
+        // A VM that demands nothing is bounded by slots alone.
+        let free = VmSpec {
+            ram_mb: 0,
+            cpu_cores: 0.0,
+        };
+        assert_eq!(
+            server(7, 0, 0.0).vm_capacity(&free),
+            (7, AdmissionError::NoSlot)
         );
     }
 
     #[test]
     fn admission_ram_limit() {
-        let spec = ServerSpec {
-            vm_slots: 16,
-            ram_mb: 300,
-            cpu_cores: 32.0,
-            nic_bps: 1e9,
-        };
         let vm = VmSpec {
             ram_mb: 196,
             cpu_cores: 0.1,
         };
-        let mut usage = ServerUsage::default();
-        usage.admit(&vm);
-        assert_eq!(usage.admission_check(&spec, &vm), Err(AdmissionError::Ram));
+        assert_eq!(
+            server(16, 300, 32.0).vm_capacity(&vm),
+            (1, AdmissionError::Ram)
+        );
+        assert_eq!(
+            server(16, 3 * 196 + 195, 32.0).vm_capacity(&vm),
+            (3, AdmissionError::Ram)
+        );
+        assert_eq!(
+            server(16, 100, 32.0).vm_capacity(&vm),
+            (0, AdmissionError::Ram)
+        );
+        // RAM before CPU when both run out at the same count.
+        assert_eq!(
+            server(16, 2 * 196, 0.2).vm_capacity(&vm),
+            (2, AdmissionError::Ram)
+        );
     }
 
     #[test]
     fn admission_cpu_limit() {
-        let spec = ServerSpec {
-            vm_slots: 16,
-            ram_mb: 10_000,
-            cpu_cores: 1.0,
-            nic_bps: 1e9,
-        };
-        let vm = VmSpec {
+        let vm = |cpu_cores| VmSpec {
             ram_mb: 10,
-            cpu_cores: 0.6,
+            cpu_cores,
         };
-        let mut usage = ServerUsage::default();
-        usage.admit(&vm);
-        assert_eq!(usage.admission_check(&spec, &vm), Err(AdmissionError::Cpu));
-    }
-
-    #[test]
-    fn admit_evict_roundtrip() {
-        let vm = VmSpec {
-            ram_mb: 100,
-            cpu_cores: 0.5,
-        };
-        let mut usage = ServerUsage::default();
-        usage.admit(&vm);
-        usage.admit(&vm);
-        usage.evict(&vm);
-        assert_eq!(usage.slots, 1);
-        assert_eq!(usage.ram_mb, 100);
-        usage.evict(&vm);
-        assert_eq!(usage, ServerUsage::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty server")]
-    fn evict_from_empty_panics() {
-        let mut usage = ServerUsage::default();
-        usage.evict(&VmSpec::paper_default());
-    }
-
-    #[test]
-    fn capacity_report() {
-        let vm = VmSpec::paper_default();
-        let report = |free_slots, free_ram_mb| CapacityReport {
-            free_slots,
-            free_ram_mb,
-        };
-        assert!(report(1, vm.ram_mb).can_host(&vm));
-        assert!(!report(0, 16 * 256).can_host(&vm), "no slot");
-        assert!(!report(1, vm.ram_mb - 1).can_host(&vm), "too little RAM");
+        assert_eq!(
+            server(16, 10_000, 1.0).vm_capacity(&vm(0.6)),
+            (1, AdmissionError::Cpu)
+        );
+        // The count is where a sum of one VM at a time first passes the
+        // cores, whatever the demand rounds to: 0.3, 0.1 and 0.7 are no
+        // binary fractions, and 0.1 + 0.1 + 0.1 lands above 0.3, inside
+        // the 1e-9 slack.
+        for (demand, cores, fits) in [(0.3, 2.4, 8), (0.3, 0.9, 3), (0.1, 0.3, 3), (0.7, 2.1, 3)] {
+            let sum = |n: u32| (0..n).map(|_| demand).sum::<f64>();
+            assert!(sum(fits) <= cores + 1e-9 && sum(fits + 1) > cores + 1e-9);
+            assert_eq!(
+                server(16, 10_000, cores).vm_capacity(&vm(demand)),
+                (fits, AdmissionError::Cpu),
+                "{demand} cores against {cores}"
+            );
+        }
     }
 
     #[test]

@@ -219,15 +219,19 @@ impl TokenRing {
 
     /// Removes a batch of crashed VMs from the ring at once — the
     /// host-crash path, where every VM of a dead server vanishes in the
-    /// same instant (no departure protocol, no handover).
+    /// same instant (no departure protocol of their own).
     ///
     /// If the current token holder is among the dead, the token passes
     /// to its **deterministic survivor**: the first VM after the dead
-    /// holder in token order that is not itself dead. The election is a
-    /// pure function of the token order and the *set* of dead VMs —
-    /// callers may list the victims in any order (they are normalised
-    /// internally), so concurrent fault reporters converge on the same
-    /// successor no matter how their batches interleave.
+    /// holder in token order that is not itself dead. Each dead VM simply
+    /// departs ([`TokenRing::remove_vm`]): a departing holder hands the
+    /// token to its successor, a dead successor hands it on when it
+    /// departs in turn, and a live VM never departs, so the token stops
+    /// at the first survivor whatever order the victims are listed in.
+    /// The election is thus a pure function of the token order and the
+    /// *set* of dead VMs, and concurrent fault reporters converge on the
+    /// same successor no matter how their batches interleave. Ids that
+    /// are not members, or are listed twice, are skipped.
     ///
     /// When no survivor exists the ring degrades gracefully: the holder
     /// becomes `None`, [`TokenRing::step_ledgered_outlook`] returns
@@ -236,47 +240,8 @@ impl TokenRing {
     ///
     /// Returns the post-failure holder.
     pub fn fail_vms(&mut self, dead: &[VmId]) -> Option<VmId> {
-        let mut dead_sorted: Vec<VmId> = dead
-            .iter()
-            .copied()
-            .filter(|&vm| self.token.contains(vm))
-            .collect();
-        dead_sorted.sort_unstable();
-        dead_sorted.dedup();
-        if dead_sorted.is_empty() {
-            return self.holder;
-        }
-        let is_dead = |vm: VmId| dead_sorted.binary_search(&vm).is_ok();
-        if let Some(h) = self.holder {
-            if is_dead(h) {
-                // Walk the ring from the dead holder, skipping dead VMs;
-                // bounded by the membership so a fully-dead ring yields
-                // `None` instead of cycling.
-                let mut successor = None;
-                let mut probe = h;
-                for _ in 0..self.token.len() {
-                    match self.token.next_after(probe) {
-                        Some(n) if n == h => break,
-                        Some(n) if is_dead(n) => probe = n,
-                        Some(n) => {
-                            successor = Some(n);
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-                self.holder = successor;
-            }
-        }
-        for &vm in &dead_sorted {
-            self.token.remove_vm(vm);
-        }
-        // Defensive re-validation against the shrunk token (mirrors
-        // `remove_vm`).
-        if let Some(h) = self.holder {
-            if !self.token.contains(h) {
-                self.holder = self.token.first();
-            }
+        for &vm in dead {
+            self.remove_vm(vm);
         }
         self.holder
     }

@@ -3,18 +3,15 @@
 //! The §V-A placement manager picks "the admissible server with the most
 //! free slots, lowest id winning ties". A linear scan reproduces that in
 //! O(servers) — fine at 2,560 hosts, a per-placement millisecond burner
-//! at 100k. [`FreeSlotIndex`] keeps per-server free-slot counts in a
-//! flat segment tree so the same deterministic choice resolves in
-//! O(log servers) descents: walk left-first towards the subtree with the
-//! strictly largest free-slot maximum, pruning subtrees that cannot beat
-//! the best admissible leaf found so far (and full subtrees outright).
-//! Leaves still run the *real* admission check — RAM and CPU constraints
-//! prune nothing here, so a heterogeneous fleet degrades gracefully to
-//! the scan it replaces rather than ever choosing differently.
+//! at 100k. Every server of a cluster hosts the same number of VMs (see
+//! [`crate::ServerSpec::vm_capacity`]), so a free slot on an up host is
+//! the whole slot/RAM/CPU admission check, and [`FreeSlotIndex`] is the
+//! cluster's one slot account. The pick is then the leftmost maximum of
+//! its leaves, found in one O(log servers) descent.
 
 /// Max-free-slots segment tree; leaves are servers in id order.
 #[derive(Debug, Clone)]
-pub struct FreeSlotIndex {
+pub(crate) struct FreeSlotIndex {
     /// Number of servers (leaves in use).
     n: usize,
     /// Power-of-two leaf span.
@@ -26,7 +23,7 @@ pub struct FreeSlotIndex {
 
 impl FreeSlotIndex {
     /// Builds the index from per-server free-slot counts.
-    pub fn new(free: impl ExactSizeIterator<Item = u32>) -> Self {
+    pub(crate) fn new(free: impl ExactSizeIterator<Item = u32>) -> Self {
         let n = free.len();
         let size = n.next_power_of_two().max(1);
         let mut tree = vec![0u32; 2 * size];
@@ -39,22 +36,12 @@ impl FreeSlotIndex {
         FreeSlotIndex { n, size, tree }
     }
 
-    /// Number of indexed servers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when no servers are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Current free-slot count of server `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn free(&self, i: usize) -> u32 {
+    pub(crate) fn free(&self, i: usize) -> u32 {
         assert!(i < self.n, "server index {i} out of range");
         self.tree[self.size + i]
     }
@@ -65,7 +52,7 @@ impl FreeSlotIndex {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set(&mut self, i: usize, free: u32) {
+    pub(crate) fn set(&mut self, i: usize, free: u32) {
         assert!(i < self.n, "server index {i} out of range");
         let mut node = self.size + i;
         self.tree[node] = free;
@@ -80,43 +67,22 @@ impl FreeSlotIndex {
         }
     }
 
-    /// The admissible server with the most free slots, lowest id winning
-    /// ties — exactly the linear scan's pick, found by best-first
-    /// descent. `admissible(i)` runs the caller's full admission check
-    /// on leaf `i`; subtrees whose free-slot maximum cannot strictly
-    /// beat the best admissible leaf so far are pruned, as are subtrees
-    /// with no free slot at all (a full server can never admit).
-    pub fn best(&self, admissible: impl Fn(usize) -> bool) -> Option<(u32, usize)> {
-        let mut best: Option<(u32, usize)> = None;
-        self.descend(1, &admissible, &mut best);
-        best
-    }
-
-    fn descend(
-        &self,
-        node: usize,
-        admissible: &impl Fn(usize) -> bool,
-        best: &mut Option<(u32, usize)>,
-    ) {
-        let max = self.tree[node];
-        if max == 0 {
-            return; // no slot anywhere below: NoSlot for every leaf
+    /// The server with the most free slots, lowest id winning ties, or
+    /// `None` when every server is full: from the root, step into the
+    /// left child whenever it holds the maximum.
+    pub(crate) fn best(&self) -> Option<usize> {
+        if self.tree[1] == 0 {
+            return None;
         }
-        if let Some((best_free, _)) = *best {
-            if max <= best_free {
-                return; // cannot strictly improve; earlier id keeps ties
-            }
+        let mut node = 1;
+        while node < self.size {
+            node = if self.tree[2 * node] == self.tree[node] {
+                2 * node
+            } else {
+                2 * node + 1
+            };
         }
-        if node >= self.size {
-            let i = node - self.size;
-            if i < self.n && admissible(i) {
-                *best = Some((self.tree[node], i));
-            }
-            return;
-        }
-        // Left first: among equal free counts the lowest id must win.
-        self.descend(2 * node, admissible, best);
-        self.descend(2 * node + 1, admissible, best);
+        Some(node - self.size)
     }
 }
 
@@ -124,54 +90,61 @@ impl FreeSlotIndex {
 mod tests {
     use super::*;
 
+    /// The linear scan the index replaces: most free slots, lowest id
+    /// winning ties, never a full server.
+    fn scan(frees: &[u32]) -> Option<usize> {
+        let mut best: Option<(u32, usize)> = None;
+        for (i, &f) in frees.iter().enumerate() {
+            if f > 0 && best.is_none_or(|(bf, _)| f > bf) {
+                best = Some((f, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
     #[test]
     fn matches_linear_scan_choice() {
         let frees = [3u32, 7, 7, 0, 5, 7, 1, 2];
         let idx = FreeSlotIndex::new(frees.iter().copied());
-        // Most free slots, lowest id on ties, everything admissible.
-        assert_eq!(idx.best(|_| true), Some((7, 1)));
-        // Admission filtering: skip server 1 → next-equal id 2 wins.
-        assert_eq!(idx.best(|i| i != 1), Some((7, 2)));
-        // Only low-free servers admissible.
-        assert_eq!(idx.best(|i| i >= 6), Some((2, 7)));
-        // Nothing admissible.
-        assert_eq!(idx.best(|_| false), None);
+        assert_eq!(idx.best(), Some(1));
+        assert_eq!(idx.best(), scan(&frees));
+        assert_eq!(FreeSlotIndex::new([0u32; 3].into_iter()).best(), None);
+        assert_eq!(FreeSlotIndex::new(std::iter::empty::<u32>()).best(), None);
     }
 
     #[test]
     fn set_updates_choices() {
         let mut idx = FreeSlotIndex::new([1u32, 1, 1].into_iter());
-        assert_eq!(idx.best(|_| true), Some((1, 0)));
+        assert_eq!(idx.best(), Some(0));
         idx.set(2, 9);
         assert_eq!(idx.free(2), 9);
-        assert_eq!(idx.best(|_| true), Some((9, 2)));
+        assert_eq!(idx.best(), Some(2));
         idx.set(2, 0);
         idx.set(0, 0);
+        assert_eq!(idx.best(), Some(1));
         idx.set(1, 0);
-        assert_eq!(idx.best(|_| true), None, "full fleet prunes to nothing");
+        assert_eq!(idx.best(), None, "a full fleet has no pick");
     }
 
     #[test]
     fn exhaustive_vs_scan_on_random_fleets() {
-        // Deterministic pseudo-random fleet shapes; compare against the
-        // reference linear scan with an arbitrary admissibility pattern.
+        // Deterministic pseudo-random fleet shapes, each updated at random
+        // and compared against the reference linear scan after every set.
         let mut state = 0x243F_6A88u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as u32
         };
         for n in [1usize, 2, 3, 5, 16, 17, 64, 100] {
-            let frees: Vec<u32> = (0..n).map(|_| next() % 17).collect();
-            let admissible = |i: usize| !frees[i].is_multiple_of(3) || frees[i] > 10;
-            let idx = FreeSlotIndex::new(frees.iter().copied());
-            let mut expect: Option<(u32, usize)> = None;
-            for (i, &f) in frees.iter().enumerate() {
-                // The scan also never admits a full server.
-                if f > 0 && admissible(i) && expect.is_none_or(|(bf, _)| f > bf) {
-                    expect = Some((f, i));
-                }
+            let mut frees: Vec<u32> = (0..n).map(|_| next() % 17).collect();
+            let mut idx = FreeSlotIndex::new(frees.iter().copied());
+            assert_eq!(idx.best(), scan(&frees), "fleet {frees:?}");
+            for _ in 0..2 * n {
+                let (i, f) = (next() as usize % n, next() % 17);
+                frees[i] = f;
+                idx.set(i, f);
+                assert_eq!(idx.best(), scan(&frees), "fleet {frees:?}");
             }
-            assert_eq!(idx.best(admissible), expect, "fleet {frees:?}");
         }
     }
 

@@ -54,8 +54,8 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ),
     (
         "ext_dynamic_diurnal_none_matrix.json",
-        357365,
-        0x5cad_11cd_778d_8d4e,
+        357245,
+        0x76c9_fe32_29cf_f12a,
     ),
     (
         "ext_dynamic_diurnal_none_rr.json",
@@ -79,8 +79,8 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ),
     (
         "ext_dynamic_diurnal_oracle_matrix.json",
-        359571,
-        0xc542_f5fa_6053_f565,
+        359451,
+        0x4dc5_fcc3_b562_695f,
     ),
     (
         "ext_dynamic_diurnal_oracle_rr.json",
@@ -104,8 +104,8 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ),
     (
         "ext_dynamic_flash-crowd_none_matrix.json",
-        507767,
-        0xef2b_27eb_2077_3c11,
+        507647,
+        0xddfe_d5b9_ac4e_1cf7,
     ),
     (
         "ext_dynamic_flash-crowd_none_rr.json",
@@ -129,8 +129,8 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ),
     (
         "ext_dynamic_flash-crowd_oracle_matrix.json",
-        510639,
-        0x938f_14c4_edba_90e1,
+        510519,
+        0xff47_5dff_7d32_a9c3,
     ),
     (
         "ext_dynamic_flash-crowd_oracle_rr.json",
@@ -151,12 +151,12 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ("ext_oversub_2x.json", 89759, 0x0b6b_c2de_7f5b_6bca),
     ("ext_oversub_4x.json", 89745, 0xc8f9_641b_c2f6_3996),
     ("ext_oversub_8x.json", 89735, 0xb085_9c4e_51ed_1565),
-    ("ext_oversub_matrix.json", 453298, 0xccb0_b7b9_153c_8efc),
+    ("ext_oversub_matrix.json", 453178, 0xe033_8c23_f2cc_8ba2),
     ("ext_oversubscription.csv", 152, 0x63f4_8af8_68d3_5f2e),
     ("ext_policy_comparison.csv", 151, 0xc6ac_bf2e_c40e_07c8),
-    ("ext_policy_matrix.json", 545402, 0x9d34_6c68_3873_7af3),
+    ("ext_policy_matrix.json", 545252, 0x2fe6_d1d3_1475_5ace),
     ("ext_weight_sensitivity.csv", 224, 0x046e_fa1b_e7f5_cda2),
-    ("ext_weights_matrix.json", 249447, 0xceda_b7d2_7e24_abcf),
+    ("ext_weights_matrix.json", 249327, 0xa928_7dbc_3547_921d),
     ("fig2_hlf.json", 81038, 0x6a10_3ea7_fca4_b8ff),
     ("fig2_migration_ratio.csv", 158, 0xa5e5_2e12_3b75_ae47),
     ("fig2_rr.json", 80460, 0x32d4_4627_5b0d_9521),
@@ -172,8 +172,8 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ),
     (
         "fig3_canonical-tree_matrix.json",
-        684043,
-        0x81ad_d3b8_0690_b84a,
+        683863,
+        0x84da_1c16_be2f_357a,
     ),
     (
         "fig3_canonical-tree_medium_hlf.csv",
@@ -197,7 +197,7 @@ const GOLDEN: [(&str, usize, u64); 68] = [
     ),
     ("fig3_fat-tree_dense_hlf.csv", 2376, 0x2fea_ccdf_6fd6_14e2),
     ("fig3_fat-tree_dense_rr.csv", 2376, 0x07a4_8cb5_e572_ecb0),
-    ("fig3_fat-tree_matrix.json", 651105, 0x7917_73d0_b11c_28f8),
+    ("fig3_fat-tree_matrix.json", 650925, 0x7a83_4b10_fd77_04dc),
     ("fig3_fat-tree_medium_hlf.csv", 2377, 0x8824_05e6_8774_36a8),
     ("fig3_fat-tree_medium_rr.csv", 2377, 0x92fb_07b1_5ce7_3094),
     ("fig3_fat-tree_sparse_hlf.csv", 2378, 0x4397_d545_f7e7_7c7b),

@@ -6,7 +6,9 @@
 //! * [`spec`] — [`Scenario`]: a fully serde-round-trippable experiment
 //!   description (`TopologySpec` × `WorkloadSpec` × `ResourceSpec` ×
 //!   `PolicySpec` × `EngineSpec` × `ForecastSpec` × `TimingSpec`), with
-//!   builder and paper presets;
+//!   builder and paper presets; `ResourceSpec` is one server shape and
+//!   one VM shape, whose derived VM capacity sizes both the random
+//!   initial placement and each host's slot account;
 //! * [`session`] — [`Session`]: the materialized cluster + token ring +
 //!   event clock, advanced with `step`/`run`/`run_to_horizon`; costs are
 //!   sampled from an incremental `CostLedger` in `O(1)`;

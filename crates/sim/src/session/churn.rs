@@ -28,8 +28,7 @@ impl Session {
         &mut self,
         server: Option<ServerId>,
     ) -> Result<(VmId, ServerId), ScenarioError> {
-        let spec = self.scenario.resources.vm;
-        let (vm, host) = self.cluster.place_vm(spec, server)?;
+        let (vm, host) = self.cluster.place_vm(server)?;
         self.traffic.push_vm();
         self.ring.add_vm(vm);
         if !self.token_event_pending && !self.finished {

@@ -120,7 +120,7 @@ impl Session {
             let victims = self.cluster.fail_host(server);
             outcome.hosts_failed.push(server);
             for vm in victims {
-                match self.cluster.choose_server(self.cluster.vm_spec(vm)) {
+                match self.cluster.choose_server() {
                     Ok(target) => {
                         // Forced evacuation reprices through the exact
                         // Lemma-3 path an ordinary migration takes; the

@@ -200,31 +200,24 @@ impl Session {
                 "the trace-oracle forecast needs a trace workload to read ahead into".into(),
             ));
         }
-        scenario.resources.validate(traffic.num_vms())?;
-        let server_spec = scenario.resources.server;
-        let capacity = topo.num_servers() as u64 * u64::from(server_spec.vm_slots);
-        if u64::from(traffic.num_vms()) > capacity {
+        scenario.resources.validate()?;
+        let (server, vm) = (scenario.resources.server, scenario.resources.vm);
+        let (per_server, _) = server.vm_capacity(&vm);
+        if u64::from(traffic.num_vms()) > topo.num_servers() as u64 * u64::from(per_server) {
             return Err(ScenarioError::Placement(format!(
-                "{} VMs exceed {} servers x {} slots",
+                "{} VMs exceed {} servers x {per_server} VMs",
                 traffic.num_vms(),
                 topo.num_servers(),
-                server_spec.vm_slots
             )));
         }
         // The paper's traffic-agnostic initial placement (§III).
         let alloc = random_placement(
             traffic.num_vms(),
             topo.num_servers() as u32,
-            server_spec.vm_slots,
+            per_server,
             &mut StdRng::seed_from_u64(scenario.workload.seed() ^ 0x9e37_79b9_7f4a_7c15),
         );
-        let cluster = Cluster::with_vm_specs(
-            Arc::clone(&topo),
-            server_spec,
-            scenario.resources.vm_specs(traffic.num_vms()),
-            &traffic,
-            alloc,
-        )?;
+        let cluster = Cluster::new(Arc::clone(&topo), server, vm, &traffic, alloc)?;
         let model = CostModel::new(scenario.engine.weights());
         let ring = build_ring(&scenario, &model, scenario.seed, traffic.num_vms());
         let ledger = model.ledger(cluster.allocation(), &traffic, cluster.topo());

@@ -235,15 +235,16 @@ fn ledger_matches_a_full_pass_after_an_hlf_run() {
 
 #[test]
 fn rebind_preserves_resource_specs_and_ledger() {
-    use score_core::{ServerSpec, VmSpec};
+    use score_core::{AdmissionError, ClusterError, ServerSpec, VmSpec};
     // A non-default resource spec must survive a segment rebind (the
-    // old implementation rebuilt the cluster with paper defaults).
+    // old implementation rebuilt the cluster with paper defaults): eight
+    // slots, but RAM for four of these VMs.
     let server = ServerSpec {
         vm_slots: 8,
         ..ServerSpec::paper_default()
     };
     let vm = VmSpec {
-        ram_mb: 256,
+        ram_mb: 1024,
         cpu_cores: 0.5,
     };
     let mut scenario = quick_scenario(PolicyKind::RoundRobin, 23);
@@ -255,7 +256,6 @@ fn rebind_preserves_resource_specs_and_ledger() {
     let mut session = piecewise_scenario(scenario, &phases).session().unwrap();
     assert!(session.advance_trace_segment().unwrap());
     assert_eq!(session.cluster().server_spec(), &server);
-    assert_eq!(session.cluster().vm_spec(VmId::new(0)), &vm);
     // The re-priced ledger lands on the full recomputation.
     let fresh = session.cost_model().total_cost(
         session.cluster().allocation(),
@@ -264,6 +264,24 @@ fn rebind_preserves_resource_specs_and_ledger() {
     );
     assert!((session.current_cost() - fresh).abs() <= 1e-9 * fresh.max(1.0));
     assert_eq!(session.initial_cost(), session.current_cost());
+    // The VM shape survived too: host 0 takes VMs up to the four its RAM
+    // holds, then refuses for RAM.
+    let srv0 = ServerId::new(0);
+    let refused = loop {
+        if let Err(e) = session.place_vm(Some(srv0)) {
+            break e;
+        }
+    };
+    assert!(matches!(
+        refused,
+        ScenarioError::Cluster(ClusterError::PlacementRejected {
+            source: AdmissionError::Ram,
+            ..
+        })
+    ));
+    let cluster = session.cluster();
+    let on = cluster.allocation().vms_on(srv0).iter();
+    assert_eq!(on.filter(|&&v| cluster.is_active(v)).count(), 4);
     // A population mismatch (an arrival with a segment still queued) is
     // rejected and leaves the session, queued segment included, usable.
     session.place_vm(None).unwrap();

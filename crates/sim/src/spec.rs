@@ -610,24 +610,16 @@ impl WorkloadSpec {
 }
 
 /// Declarative server/VM capacity description: what every server offers
-/// and what every VM demands. Until this spec existed the paper defaults
-/// were hardcoded inside session materialization; carrying them on the
-/// [`Scenario`] makes heterogeneous clusters declarable (and
-/// serializable) like every other experiment dimension.
-///
-/// `vm_overrides` makes the population heterogeneous: every VM demands
-/// `vm` except the listed ids, which materialize through
-/// `Cluster::with_vm_specs` with their own spec (a memory-hungry
-/// database VM among mice, say).
+/// and what every VM demands. Carrying it on the [`Scenario`] makes the
+/// capacities declarable (and serializable) like every other experiment
+/// dimension. Every VM has the one shape `vm`, so a server hosts
+/// [`ServerSpec::vm_capacity`] of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceSpec {
     /// Capacity of each physical server.
     pub server: ServerSpec,
-    /// Demand of each VM not listed in `vm_overrides`.
+    /// Demand of each VM.
     pub vm: VmSpec,
-    /// Per-VM exceptions as `(vm_id, spec)`; ids must be unique and
-    /// within the workload population.
-    pub vm_overrides: Vec<(u32, VmSpec)>,
 }
 
 impl ResourceSpec {
@@ -637,29 +629,13 @@ impl ResourceSpec {
         ResourceSpec {
             server: ServerSpec::paper_default(),
             vm: VmSpec::paper_default(),
-            vm_overrides: Vec::new(),
         }
-    }
-
-    /// The per-VM spec vector this description expands to over a
-    /// population of `num_vms` (the argument `Cluster::with_vm_specs`
-    /// consumes). Call `ResourceSpec::validate` first on untrusted
-    /// input — out-of-range overrides are skipped here.
-    pub fn vm_specs(&self, num_vms: u32) -> Vec<VmSpec> {
-        let mut specs = vec![self.vm; num_vms as usize];
-        for &(vm, spec) in &self.vm_overrides {
-            if vm < num_vms {
-                specs[vm as usize] = spec;
-            }
-        }
-        specs
     }
 
     /// Checks the invariants a deserialized spec might violate: a server
     /// with zero slots or a non-finite/non-positive NIC capacity can
-    /// never host anything, and VM overrides must name each VM at most
-    /// once, inside the population of `num_vms`.
-    pub(crate) fn validate(&self, num_vms: u32) -> Result<(), ScenarioError> {
+    /// never host anything.
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         if self.server.vm_slots == 0 {
             return Err(ScenarioError::Placement(
                 "servers with zero VM slots cannot host anything".into(),
@@ -670,19 +646,6 @@ impl ResourceSpec {
                 "server NIC capacity must be positive and finite, got {}",
                 self.server.nic_bps
             )));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for &(vm, _) in &self.vm_overrides {
-            if vm >= num_vms {
-                return Err(ScenarioError::Placement(format!(
-                    "vm override {vm} exceeds the population of {num_vms} VMs"
-                )));
-            }
-            if !seen.insert(vm) {
-                return Err(ScenarioError::Placement(format!(
-                    "vm {vm} has more than one resource override"
-                )));
-            }
         }
         Ok(())
     }
@@ -1632,7 +1595,9 @@ mod tests {
 
     #[test]
     fn resource_spec_reaches_the_cluster() {
-        use score_core::{ServerSpec, VmSpec};
+        use score_core::{AdmissionError, ClusterError, ServerSpec, VmSpec};
+        use score_topology::ServerId;
+        // Four slots, but RAM for two of these VMs.
         let server = ServerSpec {
             vm_slots: 4,
             ram_mb: 2048,
@@ -1640,7 +1605,7 @@ mod tests {
             nic_bps: 10e9,
         };
         let vm = VmSpec {
-            ram_mb: 512,
+            ram_mb: 1024,
             cpu_cores: 1.0,
         };
         let scenario = Scenario::builder()
@@ -1650,9 +1615,43 @@ mod tests {
             .build();
         let back = Scenario::from_json(&scenario.to_json()).unwrap();
         assert_eq!(back, scenario);
-        let session = scenario.session().unwrap();
+        let mut session = scenario.session().unwrap();
         assert_eq!(session.cluster().server_spec(), &server);
-        assert_eq!(session.cluster().vm_spec(score_topology::VmId::new(0)), &vm);
+        // The VM shape reached the cluster: a host takes the two VMs its
+        // RAM holds, and refuses the third for RAM.
+        let srv0 = ServerId::new(0);
+        let refused = loop {
+            if let Err(e) = session.place_vm(Some(srv0)) {
+                break e;
+            }
+        };
+        assert!(matches!(
+            refused,
+            ScenarioError::Cluster(ClusterError::PlacementRejected {
+                source: AdmissionError::Ram,
+                ..
+            })
+        ));
+        let cluster = session.cluster();
+        let on = cluster.allocation().vms_on(srv0).iter();
+        assert_eq!(on.filter(|&&v| cluster.is_active(v)).count(), 2);
+        // The same count sizes the fleet: the initial placement fills
+        // every host to its two VMs, and one VM more does not fit.
+        let servers = session.topo().num_servers() as u32;
+        let full = Scenario::builder()
+            .server_spec(server)
+            .vm_spec(vm)
+            .num_vms(2 * servers);
+        let session = full.clone().build().session().unwrap();
+        let cluster = session.cluster();
+        assert!(matches!(
+            cluster.choose_server(),
+            Err(ClusterError::NoCapacity)
+        ));
+        assert!(matches!(
+            full.num_vms(2 * servers + 1).build().session(),
+            Err(ScenarioError::Placement(_))
+        ));
         // The default stays the paper preset.
         assert_eq!(
             Scenario::builder().build().resources,
@@ -1732,58 +1731,6 @@ mod tests {
                 "capacity {bad} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn vm_overrides_reach_the_cluster() {
-        use score_core::VmSpec;
-        let heavy = VmSpec {
-            ram_mb: 512,
-            cpu_cores: 1.0,
-        };
-        let mut scenario = Scenario::builder().star(8).num_vms(16).build();
-        scenario.resources.vm_overrides.push((3, heavy));
-        let back = Scenario::from_json(&scenario.to_json()).unwrap();
-        assert_eq!(back, scenario);
-        let session = scenario.session().unwrap();
-        assert_eq!(
-            session.cluster().vm_spec(score_topology::VmId::new(3)),
-            &heavy
-        );
-        assert_eq!(
-            session.cluster().vm_spec(score_topology::VmId::new(0)),
-            &VmSpec::paper_default()
-        );
-        // Expansion helper agrees.
-        let specs = scenario.resources.vm_specs(16);
-        assert_eq!(specs[3], heavy);
-        assert_eq!(specs[0], VmSpec::paper_default());
-    }
-
-    #[test]
-    fn invalid_vm_overrides_are_errors() {
-        use score_core::VmSpec;
-        // Out of range.
-        let mut scenario = Scenario::builder().star(8).num_vms(4).build();
-        scenario
-            .resources
-            .vm_overrides
-            .push((9, VmSpec::paper_default()));
-        assert!(matches!(
-            scenario.session(),
-            Err(ScenarioError::Placement(_))
-        ));
-        // Duplicate override.
-        let mut scenario = Scenario::builder().star(8).num_vms(4).build();
-        let duplicate = (1, VmSpec::paper_default());
-        scenario
-            .resources
-            .vm_overrides
-            .extend([duplicate, duplicate]);
-        assert!(matches!(
-            scenario.session(),
-            Err(ScenarioError::Placement(_))
-        ));
     }
 
     #[test]

@@ -18,7 +18,8 @@ fn quick(policy: PolicyKind, topology: TopologySpec) -> Scenario {
 }
 
 /// A scenario file written before the initial placement, the candidate
-/// cap and the engine's pre-copy and background knobs left the schema:
+/// cap, the engine's pre-copy and background knobs and the per-VM
+/// resource overrides left the schema:
 /// `scorectl --topology star --hosts 8 --vms-per-host 2 --policy hlf
 /// --cm 1e6 --t-end 5 --seed 7 --emit-scenario`, with `max_candidates`,
 /// `link_bps` and `background` then set by hand to values that once
@@ -83,7 +84,13 @@ fn older_scenario_files_load_and_run_as_written_today() {
         .build();
     assert_eq!(older, today);
     let json = older.to_json();
-    for retired in ["placement", "max_candidates", "precopy", "background"] {
+    for retired in [
+        "placement",
+        "max_candidates",
+        "precopy",
+        "background",
+        "vm_overrides",
+    ] {
         assert!(!json.contains(retired), "{retired} is written: {json}");
     }
     assert_eq!(report.to_json(), run(&today).to_json());
