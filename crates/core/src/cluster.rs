@@ -147,7 +147,7 @@ enum Slot {
 ///
 /// A migration folds its mover's exact effect into both endpoints' slots
 /// ([`ExtLoadCache::fold`]) and widens their bounds by the rounding of
-/// that arithmetic; patches, churn, placement and rebinds drop slots.
+/// that arithmetic; patches, churn and placement drop slots.
 /// [`ExtLoadCache::interval`] widens a folded slot once more, by what a
 /// fresh sweep may round, so the interval holds every value the memo
 /// could have held had the host been re-swept after its last migration:
@@ -309,8 +309,8 @@ impl ExtLoadCache {
 /// NIC probe ([`Cluster::can_host`], [`Cluster::migrate`]) and the loads
 /// behind it — borrows the one traffic matrix its caller owns, and the
 /// owner tells the cluster of each change to that matrix
-/// ([`Cluster::patch_traffic`], [`Cluster::scale_traffic`],
-/// [`Cluster::rebind_traffic`]) so the memoised per-host loads stay
+/// ([`Cluster::patch_traffic`], [`Cluster::scale_traffic`]) so the
+/// memoised per-host loads stay
 /// within their bounds, the way a [`crate::CostLedger`] is told. Every
 /// call must therefore pass the same, current matrix.
 #[derive(Clone)]
@@ -810,33 +810,12 @@ impl Cluster {
         Ok(())
     }
 
-    /// Tells the cluster its TM was replaced wholesale by `traffic` (a
-    /// traffic-phase shift): after a population check every memoised
-    /// external load is dropped. The allocation and the slot account
-    /// carry over untouched (neither depends on traffic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::VmCountMismatch`] if the new traffic
-    /// describes a different VM population; the cluster is unchanged on
-    /// error.
-    pub fn rebind_traffic(&mut self, traffic: &PairTraffic) -> Result<(), ClusterError> {
-        if traffic.num_vms() != self.alloc.num_vms() {
-            return Err(ClusterError::VmCountMismatch {
-                allocation: self.alloc.num_vms(),
-                traffic: traffic.num_vms(),
-            });
-        }
-        self.ext_load.invalidate_all();
-        Ok(())
-    }
-
     /// Tells the cluster of a **sparse** traffic delta: each change is
     /// `(u, v, old_rate, new_rate)` for one pair (the shape a cost
     /// ledger reprices from; no rate is read here). Only the two
     /// endpoints' hosts lose their memoized external load
-    /// (`O(changed pairs)`, vs [`Cluster::rebind_traffic`]'s wholesale
-    /// drop) — the path trace replay takes for each mid-run delta.
+    /// (`O(changed pairs)`) — the path trace replay takes for each
+    /// mid-run delta.
     ///
     /// # Panics
     ///
@@ -963,12 +942,6 @@ mod tests {
         fn scale(&mut self, factor: f64) {
             self.tm.scale_all(factor);
             self.c.scale_traffic(factor);
-        }
-
-        fn rebind(&mut self, tm: PairTraffic) -> Result<(), ClusterError> {
-            self.c.rebind_traffic(&tm)?;
-            self.tm = tm;
-            Ok(())
         }
 
         fn place(&mut self, server: Option<ServerId>) -> Result<(VmId, ServerId), ClusterError> {
@@ -1312,35 +1285,12 @@ mod tests {
         w.remove(vm).unwrap();
         check(&w);
         warm(&w);
-        // A fresh cluster over another allocation, rebound below.
+        // A fresh cluster over another allocation, patched below.
         let spread = Allocation::from_fn(w.c.num_vms(), 16, |v| ServerId::new((v.get() * 3) % 16));
         w = World::new(w.tm, *w.c.server_spec(), spread);
         warm(&w);
-        let mut b = PairTrafficBuilder::new(w.c.num_vms());
-        b.add(VmId::new(4), VmId::new(9), 77.0);
-        w.rebind(b.build()).unwrap();
+        w.patch(VmId::new(4), VmId::new(9), 77.0);
         check(&w);
-    }
-
-    #[test]
-    fn rebind_traffic_patches_nic_ledger_in_place() {
-        let mut w = world(4, 16);
-        let before_alloc = w.c.allocation().clone();
-        assert_ext_loads(&w, &[(0, 1, 100.0)]);
-        // New matrix: the (0,1) pair disappears, (2,3) appears at 40.
-        let mut b = PairTrafficBuilder::new(4);
-        b.add(VmId::new(2), VmId::new(3), 40.0);
-        w.rebind(b.build()).unwrap();
-        // Allocation and slot/RAM usage carry over untouched.
-        assert_eq!(w.c.allocation(), &before_alloc);
-        assert_eq!(hosted(&w.c, ServerId::new(0)), 1);
-        // NIC accounting reflects the new rates.
-        assert_ext_loads(&w, &[(2, 3, 40.0)]);
-        assert_eq!(w.load(ServerId::new(0)), 0.0);
-        // A population mismatch is rejected and leaves the cluster alone.
-        let err = w.rebind(traffic(5)).unwrap_err();
-        assert!(matches!(err, ClusterError::VmCountMismatch { .. }));
-        assert_ext_loads(&w, &[(2, 3, 40.0)]);
     }
 
     #[test]
@@ -1354,9 +1304,8 @@ mod tests {
             w.c.external_rate(&w.tm, VmId::new(2), ServerId::new(5)),
             40.0
         );
-        // The patched account matches what a full rebind derives.
-        let mut full = w.c.clone();
-        full.rebind_traffic(&w.tm).unwrap();
+        // The patched account matches what a fresh cluster derives.
+        let full = World::new(w.tm.clone(), *w.c.server_spec(), w.c.allocation().clone()).c;
         for s in (0..16).map(ServerId::new) {
             assert_eq!(w.load(s), full.host_external_load(&w.tm, s));
         }

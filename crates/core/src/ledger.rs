@@ -14,18 +14,18 @@
 //! * **migration** — every accepted move already computed its Lemma-3
 //!   delta `ΔC`; [`CostLedger::apply_gain`] folds it in, making the
 //!   update `O(1)` on top of the `O(|Vu|)` the decision itself paid;
-//! * **traffic rebind** — when a phase swaps the traffic matrix under an
-//!   unchanged allocation, [`CostLedger::rebind`] merge-joins the two
-//!   canonical pair lists and only re-prices pairs whose rate actually
-//!   changed (`O(changed pairs)` level lookups);
+//! * **traffic change** — a batch of re-rated pairs under an unchanged
+//!   allocation is re-priced pair by pair
+//!   ([`CostLedger::apply_rate_changes`], `O(changed pairs)` level
+//!   lookups), and a uniform scale multiplies the total
+//!   ([`CostLedger::scale`], `O(1)`);
 //! * **sampling** — [`CostLedger::current`] is a field read, `O(1)`.
 //!
 //! Lemma 3 guarantees the delta equals the difference of full
 //! recomputations exactly; the ledger therefore tracks the true cost up
 //! to floating-point rounding (pinned to ≤ 1e-9 relative by the property
 //! suite in `tests/ledger_properties.rs`). Every later change reaches the
-//! total as a delta: a Lemma-3 gain, a rebind, a sparse re-price
-//! ([`CostLedger::apply_rate_changes`]) or a scale ([`CostLedger::scale`]).
+//! total as a delta: a Lemma-3 gain, a sparse re-price or a scale.
 //! There is no second full pass and no wholesale reset. A ring folds
 //! each hold in through
 //! [`TokenRing::step_ledgered_outlook`](crate::TokenRing::step_ledgered_outlook).
@@ -175,68 +175,15 @@ impl CostLedger {
         self.total = (self.total * factor).min(f64::MAX);
     }
 
-    /// Re-prices the ledger for a traffic rebind: `old` is replaced by
-    /// `new` while the allocation stays fixed. Merge-joins the two
-    /// canonical (sorted, `u < v`) pair lists and adjusts the total only
-    /// for pairs whose rate changed, appeared, or disappeared — level
-    /// lookups are paid per *changed* pair, not per pair.
-    ///
-    /// Both traffic matrices must describe the same VM population.
-    pub fn rebind<T: Topology + ?Sized>(
-        &mut self,
-        alloc: &Allocation,
-        old: &PairTraffic,
-        new: &PairTraffic,
-        topo: &T,
-    ) {
-        debug_assert_eq!(old.num_vms(), new.num_vms(), "populations must match");
-        let weights = self.model.weights();
-        let price = |u: VmId, v: VmId, rate: f64| {
-            2.0 * rate * weights.prefix(topo.level(alloc.server_of(u), alloc.server_of(v)))
-        };
-        let (old_pairs, new_pairs) = (old.pairs(), new.pairs());
-        let (mut i, mut j) = (0, 0);
-        let mut delta = 0.0;
-        while i < old_pairs.len() && j < new_pairs.len() {
-            let (ou, ov, or) = old_pairs[i];
-            let (nu, nv, nr) = new_pairs[j];
-            match (ou, ov).cmp(&(nu, nv)) {
-                std::cmp::Ordering::Less => {
-                    delta -= price(ou, ov, or);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    delta += price(nu, nv, nr);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if or != nr {
-                        delta += price(nu, nv, nr - or);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for &(u, v, r) in &old_pairs[i..] {
-            delta -= price(u, v, r);
-        }
-        for &(u, v, r) in &new_pairs[j..] {
-            delta += price(u, v, r);
-        }
-        self.total += delta;
-    }
-
     /// Re-prices the ledger for a **sparse** traffic delta: each entry
     /// is one changed pair `(u, v, old_rate, new_rate)` under an
-    /// unchanged allocation. Strictly `O(changed pairs)` — unlike
-    /// [`CostLedger::rebind`], the untouched pair lists are never
-    /// walked, which is what makes trace replay (hundreds of mid-run
-    /// deltas) cheap.
+    /// unchanged allocation. Strictly `O(changed pairs)` — the untouched
+    /// pairs are never walked, which is what makes trace replay
+    /// (hundreds of mid-run deltas) cheap.
     ///
     /// The caller is responsible for `old_rate` being the rate the
     /// ledger last priced for that pair (trace replay reads it off the
-    /// outgoing `PairTraffic` before swapping the new one in).
+    /// `PairTraffic` before the new rate lands).
     pub fn apply_rate_changes<T: Topology + ?Sized>(
         &mut self,
         alloc: &Allocation,
@@ -316,36 +263,6 @@ mod tests {
         scaled.scale_all(3.5);
         ledger.scale(3.5);
         assert!(drift(&ledger, &a, &scaled) <= 1e-9 * ledger.current());
-    }
-
-    #[test]
-    fn rebind_reprices_changed_pairs_only() {
-        let (a, t, topo) = (alloc(), traffic(), topo());
-        let model = CostModel::paper_default();
-        let mut ledger = CostLedger::new(model.clone(), &a, &t, &topo);
-        // New matrix: one pair kept, one re-rated, one dropped, one added.
-        let mut b = PairTrafficBuilder::new(4);
-        b.add(VmId::new(0), VmId::new(1), 10.0); // kept
-        b.add(VmId::new(0), VmId::new(2), 7.0); // re-rated
-        b.add(VmId::new(1), VmId::new(3), 4.0); // added; (2,3) dropped
-        let new = b.build();
-        ledger.rebind(&a, &t, &new, &topo);
-        assert!(
-            (ledger.current() - model.total_cost(&a, &new, &topo)).abs() < 1e-9,
-            "rebind must land on the full recomputation"
-        );
-    }
-
-    #[test]
-    fn rebind_to_empty_and_back() {
-        let (a, t, topo) = (alloc(), traffic(), topo());
-        let model = CostModel::paper_default();
-        let mut ledger = CostLedger::new(model.clone(), &a, &t, &topo);
-        let empty = PairTraffic::empty(4);
-        ledger.rebind(&a, &t, &empty, &topo);
-        assert_eq!(ledger.current(), 0.0);
-        ledger.rebind(&a, &empty, &t, &topo);
-        assert!(drift(&ledger, &a, &t) < 1e-9);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   delta;
 //! * [`ledger`] — [`CostLedger`]: the incrementally maintained Eq.-(2)
 //!   total (`O(1)` sampling, Lemma-3 delta application, `O(changed
-//!   pairs)` traffic rebinds);
+//!   pairs)` re-pricing of traffic changes);
 //! * [`allocation`] / [`resources`] / [`cluster`] — VM→server assignments
 //!   with slot/RAM/CPU/bandwidth capacity enforcement;
 //! * [`token`] — the 5-byte-per-entry migration token of §V-B2;

@@ -45,8 +45,10 @@
 //!
 //! The `trace` subcommand runs a **time-varying** workload instead: a
 //! synthetic trace shape (deterministic from `--seed`) or a JSONL trace
-//! file replayed through the session event clock (`run_trace`), printing
-//! per-segment results and the in-place rebind statistics.
+//! file replayed through the session event clock as one run (a marker in
+//! the file is a label), printing one result line and the in-place
+//! re-pricing statistics; `--csv` writes the run's `time_s,cost` series
+//! and `--json` its one [`score_sim::RunReport`].
 //!
 //! The `serve` subcommand starts the [`score_scored::Daemon`] on a Unix
 //! socket and/or TCP address, serving the scenario the usual flags
@@ -946,7 +948,7 @@ fn run_policy_sweep(scenario: Scenario, args: &Args) -> ExitCode {
         .threads(threads);
     println!(
         "policy sweep: {} cells on {} thread(s)",
-        runner.matrix().len(),
+        runner.matrix().scenarios().len(),
         runner.thread_count()
     );
     let results = match runner.run() {
@@ -977,64 +979,36 @@ fn run_policy_sweep(scenario: Scenario, args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Replays a trace session segment by segment and prints per-segment
-/// results plus the in-place rebind statistics. The session reads no
-/// clock; the replay's wall time is taken here, around the whole run.
+/// Replays a trace session as one run and prints its result plus the
+/// in-place re-pricing statistics. The session reads no clock; the
+/// replay's wall time is taken here, around the whole run.
 fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
     let sw = score_experiments::Stopwatch::start();
-    let replayed = session.run_trace();
+    session.run_to_horizon();
     let wall_s = sw.elapsed_s();
-    let reports = match replayed {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut total_deltas = 0u64;
-    let mut total_pairs = 0u64;
-    let mut preempted = 0u64;
-    let mut reactive = 0u64;
-    for (i, report) in reports.iter().enumerate() {
-        println!(
-            "segment {}: cost {:.4e} -> {:.4e} ({:>5.1}%) | {:>4} migrations \
-             ({} pre-empted) | {:>4} deltas re-pricing {:>6} pairs",
-            i + 1,
-            report.initial_cost,
-            report.final_cost,
-            report.cost_reduction() * 100.0,
-            report.migrations.len(),
-            report.forecast.preempted,
-            report.trace.events_applied,
-            report.trace.pairs_repriced,
-        );
-        total_deltas += report.trace.events_applied;
-        total_pairs += report.trace.pairs_repriced;
-        preempted += report.forecast.preempted;
-        reactive += report.forecast.reactive;
-    }
-    if preempted + reactive > 0 {
+    let report = session.report();
+    println!(
+        "cost: {:.4e} -> {:.4e} ({:>5.1}%) | {:>4} migrations ({} pre-empted)",
+        report.initial_cost,
+        report.final_cost,
+        report.cost_reduction() * 100.0,
+        report.migrations.len(),
+        report.forecast.preempted,
+    );
+    if report.forecast.preempted + report.forecast.reactive > 0 {
         println!(
             "migrations: {} pre-empted (decided on forecasted rates) vs {} reactive",
-            preempted, reactive,
+            report.forecast.preempted, report.forecast.reactive,
         );
     }
     println!(
-        "trace replay: {} segment(s), {} traffic deltas applied in place \
-         ({} pairs re-priced) in {:.1} ms",
-        reports.len(),
-        total_deltas,
-        total_pairs,
+        "trace replay: {} traffic deltas applied in place ({} pairs re-priced) in {:.1} ms",
+        report.trace.events_applied,
+        report.trace.pairs_repriced,
         wall_s * 1e3,
     );
     if let Some(path) = &args.csv {
-        let mut csv = String::from("segment,time_s,cost\n");
-        for (i, report) in reports.iter().enumerate() {
-            for &(t, c) in &report.cost_series {
-                use std::fmt::Write as _;
-                let _ = writeln!(csv, "{},{t:.3},{c:.6}", i + 1);
-            }
-        }
+        let csv = series_to_csv(&report.cost_series, "time_s", "cost");
         if let Err(e) = std::fs::write(path, csv) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -1042,18 +1016,11 @@ fn run_trace_session(mut session: score_sim::Session, args: &Args) -> ExitCode {
         println!("cost series written to {path}");
     }
     if let Some(path) = &args.json {
-        let json = match serde_json::to_string_pretty(&reports) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: cannot serialize reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
+        if let Err(e) = std::fs::write(path, report.to_json_pretty()) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("run reports written to {path}");
+        println!("run report written to {path}");
     }
     ExitCode::SUCCESS
 }

@@ -27,11 +27,6 @@ pub enum ObsEvent {
         /// Pairs whose rate changed.
         pairs: u64,
     },
-    /// A trace segment boundary was crossed (phase rebind).
-    SegmentAdvance {
-        /// Event-clock time of the boundary (seconds).
-        at_s: f64,
-    },
     /// Free-form marker (daemon lifecycle, subscriber drops...).
     Note(String),
 }
@@ -180,11 +175,6 @@ impl JournalEntry {
                 self.seq,
                 fin(*at_s),
             ),
-            ObsEvent::SegmentAdvance { at_s } => format!(
-                "{{\"seq\":{},\"kind\":\"segment_advance\",\"at_s\":{}}}",
-                self.seq,
-                fin(*at_s),
-            ),
             ObsEvent::Note(s) => format!(
                 "{{\"seq\":{},\"kind\":\"note\",\"note\":\"{}\"}}",
                 self.seq,
@@ -225,11 +215,15 @@ mod tests {
             ledger_delta: -3.25,
             preemptive: false,
         }));
-        j.push(ObsEvent::SegmentAdvance { at_s: 2.0 });
+        j.push(ObsEvent::TrafficDeltas {
+            at_s: 2.0,
+            events: 3,
+            pairs: 5,
+        });
         let json = j.recent_json(2);
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
         assert!(json.contains("\"kind\":\"decision\""), "{json}");
         assert!(json.contains("\"preemptive\":false"), "{json}");
-        assert!(json.contains("\"kind\":\"segment_advance\""), "{json}");
+        assert!(json.contains("\"kind\":\"traffic_deltas\""), "{json}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A minimal, deterministic event queue: events fire in time order, ties
 //! broken by insertion sequence (so same-timestamp events are FIFO, as in
-//! ns-3's scheduler). A trace segment's delta batches arrive already
+//! ns-3's scheduler). A compiled trace's delta batches arrive already
 //! sorted, a million at a time, so they do not go through the heap: the
 //! queue holds their firing times as one sorted run and merges it with
 //! the heap by the same `(time, sequence)` key.

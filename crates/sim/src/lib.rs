@@ -5,13 +5,17 @@
 //!
 //! * [`spec`] — [`Scenario`]: a fully serde-round-trippable experiment
 //!   description (`TopologySpec` × `WorkloadSpec` × `ResourceSpec` ×
-//!   `PolicySpec` × `EngineSpec` × `ForecastSpec` × `TimingSpec`), with
+//!   `PolicyKind` × `EngineSpec` × `ForecastSpec` × `TimingSpec`), with
 //!   builder and paper presets; `ResourceSpec` is one server shape and
 //!   one VM shape, whose derived VM capacity sizes both the random
 //!   initial placement and each host's slot account;
 //! * [`session`] — [`Session`]: the materialized cluster + token ring +
 //!   event clock, advanced with `step`/`run`/`run_to_horizon`; costs are
-//!   sampled from an incremental `CostLedger` in `O(1)`;
+//!   sampled from an incremental `CostLedger` in `O(1)`. A trace workload
+//!   is one run: its delta batches land on the same event clock as the
+//!   token holds, a marker is a label, and a wholesale shift
+//!   (`score_trace::Trace::piecewise`) arrives as ordinary re-rates while
+//!   the token keeps circulating from the allocation it has;
 //! * [`matrix`] — [`ScenarioMatrix`]: policy × topology × intensity
 //!   (× engine) sweeps collected into one [`MatrixReport`] with a
 //!   single JSON writer; [`MatrixRunner`] fans the cells out onto
@@ -63,6 +67,6 @@ pub use report::{
 };
 pub use session::{FaultOutcome, Session};
 pub use spec::{
-    EngineSpec, ForecastSpec, PolicyKind, PolicySpec, ResourceSpec, Scenario, ScenarioBuilder,
-    ScenarioError, TimingSpec, TopologyKind, TopologySpec, TraceSpec, WorkloadSpec,
+    EngineSpec, ForecastSpec, PolicyKind, ResourceSpec, Scenario, ScenarioBuilder, ScenarioError,
+    TimingSpec, TopologyKind, TopologySpec, TraceSpec, WorkloadSpec,
 };

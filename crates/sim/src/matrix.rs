@@ -78,11 +78,6 @@ pub struct ScenarioMatrix {
 }
 
 /// One materialized-and-run cell of a [`ScenarioMatrix`].
-///
-/// For trace workloads with phase markers, a `ToHorizon` run replays
-/// the whole trace and `report` covers its final segment; collect
-/// per-segment reports through [`crate::Session::run_trace`] directly
-/// when you need them all.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatrixCell {
     /// The policy this cell ran.
@@ -210,7 +205,7 @@ impl ScenarioMatrix {
     }
 
     /// Number of cells the sweep expands to.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         let intensity_points = match self.base.workload.intensity() {
             Some(_) => self.intensities.len().max(1),
             None => 1,
@@ -219,12 +214,6 @@ impl ScenarioMatrix {
             * intensity_points
             * self.engines.len().max(1)
             * self.policies.len().max(1)
-    }
-
-    /// True when the sweep is a single cell (the degenerate base-only
-    /// matrix).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Materializes and runs every cell serially, collecting one
@@ -265,15 +254,7 @@ fn run_cell(
 ) -> Result<MatrixCell, ScenarioError> {
     let mut session = scenario.session()?;
     match run_length {
-        RunLength::ToHorizon => {
-            // Trace workloads with phase markers replay *every* segment
-            // (the report then covers the final one) — stopping at the
-            // first marker would silently truncate the trace.
-            session.run_to_horizon();
-            while session.advance_trace_segment()? {
-                session.run_to_horizon();
-            }
-        }
+        RunLength::ToHorizon => session.run_to_horizon(),
         RunLength::Iterations(n) => {
             session.run(n);
         }
@@ -580,27 +561,37 @@ mod tests {
     #[test]
     fn marked_traces_replay_every_segment() {
         use crate::spec::TraceSpec;
-        // A two-segment trace: the second segment rescales the TM. The
-        // matrix must replay past the marker, so the cell's report is
-        // the *final* segment's (its initial cost reflects the rescale),
-        // not a silent truncation at the first boundary.
-        let trace = score_trace::Trace::builder(8, 60.0)
-            .base_pair(0, 1, 1e6)
-            .base_pair(2, 3, 2e6)
-            .marker(30.0, "late")
-            .scale_all(30.0, 10.0)
-            .build()
-            .unwrap();
-        let mut base = quick_base();
-        base.workload = crate::spec::WorkloadSpec::Trace {
-            spec: TraceSpec::Literal { trace, seed: 1 },
+        use score_trace::{Trace, TraceEvent};
+        // A marker is a label: the cell replays the whole trace as one
+        // run, the rescale after it included, exactly as it replays the
+        // trace without the marker.
+        let cell = |marked: bool| {
+            let mut b = Trace::builder(8, 60.0)
+                .base_pair(0, 1, 1e6)
+                .base_pair(2, 3, 2e6)
+                .scale_all(30.0, 10.0);
+            if marked {
+                b = b.event(
+                    30.0,
+                    TraceEvent::Marker {
+                        label: "late".into(),
+                    },
+                );
+            }
+            let mut base = quick_base();
+            base.workload = crate::spec::WorkloadSpec::Trace {
+                spec: TraceSpec::Literal {
+                    trace: b.build().unwrap(),
+                    seed: 1,
+                },
+            };
+            let results = ScenarioMatrix::new(base).run().unwrap();
+            results.cells[0].report.clone()
         };
-        let results = ScenarioMatrix::new(base.clone()).run().unwrap();
-        let cell_report = &results.cells[0].report;
-        // Reference: the same scenario driven segment-by-segment.
-        let reports = base.session().unwrap().run_trace().unwrap();
-        assert_eq!(reports.len(), 2, "the marker splits the trace in two");
-        assert_eq!(cell_report, reports.last().unwrap());
+        let report = cell(true);
+        assert_eq!(report.trace.events_applied, 1, "the rescale landed");
+        assert!(report.cost_series.last().unwrap().0 > 30.0);
+        assert_eq!(report.to_json(), cell(false).to_json());
     }
 
     #[test]

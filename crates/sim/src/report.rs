@@ -103,7 +103,7 @@ pub struct ForecastStats {
     pub preempted: u64,
     /// Migrations the current TM already justified.
     pub reactive: u64,
-    /// Per-pair forecast evaluations scored this segment: each predicted
+    /// Per-pair forecast evaluations scored in the run: each predicted
     /// rate at the lookahead horizon that came due and was compared
     /// against the realized rate (0 without an active nonzero-horizon
     /// forecast).

@@ -98,10 +98,10 @@ impl Session {
             }
             _ => unreachable!("is_fault() admitted a non-fault event"),
         };
-        self.seg.recovery.faults_injected += 1;
-        self.seg.last_fault_s = Some(now_s);
+        self.tally.recovery.faults_injected += 1;
+        self.tally.last_fault_s = Some(now_s);
         if !outcome.evacuated.is_empty() {
-            self.seg.last_post_fault_migration_s = Some(now_s);
+            self.tally.last_post_fault_migration_s = Some(now_s);
         }
         self.recording
             .log(now_s, |rec, at_s| rec.record_fault(at_s, event.clone()));
@@ -141,7 +141,7 @@ impl Session {
                                 source,
                             })?;
                         self.ledger.apply_gain(gain);
-                        self.seg.recovery.evacuations += 1;
+                        self.tally.recovery.evacuations += 1;
                         outcome.evacuated.push((vm, target));
                     }
                     Err(_) => {
@@ -169,7 +169,7 @@ impl Session {
                             f.as_dyn_mut()
                                 .observe_updates(&mut updates.iter().copied(), now_s);
                         }
-                        self.seg.recovery.unplaceable_vms += 1;
+                        self.tally.recovery.unplaceable_vms += 1;
                         outcome.unplaceable.push(vm);
                     }
                 }
@@ -196,8 +196,7 @@ impl Session {
     ///   arrival will get (the next dense one), which is how every
     ///   replayer learns its stream belongs to another session;
     /// * fault events take [`Session::apply_fault`];
-    /// * markers are no-ops (segment semantics belong to the compiled
-    ///   path).
+    /// * markers are labels, no-ops here as in `Trace::compile`.
     ///
     /// `ScalePair` on a pair with a dead or out-of-range endpoint is a
     /// **validated no-op**: scaling what no longer exists must not

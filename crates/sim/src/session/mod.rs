@@ -12,7 +12,7 @@
 //! A session owns its state: no `&mut Cluster` leaves it, so the cost
 //! ledger is exact because nothing else can move a VM. This file holds
 //! that state, the event loop and the report; what changes a running
-//! session lives in `traffic` (TM deltas, scales, trace segments),
+//! session lives in `traffic` (TM deltas, scales, compiled traces),
 //! `churn` (VM arrivals and departures), `faults` (the adversity engine
 //! and raw trace-event dispatch) and `recording` (trace capture, obs
 //! publishing).
@@ -67,20 +67,14 @@ pub struct Session {
     /// ticks read `C_A` in `O(1)` instead of re-walking all VM pairs.
     ledger: CostLedger,
     initial_cost: f64,
-    /// The report accumulators of the current segment.
-    seg: SegmentRecord,
-    /// The current segment's delta batches, on the event clock as the
+    /// The report accumulators of the run.
+    tally: RunTally,
+    /// A trace workload's delta batches, on the event clock as the
     /// queue's shift run, and the index of the next one to fire.
     shifts: ShiftRun,
     next_shift: usize,
     /// Staging buffers of the sparse delta path.
     delta_scratch: DeltaScratch,
-    /// Trace segments after the current one (`WorkloadSpec::Trace` with
-    /// phase markers); advanced by [`Session::advance_trace_segment`].
-    trace_segments: VecDeque<TraceSegment>,
-    /// Index of the current segment (segment *i* reseeds ring and RNG
-    /// with `scenario.seed + i`).
-    segment_index: u64,
     /// The short-horizon rate forecaster feeding every decision
     /// at `scenario.forecast`'s horizon (`None` = reactive pipeline).
     forecaster: Option<SessionForecaster>,
@@ -104,20 +98,19 @@ pub struct Session {
     obs: Option<SessionObs>,
 }
 
-/// Everything a report reads that restarts with the segment. One
-/// `Default` value, so materialization and a rebind are each a single
-/// assignment and cannot drift apart. The physical state — allocation,
-/// down hosts, degraded tiers — carries over with the cluster instead.
+/// Everything a report reads that the run accumulates; the physical
+/// state — allocation, down hosts, degraded tiers — lives in the cluster
+/// instead.
 #[derive(Debug, Default)]
-struct SegmentRecord {
+struct RunTally {
     cost_series: Vec<(f64, f64)>,
     migrations: Vec<MigrationEvent>,
     iterations: Vec<IterationStats>,
     current_iter: IterationStats,
     token_holds: usize,
-    /// Rebind bookkeeping for the current segment's report.
+    /// Delta batches applied and pairs they re-priced.
     trace_stats: TraceReplayStats,
-    /// Pre-empted-vs-reactive migration counts for the current report.
+    /// Pre-empted-vs-reactive migration counts.
     forecast_stats: ForecastStats,
     /// Pending horizon evaluations of the forecaster: `(due_s, u, v,
     /// predicted)` queued when a delta batch landed, settled against the
@@ -138,7 +131,7 @@ struct SegmentRecord {
     last_post_fault_migration_s: Option<f64>,
 }
 
-impl SegmentRecord {
+impl RunTally {
     /// Seconds from the last fault to the last migration at or after it
     /// (0 until both have happened).
     fn time_to_stable_s(&self) -> f64 {
@@ -149,46 +142,32 @@ impl SegmentRecord {
     }
 }
 
-/// `scenario`'s token ring over `num_vms` VMs with its policy seeded by
-/// `seed` — one recipe for materialization and every segment rebind.
-fn build_ring(scenario: &Scenario, model: &CostModel, seed: u64, num_vms: u32) -> TokenRing {
-    let engine = ScoreEngine::new(model.clone(), scenario.engine.score());
-    TokenRing::with_boxed(engine, scenario.policy.build(seed), num_vms)
-}
-
 impl Session {
-    /// Builds a session for a compiled time-varying trace: the first
-    /// segment's TM and duration become the session's workload and
-    /// horizon, its delta batches are scheduled on the event clock, and
-    /// the remaining segments queue up behind
-    /// [`Session::advance_trace_segment`].
+    /// Builds a session for a compiled time-varying trace: the run's
+    /// initial TM and duration become the session's workload and
+    /// horizon, and its delta batches are scheduled on the event clock.
     pub(crate) fn materialize_trace(
         scenario: Scenario,
         topo: Arc<dyn Topology>,
-        compiled: CompiledTrace,
+        mut compiled: CompiledTrace,
     ) -> Result<Self, ScenarioError> {
-        let mut segments: VecDeque<TraceSegment> = compiled.segments.into();
-        let Some(first) = segments.pop_front() else {
-            return Err(ScenarioError::Workload(
-                "trace compiles to no segments".into(),
-            ));
+        let Some(run) = compiled.segments.pop() else {
+            return Err(ScenarioError::Workload("trace compiles to no run".into()));
         };
-        let mut session =
-            Session::materialize(scenario, topo, first.initial.clone(), Some(&first))?;
-        session.load_shifts(first.shifts);
-        session.trace_segments = segments;
+        let mut session = Session::materialize(scenario, topo, run.initial.clone(), Some(&run))?;
+        session.load_shifts(run.shifts);
         Ok(session)
     }
 
     /// Builds the session from a scenario plus an already-materialized
     /// fabric and workload (called by [`Scenario::session`] /
-    /// [`Scenario::session_with`]); `segment` is the trace segment the
-    /// workload opens, when it is one.
+    /// [`Scenario::session_with`]); `run` is the compiled trace the
+    /// workload comes from, when it is one.
     pub(crate) fn materialize(
         scenario: Scenario,
         topo: Arc<dyn Topology>,
         traffic: PairTraffic,
-        segment: Option<&TraceSegment>,
+        run: Option<&TraceSegment>,
     ) -> Result<Self, ScenarioError> {
         scenario.timing.validate()?;
         scenario.engine.validate()?;
@@ -219,48 +198,47 @@ impl Session {
         );
         let cluster = Cluster::new(Arc::clone(&topo), server, vm, &traffic, alloc)?;
         let model = CostModel::new(scenario.engine.weights());
-        let ring = build_ring(&scenario, &model, scenario.seed, traffic.num_vms());
+        let engine = ScoreEngine::new(model.clone(), scenario.engine.score());
+        let ring = TokenRing::with_boxed(
+            engine,
+            scenario.policy.build(scenario.seed),
+            traffic.num_vms(),
+        );
         let ledger = model.ledger(cluster.allocation(), &traffic, cluster.topo());
+        let horizon_s = run.map_or(scenario.timing.t_end_s, |run| run.duration_s);
+        let mut queue = EventQueue::new();
+        queue.schedule_at(0.0, SimEvent::Sample);
+        queue.schedule_in(
+            scenario.timing.token_hold_s.max(1e-6),
+            SimEvent::TokenArrive,
+        );
+        queue.schedule_at(horizon_s, SimEvent::End);
 
-        let mut session = Session {
-            horizon_s: segment.map_or(scenario.timing.t_end_s, |s| s.duration_s),
+        Ok(Session {
+            horizon_s,
             precopy: PreCopyModel::new(scenario.engine.precopy()),
             background: scenario.engine.background(),
             rng: StdRng::seed_from_u64(scenario.seed),
-            forecaster: SessionForecaster::build(&scenario.forecast, &traffic, segment),
+            forecaster: SessionForecaster::build(&scenario.forecast, &traffic, run),
             scenario,
             topo,
             traffic,
             cluster,
             model,
             ring,
-            queue: EventQueue::new(),
+            queue,
             finished: false,
             initial_cost: ledger.current(),
             ledger,
-            seg: SegmentRecord::default(),
+            tally: RunTally::default(),
             shifts: ShiftRun::default(),
             next_shift: 0,
             delta_scratch: DeltaScratch::default(),
-            trace_segments: VecDeque::new(),
-            segment_index: 0,
             recording: Recording::default(),
-            token_event_pending: false,
+            token_event_pending: true,
             degraded_tiers: BTreeMap::new(),
             obs: None,
-        };
-        session.prime_queue();
-        Ok(session)
-    }
-
-    fn prime_queue(&mut self) {
-        self.queue.schedule_at(self.queue.now_s(), SimEvent::Sample);
-        self.queue.schedule_in(
-            self.scenario.timing.token_hold_s.max(1e-6),
-            SimEvent::TokenArrive,
-        );
-        self.token_event_pending = true;
-        self.queue.schedule_at(self.horizon_s, SimEvent::End);
+        })
     }
 
     /// The scenario this session materializes.
@@ -328,12 +306,13 @@ impl Session {
                     // down or any link tier degraded charges one sample
                     // interval of violation time.
                     if self.cluster.num_hosts_down() > 0 || !self.degraded_tiers.is_empty() {
-                        self.seg.recovery.slo_violating_s += self.scenario.timing.sample_interval_s;
+                        self.tally.recovery.slo_violating_s +=
+                            self.scenario.timing.sample_interval_s;
                     }
                     self.publish_obs(t);
                     // O(1): the ledger already knows C_A — no Eq.-(2)
                     // walk on the sampling path.
-                    self.seg.cost_series.push((t, self.ledger.current()));
+                    self.tally.cost_series.push((t, self.ledger.current()));
                     let next = t + self.scenario.timing.sample_interval_s;
                     if next <= self.horizon_s {
                         self.queue
@@ -363,19 +342,19 @@ impl Session {
                     ) else {
                         continue;
                     };
-                    self.seg.token_holds += 1;
-                    self.seg.current_iter.steps += 1;
+                    self.tally.token_holds += 1;
+                    self.tally.current_iter.steps += 1;
                     if let Some(target) = outcome.decision.target {
                         if outcome.decision.preemptive {
-                            self.seg.forecast_stats.preempted += 1;
+                            self.tally.forecast_stats.preempted += 1;
                         } else {
-                            self.seg.forecast_stats.reactive += 1;
+                            self.tally.forecast_stats.reactive += 1;
                         }
-                        if self.seg.last_fault_s.is_some() {
-                            self.seg.last_post_fault_migration_s = Some(t);
+                        if self.tally.last_fault_s.is_some() {
+                            self.tally.last_post_fault_migration_s = Some(t);
                         }
                         let sample = self.precopy.migrate(self.background, &mut self.rng);
-                        self.seg.migrations.push(MigrationEvent {
+                        self.tally.migrations.push(MigrationEvent {
                             time_s: t,
                             vm: outcome.holder,
                             from: outcome.source,
@@ -386,15 +365,15 @@ impl Session {
                             duration_s: sample.total_time_s,
                             downtime_s: sample.downtime_s,
                         });
-                        self.seg.current_iter.migrations += 1;
-                        self.seg.current_iter.total_gain += outcome.decision.gain;
+                        self.tally.current_iter.migrations += 1;
+                        self.tally.current_iter.total_gain += outcome.decision.gain;
                         self.queue
                             .schedule_in(sample.total_time_s, SimEvent::MigrationComplete);
                     }
                     // An iteration is |V| holds of the live membership.
-                    if self.seg.current_iter.steps >= self.ring.token().len() {
-                        self.seg.iterations.push(self.seg.current_iter);
-                        self.seg.current_iter = IterationStats::default();
+                    if self.tally.current_iter.steps >= self.ring.token().len() {
+                        self.tally.iterations.push(self.tally.current_iter);
+                        self.tally.current_iter = IterationStats::default();
                     }
                     if outcome.next.is_some() {
                         self.queue.schedule_in(
@@ -415,10 +394,10 @@ impl Session {
     /// paper's unit of progress), stopping early at the horizon. Returns
     /// the per-iteration statistics newly completed during this call.
     pub fn run(&mut self, iterations: usize) -> Vec<IterationStats> {
-        let start = self.seg.iterations.len();
+        let start = self.tally.iterations.len();
         let goal = start + iterations;
-        while self.seg.iterations.len() < goal && self.step().is_some() {}
-        self.seg.iterations[start..].to_vec()
+        while self.tally.iterations.len() < goal && self.step().is_some() {}
+        self.tally.iterations[start..].to_vec()
     }
 
     /// Runs until the simulation horizon.
@@ -431,9 +410,9 @@ impl Session {
     /// and the link-utilization snapshot reflect the current placement.
     pub fn report(&self) -> RunReport {
         let (level_breakdown, link_utilization) = self.placement_snapshot();
-        let mut iterations = self.seg.iterations.clone();
-        if self.seg.current_iter.steps > 0 {
-            iterations.push(self.seg.current_iter);
+        let mut iterations = self.tally.iterations.clone();
+        if self.tally.current_iter.steps > 0 {
+            iterations.push(self.tally.current_iter);
         }
         let migration_ratios = iterations
             .iter()
@@ -442,20 +421,20 @@ impl Session {
         RunReport {
             topology: self.topo.name().to_string(),
             policy: self.scenario.policy.name().to_string(),
-            cost_series: self.seg.cost_series.clone(),
+            cost_series: self.tally.cost_series.clone(),
             initial_cost: self.initial_cost,
             final_cost: self.current_cost(),
-            migrations: self.seg.migrations.clone(),
+            migrations: self.tally.migrations.clone(),
             iterations,
             migration_ratios,
-            token_holds: self.seg.token_holds,
+            token_holds: self.tally.token_holds,
             level_breakdown,
             link_utilization,
             flow_table: FlowTableOps {
-                aggregations: self.seg.token_holds as u64,
-                rule_updates: 2 * self.seg.migrations.len() as u64,
+                aggregations: self.tally.token_holds as u64,
+                rule_updates: 2 * self.tally.migrations.len() as u64,
             },
-            trace: self.seg.trace_stats,
+            trace: self.tally.trace_stats,
             forecast: self.forecast_stats(),
             recovery: self.recovery_stats(),
         }
@@ -493,24 +472,24 @@ impl Session {
         pairs
     }
 
-    /// Recovery accounting so far: the segment's fault/evacuation
+    /// Recovery accounting so far: the run's fault/evacuation
     /// accumulators plus the live hosts-down count and the
     /// time-to-stable. All zeros for a fault-free run.
     fn recovery_stats(&self) -> RecoveryStats {
         RecoveryStats {
             hosts_down: self.cluster.num_hosts_down(),
-            time_to_stable_s: self.seg.time_to_stable_s(),
-            ..self.seg.recovery
+            time_to_stable_s: self.tally.time_to_stable_s(),
+            ..self.tally.recovery
         }
     }
 
-    /// Pre-empted-vs-reactive migration counts accumulated since the
-    /// last rebind (all-reactive without an active forecast), plus the
+    /// Pre-empted-vs-reactive migration counts accumulated so far
+    /// (all-reactive without an active forecast), plus the
     /// per-pair forecast-error surface (MAE/bias of predicted vs
     /// realized rates).
     fn forecast_stats(&self) -> ForecastStats {
-        let mut stats = self.seg.forecast_stats;
-        let (n, abs_sum, sum) = self.seg.forecast_err;
+        let mut stats = self.tally.forecast_stats;
+        let (n, abs_sum, sum) = self.tally.forecast_err;
         stats.error_samples = n;
         if n > 0 {
             stats.mae = abs_sum / n as f64;
@@ -543,7 +522,7 @@ impl Session {
         self.cluster.check_invariants(&self.traffic);
         let (alloc, topo) = (self.cluster.allocation(), self.cluster.topo());
         let fresh = self.model.total_cost(alloc, &self.traffic, topo);
-        let samples = self.seg.cost_series.iter().map(|&(_, cost)| cost);
+        let samples = self.tally.cost_series.iter().map(|&(_, cost)| cost);
         let peak = samples.fold(fresh.max(self.initial_cost), f64::max);
         let ledgered = self.ledger.current();
         assert!(

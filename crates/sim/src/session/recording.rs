@@ -2,7 +2,7 @@
 //! mutation recorded back into a replayable [`Trace`]) and obs
 //! publishing (counters and gauges mirrored at the sampling cadence).
 
-use score_obs::{Counter, Gauge, Histogram, ObsHandle};
+use score_obs::{Counter, Gauge, ObsHandle};
 use score_trace::{Trace, TraceRecorder};
 use std::sync::Arc;
 
@@ -15,10 +15,9 @@ pub(super) struct Recording {
     /// Captures applied TM deltas back into a replayable trace when
     /// recording is on.
     recorder: Option<TraceRecorder>,
-    /// Recording clock: simulated seconds elapsed before the current
-    /// segment (the event clock restarts per rebind; the recorder's
-    /// must not).
-    pub(super) offset_s: f64,
+    /// Event-clock time the recording started at: the recording clock's
+    /// zero.
+    started_s: f64,
 }
 
 impl Recording {
@@ -26,7 +25,7 @@ impl Recording {
     /// clock's `now_s` translated to the recording clock.
     pub(super) fn log(&mut self, now_s: f64, write: impl FnOnce(&mut TraceRecorder, f64)) {
         if let Some(rec) = &mut self.recorder {
-            write(rec, self.offset_s + now_s);
+            write(rec, now_s - self.started_s);
         }
     }
 }
@@ -36,17 +35,12 @@ impl Recording {
 /// sampling cadence — the delta hot path itself never touches an atomic.
 #[derive(Debug)]
 pub(super) struct SessionObs {
-    pub(super) handle: ObsHandle,
     /// `score_clock_s`: current event-clock position.
     clock: Arc<Gauge>,
     /// `score_trace_events_total`: applied delta batches.
     events: Arc<Counter>,
     /// `score_pairs_repriced_total`: pair rates re-priced.
     pairs: Arc<Counter>,
-    /// `score_segment_advances_total`: trace-segment boundaries crossed.
-    pub(super) segments: Arc<Counter>,
-    /// `score_segment_rebind_ns`: wall time of each phase rebind.
-    pub(super) rebind_ns: Arc<Histogram>,
     /// `score_forecast_evals_total`, `score_forecast_mae`,
     /// `score_forecast_bias`: the per-pair forecast-error surface.
     forecast_evals: Arc<Counter>,
@@ -61,14 +55,14 @@ pub(super) struct SessionObs {
     recovery_hosts_down: Arc<Gauge>,
     recovery_slo: Arc<Gauge>,
     recovery_tts: Arc<Gauge>,
-    /// Counter values already published (counters are monotonic; the
-    /// in-state accumulators reset per segment, so we track the diff).
-    pub(super) published: Published,
+    /// Counter values already published: each tick adds the difference
+    /// from these to the run's totals.
+    published: Published,
 }
 
-/// The per-segment totals behind the six counters, as last published.
+/// The run's totals behind the six counters, as last published.
 #[derive(Debug, Clone, Copy, Default)]
-pub(super) struct Published {
+struct Published {
     events: u64,
     pairs: u64,
     evals: u64,
@@ -86,8 +80,6 @@ impl SessionObs {
             clock: handle.gauge("score_clock_s")?,
             events: handle.counter("score_trace_events_total")?,
             pairs: handle.counter("score_pairs_repriced_total")?,
-            segments: handle.counter("score_segment_advances_total")?,
-            rebind_ns: handle.histogram("score_segment_rebind_ns")?,
             forecast_evals: handle.counter("score_forecast_evals_total")?,
             forecast_mae: handle.gauge("score_forecast_mae")?,
             forecast_bias: handle.gauge("score_forecast_bias")?,
@@ -98,16 +90,14 @@ impl SessionObs {
             recovery_slo: handle.gauge("score_recovery_slo_violating_s")?,
             recovery_tts: handle.gauge("score_recovery_time_to_stable_s")?,
             published: Published::default(),
-            handle: handle.clone(),
         })
     }
 }
 
 impl Session {
     /// Attaches observability to the session and its inner layers (ring,
-    /// ledger): event-clock gauge, deltas/pairs counters, trace-segment
-    /// rebind timings and the forecast-error gauges, published at the
-    /// sampling cadence. Survives phase/segment rebinds.
+    /// ledger): event-clock gauge, deltas/pairs counters and the
+    /// forecast-error gauges, published at the sampling cadence.
     ///
     /// Strictly a side channel: the attached run's `RunReport` is
     /// byte-identical to a bare run (pinned by proptest) — instruments
@@ -131,15 +121,15 @@ impl Session {
         let Some(obs) = &mut self.obs else {
             return;
         };
-        let seg = &self.seg;
-        let (n, abs_sum, sum) = seg.forecast_err;
+        let tally = &self.tally;
+        let (n, abs_sum, sum) = tally.forecast_err;
         let now = Published {
-            events: seg.trace_stats.events_applied,
-            pairs: seg.trace_stats.pairs_repriced,
+            events: tally.trace_stats.events_applied,
+            pairs: tally.trace_stats.pairs_repriced,
             evals: n,
-            faults: seg.recovery.faults_injected,
-            evacuations: seg.recovery.evacuations,
-            unplaceable: seg.recovery.unplaceable_vms,
+            faults: tally.recovery.faults_injected,
+            evacuations: tally.recovery.evacuations,
+            unplaceable: tally.recovery.unplaceable_vms,
         };
         let was = std::mem::replace(&mut obs.published, now);
         obs.clock.set(t);
@@ -157,20 +147,19 @@ impl Session {
             .add(now.unplaceable - was.unplaceable);
         obs.recovery_hosts_down
             .set(f64::from(self.cluster.num_hosts_down()));
-        obs.recovery_slo.set(seg.recovery.slo_violating_s);
-        obs.recovery_tts.set(seg.time_to_stable_s());
+        obs.recovery_slo.set(tally.recovery.slo_violating_s);
+        obs.recovery_tts.set(tally.time_to_stable_s());
         self.ledger.publish_obs();
     }
 
     /// Starts capturing every applied TM delta into a replayable
     /// [`Trace`] seeded with the *current* TM; the recording clock
-    /// starts at 0 now and keeps running across phase/segment rebinds
-    /// (each recorded as a marker + boundary re-rates). Restarting
-    /// recording discards the previous capture.
+    /// starts at 0 now. Restarting recording discards the previous
+    /// capture.
     pub fn start_trace_recording(&mut self) {
         self.recording = Recording {
             recorder: Some(TraceRecorder::new(&self.traffic)),
-            offset_s: -self.queue.now_s(),
+            started_s: self.queue.now_s(),
         };
     }
 
@@ -194,7 +183,7 @@ impl Session {
             .recorder
             .as_ref()
             .ok_or_else(|| ScenarioError::Workload("the session is not recording".into()))?;
-        rec.finish(self.recording.offset_s + self.queue.now_s())
+        rec.finish(self.queue.now_s() - self.recording.started_s)
             .map_err(|e| ScenarioError::Workload(format!("recorded trace is unusable: {e}")))
     }
 }

@@ -1,22 +1,18 @@
-//! Traffic application: sparse TM deltas, uniform scales, and the
-//! segment machinery of trace workloads (rebind at a marker, advance,
-//! [`Session::run_trace`]), plus the forecaster every applied change is
-//! shown to.
+//! Traffic application: sparse TM deltas, uniform scales and a compiled
+//! trace's batches on the event clock, plus the forecaster every applied
+//! change is shown to.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use score_topology::VmId;
 use score_trace::{OracleForecaster, ShiftRun, TraceEvent, TraceSegment, TrafficDelta};
 use score_traffic::{EwmaForecaster, PairTraffic, RateForecaster};
 
-use super::{build_ring, SegmentRecord, Session};
-use crate::events::EventQueue;
+use super::Session;
 use crate::report::{RunReport, TraceReplayStats};
 use crate::spec::{ForecastSpec, ScenarioError};
 
 /// The session-owned forecaster: one of the two `RateForecaster`
 /// implementations, kept as a concrete enum so the trace-driven variant
-/// can be fed compiled segments (the trait has no lookahead-loading
+/// can be fed the compiled run (the trait has no lookahead-loading
 /// surface — measurement-driven forecasters have nothing to load).
 #[derive(Debug)]
 pub(super) enum SessionForecaster {
@@ -27,14 +23,14 @@ pub(super) enum SessionForecaster {
 }
 
 impl SessionForecaster {
-    /// The forecaster `spec` asks for, primed on the TM (or the trace
-    /// segment) the session opens with. An inactive spec (None or zero
+    /// The forecaster `spec` asks for, primed on the TM (or the compiled
+    /// trace run) the session opens with. An inactive spec (None or zero
     /// horizon) builds no forecaster at all — the bit-compatibility
     /// contract, not an optimization.
     pub(super) fn build(
         spec: &ForecastSpec,
         traffic: &PairTraffic,
-        segment: Option<&TraceSegment>,
+        run: Option<&TraceSegment>,
     ) -> Option<Self> {
         match *spec {
             _ if !spec.is_active() => None,
@@ -45,8 +41,8 @@ impl SessionForecaster {
             }
             ForecastSpec::TraceOracle { .. } => {
                 let mut f = OracleForecaster::new();
-                match segment {
-                    Some(seg) => f.load_segment(seg),
+                match run {
+                    Some(run) => f.load_segment(run),
                     None => f.prime(traffic, 0.0),
                 }
                 Some(SessionForecaster::Oracle(f))
@@ -94,13 +90,13 @@ enum Departed {
 }
 
 impl Session {
-    /// Puts a segment's delta batches on the event clock as one sorted
-    /// run (segment time starts at the queue's current zero) and rewinds
-    /// the cursor [`Session::apply_next_shift`] walks them with.
+    /// Puts a compiled trace's delta batches on the event clock as one
+    /// sorted run and rewinds the cursor [`Session::apply_next_shift`]
+    /// walks them with.
     pub(super) fn load_shifts(&mut self, shifts: ShiftRun) {
         debug_assert!(
             shifts.iter().all(|b| b.at_s < self.horizon_s),
-            "compile keeps the batches inside the segment's horizon only"
+            "compile keeps the batches inside the trace's horizon only"
         );
         self.queue.schedule_shifts(shifts.iter().map(|b| b.at_s));
         self.shifts = shifts;
@@ -167,7 +163,7 @@ impl Session {
             });
         self.delta_scratch = scratch;
         let changed = applied?;
-        self.seg.trace_stats.count_batch(changed);
+        self.tally.trace_stats.count_batch(changed);
         Ok(changed)
     }
 
@@ -297,7 +293,7 @@ impl Session {
                 // Every live pair the forecaster tracks just moved; they
                 // are scored at the horizon like a sparse batch's pairs,
                 // in canonical order whatever the forecaster's own.
-                if self.seg.forecast_evals.len() < MAX_FORECAST_EVALS {
+                if self.tally.forecast_evals.len() < MAX_FORECAST_EVALS {
                     let mut moved = f.as_dyn().known_pairs();
                     moved.sort_unstable();
                     moved.retain(|&(u, v)| self.traffic.rate(u, v) != 0.0);
@@ -307,14 +303,14 @@ impl Session {
             self.recording
                 .log(now_s, |rec, at_s| rec.record_scale(at_s, factor));
         }
-        self.seg.trace_stats.count_batch(repriced);
+        self.tally.trace_stats.count_batch(repriced);
         Ok(repriced)
     }
 
-    /// Trace-replay bookkeeping for the current segment (all zeros for
-    /// static workloads).
+    /// Trace-replay bookkeeping of the run (all zeros for static
+    /// workloads).
     pub fn trace_stats(&self) -> TraceReplayStats {
-        self.seg.trace_stats
+        self.tally.trace_stats
     }
 
     /// Queues `pairs` (whose rates just changed at `now_s`) for scoring
@@ -330,11 +326,11 @@ impl Session {
         let horizon_s = self.scenario.forecast.horizon_s();
         let due = now_s + horizon_s;
         for (u, v) in pairs {
-            if self.seg.forecast_evals.len() >= MAX_FORECAST_EVALS {
+            if self.tally.forecast_evals.len() >= MAX_FORECAST_EVALS {
                 break;
             }
             let predicted = f.as_dyn().predict(u, v, now_s, horizon_s);
-            self.seg.forecast_evals.push_back((due, u, v, predicted));
+            self.tally.forecast_evals.push_back((due, u, v, predicted));
         }
     }
 
@@ -344,123 +340,45 @@ impl Session {
     /// piecewise-constant between batches, so the current rate *is* the
     /// realized rate at any already-passed due time).
     pub(super) fn settle_forecast_evals(&mut self, now_s: f64) {
-        while let Some(&(due, u, v, predicted)) = self.seg.forecast_evals.front() {
+        while let Some(&(due, u, v, predicted)) = self.tally.forecast_evals.front() {
             if due > now_s {
                 break;
             }
-            self.seg.forecast_evals.pop_front();
+            self.tally.forecast_evals.pop_front();
             let realized = self.traffic.rate(u, v);
             let err = predicted - realized;
-            self.seg.forecast_err.0 += 1;
-            self.seg.forecast_err.1 += err.abs();
-            self.seg.forecast_err.2 += err;
+            self.tally.forecast_err.0 += 1;
+            self.tally.forecast_err.1 += err.abs();
+            self.tally.forecast_err.2 += err;
         }
     }
 
-    /// Advances a trace-driven session to its next segment (phase-marker
-    /// boundary) — the paper's "always-on" TM shift, and the one way to
-    /// ask for a wholesale one ([`score_trace::Trace::piecewise`]
-    /// scripts them). The session rebinds to the segment's initial TM
-    /// **in place**: clock, queue, ring and report accumulators restart
-    /// (segment *i* is reseeded with `scenario.seed + i`), the
-    /// allocation carries over, the segment's TM becomes the session's,
-    /// the cluster drops its memoized NIC loads and the cost ledger is
-    /// re-priced over the changed pairs only; then the segment's delta
-    /// batches are scheduled. Returns `false` when no segments remain
-    /// (including on static workloads).
+    /// Returns `Ok(false)`: a trace is one run, so there is no next
+    /// segment to advance to. Kept, with its old signature, only because
+    /// the performance harness still calls it
+    /// (`benchmark/src/sim_workloads.rs`); ROADMAP item 5 moves that
+    /// caller to [`Session::run_to_horizon`] and deletes this method.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Cluster`] if the segment's TM describes
-    /// a different VM population than the session now holds — a trace
-    /// is validated at materialization, so this takes live churn
-    /// ([`Session::place_vm`]) with segments still queued. The session,
-    /// the queued segment included, is unchanged on error.
+    /// Never.
+    #[doc(hidden)]
     pub fn advance_trace_segment(&mut self) -> Result<bool, ScenarioError> {
-        let Some(next) = self.trace_segments.front() else {
-            return Ok(false);
-        };
-        let sw = self
-            .obs
-            .as_ref()
-            .map(|o| o.handle.stopwatch())
-            .unwrap_or_default();
-        // Bind before anything else moves: this is the one step that
-        // can fail, and it leaves the cluster untouched when it does.
-        self.cluster.rebind_traffic(&next.initial)?;
-        let seg = self.trace_segments.pop_front().expect("peeked above");
-        self.segment_index += 1;
-        let now_s = self.queue.now_s();
-        if let Some(obs) = &self.obs {
-            obs.segments.inc();
-            obs.handle
-                .journal_push(score_obs::ObsEvent::SegmentAdvance { at_s: now_s });
-        }
-        // Counters mirror per-segment accumulators about to reset; flush
-        // the unpublished tail first so totals stay monotonic.
-        self.publish_obs(now_s);
-        // Forecaster state restarts with the segment, like ring and
-        // policy state do (the new clock starts at 0); the oracle reads
-        // ahead into the segment, before its TM moves into the session.
-        if let Some(f) = &mut self.forecaster {
-            f.as_dyn_mut().prime(&seg.initial, 0.0);
-            if let SessionForecaster::Oracle(oracle) = f {
-                oracle.load_segment(&seg);
-            }
-        }
-        // The recording clock keeps running across the rebind even
-        // though the event clock restarts; the wholesale re-rate is
-        // captured as a marker + per-pair deltas at the boundary.
-        let old_traffic = std::mem::replace(&mut self.traffic, seg.initial);
-        self.recording.log(now_s, |rec, at_s| {
-            rec.record_rebind(at_s, "rebind", &old_traffic, &self.traffic);
-        });
-        self.recording.offset_s += now_s;
-        self.ledger.rebind(
-            self.cluster.allocation(),
-            &old_traffic,
-            &self.traffic,
-            self.cluster.topo(),
-        );
-        let seed = self.scenario.seed.wrapping_add(self.segment_index);
-        self.ring = build_ring(&self.scenario, &self.model, seed, self.traffic.num_vms());
-        self.rng = StdRng::seed_from_u64(seed);
-        self.queue = EventQueue::new();
-        self.horizon_s = seg.duration_s;
-        self.finished = false;
-        self.initial_cost = self.ledger.current();
-        self.seg = SegmentRecord::default();
-        self.prime_queue();
-        self.load_shifts(seg.shifts);
-        if let Some(obs) = &mut self.obs {
-            // The per-segment accumulators restarted; realign the
-            // published-counter watermarks with them.
-            obs.published = Default::default();
-            if let Some(ns) = sw.elapsed_ns() {
-                obs.rebind_ns.record(ns);
-            }
-            // The ring was rebuilt for the new segment; re-attach it.
-            self.ring.attach_obs(&obs.handle);
-        }
-        Ok(true)
+        Ok(false)
     }
 
-    /// Runs a trace-driven session to the end of its trace: each
-    /// segment runs to its horizon and yields one report, and the next
-    /// starts from the allocation it ended on. On a static workload
-    /// this is `run_to_horizon` plus a single report.
+    /// [`Session::run_to_horizon`], then the one [`Session::report`] in a
+    /// `Vec`. Kept, with its old signature, only because the performance
+    /// harness still calls it (`benchmark/src/sim_workloads.rs`); ROADMAP
+    /// item 5 moves that caller to `run_to_horizon` and `report` and
+    /// deletes this method.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] if a segment fails to bind.
+    /// Never.
+    #[doc(hidden)]
     pub fn run_trace(&mut self) -> Result<Vec<RunReport>, ScenarioError> {
-        let mut reports = Vec::new();
-        loop {
-            self.run_to_horizon();
-            reports.push(self.report());
-            if !self.advance_trace_segment()? {
-                return Ok(reports);
-            }
-        }
+        self.run_to_horizon();
+        Ok(vec![self.report()])
     }
 }

@@ -755,10 +755,6 @@ pub enum PolicyKind {
     Random,
 }
 
-/// Spec-style alias for [`PolicyKind`] — the policy member of a
-/// [`Scenario`] alongside `TopologySpec`/`WorkloadSpec`/etc.
-pub type PolicySpec = PolicyKind;
-
 impl PolicyKind {
     /// Lowercase name.
     pub fn name(self) -> &'static str {
@@ -1005,7 +1001,7 @@ pub struct Scenario {
     /// Server capacities and VM demands.
     pub resources: ResourceSpec,
     /// Token-passing policy.
-    pub policy: PolicySpec,
+    pub policy: PolicyKind,
     /// Decision engine and migration-overhead model.
     pub engine: EngineSpec,
     /// Short-horizon rate forecasting feeding every decision
@@ -1161,7 +1157,7 @@ pub struct ScenarioBuilder {
     explicit_workload: Option<WorkloadSpec>,
     workload_seed: u64,
     resources: ResourceSpec,
-    policy: PolicySpec,
+    policy: PolicyKind,
     engine: EngineSpec,
     forecast: ForecastSpec,
     timing: TimingSpec,
@@ -1308,7 +1304,7 @@ impl ScenarioBuilder {
     }
 
     /// Sets the token policy.
-    pub fn policy(mut self, policy: PolicySpec) -> Self {
+    pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
         self
     }

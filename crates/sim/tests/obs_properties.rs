@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use score_obs::ObsHandle;
 use score_sim::{
-    ForecastSpec, PolicyKind, RunReport, Scenario, TimingSpec, TopologySpec, TraceSpec,
-    WorkloadSpec,
+    ForecastSpec, PolicyKind, Scenario, TimingSpec, TopologySpec, TraceSpec, WorkloadSpec,
 };
 use score_trace::DiurnalShape;
 use score_traffic::TrafficIntensity;
@@ -64,20 +63,16 @@ fn with_diurnal_trace(mut scenario: Scenario, seed: u64) -> Scenario {
     scenario
 }
 
-/// Runs `scenario` to the horizon (through every trace segment) with or
-/// without observability attached, returning the report JSON.
+/// Runs `scenario` to the horizon with or without observability
+/// attached, returning the report JSON.
 fn run_json(scenario: &Scenario, obs: Option<&ObsHandle>) -> String {
     let mut session = scenario.session().expect("scenario materializes");
     if let Some(handle) = obs {
         session.attach_obs(handle);
         assert!(session.obs_attached());
     }
-    let reports = session.run_trace().expect("run to the end of the trace");
-    reports
-        .iter()
-        .map(RunReport::to_json)
-        .collect::<Vec<_>>()
-        .join("\n")
+    session.run_to_horizon();
+    session.report().to_json()
 }
 
 proptest! {
@@ -111,7 +106,7 @@ proptest! {
     }
 
     /// Trace-driven + forecasted workloads: attached ≡ bare across
-    /// segment rebinds, forecast-error scoring and the oracle pipeline.
+    /// delta batches, forecast-error scoring and the oracle pipeline.
     #[test]
     fn obs_attached_trace_run_is_byte_identical(
         tree_pick in 0u8..2,
@@ -147,26 +142,23 @@ fn forecast_error_metrics_populate() {
     let mut reactive = base.clone();
     reactive.forecast = ForecastSpec::None;
     let mut s = reactive.session().unwrap();
-    let reports = s.run_trace().unwrap();
-    for r in &reports {
-        assert_eq!(r.forecast.error_samples, 0);
-        assert_eq!(r.forecast.mae, 0.0);
-        assert_eq!(r.forecast.bias, 0.0);
-    }
+    s.run_to_horizon();
+    let r = s.report();
+    assert_eq!(r.forecast.error_samples, 0);
+    assert_eq!(r.forecast.mae, 0.0);
+    assert_eq!(r.forecast.bias, 0.0);
 
     let mae_of = |spec: ForecastSpec| {
         let mut sc = base.clone();
         sc.forecast = spec;
         let mut session = sc.session().unwrap();
-        let reports = session.run_trace().unwrap();
-        let (samples, weighted): (u64, f64) = reports.iter().fold((0, 0.0), |(n, w), r| {
-            (
-                n + r.forecast.error_samples,
-                w + r.forecast.mae * r.forecast.error_samples as f64,
-            )
-        });
-        assert!(samples > 0, "active forecaster scored no evaluations");
-        weighted / samples as f64
+        session.run_to_horizon();
+        let forecast = session.report().forecast;
+        assert!(
+            forecast.error_samples > 0,
+            "active forecaster scored no evaluations"
+        );
+        forecast.mae
     };
     let ewma_mae = mae_of(ForecastSpec::Ewma {
         alpha: 0.3,

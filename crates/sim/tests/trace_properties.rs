@@ -1,13 +1,11 @@
 //! Property-based tests for trace replay semantics.
 //!
-//! Three invariants pin the trace subsystem to the pre-existing machinery:
+//! Four invariants pin the trace subsystem to the pre-existing machinery:
 //!
-//! 1. **Markers are report barriers the allocation crosses** — in a
-//!    piecewise-constant trace ([`Trace::piecewise`]) segment *i* starts
-//!    from the allocation segment *i − 1* ended on, priced under TM *i*,
-//!    with its time axis back at 0, whether the segments are advanced by
-//!    hand or by `Session::run_trace`; and segment *i* is reseeded with
-//!    `seed + i`, checked against a static run that never rebinds.
+//! 1. **A piecewise trace is one run** — at each boundary of a
+//!    [`Trace::piecewise`] trace the session's TM is the phase's, pair for
+//!    pair, the ledger is exact, and the allocation is never reset: it is
+//!    the opening placement moved by exactly the migrations reported.
 //! 2. **Sparse re-pricing exactness** — any interleaving of mid-run
 //!    traffic deltas and token iterations leaves the incremental ledger
 //!    within 1e-9 relative of a fresh full Eq.-(2) recomputation.
@@ -15,6 +13,10 @@
 //!    among sparse deltas records exactly `k` `ScaleAll` events (never a
 //!    per-pair expansion), and replaying the recording reproduces the
 //!    live report byte for byte.
+//! 4. **A marker is a label** — markers inserted anywhere leave the
+//!    compiled trace bit for bit as it was, and the report bytes of both
+//!    replay paths (a trace scenario, and the raw events through
+//!    `Session::run_storm`) unchanged.
 
 use proptest::prelude::*;
 use score_sim::{PolicyKind, Scenario, Session, TraceSpec, WorkloadSpec};
@@ -49,7 +51,8 @@ fn hand_built_piecewise(tms: &[(f64, PairTraffic)]) -> Trace {
     for (i, shift) in tms.windows(2).enumerate() {
         let ((duration, from), (_, to)) = (&shift[0], &shift[1]);
         t += duration;
-        builder = builder.marker(t, format!("phase-{}", i + 1));
+        let label = format!("phase-{}", i + 1);
+        builder = builder.event(t, TraceEvent::Marker { label });
         for (u, v, rate) in from.pairs() {
             if to.rate(u, v) != rate {
                 builder = builder.set_rate(t, u.get(), v.get(), to.rate(u, v));
@@ -83,8 +86,8 @@ fn check_ledger(session: &Session) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariant 1: every segment of a piecewise-constant trace starts
-    /// where the previous one stopped, and `run_trace` is that loop.
+    /// Invariant 1: a piecewise-constant trace replays as one run that
+    /// lands every phase's TM and never resets the allocation.
     #[test]
     fn piecewise_trace_carries_the_allocation_across_segments(
         seed in 0u64..200,
@@ -103,61 +106,36 @@ proptest! {
             .collect();
         let trace = Trace::piecewise(&tms).expect("piecewise trace is valid");
         prop_assert_eq!(&trace, &hand_built_piecewise(&tms));
+        let end_s = trace.end_s();
         scenario.workload = WorkloadSpec::Trace {
             spec: TraceSpec::Literal { trace, seed: scenario.workload.seed() },
         };
 
         let mut session = scenario.session().expect("trace scenario materializes");
-        let mut reports = Vec::new();
-        let mut carried = None;
-        for (i, (_, tm)) in tms.iter().enumerate() {
-            let alloc = session.cluster().allocation();
-            if let Some(previous) = &carried {
-                prop_assert_eq!(alloc, previous, "segment {} lost the allocation", i);
-            }
-            let priced = session.cost_model().total_cost(alloc, tm, session.cluster().topo());
-            prop_assert!(
-                (session.initial_cost() - priced).abs() <= 1e-9 * priced.abs().max(1.0),
-                "segment {} opens at {} but TM {} prices its allocation at {}",
-                i, session.initial_cost(), i, priced
-            );
-            session.run_to_horizon();
+        // The opening placement, moved by each migration the report lists.
+        let mut placed = session.cluster().allocation().clone();
+        let mut moved = 0;
+        let mut boundary_s = 0.0;
+        for (i, (duration_s, tm)) in tms.iter().enumerate() {
+            session.advance_to(boundary_s);
+            prop_assert_eq!(session.traffic().pairs(), tm.pairs(), "phase {} TM", i);
+            check_ledger(&session)?;
             let report = session.report();
-            prop_assert_eq!(report.initial_cost, session.initial_cost());
-            prop_assert_eq!(report.cost_series[0].0, 0.0, "the time axis restarts");
-            reports.push(report);
-            carried = Some(session.cluster().allocation().clone());
-            prop_assert_eq!(session.advance_trace_segment().unwrap(), i + 1 < tms.len());
+            for m in &report.migrations[moved..] {
+                placed.move_vm(m.vm, m.to);
+            }
+            moved = report.migrations.len();
+            prop_assert_eq!(session.cluster().allocation(), &placed, "phase {}", i);
+            boundary_s += duration_s;
         }
-        let mut replay = scenario.session().expect("trace scenario materializes");
-        prop_assert_eq!(replay.run_trace().expect("trace replays"), reports);
-
-        // The reseed rule, against a reference that shares no loop with
-        // the segment advance: behind an idle opening phase (an empty TM
-        // moves no VM) segment 1 makes the holds and migrations of a
-        // static run of TM 1 seeded `seed + 1` from the same placement.
-        let literal = |phases: &[(f64, PairTraffic)]| WorkloadSpec::Trace {
-            spec: TraceSpec::Literal {
-                trace: Trace::piecewise(phases).expect("piecewise trace is valid"),
-                seed: scenario.workload.seed(),
-            },
-        };
-        let mut idle_first = scenario.clone();
-        idle_first.workload = literal(&[(tms[0].0, PairTraffic::empty(NUM_VMS)), tms[1].clone()]);
-        let mut session = idle_first.session().expect("trace scenario materializes");
         session.run_to_horizon();
-        prop_assert!(session.report().migrations.is_empty());
-        prop_assert!(session.advance_trace_segment().unwrap());
-        session.run_to_horizon();
-        let mut reseeded = scenario.clone();
-        reseeded.seed = seed + 1;
-        reseeded.workload = literal(&tms[1..2]);
-        let mut reference = reseeded.session().expect("static scenario materializes");
-        reference.run_to_horizon();
-        let (got, want) = (session.report(), reference.report());
-        prop_assert!(!want.migrations.is_empty());
-        prop_assert_eq!(got.migrations, want.migrations);
-        prop_assert_eq!(got.token_holds, want.token_holds);
+        check_ledger(&session)?;
+        // One clock from 0 to the end of the trace.
+        let report = session.report();
+        prop_assert_eq!(report.cost_series[0].0, 0.0);
+        prop_assert!(report.cost_series.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert!(session.now_s() <= end_s);
+        prop_assert!(report.cost_series.last().unwrap().0 > end_s - 5.0 - 1e-9);
     }
 
     /// Invariant 2: sparse deltas interleaved with token holds keep the
@@ -252,5 +230,71 @@ proptest! {
         replay.run_to_horizon();
         prop_assert_eq!(replay.report().to_json(), live.report().to_json());
         prop_assert_eq!(replay.traffic(), live.traffic());
+    }
+
+    /// Invariant 4: a marker is a label on both replay paths.
+    #[test]
+    fn markers_are_labels_on_both_replay_paths(
+        seed in 0u64..200,
+        hlf in 0u8..2,
+        ops in prop::collection::vec((0u32..3, 0u32..=900, 0u32..2000, 0.05f64..4.0), 1..20),
+        marks in prop::collection::vec((0u32..=900, 0u8..2), 1..6),
+    ) {
+        let policy = if hlf == 1 { PolicyKind::HighestLevelFirst } else { PolicyKind::RoundRobin };
+        let scenario = quick_scenario(policy, seed);
+        let base = scenario.session().expect("scenario materializes").traffic().clone();
+        let n = base.num_vms();
+        // The same events with and without markers; a marker pushed
+        // first sorts before same-instant events, one pushed last after.
+        let build = |marked: bool| {
+            let mut events = Vec::new();
+            let marker = |i: usize| TraceEvent::Marker { label: format!("m{i}") };
+            for (i, &(t, first)) in marks.iter().enumerate() {
+                if marked && first == 1 {
+                    events.push((f64::from(t) / 10.0, marker(i)));
+                }
+            }
+            for &(kind, t, a, x) in &ops {
+                let (u, v) = (a % n, (a + 1 + a / n % (n - 1)) % n);
+                let event = match kind {
+                    0 => TraceEvent::SetRate { u, v, rate: x * 1e6 },
+                    1 => TraceEvent::ScalePair { u, v, factor: x },
+                    _ => TraceEvent::ScaleAll { factor: x },
+                };
+                events.push((f64::from(t) / 10.0, event));
+            }
+            for (i, &(t, first)) in marks.iter().enumerate() {
+                if marked && first == 0 {
+                    events.push((f64::from(t) / 10.0, marker(i)));
+                }
+            }
+            let builder = Trace::builder(n, 90.0).base_traffic(&base);
+            let builder = events.into_iter().fold(builder, |b, (t, e)| b.event(t, e));
+            builder.build().expect("decoded events are valid")
+        };
+        let (marked, plain) = (build(true), build(false));
+        prop_assert_eq!(marked.num_events(), plain.num_events() + marks.len());
+        prop_assert_eq!(format!("{:?}", marked.compile()), format!("{:?}", plain.compile()));
+
+        // The compiled path: the trace as the scenario's workload.
+        let replay = |trace: &Trace| {
+            let mut s = scenario.clone();
+            s.workload = WorkloadSpec::Trace {
+                spec: TraceSpec::Literal { trace: trace.clone(), seed: scenario.workload.seed() },
+            };
+            let mut session = s.session().expect("trace scenario materializes");
+            session.run_to_horizon();
+            session.report().to_json()
+        };
+        prop_assert_eq!(replay(&marked), replay(&plain));
+
+        // The raw path: the events driven into a static session.
+        let storm = |trace: &Trace| {
+            let mut session = scenario.session().expect("scenario materializes");
+            session.run_storm(trace.events()).expect("events apply");
+            session.run_to_horizon();
+            session.report().to_json()
+        };
+        prop_assert_eq!(storm(&marked), storm(&plain));
     }
 }

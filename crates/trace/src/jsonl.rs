@@ -177,6 +177,7 @@ fn unreadable(path: &Path, e: std::io::Error) -> TraceError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
 
     fn sample() -> Trace {
         Trace::builder(6, 300.0)
@@ -184,7 +185,12 @@ mod tests {
             .base_pair(3, 4, 5e5)
             .set_rate(50.0, 0, 1, 8e6)
             .scale_pair(100.0, 3, 4, 2.0)
-            .marker(150.0, "evening")
+            .event(
+                150.0,
+                TraceEvent::Marker {
+                    label: "evening".into(),
+                },
+            )
             .scale_all(200.0, 0.25)
             .build()
             .unwrap()

@@ -8,17 +8,17 @@
 //!
 //! * [`Trace`] / [`TraceEvent`] — the event stream: absolute re-rates
 //!   (`SetRate`), multiplicative drift (`ScaleAll` / `ScalePair`) and
-//!   phase markers over an initial base TM;
+//!   marker labels over an initial base TM;
 //! * [`Trace::to_jsonl`] / [`Trace::from_jsonl`] — a line-oriented
 //!   persistence format (header line + one JSON object per event) that
 //!   appends and diffs cleanly;
-//! * [`Trace::compile`] — folds the stream into [`CompiledTrace`]
-//!   segments: per marker interval, the exact `PairTraffic` at segment
-//!   start plus a [`ShiftRun`] of one in-segment [`DeltaBatch`] per
-//!   event — canonical `(u, v, new_rate)` updates ready for a sparse
-//!   O(changed-pairs) rebind path (all of a segment's in one flat store
-//!   the batches name ranges of), or a uniform `ScaleAll` factor applied
-//!   in O(1);
+//! * [`Trace::compile`] — folds the stream into one replayable run, a
+//!   [`CompiledTrace`]: the exact `PairTraffic` at time 0 plus a
+//!   [`ShiftRun`] of one [`DeltaBatch`] per later event — canonical
+//!   `(u, v, new_rate)` updates ready for a sparse O(changed-pairs)
+//!   re-pricing path (all of them in one flat store the batches name
+//!   ranges of), or a uniform `ScaleAll` factor applied in O(1). A trace
+//!   is one run: a marker is a label, on this path as on the raw one;
 //! * [`diurnal_trace`] / [`flash_crowd_trace`] / [`churn_trace`] —
 //!   deterministic synthetic generators for the three canonical
 //!   time-varying patterns (sine drift, hot-set spikes, and
@@ -51,7 +51,7 @@
 //! let back = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
 //! assert_eq!(back, trace);
 //!
-//! // Compilation yields replayable segments with one batch per event:
+//! // Compilation yields one replayable run with one batch per event:
 //! // a diurnal step stays a single uniform scale however many pairs
 //! // the TM holds.
 //! let compiled = back.compile();

@@ -2,16 +2,16 @@
 //!
 //! Measurement-driven forecasters (`score_traffic::EwmaForecaster`)
 //! extrapolate trends; a trace-driven run can do strictly better — the
-//! remaining delta stream of the current [`TraceSegment`] *is* the
-//! future, so [`OracleForecaster`] simply reads it ahead of the event
+//! remaining delta stream of the compiled run ([`TraceSegment`]) *is*
+//! the future, so [`OracleForecaster`] simply reads it ahead of the event
 //! clock. For a diurnal envelope this is the exact per-pair rate at
 //! `now + horizon`; for a flash crowd it is the spike itself, visible
 //! one horizon before it lands.
 //!
 //! The oracle is the upper bound any online estimator can be judged
 //! against, and the forecaster the `ForecastSpec::TraceOracle` scenario
-//! knob materializes. It indexes one segment at a time (segment-relative
-//! clock, like the session that drives it) and is advanced with the
+//! knob materializes. It indexes the run on the trace clock (the clock
+//! of the session that drives it) and is advanced with the
 //! same absolute re-rates and uniform scales the session applies —
 //! reading ahead never mutates anything, so the cost ledger cannot tell
 //! an oracle-driven run from a reactive one until the decisions differ.
@@ -26,11 +26,11 @@ use std::collections::HashMap;
 
 use crate::trace::{scaled_rate, TraceSegment, TrafficDelta};
 
-/// One indexed batch: `(segment-relative time, batch index, value)`,
+/// One indexed batch: `(trace time, batch index, value)`,
 /// the value being an absolute rate or a scale factor.
 type Breakpoint = (f64, usize, f64);
 
-/// Exact-lookahead forecaster over one compiled trace segment (see the
+/// Exact-lookahead forecaster over a compiled trace's run (see the
 /// module docs).
 ///
 /// # Examples
@@ -59,7 +59,7 @@ type Breakpoint = (f64, usize, f64);
 pub struct OracleForecaster {
     /// Absolute-rate breakpoints per canonical pair, in firing order.
     breakpoints: HashMap<(u32, u32), Vec<Breakpoint>>,
-    /// The segment's uniform scales, in firing order.
+    /// The run's uniform scales, in firing order.
     scales: Vec<Breakpoint>,
     /// How many of `scales` have been observed, i.e. are already part of
     /// `current`.
@@ -70,16 +70,15 @@ pub struct OracleForecaster {
 }
 
 impl OracleForecaster {
-    /// Creates an empty oracle (no segment loaded: predictions fall
+    /// Creates an empty oracle (no run loaded: predictions fall
     /// back to the current rate).
     pub fn new() -> Self {
         OracleForecaster::default()
     }
 
-    /// Loads one compiled segment: the segment's initial TM becomes the
-    /// current rates and its delta batches the lookahead index. The
-    /// segment-relative clock starts at 0, exactly like the session
-    /// event clock after a segment rebind.
+    /// Loads a compiled trace's run: its initial TM becomes the current
+    /// rates and its delta batches the lookahead index, on the trace
+    /// clock — the session event clock, which starts at 0 with it.
     pub fn load_segment(&mut self, segment: &TraceSegment) {
         self.prime(&segment.initial, 0.0);
         for (index, batch) in segment.shifts.iter().enumerate() {
@@ -119,7 +118,7 @@ impl RateForecaster for OracleForecaster {
     }
 
     fn prime(&mut self, traffic: &PairTraffic, _now_s: f64) {
-        // A bare prime (no segment) clears the lookahead: nothing is
+        // A bare prime (no run) clears the lookahead: nothing is
         // known about the future until `load_segment` indexes it.
         self.breakpoints.clear();
         self.scales.clear();
@@ -149,7 +148,7 @@ impl RateForecaster for OracleForecaster {
         for rate in self.current.values_mut() {
             *rate = scaled_rate(*rate, factor);
         }
-        // The segment's own scales arrive in order; a scale from outside
+        // The run's own scales arrive in order; a scale from outside
         // it (a live driver's) moves `current` only.
         if self
             .scales

@@ -2,11 +2,10 @@
 //! applied back into a replayable [`Trace`] (ROADMAP open item).
 //!
 //! A [`TraceRecorder`] is seeded with the TM a session started on and
-//! fed every applied re-rate batch and uniform scale (plus wholesale rebinds at phase
-//! boundaries, which it records as a marker followed by the per-pair
-//! re-rates). [`TraceRecorder::finish`] closes the stream into a
-//! validated [`Trace`], so a measured run replays through the same
-//! compile → segment → delta-batch machinery as a synthetic one —
+//! fed every applied re-rate batch and uniform scale.
+//! [`TraceRecorder::finish`] closes the stream into a validated
+//! [`Trace`], so a measured run replays through the same
+//! compile → delta-batch machinery as a synthetic one —
 //! including the oracle forecaster, which can then "read ahead" into a
 //! recorded production trace.
 //!
@@ -18,7 +17,7 @@
 
 use score_traffic::PairTraffic;
 
-use crate::trace::{push_rebind, TimedEvent, Trace, TraceError, TraceEvent};
+use crate::trace::{TimedEvent, Trace, TraceError, TraceEvent};
 
 /// Captures applied traffic deltas into a replayable [`Trace`] (see the
 /// module docs). Event times are recorded on an absolute clock that
@@ -134,21 +133,6 @@ impl TraceRecorder {
         });
     }
 
-    /// Records a phase boundary at `at_s`: a [`TraceEvent::Marker`]
-    /// followed by the per-pair re-rates turning `old` into `new`
-    /// (pairs vanishing from `new` are set to 0). Replaying the
-    /// recorded trace reproduces the rebind as the next segment's
-    /// initial TM — boundary events fold into it at compile time.
-    pub fn record_rebind(
-        &mut self,
-        at_s: f64,
-        label: impl Into<String>,
-        old: &PairTraffic,
-        new: &PairTraffic,
-    ) {
-        push_rebind(&mut self.events, at_s, label.into(), old, new);
-    }
-
     /// Closes the recording into a validated [`Trace`] lasting `end_s`
     /// seconds (callers pass the total recorded duration; it must cover
     /// every captured event).
@@ -213,21 +197,6 @@ mod tests {
                 Err(1.5)
             ]
         );
-    }
-
-    #[test]
-    fn rebind_records_marker_and_rerates() {
-        let a = tm(&[(0, 1, 10.0), (2, 3, 5.0)]);
-        let b = tm(&[(0, 1, 20.0), (1, 2, 4.0)]);
-        let mut rec = TraceRecorder::new(&a);
-        rec.record_rebind(15.0, "phase-2", &a, &b);
-        let trace = rec.finish(40.0).unwrap();
-        let compiled = trace.compile();
-        assert_eq!(compiled.segments.len(), 2);
-        assert_eq!(compiled.segments[1].label.as_deref(), Some("phase-2"));
-        // The boundary re-rates fold into the next segment's initial TM.
-        assert_eq!(compiled.segments[1].initial, b);
-        assert!(compiled.segments[1].shifts.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The trace model: a time-ordered stream of traffic deltas over a base
-//! TM, and its compilation into replayable segments.
+//! TM, and its compilation into one replayable run.
 //!
 //! A [`Trace`] is the time-varying analogue of a single
 //! `score_traffic::PairTraffic`: it fixes the VM population, an initial
@@ -7,18 +7,17 @@
 //! time-sorted list of [`TraceEvent`]s mutating the pairwise rates —
 //! absolute re-rates ([`TraceEvent::SetRate`]), multiplicative drift
 //! ([`TraceEvent::ScaleAll`] / [`TraceEvent::ScalePair`]), and
-//! [`TraceEvent::Marker`]s splitting the stream into coarse phases.
+//! [`TraceEvent::Marker`] labels that change nothing.
 //!
 //! Consumers never walk the raw events: [`Trace::compile`] folds the
-//! stream into a [`CompiledTrace`] — one [`TraceSegment`] per marker
-//! interval, each carrying the exact `PairTraffic` active at its start
-//! plus the in-segment [`DeltaBatch`]es, one per event: absolute rates
-//! ready to feed a sparse rebind path such as
-//! `Session::apply_traffic_deltas`, or a uniform scale for
-//! `Session::apply_traffic_scale`. A segment's batches are a
+//! stream into a [`CompiledTrace`] — one [`TraceSegment`] for the whole
+//! run, carrying the exact `PairTraffic` at time 0 plus one
+//! [`DeltaBatch`] per later event: absolute rates ready to feed a sparse
+//! re-pricing path such as `Session::apply_traffic_deltas`, or a uniform
+//! scale for `Session::apply_traffic_scale`. The batches are a
 //! [`ShiftRun`]: small `Copy` records in firing order beside one flat
 //! vector of every re-rate, so a million-event trace compiles into two
-//! allocations per segment and replays as one sorted run.
+//! allocations and replays as one sorted run.
 
 use score_topology::VmId;
 use score_traffic::{PairTraffic, PairTrafficBuilder};
@@ -54,10 +53,11 @@ pub enum TraceEvent {
         /// Multiplicative factor, `> 0`.
         factor: f64,
     },
-    /// Phase boundary: closes the current segment — a report barrier the
-    /// allocation carries over — and labels the next one.
+    /// A label at a point of the stream (a phase boundary of
+    /// [`Trace::piecewise`], say). It changes nothing: the compiled and
+    /// the raw replay path both skip it.
     Marker {
-        /// Human-readable phase label.
+        /// Human-readable label.
         label: String,
     },
     /// A VM arrives: the population grows by one dense id (`vm` must be
@@ -236,14 +236,13 @@ impl std::error::Error for TraceError {}
 ///     .base_pair(2, 3, 1e6)
 ///     .set_rate(25.0, 0, 1, 8e6) // flash crowd on (0, 1)
 ///     .scale_all(50.0, 0.5)      // off-peak dip
-///     .marker(75.0, "evening")
+///     .event(75.0, TraceEvent::Marker { label: "evening".into() })
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(trace.num_vms(), 4);
 /// assert_eq!(trace.num_events(), 3);
-/// let compiled = trace.compile();
-/// assert_eq!(compiled.segments.len(), 2); // the marker splits the run
-/// assert_eq!(compiled.segments[0].shifts.len(), 2);
+/// // One batch per event that changes a rate; the marker is a label.
+/// assert_eq!(trace.compile().num_shifts(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -264,41 +263,6 @@ pub fn scaled_rate(rate: f64, factor: f64) -> f64 {
     (rate * factor).min(f64::MAX)
 }
 
-/// Appends a wholesale TM shift at `at_s` to `events`: a
-/// [`TraceEvent::Marker`] followed by the per-pair re-rates turning
-/// `old` into `new` (pairs vanishing from `new` are set to 0, unchanged
-/// pairs are skipped). The one old→new pair diff: [`Trace::piecewise`]
-/// scripts boundaries with it and `TraceRecorder::record_rebind`
-/// records them with it.
-pub(crate) fn push_rebind(
-    events: &mut Vec<TimedEvent>,
-    at_s: f64,
-    label: String,
-    old: &PairTraffic,
-    new: &PairTraffic,
-) {
-    events.push(TimedEvent {
-        time_s: at_s,
-        event: TraceEvent::Marker { label },
-    });
-    let changed = old.pairs().into_iter().filter_map(|(u, v, was)| {
-        let now = new.rate(u, v);
-        (now != was).then_some((u, v, now))
-    });
-    let added = new
-        .pairs()
-        .into_iter()
-        .filter(|&(u, v, _)| old.rate(u, v) == 0.0);
-    events.extend(changed.chain(added).map(|(u, v, rate)| TimedEvent {
-        time_s: at_s,
-        event: TraceEvent::SetRate {
-            u: u.get(),
-            v: v.get(),
-            rate,
-        },
-    }));
-}
-
 impl Trace {
     /// Starts a builder for a trace over `num_vms` VMs lasting `end_s`
     /// seconds.
@@ -309,13 +273,12 @@ impl Trace {
     /// The piecewise-constant trace of a sequence of `(duration_s, TM)`
     /// phases — the one way to script wholesale TM shifts. TM 0 is the
     /// base; every later phase opens with a marker labelled `phase-i`
-    /// and the re-rates turning TM `i − 1` into TM `i`, all at the
-    /// boundary, so [`Trace::compile`] folds them into segment `i`'s
-    /// initial TM and a session replaying the trace starts each phase
-    /// from the allocation the previous one ended on. Boundaries sit at
-    /// the running sum of the durations, so a compiled segment lasts the
-    /// difference of two such sums: `duration_s` exactly for dyadic
-    /// values (whole seconds), within rounding otherwise.
+    /// and the re-rates turning TM `i − 1` into TM `i` (pairs vanishing
+    /// from TM `i` are set to 0, unchanged pairs are skipped), all at
+    /// the boundary. The trace is one run: a session replaying it takes
+    /// the re-rates as ordinary delta batches and keeps circulating the
+    /// token from the allocation it has. Boundaries sit at the running
+    /// sum of the durations.
     ///
     /// # Errors
     ///
@@ -344,13 +307,23 @@ impl Trace {
                 });
             }
             at_s += duration_s;
-            push_rebind(
-                &mut builder.events,
+            builder = builder.event(
                 at_s,
-                format!("phase-{}", i + 1),
-                old,
-                new,
+                TraceEvent::Marker {
+                    label: format!("phase-{}", i + 1),
+                },
             );
+            let changed = old.pairs().into_iter().filter_map(|(u, v, was)| {
+                let now = new.rate(u, v);
+                (now != was).then_some((u, v, now))
+            });
+            let added = new
+                .pairs()
+                .into_iter()
+                .filter(|&(u, v, _)| old.rate(u, v) == 0.0);
+            for (u, v, rate) in changed.chain(added) {
+                builder = builder.set_rate(at_s, u.get(), v.get(), rate);
+            }
         }
         builder.build()
     }
@@ -400,14 +373,6 @@ impl Trace {
     /// Number of events (markers included).
     pub fn num_events(&self) -> usize {
         self.events.len()
-    }
-
-    /// Number of phase markers in the stream.
-    pub fn num_markers(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Marker { .. }))
-            .count()
     }
 
     /// The initial TM as a [`PairTraffic`].
@@ -507,8 +472,8 @@ impl Trace {
     /// True when the stream contains population churn
     /// ([`TraceEvent::PlaceVm`] / [`TraceEvent::RemoveVm`]). Churn
     /// traces replay through the raw event stream (the `scored` daemon
-    /// replay path) — they cannot be compiled into fixed-population
-    /// segments.
+    /// replay path) — they cannot be compiled into a fixed-population
+    /// run.
     fn has_churn(&self) -> bool {
         self.events.iter().any(|e| {
             matches!(
@@ -521,110 +486,72 @@ impl Trace {
     /// True when the stream contains adversity events
     /// ([`TraceEvent::is_fault`]). Like churn traces, fault traces
     /// replay through the raw event stream — a crash's evacuation
-    /// rewrites the allocation, which fixed-TM segments cannot express.
+    /// rewrites the allocation, which a compiled TM stream cannot
+    /// express.
     pub fn has_faults(&self) -> bool {
         self.events.iter().any(|e| e.event.is_fault())
     }
 
-    /// Folds the event stream into replayable segments: one
-    /// [`TraceSegment`] per marker interval, each with the exact TM
-    /// active at its start and one in-segment [`DeltaBatch`] per event
-    /// that changes a rate, at segment-relative times. A `ScaleAll` stays
-    /// one O(1) batch — the compiler's running TM scales as lazily as a
-    /// session's does, and no pair is visited for it. Rate events landing
-    /// exactly on a segment boundary fold into the *next* segment's
-    /// initial TM (they carry no in-run duration in the closing one).
+    /// Folds the event stream into one replayable run: the exact TM at
+    /// time 0 (the base with every event at `t = 0` folded in) and one
+    /// [`DeltaBatch`] per later event that changes a rate, at its firing
+    /// time. A `ScaleAll` stays one O(1) batch — the compiler's running
+    /// TM scales as lazily as a session's does, and no pair is visited
+    /// for it. Markers, like every other event that changes nothing,
+    /// yield no batch.
     ///
     /// # Panics
     ///
     /// Panics (debug assertion) on an unvalidated trace; run
     /// [`Trace::validate`] on untrusted input first. Panics on a churn
     /// trace (one with [`TraceEvent::PlaceVm`] / [`TraceEvent::RemoveVm`])
-    /// — segments have a fixed population;
+    /// — a compiled run has a fixed population;
     /// churn traces replay through the raw event stream instead.
     pub fn compile(&self) -> CompiledTrace {
         debug_assert!(self.validate().is_ok(), "compile needs a valid trace");
         assert!(
             !self.has_churn(),
             "churn traces (PlaceVm/RemoveVm) cannot be compiled into \
-             fixed-population segments; replay the raw event stream instead"
+             a fixed-population run; replay the raw event stream instead"
         );
         assert!(
             !self.has_faults(),
             "fault traces (HostCrash/RackFail/LinkDegrade/LinkRestore) cannot \
-             be compiled into fixed-allocation segments; replay the raw event \
+             be compiled into a fixed-allocation run; replay the raw event \
              stream instead"
         );
-        // A segment's initial TM is a fresh build of the running one:
-        // peer lists sized to fit, no pending scale.
-        let snapshot = |tm: &PairTraffic| {
-            let mut b = PairTrafficBuilder::new(self.num_vms);
-            for (u, v, rate) in tm.pairs() {
-                b.add(u, v, rate);
-            }
-            b.build()
-        };
-
         let mut running = self.base_traffic();
-        let mut segments = Vec::new();
-        let mut seg_start = 0.0f64;
-        let mut seg_label: Option<String> = None;
-        // `None` while the running TM still is the segment's initial one
-        // (no in-segment batch yet); taken just before the first lands.
-        let mut seg_initial: Option<PairTraffic> = None;
+        // `None` while the running TM still is the initial one (no batch
+        // yet); taken just before the first lands, as a fresh build of
+        // the running TM: peer lists sized to fit, no pending scale.
+        let mut initial: Option<PairTraffic> = None;
         let mut shifts = ShiftRun::default();
-        let mut close =
-            |duration_s: f64, label: Option<String>, initial: PairTraffic, mut shifts: ShiftRun| {
-                shifts.truncate_at(duration_s);
-                segments.push(TraceSegment {
-                    label,
-                    duration_s,
-                    initial,
-                    shifts,
-                });
-            };
-
         for (index, ev) in self.events.iter().enumerate() {
-            if let TraceEvent::Marker { label } = &ev.event {
-                if ev.time_s > seg_start {
-                    let initial = seg_initial.take().unwrap_or_else(|| snapshot(&running));
-                    close(
-                        ev.time_s - seg_start,
-                        seg_label.take(),
-                        initial,
-                        std::mem::take(&mut shifts),
-                    );
-                    seg_start = ev.time_s;
-                }
-                seg_label = Some(label.clone());
-                continue;
-            }
             let Some(change) = Self::event_change(&running, &ev.event) else {
                 continue;
             };
-            // Boundary events fold into the segment's initial TM.
-            let in_segment = ev.time_s > seg_start;
-            if in_segment && seg_initial.is_none() {
-                seg_initial = Some(snapshot(&running));
+            // Events at t = 0 fold into the initial TM.
+            let in_run = ev.time_s > 0.0;
+            if in_run && initial.is_none() {
+                initial = Some(snapshot(&running));
+                shifts.reserve(&self.events[index..]);
             }
             match change {
                 Change::Rate(u, v, rate) => running.apply_update(u, v, rate),
                 Change::ScaleAll(factor) => running.scale_all(factor),
             }
-            if in_segment {
-                if shifts.is_empty() {
-                    shifts.reserve_until_marker(&self.events[index..]);
-                }
-                shifts.push(ev.time_s - seg_start, change);
+            if in_run {
+                shifts.push(ev.time_s, change);
             }
         }
-        if self.end_s > seg_start {
-            let initial = seg_initial.unwrap_or_else(|| snapshot(&running));
-            close(self.end_s - seg_start, seg_label, initial, shifts);
-        }
+        shifts.truncate_at(self.end_s);
         CompiledTrace {
             num_vms: self.num_vms,
-            segments,
+            segments: vec![TraceSegment {
+                duration_s: self.end_s,
+                initial: initial.unwrap_or_else(|| snapshot(&running)),
+                shifts,
+            }],
         }
     }
 
@@ -661,6 +588,15 @@ impl Trace {
             }
         }
     }
+}
+
+/// A fresh build of `tm`: peer lists sized to fit, no pending scale.
+fn snapshot(tm: &PairTraffic) -> PairTraffic {
+    let mut b = PairTrafficBuilder::new(tm.num_vms());
+    for (u, v, rate) in tm.pairs() {
+        b.add(u, v, rate);
+    }
+    b.build()
 }
 
 /// What one event does to the compiler's running TM.
@@ -741,16 +677,6 @@ impl TraceBuilder {
         self.event(time_s, TraceEvent::RemoveVm { vm })
     }
 
-    /// Pushes a [`TraceEvent::Marker`] phase boundary.
-    pub fn marker(self, time_s: f64, label: impl Into<String>) -> Self {
-        self.event(
-            time_s,
-            TraceEvent::Marker {
-                label: label.into(),
-            },
-        )
-    }
-
     /// Sorts the events stably by time and validates the result — the
     /// path of every trace whose events were pushed in any order. (A
     /// generator that emits its events in firing order hands them to
@@ -765,39 +691,40 @@ impl TraceBuilder {
     }
 }
 
-/// The replayable form of a [`Trace`]: marker-delimited segments.
+/// The replayable form of a [`Trace`]: one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTrace {
     /// The VM population.
     pub num_vms: u32,
-    /// Segments in play order; never empty for a valid trace.
+    /// Always exactly one element: the whole run. It is a `Vec` only
+    /// because the performance harness (`benchmark/src/sim_workloads.rs`)
+    /// walks it as one; ROADMAP item 5 moves that reader to
+    /// `segments[0]`, after which the compiled trace can become the run
+    /// itself.
+    #[doc(hidden)]
     pub segments: Vec<TraceSegment>,
 }
 
 impl CompiledTrace {
-    /// Total number of in-segment delta batches across all segments.
+    /// Number of delta batches in the run.
     pub fn num_shifts(&self) -> usize {
         self.segments.iter().map(|s| s.shifts.len()).sum()
     }
 }
 
-/// One marker-delimited interval of a compiled trace.
+/// The one run of a compiled trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSegment {
-    /// The label of the marker that opened this segment (`None` for the
-    /// unlabeled head segment).
-    pub label: Option<String>,
-    /// Segment duration in seconds (always positive).
+    /// Run duration in seconds (the trace's `end_s`).
     pub duration_s: f64,
-    /// The exact TM active when the segment starts.
+    /// The exact TM active at time 0.
     pub initial: PairTraffic,
-    /// In-segment delta batches at segment-relative times in
-    /// `(0, duration_s)`, one per trace event that changed a rate, in
-    /// firing order.
+    /// Delta batches at times in `(0, duration_s)`, one per trace event
+    /// that changed a rate, in firing order.
     pub shifts: ShiftRun,
 }
 
-/// A segment's delta batches in firing order, stored struct-of-arrays:
+/// A run's delta batches in firing order, stored struct-of-arrays:
 /// the [`DeltaBatch`] records (read through `Deref<Target = [DeltaBatch]>`
 /// — `iter()`, `len()`, indexing) beside one flat store holding every
 /// `Rates` payload back to back, which the batches name ranges of. A
@@ -829,7 +756,7 @@ impl ShiftRun {
     }
 
     /// Applies one of this run's batches to `tm` in place — how a
-    /// consumer without a cluster around the TM replays a segment.
+    /// consumer without a cluster around the TM replays a run.
     pub fn apply_to(&self, delta: TrafficDelta, tm: &mut PairTraffic) {
         match delta {
             TrafficDelta::Rates(range) => tm.apply_updates(self.updates(range)),
@@ -837,20 +764,15 @@ impl ShiftRun {
         }
     }
 
-    /// Sizes both stores, once, for the segment whose first in-segment
-    /// event heads `events`: every event before the next marker is at
-    /// most one batch, and every pair re-rate among them one update.
-    /// (The marker closes the segment — it fires later than the segment
-    /// started, or the events before it would not be in-segment.) Exact
-    /// when none of them turns out a no-op; a vector grown by doubling
-    /// instead ends up to twice the size and copies itself on the way.
-    fn reserve_until_marker(&mut self, events: &[TimedEvent]) {
-        let segment = events
-            .iter()
-            .take_while(|e| !matches!(e.event, TraceEvent::Marker { .. }));
+    /// Sizes both stores, once, for the run whose first batch heads
+    /// `events`: every event but a marker is at most one batch, and
+    /// every pair re-rate one update. Exact when none of them turns out
+    /// a no-op; a vector grown by doubling instead ends up to twice the
+    /// size and copies itself on the way.
+    fn reserve(&mut self, events: &[TimedEvent]) {
         let (mut batches, mut updates) = (0, 0);
-        for ev in segment {
-            batches += 1;
+        for ev in events {
+            batches += usize::from(!matches!(ev.event, TraceEvent::Marker { .. }));
             updates += usize::from(matches!(
                 ev.event,
                 TraceEvent::SetRate { .. } | TraceEvent::ScalePair { .. }
@@ -865,7 +787,7 @@ impl ShiftRun {
         let delta = match change {
             Change::Rate(u, v, rate) => {
                 let start = u32::try_from(self.updates.len())
-                    .expect("a segment holds fewer than 2^32 rate updates");
+                    .expect("a run holds fewer than 2^32 rate updates");
                 self.updates.push((u, v, rate));
                 TrafficDelta::Rates(UpdateRange { start, len: 1 })
             }
@@ -893,7 +815,7 @@ impl ShiftRun {
 /// One traffic change firing at a single instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaBatch {
-    /// Firing time relative to the segment start.
+    /// Firing time in trace seconds.
     pub at_s: f64,
     /// What changes.
     pub delta: TrafficDelta,
@@ -1001,7 +923,14 @@ mod tests {
     #[test]
     fn compile_single_segment() {
         let t = base_trace()
+            .set_rate(0.0, 2, 3, 30.0)
             .set_rate(25.0, 0, 1, 50.0)
+            .event(
+                50.0,
+                TraceEvent::Marker {
+                    label: "mid".into(),
+                },
+            )
             .scale_pair(75.0, 2, 3, 0.5)
             .build()
             .unwrap();
@@ -1009,37 +938,15 @@ mod tests {
         assert_eq!(c.segments.len(), 1);
         let seg = &c.segments[0];
         assert_eq!(seg.duration_s, 100.0);
-        assert_eq!(seg.initial, t.base_traffic());
+        // The t = 0 re-rate folds into the initial TM; the marker is no
+        // batch.
+        assert_eq!(seg.initial.rate(VmId::new(2), VmId::new(3)), 30.0);
+        assert_eq!(seg.initial.rate(VmId::new(0), VmId::new(1)), 10.0);
         assert_eq!(seg.shifts.len(), 2);
         assert_eq!(rates_of(seg, 0), [rate(0, 1, 50.0)]);
-        assert_eq!(rates_of(seg, 1), [rate(2, 3, 10.0)]);
+        assert_eq!(seg.shifts[1].at_s, 75.0);
+        assert_eq!(rates_of(seg, 1), [rate(2, 3, 15.0)]);
         assert_eq!(c.num_shifts(), 2);
-    }
-
-    #[test]
-    fn compile_splits_at_markers_and_folds_boundary_events() {
-        // SetRate exactly at the marker time lands in the next segment's
-        // initial TM, regardless of list order.
-        let t = base_trace()
-            .set_rate(40.0, 0, 1, 99.0)
-            .marker(40.0, "shift")
-            .build()
-            .unwrap();
-        let c = t.compile();
-        assert_eq!(c.segments.len(), 2);
-        assert_eq!(c.segments[0].duration_s, 40.0);
-        assert!(c.segments[0].shifts.is_empty(), "boundary event folded");
-        assert_eq!(c.segments[1].label.as_deref(), Some("shift"));
-        assert_eq!(c.segments[1].duration_s, 60.0);
-        assert_eq!(c.segments[1].initial.rate(VmId::new(0), VmId::new(1)), 99.0);
-    }
-
-    #[test]
-    fn compile_marker_at_zero_relabels_without_empty_segment() {
-        let t = base_trace().marker(0.0, "head").build().unwrap();
-        let c = t.compile();
-        assert_eq!(c.segments.len(), 1);
-        assert_eq!(c.segments[0].label.as_deref(), Some("head"));
     }
 
     #[test]
@@ -1059,22 +966,30 @@ mod tests {
         ];
         let trace = Trace::piecewise(&phases).unwrap();
         assert_eq!(trace.end_s(), 100.0);
-        assert_eq!(trace.num_markers(), 2);
+        let markers = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Marker { .. }));
+        assert_eq!(markers.count(), 2);
         assert_eq!(trace.num_events(), 2 + 3 + 1, "unchanged pairs are skipped");
+        // One run: phase 0 is the initial TM, and the batches firing at
+        // each boundary turn the running TM into that phase's.
         let compiled = trace.compile();
-        assert_eq!(compiled.segments.len(), 3);
-        for (seg, (duration_s, tm)) in compiled.segments.iter().zip(&phases) {
-            assert_eq!(seg.duration_s, *duration_s);
-            assert_eq!(&seg.initial, tm);
-            assert!(seg.shifts.is_empty());
+        assert_eq!(compiled.segments.len(), 1);
+        let run = &compiled.segments[0];
+        assert_eq!(run.duration_s, 100.0);
+        assert_eq!(run.initial, phases[0].1);
+        assert_eq!(run.shifts.len(), 4);
+        let mut running = run.initial.clone();
+        let mut batches = run.shifts.iter().peekable();
+        for (boundary_s, (_, want)) in [(30.0, &phases[1]), (50.0, &phases[2])] {
+            while let Some(batch) = batches.next_if(|b| b.at_s <= boundary_s) {
+                assert_eq!(batch.at_s, boundary_s);
+                run.shifts.apply_to(batch.delta, &mut running);
+            }
+            assert_eq!(running.pairs(), want.pairs());
         }
-        assert_eq!(compiled.segments[2].label.as_deref(), Some("phase-2"));
-        // Horizons are differences of boundary times: exact above, within
-        // rounding for durations a running sum cannot carry exactly.
-        let uneven = [(0.1, phases[0].1.clone()), (0.2, phases[1].1.clone())];
-        let compiled = Trace::piecewise(&uneven).unwrap().compile();
-        assert_eq!(compiled.segments[0].duration_s, 0.1);
-        assert!((compiled.segments[1].duration_s - 0.2).abs() <= 1e-15);
+        assert!(batches.next().is_none());
 
         assert_eq!(Trace::piecewise(&[]), Err(TraceError::BadDuration(0.0)));
         let other = PairTrafficBuilder::new(5).build();
@@ -1103,19 +1018,24 @@ mod tests {
             .set_rate(60.0, 0, 2, 7.0)
             .scale_all(70.0, 0.3)
             .scale_pair(80.0, 2, 3, 5.0)
-            .marker(90.0, "tail")
+            .event(
+                90.0,
+                TraceEvent::Marker {
+                    label: "tail".into(),
+                },
+            )
             .scale_all(95.0, 1.7)
             .build()
             .unwrap();
         let c = t.compile();
         // One batch per event — a scale names its factor, never a pair.
-        let head = &c.segments[0];
-        assert_eq!(head.shifts.len(), 4);
-        assert_eq!(head.shifts[0].delta, TrafficDelta::ScaleAll(2.0));
-        assert_eq!(rates_of(head, 1), [rate(0, 2, 7.0)]);
-        assert_eq!(head.shifts[2].delta, TrafficDelta::ScaleAll(0.3));
-        assert_eq!(rates_of(head, 3).len(), 1);
-        assert_eq!(c.segments[1].shifts[0].delta, TrafficDelta::ScaleAll(1.7));
+        let run = &c.segments[0];
+        assert_eq!(run.shifts.len(), 5);
+        assert_eq!(run.shifts[0].delta, TrafficDelta::ScaleAll(2.0));
+        assert_eq!(rates_of(run, 1), [rate(0, 2, 7.0)]);
+        assert_eq!(run.shifts[2].delta, TrafficDelta::ScaleAll(0.3));
+        assert_eq!(rates_of(run, 3).len(), 1);
+        assert_eq!(run.shifts[4].delta, TrafficDelta::ScaleAll(1.7));
 
         // The reference: every scale expanded to one re-rate per pair.
         let mut reference: std::collections::BTreeMap<(u32, u32), f64> =
@@ -1150,20 +1070,28 @@ mod tests {
                 }
             }
         };
-        check(&c.segments[0], &t.events()[..4]);
-        check(&c.segments[1], &t.events()[5..]);
+        check(run, t.events());
     }
 
     #[test]
     fn set_rate_zero_removes_pair_from_next_snapshot() {
-        let t = base_trace()
-            .set_rate(10.0, 0, 1, 0.0)
-            .marker(20.0, "after")
-            .build()
-            .unwrap();
-        let c = t.compile();
-        assert_eq!(c.segments[1].initial.num_pairs(), 1);
-        assert_eq!(c.segments[1].initial.total_rate(), 20.0);
+        // At t = 0 the zero re-rate folds into the initial snapshot; later
+        // it removes the pair when its batch lands.
+        for at_s in [0.0, 10.0] {
+            let c = base_trace()
+                .set_rate(at_s, 0, 1, 0.0)
+                .build()
+                .unwrap()
+                .compile();
+            let run = &c.segments[0];
+            let mut tm = run.initial.clone();
+            for batch in run.shifts.iter() {
+                run.shifts.apply_to(batch.delta, &mut tm);
+            }
+            assert_eq!(tm.num_pairs(), 1);
+            assert_eq!(tm.total_rate(), 20.0);
+            assert_eq!(run.initial.num_pairs(), if at_s == 0.0 { 1 } else { 2 });
+        }
     }
 
     #[test]
@@ -1344,7 +1272,12 @@ mod tests {
     fn serde_round_trip() {
         let t = base_trace()
             .set_rate(10.0, 0, 2, 5.0)
-            .marker(50.0, "phase-2")
+            .event(
+                50.0,
+                TraceEvent::Marker {
+                    label: "phase-2".into(),
+                },
+            )
             .scale_all(60.0, 3.0)
             .build()
             .unwrap();

@@ -6,7 +6,7 @@
 
 use score_trace::{
     churn_trace, diurnal_trace, flash_crowd_trace, ChurnShape, CompiledTrace, DiurnalShape,
-    FlashCrowdShape, Trace, TrafficDelta,
+    FlashCrowdShape, Trace, TraceEvent, TrafficDelta,
 };
 use score_traffic::{PairTraffic, WorkloadConfig};
 
@@ -35,12 +35,14 @@ fn tm_into(hash: &mut u64, tm: &PairTraffic) {
     fnv1a(hash, &tm.total_rate().to_bits().to_le_bytes());
 }
 
-/// Every segment's label, duration, initial TM and batch stream (firing
-/// time, then the re-rates or the scale factor), bit for bit.
+/// The run's duration, initial TM and batch stream (firing time, then
+/// the re-rates or the scale factor), bit for bit. The leading `"-"`
+/// stands where a segment label was once hashed, so the hashes of
+/// traces without markers carry over.
 fn compiled_hash(compiled: &CompiledTrace) -> u64 {
     let mut hash = FNV_OFFSET;
     for seg in &compiled.segments {
-        fnv1a(&mut hash, seg.label.as_deref().unwrap_or("-").as_bytes());
+        fnv1a(&mut hash, b"-");
         fnv1a(&mut hash, &seg.duration_s.to_bits().to_le_bytes());
         tm_into(&mut hash, &seg.initial);
         fnv1a(&mut hash, &(seg.shifts.len() as u64).to_le_bytes());
@@ -96,9 +98,9 @@ fn churn_traces_hash_to_their_golden_values() {
     }
 }
 
-/// The same churn streams cut into marker-delimited segments (one marker
-/// mid-window, two on one instant), so the compiled hash also covers
-/// segment closing, boundary folding and per-segment batch stores.
+/// The same churn streams with markers inserted (one mid-window, two on
+/// one instant). A marker is a label: the JSONL carries it, and the
+/// compiled run is the unmarked stream's, hash for hash.
 #[test]
 fn marked_churn_traces_compile_to_their_golden_values() {
     let shape = ChurnShape {
@@ -110,21 +112,24 @@ fn marked_churn_traces_compile_to_their_golden_values() {
             11u64,
             13497usize,
             0x8d64_fcd5_a2c5_5eceu64,
-            0x17cf_907c_0719_e8c5u64,
+            0x851d_a310_df54_e150u64,
         ),
-        (29, 14187, 0xf6af_d66c_2b74_ff0f, 0xdf37_0edf_a6df_b1e3),
+        (29, 14187, 0xf6af_d66c_2b74_ff0f, 0x9509_e90d_8c06_a9ca),
     ] {
         let base = WorkloadConfig::new(NUM_VMS, seed).generate();
         let churn = churn_trace(&base, &shape, seed).unwrap();
+        let marker = |label: &str| TraceEvent::Marker {
+            label: label.into(),
+        };
         let mut b = Trace::builder(NUM_VMS, churn.end_s())
-            .marker(20.0, "early")
-            .marker(45.0, "shadowed")
-            .marker(45.0, "mid");
+            .event(20.0, marker("early"))
+            .event(45.0, marker("shadowed"))
+            .event(45.0, marker("mid"));
         for ev in churn.events() {
             b = b.event(ev.time_s, ev.event.clone());
         }
         let trace = b.build().unwrap();
-        assert_eq!(trace.compile().segments.len(), 3);
+        assert_eq!(trace.compile().segments.len(), 1);
         check("marked churn", seed, &trace, events, jsonl, compiled);
     }
 }

@@ -27,7 +27,12 @@ fn build_trace(raw: &[(u8, u32, u32, u32)]) -> Trace {
             0 => b.set_rate(time, u, v, f64::from(r % 10_000) * 100.0),
             1 => b.scale_pair(time, u, v, f64::from(r % 400) / 100.0),
             2 => b.scale_all(time, f64::from(r % 380 + 20) / 100.0),
-            _ => b.marker(time, format!("m{t}")),
+            _ => b.event(
+                time,
+                TraceEvent::Marker {
+                    label: format!("m{t}"),
+                },
+            ),
         };
     }
     b.build().expect("decoded events are valid")
@@ -79,17 +84,14 @@ fn naive_final_tm(trace: &Trace) -> BTreeMap<(u32, u32), f64> {
     rates
 }
 
-/// The TM a compiled trace ends on: last segment's initial plus its
-/// in-segment shifts.
+/// The TM a compiled trace ends on: the run's initial TM plus its
+/// shifts.
 fn compiled_final_tm(trace: &Trace) -> BTreeMap<(u32, u32), f64> {
     let compiled = trace.compile();
-    let last = compiled
-        .segments
-        .last()
-        .expect("valid traces have segments");
-    let mut tm = last.initial.clone();
-    for batch in last.shifts.iter() {
-        last.shifts.apply_to(batch.delta, &mut tm);
+    let run = &compiled.segments[0];
+    let mut tm = run.initial.clone();
+    for batch in run.shifts.iter() {
+        run.shifts.apply_to(batch.delta, &mut tm);
     }
     tm.pairs()
         .iter()
@@ -98,20 +100,20 @@ fn compiled_final_tm(trace: &Trace) -> BTreeMap<(u32, u32), f64> {
 }
 
 /// A compiled batch with its payload owned — the form `compile` emitted
-/// before a segment's re-rates moved into one flat store.
+/// before a run's re-rates moved into one flat store.
 #[derive(Debug, Clone, PartialEq)]
 enum RefDelta {
     Rates(Vec<(VmId, VmId, f64)>),
     ScaleAll(f64),
 }
 
-/// One reference segment: `(label, duration_s, initial TM, batches)`.
-type RefSegment = (Option<String>, f64, PairTraffic, Vec<(f64, RefDelta)>);
+/// The reference run: `(duration_s, initial TM, batches)`.
+type RefRun = (f64, PairTraffic, Vec<(f64, RefDelta)>);
 
 /// The per-event reference compiler: one owned batch per event that
 /// changes a rate, decided against a running TM advanced event by event;
-/// markers close segments, boundary events fold into the next initial TM.
-fn reference_segments(trace: &Trace) -> Vec<RefSegment> {
+/// events at t = 0 fold into the initial TM, and markers change nothing.
+fn reference_run(trace: &Trace) -> RefRun {
     let snapshot = |tm: &PairTraffic| {
         let mut b = PairTrafficBuilder::new(tm.num_vms());
         for (u, v, rate) in tm.pairs() {
@@ -121,28 +123,11 @@ fn reference_segments(trace: &Trace) -> Vec<RefSegment> {
     };
     let canon = |u: u32, v: u32| (VmId::new(u.min(v)), VmId::new(u.max(v)));
     let mut running = trace.base_traffic();
-    let mut segments = Vec::new();
-    let (mut start_s, mut label) = (0.0f64, None);
     let mut initial = snapshot(&running);
     let mut batches: Vec<(f64, RefDelta)> = Vec::new();
-    let mut close =
-        |end_s: f64, start_s: f64, label, initial, mut batches: Vec<(f64, RefDelta)>| {
-            let duration_s = end_s - start_s;
-            batches.retain(|&(at_s, _)| at_s < duration_s);
-            segments.push((label, duration_s, initial, batches));
-        };
     for ev in trace.events() {
         let delta = match ev.event {
-            TraceEvent::Marker { label: ref next } => {
-                if ev.time_s > start_s {
-                    let batches = std::mem::take(&mut batches);
-                    close(ev.time_s, start_s, label.take(), initial, batches);
-                    initial = snapshot(&running);
-                    start_s = ev.time_s;
-                }
-                label = Some(next.clone());
-                continue;
-            }
+            TraceEvent::Marker { .. } => continue,
             TraceEvent::SetRate { u, v, rate } => {
                 let (u, v) = canon(u, v);
                 (rate != running.rate(u, v)).then(|| RefDelta::Rates(vec![(u, v, rate)]))
@@ -162,21 +147,19 @@ fn reference_segments(trace: &Trace) -> Vec<RefSegment> {
             RefDelta::Rates(updates) => running.apply_updates(updates),
             RefDelta::ScaleAll(factor) => running.scale_all(*factor),
         }
-        if ev.time_s > start_s {
-            batches.push((ev.time_s - start_s, delta));
+        if ev.time_s > 0.0 {
+            batches.push((ev.time_s, delta));
         } else {
             initial = snapshot(&running);
         }
     }
-    if trace.end_s() > start_s {
-        close(trace.end_s(), start_s, label, initial, batches);
-    }
-    segments
+    batches.retain(|&(at_s, _)| at_s < trace.end_s());
+    (trace.end_s(), initial, batches)
 }
 
 /// A compiled trace's segments, every batch's payload read back through
 /// [`score_trace::ShiftRun::updates`], in the reference's form.
-fn reassembled_segments(compiled: &CompiledTrace) -> Vec<RefSegment> {
+fn reassembled_segments(compiled: &CompiledTrace) -> Vec<RefRun> {
     compiled
         .segments
         .iter()
@@ -194,12 +177,7 @@ fn reassembled_segments(compiled: &CompiledTrace) -> Vec<RefSegment> {
                     (b.at_s, delta)
                 })
                 .collect();
-            (
-                seg.label.clone(),
-                seg.duration_s,
-                seg.initial.clone(),
-                batches,
-            )
+            (seg.duration_s, seg.initial.clone(), batches)
         })
         .collect()
 }
@@ -213,12 +191,9 @@ proptest! {
     ) {
         let trace = build_trace(&raw);
         let compiled = trace.compile();
-        let reference = reference_segments(&trace);
-        prop_assert_eq!(reassembled_segments(&compiled), reference.clone());
-        prop_assert_eq!(
-            compiled.num_shifts(),
-            reference.iter().map(|seg| seg.3.len()).sum::<usize>()
-        );
+        let reference = reference_run(&trace);
+        prop_assert_eq!(compiled.num_shifts(), reference.2.len());
+        prop_assert_eq!(reassembled_segments(&compiled), vec![reference]);
     }
 
     #[test]
@@ -248,9 +223,8 @@ proptest! {
                 "pair {key:?}: naive {rate} vs compiled {got}"
             );
         }
-        // Segment durations tile the trace window exactly.
-        let total: f64 = trace.compile().segments.iter().map(|s| s.duration_s).sum();
-        prop_assert!((total - END_S).abs() < 1e-9);
+        // The one run spans the trace window exactly.
+        prop_assert_eq!(trace.compile().segments[0].duration_s, END_S);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub trait RateForecaster: fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Resets the estimator onto a full TM observed at `now_s` (session
-    /// start, phase rebinds).
+    /// start).
     fn prime(&mut self, traffic: &PairTraffic, now_s: f64);
 
     /// Folds one batch of absolute re-rates observed at `now_s`; each

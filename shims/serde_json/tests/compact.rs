@@ -200,7 +200,12 @@ fn scenario_streams_like_the_tree() {
     // scenario; the default topology carries `capacities: None`.
     let trace = Trace::builder(4, 10.0)
         .base_pair(0, 1, 1e6)
-        .marker(1.0, AWKWARD)
+        .event(
+            1.0,
+            TraceEvent::Marker {
+                label: AWKWARD.into(),
+            },
+        )
         .scale_all(2.0, 1.5)
         .build()
         .unwrap();

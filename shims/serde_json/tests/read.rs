@@ -590,7 +590,7 @@ fn a_scenario_reads_like_the_tree() {
     // in its length.
     let trace = Trace::builder(4, 10.0)
         .base_pair(0, 1, 1e6)
-        .marker(1.0, "m")
+        .event(1.0, TraceEvent::Marker { label: "m".into() })
         .build()
         .unwrap();
     differential(&[Scenario::builder().literal_trace(trace).build()]);

@@ -24,7 +24,10 @@ fn paper_topologies_have_the_published_dimensions() {
 #[test]
 #[ignore = "paper-scale run: ~5120 VMs, minutes in debug builds"]
 fn full_scale_canonical_tree_converges() {
-    let scenario = Scenario::paper_canonical(TrafficIntensity::Sparse, 7);
+    let mut scenario = Scenario::paper_canonical(TrafficIntensity::Sparse, 7);
+    // Three iterations of 5,120 holds at 0.1 s a hold take 1,536 s; the
+    // preset's 700 s horizon would stop `run(3)` inside the second.
+    scenario.timing.t_end_s = 1600.0;
     let mut session = scenario
         .session()
         .expect("paper-scale scenario is feasible");
